@@ -19,7 +19,7 @@ import configparser
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .filters import FilterSpec
 from .grid import Grid
@@ -104,8 +104,7 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
 
 _INIT_KINDS = ("taylor-green", "single-mode", "random")
 _FORCING_KINDS = ("none",) + _INIT_KINDS
-_LEMMA_NAMES = ("agmon", "ladyzhenskaya", "vertical_embedding",
-                "trilinear_i", "trilinear_ii")
+_LEMMA_NAMES = _SCHEMA["inequalities"]["lemmas"][1]
 
 
 class ConfigError(ValueError):
@@ -349,9 +348,19 @@ def parse_config(text: str) -> RunConfig:
                 f"inequalities.lemmas: {lemma!r} is not one of "
                 f"{', '.join(_LEMMA_NAMES)}"
             )
-    for key in ("count", "band", "resolution", "line_length"):
-        if ineq[key] < 1:
-            errors.append(f"inequalities.{key}: {ineq[key]} must be >= 1")
+    for key, low in (("count", 1), ("band", 1), ("resolution", 4)):
+        if ineq[key] < low:
+            errors.append(f"inequalities.{key}: {ineq[key]} must be >= {low}")
+    for key in ("resolution", "line_length"):
+        # the upsamplers split an even spectrum's Nyquist mode, and a draw
+        # of band b needs 2b + 1 modes per axis
+        if ineq[key] % 2:
+            errors.append(f"inequalities.{key}: {ineq[key]} must be even")
+        if ineq[key] < 2 * ineq["band"] + 1:
+            errors.append(
+                f"inequalities.{key}: {ineq[key]} must be at least "
+                f"2 * band + 1 = {2 * ineq['band'] + 1}"
+            )
     if ineq["amplitude_decay"] < 0:
         errors.append(
             f"inequalities.amplitude_decay: {ineq['amplitude_decay']} "
@@ -394,25 +403,9 @@ def parse_config(text: str) -> RunConfig:
         solver=solver,
         seed=values["run"]["seed"],
         output_dir=values["run"]["output_dir"],
-        operators=OperatorSweep(
-            k3_max=ops["k3_max"],
-            alpha_values=ops["alpha_values"],
-            theta_values=ops["theta_values"],
-            order_values=ops["order_values"],
-        ),
-        inequalities=InequalitySweep(
-            lemmas=ineq["lemmas"],
-            count=ineq["count"],
-            band=ineq["band"],
-            amplitude_decay=ineq["amplitude_decay"],
-            s_values=ineq["s_values"],
-            resolution=ineq["resolution"],
-            line_length=ineq["line_length"],
-        ),
-        dependence=DependenceSettings(
-            epsilon=dep["epsilon"],
-            perturbation_seed=dep["perturbation_seed"],
-        ),
+        operators=OperatorSweep(**ops),
+        inequalities=InequalitySweep(**ineq),
+        dependence=DependenceSettings(**dep),
         spectrum_checkpoint=values["spectrum"]["checkpoint"],
         effective=effective,
     )
@@ -421,19 +414,8 @@ def parse_config(text: str) -> RunConfig:
 def with_overrides(config: RunConfig, *, seed: int | None = None,
                    output_dir: str | None = None) -> RunConfig:
     """Command-line overrides; the effective echo and hash follow."""
-    if seed is None and output_dir is None:
-        return config
-    effective = {s: dict(b) for s, b in config.effective.items()}
     new_seed = config.seed if seed is None else seed
     new_dir = config.output_dir if output_dir is None else output_dir
-    effective["run"] = {"seed": new_seed, "output_dir": new_dir}
-    return RunConfig(
-        solver=config.solver,
-        seed=new_seed,
-        output_dir=new_dir,
-        operators=config.operators,
-        inequalities=config.inequalities,
-        dependence=config.dependence,
-        spectrum_checkpoint=config.spectrum_checkpoint,
-        effective=effective,
-    )
+    run = {"seed": new_seed, "output_dir": new_dir}
+    return replace(config, seed=new_seed, output_dir=new_dir,
+                   effective={**config.effective, "run": run})

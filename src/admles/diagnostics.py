@@ -25,13 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .filters import (
-    DeconvSpec,
-    FilterSpec,
-    apply_half_deconv,
-    deconv_symbol,
-    filter_symbol,
-)
+from .filters import DeconvSpec, FilterSpec, symbol_table
 from .spectral import (
     VectorField,
     grad_norm,
@@ -51,7 +45,6 @@ class EnergyRecord:
     dissipation: float
     forcing_power: float
     l2_norm: float
-    v_norm: float
     theta_seminorm: float
     gronwall_integrand: float
     budget_residual: float = math.nan  # filled when paired across steps
@@ -82,16 +75,16 @@ def energy_terms(w: VectorField, f: VectorField, filt: FilterSpec,
     if w.grid != f.grid:
         raise ValueError("state and forcing live on different grids")
     grid = w.grid
-    dspec = DeconvSpec(filt, order)
-    k3 = grid.k_axis(2)
-    weight = (filter_symbol(filt, k3) * deconv_symbol(dspec, k3)).reshape(1, 1, -1)
+    symbols = symbol_table(grid, DeconvSpec(filt, order))
+    weight = symbols.filter * symbols.deconv
     mass = np.abs(w.coeffs) ** 2
     model_energy = 0.5 * grid.volume * float(np.sum(weight * mass))
     dissipation = nu * grid.volume * float(
         np.sum(grid.k_squared * weight * mass)
     )
     forcing_power = inner_product(
-        apply_half_deconv(f, dspec), apply_half_deconv(w, dspec)
+        f.with_coeffs(f.coeffs * symbols.half_deconv),
+        w.with_coeffs(w.coeffs * symbols.half_deconv),
     )
     integrand = 0.0 if filt.theta == 0.0 else gronwall_integrand(w, filt.theta)
     return EnergyRecord(
@@ -100,7 +93,6 @@ def energy_terms(w: VectorField, f: VectorField, filt: FilterSpec,
         dissipation=dissipation,
         forcing_power=forcing_power,
         l2_norm=l2_norm(w),
-        v_norm=grad_norm(w),
         theta_seminorm=vertical_seminorm(w, filt.theta),
         gronwall_integrand=integrand,
     )

@@ -30,6 +30,7 @@ to at least 50.  Modewise bounds, exact at every k3:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -135,43 +136,71 @@ def deconv_error_symbol(spec: DeconvSpec, k3: np.ndarray) -> np.ndarray:
 # Application to spectral fields
 
 
-def _broadcast_k3(values_1d: np.ndarray) -> np.ndarray:
-    # trailing-axis alignment covers both (n1,n2,n3) and (3,n1,n2,n3)
-    return values_1d.reshape(1, 1, -1)
+@dataclass(frozen=True, eq=False)
+class SymbolTable:
+    """Read-only vertical multiplier lines of one grid and deconvolution.
+
+    Each line has shape (1, 1, n3), so trailing-axis broadcasting covers
+    both scalar (n1, n2, n3) and vector (3, n1, n2, n3) coefficients.
+    """
+
+    filter: np.ndarray  # A
+    bar: np.ndarray  # 1 / A
+    half_filter: np.ndarray  # A^{1/2}
+    deconv: np.ndarray  # D_N
+    half_deconv: np.ndarray  # D_N^{1/2}
 
 
-def _k3_line(grid: Grid) -> np.ndarray:
-    return grid.k_axis(2)
+@lru_cache(maxsize=32)
+def symbol_table(grid: Grid, spec: DeconvSpec) -> SymbolTable:
+    """The multiplier lines of `spec` on `grid`, built once per pair."""
+    k3 = grid.k_axis(2)
+    a = filter_symbol(spec.filter, k3).reshape(1, 1, -1)
+    d = deconv_symbol(spec, k3).reshape(1, 1, -1)
+    lines = (a, 1.0 / a, np.sqrt(a), d, np.sqrt(d))
+    for line in lines:
+        line.setflags(write=False)
+    return SymbolTable(*lines)
+
+
+def _filter_table(field: Field, spec: FilterSpec) -> SymbolTable:
+    return symbol_table(field.grid, DeconvSpec(spec, 0))
 
 
 def apply_filter(field: Field, spec: FilterSpec) -> Field:
     """Multiply by A(k3) (the inverse of bar smoothing)."""
-    sym = _broadcast_k3(filter_symbol(spec, _k3_line(field.grid)))
-    return field.with_coeffs(field.coeffs * sym)
+    return field.with_coeffs(field.coeffs * _filter_table(field, spec).filter)
 
 
 def apply_bar(field: Field, spec: FilterSpec) -> Field:
-    """Smoothing: multiply by 1 / A(k3)."""
-    sym = _broadcast_k3(filter_symbol(spec, _k3_line(field.grid)))
-    return field.with_coeffs(field.coeffs / sym)
+    """Smoothing: divide by A(k3).
+
+    Not a multiply by the cached 1/A: numpy's complex-by-real division
+    turns a -0.0 real part into +0.0 where multiplication keeps it, and
+    checkpoint bytes record that sign.
+    """
+    return field.with_coeffs(field.coeffs / _filter_table(field, spec).filter)
 
 
 def apply_half_filter(field: Field, spec: FilterSpec) -> Field:
     """Multiply by A(k3)^{1/2}."""
-    sym = _broadcast_k3(np.sqrt(filter_symbol(spec, _k3_line(field.grid))))
-    return field.with_coeffs(field.coeffs * sym)
+    return field.with_coeffs(
+        field.coeffs * _filter_table(field, spec).half_filter
+    )
 
 
 def apply_deconv(field: Field, spec: DeconvSpec) -> Field:
     """Multiply by D_N(k3)."""
-    sym = _broadcast_k3(deconv_symbol(spec, _k3_line(field.grid)))
-    return field.with_coeffs(field.coeffs * sym)
+    return field.with_coeffs(
+        field.coeffs * symbol_table(field.grid, spec).deconv
+    )
 
 
 def apply_half_deconv(field: Field, spec: DeconvSpec) -> Field:
     """Multiply by D_N(k3)^{1/2} (energy-weight convention)."""
-    sym = _broadcast_k3(np.sqrt(deconv_symbol(spec, _k3_line(field.grid))))
-    return field.with_coeffs(field.coeffs * sym)
+    return field.with_coeffs(
+        field.coeffs * symbol_table(field.grid, spec).half_deconv
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +216,7 @@ def vertical_fractional_shift(field: Field, spec: FilterSpec) -> Field:
     to the order of floating-point operations; keeping both forms lets
     the identity checks exercise them against each other.
     """
-    x = _broadcast_k3(_vertical_weight(spec, _k3_line(field.grid)))
+    x = _vertical_weight(spec, field.grid.k_axis(2)).reshape(1, 1, -1)
     return field.with_coeffs(field.coeffs + x * field.coeffs)
 
 

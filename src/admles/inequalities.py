@@ -38,6 +38,7 @@ from .spectral import (
     horizontal_grad_norm,
     inverse_transform,
     l2_norm,
+    pad_spectrum,
     resample,
     vertical_grad_seminorm,
     vertical_seminorm,
@@ -91,16 +92,8 @@ def line_hs_norm(coeffs: np.ndarray, s: float) -> float:
 
 def line_sup_norm(coeffs: np.ndarray, oversample: int = 4) -> float:
     """max |g| on an `oversample`-times refined axis (exact interpolation)."""
-    n = coeffs.size
-    m = oversample * n
-    half = n // 2
-    ext = np.zeros(m, dtype=np.complex128)
-    ext[:half] = coeffs[:half]
-    # split the Nyquist coefficient between +n/2 and -n/2
-    ext[half] = 0.5 * coeffs[half]
-    ext[m - half] += 0.5 * coeffs[half]
-    ext[m - half + 1:] = coeffs[half + 1:]
-    samples = np.fft.ifft(ext) * m
+    m = oversample * coeffs.size
+    samples = np.fft.ifft(pad_spectrum(coeffs, m, 0)) * m
     return float(np.max(np.abs(samples)))
 
 
@@ -163,13 +156,7 @@ def _vertical_upsample(values: np.ndarray, factor: int) -> np.ndarray:
     n = values.size
     m = factor * n
     c = np.fft.fft(values) / n
-    half = n // 2
-    ext = np.zeros(m, dtype=np.complex128)
-    ext[:half] = c[:half]
-    ext[half] = 0.5 * c[half]
-    ext[m - half] += 0.5 * c[half]
-    ext[m - half + 1:] = c[half + 1:]
-    return (np.fft.ifft(ext) * m).real
+    return (np.fft.ifft(pad_spectrum(c, m, 0)) * m).real
 
 
 def plane_l2_profile(u: VectorField) -> np.ndarray:

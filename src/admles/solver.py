@@ -27,14 +27,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .ensembles import EnsembleSpec, draw_vector
-from .filters import (
-    DeconvSpec,
-    FilterSpec,
-    apply_bar,
-    apply_deconv,
-    deconv_symbol,
-    filter_symbol,
-)
+from .filters import DeconvSpec, FilterSpec, apply_bar, symbol_table
 from .grid import Grid
 from .spectral import (
     VectorField,
@@ -236,12 +229,6 @@ class NaNError(SolverAbort):
 # Right-hand side and stepping
 
 
-def nonlinear_term(w: VectorField, dspec: DeconvSpec) -> VectorField:
-    """bar(div(D w x D w)), Leray-projected: the model convection term."""
-    z = apply_deconv(w, dspec)
-    return leray_project(apply_bar(tensor_divergence(z), dspec.filter))
-
-
 class StepOperators:
     """Per-config precomputed multiplier arrays for the stepper."""
 
@@ -249,9 +236,7 @@ class StepOperators:
         grid = config.grid
         self.config = config
         self.viscous_factor = np.exp(-config.nu * config.dt * grid.k_squared)
-        k3 = grid.k_axis(2)
-        self.deconv_line = deconv_symbol(config.deconv, k3).reshape(1, 1, -1)
-        self.bar_line = 1.0 / filter_symbol(config.filter, k3).reshape(1, 1, -1)
+        self.symbols = symbol_table(grid, config.deconv)
         f_raw = forcing_field(config.forcing, grid)
         self.forcing_raw = f_raw
         self.forcing_smoothed = apply_bar(f_raw, config.filter)
@@ -260,14 +245,14 @@ class StepOperators:
     def rhs(self, w: VectorField) -> np.ndarray:
         """g(w) = -P bar div(Dw x Dw) + bar f, as a coefficient array."""
         grid = self.config.grid
-        z = VectorField(grid, w.coeffs * self.deconv_line)
+        z = VectorField(grid, w.coeffs * self.symbols.deconv)
         t = tensor_divergence(z)
-        conv = leray_project(VectorField(grid, t.coeffs * self.bar_line))
+        conv = leray_project(VectorField(grid, t.coeffs * self.symbols.bar))
         return self.forcing_smoothed.coeffs - conv.coeffs
 
     def advective_speed(self, w: VectorField) -> float:
         z = inverse_transform(
-            self.config.grid, w.coeffs * self.deconv_line
+            self.config.grid, w.coeffs * self.symbols.deconv
         )
         return float(np.max(np.sqrt(np.sum(z**2, axis=0))))
 
@@ -471,7 +456,12 @@ def write_checkpoint(path, state: SolverState, config: SolverConfig,
 
 
 def read_checkpoint(path):
-    """Returns (SolverState, header dict)."""
+    """Returns (SolverState, header dict).
+
+    Anything but a complete checkpoint raises ValueError naming the
+    path: a bad magic, a short read, a missing or ill-typed header key,
+    or coefficients whose shape is not (3, *header grid).
+    """
     import json
     import struct
 
@@ -479,15 +469,32 @@ def read_checkpoint(path):
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
             raise ValueError(f"{path}: not a checkpoint file (bad magic)")
-        (length,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(length).decode())
-        coeffs = np.lib.format.read_array(fh)
-    n1, n2, n3 = header["grid"]
-    l1, l2, l3 = header["lengths"]
-    grid = Grid(n1, n2, n3, l1, l2, l3)
-    state = SolverState(
-        t=float(header["t"]),
-        step_index=int(header["step_index"]),
-        w=VectorField(grid, coeffs),
-    )
+        prefix = fh.read(8)
+        if len(prefix) != 8:
+            raise ValueError(f"{path}: truncated checkpoint (no header length)")
+        (length,) = struct.unpack("<Q", prefix)
+        blob = fh.read(length)
+        if len(blob) != length:
+            raise ValueError(f"{path}: truncated checkpoint header")
+        try:
+            header = json.loads(blob.decode())
+            coeffs = np.lib.format.read_array(fh)
+        except ValueError as exc:  # also JSON, UTF-8 and npy EOF errors
+            raise ValueError(f"{path}: corrupt checkpoint: {exc}") from exc
+    try:
+        n1, n2, n3 = header["grid"]
+        l1, l2, l3 = header["lengths"]
+        grid = Grid(n1, n2, n3, l1, l2, l3)
+        t = float(header["t"])
+        step_index = int(header["step_index"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(
+            f"{path}: missing or ill-typed checkpoint header key: {exc!r}"
+        ) from exc
+    if coeffs.shape != (3, *grid.shape):
+        raise ValueError(
+            f"{path}: coefficient shape {coeffs.shape} does not match "
+            f"(3, *{grid.shape})"
+        )
+    state = SolverState(t=t, step_index=step_index, w=VectorField(grid, coeffs))
     return state, header

@@ -162,10 +162,6 @@ def vertical_derivative(field: SpectralField) -> SpectralField:
     return SpectralField(g, 1j * g.kd3 * field.coeffs)
 
 
-def laplacian(field: Field) -> Field:
-    return field.with_coeffs(-field.grid.k_squared * field.coeffs)
-
-
 def leray_project(field: VectorField) -> VectorField:
     """L^2-orthogonal projection onto divergence-free fields.
 
@@ -285,16 +281,6 @@ def vertical_grad_seminorm(f: Field, s: float) -> float:
     )
 
 
-def sobolev_h_s_norm_1d(coeffs: np.ndarray, s: float, length: float) -> float:
-    """H^s norm (||g||^2 + |||k|^s g||^2)^(1/2) of a 1-D coefficient line."""
-    n = coeffs.size
-    k = np.fft.fftfreq(n, d=1.0 / n) * (2.0 * np.pi / length)
-    mag2 = np.abs(coeffs) ** 2
-    return float(
-        np.sqrt(length * np.sum((1.0 + np.abs(k) ** (2.0 * s)) * mag2))
-    )
-
-
 def mean_value(f: SpectralField) -> float:
     return float(f.coeffs[0, 0, 0].real)
 
@@ -303,22 +289,25 @@ def mean_value(f: SpectralField) -> float:
 # Resampling between grids (trigonometric interpolation)
 
 
-def _split_nyquist(coeffs: np.ndarray, axis: int) -> np.ndarray:
-    """Return coefficients on an axis enlarged by one slot, with the
-    Nyquist coefficient split evenly between +n/2 and -n/2.
+def pad_spectrum(coeffs: np.ndarray, m: int, axis: int) -> np.ndarray:
+    """Embed a spectrum of even length n into length m > n along `axis`.
 
-    The stored -n/2 entry of a real field represents cos(n x / 2)
-    content; splitting it keeps the trigonometric interpolant real and
-    value-preserving when embedding into a finer grid.
+    Modes |k| < n/2 keep their coefficients.  The stored -n/2 entry of a
+    real field represents cos(n x / 2) content, so it is split evenly
+    between +n/2 and -n/2; the trigonometric interpolant then stays real
+    and keeps its values at the original sample points.
     """
     n = coeffs.shape[axis]
+    if n % 2 or m <= n:
+        raise ValueError(f"cannot pad a spectrum of length {n} to {m}: "
+                         f"need an even length and m > n")
     half = n // 2
     src = np.moveaxis(coeffs, axis, 0)
-    out = np.zeros((n + 1, *src.shape[1:]), dtype=src.dtype)
+    out = np.zeros((m, *src.shape[1:]), dtype=np.complex128)
     out[:half] = src[:half]
     out[half] = 0.5 * src[half]
-    out[half + 1] = 0.5 * src[half]
-    out[half + 2:] = src[half + 1:]
+    out[m - half] = 0.5 * src[half]
+    out[m - half + 1:] = src[half + 1:]
     return np.moveaxis(out, 0, axis)
 
 
@@ -341,7 +330,7 @@ def resample(field: Field, target: Grid) -> Field:
     # ordered like fftfreq(n + 1).
     ext = src
     for axis in (-3, -2, -1):
-        ext = _split_nyquist(ext, axis)
+        ext = pad_spectrum(ext, ext.shape[axis] + 1, axis)
 
     def axis_map(n_ext: int, n_dst: int):
         modes = np.fft.fftfreq(n_ext, d=1.0 / n_ext).astype(int)
@@ -369,9 +358,3 @@ def resample(field: Field, target: Grid) -> Field:
         out, (d1[:, None, None], d2[None, :, None], d3[None, None, :]), sub
     )
     return SpectralField(target, out)
-
-
-def oversampled_samples(field: Field, factor: int = 2) -> np.ndarray:
-    """Physical samples of the interpolant on a `factor`-times finer grid."""
-    fine = field.grid.refined(factor)
-    return inverse_transform(fine, resample(field, fine).coeffs)

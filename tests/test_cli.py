@@ -196,6 +196,21 @@ def test_spectrum_requires_checkpoint(tmp_path, capsys):
     assert "checkpoint" in capsys.readouterr().err
 
 
+def test_spectrum_rejects_malformed_checkpoint(tmp_path, capsys):
+    sim_cfg = write(tmp_path / "sim.ini", "[solver]\nt_end = 0.01\n")
+    sim_out = tmp_path / "sim"
+    assert run_cli("simulate", "--config", sim_cfg, "--output", str(sim_out),
+                   "--quiet") == 0
+    cut = tmp_path / "cut.ckpt"
+    cut.write_bytes((sim_out / "state.ckpt").read_bytes()[:12])
+    spec_cfg = write(tmp_path / "spec.ini", f"[spectrum]\ncheckpoint = {cut}\n")
+    assert run_cli("spectrum", "--config", spec_cfg,
+                   "--output", str(tmp_path / "spec"), "--quiet") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ") and str(cut) in err[0]
+
+
 def test_config_hash_stamped_everywhere(tmp_path):
     cfg = write(tmp_path / "run.ini", "[solver]\nt_end = 0.02\n")
     out = tmp_path / "out"

@@ -111,6 +111,29 @@ def test_unknown_lemma_rejected():
     assert any("poincare" in e for e in excinfo.value.errors)
 
 
+@pytest.mark.parametrize("body, expected", [
+    ("resolution = 31", ["inequalities.resolution: 31 must be even"]),
+    ("resolution = 2", ["inequalities.resolution: 2 must be >= 4",
+                        "inequalities.resolution: 2 must be at least "
+                        "2 * band + 1 = 11"]),
+    ("line_length = 255", ["inequalities.line_length: 255 must be even"]),
+    ("band = 8\nresolution = 16", ["inequalities.resolution: 16 must be "
+                                   "at least 2 * band + 1 = 17"]),
+    ("band = 3\nline_length = 6", ["inequalities.line_length: 6 must be "
+                                   "at least 2 * band + 1 = 7"]),
+    ("resolution = 9\nline_length = 7\ncount = 0",
+     ["inequalities.count: 0 must be >= 1",
+      "inequalities.resolution: 9 must be even",
+      "inequalities.resolution: 9 must be at least 2 * band + 1 = 11",
+      "inequalities.line_length: 7 must be even",
+      "inequalities.line_length: 7 must be at least 2 * band + 1 = 11"]),
+])
+def test_inequality_sizes_checked_at_parse_time(body, expected):
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config("[inequalities]\n" + body + "\n")
+    assert excinfo.value.errors == expected
+
+
 def test_hash_ignores_output_dir_but_not_seed():
     base = parse_config("")
     moved = with_overrides(base, output_dir="elsewhere")

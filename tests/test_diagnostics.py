@@ -152,7 +152,7 @@ def test_energy_record_validation():
     with pytest.raises(ValueError):
         EnergyRecord(
             t=0.0, model_energy=-1.0, dissipation=0.0, forcing_power=0.0,
-            l2_norm=0.0, v_norm=0.0, theta_seminorm=0.0, gronwall_integrand=0.0,
+            l2_norm=0.0, theta_seminorm=0.0, gronwall_integrand=0.0,
         )
 
 

@@ -16,6 +16,7 @@ from admles.filters import (
     deconv_symbol,
     deconv_symbol_iterative,
     filter_symbol,
+    symbol_table,
     vertical_fractional_shift,
 )
 from admles.grid import Grid
@@ -158,6 +159,36 @@ def test_deconv_error_large_band():
 
 # ---------------------------------------------------------------------------
 # Field application
+
+
+def test_symbol_table_cached_read_only_and_applied(grid):
+    spec = DeconvSpec(FilterSpec(alpha=0.7, theta=0.6), 3)
+    table = symbol_table(grid, spec)
+    assert symbol_table(grid, spec) is table
+    k3 = grid.k_axis(2)
+    a = filter_symbol(spec.filter, k3)
+    d = deconv_symbol(spec, k3)
+    expected = {"filter": a, "bar": 1.0 / a, "half_filter": np.sqrt(a),
+                "deconv": d, "half_deconv": np.sqrt(d)}
+    for name, values in expected.items():
+        line = getattr(table, name)
+        assert line.shape == (1, 1, grid.n3)
+        assert not line.flags.writeable
+        with pytest.raises(ValueError):
+            line[0, 0, 0] = 0.0
+        assert np.array_equal(line[0, 0], values)
+
+    # each application still equals its symbol form bit for bit
+    w = random_divfree(grid, seed=21)
+    c = w.coeffs
+    line = lambda v: v.reshape(1, 1, -1)  # noqa: E731
+    assert np.array_equal(apply_filter(w, spec.filter).coeffs, c * line(a))
+    assert np.array_equal(apply_bar(w, spec.filter).coeffs, c / line(a))
+    assert np.array_equal(apply_half_filter(w, spec.filter).coeffs,
+                          c * line(np.sqrt(a)))
+    assert np.array_equal(apply_deconv(w, spec).coeffs, c * line(d))
+    assert np.array_equal(apply_half_deconv(w, spec).coeffs,
+                          c * line(np.sqrt(d)))
 
 
 def test_apply_bar_halves_unit_mode(grid):

@@ -1,9 +1,14 @@
 """Solver: initialization, stepping, conservation, aborts, checkpoints."""
 
+import io
+import json
+import re
+import struct
+
 import numpy as np
 import pytest
 
-from admles.filters import DeconvSpec, FilterSpec, apply_bar, apply_filter
+from admles.filters import DeconvSpec, FilterSpec, apply_filter, filter_symbol
 from admles.grid import Grid
 from admles.solver import (
     CFLError,
@@ -19,7 +24,6 @@ from admles.solver import (
     descriptor_field,
     init_field,
     initial_state,
-    nonlinear_term,
     read_checkpoint,
     run,
     step,
@@ -125,26 +129,36 @@ def test_random_init_normalized_after_filtering():
 # Nonlinear term
 
 
+def convection(w, order):
+    """P bar div(D w x D w): minus the right-hand side without forcing."""
+    return -StepOperators(config16(grid=w.grid, deconv_order=order)).rhs(w)
+
+
+def bar_line(cfg):
+    return 1.0 / filter_symbol(cfg.filter, cfg.grid.k_axis(2)).reshape(1, 1, -1)
+
+
 def test_nonlinear_term_zero_field():
     g = Grid(16, 16, 16)
     w = VectorField(g, np.zeros((3, *g.shape), dtype=complex))
-    out = nonlinear_term(w, DeconvSpec(FILT, 2))
-    assert np.max(np.abs(out.coeffs)) == 0.0
+    out = convection(w, 2)
+    assert np.max(np.abs(out)) == 0.0
 
 
 def test_nonlinear_term_divergence_free():
     g = Grid(16, 16, 16)
     w = init_field(RandomBandLimited(seed=5, band=5), g, FILT)
-    out = nonlinear_term(w, DeconvSpec(FILT, 3))
+    out = VectorField(g, convection(w, 3))
     assert divergence_residual(out) < 1e-12 * np.max(np.abs(out.coeffs))
 
 
 def test_nonlinear_term_order_zero_reduction():
     g = Grid(16, 16, 16)
     w = init_field(RandomBandLimited(seed=6, band=5), g, FILT)
-    out = nonlinear_term(w, DeconvSpec(FILT, 0))
-    ref = leray_project(apply_bar(tensor_divergence(w), FILT))
-    assert np.array_equal(out.coeffs, ref.coeffs)
+    out = convection(w, 0)
+    bar = bar_line(config16())
+    ref = leray_project(VectorField(g, tensor_divergence(w).coeffs * bar))
+    assert np.array_equal(out, ref.coeffs)
 
 
 def test_nonlinear_orthogonality_pre_projection():
@@ -254,10 +268,11 @@ def test_zeroth_order_reduction_bitwise():
     cfg = config16(deconv_order=0, t_end=0.03)
     grid = cfg.grid
     ops = StepOperators(cfg)
+    bar = bar_line(cfg)
 
     def plain_rhs(w):
         t = tensor_divergence(w)  # no deconvolution multiply
-        conv = leray_project(VectorField(grid, t.coeffs * ops.bar_line))
+        conv = leray_project(VectorField(grid, t.coeffs * bar))
         return ops.forcing_smoothed.coeffs - conv.coeffs
 
     def plain_step(state):
@@ -386,8 +401,38 @@ def test_checkpoint_bytes_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def forged_checkpoint(header, coeffs):
+    blob = json.dumps(header).encode()
+    payload = io.BytesIO()
+    np.lib.format.write_array(payload, coeffs)
+    return (b"ADMCKPT1\n" + struct.pack("<Q", len(blob)) + blob
+            + payload.getvalue())
+
+
 def test_checkpoint_rejects_foreign_file(tmp_path):
-    path = tmp_path / "junk.bin"
-    path.write_bytes(b"not a checkpoint")
-    with pytest.raises(ValueError):
-        read_checkpoint(path)
+    header = {"grid": [4, 4, 4], "lengths": [1.0, 1.0, 1.0], "t": 0.0,
+              "step_index": 0}
+    coeffs = np.zeros((3, 4, 4, 4), dtype=complex)
+    good = forged_checkpoint(header, coeffs)
+    no_grid = {k: v for k, v in header.items() if k != "grid"}
+    cases = {
+        "junk": b"not a checkpoint",
+        "cut_to_12_bytes": good[:12],
+        "cut_in_header": good[:30],
+        "cut_in_payload": good[:-8],
+        "header_without_grid": forged_checkpoint(no_grid, coeffs),
+        "grid_not_a_list": forged_checkpoint({**header, "grid": 4}, coeffs),
+        "time_not_a_number": forged_checkpoint({**header, "t": "soon"}, coeffs),
+        "header_not_an_object": forged_checkpoint([1, 2], coeffs),
+        "shape_mismatch": forged_checkpoint(header, coeffs[:, :, :, :2]),
+        "scalar_field": forged_checkpoint(header, coeffs[0]),
+    }
+    for name, content in cases.items():
+        path = tmp_path / f"{name}.bin"
+        path.write_bytes(content)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            read_checkpoint(path)
+    path = tmp_path / "good.bin"
+    path.write_bytes(good)
+    state, _ = read_checkpoint(path)
+    assert state.w.grid == Grid(4, 4, 4, 1.0, 1.0, 1.0)

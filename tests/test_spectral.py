@@ -23,6 +23,7 @@ from admles.spectral import (
     l2_norm,
     leray_project,
     mean_value,
+    pad_spectrum,
     resample,
     tensor_divergence,
     vector_from_samples,
@@ -201,6 +202,38 @@ def test_resample_interpolates_samples(grid):
     fine_grid = grid.refined()
     fine_samples = inverse_transform(fine_grid, resample(f, fine_grid).coeffs)
     assert np.max(np.abs(fine_samples[::2, ::2, ::2] - samples)) < 1e-12
+
+
+@pytest.mark.parametrize("axis", [0, -1])
+@pytest.mark.parametrize("target", [lambda n: n + 1, lambda n: 4 * n],
+                         ids=["m=n+1", "m=4n"])
+def test_pad_spectrum_keeps_real_samples(axis, target):
+    # random samples carry Nyquist content on every axis
+    samples = np.random.default_rng(12).standard_normal((8, 6))
+    n = samples.shape[axis]
+    m = target(n)
+    coeffs = np.fft.fft(samples, axis=axis) / n
+    assert np.min(np.abs(np.take(coeffs, n // 2, axis=axis))) > 1e-3
+    ext = pad_spectrum(coeffs, m, axis)
+    assert ext.shape[axis] == m
+    # the interpolant is real: c_{-k} = conj(c_k) on the padded axis
+    mirrored = np.roll(np.flip(ext, axis), 1, axis)
+    assert np.max(np.abs(ext - np.conj(mirrored))) < 1e-15
+    # and takes the original values at the original points
+    x = 2.0 * np.pi * np.arange(n) / n
+    basis = np.exp(1j * np.outer(x, np.fft.fftfreq(m, d=1.0 / m)))
+    values = np.moveaxis(
+        np.tensordot(basis, np.moveaxis(ext, axis, 0), axes=1), 0, axis
+    )
+    assert np.max(np.abs(values.imag)) < 1e-13
+    assert np.max(np.abs(values.real - samples)) < 1e-13
+
+
+def test_pad_spectrum_rejects_odd_or_shrinking_lengths():
+    with pytest.raises(ValueError):
+        pad_spectrum(np.zeros(7, dtype=complex), 28, 0)
+    with pytest.raises(ValueError):
+        pad_spectrum(np.zeros(8, dtype=complex), 8, 0)
 
 
 def test_resample_preserves_l2_when_band_limited(grid):
