@@ -298,7 +298,7 @@ def run_agmon(spec: EnsembleSpec, s: float, n: int, *,
                 raise AssertionError(
                     f"split bound violated on sample {i}: sup={sup} bound={bound}"
                 )
-        if not ratios or r > max(ratios):
+        if not ratios or r > ratios[worst]:
             worst = i
         ratios.append(r)
     return _finish("agmon", s, ratios, worst, str(n), spec.seed)
@@ -311,7 +311,7 @@ def run_ladyzhenskaya(spec: EnsembleSpec, grid: Grid) -> RatioReport:
     for i in range(spec.count):
         u = draw_vector(rng, spec, grid)
         r = ladyzhenskaya_ratio(u)
-        if not ratios or r > max(ratios):
+        if not ratios or r > ratios[worst]:
             worst = i
         ratios.append(r)
     res = "x".join(str(m) for m in grid.shape)
@@ -326,7 +326,7 @@ def run_vertical_embedding(spec: EnsembleSpec, grid: Grid,
     for i in range(spec.count):
         u = draw_vector(rng, spec, grid)
         r = vertical_embedding_ratio(u, s)
-        if not ratios or r > max(ratios):
+        if not ratios or r > ratios[worst]:
             worst = i
         ratios.append(r)
     res = "x".join(str(m) for m in grid.shape)
@@ -346,7 +346,7 @@ def run_trilinear(spec: EnsembleSpec, grid: Grid, s: float,
         v = draw_vector(rng, spec, grid)
         w = draw_vector(rng, spec, grid)
         r = ratio_fn(u, v, w, s)
-        if not ratios or r > max(ratios):
+        if not ratios or r > ratios[worst]:
             worst = i
         ratios.append(r)
     res = "x".join(str(m) for m in grid.shape)

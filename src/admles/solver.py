@@ -244,27 +244,32 @@ class StepOperators:
 
     def rhs(self, w: VectorField) -> np.ndarray:
         """g(w) = -P bar div(Dw x Dw) + bar f, as a coefficient array."""
+        return self.rhs_and_speed(w)[0]
+
+    def rhs_and_speed(self, w: VectorField) -> tuple[np.ndarray, float]:
+        """g(w) and max |Dw|, read off the samples its nonlinear term builds."""
         grid = self.config.grid
         z = VectorField(grid, w.coeffs * self.symbols.deconv)
-        t = tensor_divergence(z)
-        conv = leray_project(VectorField(grid, t.coeffs * self.symbols.bar))
-        return self.forcing_smoothed.coeffs - conv.coeffs
-
-    def advective_speed(self, w: VectorField) -> float:
-        z = inverse_transform(
-            self.config.grid, w.coeffs * self.symbols.deconv
-        )
-        return float(np.max(np.sqrt(np.sum(z**2, axis=0))))
+        zs = inverse_transform(grid, z.coeffs)
+        speed = float(np.sqrt(np.max(np.sum(zs**2, axis=0))))
+        t = tensor_divergence(z, u_samples=zs).coeffs * self.symbols.bar
+        del z, zs  # free them before the projection's temporaries
+        conv = leray_project(VectorField(grid, t))
+        return self.forcing_smoothed.coeffs - conv.coeffs, speed
 
 
 def step(state: SolverState, config: SolverConfig,
          ops: StepOperators | None = None) -> SolverState:
-    """One IMEX Heun step with exact viscous integrating factor."""
+    """One IMEX Heun step with exact viscous integrating factor.
+
+    The CFL speed comes from the first right-hand side evaluation, which
+    already holds the samples of Dw.
+    """
     if ops is None:
         ops = StepOperators(config)
     dt = config.dt
     w = state.w
-    speed = ops.advective_speed(w)
+    k1, speed = ops.rhs_and_speed(w)
     cfl = dt * speed * ops.kmax
     if cfl > CFL_LIMIT:
         raise CFLError(
@@ -272,7 +277,6 @@ def step(state: SolverState, config: SolverConfig,
             f"> {CFL_LIMIT}"
         )
     e = ops.viscous_factor
-    k1 = ops.rhs(w)
     predictor = VectorField(config.grid, e * (w.coeffs + dt * k1))
     k2 = ops.rhs(predictor)
     new_coeffs = e * w.coeffs + 0.5 * dt * (e * k1 + k2)

@@ -12,23 +12,44 @@ k = 0 coefficient is the spatial mean.  Plancherel then reads
 with vol the box volume.  All norms and inner products below are the
 continuum L^2 quantities of the band-limited interpolant, not plain
 vector norms of sample arrays.
+
+Every 3-D transform is real.  Samples are real, so their coefficients
+are Hermitian, c_{-k} = conj(c_k), and the half spectrum k3 in
+[0, n3/2] determines the rest: the forward transform is one rfftn
+followed by one Hermitian expansion to the full FFT layout, and the
+inverse is one irfftn of the half spectrum.  Coefficients are still
+stored in the full layout, so norms, checkpoints and draws see no
+change.  The transforms come from numpy.fft rather than scipy.fft,
+whose import costs more start-up time and memory than it saves here.
+
+irfftn reads only the half spectrum and takes the rest to be its
+mirror, so a coefficient array that is not Hermitian would lose its
+defect without a trace.  inverse_transform therefore compares every
+(k, -k) pair first, including the pairs inside the k3 = 0 and
+k3 = n3/2 planes, and raises RealityError on a mismatch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .grid import Grid
 
-# Tolerance on the relative imaginary residue when returning physical
-# samples of a field that is supposed to be real.
-_IMAG_TOL = 1e-10
+# Largest Hermitian defect max |c_k - conj(c_-k)|, relative to max |c|,
+# that inverse_transform accepts.
+_HERMITIAN_TOL = 1e-10
+_AXES = (-3, -2, -1)
+# The products u_i v_j that tensor_divergence transforms: the six with
+# i <= j when v is u (u_j u_i is the same field), all nine otherwise.
+_SYMMETRIC_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+_ALL_PAIRS = tuple((i, j) for i in range(3) for j in range(3))
 
 
 class RealityError(ValueError):
-    """Raised when coefficients claimed Hermitian produce complex samples."""
+    """Raised when coefficients to be inverted are not Hermitian."""
 
 
 def _as_complex(arr: np.ndarray) -> np.ndarray:
@@ -84,31 +105,39 @@ Field = SpectralField | VectorField
 
 
 def forward_transform(grid: Grid, samples: np.ndarray) -> np.ndarray:
-    """Physical samples -> amplitude coefficients (last three axes)."""
-    axes = (-3, -2, -1)
-    return np.fft.fftn(np.asarray(samples), axes=axes) / grid.num_points
+    """Real physical samples -> amplitude coefficients (last three axes)."""
+    half = np.fft.rfftn(samples, axes=_AXES, norm="forward")
+    return _expand_half(half, grid.n3)
 
 
-def inverse_transform(grid: Grid, coeffs: np.ndarray, *,
-                      enforce_real: bool = True) -> np.ndarray:
-    """Amplitude coefficients -> physical samples (last three axes).
+def inverse_transform(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+    """Amplitude coefficients -> real physical samples (last three axes).
 
-    With enforce_real, the imaginary residue must be negligible relative
-    to the field size; violation raises RealityError rather than being
-    silently discarded.
+    Raises RealityError if max |c_k - conj(c_-k)| exceeds 1e-10 of
+    max |c|, rather than letting irfftn drop the defect.  max |c| is
+    taken over the half spectrum that irfftn reads; it bounds the other
+    half to within the defect.
     """
-    axes = (-3, -2, -1)
-    samples = np.fft.ifftn(np.asarray(coeffs), axes=axes) * grid.num_points
-    if not enforce_real:
-        return samples
-    scale = np.max(np.abs(samples))
-    residue = np.max(np.abs(samples.imag))
-    if scale > 0 and residue > _IMAG_TOL * scale:
+    coeffs = np.asarray(coeffs)
+    half = coeffs[..., : grid.n3 // 2 + 1]
+    scale = np.max(np.abs(half))
+    residual = hermitian_residual(coeffs)
+    if residual > _HERMITIAN_TOL * scale:
         raise RealityError(
-            f"imaginary residue {residue:.3e} exceeds {_IMAG_TOL:.0e} of "
-            f"field scale {scale:.3e}; coefficients are not Hermitian"
+            f"Hermitian defect {residual:.3e} exceeds {_HERMITIAN_TOL:.0e} of "
+            f"coefficient scale {scale:.3e}; the samples would not be real"
         )
-    return samples.real
+    return np.fft.irfftn(half, s=grid.shape, axes=_AXES, norm="forward")
+
+
+def _expand_half(half: np.ndarray, n3: int) -> np.ndarray:
+    """Full FFT layout from the half spectrum k3 in [0, n3/2]."""
+    m = half.shape[-1]
+    full = np.empty((*half.shape[:-1], n3), dtype=np.complex128)
+    full[..., :m] = half
+    # the mirrors of columns m..n3-1 lie in columns 1..n3-m, set above
+    full[..., m:] = np.conj(mirror_coeffs(full, slice(m, None)))
+    return full
 
 
 def field_from_samples(grid: Grid, samples: np.ndarray) -> SpectralField:
@@ -119,17 +148,39 @@ def vector_from_samples(grid: Grid, samples: np.ndarray) -> VectorField:
     return VectorField(grid, forward_transform(grid, samples))
 
 
-def mirror_coeffs(coeffs: np.ndarray) -> np.ndarray:
-    """Coefficients at -k, respecting FFT ordering on the last three axes."""
-    out = coeffs
-    for axis in (-3, -2, -1):
-        out = np.roll(np.flip(out, axis=axis), 1, axis=axis)
-    return out
+@lru_cache(maxsize=8)
+def _mirror_index(shape: tuple[int, int, int]) -> np.ndarray:
+    """Flat index of -k for every k of an FFT-ordered grid `shape`."""
+    _, n2, n3 = shape
+    m1, m2, m3 = ((-np.arange(n)) % n for n in shape)
+    index = (m1[:, None, None] * n2 + m2[None, :, None]) * n3 + m3[None, None, :]
+    index = index.astype(np.intp)
+    index.setflags(write=False)
+    return index
+
+
+def mirror_coeffs(coeffs: np.ndarray, k3: slice = slice(None)) -> np.ndarray:
+    """Coefficients at -k, respecting FFT ordering on the last three axes.
+
+    One gather through an index cached per grid shape; `k3` selects
+    which columns of the last axis to return.
+    """
+    shape = coeffs.shape[-3:]
+    flat = coeffs.reshape(*coeffs.shape[:-3], -1)
+    return np.take(flat, _mirror_index(shape)[..., k3], axis=-1)
 
 
 def hermitian_residual(coeffs: np.ndarray) -> float:
-    """max |c_k - conj(c_{-k})|; zero iff the samples are real."""
-    return float(np.max(np.abs(coeffs - np.conj(mirror_coeffs(coeffs)))))
+    """max |c_k - conj(c_{-k})|; zero iff the samples are real.
+
+    Every (k, -k) pair has a member with k3 in [0, n3/2], so comparing
+    those columns with their mirrors covers every pair.
+    """
+    m = coeffs.shape[-1] // 2 + 1
+    defect = mirror_coeffs(coeffs, slice(None, m))
+    np.conjugate(defect, out=defect)
+    np.subtract(coeffs[..., :m], defect, out=defect)
+    return float(np.max(np.abs(defect)))
 
 
 def hermitian_symmetrize(coeffs: np.ndarray) -> np.ndarray:
@@ -193,26 +244,42 @@ def divergence_residual(field: VectorField) -> float:
     return float(np.max(np.abs(divergence(field).coeffs)))
 
 
-def tensor_divergence(u: VectorField, v: VectorField | None = None) -> VectorField:
+def tensor_divergence(u: VectorField, v: VectorField | None = None, *,
+                      u_samples: np.ndarray | None = None) -> VectorField:
     """Dealiased div(u x v), component j = sum_i d/dx_i (u_i v_j).
 
     For divergence-free u this is the convective term (u . grad) v.  The
     products are formed in physical space; the 2/3-rule truncation of
     the result removes every aliased mode provided both inputs are
     band-limited to the 2/3 band (3K < n makes the retained modes exact).
+    For v = u only the six symmetric products are transformed, one at a
+    time; the divergence and the truncation act on the half spectrum,
+    which is expanded once.  `u_samples`, if given, must be
+    inverse_transform(u.grid, u.coeffs); callers that also need the
+    samples pass them in instead of transforming twice.
     """
     if v is None:
         v = u
     if u.grid != v.grid:
         raise ValueError("fields live on different grids")
     g = u.grid
-    us = inverse_transform(g, u.coeffs)
-    vs = us if v is u else inverse_transform(g, v.coeffs)
-    out = np.empty((3, *g.shape), dtype=np.complex128)
-    for j in range(3):
-        p = forward_transform(g, us * vs[j][None])  # p[i] = coeffs of u_i v_j
-        out[j] = 1j * (g.kd1 * p[0] + g.kd2 * p[1] + g.kd3 * p[2])
-    return dealias(VectorField(g, out))
+    us = inverse_transform(g, u.coeffs) if u_samples is None else u_samples
+    if v is u:
+        vs, pairs = us, _SYMMETRIC_PAIRS
+    else:
+        vs, pairs = inverse_transform(g, v.coeffs), _ALL_PAIRS
+    m = g.n3 // 2 + 1
+    kd = (g.kd1, g.kd2, g.kd3[..., :m])
+    out = np.zeros((3, g.n1, g.n2, m), dtype=np.complex128)
+    p = np.empty((g.n1, g.n2, m), dtype=np.complex128)
+    for i, j in pairs:
+        np.fft.rfftn(us[i] * vs[j], axes=_AXES, norm="forward", out=p)
+        out[j] += kd[i] * p  # d_i (u_i v_j)
+        if v is u and i != j:
+            out[i] += kd[j] * p  # d_j (u_j u_i)
+    out *= 1j
+    out *= g.dealias_mask[..., :m]
+    return VectorField(g, _expand_half(out, g.n3))
 
 
 def convective_inner(u: VectorField, v: VectorField, w: VectorField) -> float:

@@ -11,6 +11,7 @@ import pytest
 from admles.filters import DeconvSpec, FilterSpec, apply_filter, filter_symbol
 from admles.grid import Grid
 from admles.solver import (
+    CFL_LIMIT,
     CFLError,
     NaNError,
     RandomBandLimited,
@@ -33,6 +34,7 @@ from admles.spectral import (
     VectorField,
     dealias,
     divergence_residual,
+    hermitian_residual,
     inner_product,
     l2_norm,
     leray_project,
@@ -261,6 +263,38 @@ def test_nan_detection():
     state = SolverState(t=0.0, step_index=0, w=VectorField(cfg.grid, bad))
     with pytest.raises(NaNError):
         step(state, cfg)
+
+
+def test_cfl_speed_is_max_of_deconvolved_samples():
+    """The speed step checks is max |D w| of a full complex inverse."""
+    kw = dict(init=RandomBandLimited(seed=8, band=5), deconv_order=3,
+              filter=FilterSpec(alpha=1.0, theta=1.0))
+    cfg = config16(**kw)
+    g = cfg.grid
+    w = initial_state(cfg).w
+    z = np.fft.ifftn(w.coeffs * StepOperators(cfg).symbols.deconv,
+                     axes=(-3, -2, -1)).real * g.num_points
+    speed = np.max(np.sqrt(np.sum(z**2, axis=0)))
+    # the dt at which that speed puts the CFL number exactly on the limit
+    dt_edge = CFL_LIMIT / (speed * g.max_dealiased_wavenumber)
+    for factor in (1.0 + 1e-14, 1.0 - 1e-14):
+        cfg = config16(**kw, dt=dt_edge * factor, t_end=dt_edge * factor)
+        if factor > 1.0:
+            with pytest.raises(CFLError):
+                step(initial_state(cfg), cfg)
+        else:
+            step(initial_state(cfg), cfg)
+
+
+def test_steps_keep_coefficients_hermitian():
+    cfg = config16(init=RandomBandLimited(seed=9, band=5),
+                   forcing=TaylorGreen(), t_end=0.06)
+    ops = StepOperators(cfg)
+    state = initial_state(cfg)
+    for _ in range(6):
+        state = step(state, cfg, ops)
+    c = state.w.coeffs
+    assert hermitian_residual(c) < 1e-15 * np.max(np.abs(c))
 
 
 def test_zeroth_order_reduction_bitwise():

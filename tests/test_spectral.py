@@ -23,6 +23,7 @@ from admles.spectral import (
     l2_norm,
     leray_project,
     mean_value,
+    mirror_coeffs,
     pad_spectrum,
     resample,
     tensor_divergence,
@@ -162,6 +163,84 @@ def test_reality_error_on_non_hermitian(grid):
     c[1, 0, 0] = 1.0  # no conjugate partner
     with pytest.raises(RealityError):
         inverse_transform(grid, c)
+
+
+# a non-cubic box with unequal periods for the real-transform checks
+ODD_BOX = Grid(12, 16, 10, 2.0 * np.pi, 3.0, 5.0)
+AXES = (-3, -2, -1)
+
+
+def full_complex_tensor_divergence(u, v):
+    """div(u x v) with complex FFTs and all nine products u_i v_j."""
+    g = u.grid
+    n = g.num_points
+    us = (np.fft.ifftn(u.coeffs, axes=AXES) * n).real
+    vs = (np.fft.ifftn(v.coeffs, axes=AXES) * n).real
+    out = np.empty((3, *g.shape), dtype=complex)
+    for j in range(3):
+        p = np.fft.fftn(us * vs[j][None], axes=AXES) / n
+        out[j] = 1j * (g.kd1 * p[0] + g.kd2 * p[1] + g.kd3 * p[2])
+    return out * g.dealias_mask
+
+
+def test_real_transforms_match_complex_ffts():
+    rng = np.random.default_rng(30)
+    samples = rng.standard_normal((3, *ODD_BOX.shape))
+    coeffs = forward_transform(ODD_BOX, samples)
+    ref = np.fft.fftn(samples, axes=AXES) / ODD_BOX.num_points
+    assert np.max(np.abs(coeffs - ref)) < 1e-15 * np.max(np.abs(ref))
+    back = inverse_transform(ODD_BOX, coeffs)
+    assert back.dtype == np.float64
+    assert np.max(np.abs(back - samples)) < 1e-13
+
+
+def test_mirror_coeffs_single_gather_matches_flips():
+    rng = np.random.default_rng(31)
+    c = rng.standard_normal((3, *ODD_BOX.shape)) + 1j * rng.standard_normal(
+        (3, *ODD_BOX.shape))
+    ref = c
+    for axis in AXES:
+        ref = np.roll(np.flip(ref, axis=axis), 1, axis=axis)
+    assert np.array_equal(mirror_coeffs(c), ref)
+    assert np.array_equal(mirror_coeffs(c[1]), ref[1])
+    assert np.array_equal(mirror_coeffs(c, slice(6, None)), ref[..., 6:])
+    assert hermitian_residual(c) == np.max(np.abs(c - np.conj(ref)))
+
+
+@pytest.mark.parametrize("same", [True, False])
+def test_tensor_divergence_matches_full_complex_reference(same):
+    u = random_divfree(ODD_BOX, seed=32)
+    v = u if same else random_divfree(ODD_BOX, seed=33)
+    got = tensor_divergence(u, v).coeffs
+    ref = full_complex_tensor_divergence(u, v)
+    assert np.max(np.abs(got - ref)) < 1e-14 * np.max(np.abs(ref))
+    # pairs inside the k3 = 0 plane come from one transform: equal to rounding
+    assert hermitian_residual(got) < 1e-15 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("where", ["discarded half", "k3 = 0 plane",
+                                   "k3 = n3/2 plane"])
+def test_reality_error_on_any_unpaired_defect(where):
+    g = ODD_BOX
+    u = random_divfree(g, seed=34)
+    index = {"discarded half": (0, 2, 3, g.n3 - 2),
+             "k3 = 0 plane": (1, 2, 3, 0),
+             "k3 = n3/2 plane": (2, 1, 5, g.n3 // 2)}[where]
+    scale = np.max(np.abs(u.coeffs))
+    for size, raises in ((1e-12, False), (1e-6, True)):
+        c = u.coeffs.copy()
+        c[index] += size * scale
+        bad = VectorField(g, c)
+        if raises:
+            with pytest.raises(RealityError):
+                inverse_transform(g, c)
+            with pytest.raises(RealityError):
+                tensor_divergence(bad)
+            with pytest.raises(RealityError):
+                tensor_divergence(u, bad)
+        else:  # below the 1e-10 tolerance: accepted
+            inverse_transform(g, c)
+            tensor_divergence(bad)
 
 
 def test_vertical_seminorm_oracles(grid):
