@@ -93,6 +93,7 @@ class _Context:
         self.outputs: list[str] = []
         self.assertions: list[dict] = []
         self.abort: dict | None = None
+        self.steps_completed: int | None = None  # step of state.ckpt
         self.extra: dict = {}
 
     def say(self, message: str) -> None:
@@ -109,68 +110,63 @@ class _Context:
         return all(a["passed"] for a in self.assertions)
 
     def write_csv(self, relpath: str, columns, rows) -> None:
+        """Line-buffered, so a run that aborts or is killed mid-stream
+        leaves whole rows; listed in the outputs even if `rows` raises."""
         path = self.outdir / relpath
         path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", newline="\n") as fh:
-            fh.write(f"# config_hash={self.config_hash}\n")
-            fh.write(",".join(columns) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt_cell(cell) for cell in row) + "\n")
-        self.outputs.append(relpath)
+        with open(path, "w", newline="\n", buffering=1) as fh:
+            try:
+                fh.write(f"# config_hash={self.config_hash}\n")
+                fh.write(",".join(columns) + "\n")
+                for row in rows:
+                    fh.write(",".join(_fmt_cell(cell) for cell in row) + "\n")
+            finally:
+                self.outputs.append(relpath)
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 
 
-def _write_diagnostics(ctx: _Context, records) -> None:
-    rows = [
-        (r.t, r.model_energy, r.dissipation, r.forcing_power,
-         r.budget_residual, r.l2_norm, r.theta_seminorm, r.gronwall_integrand)
-        for r in records
-    ]
-    ctx.write_csv("diagnostics.csv", _DIAGNOSTIC_COLUMNS, rows)
-
-
 def _record_finite(record) -> bool:
-    values = (record.t, record.model_energy, record.dissipation,
-              record.forcing_power, record.l2_norm, record.theta_seminorm,
-              record.gronwall_integrand)
-    return all(math.isfinite(v) for v in values)
+    return all(math.isfinite(getattr(record, column))
+               for column in _DIAGNOSTIC_COLUMNS if column != "budget_residual")
 
 
 def _cmd_simulate(rc: RunConfig, ctx: _Context) -> int:
+    """Streams the run: each record becomes a CSV row as it arrives, and
+    only the latest state is kept.  On an abort the rows so far and that
+    state's checkpoint stay on disk, and main reports the abort."""
     cfg = rc.solver
+    stream = run(cfg)  # setup errors raise here, before any file opens
+    last = None
+    records = []  # 8 floats each, for the end-of-run checks
+
+    def run_records():
+        nonlocal last
+        for last, record in stream:
+            yield record
+
+    def rows():
+        for record in attach_residuals(run_records()):
+            records.append(record)
+            yield [getattr(record, column) for column in _DIAGNOSTIC_COLUMNS]
+
     try:
-        states, records = run(cfg)
-    except SolverAbort as exc:
-        if exc.records:
-            _write_diagnostics(ctx, attach_residuals(exc.records))
-        if exc.states:
-            last = exc.states[-1]
+        ctx.write_csv("diagnostics.csv", _DIAGNOSTIC_COLUMNS, rows())
+    finally:
+        if last is not None:
             write_checkpoint(ctx.outdir / "state.ckpt", last, cfg,
                              config_hash=ctx.config_hash)
             ctx.outputs.append("state.ckpt")
-        ctx.abort = {
-            "reason": type(exc).__name__,
-            "message": str(exc),
-            "steps_completed": exc.states[-1].step_index if exc.states else 0,
-        }
-        ctx.say(f"aborted: {exc}")
-        return 3
-
-    records = attach_residuals(records)
-    _write_diagnostics(ctx, records)
-    write_checkpoint(ctx.outdir / "state.ckpt", states[-1], cfg,
-                     config_hash=ctx.config_hash)
-    ctx.outputs.append("state.ckpt")
+            ctx.steps_completed = last.step_index
 
     bad = [r.t for r in records if not _record_finite(r)]
     ctx.check("records_finite", not bad,
               f"{len(bad)} non-finite records" if bad
               else f"{len(records)} records")
-    scale = float(np.max(np.abs(states[-1].w.coeffs)))
-    residual = divergence_residual(states[-1].w)
+    scale = float(np.max(np.abs(last.w.coeffs)))
+    residual = divergence_residual(last.w)
     ctx.check("final_state_divergence_free",
               residual <= 1e-10 * max(scale, 1e-300),
               f"residual={residual!r}")
@@ -370,6 +366,8 @@ def main(argv=None) -> int:
         code = _COMMANDS[args.command](rc, ctx)
     except SolverAbort as exc:
         ctx.abort = {"reason": type(exc).__name__, "message": str(exc)}
+        if ctx.steps_completed is not None:
+            ctx.abort["steps_completed"] = ctx.steps_completed
         ctx.say(f"aborted: {exc}")
         code = 3
     except (ValueError, OSError) as exc:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -117,13 +117,17 @@ def budget_residual(first: EnergyRecord, second: EnergyRecord,
     return abs(rate + mean_dissipation - mean_forcing)
 
 
-def attach_residuals(records: Sequence[EnergyRecord]) -> list[EnergyRecord]:
-    """Pair each record with its predecessor; the first keeps NaN."""
-    out = [records[0]]
-    for prev, cur in zip(records, records[1:]):
-        dt = cur.t - prev.t
-        out.append(cur.with_residual(budget_residual(prev, cur, dt)))
-    return out
+def attach_residuals(records: Iterable[EnergyRecord]) -> Iterator[EnergyRecord]:
+    """Pair each record with its predecessor as it arrives; the first
+    keeps NaN.  Lazy, so a run can be streamed through it."""
+    records = iter(records)
+    prev = next(records, None)
+    if prev is None:
+        raise ValueError("empty trajectory")
+    yield prev
+    for cur in records:
+        yield cur.with_residual(budget_residual(prev, cur, cur.t - prev.t))
+        prev = cur
 
 
 def regularity_norms(states: Iterable, filt: FilterSpec) -> dict[str, float]:
@@ -131,11 +135,8 @@ def regularity_norms(states: Iterable, filt: FilterSpec) -> dict[str, float]:
 
     sup-in-time of ||w||_2 and ||d3^theta w||_2, and trapezoid
     time-integrals of ||grad w||_2^2 and ||d3^theta grad w||_2^2,
-    over a trajectory of states (attributes t and w).
+    over a trajectory of states (attributes t and w), in one pass.
     """
-    states = list(states)
-    if not states:
-        raise ValueError("empty trajectory")
     theta = filt.theta
     sup_l2 = 0.0
     sup_theta = 0.0
@@ -148,6 +149,8 @@ def regularity_norms(states: Iterable, filt: FilterSpec) -> dict[str, float]:
         times.append(s.t)
         grads_sq.append(grad_norm(s.w) ** 2)
         theta_grads_sq.append(vertical_grad_seminorm(s.w, theta) ** 2)
+    if not times:
+        raise ValueError("empty trajectory")
     return {
         "sup_l2": sup_l2,
         "sup_theta_seminorm": sup_theta,

@@ -23,9 +23,11 @@ continuum orthogonality (div(z x z), z) = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from typing import Iterator
 
 import numpy as np
 
+from .diagnostics import EnergyRecord, energy_terms, gronwall_integrand
 from .ensembles import EnsembleSpec, draw_vector
 from .filters import DeconvSpec, FilterSpec, apply_bar, symbol_table
 from .grid import Grid
@@ -209,12 +211,7 @@ class SolverState:
 
 
 class SolverAbort(RuntimeError):
-    """Integration stopped early; partial results are attached."""
-
-    def __init__(self, message: str, states=None, records=None):
-        super().__init__(message)
-        self.states = states or []
-        self.records = records or []
+    """Integration stopped early (CFL violation or non-finite state)."""
 
 
 class CFLError(SolverAbort):
@@ -295,37 +292,28 @@ def initial_state(config: SolverConfig) -> SolverState:
     )
 
 
-def run(config: SolverConfig):
-    """Integrate to t_end; returns (states, records) at output cadence.
-
-    The initial state is always included.  On CFL violation or NaN the
-    abort exception carries the partial (states, records) collected so
-    far, so callers can flush them before exiting.
-    """
-    from .diagnostics import energy_terms
-
-    ops = StepOperators(config)
-    state = initial_state(config)
-
-    def record_of(s: SolverState):
-        return energy_terms(
-            s.w, ops.forcing_raw, config.filter, config.deconv_order,
-            config.nu, t=s.t,
-        )
-
-    states = [state]
-    records = [record_of(state)]
+def trajectory(config: SolverConfig, state: SolverState,
+               ops: StepOperators) -> Iterator[SolverState]:
+    """Steps `state` to t_end, yielding it at output cadence: first as
+    given, then every `output_every` steps and after the final step."""
+    yield state
     for n in range(config.num_steps):
-        try:
-            state = step(state, config, ops)
-        except SolverAbort as abort:
-            abort.states = states
-            abort.records = records
-            raise
+        state = step(state, config, ops)
         if (n + 1) % config.output_every == 0 or n + 1 == config.num_steps:
-            states.append(state)
-            records.append(record_of(state))
-    return states, records
+            yield state
+
+
+def run(config: SolverConfig) -> Iterator[tuple[SolverState, EnergyRecord]]:
+    """Integrate to t_end, yielding (state, energy record) at output
+    cadence, initial state first, and keeping none of them.
+
+    Setup runs at the call, so bad descriptors raise before iteration; a
+    CFL violation or non-finite state raises SolverAbort from the loop.
+    """
+    ops = StepOperators(config)
+    return ((s, energy_terms(s.w, ops.forcing_raw, config.filter,
+                             config.deconv_order, config.nu, t=s.t))
+            for s in trajectory(config, initial_state(config), ops))
 
 
 # ---------------------------------------------------------------------------
@@ -351,15 +339,16 @@ class DependenceReport:
 
 def dependence_experiment(config: SolverConfig, epsilon: float, *,
                           perturbation_seed: int = 1) -> DependenceReport:
-    """Lockstep base and perturbed runs; fits the envelope constant.
+    """Base and perturbed runs side by side; fits the envelope constant.
 
-    The perturbed initial state is w0 + epsilon * p with p a normalized
-    divergence-free random field.  The integrand is evaluated on the
-    perturbed trajectory, and the fitted constant is the smallest C with
+    The two runs are trajectories that share one StepOperators, zipped
+    at output cadence; neither is stored.  The perturbed initial state
+    is w0 + epsilon * p with p a normalized divergence-free random field.
+    The integrand is evaluated on the perturbed trajectory, and the
+    fitted constant is the smallest C with
     ||dw(t)|| <= ||dw(0)|| exp(C int_0^t integrand ds) at every sample.
+    A SolverAbort from either run propagates.
     """
-    from .diagnostics import gronwall_integrand
-
     theta = config.filter.theta
     if theta <= 0.5:
         raise ValueError(
@@ -383,24 +372,15 @@ def dependence_experiment(config: SolverConfig, epsilon: float, *,
         w=VectorField(grid, base.w.coeffs + (epsilon / p_norm) * p.coeffs),
     )
 
-    times = [0.0]
-    deltas = [l2_norm(VectorField(grid, perturbed.w.coeffs - base.w.coeffs))]
-    integrands = [gronwall_integrand(perturbed.w, theta)]
-    integrals = [0.0]
-    for n in range(config.num_steps):
-        base = step(base, config, ops)
-        perturbed = step(perturbed, config, ops)
-        if (n + 1) % config.output_every == 0 or n + 1 == config.num_steps:
-            times.append(base.t)
-            deltas.append(
-                l2_norm(VectorField(grid, perturbed.w.coeffs - base.w.coeffs))
-            )
-            integrand = gronwall_integrand(perturbed.w, theta)
-            dt_span = times[-1] - times[-2]
-            integrals.append(
-                integrals[-1] + 0.5 * dt_span * (integrands[-1] + integrand)
-            )
-            integrands.append(integrand)
+    times, deltas, integrands, integrals = [], [], [], []
+    for b, q in zip(trajectory(config, base, ops),
+                    trajectory(config, perturbed, ops)):
+        integrand = gronwall_integrand(q.w, theta)
+        integrals.append(integrals[-1] + 0.5 * (b.t - times[-1])
+                         * (integrands[-1] + integrand) if times else 0.0)
+        times.append(b.t)
+        deltas.append(l2_norm(VectorField(grid, q.w.coeffs - b.w.coeffs)))
+        integrands.append(integrand)
 
     deltas_arr = np.asarray(deltas)
     integrals_arr = np.asarray(integrals)
@@ -431,8 +411,14 @@ _MAGIC = b"ADMCKPT1\n"
 def write_checkpoint(path, state: SolverState, config: SolverConfig,
                      config_hash: str = "") -> None:
     """Deterministic binary dump: magic, length-prefixed JSON header,
-    then the raw coefficient array in the standard npy layout."""
+    then the raw coefficient array in the standard npy layout.
+
+    The bytes go to a sibling temporary file that then replaces `path`
+    in one rename, so a kill or an I/O error mid-write leaves either the
+    previous file or none, never a truncated checkpoint.
+    """
     import json
+    import os
     import struct
 
     grid = config.grid
@@ -450,13 +436,19 @@ def write_checkpoint(path, state: SolverState, config: SolverConfig,
         "config_hash": config_hash,
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        np.lib.format.write_array(
-            fh, np.ascontiguousarray(state.w.coeffs), version=(1, 0)
-        )
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_MAGIC)
+            fh.write(struct.pack("<Q", len(blob)))
+            fh.write(blob)
+            np.lib.format.write_array(
+                fh, np.ascontiguousarray(state.w.coeffs), version=(1, 0)
+            )
+        os.replace(tmp, path)
+    finally:  # the temporary is gone after a successful rename
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def read_checkpoint(path):

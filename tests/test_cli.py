@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from admles.cli import main
+from admles.config import parse_config
+from admles.diagnostics import attach_residuals
+from admles.solver import CFLError, read_checkpoint, run
 
 
 def run_cli(*args):
@@ -75,20 +78,37 @@ def test_missing_config_file(tmp_path, capsys):
 
 
 def test_runtime_abort_exit_code(tmp_path):
-    cfg = write(
-        tmp_path / "abort.ini",
-        "[solver]\nnu = 0.001\ndt = 0.05\nt_end = 5.0\n"
+    # grows unstable only after the forcing pumps energy in
+    text = (
+        "[grid]\nn1 = 16\nn2 = 16\nn3 = 16\n"
+        "[solver]\nnu = 0.001\ndt = 0.04\nt_end = 4.0\noutput_every = 2\n"
         "[init]\nkind = taylor-green\namplitude = 1.2\n"
-        "[forcing]\nkind = taylor-green\namplitude = 2.0\n",
+        "[forcing]\nkind = taylor-green\namplitude = 2.0\n"
     )
+    cfg = write(tmp_path / "abort.ini", text)
     out = tmp_path / "out"
     assert run_cli("simulate", "--config", cfg, "--output", str(out),
                    "--quiet") == 3
     manifest = read_manifest(out)
     assert manifest["status"] == "aborted"
     assert manifest["abort"]["reason"] == "CFLError"
-    # partial diagnostics still flushed
-    assert (out / "diagnostics.csv").exists()
+    assert manifest["outputs"] == ["diagnostics.csv", "state.ckpt"]
+    # the rows are exactly the records the run yielded before aborting
+    yielded = []
+    with pytest.raises(CFLError):
+        for _, record in run(parse_config(text).solver):
+            yielded.append(record)
+    lines = (out / "diagnostics.csv").read_text().splitlines()
+    columns = lines[1].split(",")
+    rows = np.array([[float(c) for c in line.split(",")] for line in lines[2:]])
+    expected = np.array([[getattr(r, c) for c in columns]
+                         for r in attach_residuals(yielded)])
+    assert len(yielded) > 1
+    np.testing.assert_array_equal(rows, expected)
+    # the checkpoint holds the state of the last row
+    state, _ = read_checkpoint(out / "state.ckpt")
+    assert state.t == rows[-1][0]
+    assert manifest["abort"]["steps_completed"] == state.step_index
 
 
 def test_verify_operators(tmp_path):

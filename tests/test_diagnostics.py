@@ -127,25 +127,44 @@ def run_small(nu=0.01, dt=0.001, t_end=0.02, **kw):
 
 
 def test_budget_residual_viscous_decay():
-    _, records = run_small()
-    recs = attach_residuals(records)
+    recs = list(attach_residuals(r for _, r in run_small()))
     assert math.isnan(recs[0].budget_residual)
     for r in recs[1:]:
         assert r.budget_residual < 1e-10
 
 
 def test_budget_residual_second_order():
-    _, coarse = run_small(dt=0.002, t_end=0.04, init=TaylorGreen())
-    _, fine = run_small(dt=0.001, t_end=0.04, init=TaylorGreen())
-    rc = attach_residuals(coarse)[-1].budget_residual
-    rf = attach_residuals(fine)[-1].budget_residual
+    coarse = run_small(dt=0.002, t_end=0.04, init=TaylorGreen())
+    fine = run_small(dt=0.001, t_end=0.04, init=TaylorGreen())
+    *_, last_coarse = attach_residuals(r for _, r in coarse)
+    *_, last_fine = attach_residuals(r for _, r in fine)
+    rc = last_coarse.budget_residual
+    rf = last_fine.budget_residual
     assert rc / rf == pytest.approx(4.0, rel=0.25)
 
 
 def test_budget_residual_spacing_check():
-    _, records = run_small()
+    records = [r for _, r in run_small()]
     with pytest.raises(ValueError):
         budget_residual(records[0], records[2], dt=0.001)
+
+
+def test_attach_residuals_streams():
+    fed = []
+
+    def records():
+        for _, r in run_small():
+            fed.append(r)
+            yield r
+
+    paired = attach_residuals(records())
+    first = next(paired)
+    assert len(fed) == 1 and math.isnan(first.budget_residual)
+    second = next(paired)
+    assert len(fed) == 2
+    assert second.budget_residual == budget_residual(fed[0], fed[1], 0.001)
+    with pytest.raises(ValueError, match="empty trajectory"):
+        next(attach_residuals(iter([])))
 
 
 def test_energy_record_validation():
@@ -161,12 +180,12 @@ def test_energy_record_validation():
 
 
 def test_regularity_norms_viscous_decay():
-    states, _ = run_small(t_end=0.05)
-    rep = regularity_norms(states, FILT)
+    rep = regularity_norms((s for s, _ in run_small(t_end=0.05)), FILT)
+    w0 = next(run_small(t_end=0.05))[0].w
     # monotone decay: suprema are attained at t = 0
-    assert rep["sup_l2"] == pytest.approx(l2_norm(states[0].w), rel=1e-12)
+    assert rep["sup_l2"] == pytest.approx(l2_norm(w0), rel=1e-12)
     assert rep["sup_theta_seminorm"] == pytest.approx(
-        vertical_seminorm(states[0].w, FILT.theta), rel=1e-12
+        vertical_seminorm(w0, FILT.theta), rel=1e-12
     )
     assert rep["integral_grad_sq"] > 0.0
     assert rep["integral_theta_grad_sq"] > 0.0
@@ -181,9 +200,11 @@ def test_regularity_norms_zero_trajectory():
             self.w = w
 
     states = [S(0.0, zero_vector(g)), S(0.1, zero_vector(g))]
-    rep = regularity_norms(states, FILT)
+    rep = regularity_norms(iter(states), FILT)
     assert rep["sup_l2"] == 0.0
     assert rep["integral_grad_sq"] == 0.0
+    with pytest.raises(ValueError, match="empty trajectory"):
+        regularity_norms(iter([]), FILT)
 
 
 # ---------------------------------------------------------------------------

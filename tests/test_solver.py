@@ -4,6 +4,7 @@ import io
 import json
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -189,9 +190,8 @@ def test_pure_viscous_decay_exact():
         filter=FilterSpec(alpha=1.0, theta=1.0),
         deconv_order=0,
     )
-    states, _ = run(cfg)
-    w0 = states[0].w
-    for s in states:
+    w0 = initial_state(cfg).w
+    for s, _ in run(cfg):
         expect = np.exp(-cfg.nu * 1.0 * s.t) * l2_norm(w0)
         assert l2_norm(s.w) == pytest.approx(expect, rel=1e-12)
 
@@ -208,11 +208,9 @@ def test_step_preserves_divergence_free():
 
 def test_run_deterministic():
     cfg = config16(init=RandomBandLimited(seed=11, band=4), t_end=0.05)
-    s1, r1 = run(cfg)
-    s2, r2 = run(cfg)
-    for a, b in zip(s1, s2):
+    for (a, ra), (b, rb) in zip(run(cfg), run(cfg), strict=True):
         assert np.array_equal(a.w.coeffs, b.w.coeffs)
-    assert [r.model_energy for r in r1] == [r.model_energy for r in r2]
+        assert ra.model_energy == rb.model_energy
 
 
 def test_run_zero_everything():
@@ -221,16 +219,14 @@ def test_run_zero_everything():
     )
     # zero initial data via a zero-amplitude Taylor-Green
     cfg = config16(init=TaylorGreen(amplitude=0.0), t_end=0.02)
-    states, records = run(cfg)
-    for s in states:
+    for s, r in run(cfg):
         assert np.max(np.abs(s.w.coeffs)) == 0.0
-    for r in records:
         assert r.model_energy == 0.0
 
 
 def test_run_output_cadence():
     cfg = config16(dt=0.01, t_end=0.07, output_every=3)
-    states, records = run(cfg)
+    states, records = zip(*run(cfg))
     times = [round(s.t, 10) for s in states]
     assert times == [0.0, 0.03, 0.06, 0.07]
     assert [r.t for r in records] == pytest.approx(times)
@@ -239,7 +235,7 @@ def test_run_output_cadence():
 def test_cfl_violation_raises():
     cfg = config16(dt=0.01, t_end=0.1, init=TaylorGreen(amplitude=50.0))
     with pytest.raises(CFLError):
-        run(cfg)
+        list(run(cfg))
 
 
 def test_cfl_abort_carries_partial_results():
@@ -251,10 +247,29 @@ def test_cfl_abort_carries_partial_results():
         init=TaylorGreen(amplitude=1.2),
         forcing=TaylorGreen(amplitude=2.0),
     )
-    with pytest.raises(CFLError) as excinfo:
-        run(cfg)
-    assert len(excinfo.value.records) >= 1
-    assert len(excinfo.value.states) == len(excinfo.value.records)
+    yielded = []
+    with pytest.raises(CFLError):
+        for state, record in run(cfg):
+            yielded.append((state.t, record.t))
+    assert len(yielded) >= 1
+    assert all(t == rt for t, rt in yielded)
+
+
+def test_run_memory_independent_of_record_count():
+    # run() keeps no states, so consuming 10 or 40 records peaks alike
+    def peak(records):
+        cfg = config16(t_end=(records - 1) * 0.01)
+        tracemalloc.start()
+        try:
+            for _ in run(cfg):
+                pass
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(10)  # warms the per-grid caches
+    field = 3 * 16**3 * 16
+    assert abs(peak(40) - peak(10)) <= field
 
 
 def test_nan_detection():
@@ -412,27 +427,51 @@ def test_dependence_linearity_and_envelope():
 # Checkpoints
 
 
+def final_state(cfg):
+    for state, _ in run(cfg):
+        pass
+    return state
+
+
 def test_checkpoint_round_trip(tmp_path):
     cfg = config16(t_end=0.02)
-    states, _ = run(cfg)
+    last = final_state(cfg)
     path = tmp_path / "state.ckpt"
-    write_checkpoint(path, states[-1], cfg, config_hash="abc123")
+    write_checkpoint(path, last, cfg, config_hash="abc123")
     state, header = read_checkpoint(path)
-    assert np.array_equal(state.w.coeffs, states[-1].w.coeffs)
-    assert state.t == states[-1].t
-    assert state.step_index == states[-1].step_index
+    assert np.array_equal(state.w.coeffs, last.w.coeffs)
+    assert state.t == last.t
+    assert state.step_index == last.step_index
     assert header["config_hash"] == "abc123"
     assert header["grid"] == [16, 16, 16]
 
 
 def test_checkpoint_bytes_deterministic(tmp_path):
     cfg = config16(t_end=0.02)
-    states, _ = run(cfg)
+    last = final_state(cfg)
     p1 = tmp_path / "a.ckpt"
     p2 = tmp_path / "b.ckpt"
-    write_checkpoint(p1, states[-1], cfg)
-    write_checkpoint(p2, states[-1], cfg)
+    write_checkpoint(p1, last, cfg)
+    write_checkpoint(p2, last, cfg)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_checkpoint_write_failure_keeps_previous_file(tmp_path, monkeypatch):
+    cfg = config16()
+    state = initial_state(cfg)
+    path = tmp_path / "state.ckpt"
+    write_checkpoint(path, state, cfg, config_hash="old")
+    before = path.read_bytes()
+
+    def fail(fh, array, **kwargs):
+        fh.write(b"partial")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np.lib.format, "write_array", fail)
+    with pytest.raises(OSError, match="disk full"):
+        write_checkpoint(path, state, cfg, config_hash="new")
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["state.ckpt"]
 
 
 def forged_checkpoint(header, coeffs):
