@@ -23,6 +23,7 @@ from dataclasses import dataclass, replace
 
 from .filters import FilterSpec
 from .grid import Grid
+from .inequalities import LEMMAS
 from .solver import (
     ForcingDescriptor,
     InitDescriptor,
@@ -84,8 +85,7 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
         "order_values": ("ints", tuple(range(11))),
     },
     "inequalities": {
-        "lemmas": ("strs", ("agmon", "ladyzhenskaya", "vertical_embedding",
-                            "trilinear_i", "trilinear_ii")),
+        "lemmas": ("strs", LEMMAS),
         "count": ("int", 100),
         "band": ("int", 5),
         "amplitude_decay": ("float", 1.0),
@@ -104,7 +104,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
 
 _INIT_KINDS = ("taylor-green", "single-mode", "random")
 _FORCING_KINDS = ("none",) + _INIT_KINDS
-_LEMMA_NAMES = _SCHEMA["inequalities"]["lemmas"][1]
 
 
 class ConfigError(ValueError):
@@ -214,6 +213,8 @@ def _read_values(text: str, errors: list[str]) -> dict[str, dict]:
                 errors.append(
                     f"{name}.{key}: cannot parse {raw!r} as {kind}"
                 )
+            if values[name][key] == ():
+                errors.append(f"{name}.{key}: must list at least one value")
     return values
 
 
@@ -343,10 +344,10 @@ def parse_config(text: str) -> RunConfig:
 
     ineq = values["inequalities"]
     for lemma in ineq["lemmas"]:
-        if lemma not in _LEMMA_NAMES:
+        if lemma not in LEMMAS:
             errors.append(
                 f"inequalities.lemmas: {lemma!r} is not one of "
-                f"{', '.join(_LEMMA_NAMES)}"
+                f"{', '.join(LEMMAS)}"
             )
     for key, low in (("count", 1), ("band", 1), ("resolution", 4)):
         if ineq[key] < low:

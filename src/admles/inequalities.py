@@ -56,7 +56,6 @@ class RatioReport:
     count: int
     max_ratio: float
     mean_ratio: float
-    worst_case: str
     resolution: str
     seed: int
 
@@ -97,19 +96,36 @@ def line_sup_norm(coeffs: np.ndarray, oversample: int = 4) -> float:
     return float(np.max(np.abs(samples)))
 
 
-def agmon_ratio(coeffs: np.ndarray, s: float) -> float:
-    """||g||_inf / (||g||_2^{1-1/(2s)} ||g||_{H^s}^{1/(2s)}) for mean-zero g."""
+def _require_s(s: float, what: str) -> None:
     if s <= 0.5:
-        raise ValueError(f"s={s}: the high-wavenumber tail needs s > 1/2")
-    coeffs = np.asarray(coeffs, dtype=np.complex128)
-    l2 = line_l2_norm(coeffs)
-    if l2 == 0.0:
-        raise ValueError("zero function has no ratio")
+        raise ValueError(f"s={s}: {what} needs s > 1/2")
+
+
+def _interpolate(low: float, high: float, s: float) -> float:
+    """low^{1-1/(2s)} high^{1/(2s)}, the right-hand side of every s-bound."""
+    return low ** (1.0 - 0.5 / s) * high ** (0.5 / s)
+
+
+def _ratio(top: float, bound: float, degenerate: str) -> float:
+    if bound == 0.0:
+        raise ValueError(degenerate)
+    return top / bound
+
+
+def _agmon_terms(coeffs: np.ndarray):
+    """(sup, s -> Agmon ratio) of one line; the s-free norms once."""
     if abs(coeffs[0]) > 1e-13 * np.max(np.abs(coeffs)):
         raise ValueError("function must have zero mean")
-    hs = line_hs_norm(coeffs, s)
-    sup = line_sup_norm(coeffs)
-    return sup / (l2 ** (1.0 - 0.5 / s) * hs ** (0.5 / s))
+    l2, sup = line_l2_norm(coeffs), line_sup_norm(coeffs)
+    return sup, lambda s: _ratio(
+        sup, _interpolate(l2, line_hs_norm(coeffs, s), s),
+        "zero function has no ratio")
+
+
+def agmon_ratio(coeffs: np.ndarray, s: float) -> float:
+    """||g||_inf / (||g||_2^{1-1/(2s)} ||g||_{H^s}^{1/(2s)}) for mean-zero g."""
+    _require_s(s, "the high-wavenumber tail")
+    return _agmon_terms(np.asarray(coeffs, dtype=np.complex128))[1](s)
 
 
 def agmon_split_bound(coeffs: np.ndarray, s: float) -> float:
@@ -125,8 +141,7 @@ def agmon_split_bound(coeffs: np.ndarray, s: float) -> float:
     upper bound for any kappa >= 1; kappa = (||g||_{H^s}/||g||_2)^{1/s}
     balances the two terms (and is >= 1 since H^s dominates L^2).
     """
-    if s <= 0.5:
-        raise ValueError(f"s={s}: the tail sum needs s > 1/2")
+    _require_s(s, "the tail sum")
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     l2 = line_l2_norm(coeffs)
     if l2 == 0.0:
@@ -204,47 +219,60 @@ def l2_v_l4_h_norm(u: VectorField, oversample: int = 2,
 
 # ---------------------------------------------------------------------------
 # Inequality ratios
+#
+# Each *_terms helper evaluates the s-independent norms of one sample
+# once and returns the s-dependent ratio as a function of s; the public
+# ratio functions are those helpers applied to a single exponent, so the
+# per-sample oracles and run_sweep share every formula bit for bit.
 
 
 def ladyzhenskaya_ratio(u: VectorField) -> float:
     """||u||_{L2_v L4_h} / (||u||_2^{1/2} ||grad_h u||_2^{1/2})."""
-    l2 = l2_norm(u)
-    gh = horizontal_grad_norm(u)
-    if l2 == 0.0 or gh == 0.0:
-        raise ValueError("field constant in the horizontal directions")
-    return l2_v_l4_h_norm(u) / np.sqrt(l2 * gh)
+    return _ratio(l2_v_l4_h_norm(u),
+                  np.sqrt(l2_norm(u) * horizontal_grad_norm(u)),
+                  "field constant in the horizontal directions")
+
+
+def _vertical_embedding_terms(u: VectorField):
+    l2, sup = l2_norm(u), linf_v_l2_h_norm(u)
+    return lambda s: _ratio(sup, _interpolate(l2, vertical_seminorm(u, s), s),
+                            "field constant in the vertical direction")
 
 
 def vertical_embedding_ratio(u: VectorField, s: float) -> float:
     """||u||_{Linf_v L2_h} / (||u||_2^{1-1/(2s)} ||d3^s u||_2^{1/(2s)})."""
-    if s <= 0.5:
-        raise ValueError(f"s={s}: the vertical embedding needs s > 1/2")
-    l2 = l2_norm(u)
-    semi = vertical_seminorm(u, s)
-    if l2 == 0.0 or semi == 0.0:
-        raise ValueError("field constant in the vertical direction")
-    return linf_v_l2_h_norm(u) / (l2 ** (1.0 - 0.5 / s) * semi ** (0.5 / s))
+    _require_s(s, "the vertical embedding")
+    return _vertical_embedding_terms(u)(s)
 
 
-def _trilinear_denominator(u: VectorField, mid: VectorField,
-                           outer: VectorField, s: float) -> float:
-    du = np.sqrt(l2_norm(u) * grad_norm(u))
-    dv = grad_norm(mid) ** (1.0 - 0.5 / s) * vertical_grad_seminorm(
-        mid, s
-    ) ** (0.5 / s)
-    dw = np.sqrt(l2_norm(outer) * grad_norm(outer))
-    return du * dv * dw
+def _trilinear_terms(u: VectorField, v: VectorField, w: VectorField):
+    """Forms i and ii of one triple: one numerator, one set of norms.
+
+    The bound of form i is (||u|| ||grad u||)^{1/2} *
+    ||grad v||^{1-1/(2s)} ||d3^s grad v||^{1/(2s)} *
+    (||w|| ||grad w||)^{1/2}; form ii swaps the roles of v and w.
+    """
+    top = abs(convective_inner(u, v, w))
+    fields = (u, v, w)
+    grads = [grad_norm(f) for f in fields]
+    scales = [np.sqrt(l2_norm(f) * g) for f, g in zip(fields, grads)]
+
+    def form(mid: int, outer: int):
+        def ratio(s: float) -> float:
+            dv = _interpolate(grads[mid],
+                              vertical_grad_seminorm(fields[mid], s), s)
+            return _ratio(top, scales[0] * dv * scales[outer],
+                          "degenerate inputs: zero denominator")
+        return ratio
+
+    return {"trilinear_i": form(1, 2), "trilinear_ii": form(2, 1)}
 
 
 def trilinear_ratio_i(u: VectorField, v: VectorField, w: VectorField,
                       s: float) -> float:
     """|((u.grad) v, w)| over the bound with vertical regularity on v."""
-    if s <= 0.5:
-        raise ValueError(f"s={s}: the trilinear estimate needs s > 1/2")
-    denom = _trilinear_denominator(u, v, w, s)
-    if denom == 0.0:
-        raise ValueError("degenerate inputs: zero denominator")
-    return abs(convective_inner(u, v, w)) / denom
+    _require_s(s, "the trilinear estimate")
+    return _trilinear_terms(u, v, w)["trilinear_i"](s)
 
 
 def trilinear_ratio_ii(u: VectorField, v: VectorField, w: VectorField,
@@ -255,99 +283,79 @@ def trilinear_ratio_ii(u: VectorField, v: VectorField, w: VectorField,
     ((u.grad) v, w) = -((u.grad) w, v), so this ratio equals
     trilinear_ratio_i(u, w, v) exactly; the bench asserts that identity.
     """
-    if s <= 0.5:
-        raise ValueError(f"s={s}: the trilinear estimate needs s > 1/2")
-    denom = _trilinear_denominator(u, w, v, s)
-    if denom == 0.0:
-        raise ValueError("degenerate inputs: zero denominator")
-    return abs(convective_inner(u, v, w)) / denom
+    _require_s(s, "the trilinear estimate")
+    return _trilinear_terms(u, v, w)["trilinear_ii"](s)
 
 
 # ---------------------------------------------------------------------------
-# Ensemble runners
+# Ensemble sweep
+
+LEMMAS = ("agmon", "ladyzhenskaya", "vertical_embedding", "trilinear_i",
+          "trilinear_ii")
 
 
-def _finish(lemma: str, s: float, ratios: list[float], worst: int,
-            resolution: str, seed: int) -> RatioReport:
-    arr = np.asarray(ratios)
-    return RatioReport(
-        lemma=lemma,
-        s=s,
-        count=arr.size,
-        max_ratio=float(np.max(arr)),
-        mean_ratio=float(np.mean(arr)),
-        worst_case=f"sample {worst}",
-        resolution=resolution,
-        seed=seed,
-    )
+def run_sweep(spec: EnsembleSpec, grid: Grid, lemmas, s_values,
+              line_length: int) -> tuple[list[RatioReport], list[str]]:
+    """Ratio reports for every (lemma, s), in the requested order.
 
+    Each ensemble is drawn once from spec.rng(): lines of `line_length`
+    modes for agmon, single fields on `grid` for ladyzhenskaya and
+    vertical_embedding, (u, v, w) triples for both trilinear forms.  Per
+    sample the s-independent norms are evaluated once and only the
+    s-dependent seminorm per exponent.  ladyzhenskaya has no exponent
+    and reports s = 0.0.  Every agmon sample is also checked against
+    agmon_split_bound; violations are returned as messages, and the
+    reports stay complete.
+    """
+    unknown = sorted(set(lemmas) - set(LEMMAS))
+    if unknown:
+        raise ValueError(f"unknown lemmas {unknown}; expected some of {LEMMAS}")
+    for s in s_values:
+        _require_s(s, "every lemma but ladyzhenskaya")
+    exponents = {lemma: (0.0,) if lemma == "ladyzhenskaya" else tuple(s_values)
+                 for lemma in lemmas}
+    table = {lemma: np.empty((len(exps), spec.count))
+             for lemma, exps in exponents.items()}
+    violations: list[str] = []
 
-def run_agmon(spec: EnsembleSpec, s: float, n: int, *,
-              check_bound: bool = True) -> RatioReport:
-    """Agmon sweep; optionally asserts the split-bound oracle per sample."""
-    rng = spec.rng()
-    ratios = []
-    worst = 0
-    for i in range(spec.count):
-        line = draw_line(rng, spec, n)
-        r = agmon_ratio(line, s)
-        if check_bound:
-            bound = agmon_split_bound(line, s)
-            sup = line_sup_norm(line)
-            if sup > bound * (1.0 + 1e-12):
-                raise AssertionError(
-                    f"split bound violated on sample {i}: sup={sup} bound={bound}"
-                )
-        if not ratios or r > ratios[worst]:
-            worst = i
-        ratios.append(r)
-    return _finish("agmon", s, ratios, worst, str(n), spec.seed)
+    def record(lemma: str, i: int, ratio) -> None:
+        if lemma in table:
+            for j, s in enumerate(exponents[lemma]):
+                table[lemma][j, i] = ratio(s)
 
+    if "agmon" in table:
+        rng = spec.rng()
+        for i in range(spec.count):
+            line = draw_line(rng, spec, line_length)
+            sup, ratio = _agmon_terms(line)
+            record("agmon", i, ratio)
+            for s in s_values:
+                bound = agmon_split_bound(line, s)
+                if sup > bound * (1.0 + 1e-12):
+                    violations.append(f"s={s}: split bound violated on sample "
+                                      f"{i}: sup={sup} bound={bound}")
+    if table.keys() & {"ladyzhenskaya", "vertical_embedding"}:
+        rng = spec.rng()
+        for i in range(spec.count):
+            u = draw_vector(rng, spec, grid)
+            record("ladyzhenskaya", i, lambda s: ladyzhenskaya_ratio(u))
+            if "vertical_embedding" in table:
+                record("vertical_embedding", i, _vertical_embedding_terms(u))
+    if table.keys() & {"trilinear_i", "trilinear_ii"}:
+        rng = spec.rng()
+        for i in range(spec.count):
+            u = draw_vector(rng, spec, grid)
+            v = draw_vector(rng, spec, grid)
+            w = draw_vector(rng, spec, grid)
+            for lemma, ratio in _trilinear_terms(u, v, w).items():
+                record(lemma, i, ratio)
 
-def run_ladyzhenskaya(spec: EnsembleSpec, grid: Grid) -> RatioReport:
-    rng = spec.rng()
-    ratios = []
-    worst = 0
-    for i in range(spec.count):
-        u = draw_vector(rng, spec, grid)
-        r = ladyzhenskaya_ratio(u)
-        if not ratios or r > ratios[worst]:
-            worst = i
-        ratios.append(r)
-    res = "x".join(str(m) for m in grid.shape)
-    return _finish("ladyzhenskaya", 0.0, ratios, worst, res, spec.seed)
-
-
-def run_vertical_embedding(spec: EnsembleSpec, grid: Grid,
-                           s: float) -> RatioReport:
-    rng = spec.rng()
-    ratios = []
-    worst = 0
-    for i in range(spec.count):
-        u = draw_vector(rng, spec, grid)
-        r = vertical_embedding_ratio(u, s)
-        if not ratios or r > ratios[worst]:
-            worst = i
-        ratios.append(r)
-    res = "x".join(str(m) for m in grid.shape)
-    return _finish("vertical_embedding", s, ratios, worst, res, spec.seed)
-
-
-def run_trilinear(spec: EnsembleSpec, grid: Grid, s: float,
-                  form: str = "i") -> RatioReport:
-    if form not in ("i", "ii"):
-        raise ValueError(f"form={form!r} must be 'i' or 'ii'")
-    ratio_fn = trilinear_ratio_i if form == "i" else trilinear_ratio_ii
-    rng = spec.rng()
-    ratios = []
-    worst = 0
-    for i in range(spec.count):
-        u = draw_vector(rng, spec, grid)
-        v = draw_vector(rng, spec, grid)
-        w = draw_vector(rng, spec, grid)
-        r = ratio_fn(u, v, w, s)
-        if not ratios or r > ratios[worst]:
-            worst = i
-        ratios.append(r)
-    res = "x".join(str(m) for m in grid.shape)
-    return _finish(f"trilinear_{form}", s, ratios, worst, res, spec.seed)
+    shape = "x".join(str(m) for m in grid.shape)
+    reports = [
+        RatioReport(lemma, s, spec.count, float(np.max(ratios)),
+                    float(np.mean(ratios)),
+                    str(line_length) if lemma == "agmon" else shape, spec.seed)
+        for lemma in lemmas
+        for s, ratios in zip(exponents[lemma], table[lemma])
+    ]
+    return reports, violations

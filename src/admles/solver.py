@@ -456,7 +456,8 @@ def read_checkpoint(path):
 
     Anything but a complete checkpoint raises ValueError naming the
     path: a bad magic, a short read, a missing or ill-typed header key,
-    or coefficients whose shape is not (3, *header grid).
+    or coefficients whose shape is not (3, *header grid) or whose dtype
+    is not complex128.
     """
     import json
     import struct
@@ -487,10 +488,10 @@ def read_checkpoint(path):
         raise ValueError(
             f"{path}: missing or ill-typed checkpoint header key: {exc!r}"
         ) from exc
-    if coeffs.shape != (3, *grid.shape):
+    if coeffs.shape != (3, *grid.shape) or coeffs.dtype != np.complex128:
         raise ValueError(
-            f"{path}: coefficient shape {coeffs.shape} does not match "
-            f"(3, *{grid.shape})"
+            f"{path}: coefficients {coeffs.dtype} {coeffs.shape} are not "
+            f"complex128 (3, *{grid.shape})"
         )
     state = SolverState(t=t, step_index=step_index, w=VectorField(grid, coeffs))
     return state, header

@@ -53,8 +53,13 @@ class RealityError(ValueError):
 
 
 def _as_complex(arr: np.ndarray) -> np.ndarray:
+    """Read-only complex128 coefficients.  A complex128 array that owns
+    its data is frozen in place, not copied; a view is copied unless its
+    base is a read-only array; any other dtype is converted."""
     out = np.asarray(arr, dtype=np.complex128)
-    if out is arr:
+    base = out.base
+    if out is arr and base is not None and (
+            not isinstance(base, np.ndarray) or base.flags.writeable):
         out = arr.copy()
     out.setflags(write=False)
     return out

@@ -30,9 +30,7 @@ from admles.filters import (
 from admles.grid import Grid
 from admles.inequalities import (
     ladyzhenskaya_ratio,
-    run_agmon,
-    run_ladyzhenskaya,
-    run_vertical_embedding,
+    run_sweep,
     trilinear_ratio_i,
     trilinear_ratio_ii,
     vertical_embedding_ratio,
@@ -244,19 +242,21 @@ def test_filter_parseval_identity():
 def test_sup_norm_split_bound():
     start = time.perf_counter()
     spec = EnsembleSpec(count=1000, band_limit=12, seed=77)
-    drift = 0.0
-    for s in (0.6, 0.75, 1.0):
-        # check_bound asserts the kappa-split bound on every sample
-        coarse = run_agmon(spec, s, 256)
-        fine = run_agmon(spec, s, 512)
-        drift = max(
-            drift, abs(fine.max_ratio - coarse.max_ratio) / coarse.max_ratio
-        )
+    exponents = (0.6, 0.75, 1.0)
+    # the sweep checks the kappa-split bound on every sample and exponent
+    coarse, violations = run_sweep(spec, GRID32, ["agmon"], exponents, 256)
+    fine, fine_violations = run_sweep(spec, GRID32, ["agmon"], exponents, 512)
+    violations += fine_violations
+    drift = max(
+        abs(f.max_ratio - c.max_ratio) / c.max_ratio
+        for c, f in zip(coarse, fine)
+    )
     wall = time.perf_counter() - start
     report(
         "sup-norm bound on 1000 samples x 3 exponents, stable under refinement",
-        drift < 0.05 and wall < 60.0,
-        f"max ratio drift {drift:.2e}, wall {wall:.1f}s",
+        violations == [] and drift < 0.05 and wall < 60.0,
+        f"{len(violations)} bound violations, max ratio drift {drift:.2e}, "
+        f"wall {wall:.1f}s",
     )
 
 
@@ -271,13 +271,12 @@ def test_inequality_ratio_sweeps():
     # stability of ensemble maxima under resolution doubling
     drift = 0.0
     reports = []
-    for runner, args in (
-        (run_ladyzhenskaya, ()),
-        (run_vertical_embedding, (0.6,)),
-        (run_vertical_embedding, (1.0,)),
-    ):
-        coarse = runner(spec, g16, *args)
-        fine = runner(spec, GRID32, *args)
+    sweeps = [
+        run_sweep(spec, grid, ["ladyzhenskaya", "vertical_embedding"],
+                  (0.6, 1.0), 256)[0]
+        for grid in (g16, GRID32)
+    ]
+    for coarse, fine in zip(*sweeps):
         reports.extend([coarse, fine])
         drift = max(
             drift, abs(fine.max_ratio - coarse.max_ratio) / coarse.max_ratio

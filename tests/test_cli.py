@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from admles import inequalities
 from admles.cli import main
 from admles.config import parse_config
 from admles.diagnostics import attach_residuals
@@ -163,6 +164,40 @@ def test_seed_changes_inequality_output(tmp_path):
     a = (out1 / "inequalities.csv").read_text().splitlines()[2]
     b = (out2 / "inequalities.csv").read_text().splitlines()[2]
     assert a != b
+
+
+def test_split_bound_violation_keeps_every_row(tmp_path, monkeypatch):
+    true_bound = inequalities.agmon_split_bound
+    monkeypatch.setattr(
+        inequalities, "agmon_split_bound",
+        lambda coeffs, s: 0.0 if s == 0.75 else true_bound(coeffs, s),
+    )
+    cfg = write(tmp_path / "ineq.ini",
+                "[inequalities]\ncount = 3\nresolution = 16\nband = 4\n")
+    out = tmp_path / "out"
+    assert run_cli("verify-inequalities", "--config", cfg,
+                   "--output", str(out), "--quiet") == 2
+    manifest = read_manifest(out)
+    assert manifest["status"] == "assertion-failure"
+    checks = {a["name"]: a for a in manifest["assertions"]}
+    assert checks["ratios_finite"]["passed"]
+    split = checks["agmon_split_bound"]
+    assert not split["passed"]
+    messages = split["detail"].split("; ")
+    assert len(messages) == 3
+    for i, message in enumerate(messages):
+        assert message.startswith(
+            f"s=0.75: split bound violated on sample {i}: sup="
+        )
+        assert message.endswith(" bound=0.0")
+    rows = [line.split(",")[:2] for line in
+            (out / "inequalities.csv").read_text().splitlines()[2:]]
+    exponents = ["0.6", "0.75", "1.0"]
+    assert rows == (
+        [["agmon", s] for s in exponents] + [["ladyzhenskaya", "0.0"]]
+        + [[lemma, s] for lemma in ("vertical_embedding", "trilinear_i",
+                                    "trilinear_ii") for s in exponents]
+    )
 
 
 def test_dependence_command(tmp_path):

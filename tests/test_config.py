@@ -134,6 +134,21 @@ def test_inequality_sizes_checked_at_parse_time(body, expected):
     assert excinfo.value.errors == expected
 
 
+@pytest.mark.parametrize("section, key", [
+    ("operators", "alpha_values"),
+    ("operators", "theta_values"),
+    ("operators", "order_values"),
+    ("inequalities", "lemmas"),
+    ("inequalities", "s_values"),
+])
+def test_empty_lists_rejected(section, key):
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(f"[{section}]\n{key} =\n")
+    assert excinfo.value.errors == [
+        f"{section}.{key}: must list at least one value"
+    ]
+
+
 def test_hash_ignores_output_dir_but_not_seed():
     base = parse_config("")
     moved = with_overrides(base, output_dir="elsewhere")

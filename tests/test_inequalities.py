@@ -17,10 +17,7 @@ from admles.inequalities import (
     line_sup_norm,
     linf_v_l2_h_norm,
     plane_l2_profile,
-    run_agmon,
-    run_ladyzhenskaya,
-    run_trilinear,
-    run_vertical_embedding,
+    run_sweep,
     trilinear_ratio_i,
     trilinear_ratio_ii,
     vertical_embedding_ratio,
@@ -107,8 +104,11 @@ def test_agmon_split_bound_single_mode_value():
 
 def test_run_agmon_report():
     spec = EnsembleSpec(count=50, band_limit=10, seed=5)
-    report = run_agmon(spec, 0.75, 64)
+    (report,), violations = run_sweep(spec, Grid(16, 16, 16), ["agmon"],
+                                      [0.75], 64)
+    assert violations == []
     assert isinstance(report, RatioReport)
+    assert (report.lemma, report.s, report.resolution) == ("agmon", 0.75, "64")
     assert report.count == 50
     assert report.max_ratio >= report.mean_ratio > 0
     assert np.isfinite(report.max_ratio)
@@ -276,18 +276,21 @@ def test_trilinear_rejects_degenerate(grid):
 
 
 # ---------------------------------------------------------------------------
-# Ensemble runners and resolution stability
+# Ensemble sweep and resolution stability
+
+# run_sweep needs a line length; it is unused when agmon is not swept
+UNUSED_LINE = 64
 
 
 def test_runner_reports_consistent():
     grid = Grid(16, 16, 16)
     spec = EnsembleSpec(count=25, band_limit=5, seed=23)
-    for report in (
-        run_ladyzhenskaya(spec, grid),
-        run_vertical_embedding(spec, grid, 1.0),
-        run_trilinear(spec, grid, 1.0, "i"),
-        run_trilinear(spec, grid, 1.0, "ii"),
-    ):
+    lemmas = ["ladyzhenskaya", "vertical_embedding", "trilinear_i",
+              "trilinear_ii"]
+    reports, violations = run_sweep(spec, grid, lemmas, [1.0], UNUSED_LINE)
+    assert violations == []
+    assert [r.lemma for r in reports] == lemmas
+    for report in reports:
         assert report.count == 25
         assert np.isfinite(report.max_ratio)
         assert report.max_ratio >= report.mean_ratio >= 0
@@ -298,14 +301,51 @@ def test_ratios_stable_under_resolution_doubling():
     spec = EnsembleSpec(count=40, band_limit=5, seed=29)
     coarse = Grid(16, 16, 16)
     fine = Grid(32, 32, 32)
-    a = run_ladyzhenskaya(spec, coarse)
-    b = run_ladyzhenskaya(spec, fine)
+    lemmas = ["ladyzhenskaya", "vertical_embedding"]
+    (a, c), _ = run_sweep(spec, coarse, lemmas, [1.0], UNUSED_LINE)
+    (b, d), _ = run_sweep(spec, fine, lemmas, [1.0], UNUSED_LINE)
     assert b.max_ratio == pytest.approx(a.max_ratio, rel=0.05)
-    c = run_vertical_embedding(spec, coarse, 1.0)
-    d = run_vertical_embedding(spec, fine, 1.0)
     assert d.max_ratio == pytest.approx(c.max_ratio, rel=0.05)
 
 
-def test_run_trilinear_rejects_unknown_form():
-    with pytest.raises(ValueError):
-        run_trilinear(EnsembleSpec(1, 4, 0), Grid(16, 16, 16), 1.0, "iii")
+def test_run_sweep_matches_oracles():
+    """One pass per ensemble gives the oracle ratios bit for bit."""
+    grid = Grid(16, 16, 16)
+    spec = EnsembleSpec(count=6, band_limit=5, seed=31)
+    exponents = (0.75, 1.0)
+    lemmas = ["trilinear_ii", "agmon", "vertical_embedding", "ladyzhenskaya",
+              "trilinear_i"]
+    reports, violations = run_sweep(spec, grid, lemmas, exponents, 64)
+    assert violations == []
+
+    rng = spec.rng()
+    lines = [draw_line(rng, spec, 64) for _ in range(spec.count)]
+    rng = spec.rng()
+    fields = [draw_vector(rng, spec, grid) for _ in range(spec.count)]
+    rng = spec.rng()
+    triples = [[draw_vector(rng, spec, grid) for _ in range(3)]
+               for _ in range(spec.count)]
+    oracles = {
+        "agmon": lambda s: [agmon_ratio(g, s) for g in lines],
+        "ladyzhenskaya": lambda s: [ladyzhenskaya_ratio(u) for u in fields],
+        "vertical_embedding": lambda s: [
+            vertical_embedding_ratio(u, s) for u in fields],
+        "trilinear_i": lambda s: [trilinear_ratio_i(*t, s) for t in triples],
+        "trilinear_ii": lambda s: [trilinear_ratio_ii(*t, s) for t in triples],
+    }
+    expected = [
+        (lemma, s) for lemma in lemmas
+        for s in ((0.0,) if lemma == "ladyzhenskaya" else exponents)
+    ]
+    assert [(r.lemma, r.s) for r in reports] == expected
+    for report in reports:
+        ratios = np.asarray(oracles[report.lemma](report.s))
+        assert report.max_ratio == float(np.max(ratios))
+        assert report.mean_ratio == float(np.mean(ratios))
+        assert report.count == spec.count and report.seed == spec.seed
+
+
+def test_run_sweep_rejects_unknown_lemma():
+    with pytest.raises(ValueError, match="trilinear_iii"):
+        run_sweep(EnsembleSpec(1, 4, 0), Grid(16, 16, 16), ["trilinear_iii"],
+                  [1.0], UNUSED_LINE)

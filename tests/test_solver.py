@@ -499,6 +499,9 @@ def test_checkpoint_rejects_foreign_file(tmp_path):
         "header_not_an_object": forged_checkpoint([1, 2], coeffs),
         "shape_mismatch": forged_checkpoint(header, coeffs[:, :, :, :2]),
         "scalar_field": forged_checkpoint(header, coeffs[0]),
+        "complex64_payload": forged_checkpoint(
+            header, coeffs.astype(np.complex64)),
+        "float64_payload": forged_checkpoint(header, coeffs.real),
     }
     for name, content in cases.items():
         path = tmp_path / f"{name}.bin"

@@ -50,6 +50,25 @@ def random_divfree(grid, seed=0):
     return leray_project(dealias(v))
 
 
+def test_fields_freeze_owned_arrays_and_copy_writable_views(grid):
+    owned = np.zeros((3, *grid.shape), dtype=np.complex128)
+    field = VectorField(grid, owned)
+    assert np.shares_memory(field.coeffs, owned)
+    with pytest.raises(ValueError, match="read-only"):
+        owned[0, 0, 0, 1] = 1.0
+
+    base = np.zeros((2, *grid.shape), dtype=np.complex128)
+    scalar = SpectralField(grid, base[1])
+    base[1, 0, 0, 1] = 1.0
+    assert not np.any(scalar.coeffs)
+    assert not np.shares_memory(scalar.coeffs, base)
+
+    # a component is a view of a frozen array: shared, and still frozen
+    part = field.component(2)
+    assert np.shares_memory(part.coeffs, field.coeffs)
+    assert not part.coeffs.flags.writeable
+
+
 def test_transform_round_trip(grid):
     rng = np.random.default_rng(1)
     samples = rng.standard_normal(grid.shape)
