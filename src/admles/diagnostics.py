@@ -29,8 +29,9 @@ from .filters import DeconvSpec, FilterSpec, symbol_table
 from .spectral import (
     VectorField,
     grad_norm,
-    inner_product,
     l2_norm,
+    mass_lines,
+    quadratic_form,
     vertical_grad_seminorm,
     vertical_seminorm,
 )
@@ -57,44 +58,49 @@ class EnergyRecord:
         return replace(self, budget_residual=value)
 
 
+def _integrand(grid, gradient_line: np.ndarray, theta: float) -> float:
+    """The Gronwall integrand from the |k|^2-weighted k3 line of w."""
+    gn = math.sqrt(quadratic_form(grid, gradient_line))
+    if gn == 0.0:
+        return 0.0
+    vg = math.sqrt(quadratic_form(grid, gradient_line, grid.k3 ** (2.0 * theta)))
+    return gn ** (2.0 - 1.0 / theta) * vg ** (1.0 / theta)
+
+
 def gronwall_integrand(w: VectorField, theta: float) -> float:
     """|| grad w ||^{2 - 1/theta} * || d3^theta grad w ||^{1/theta}."""
     if theta == 0.0:
         raise ValueError("the integrand exponents need theta > 0")
-    gn = grad_norm(w)
-    if gn == 0.0:
-        return 0.0
-    return gn ** (2.0 - 1.0 / theta) * vertical_grad_seminorm(w, theta) ** (
-        1.0 / theta
-    )
+    return _integrand(w.grid, mass_lines(w)[1], theta)
 
 
 def energy_terms(w: VectorField, f: VectorField, filt: FilterSpec,
                  order: int, nu: float, t: float = 0.0) -> EnergyRecord:
-    """All budget terms of one state, via Fourier multipliers."""
+    """All budget terms of one state, via Fourier multipliers.
+
+    One pass over |w|^2 gives its k3 lines (mass_lines) and one over
+    Re(conj(f) w) the forcing line; each term is then a dot product of a
+    line with multiplier lines and the Parseval weight.
+    """
     if w.grid != f.grid:
         raise ValueError("state and forcing live on different grids")
     grid = w.grid
     symbols = symbol_table(grid, DeconvSpec(filt, order))
+    plain, gradient = mass_lines(w)
     weight = symbols.filter * symbols.deconv
-    mass = np.abs(w.coeffs) ** 2
-    model_energy = 0.5 * grid.volume * float(np.sum(weight * mass))
-    dissipation = nu * grid.volume * float(
-        np.sum(grid.k_squared * weight * mass)
-    )
-    forcing_power = inner_product(
-        f.with_coeffs(f.coeffs * symbols.half_deconv),
-        w.with_coeffs(w.coeffs * symbols.half_deconv),
-    )
-    integrand = 0.0 if filt.theta == 0.0 else gronwall_integrand(w, filt.theta)
+    cross = f.coeffs.real * w.coeffs.real
+    cross += f.coeffs.imag * w.coeffs.imag  # Re(conj(f) w)
+    theta = filt.theta
     return EnergyRecord(
         t=t,
-        model_energy=model_energy,
-        dissipation=dissipation,
-        forcing_power=forcing_power,
-        l2_norm=l2_norm(w),
-        theta_seminorm=vertical_seminorm(w, filt.theta),
-        gronwall_integrand=integrand,
+        model_energy=0.5 * quadratic_form(grid, plain, weight),
+        dissipation=nu * quadratic_form(grid, gradient, weight),
+        forcing_power=quadratic_form(grid, cross.sum(axis=(0, 1, 2)),
+                                     symbols.deconv),
+        l2_norm=math.sqrt(quadratic_form(grid, plain)),
+        theta_seminorm=math.sqrt(
+            quadratic_form(grid, plain, grid.k3 ** (2.0 * theta))),
+        gronwall_integrand=0.0 if theta == 0.0 else _integrand(grid, gradient, theta),
     )
 
 
@@ -160,13 +166,11 @@ def regularity_norms(states: Iterable, filt: FilterSpec) -> dict[str, float]:
 
 
 def vertical_spectrum(w: VectorField) -> list[tuple[int, float]]:
-    """Energy per |k3| shell; the shell sum is || w ||_2^2 exactly."""
+    """Energy per |k3| shell; the shell sum is || w ||_2^2 exactly.
+
+    Shell k3 is the stored column k3 times its Parseval weight: the
+    columns 0 < k3 < n3/2 also hold their mirrors -k3.
+    """
     grid = w.grid
-    mass = grid.volume * np.sum(np.abs(w.coeffs) ** 2, axis=(0, 1, 2))
-    k3_idx = np.abs(grid.index_axis(2))
-    shells = {}
-    for pos in range(grid.n3):
-        shells[int(k3_idx[pos])] = shells.get(int(k3_idx[pos]), 0.0) + float(
-            mass[pos]
-        )
-    return sorted(shells.items())
+    shells = grid.volume * grid.parseval_weight.ravel() * mass_lines(w)[0]
+    return [(k3, float(e)) for k3, e in enumerate(shells)]

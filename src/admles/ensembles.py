@@ -7,7 +7,8 @@ what makes resolution-doubling studies meaningful: the field is
 identical, only the quadrature grid refines.
 
 Draws are Hermitian-symmetrized (real physical samples), weighted by
-|k|^{-amplitude_decay}, and given zero mean.  Vector draws can be
+|k|^{-amplitude_decay}, and given zero mean; the whole box is drawn, and
+embedding keeps its k3 >= 0 half.  Vector draws can be
 Leray-projected; the projection acts modewise with the true wavenumbers
 of the band, hence also commutes with embedding.
 """
@@ -76,13 +77,14 @@ def _band_positions(n: int, b: int) -> np.ndarray:
 
 
 def _embed(grid: Grid, band: np.ndarray) -> np.ndarray:
-    """Centered band coefficients -> FFT-layout array on the grid."""
+    """Centered band coefficients -> half-layout array on the grid."""
     b = (band.shape[-1] - 1) // 2
     p1 = _band_positions(grid.n1, b)
     p2 = _band_positions(grid.n2, b)
-    p3 = _band_positions(grid.n3, b)
-    out = np.zeros((*band.shape[:-3], *grid.shape), dtype=np.complex128)
-    out[..., p1[:, None, None], p2[None, :, None], p3[None, None, :]] = band
+    _band_positions(grid.n3, b)  # the band must fit the full k3 axis
+    out = np.zeros((*band.shape[:-3], *grid.spectral_shape),
+                   dtype=np.complex128)
+    out[..., p1[:, None], p2[None, :], : b + 1] = band[..., b:]
     return out
 
 

@@ -140,8 +140,9 @@ def deconv_error_symbol(spec: DeconvSpec, k3: np.ndarray) -> np.ndarray:
 class SymbolTable:
     """Read-only vertical multiplier lines of one grid and deconvolution.
 
-    Each line has shape (1, 1, n3), so trailing-axis broadcasting covers
-    both scalar (n1, n2, n3) and vector (3, n1, n2, n3) coefficients.
+    Each line has shape (1, 1, n3/2 + 1), the half-layout k3 line, so
+    trailing-axis broadcasting covers both scalar (n1, n2, n3/2 + 1) and
+    vector (3, n1, n2, n3/2 + 1) coefficients.
     """
 
     filter: np.ndarray  # A
@@ -154,9 +155,8 @@ class SymbolTable:
 @lru_cache(maxsize=32)
 def symbol_table(grid: Grid, spec: DeconvSpec) -> SymbolTable:
     """The multiplier lines of `spec` on `grid`, built once per pair."""
-    k3 = grid.k_axis(2)
-    a = filter_symbol(spec.filter, k3).reshape(1, 1, -1)
-    d = deconv_symbol(spec, k3).reshape(1, 1, -1)
+    a = filter_symbol(spec.filter, grid.k3)
+    d = deconv_symbol(spec, grid.k3)
     lines = (a, 1.0 / a, np.sqrt(a), d, np.sqrt(d))
     for line in lines:
         line.setflags(write=False)
@@ -216,7 +216,7 @@ def vertical_fractional_shift(field: Field, spec: FilterSpec) -> Field:
     to the order of floating-point operations; keeping both forms lets
     the identity checks exercise them against each other.
     """
-    x = _vertical_weight(spec, field.grid.k_axis(2)).reshape(1, 1, -1)
+    x = _vertical_weight(spec, field.grid.k3)
     return field.with_coeffs(field.coeffs + x * field.coeffs)
 
 

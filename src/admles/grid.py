@@ -15,6 +15,8 @@ whose odd derivative is not representable on the grid.  Even multipliers
 (|k3|^{2s}, the Laplacian, filter symbols) use the true magnitudes
 including n/2.  Fields band-limited by the 2/3 rule carry no Nyquist
 content, so the distinction only matters for raw transformed samples.
+Coefficients are stored in the rfftn layout (n1, n2, n3/2 + 1): the k3
+lines and all built from them hold k3 = 0, 1, ..., n3/2 only.
 """
 
 from __future__ import annotations
@@ -54,6 +56,11 @@ class Grid:
     @property
     def sizes(self) -> tuple[float, float, float]:
         return (self.L1, self.L2, self.L3)
+
+    @property
+    def spectral_shape(self) -> tuple[int, int, int]:
+        """Shape of stored coefficients: the rfftn half of the last axis."""
+        return (self.n1, self.n2, self.n3 // 2 + 1)
 
     @property
     def num_points(self) -> int:
@@ -100,7 +107,8 @@ class Grid:
 
     @cached_property
     def k3(self) -> np.ndarray:
-        return self._expand(self.k_axis(2), 2)
+        """k3 = 0, 1, ..., n3/2 (the Nyquist stored positive)."""
+        return self._expand(np.abs(self.k_axis(2)[: self.n3 // 2 + 1]), 2)
 
     @cached_property
     def kd1(self) -> np.ndarray:
@@ -112,7 +120,13 @@ class Grid:
 
     @cached_property
     def kd3(self) -> np.ndarray:
-        return self._expand(self.deriv_axis(2), 2)
+        return self._expand(np.abs(self.deriv_axis(2)[: self.n3 // 2 + 1]), 2)
+
+    @cached_property
+    def parseval_weight(self) -> np.ndarray:
+        """2 where stored column k3 also stands for its mirror -k3, else 1."""
+        k3 = np.arange(self.n3 // 2 + 1)
+        return self._expand(np.where((k3 > 0) & (k3 < self.n3 // 2), 2.0, 1.0), 2)
 
     @cached_property
     def k_squared(self) -> np.ndarray:
@@ -127,10 +141,10 @@ class Grid:
     @cached_property
     def dealias_mask(self) -> np.ndarray:
         """2/3-rule mask: True where |k_j| <= n_j/3 on every axis."""
-        masks = []
-        for axis in range(3):
-            idx = np.abs(self.index_axis(axis))
-            masks.append(self._expand(idx <= self.shape[axis] / 3.0, axis))
+        idx = [np.abs(self.index_axis(axis)) for axis in range(3)]
+        idx[2] = idx[2][: self.n3 // 2 + 1]
+        masks = [self._expand(i <= n / 3.0, axis)
+                 for axis, (i, n) in enumerate(zip(idx, self.shape))]
         return masks[0] & masks[1] & masks[2]
 
     def dealias_cutoff(self, axis: int) -> int:

@@ -32,8 +32,10 @@ from .ensembles import EnsembleSpec, draw_vector
 from .filters import DeconvSpec, FilterSpec, apply_bar, symbol_table
 from .grid import Grid
 from .spectral import (
+    RealityError,
     VectorField,
     dealias,
+    field_from_full,
     inverse_transform,
     l2_norm,
     leray_project,
@@ -153,7 +155,7 @@ def forcing_field(desc: ForcingDescriptor, grid: Grid) -> VectorField:
     descriptors are rescaled so the raw forcing has L2 norm `energy`.
     """
     if isinstance(desc, ZeroForcing):
-        return VectorField(grid, np.zeros((3, *grid.shape), dtype=complex))
+        return VectorField(grid, np.zeros((3, *grid.spectral_shape), dtype=complex))
     f = descriptor_field(desc, grid)
     if isinstance(desc, RandomBandLimited):
         norm = l2_norm(f)
@@ -405,13 +407,14 @@ def dependence_experiment(config: SolverConfig, epsilon: float, *,
 # ---------------------------------------------------------------------------
 # Checkpoints
 
-_MAGIC = b"ADMCKPT1\n"
+_MAGIC = b"ADMCKPT2\n"
+_FULL_MAGIC = b"ADMCKPT1\n"  # full-layout (3, n1, n2, n3) coefficients
 
 
 def write_checkpoint(path, state: SolverState, config: SolverConfig,
                      config_hash: str = "") -> None:
     """Deterministic binary dump: magic, length-prefixed JSON header,
-    then the raw coefficient array in the standard npy layout.
+    then the half-layout coefficient array in the standard npy layout.
 
     The bytes go to a sibling temporary file that then replaces `path`
     in one rename, so a kill or an I/O error mid-write leaves either the
@@ -423,7 +426,7 @@ def write_checkpoint(path, state: SolverState, config: SolverConfig,
 
     grid = config.grid
     header = {
-        "format": "ADMCKPT1",
+        "format": "ADMCKPT2",
         "grid": [grid.n1, grid.n2, grid.n3],
         "lengths": [grid.L1, grid.L2, grid.L3],
         "t": state.t,
@@ -454,18 +457,20 @@ def write_checkpoint(path, state: SolverState, config: SolverConfig,
 def read_checkpoint(path):
     """Returns (SolverState, header dict).
 
+    Reads ADMCKPT2 and the full-layout ADMCKPT1 through field_from_full.
     Anything but a complete checkpoint raises ValueError naming the
     path: a bad magic, a short read, a missing or ill-typed header key,
-    or coefficients whose shape is not (3, *header grid) or whose dtype
-    is not complex128.
+    coefficients that are not complex128 of shape (3, *spectral shape),
+    or (3, *grid shape) for ADMCKPT1, or a non-Hermitian ADMCKPT1.
     """
     import json
     import struct
 
     with open(path, "rb") as fh:
         magic = fh.read(len(_MAGIC))
-        if magic != _MAGIC:
+        if magic not in (_MAGIC, _FULL_MAGIC):
             raise ValueError(f"{path}: not a checkpoint file (bad magic)")
+        full = magic == _FULL_MAGIC
         prefix = fh.read(8)
         if len(prefix) != 8:
             raise ValueError(f"{path}: truncated checkpoint (no header length)")
@@ -488,10 +493,14 @@ def read_checkpoint(path):
         raise ValueError(
             f"{path}: missing or ill-typed checkpoint header key: {exc!r}"
         ) from exc
-    if coeffs.shape != (3, *grid.shape) or coeffs.dtype != np.complex128:
+    shape = (3, *(grid.shape if full else grid.spectral_shape))
+    if coeffs.shape != shape or coeffs.dtype != np.complex128:
         raise ValueError(
             f"{path}: coefficients {coeffs.dtype} {coeffs.shape} are not "
-            f"complex128 (3, *{grid.shape})"
+            f"complex128 {shape}"
         )
-    state = SolverState(t=t, step_index=step_index, w=VectorField(grid, coeffs))
-    return state, header
+    try:
+        w = field_from_full(grid, coeffs) if full else VectorField(grid, coeffs)
+    except RealityError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    return SolverState(t=t, step_index=step_index, w=w), header

@@ -5,41 +5,37 @@ Coefficients are stored in the amplitude normalization
     f(x) = sum_k  c_k  exp(i k . x),        c_k = FFT(samples) / N,
 
 so cos(x3) has coefficients +1/2 at k3 = +1 and -1/2 at k3 = -1 and the
-k = 0 coefficient is the spatial mean.  Plancherel then reads
+k = 0 coefficient is the spatial mean.
 
-    (f, g)_{L^2} = vol * sum_k c_k conj(d_k),
+Fields are real, so their coefficients are Hermitian, c_{-k} = conj(c_k).
+Every field stores only the rfftn half (..., n1, n2, n3/2 + 1), k3 in
+[0, n3/2]: forward_transform is one rfftn, inverse_transform one
+irfftn.  A stored column 0 < k3 < n3/2 also stands for its mirror -k3,
+so Plancherel reads
 
-with vol the box volume.  All norms and inner products below are the
-continuum L^2 quantities of the band-limited interpolant, not plain
-vector norms of sample arrays.
+    (f, g)_{L^2} = vol * sum_k  w(k3) Re(c_k conj(d_k)),
 
-Every 3-D transform is real.  Samples are real, so their coefficients
-are Hermitian, c_{-k} = conj(c_k), and the half spectrum k3 in
-[0, n3/2] determines the rest: the forward transform is one rfftn
-followed by one Hermitian expansion to the full FFT layout, and the
-inverse is one irfftn of the half spectrum.  Coefficients are still
-stored in the full layout, so norms, checkpoints and draws see no
-change.  The transforms come from numpy.fft rather than scipy.fft,
-whose import costs more start-up time and memory than it saves here.
+with vol the box volume and w the grid's Parseval weight line (1 at
+k3 = 0 and n3/2, 2 in between).  All norms and inner products below are
+these continuum L^2 quantities of the band-limited interpolant.
 
-irfftn reads only the half spectrum and takes the rest to be its
-mirror, so a coefficient array that is not Hermitian would lose its
-defect without a trace.  inverse_transform therefore compares every
-(k, -k) pair first, including the pairs inside the k3 = 0 and
-k3 = n3/2 planes, and raises RealityError on a mismatch.
+Full-layout (n1, n2, n3) coefficients enter at one boundary only,
+field_from_full, which raises RealityError unless they are Hermitian to
+1e-10 of their scale and keeps the half; no transform checks reality.
+numpy.fft is used rather than scipy.fft, whose import costs more
+start-up time and memory than it saves here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .grid import Grid
 
 # Largest Hermitian defect max |c_k - conj(c_-k)|, relative to max |c|,
-# that inverse_transform accepts.
+# that field_from_full accepts.
 _HERMITIAN_TOL = 1e-10
 _AXES = (-3, -2, -1)
 # The products u_i v_j that tensor_divergence transforms: the six with
@@ -49,7 +45,7 @@ _ALL_PAIRS = tuple((i, j) for i in range(3) for j in range(3))
 
 
 class RealityError(ValueError):
-    """Raised when coefficients to be inverted are not Hermitian."""
+    """Raised when full-layout coefficients are not Hermitian."""
 
 
 def _as_complex(arr: np.ndarray) -> np.ndarray:
@@ -67,16 +63,16 @@ def _as_complex(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SpectralField:
-    """Scalar field as FFT-ordered amplitude coefficients on a grid."""
+    """Scalar field as half-layout amplitude coefficients on a grid."""
 
     grid: Grid
-    coeffs: np.ndarray
+    coeffs: np.ndarray  # shape grid.spectral_shape
 
     def __post_init__(self):
-        if self.coeffs.shape != self.grid.shape:
+        if self.coeffs.shape != self.grid.spectral_shape:
             raise ValueError(
                 f"coefficient shape {self.coeffs.shape} does not match "
-                f"grid shape {self.grid.shape}"
+                f"grid spectral shape {self.grid.spectral_shape}"
             )
         object.__setattr__(self, "coeffs", _as_complex(self.coeffs))
 
@@ -89,13 +85,13 @@ class VectorField:
     """Three-component field; components share one grid."""
 
     grid: Grid
-    coeffs: np.ndarray  # shape (3, n1, n2, n3)
+    coeffs: np.ndarray  # shape (3, *grid.spectral_shape)
 
     def __post_init__(self):
-        if self.coeffs.shape != (3, *self.grid.shape):
+        if self.coeffs.shape != (3, *self.grid.spectral_shape):
             raise ValueError(
                 f"coefficient shape {self.coeffs.shape} does not match "
-                f"(3, *{self.grid.shape})"
+                f"(3, *{self.grid.spectral_shape})"
             )
         object.__setattr__(self, "coeffs", _as_complex(self.coeffs))
 
@@ -110,39 +106,13 @@ Field = SpectralField | VectorField
 
 
 def forward_transform(grid: Grid, samples: np.ndarray) -> np.ndarray:
-    """Real physical samples -> amplitude coefficients (last three axes)."""
-    half = np.fft.rfftn(samples, axes=_AXES, norm="forward")
-    return _expand_half(half, grid.n3)
+    """Real physical samples -> half-layout coefficients (last three axes)."""
+    return np.fft.rfftn(samples, axes=_AXES, norm="forward")
 
 
 def inverse_transform(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    """Amplitude coefficients -> real physical samples (last three axes).
-
-    Raises RealityError if max |c_k - conj(c_-k)| exceeds 1e-10 of
-    max |c|, rather than letting irfftn drop the defect.  max |c| is
-    taken over the half spectrum that irfftn reads; it bounds the other
-    half to within the defect.
-    """
-    coeffs = np.asarray(coeffs)
-    half = coeffs[..., : grid.n3 // 2 + 1]
-    scale = np.max(np.abs(half))
-    residual = hermitian_residual(coeffs)
-    if residual > _HERMITIAN_TOL * scale:
-        raise RealityError(
-            f"Hermitian defect {residual:.3e} exceeds {_HERMITIAN_TOL:.0e} of "
-            f"coefficient scale {scale:.3e}; the samples would not be real"
-        )
-    return np.fft.irfftn(half, s=grid.shape, axes=_AXES, norm="forward")
-
-
-def _expand_half(half: np.ndarray, n3: int) -> np.ndarray:
-    """Full FFT layout from the half spectrum k3 in [0, n3/2]."""
-    m = half.shape[-1]
-    full = np.empty((*half.shape[:-1], n3), dtype=np.complex128)
-    full[..., :m] = half
-    # the mirrors of columns m..n3-1 lie in columns 1..n3-m, set above
-    full[..., m:] = np.conj(mirror_coeffs(full, slice(m, None)))
-    return full
+    """Half-layout coefficients -> real physical samples (last three axes)."""
+    return np.fft.irfftn(coeffs, s=grid.shape, axes=_AXES, norm="forward")
 
 
 def field_from_samples(grid: Grid, samples: np.ndarray) -> SpectralField:
@@ -153,44 +123,28 @@ def vector_from_samples(grid: Grid, samples: np.ndarray) -> VectorField:
     return VectorField(grid, forward_transform(grid, samples))
 
 
-@lru_cache(maxsize=8)
-def _mirror_index(shape: tuple[int, int, int]) -> np.ndarray:
-    """Flat index of -k for every k of an FFT-ordered grid `shape`."""
-    _, n2, n3 = shape
-    m1, m2, m3 = ((-np.arange(n)) % n for n in shape)
-    index = (m1[:, None, None] * n2 + m2[None, :, None]) * n3 + m3[None, None, :]
-    index = index.astype(np.intp)
-    index.setflags(write=False)
-    return index
+def field_from_full(grid: Grid, coeffs: np.ndarray) -> Field:
+    """The field of full-layout (..., n1, n2, n3) coefficients.
 
-
-def mirror_coeffs(coeffs: np.ndarray, k3: slice = slice(None)) -> np.ndarray:
-    """Coefficients at -k, respecting FFT ordering on the last three axes.
-
-    One gather through an index cached per grid shape; `k3` selects
-    which columns of the last axis to return.
+    The one entry point for that layout.  Raises RealityError if
+    max |c_k - conj(c_-k)| exceeds 1e-10 of max |c|, because keeping
+    the half would drop the defect without a trace; every (k, -k) pair
+    has a member with k3 in [0, n3/2], so those columns are compared.
     """
-    shape = coeffs.shape[-3:]
-    flat = coeffs.reshape(*coeffs.shape[:-3], -1)
-    return np.take(flat, _mirror_index(shape)[..., k3], axis=-1)
-
-
-def hermitian_residual(coeffs: np.ndarray) -> float:
-    """max |c_k - conj(c_{-k})|; zero iff the samples are real.
-
-    Every (k, -k) pair has a member with k3 in [0, n3/2], so comparing
-    those columns with their mirrors covers every pair.
-    """
-    m = coeffs.shape[-1] // 2 + 1
-    defect = mirror_coeffs(coeffs, slice(None, m))
-    np.conjugate(defect, out=defect)
-    np.subtract(coeffs[..., :m], defect, out=defect)
-    return float(np.max(np.abs(defect)))
-
-
-def hermitian_symmetrize(coeffs: np.ndarray) -> np.ndarray:
-    """Nearest Hermitian coefficient array (projects out imaginary samples)."""
-    return 0.5 * (coeffs + np.conj(mirror_coeffs(coeffs)))
+    coeffs = np.asarray(coeffs)
+    if coeffs.shape[-3:] != grid.shape or coeffs.ndim not in (3, 4):
+        raise ValueError(f"coefficient shape {coeffs.shape} is not a full "
+                         f"layout of grid shape {grid.shape}")
+    half = coeffs[..., : grid.n3 // 2 + 1]
+    mirror = np.roll(np.flip(coeffs, _AXES), 1, _AXES)[..., : grid.n3 // 2 + 1]
+    defect = float(np.max(np.abs(half - np.conj(mirror))))
+    scale = float(np.max(np.abs(half)))
+    if defect > _HERMITIAN_TOL * scale:
+        raise RealityError(
+            f"Hermitian defect {defect:.3e} exceeds {_HERMITIAN_TOL:.0e} of "
+            f"coefficient scale {scale:.3e}; the samples would not be real"
+        )
+    return (VectorField if coeffs.ndim == 4 else SpectralField)(grid, half.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -231,12 +185,10 @@ def leray_project(field: VectorField) -> VectorField:
     inv = np.where(ksq > 0, 1.0 / np.where(ksq > 0, ksq, 1.0), 0.0)
     kdotu = g.kd1 * c[0] + g.kd2 * c[1] + g.kd3 * c[2]
     factor = kdotu * inv
-    return VectorField(
-        g,
-        np.stack(
-            [c[0] - g.kd1 * factor, c[1] - g.kd2 * factor, c[2] - g.kd3 * factor]
-        ),
-    )
+    out = np.empty_like(c)
+    for i, kd in enumerate((g.kd1, g.kd2, g.kd3)):
+        np.subtract(c[i], kd * factor, out=out[i])
+    return VectorField(g, out)
 
 
 def dealias(field: Field) -> Field:
@@ -258,10 +210,9 @@ def tensor_divergence(u: VectorField, v: VectorField | None = None, *,
     the result removes every aliased mode provided both inputs are
     band-limited to the 2/3 band (3K < n makes the retained modes exact).
     For v = u only the six symmetric products are transformed, one at a
-    time; the divergence and the truncation act on the half spectrum,
-    which is expanded once.  `u_samples`, if given, must be
-    inverse_transform(u.grid, u.coeffs); callers that also need the
-    samples pass them in instead of transforming twice.
+    time.  `u_samples`, if given, must be inverse_transform(u.grid,
+    u.coeffs); callers that also need the samples pass them in instead
+    of transforming twice.
     """
     if v is None:
         v = u
@@ -273,18 +224,17 @@ def tensor_divergence(u: VectorField, v: VectorField | None = None, *,
         vs, pairs = us, _SYMMETRIC_PAIRS
     else:
         vs, pairs = inverse_transform(g, v.coeffs), _ALL_PAIRS
-    m = g.n3 // 2 + 1
-    kd = (g.kd1, g.kd2, g.kd3[..., :m])
-    out = np.zeros((3, g.n1, g.n2, m), dtype=np.complex128)
-    p = np.empty((g.n1, g.n2, m), dtype=np.complex128)
+    kd = (g.kd1, g.kd2, g.kd3)
+    out = np.zeros((3, *g.spectral_shape), dtype=np.complex128)
+    p = np.empty(g.spectral_shape, dtype=np.complex128)
     for i, j in pairs:
         np.fft.rfftn(us[i] * vs[j], axes=_AXES, norm="forward", out=p)
         out[j] += kd[i] * p  # d_i (u_i v_j)
         if v is u and i != j:
             out[i] += kd[j] * p  # d_j (u_j u_i)
     out *= 1j
-    out *= g.dealias_mask[..., :m]
-    return VectorField(g, _expand_half(out, g.n3))
+    out *= g.dealias_mask
+    return VectorField(g, out)
 
 
 def convective_inner(u: VectorField, v: VectorField, w: VectorField) -> float:
@@ -298,59 +248,77 @@ def convective_inner(u: VectorField, v: VectorField, w: VectorField) -> float:
 
 # ---------------------------------------------------------------------------
 # Inner products and norms
+#
+# Every quadratic form below is diagonal in k, with a weight of the form
+# r(k3), (k1^2 + k2^2) r(k3) or |k|^2 r(k3); it reduces to a k3 line of
+# sums over components, k1 and k2, dotted with r and the Parseval weight.
+
+
+def _mass(f: Field) -> np.ndarray:
+    """|c|^2 summed over components, on the spectral shape of the grid."""
+    c = f.coeffs
+    mass = c.real**2
+    mass += c.imag**2
+    return mass.sum(axis=0) if mass.ndim == 4 else mass
+
+
+def _horizontal_line(g: Grid, mass: np.ndarray) -> np.ndarray:
+    return np.tensordot((g.k1**2 + g.k2**2)[..., 0], mass, axes=2)
+
+
+def mass_lines(f: Field) -> tuple[np.ndarray, np.ndarray]:
+    """k3 lines of |c|^2 summed over components, k1 and k2: unweighted,
+    and weighted by |k|^2 (true |k|)."""
+    g = f.grid
+    mass = _mass(f)
+    plain = mass.sum(axis=(0, 1))
+    return plain, _horizontal_line(g, mass) + g.k3[0, 0] ** 2 * plain
+
+
+def quadratic_form(grid: Grid, line: np.ndarray, weight=1.0) -> float:
+    """vol * sum over k3 of line * weight * Parseval weight."""
+    return float(grid.volume
+                 * np.dot(line, np.ravel(grid.parseval_weight * weight)))
 
 
 def inner_product(f: Field, g: Field) -> float:
     """Continuum L^2 inner product; vector fields sum over components."""
     if f.grid != g.grid:
         raise ValueError("fields live on different grids")
-    s = np.vdot(g.coeffs, f.coeffs)  # sum conj(g) * f
-    return float(f.grid.volume * s.real)
+    prod = g.coeffs.real * f.coeffs.real
+    prod += g.coeffs.imag * f.coeffs.imag  # Re(conj(g) f)
+    return quadratic_form(f.grid, prod.sum(axis=tuple(range(prod.ndim - 1))))
 
 
 def l2_norm(f: Field) -> float:
-    return float(
-        np.sqrt(f.grid.volume * np.sum(np.abs(f.coeffs) ** 2))
-    )
+    return float(np.sqrt(quadratic_form(f.grid, _mass(f).sum(axis=(0, 1)))))
 
 
 def grad_norm(f: Field) -> float:
     """|| grad f ||_{L^2} = (vol * sum |k|^2 |c_k|^2)^(1/2) (true |k|)."""
-    g = f.grid
-    return float(
-        np.sqrt(g.volume * np.sum(g.k_squared * np.abs(f.coeffs) ** 2))
-    )
+    return float(np.sqrt(quadratic_form(f.grid, mass_lines(f)[1])))
 
 
 def horizontal_grad_norm(f: Field) -> float:
     """|| grad_h f ||_{L^2}: only the k1, k2 multipliers."""
-    g = f.grid
-    weight = g.k1**2 + g.k2**2
-    return float(
-        np.sqrt(g.volume * np.sum(weight * np.abs(f.coeffs) ** 2))
-    )
+    return float(np.sqrt(quadratic_form(f.grid,
+                                        _horizontal_line(f.grid, _mass(f)))))
 
 
 def vertical_seminorm(f: Field, s: float) -> float:
     """|| |d/dx3|^s f ||_{L^2}: multiplier |k3|^s, fractional s allowed."""
     if s < 0:
         raise ValueError(f"seminorm order s={s} must be nonnegative")
-    g = f.grid
-    weight = np.abs(g.k3) ** (2.0 * s)
-    return float(
-        np.sqrt(g.volume * np.sum(weight * np.abs(f.coeffs) ** 2))
-    )
+    return float(np.sqrt(quadratic_form(
+        f.grid, _mass(f).sum(axis=(0, 1)), f.grid.k3 ** (2.0 * s))))
 
 
 def vertical_grad_seminorm(f: Field, s: float) -> float:
     """|| |d/dx3|^s grad f ||_{L^2} via the |k|^2 |k3|^{2s} multiplier."""
     if s < 0:
         raise ValueError(f"seminorm order s={s} must be nonnegative")
-    g = f.grid
-    weight = g.k_squared * np.abs(g.k3) ** (2.0 * s)
-    return float(
-        np.sqrt(g.volume * np.sum(weight * np.abs(f.coeffs) ** 2))
-    )
+    return float(np.sqrt(quadratic_form(f.grid, mass_lines(f)[1],
+                                        f.grid.k3 ** (2.0 * s))))
 
 
 def mean_value(f: SpectralField) -> float:
@@ -383,50 +351,47 @@ def pad_spectrum(coeffs: np.ndarray, m: int, axis: int) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
+def _fold_axis(coeffs: np.ndarray, n: int, axis: int) -> np.ndarray:
+    """Fold a full FFT axis down to even length n < its own: |k| < n/2
+    copies over and the pair k = +-n/2 adds into the Nyquist slot (the
+    cosine at that frequency is representable); the rest is dropped."""
+    src = np.moveaxis(coeffs, axis, 0)
+    half, neg = n // 2, src.shape[0] - n // 2  # slots of +n/2 and -n/2
+    out = np.concatenate([src[:half], src[half:half + 1] + src[neg:neg + 1],
+                          src[neg + 1:]])
+    return np.moveaxis(out, 0, axis)
+
+
 def resample(field: Field, target: Grid) -> Field:
     """Re-express a field on another grid over the same box.
 
-    Upsampling is exact (trigonometric interpolation).  Downsampling
-    keeps every mode the target can represent: |m| < n/2 copies over,
-    the pair m = +-n/2 folds additively into the target Nyquist slot
-    (the cosine at that frequency is representable), and higher modes
-    are truncated.  Round trips through a finer grid are exact.
+    Upsampling is exact (trigonometric interpolation): pad_spectrum on
+    the two full axes, zero extension of the half axis, whose stored
+    n3/2 column is halved because its mirror -n3/2 receives the other
+    half.  Downsampling keeps every mode the target can represent:
+    |m| < n/2 copies over, the pair m = +-n/2 folds additively into the
+    target Nyquist slot, and higher modes are truncated.  Round trips
+    through a finer grid are exact.
     """
     src_grid = field.grid
     if src_grid.sizes != target.sizes:
         raise ValueError("resample requires identical box sizes")
-    src = field.coeffs
-    vector = src.ndim == 4
-
-    # Odd-length extended spectrum: each mode -n/2..n/2 in its own slot,
-    # ordered like fftfreq(n + 1).
-    ext = src
-    for axis in (-3, -2, -1):
-        ext = pad_spectrum(ext, ext.shape[axis] + 1, axis)
-
-    def axis_map(n_ext: int, n_dst: int):
-        modes = np.fft.fftfreq(n_ext, d=1.0 / n_ext).astype(int)
-        keep = np.abs(modes) <= n_dst // 2
-        return np.nonzero(keep)[0], modes[keep] % n_dst
-
-    tshape = target.shape
-    s1, d1 = axis_map(ext.shape[-3], tshape[0])
-    s2, d2 = axis_map(ext.shape[-2], tshape[1])
-    s3, d3 = axis_map(ext.shape[-1], tshape[2])
-
-    sub = ext[..., s1[:, None, None], s2[None, :, None], s3[None, None, :]]
-    out_shape = (3, *tshape) if vector else tshape
-    out = np.zeros(out_shape, dtype=np.complex128)
-    # +-n/2 both land on the target Nyquist slot: accumulate, not assign
-    if vector:
-        for i in range(3):
-            np.add.at(
-                out[i],
-                (d1[:, None, None], d2[None, :, None], d3[None, None, :]),
-                sub[i],
-            )
-        return VectorField(target, out)
-    np.add.at(
-        out, (d1[:, None, None], d2[None, :, None], d3[None, None, :]), sub
-    )
-    return SpectralField(target, out)
+    c = field.coeffs
+    for axis, n in ((-3, target.n1), (-2, target.n2)):
+        if n > c.shape[axis]:
+            c = pad_spectrum(c, n, axis)
+        elif n < c.shape[axis]:
+            c = _fold_axis(c, n, axis)
+    src_half, half = src_grid.n3 // 2, target.n3 // 2
+    out = np.zeros((*c.shape[:-1], half + 1), dtype=np.complex128)
+    if half > src_half:
+        out[..., :src_half] = c[..., :src_half]
+        out[..., src_half] = 0.5 * c[..., src_half]
+    else:
+        out[...] = c[..., :half + 1]
+        if half < src_half:
+            # the mirror -n/2 of column n/2 lands in the same slot
+            nyquist = c[..., half]
+            mirror = np.roll(np.flip(nyquist, (-2, -1)), 1, (-2, -1))
+            out[..., half] += np.conj(mirror)
+    return type(field)(target, out)

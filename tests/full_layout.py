@@ -1,0 +1,53 @@
+"""Test helpers for coefficients written in the full FFT layout.
+
+Fields store only the rfftn half (..., n1, n2, n3/2 + 1).  Tests that
+build coefficients by hand, or that compare with a full-layout
+reference, use these helpers; admles.spectral.field_from_full is the
+only way such coefficients enter a field.
+"""
+
+import json
+import struct
+
+import numpy as np
+
+from admles.spectral import field_from_full
+
+AXES = (-3, -2, -1)
+
+
+def mirror(coeffs):
+    """Coefficients at -k, FFT order on the last three axes."""
+    return np.roll(np.flip(coeffs, AXES), 1, AXES)
+
+
+def to_full(grid, half):
+    """Full-layout (..., n1, n2, n3) coefficients of half-layout ones."""
+    m = grid.n3 // 2 + 1
+    full = np.zeros((*half.shape[:-1], grid.n3), dtype=np.complex128)
+    full[..., :m] = half
+    full[..., m:] = np.conj(mirror(full))[..., m:]
+    return full
+
+
+def hermitian_defect(full):
+    """max |c_k - conj(c_-k)| of full-layout coefficients; zero iff real."""
+    return float(np.max(np.abs(full - np.conj(mirror(full)))))
+
+
+def full_field(grid, coeffs):
+    """The field of hand-built full-layout coefficients, symmetrized to
+    the nearest Hermitian array first."""
+    coeffs = np.asarray(coeffs, dtype=np.complex128)
+    return field_from_full(grid, 0.5 * (coeffs + np.conj(mirror(coeffs))))
+
+
+def write_full_layout_checkpoint(path, header, full):
+    """A checkpoint in the ADMCKPT1 byte layout, whose payload is
+    full-layout coefficients: magic, length-prefixed JSON header, npy."""
+    blob = json.dumps({**header, "format": "ADMCKPT1"}, sort_keys=True,
+                      separators=(",", ":")).encode()
+    with open(path, "wb") as fh:
+        fh.write(b"ADMCKPT1\n" + struct.pack("<Q", len(blob)) + blob)
+        np.lib.format.write_array(fh, np.ascontiguousarray(full),
+                                  version=(1, 0))

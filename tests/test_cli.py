@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from full_layout import to_full, write_full_layout_checkpoint
 
 from admles import inequalities
 from admles.cli import main
@@ -244,6 +245,25 @@ def test_spectrum_on_checkpoint(tmp_path):
     data = np.loadtxt(out / "spectrum.csv", delimiter=",", skiprows=2)
     assert data[0, 0] == 0  # shells ordered from k3 = 0
     assert np.all(data[:, 1] >= 0)
+
+
+def test_spectrum_reads_full_layout_checkpoint(tmp_path):
+    sim_cfg = write(tmp_path / "sim.ini", "[solver]\nt_end = 0.02\n")
+    sim_out = tmp_path / "sim"
+    assert run_cli("simulate", "--config", sim_cfg, "--output", str(sim_out),
+                   "--quiet") == 0
+    state, header = read_checkpoint(sim_out / "state.ckpt")
+    old = tmp_path / "v1.ckpt"
+    write_full_layout_checkpoint(old, header, to_full(state.w.grid,
+                                                      state.w.coeffs))
+    spectra = []
+    for ckpt in (sim_out / "state.ckpt", old):
+        cfg = write(tmp_path / "spec.ini", f"[spectrum]\ncheckpoint = {ckpt}\n")
+        out = tmp_path / f"spec-{ckpt.stem}"
+        assert run_cli("spectrum", "--config", cfg, "--output", str(out),
+                       "--quiet") == 0
+        spectra.append((out / "spectrum.csv").read_text().splitlines()[1:])
+    assert spectra[0] == spectra[1]
 
 
 def test_spectrum_requires_checkpoint(tmp_path, capsys):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from full_layout import full_field, to_full
 
 from admles.diagnostics import (
     EnergyRecord,
@@ -14,7 +15,8 @@ from admles.diagnostics import (
     regularity_norms,
     vertical_spectrum,
 )
-from admles.filters import FilterSpec
+from admles.ensembles import EnsembleSpec, draw_vector
+from admles.filters import DeconvSpec, FilterSpec, deconv_symbol, filter_symbol
 from admles.grid import Grid
 from admles.solver import (
     SingleMode,
@@ -25,14 +27,19 @@ from admles.solver import (
     init_field,
     run,
 )
-from admles.spectral import VectorField, l2_norm, vertical_seminorm
+from admles.spectral import (
+    VectorField,
+    l2_norm,
+    vector_from_samples,
+    vertical_seminorm,
+)
 
 
 FILT = FilterSpec(alpha=1.0, theta=1.0)
 
 
 def zero_vector(g):
-    return VectorField(g, np.zeros((3, *g.shape), dtype=complex))
+    return VectorField(g, np.zeros((3, *g.spectral_shape), dtype=complex))
 
 
 # ---------------------------------------------------------------------------
@@ -81,9 +88,9 @@ def test_energy_bounds_chain():
     rng = np.random.default_rng(0)
     coeffs = rng.standard_normal((3, *g.shape)) * 1j
     coeffs += rng.standard_normal((3, *g.shape))
-    from admles.spectral import hermitian_symmetrize, dealias
+    from admles.spectral import dealias
 
-    w = dealias(VectorField(g, hermitian_symmetrize(coeffs)))
+    w = dealias(full_field(g, coeffs))
     for order in (0, 1, 5):
         rec = energy_terms(w, zero_vector(g), FILT, order, nu=1.0)
         lower = 0.5 * (l2_norm(w) ** 2 + vertical_seminorm(w, 1.0) ** 2)
@@ -105,6 +112,51 @@ def test_gronwall_integrand_values():
     assert gronwall_integrand(zero_vector(g), 0.8) == 0.0
     with pytest.raises(ValueError):
         gronwall_integrand(w, 0.0)
+
+
+def test_energy_terms_and_spectrum_match_full_layout_reference():
+    # every k once on the full layout, against the Parseval-weighted
+    # half; raw samples put content in the k3 = 0 and n3/2 columns too
+    g = Grid(12, 16, 10, 2.0 * np.pi, 3.0, 5.0)
+    filt = FilterSpec(alpha=0.5, theta=0.75)
+    spec = EnsembleSpec(count=1, band_limit=3, seed=21)
+    rng = spec.rng()
+    w = vector_from_samples(g, rng.standard_normal((3, *g.shape)))
+    f = draw_vector(rng, spec, g)
+    W, F = to_full(g, w.coeffs), to_full(g, f.coeffs)
+    k3 = g.k_axis(2).reshape(1, 1, -1)
+    k_squared = g.k1**2 + g.k2**2 + k3**2
+    a = filter_symbol(filt, k3)
+    d = deconv_symbol(DeconvSpec(filt, 2), k3)
+    mass = np.abs(W) ** 2
+
+    def total(weight):
+        return g.volume * float(np.sum(weight * mass))
+
+    h = np.sqrt(d)
+    grad = np.sqrt(total(k_squared))
+    theta_grad = np.sqrt(total(k_squared * np.abs(k3) ** 1.5))
+    expect = {
+        "model_energy": 0.5 * total(a * d),
+        "dissipation": 0.07 * total(k_squared * a * d),
+        "forcing_power": g.volume * np.vdot(W * h, F * h).real,
+        "l2_norm": np.sqrt(total(1.0)),
+        "theta_seminorm": np.sqrt(total(np.abs(k3) ** 1.5)),
+        "gronwall_integrand": grad ** (2 - 1 / 0.75) * theta_grad ** (1 / 0.75),
+    }
+    rec = energy_terms(w, f, filt, 2, nu=0.07, t=0.5)
+    for name, value in expect.items():
+        assert getattr(rec, name) == pytest.approx(value, rel=1e-14, abs=0.0)
+    assert gronwall_integrand(w, 0.75) == pytest.approx(
+        expect["gronwall_integrand"], rel=1e-14, abs=0.0)
+
+    column = g.volume * np.sum(mass, axis=(0, 1, 2))
+    shells = np.zeros(g.n3 // 2 + 1)
+    np.add.at(shells, np.abs(g.index_axis(2)), column)
+    got = vertical_spectrum(w)
+    assert [k for k, _ in got] == list(range(g.n3 // 2 + 1))
+    for (_, e), ref in zip(got, shells):
+        assert e == pytest.approx(ref, rel=1e-14, abs=0.0)
 
 
 # ---------------------------------------------------------------------------

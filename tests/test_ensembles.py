@@ -2,12 +2,19 @@
 
 import numpy as np
 import pytest
+from full_layout import hermitian_defect, to_full
 
-from admles.ensembles import EnsembleSpec, draw_line, draw_scalar, draw_vector
+from admles.ensembles import (
+    EnsembleSpec,
+    _band_positions,
+    _draw_band,
+    draw_line,
+    draw_scalar,
+    draw_vector,
+)
 from admles.grid import Grid
 from admles.spectral import (
     divergence_residual,
-    hermitian_residual,
     l2_norm,
     resample,
 )
@@ -45,12 +52,39 @@ def test_draws_are_real_mean_zero_band_limited():
     spec = EnsembleSpec(count=1, band_limit=4, seed=3)
     g = Grid(24, 24, 24)
     f = draw_scalar(spec.rng(), spec, g)
-    assert hermitian_residual(f.coeffs) < 1e-15
+    assert hermitian_defect(to_full(g, f.coeffs)) < 1e-15
     assert abs(f.coeffs[0, 0, 0]) == 0.0
     idx = np.abs(g.index_axis(0))
     outside = idx > spec.band_limit
     assert np.max(np.abs(f.coeffs[outside, :, :])) == 0.0
-    assert np.max(np.abs(f.coeffs[:, :, outside])) == 0.0
+    assert np.max(np.abs(f.coeffs[:, :, np.arange(13) > spec.band_limit])) == 0.0
+
+
+def full_layout_draw(rng, spec, g):
+    """The draw embedded in the full layout and Leray-projected there,
+    in the operand order of the projection."""
+    b = spec.band_limit
+    band = _draw_band(rng, b, spec.amplitude_decay, 3)
+    p1, p2, p3 = (_band_positions(n, b) for n in g.shape)
+    c = np.zeros((3, *g.shape), dtype=np.complex128)
+    c[:, p1[:, None, None], p2[None, :, None], p3[None, None, :]] = band
+    kd3 = g.deriv_axis(2).reshape(1, 1, -1)
+    ksq = g.kd1**2 + g.kd2**2 + kd3**2
+    inv = np.where(ksq > 0, 1.0 / np.where(ksq > 0, ksq, 1.0), 0.0)
+    factor = (g.kd1 * c[0] + g.kd2 * c[1] + kd3 * c[2]) * inv
+    return np.stack([c[0] - g.kd1 * factor, c[1] - g.kd2 * factor,
+                     c[2] - kd3 * factor])
+
+
+@pytest.mark.parametrize("n", [16, 24])
+def test_vector_draw_is_the_half_of_the_full_layout_draw(n):
+    spec = EnsembleSpec(count=2, band_limit=5, seed=13)
+    g = Grid(n, n, n)
+    rng, ref_rng = spec.rng(), spec.rng()
+    for _ in range(spec.count):
+        got = draw_vector(rng, spec, g).coeffs
+        full = full_layout_draw(ref_rng, spec, g)
+        assert np.array_equal(got, full[..., : n // 2 + 1])
 
 
 def test_vector_draw_divergence_free():

@@ -43,8 +43,22 @@ def test_dealias_mask_eight_cubed():
     # floor(8/3) = 2: indices {-2..2} survive on each axis
     kept = np.abs(g.index_axis(0)) <= 2
     assert int(np.sum(kept)) == 5
-    assert int(np.sum(g.dealias_mask)) == 5**3
+    # the half layout stores k3 = 0..4, of which 0..2 survive
+    assert g.dealias_mask.shape == (8, 8, 5)
+    assert int(np.sum(g.dealias_mask)) == 5 * 5 * 3
     assert g.dealias_cutoff(0) == 2
+
+
+def test_half_layout_lines():
+    g = Grid(8, 6, 8, L3=np.pi)
+    assert g.spectral_shape == (8, 6, 5)
+    # k3 = 0..n3/2 with the Nyquist stored positive; L3 = pi doubles k3
+    assert np.array_equal(g.k3.ravel(), 2 * np.arange(5))
+    assert np.array_equal(g.kd3.ravel(), [0, 2, 4, 6, 0])
+    assert g.k_squared.shape == g.kd_squared.shape == (8, 6, 5)
+    # every stored column but k3 = 0 and n3/2 also stands for its mirror
+    assert np.array_equal(g.parseval_weight.ravel(), [1, 2, 2, 2, 1])
+    assert np.sum(g.parseval_weight) * g.n1 * g.n2 == g.num_points
 
 
 def test_volume_and_mesh():

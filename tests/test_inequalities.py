@@ -266,7 +266,7 @@ def test_trilinear_scale_invariant(grid):
 
 
 def test_trilinear_rejects_degenerate(grid):
-    zero = VectorField(grid, np.zeros((3, *grid.shape), dtype=complex))
+    zero = VectorField(grid, np.zeros((3, *grid.spectral_shape), dtype=complex))
     spec = EnsembleSpec(count=1, band_limit=5, seed=19)
     u = draw_vector(spec.rng(), spec, grid)
     with pytest.raises(ValueError):

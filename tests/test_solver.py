@@ -8,6 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from full_layout import hermitian_defect, to_full, write_full_layout_checkpoint
 
 from admles.filters import DeconvSpec, FilterSpec, apply_filter, filter_symbol
 from admles.grid import Grid
@@ -35,7 +36,6 @@ from admles.spectral import (
     VectorField,
     dealias,
     divergence_residual,
-    hermitian_residual,
     inner_product,
     l2_norm,
     leray_project,
@@ -138,12 +138,12 @@ def convection(w, order):
 
 
 def bar_line(cfg):
-    return 1.0 / filter_symbol(cfg.filter, cfg.grid.k_axis(2)).reshape(1, 1, -1)
+    return 1.0 / filter_symbol(cfg.filter, cfg.grid.k3)
 
 
 def test_nonlinear_term_zero_field():
     g = Grid(16, 16, 16)
-    w = VectorField(g, np.zeros((3, *g.shape), dtype=complex))
+    w = VectorField(g, np.zeros((3, *g.spectral_shape), dtype=complex))
     out = convection(w, 2)
     assert np.max(np.abs(out)) == 0.0
 
@@ -274,7 +274,7 @@ def test_run_memory_independent_of_record_count():
 
 def test_nan_detection():
     cfg = config16()
-    bad = np.full((3, *cfg.grid.shape), np.nan, dtype=complex)
+    bad = np.full((3, *cfg.grid.spectral_shape), np.nan, dtype=complex)
     state = SolverState(t=0.0, step_index=0, w=VectorField(cfg.grid, bad))
     with pytest.raises(NaNError):
         step(state, cfg)
@@ -287,7 +287,7 @@ def test_cfl_speed_is_max_of_deconvolved_samples():
     cfg = config16(**kw)
     g = cfg.grid
     w = initial_state(cfg).w
-    z = np.fft.ifftn(w.coeffs * StepOperators(cfg).symbols.deconv,
+    z = np.fft.ifftn(to_full(g, w.coeffs * StepOperators(cfg).symbols.deconv),
                      axes=(-3, -2, -1)).real * g.num_points
     speed = np.max(np.sqrt(np.sum(z**2, axis=0)))
     # the dt at which that speed puts the CFL number exactly on the limit
@@ -309,7 +309,7 @@ def test_steps_keep_coefficients_hermitian():
     for _ in range(6):
         state = step(state, cfg, ops)
     c = state.w.coeffs
-    assert hermitian_residual(c) < 1e-15 * np.max(np.abs(c))
+    assert hermitian_defect(to_full(cfg.grid, c)) < 1e-15 * np.max(np.abs(c))
 
 
 def test_zeroth_order_reduction_bitwise():
@@ -444,6 +444,29 @@ def test_checkpoint_round_trip(tmp_path):
     assert state.step_index == last.step_index
     assert header["config_hash"] == "abc123"
     assert header["grid"] == [16, 16, 16]
+    assert header["format"] == "ADMCKPT2"
+    assert path.read_bytes().startswith(b"ADMCKPT2\n")
+
+
+def test_checkpoint_reads_full_layout_format(tmp_path):
+    cfg = config16(init=RandomBandLimited(seed=4, band=4), t_end=0.02)
+    last = final_state(cfg)
+    full = to_full(cfg.grid, last.w.coeffs)
+    written = tmp_path / "v2.ckpt"
+    write_checkpoint(written, last, cfg, config_hash="v1")
+    _, v2_header = read_checkpoint(written)
+    path = tmp_path / "v1.ckpt"
+    write_full_layout_checkpoint(path, v2_header, full)
+    state, header = read_checkpoint(path)
+    assert np.array_equal(state.w.coeffs, last.w.coeffs)
+    assert (state.t, state.step_index) == (last.t, last.step_index)
+    assert header == {**v2_header, "format": "ADMCKPT1"}
+    # a defect in the half the reader discards is still caught
+    bad = full.copy()
+    bad[1, 2, 3, 12] += 1e-6 * np.max(np.abs(full))
+    write_full_layout_checkpoint(path, v2_header, bad)
+    with pytest.raises(ValueError, match=re.escape(str(path)) + ".*Hermitian"):
+        read_checkpoint(path)
 
 
 def test_checkpoint_bytes_deterministic(tmp_path):
@@ -474,12 +497,11 @@ def test_checkpoint_write_failure_keeps_previous_file(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["state.ckpt"]
 
 
-def forged_checkpoint(header, coeffs):
+def forged_checkpoint(header, coeffs, magic=b"ADMCKPT1\n"):
     blob = json.dumps(header).encode()
     payload = io.BytesIO()
     np.lib.format.write_array(payload, coeffs)
-    return (b"ADMCKPT1\n" + struct.pack("<Q", len(blob)) + blob
-            + payload.getvalue())
+    return magic + struct.pack("<Q", len(blob)) + blob + payload.getvalue()
 
 
 def test_checkpoint_rejects_foreign_file(tmp_path):
@@ -502,13 +524,22 @@ def test_checkpoint_rejects_foreign_file(tmp_path):
         "complex64_payload": forged_checkpoint(
             header, coeffs.astype(np.complex64)),
         "float64_payload": forged_checkpoint(header, coeffs.real),
+        "full_layout_in_v2": forged_checkpoint(header, coeffs, b"ADMCKPT2\n"),
+        "half_layout_in_v1": forged_checkpoint(header, coeffs[..., :3]),
+        "non_hermitian_v1": forged_checkpoint(
+            header, np.where(np.arange(4) == 1, 1.0 + 0j, 0j)
+            * np.ones((3, 4, 4, 4))),
     }
     for name, content in cases.items():
         path = tmp_path / f"{name}.bin"
         path.write_bytes(content)
         with pytest.raises(ValueError, match=re.escape(str(path))):
             read_checkpoint(path)
-    path = tmp_path / "good.bin"
-    path.write_bytes(good)
-    state, _ = read_checkpoint(path)
-    assert state.w.grid == Grid(4, 4, 4, 1.0, 1.0, 1.0)
+    for name, content in {
+            "good.bin": good,
+            "good_v2.bin": forged_checkpoint(header, coeffs[..., :3],
+                                             b"ADMCKPT2\n")}.items():
+        path = tmp_path / name
+        path.write_bytes(content)
+        state, _ = read_checkpoint(path)
+        assert state.w.grid == Grid(4, 4, 4, 1.0, 1.0, 1.0)

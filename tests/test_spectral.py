@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from full_layout import hermitian_defect, mirror, to_full
 
 from admles.grid import Grid
 from admles.spectral import (
@@ -12,23 +13,23 @@ from admles.spectral import (
     dealias,
     divergence,
     divergence_residual,
+    field_from_full,
     field_from_samples,
     forward_transform,
     grad_norm,
     gradient,
-    hermitian_residual,
     horizontal_grad_norm,
     inner_product,
     inverse_transform,
     l2_norm,
     leray_project,
     mean_value,
-    mirror_coeffs,
     pad_spectrum,
     resample,
     tensor_divergence,
     vector_from_samples,
     vertical_derivative,
+    vertical_grad_seminorm,
     vertical_seminorm,
 )
 
@@ -51,13 +52,13 @@ def random_divfree(grid, seed=0):
 
 
 def test_fields_freeze_owned_arrays_and_copy_writable_views(grid):
-    owned = np.zeros((3, *grid.shape), dtype=np.complex128)
+    owned = np.zeros((3, *grid.spectral_shape), dtype=np.complex128)
     field = VectorField(grid, owned)
     assert np.shares_memory(field.coeffs, owned)
     with pytest.raises(ValueError, match="read-only"):
         owned[0, 0, 0, 1] = 1.0
 
-    base = np.zeros((2, *grid.shape), dtype=np.complex128)
+    base = np.zeros((2, *grid.spectral_shape), dtype=np.complex128)
     scalar = SpectralField(grid, base[1])
     base[1, 0, 0, 1] = 1.0
     assert not np.any(scalar.coeffs)
@@ -79,7 +80,8 @@ def test_transform_round_trip(grid):
 def test_cosine_coefficients(grid):
     _, _, x3 = grid.mesh()
     f = field_from_samples(grid, np.cos(x3) + np.zeros(grid.shape))
-    c = f.coeffs
+    assert f.coeffs.shape == (16, 16, 9)  # k3 = 0..8 stored
+    c = to_full(grid, f.coeffs)
     assert c[0, 0, 1] == pytest.approx(0.5, abs=1e-14)
     assert c[0, 0, -1] == pytest.approx(0.5, abs=1e-14)
     others = c.copy()
@@ -143,7 +145,7 @@ def test_gradient_real_for_nyquist_content(grid):
     rng = np.random.default_rng(3)
     f = field_from_samples(grid, rng.standard_normal(grid.shape))
     for comp in gradient(f).coeffs:
-        assert hermitian_residual(comp) < 1e-13
+        assert hermitian_defect(to_full(grid, comp)) < 1e-13
 
 
 def test_leray_projection_properties(grid):
@@ -174,14 +176,14 @@ def test_dealias_rule(grid):
     assert cut == 5
     killed = idx > cut
     assert np.max(np.abs(d.coeffs[killed, :, :])) == 0.0
-    assert np.max(np.abs(d.coeffs[:, :, killed])) == 0.0
+    assert np.max(np.abs(d.coeffs[:, :, np.arange(9) > cut])) == 0.0
 
 
 def test_reality_error_on_non_hermitian(grid):
     c = np.zeros(grid.shape, dtype=complex)
     c[1, 0, 0] = 1.0  # no conjugate partner
     with pytest.raises(RealityError):
-        inverse_transform(grid, c)
+        field_from_full(grid, c)
 
 
 # a non-cubic box with unequal periods for the real-transform checks
@@ -193,13 +195,15 @@ def full_complex_tensor_divergence(u, v):
     """div(u x v) with complex FFTs and all nine products u_i v_j."""
     g = u.grid
     n = g.num_points
-    us = (np.fft.ifftn(u.coeffs, axes=AXES) * n).real
-    vs = (np.fft.ifftn(v.coeffs, axes=AXES) * n).real
+    us = (np.fft.ifftn(to_full(g, u.coeffs), axes=AXES) * n).real
+    vs = (np.fft.ifftn(to_full(g, v.coeffs), axes=AXES) * n).real
+    kd3 = g.deriv_axis(2).reshape(1, 1, -1)
+    mask = g.dealias_mask[..., :1] & (np.abs(g.index_axis(2)) <= g.n3 / 3.0)
     out = np.empty((3, *g.shape), dtype=complex)
     for j in range(3):
         p = np.fft.fftn(us * vs[j][None], axes=AXES) / n
-        out[j] = 1j * (g.kd1 * p[0] + g.kd2 * p[1] + g.kd3 * p[2])
-    return out * g.dealias_mask
+        out[j] = 1j * (g.kd1 * p[0] + g.kd2 * p[1] + kd3 * p[2])
+    return out * mask
 
 
 def test_real_transforms_match_complex_ffts():
@@ -207,23 +211,29 @@ def test_real_transforms_match_complex_ffts():
     samples = rng.standard_normal((3, *ODD_BOX.shape))
     coeffs = forward_transform(ODD_BOX, samples)
     ref = np.fft.fftn(samples, axes=AXES) / ODD_BOX.num_points
-    assert np.max(np.abs(coeffs - ref)) < 1e-15 * np.max(np.abs(ref))
+    assert coeffs.shape == (3, *ODD_BOX.spectral_shape)
+    assert np.max(np.abs(coeffs - ref[..., :6])) < 1e-15 * np.max(np.abs(ref))
     back = inverse_transform(ODD_BOX, coeffs)
     assert back.dtype == np.float64
     assert np.max(np.abs(back - samples)) < 1e-13
 
 
-def test_mirror_coeffs_single_gather_matches_flips():
+def test_full_layout_boundary_keeps_the_half():
     rng = np.random.default_rng(31)
-    c = rng.standard_normal((3, *ODD_BOX.shape)) + 1j * rng.standard_normal(
-        (3, *ODD_BOX.shape))
-    ref = c
-    for axis in AXES:
-        ref = np.roll(np.flip(ref, axis=axis), 1, axis=axis)
-    assert np.array_equal(mirror_coeffs(c), ref)
-    assert np.array_equal(mirror_coeffs(c[1]), ref[1])
-    assert np.array_equal(mirror_coeffs(c, slice(6, None)), ref[..., 6:])
-    assert hermitian_residual(c) == np.max(np.abs(c - np.conj(ref)))
+    samples = rng.standard_normal((3, *ODD_BOX.shape))
+    full = np.fft.fftn(samples, axes=AXES) / ODD_BOX.num_points
+    field = field_from_full(ODD_BOX, full)
+    assert np.array_equal(field.coeffs, full[..., :6])
+    assert not np.shares_memory(field.coeffs, full)
+    assert not field.coeffs.flags.writeable
+    scalar = field_from_full(ODD_BOX, full[1])
+    assert np.array_equal(scalar.coeffs, full[1, ..., :6])
+    # mirror is the flip-and-roll reference; to_full rebuilds the input
+    assert np.array_equal(mirror(full)[0, 1, 2, 3],
+                          full[0, -1, -2, -3])
+    assert np.max(np.abs(to_full(ODD_BOX, field.coeffs) - full)) < 1e-16
+    with pytest.raises(ValueError, match="full layout"):
+        field_from_full(ODD_BOX, full[..., :6])
 
 
 @pytest.mark.parametrize("same", [True, False])
@@ -232,9 +242,10 @@ def test_tensor_divergence_matches_full_complex_reference(same):
     v = u if same else random_divfree(ODD_BOX, seed=33)
     got = tensor_divergence(u, v).coeffs
     ref = full_complex_tensor_divergence(u, v)
-    assert np.max(np.abs(got - ref)) < 1e-14 * np.max(np.abs(ref))
+    assert np.max(np.abs(got - ref[..., :6])) < 1e-14 * np.max(np.abs(ref))
     # pairs inside the k3 = 0 plane come from one transform: equal to rounding
-    assert hermitian_residual(got) < 1e-15 * np.max(np.abs(ref))
+    defect = hermitian_defect(to_full(ODD_BOX, got))
+    assert defect < 1e-15 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("where", ["discarded half", "k3 = 0 plane",
@@ -245,21 +256,18 @@ def test_reality_error_on_any_unpaired_defect(where):
     index = {"discarded half": (0, 2, 3, g.n3 - 2),
              "k3 = 0 plane": (1, 2, 3, 0),
              "k3 = n3/2 plane": (2, 1, 5, g.n3 // 2)}[where]
-    scale = np.max(np.abs(u.coeffs))
+    full = to_full(g, u.coeffs)
+    scale = np.max(np.abs(full))
     for size, raises in ((1e-12, False), (1e-6, True)):
-        c = u.coeffs.copy()
+        c = full.copy()
         c[index] += size * scale
-        bad = VectorField(g, c)
         if raises:
             with pytest.raises(RealityError):
-                inverse_transform(g, c)
+                field_from_full(g, c)
             with pytest.raises(RealityError):
-                tensor_divergence(bad)
-            with pytest.raises(RealityError):
-                tensor_divergence(u, bad)
+                field_from_full(g, c[index[0]])
         else:  # below the 1e-10 tolerance: accepted
-            inverse_transform(g, c)
-            tensor_divergence(bad)
+            field_from_full(g, c)
 
 
 def test_vertical_seminorm_oracles(grid):
@@ -386,3 +394,36 @@ def test_divergence_of_gradient_is_laplacian(grid):
     expect = -f.grid.k_squared * f.coeffs
     # dealiased fields carry no Nyquist modes: kd and k agree there
     assert np.max(np.abs(lap.coeffs - expect)) < 1e-12
+
+
+@pytest.mark.parametrize("vector", [False, True])
+def test_norms_match_full_layout_reference(vector):
+    # Plancherel on the full layout, every k once, against the Parseval
+    # weighted half; raw samples excite the k3 = 0 and n3/2 columns
+    g = ODD_BOX
+    rng = np.random.default_rng(35)
+    shape = (3, *g.shape) if vector else g.shape
+    make = vector_from_samples if vector else field_from_samples
+    f = make(g, rng.standard_normal(shape))
+    h = make(g, rng.standard_normal(shape))
+    h = h.with_coeffs(h.coeffs + f.coeffs)  # not near-orthogonal to f
+    F, H = to_full(g, f.coeffs), to_full(g, h.coeffs)
+    k3 = g.k_axis(2).reshape(1, 1, -1)
+    k_squared = g.k1**2 + g.k2**2 + k3**2
+    mass = np.abs(F) ** 2
+
+    def ref(weight):
+        return np.sqrt(g.volume * np.sum(weight * mass))
+
+    s = 0.75
+    pairs = [
+        (l2_norm(f), ref(1.0)),
+        (grad_norm(f), ref(k_squared)),
+        (horizontal_grad_norm(f), ref(g.k1**2 + g.k2**2)),
+        (vertical_seminorm(f, s), ref(np.abs(k3) ** (2 * s))),
+        (vertical_seminorm(f, 0.0), ref(1.0)),
+        (vertical_grad_seminorm(f, s), ref(k_squared * np.abs(k3) ** (2 * s))),
+        (inner_product(f, h), g.volume * np.vdot(H, F).real),
+    ]
+    for got, expect in pairs:
+        assert got == pytest.approx(expect, rel=1e-14, abs=0.0)
