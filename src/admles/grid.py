@@ -16,7 +16,10 @@ whose odd derivative is not representable on the grid.  Even multipliers
 including n/2.  Fields band-limited by the 2/3 rule carry no Nyquist
 content, so the distinction only matters for raw transformed samples.
 Coefficients are stored in the rfftn layout (n1, n2, n3/2 + 1): the k3
-lines and all built from them hold k3 = 0, 1, ..., n3/2 only.
+lines and all built from them hold k3 = 0, 1, ..., n3/2 only.  The
+2/3-rule band of that layout is the box `Grid.band`: rows 0..K and
+n-K..n-1 on the two full axes and columns 0..K on the half axis, with
+K = floor(n/3) per axis.
 """
 
 from __future__ import annotations
@@ -27,6 +30,51 @@ from functools import cached_property
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
+
+
+class Band:
+    """The 2/3-rule box of a grid's half layout, exactly where its
+    dealias_mask is True, stored compactly with shape
+    (2 K1 + 1, 2 K2 + 1, K3 + 1).
+
+    Band rows 0..K hold modes 0..K and rows K+1..2K hold -K..-1, on each
+    of the two full axes; the half axis keeps columns 0..K3.  kd1, kd2,
+    kd3 and inv_kd_squared are the grid's, restricted to the box.
+    """
+
+    def __init__(self, grid: "Grid"):
+        k1, k2, k3 = self.cutoffs = tuple(grid.dealias_cutoff(a) for a in range(3))
+        n1, n2, _ = self.half_shape = grid.spectral_shape
+        self.shape = (2 * k1 + 1, 2 * k2 + 1, k3 + 1)
+        # (band slice, half slice) of the low and high row block per axis
+        self.rows1 = ((slice(0, k1 + 1),) * 2,
+                      (slice(k1 + 1, None), slice(n1 - k1, n1)))
+        self.rows2 = ((slice(0, k2 + 1),) * 2,
+                      (slice(k2 + 1, None), slice(n2 - k2, n2)))
+        self.cols = cols = slice(0, k3 + 1)
+        self.blocks = tuple(((..., b1, b2, cols), (..., h1, h2, cols))
+                            for b1, h1 in self.rows1 for b2, h2 in self.rows2)
+        self.kd1 = grid.kd1[np.r_[0:k1 + 1, n1 - k1:n1]]
+        self.kd2 = grid.kd2[:, np.r_[0:k2 + 1, n2 - k2:n2]]
+        self.kd3 = grid.kd3[..., cols]
+        self.inv_kd_squared = self.gather(grid.inv_kd_squared)
+        for arr in (self.kd1, self.kd2, self.kd3, self.inv_kd_squared):
+            arr.setflags(write=False)
+
+    def gather(self, half: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The box of half-layout coefficients (..., n1, n2, n3/2 + 1)."""
+        if out is None:
+            out = np.empty((*half.shape[:-3], *self.shape), dtype=half.dtype)
+        for b, h in self.blocks:
+            out[b] = half[h]
+        return out
+
+    def scatter(self, band: np.ndarray) -> np.ndarray:
+        """A fresh half-layout array: `band` on the box, zero elsewhere."""
+        out = np.zeros((*band.shape[:-3], *self.half_shape), dtype=band.dtype)
+        for b, h in self.blocks:
+            out[h] = band[b]
+        return out
 
 
 @dataclass(frozen=True)
@@ -137,6 +185,20 @@ class Grid:
     def kd_squared(self) -> np.ndarray:
         """|k|^2 built from the derivative wavenumbers (matches gradient)."""
         return self.kd1**2 + self.kd2**2 + self.kd3**2
+
+    @cached_property
+    def inv_kd_squared(self) -> np.ndarray:
+        """1 / kd_squared, and 0 where it vanishes (the mean mode and the
+        Nyquist planes, which the Leray projection passes through)."""
+        ksq = self.kd_squared
+        inv = np.where(ksq > 0, 1.0 / np.where(ksq > 0, ksq, 1.0), 0.0)
+        inv.setflags(write=False)
+        return inv
+
+    @cached_property
+    def band(self) -> Band:
+        """The 2/3-rule box of the half layout (see Band)."""
+        return Band(self)
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:

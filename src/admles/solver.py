@@ -18,6 +18,12 @@ The nonlinear term is Galerkin-exact: fields live in the 2/3-rule band,
 products are formed in physical space, and the retained modes of the
 result are alias-free, so the discrete trilinear form inherits the
 continuum orthogonality (div(z x z), z) = 0.
+
+The stepper reads and writes only that band (Grid.band): a step gathers
+the band of w, runs both right-hand sides and the Heun update there, and
+scatters the new band into a zeroed array.  Anything a state holds
+outside the band is dropped at its first step; every initial state and
+forcing built here is exactly zero there.
 """
 
 from __future__ import annotations
@@ -32,14 +38,16 @@ from .ensembles import EnsembleSpec, draw_vector
 from .filters import DeconvSpec, FilterSpec, apply_bar, symbol_table
 from .grid import Grid
 from .spectral import (
+    BandWorkspace,
     RealityError,
     VectorField,
+    band_divergence,
+    band_inverse,
     dealias,
     field_from_full,
-    inverse_transform,
     l2_norm,
     leray_project,
-    tensor_divergence,
+    project_coeffs,
     vector_from_samples,
 )
 
@@ -96,7 +104,9 @@ def _orthogonal_unit(k: np.ndarray) -> np.ndarray:
 
 
 def descriptor_field(desc: InitDescriptor, grid: Grid) -> VectorField:
-    """Raw (unsmoothed) field: divergence-free, 2/3-band-limited."""
+    """Raw (unsmoothed) field: divergence-free, and exactly zero outside
+    the 2/3 band (sampled fields are dealiased, which drops the
+    transform's round-off there)."""
     if isinstance(desc, TaylorGreen):
         x1, x2, x3 = grid.mesh()
         zeros = np.zeros(grid.shape)
@@ -122,7 +132,7 @@ def descriptor_field(desc: InitDescriptor, grid: Grid) -> VectorField:
         x1, x2, x3 = grid.mesh()
         phase = np.cos(k[0] * x1 + k[1] * x2 + k[2] * x3)
         samples = np.stack([desc.amplitude * e[i] * phase for i in range(3)])
-        return leray_project(vector_from_samples(grid, samples))
+        return leray_project(dealias(vector_from_samples(grid, samples)))
     if isinstance(desc, RandomBandLimited):
         cutoff = min(grid.dealias_cutoff(axis) for axis in range(3))
         if desc.band > cutoff:
@@ -229,10 +239,17 @@ class NaNError(SolverAbort):
 
 
 class StepOperators:
-    """Per-config precomputed multiplier arrays for the stepper."""
+    """Per-config multipliers and the stepper's preallocated workspace.
+
+    viscous_factor and forcing_smoothed keep the half layout; the step
+    works on their band slices and on buffers that every step and every
+    rhs call overwrites and never hands out, so one StepOperators can
+    serve several trajectories stepped in turn.
+    """
 
     def __init__(self, config: SolverConfig):
         grid = config.grid
+        band = grid.band
         self.config = config
         self.viscous_factor = np.exp(-config.nu * config.dt * grid.k_squared)
         self.symbols = symbol_table(grid, config.deconv)
@@ -240,51 +257,80 @@ class StepOperators:
         self.forcing_raw = f_raw
         self.forcing_smoothed = apply_bar(f_raw, config.filter)
         self.kmax = grid.max_dealiased_wavenumber
+        # multipliers on the band
+        self.band_viscous = band.gather(self.viscous_factor)
+        self.band_deconv = self.symbols.deconv[..., band.cols]
+        self.band_bar = self.symbols.bar[..., band.cols]
+        self.band_forcing = band.gather(self.forcing_smoothed.coeffs)
+        # workspace: the state, the two stages and the predictor on the
+        # band, the samples of D w and their squared magnitude
+        self.w, self.k1, self.k2, self.predictor = (
+            np.empty((3, *band.shape), dtype=np.complex128) for _ in range(4))
+        self.samples = np.empty((3, *grid.shape))
+        self.speed_squared = np.empty(grid.shape)
+        self.work = BandWorkspace(grid)
 
     def rhs(self, w: VectorField) -> np.ndarray:
-        """g(w) = -P bar div(Dw x Dw) + bar f, as a coefficient array."""
-        return self.rhs_and_speed(w)[0]
+        """g(w) = -P bar div(Dw x Dw) + bar f as a half-layout array,
+        computed from the band of w."""
+        band = self.config.grid.band
+        self.band_rhs(band.gather(w.coeffs, out=self.w), self.k1)
+        return band.scatter(self.k1)
 
-    def rhs_and_speed(self, w: VectorField) -> tuple[np.ndarray, float]:
-        """g(w) and max |Dw|, read off the samples its nonlinear term builds."""
+    def band_rhs(self, w: np.ndarray, out: np.ndarray,
+                 square_sum: np.ndarray | None = None) -> np.ndarray:
+        """g(w) of band coefficients into `out`, which holds D w on the
+        way.  `square_sum`, if given, receives |D w|^2 at the samples
+        the nonlinear term builds."""
         grid = self.config.grid
-        z = VectorField(grid, w.coeffs * self.symbols.deconv)
-        zs = inverse_transform(grid, z.coeffs)
-        speed = float(np.sqrt(np.max(np.sum(zs**2, axis=0))))
-        t = tensor_divergence(z, u_samples=zs).coeffs * self.symbols.bar
-        del z, zs  # free them before the projection's temporaries
-        conv = leray_project(VectorField(grid, t))
-        return self.forcing_smoothed.coeffs - conv.coeffs, speed
+        z = np.multiply(w, self.band_deconv, out=out)
+        zs = band_inverse(grid, z, self.samples, self.work)
+        conv = band_divergence(grid, zs, zs, out, self.work, square_sum)
+        conv *= self.band_bar
+        project_coeffs(grid.band, conv, conv, self.work.mode, self.work.term)
+        return np.subtract(self.band_forcing, conv, out=out)
 
 
 def step(state: SolverState, config: SolverConfig,
          ops: StepOperators | None = None) -> SolverState:
-    """One IMEX Heun step with exact viscous integrating factor.
+    """One IMEX Heun step with exact viscous integrating factor, on the
+    2/3 band of the state.
 
     The CFL speed comes from the first right-hand side evaluation, which
-    already holds the samples of Dw.
+    already holds the samples of Dw.  The new state is a fresh array,
+    zero outside the band.
     """
     if ops is None:
         ops = StepOperators(config)
     dt = config.dt
-    w = state.w
-    k1, speed = ops.rhs_and_speed(w)
+    band = config.grid.band
+    w, k1, k2, predictor = ops.w, ops.k1, ops.k2, ops.predictor
+    band.gather(state.w.coeffs, out=w)
+    ops.band_rhs(w, k1, ops.speed_squared)
+    speed = float(np.sqrt(np.max(ops.speed_squared)))
     cfl = dt * speed * ops.kmax
     if cfl > CFL_LIMIT:
         raise CFLError(
             f"CFL violation at t={state.t:.6g}: dt*max|u|*kmax = {cfl:.3g} "
             f"> {CFL_LIMIT}"
         )
-    e = ops.viscous_factor
-    predictor = VectorField(config.grid, e * (w.coeffs + dt * k1))
-    k2 = ops.rhs(predictor)
-    new_coeffs = e * w.coeffs + 0.5 * dt * (e * k1 + k2)
-    if not np.all(np.isfinite(new_coeffs)):
+    e = ops.band_viscous
+    # predictor = e (w + dt k1); new = e w + (dt/2) (e k1 + k2)
+    np.multiply(dt, k1, out=predictor)
+    predictor += w
+    predictor *= e
+    ops.band_rhs(predictor, k2)
+    k1 *= e
+    k1 += k2
+    k1 *= 0.5 * dt
+    w *= e
+    w += k1
+    if not np.all(np.isfinite(w)):
         raise NaNError(f"non-finite coefficients after step to t={state.t + dt:.6g}")
     return SolverState(
         t=state.t + dt,
         step_index=state.step_index + 1,
-        w=VectorField(config.grid, new_coeffs),
+        w=VectorField(config.grid, band.scatter(w)),
     )
 
 

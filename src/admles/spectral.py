@@ -19,6 +19,13 @@ with vol the box volume and w the grid's Parseval weight line (1 at
 k3 = 0 and n3/2, 2 in between).  All norms and inner products below are
 these continuum L^2 quantities of the band-limited interpolant.
 
+The time stepper works on the 2/3 band alone (Grid.band).  band_inverse
+and band_forward are irfftn and rfftn pruned to it: the same 1-D passes
+in the same order, over only the lines the band feeds or needs, so the
+retained values are the full transforms' bit for bit.  band_divergence
+is the one kernel for div(u x v) on the band, and project_coeffs the one
+Leray formula for either layout.
+
 Full-layout (n1, n2, n3) coefficients enter at one boundary only,
 field_from_full, which raises RealityError unless they are Hermitian to
 1e-10 of their scale and keeps the half; no transform checks reality.
@@ -172,6 +179,30 @@ def vertical_derivative(field: SpectralField) -> SpectralField:
     return SpectralField(g, 1j * g.kd3 * field.coeffs)
 
 
+def project_coeffs(lines, c: np.ndarray, out: np.ndarray, kdotu: np.ndarray,
+                   term: np.ndarray | None = None) -> np.ndarray:
+    """The Leray formula on (3, ...) coefficients, into `out`.
+
+    out_i = c_i - kd_i (kd . c) / |kd|^2 modewise.  `lines` is a Grid
+    (half layout) or its Band (the 2/3 box): anything with kd1, kd2,
+    kd3 and inv_kd_squared.  `kdotu` is scratch of one component's
+    shape, and so is `term`, which is needed only when `out` is `c`;
+    otherwise the components of `out` serve as that scratch.
+    """
+    t = out[0] if term is None else term
+    np.multiply(lines.kd1, c[0], out=kdotu)
+    np.multiply(lines.kd2, c[1], out=t)
+    kdotu += t
+    np.multiply(lines.kd3, c[2], out=t)
+    kdotu += t
+    kdotu *= lines.inv_kd_squared
+    for i, kd in enumerate((lines.kd1, lines.kd2, lines.kd3)):
+        t = out[i] if term is None else term
+        np.multiply(kd, kdotu, out=t)
+        np.subtract(c[i], t, out=out[i])
+    return out
+
+
 def leray_project(field: VectorField) -> VectorField:
     """L^2-orthogonal projection onto divergence-free fields.
 
@@ -179,16 +210,10 @@ def leray_project(field: VectorField) -> VectorField:
     (and Nyquist planes, where the derivative wavenumbers vanish) passed
     through unchanged.
     """
-    g = field.grid
     c = field.coeffs
-    ksq = g.kd_squared
-    inv = np.where(ksq > 0, 1.0 / np.where(ksq > 0, ksq, 1.0), 0.0)
-    kdotu = g.kd1 * c[0] + g.kd2 * c[1] + g.kd3 * c[2]
-    factor = kdotu * inv
     out = np.empty_like(c)
-    for i, kd in enumerate((g.kd1, g.kd2, g.kd3)):
-        np.subtract(c[i], kd * factor, out=out[i])
-    return VectorField(g, out)
+    return VectorField(field.grid, project_coeffs(field.grid, c, out,
+                                                  np.empty_like(c[0])))
 
 
 def dealias(field: Field) -> Field:
@@ -201,40 +226,119 @@ def divergence_residual(field: VectorField) -> float:
     return float(np.max(np.abs(divergence(field).coeffs)))
 
 
-def tensor_divergence(u: VectorField, v: VectorField | None = None, *,
-                      u_samples: np.ndarray | None = None) -> VectorField:
+class BandWorkspace:
+    """Scratch arrays of the band-pruned transforms on one grid.
+
+    `columns` (n1, 2 K2 + 1, K3 + 1) is the inverse's zero-padded input
+    to the axis -3 pass and the forward's output of that pass; `half`
+    (n1, n2, n3/2 + 1) is the irfft input and the rfft output.  Each
+    transform zeroes the padding the other may have overwritten, so the
+    two share these buffers.  `product` holds one real product of
+    samples, `mode` and `term` one band-shaped component each.
+    """
+
+    def __init__(self, grid: Grid):
+        shape = grid.band.shape
+        self.columns = np.zeros((grid.n1, *shape[1:]), dtype=np.complex128)
+        self.half = np.zeros(grid.spectral_shape, dtype=np.complex128)
+        self.product = np.empty(grid.shape)
+        self.mode = np.empty(shape, dtype=np.complex128)
+        self.term = np.empty(shape, dtype=np.complex128)
+
+
+def band_inverse(grid: Grid, coeffs: np.ndarray, out: np.ndarray,
+                 work: BandWorkspace) -> np.ndarray:
+    """Real samples (3, n1, n2, n3) of band coefficients (3, *band
+    shape) into `out`: the passes of irfftn in its order (ifft on axis
+    -3, ifft on axis -2, irfft on axis -1), each over only the lines
+    whose input is not all zero.  numpy transforms every line on its own,
+    so the samples are irfftn's of the scattered coefficients bit for
+    bit.
+    """
+    band = grid.band
+    cols, half, pad = band.cols, work.half, work.columns
+    (_, low1), (_, high1) = band.rows1
+    (_, low2), (_, high2) = band.rows2
+    half[..., cols.stop:] = 0
+    for c, samples in zip(coeffs, out):
+        pad[low1.stop:high1.start] = 0
+        for b, h in band.rows1:
+            pad[h] = c[b]
+        for b, h in band.rows2:
+            np.fft.ifft(pad[:, b], axis=-3, norm="forward", out=half[:, h, cols])
+        half[:, low2.stop:high2.start, cols] = 0
+        np.fft.ifft(half[..., cols], axis=-2, norm="forward", out=half[..., cols])
+        np.fft.irfft(half, n=grid.n3, axis=-1, norm="forward", out=samples)
+    return out
+
+
+def band_forward(grid: Grid, samples: np.ndarray, out: np.ndarray,
+                 work: BandWorkspace) -> np.ndarray:
+    """Band coefficients of real samples (n1, n2, n3) into `out`: the
+    passes of rfftn in its order (rfft on axis -1, fft on axis -2, fft
+    on axis -3), keeping only band columns, then band rows, after each.
+    Bit for bit the band of rfftn(samples, norm="forward").
+    """
+    band = grid.band
+    columns = work.half[..., band.cols]
+    np.fft.rfft(samples, axis=-1, norm="forward", out=work.half)
+    np.fft.fft(columns, axis=-2, norm="forward", out=columns)
+    for b, h in band.rows2:
+        np.fft.fft(columns[:, h], axis=-3, norm="forward", out=work.columns[:, b])
+    for b, h in band.rows1:
+        out[b] = work.columns[h]
+    return out
+
+
+def band_divergence(grid: Grid, us: np.ndarray, vs: np.ndarray,
+                    out: np.ndarray, work: BandWorkspace,
+                    square_sum: np.ndarray | None = None) -> np.ndarray:
+    """div(u x v) on the band from the samples of u and v, into `out`
+    (3, *band shape): component j is i sum_i kd_i FT(u_i v_j).
+
+    For vs is us only the six symmetric products are transformed, and
+    `square_sum`, if given, receives sum_i u_i^2 at the samples, in the
+    order of np.sum(us**2, axis=0).
+    """
+    kd = (grid.band.kd1, grid.band.kd2, grid.band.kd3)
+    symmetric = vs is us
+    prod, mode, term = work.product, work.mode, work.term
+    out[...] = 0
+    for i, j in _SYMMETRIC_PAIRS if symmetric else _ALL_PAIRS:
+        np.multiply(us[i], vs[j], out=prod)
+        if square_sum is not None and i == j:
+            if i == 0:
+                square_sum[...] = prod
+            else:
+                square_sum += prod
+        band_forward(grid, prod, mode, work)
+        out[j] += np.multiply(kd[i], mode, out=term)  # d_i (u_i v_j)
+        if symmetric and i != j:
+            out[i] += np.multiply(kd[j], mode, out=term)  # d_j (u_j u_i)
+    out *= 1j
+    return out
+
+
+def tensor_divergence(u: VectorField, v: VectorField | None = None) -> VectorField:
     """Dealiased div(u x v), component j = sum_i d/dx_i (u_i v_j).
 
     For divergence-free u this is the convective term (u . grad) v.  The
-    products are formed in physical space; the 2/3-rule truncation of
-    the result removes every aliased mode provided both inputs are
+    products are formed in physical space and only their 2/3 band is
+    kept, which removes every aliased mode provided both inputs are
     band-limited to the 2/3 band (3K < n makes the retained modes exact).
-    For v = u only the six symmetric products are transformed, one at a
-    time.  `u_samples`, if given, must be inverse_transform(u.grid,
-    u.coeffs); callers that also need the samples pass them in instead
-    of transforming twice.
+    The inputs are transformed in full; the products go through
+    band_divergence, as in the stepper.
     """
     if v is None:
         v = u
     if u.grid != v.grid:
         raise ValueError("fields live on different grids")
     g = u.grid
-    us = inverse_transform(g, u.coeffs) if u_samples is None else u_samples
-    if v is u:
-        vs, pairs = us, _SYMMETRIC_PAIRS
-    else:
-        vs, pairs = inverse_transform(g, v.coeffs), _ALL_PAIRS
-    kd = (g.kd1, g.kd2, g.kd3)
-    out = np.zeros((3, *g.spectral_shape), dtype=np.complex128)
-    p = np.empty(g.spectral_shape, dtype=np.complex128)
-    for i, j in pairs:
-        np.fft.rfftn(us[i] * vs[j], axes=_AXES, norm="forward", out=p)
-        out[j] += kd[i] * p  # d_i (u_i v_j)
-        if v is u and i != j:
-            out[i] += kd[j] * p  # d_j (u_j u_i)
-    out *= 1j
-    out *= g.dealias_mask
-    return VectorField(g, out)
+    us = inverse_transform(g, u.coeffs)
+    vs = us if v is u else inverse_transform(g, v.coeffs)
+    out = np.empty((3, *g.band.shape), dtype=np.complex128)
+    band_divergence(g, us, vs, out, BandWorkspace(g))
+    return VectorField(g, g.band.scatter(out))
 
 
 def convective_inner(u: VectorField, v: VectorField, w: VectorField) -> float:

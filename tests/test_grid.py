@@ -84,3 +84,30 @@ def test_max_dealiased_wavenumber():
     h = Grid(12, 12, 12, L3=np.pi)
     # shorter axis carries larger physical wavenumbers
     assert h.max_dealiased_wavenumber == 8.0
+
+
+@pytest.mark.parametrize("g", [Grid(8, 8, 8), Grid(12, 16, 10, L2=3.0, L3=5.0),
+                               Grid(32, 32, 32)])
+def test_band_is_the_dealias_box(g):
+    band = g.band
+    k1, k2, k3 = band.cutoffs
+    assert band.shape == (2 * k1 + 1, 2 * k2 + 1, k3 + 1)
+    # the box holds every retained mode and nothing else
+    assert np.all(band.gather(g.dealias_mask))
+    assert np.sum(g.dealias_mask) == np.prod(band.shape)
+    assert np.array_equal(band.scatter(band.gather(g.dealias_mask)),
+                          g.dealias_mask)
+    assert np.array_equal(band.kd1 + band.kd2 + band.kd3,
+                          band.gather(np.broadcast_to(g.kd1 + g.kd2 + g.kd3,
+                                                      g.spectral_shape)))
+    assert np.array_equal(band.inv_kd_squared, band.gather(g.inv_kd_squared))
+
+
+def test_inverse_derivative_wavenumbers_cached_read_only():
+    g = Grid(8, 6, 8, L3=np.pi)
+    inv = g.inv_kd_squared
+    assert inv is g.inv_kd_squared
+    assert not inv.flags.writeable
+    ksq = g.kd_squared
+    assert np.array_equal(inv[ksq > 0], 1.0 / ksq[ksq > 0])
+    assert np.all(inv[ksq == 0] == 0.0)

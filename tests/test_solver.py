@@ -10,7 +10,14 @@ import numpy as np
 import pytest
 from full_layout import hermitian_defect, to_full, write_full_layout_checkpoint
 
-from admles.filters import DeconvSpec, FilterSpec, apply_filter, filter_symbol
+from admles.filters import (
+    DeconvSpec,
+    FilterSpec,
+    apply_bar,
+    apply_filter,
+    deconv_symbol,
+    filter_symbol,
+)
 from admles.grid import Grid
 from admles.solver import (
     CFL_LIMIT,
@@ -25,11 +32,13 @@ from admles.solver import (
     ZeroForcing,
     dependence_experiment,
     descriptor_field,
+    forcing_field,
     init_field,
     initial_state,
     read_checkpoint,
     run,
     step,
+    trajectory,
     write_checkpoint,
 )
 from admles.spectral import (
@@ -373,6 +382,95 @@ def test_vertical_mean_sector_unfiltered():
         a = step(a, cfg, ops)
         b = ns_step(b)
         assert np.array_equal(a.w.coeffs, b.w.coeffs)
+
+
+ODD_BOX = Grid(12, 16, 10, 2.0 * np.pi, 3.0, 5.0)
+
+
+@pytest.mark.parametrize("order", [0, 2])
+def test_band_step_matches_half_layout_heun_bitwise(order):
+    """A half-layout Heun step coded from the public operators and the
+    symbol lines agrees bitwise with the band stepper."""
+    cfg = config16(grid=ODD_BOX, deconv_order=order, t_end=0.03,
+                   filter=FilterSpec(alpha=0.5, theta=0.75),
+                   init=RandomBandLimited(seed=12, band=3),
+                   forcing=RandomBandLimited(seed=13, band=2, energy=2.0))
+    grid = cfg.grid
+    deconv = deconv_symbol(DeconvSpec(cfg.filter, order), grid.k3)
+    bar = bar_line(cfg)
+    e = np.exp(-cfg.nu * cfg.dt * grid.k_squared)
+    f = apply_bar(forcing_field(cfg.forcing, grid), cfg.filter).coeffs
+
+    def half_rhs(w):
+        z = VectorField(grid, w.coeffs * deconv)
+        t = tensor_divergence(z).coeffs * bar
+        return f - leray_project(VectorField(grid, t)).coeffs
+
+    def half_step(state):
+        k1 = half_rhs(state.w)
+        pred = VectorField(grid, e * (state.w.coeffs + cfg.dt * k1))
+        k2 = half_rhs(pred)
+        new = e * state.w.coeffs + 0.5 * cfg.dt * (e * k1 + k2)
+        return SolverState(state.t + cfg.dt, state.step_index + 1,
+                           VectorField(grid, new))
+
+    ops = StepOperators(cfg)
+    a = initial_state(cfg)
+    b = a
+    for _ in range(3):
+        a = step(a, cfg, ops)
+        b = half_step(b)
+        assert np.array_equal(a.w.coeffs, b.w.coeffs)
+
+
+def test_shared_operators_keep_trajectories_apart():
+    """Alternate steps of two states through one StepOperators give each
+    the states it gets alone: no workspace content leaks across calls."""
+    cfg = config16(init=RandomBandLimited(seed=14, band=4),
+                   forcing=TaylorGreen(), t_end=0.05)
+    first = initial_state(cfg)
+    second = SolverState(0.0, 0, VectorField(cfg.grid, -0.5 * first.w.coeffs))
+
+    def alone(state):
+        return [s.w.coeffs for s in trajectory(cfg, state, StepOperators(cfg))]
+
+    ops = StepOperators(cfg)
+    shared = list(zip(trajectory(cfg, first, ops), trajectory(cfg, second, ops)))
+    for (a, b), a_alone, b_alone in zip(shared, alone(first), alone(second),
+                                        strict=True):
+        assert np.array_equal(a.w.coeffs, a_alone)
+        assert np.array_equal(b.w.coeffs, b_alone)
+
+
+def test_warm_step_allocates_little_beyond_the_new_state():
+    cfg = config16()
+    ops = StepOperators(cfg)
+    state = step(initial_state(cfg), cfg, ops)  # warms the per-grid caches
+    tracemalloc.start()
+    try:
+        step(state, cfg, ops)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 3 * 16 * 16 * 9 * 16  # two half-layout vector fields
+
+
+@pytest.mark.parametrize("desc", [TaylorGreen(), SingleMode(k=(1, 2, 3)),
+                                  RandomBandLimited(seed=15, band=5),
+                                  ZeroForcing()],
+                         ids=["taylor-green", "single-mode", "random", "zero"])
+def test_states_are_zero_outside_the_band(desc):
+    """Initial data, forcing and stepped states carry nothing outside the
+    2/3 band, the only part the stepper reads."""
+    init = TaylorGreen() if isinstance(desc, ZeroForcing) else desc
+    cfg = config16(init=init, forcing=desc, t_end=0.05)
+    outside = ~cfg.grid.dealias_mask
+    ops = StepOperators(cfg)
+    assert np.all(ops.forcing_raw.coeffs[:, outside] == 0.0)
+    state = initial_state(cfg)
+    for _ in range(6):
+        assert np.all(state.w.coeffs[:, outside] == 0.0)
+        state = step(state, cfg, ops)
 
 
 # ---------------------------------------------------------------------------
