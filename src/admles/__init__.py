@@ -4,16 +4,28 @@ filtered approximate-deconvolution large-eddy model on the periodic box.
 
 __version__ = "0.1.0"
 
+from .diagnostics import regularity_norms
+from .ensembles import draw_scalar
 from .filters import (
     DeconvSpec,
     FilterSpec,
     apply_bar,
     apply_deconv,
     apply_filter,
+    apply_half_deconv,
+    apply_half_filter,
+    check_filter_identities,
+    deconv_error_symbol,
     deconv_symbol,
     filter_symbol,
 )
 from .grid import Grid
+from .inequalities import (
+    agmon_ratio,
+    trilinear_ratio_i,
+    trilinear_ratio_ii,
+    vertical_embedding_ratio,
+)
 from .solver import (
     RandomBandLimited,
     SingleMode,
@@ -26,7 +38,7 @@ from .solver import (
     run,
     write_checkpoint,
 )
-from .spectral import SpectralField, VectorField
+from .spectral import SpectralField, VectorField, field_from_samples
 
 __all__ = [
     "DeconvSpec",
@@ -41,13 +53,24 @@ __all__ = [
     "VectorField",
     "ZeroForcing",
     "__version__",
+    "agmon_ratio",
     "apply_bar",
     "apply_deconv",
     "apply_filter",
+    "apply_half_deconv",
+    "apply_half_filter",
+    "check_filter_identities",
     "dependence_experiment",
+    "deconv_error_symbol",
     "deconv_symbol",
+    "draw_scalar",
+    "field_from_samples",
     "filter_symbol",
     "read_checkpoint",
+    "regularity_norms",
     "run",
+    "trilinear_ratio_i",
+    "trilinear_ratio_ii",
+    "vertical_embedding_ratio",
     "write_checkpoint",
 ]

@@ -4,7 +4,11 @@ One file drives every subcommand.  Parsing never stops at the first
 problem; all violations are collected and reported together, each
 naming the offending ``section.key`` and the precondition it broke.
 Unknown sections or keys are errors, not warnings, so a typo cannot
-silently fall back to a default.
+silently fall back to a default, and a float key must be finite.
+
+The ``[init]`` and ``[forcing]`` kinds, keys and checks come from the
+descriptor classes of ``solver`` (``DESCRIPTOR_KINDS``, their fields,
+``check_in_band``), whose messages this module prefixes with the section.
 
 The effective configuration (defaults merged with overrides) is
 serialized to canonical JSON and hashed; every artifact a run writes
@@ -19,20 +23,12 @@ import configparser
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .filters import FilterSpec
 from .grid import Grid
 from .inequalities import LEMMAS
-from .solver import (
-    ForcingDescriptor,
-    InitDescriptor,
-    RandomBandLimited,
-    SingleMode,
-    SolverConfig,
-    TaylorGreen,
-    ZeroForcing,
-)
+from .solver import DESCRIPTOR_KINDS, SolverConfig, ZeroForcing, check_in_band
 
 _TWO_PI = 2.0 * math.pi
 
@@ -101,10 +97,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
         "checkpoint": ("str", ""),
     },
 }
-
-_INIT_KINDS = ("taylor-green", "single-mode", "random")
-_FORCING_KINDS = ("none",) + _INIT_KINDS
-
 
 class ConfigError(ValueError):
     """All validation problems of one parse, not just the first."""
@@ -188,15 +180,16 @@ def _read_values(text: str, errors: list[str]) -> dict[str, dict]:
     parser = configparser.ConfigParser(
         interpolation=None, inline_comment_prefixes=("#", ";")
     )
+    # every key starts at its default, kept if its value is unparsable
+    # or not finite
+    values = {s: {k: d for k, (_, d) in body.items()}
+              for s, body in _SCHEMA.items()}
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         errors.append(f"config syntax: {exc}")
-        return {s: {k: d for k, (_, d) in body.items()}
-                for s, body in _SCHEMA.items()}
+        return values
 
-    values = {s: {k: d for k, (_, d) in body.items()}
-              for s, body in _SCHEMA.items()}
     for section in parser.sections():
         name = section.lower()
         if name not in _SCHEMA:
@@ -208,43 +201,36 @@ def _read_values(text: str, errors: list[str]) -> dict[str, dict]:
                 continue
             kind = _SCHEMA[name][key][0]
             try:
-                values[name][key] = _parse_scalar(kind, raw)
+                value = _parse_scalar(kind, raw)
             except ValueError:
                 errors.append(
                     f"{name}.{key}: cannot parse {raw!r} as {kind}"
                 )
-            if values[name][key] == ():
+                continue
+            if value == ():
                 errors.append(f"{name}.{key}: must list at least one value")
+            scalars = value if kind == "floats" else (value,)
+            if kind in ("float", "floats") and not all(
+                    math.isfinite(x) for x in scalars):
+                errors.append(f"{name}.{key}: {raw} must be finite")
+                continue
+            values[name][key] = value
     return values
 
 
-def _build_descriptor(body: dict, section: str, allow_none: bool,
-                      errors: list[str]):
-    kind = body["kind"]
-    allowed = _FORCING_KINDS if allow_none else _INIT_KINDS
-    if kind not in allowed:
-        errors.append(
-            f"{section}.kind: {kind!r} is not one of {', '.join(allowed)}"
-        )
+def _build_descriptor(body: dict, section: str, errors: list[str]):
+    allowed = [kind for kind, cls in DESCRIPTOR_KINDS.items()
+               if section == "forcing" or cls is not ZeroForcing]
+    if body["kind"] not in allowed:
+        errors.append(f"{section}.kind: {body['kind']!r} is not one of "
+                      f"{', '.join(allowed)}")
         return None
-    if kind == "none":
-        return ZeroForcing()
-    if kind == "taylor-green":
-        return TaylorGreen(amplitude=body["amplitude"])
-    if kind == "single-mode":
-        k = body["k"]
-        if len(k) != 3:
-            errors.append(f"{section}.k: need exactly three integers, got {k}")
-            return None
-        return SingleMode(k=tuple(k), amplitude=body["amplitude"])
-    if body["band"] < 1:
-        errors.append(f"{section}.band: {body['band']} must be >= 1")
+    cls = DESCRIPTOR_KINDS[body["kind"]]
+    try:
+        return cls(**{f.name: body[f.name] for f in fields(cls)})
+    except ValueError as exc:
+        errors.append(f"{section}.{exc}")
         return None
-    if body["energy"] <= 0:
-        errors.append(f"{section}.energy: {body['energy']} must be positive")
-        return None
-    return RandomBandLimited(seed=body["seed"], band=body["band"],
-                             energy=body["energy"])
 
 
 def parse_config(text: str) -> RunConfig:
@@ -267,26 +253,14 @@ def parse_config(text: str) -> RunConfig:
     except ValueError as exc:
         errors.append(f"filter: {exc}")
 
-    init = _build_descriptor(values["init"], "init", False, errors)
-    forcing = _build_descriptor(values["forcing"], "forcing", True, errors)
-    if grid is not None:
-        cutoff = min(grid.dealias_cutoff(axis) for axis in range(3))
-        for section, desc in (("init", init), ("forcing", forcing)):
-            if isinstance(desc, SingleMode):
-                if all(c == 0 for c in desc.k):
-                    errors.append(f"{section}.k: needs a nonzero wavevector")
-                elif any(abs(c) > grid.dealias_cutoff(i)
-                         for i, c in enumerate(desc.k)):
-                    errors.append(
-                        f"{section}.k: mode {desc.k} lies outside the "
-                        f"retained band (cutoffs "
-                        f"{tuple(grid.dealias_cutoff(i) for i in range(3))})"
-                    )
-            if isinstance(desc, RandomBandLimited) and desc.band > cutoff:
-                errors.append(
-                    f"{section}.band: {desc.band} lies outside the retained "
-                    f"band (cutoff {cutoff})"
-                )
+    init = _build_descriptor(values["init"], "init", errors)
+    forcing = _build_descriptor(values["forcing"], "forcing", errors)
+    for section, desc in (("init", init), ("forcing", forcing)):
+        if grid is not None and desc is not None:
+            try:
+                check_in_band(desc, grid)
+            except ValueError as exc:
+                errors.append(f"{section}.{exc}")
     sol = values["solver"]
     if sol["deconv_order"] < 0:
         errors.append(f"solver.deconv_order: {sol['deconv_order']} must be >= 0")
@@ -300,6 +274,11 @@ def parse_config(text: str) -> RunConfig:
         if sol["t_end"] < sol["dt"]:
             errors.append(
                 f"solver.t_end: {sol['t_end']} must be at least dt={sol['dt']}"
+            )
+        elif not math.isfinite(sol["t_end"] / sol["dt"]):
+            errors.append(
+                f"solver.t_end: {sol['t_end']} / dt={sol['dt']} is not a "
+                f"finite number of steps"
             )
         else:
             steps = round(sol["t_end"] / sol["dt"])
@@ -382,16 +361,9 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(errors)
 
     effective = {section: dict(body) for section, body in values.items()}
-    for section in ("init", "forcing"):
+    for section, desc in (("init", init), ("forcing", forcing)):
         # echo only the keys the chosen kind consumes
-        kind = effective[section]["kind"]
-        keep = {"kind"}
-        if kind in ("taylor-green", "single-mode"):
-            keep.add("amplitude")
-        if kind == "single-mode":
-            keep.add("k")
-        if kind == "random":
-            keep.update(("seed", "band", "energy"))
+        keep = {"kind"} | {f.name for f in fields(desc)}
         effective[section] = {k: v for k, v in effective[section].items()
                               if k in keep}
     effective = {

@@ -24,11 +24,16 @@ the band of w, runs both right-hand sides and the Heun update there, and
 scatters the new band into a zeroed array.  Anything a state holds
 outside the band is dropped at its first step; every initial state and
 forcing built here is exactly zero there.
+
+The descriptors of w(0) and f own their config kind (DESCRIPTOR_KINDS),
+keys (fields) and checks (__post_init__, check_in_band).  A step reads
+its config from its StepOperators, so its dt and multipliers agree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from numbers import Integral
 from typing import Iterator
 
 import numpy as np
@@ -55,7 +60,8 @@ CFL_LIMIT = 0.5
 
 
 # ---------------------------------------------------------------------------
-# Initial-condition and forcing descriptors
+# Initial-condition and forcing descriptors; an error message starts
+# with the field it names, so a config parser can prefix its section
 
 
 @dataclass(frozen=True)
@@ -74,6 +80,12 @@ class SingleMode:
     k: tuple[int, int, int]
     amplitude: float = 1.0
 
+    def __post_init__(self):
+        if len(self.k) != 3 or not all(isinstance(c, Integral) for c in self.k):
+            raise ValueError(f"k: need exactly three integers, got {self.k}")
+        if all(c == 0 for c in self.k):
+            raise ValueError("k: needs a nonzero wavevector")
+
 
 @dataclass(frozen=True)
 class RandomBandLimited:
@@ -84,6 +96,12 @@ class RandomBandLimited:
     band: int
     energy: float = 1.0
 
+    def __post_init__(self):
+        if self.band < 1:
+            raise ValueError(f"band: {self.band} must be >= 1")
+        if not self.energy > 0:
+            raise ValueError(f"energy: {self.energy} must be positive")
+
 
 @dataclass(frozen=True)
 class ZeroForcing:
@@ -92,6 +110,27 @@ class ZeroForcing:
 
 InitDescriptor = TaylorGreen | SingleMode | RandomBandLimited
 ForcingDescriptor = ZeroForcing | TaylorGreen | SingleMode | RandomBandLimited
+
+# config kind -> descriptor; every kind but "none" may start a run
+DESCRIPTOR_KINDS = {"none": ZeroForcing, "taylor-green": TaylorGreen,
+                    "single-mode": SingleMode, "random": RandomBandLimited}
+
+
+def check_in_band(desc: ForcingDescriptor, grid: Grid) -> None:
+    """Raises ValueError, naming the field, if `desc` would put content
+    outside the grid's 2/3 band."""
+    cutoffs = tuple(grid.dealias_cutoff(axis) for axis in range(3))
+    if isinstance(desc, SingleMode) and any(
+            abs(c) > m for c, m in zip(desc.k, cutoffs)):
+        raise ValueError(
+            f"k: mode {desc.k} lies outside the retained band "
+            f"(cutoffs {cutoffs})"
+        )
+    if isinstance(desc, RandomBandLimited) and desc.band > min(cutoffs):
+        raise ValueError(
+            f"band: {desc.band} lies outside the retained band "
+            f"(cutoff {min(cutoffs)})"
+        )
 
 
 def _orthogonal_unit(k: np.ndarray) -> np.ndarray:
@@ -107,6 +146,7 @@ def descriptor_field(desc: InitDescriptor, grid: Grid) -> VectorField:
     """Raw (unsmoothed) field: divergence-free, and exactly zero outside
     the 2/3 band (sampled fields are dealiased, which drops the
     transform's round-off there)."""
+    check_in_band(desc, grid)
     if isinstance(desc, TaylorGreen):
         x1, x2, x3 = grid.mesh()
         zeros = np.zeros(grid.shape)
@@ -120,28 +160,23 @@ def descriptor_field(desc: InitDescriptor, grid: Grid) -> VectorField:
         return leray_project(dealias(vector_from_samples(grid, samples)))
     if isinstance(desc, SingleMode):
         k = np.asarray(desc.k, dtype=float)
-        if np.all(k == 0):
-            raise ValueError("single_mode needs a nonzero wavevector")
-        for axis in range(3):
-            if abs(desc.k[axis]) > grid.dealias_cutoff(axis):
-                raise ValueError(
-                    f"mode {desc.k} lies outside the retained band "
-                    f"(cutoff {grid.dealias_cutoff(axis)} on axis {axis})"
-                )
         e = _orthogonal_unit(k)
         x1, x2, x3 = grid.mesh()
         phase = np.cos(k[0] * x1 + k[1] * x2 + k[2] * x3)
         samples = np.stack([desc.amplitude * e[i] * phase for i in range(3)])
         return leray_project(dealias(vector_from_samples(grid, samples)))
     if isinstance(desc, RandomBandLimited):
-        cutoff = min(grid.dealias_cutoff(axis) for axis in range(3))
-        if desc.band > cutoff:
-            raise ValueError(
-                f"band {desc.band} lies outside the retained band (cutoff {cutoff})"
-            )
         spec = EnsembleSpec(count=1, band_limit=desc.band, seed=desc.seed)
         return draw_vector(spec.rng(), spec, grid)
     raise TypeError(f"unknown descriptor {desc!r}")
+
+
+def _rescaled(field: VectorField, norm_target: float, what: str) -> VectorField:
+    """`field` scaled to L2 norm `norm_target`; a zero draw is an error."""
+    norm = l2_norm(field)
+    if norm == 0.0:
+        raise ValueError(f"{what} drew identically zero")
+    return VectorField(field.grid, field.coeffs * (norm_target / norm))
 
 
 def init_field(desc: InitDescriptor, grid: Grid,
@@ -150,10 +185,7 @@ def init_field(desc: InitDescriptor, grid: Grid,
     smoothed state hits the requested L2 norm."""
     w0 = apply_bar(descriptor_field(desc, grid), filt)
     if isinstance(desc, RandomBandLimited):
-        norm = l2_norm(w0)
-        if norm == 0.0:
-            raise ValueError("random initial field drew identically zero")
-        w0 = VectorField(grid, w0.coeffs * (desc.energy / norm))
+        w0 = _rescaled(w0, desc.energy, "random initial field")
     return w0
 
 
@@ -168,10 +200,7 @@ def forcing_field(desc: ForcingDescriptor, grid: Grid) -> VectorField:
         return VectorField(grid, np.zeros((3, *grid.spectral_shape), dtype=complex))
     f = descriptor_field(desc, grid)
     if isinstance(desc, RandomBandLimited):
-        norm = l2_norm(f)
-        if norm == 0.0:
-            raise ValueError("random forcing drew identically zero")
-        f = VectorField(grid, f.coeffs * (desc.energy / norm))
+        f = _rescaled(f, desc.energy, "random forcing")
     return f
 
 
@@ -291,17 +320,15 @@ class StepOperators:
         return np.subtract(self.band_forcing, conv, out=out)
 
 
-def step(state: SolverState, config: SolverConfig,
-         ops: StepOperators | None = None) -> SolverState:
-    """One IMEX Heun step with exact viscous integrating factor, on the
-    2/3 band of the state.
+def step(state: SolverState, ops: StepOperators) -> SolverState:
+    """One IMEX Heun step of ops.config with exact viscous integrating
+    factor, on the 2/3 band of the state.
 
     The CFL speed comes from the first right-hand side evaluation, which
     already holds the samples of Dw.  The new state is a fresh array,
     zero outside the band.
     """
-    if ops is None:
-        ops = StepOperators(config)
+    config = ops.config
     dt = config.dt
     band = config.grid.band
     w, k1, k2, predictor = ops.w, ops.k1, ops.k2, ops.predictor
@@ -340,13 +367,15 @@ def initial_state(config: SolverConfig) -> SolverState:
     )
 
 
-def trajectory(config: SolverConfig, state: SolverState,
-               ops: StepOperators) -> Iterator[SolverState]:
-    """Steps `state` to t_end, yielding it at output cadence: first as
-    given, then every `output_every` steps and after the final step."""
+def trajectory(ops: StepOperators,
+               state: SolverState) -> Iterator[SolverState]:
+    """Steps `state` to ops.config.t_end, yielding it at output cadence:
+    first as given, then every `output_every` steps and after the final
+    step."""
+    config = ops.config
     yield state
     for n in range(config.num_steps):
-        state = step(state, config, ops)
+        state = step(state, ops)
         if (n + 1) % config.output_every == 0 or n + 1 == config.num_steps:
             yield state
 
@@ -361,7 +390,7 @@ def run(config: SolverConfig) -> Iterator[tuple[SolverState, EnergyRecord]]:
     ops = StepOperators(config)
     return ((s, energy_terms(s.w, ops.forcing_raw, config.filter,
                              config.deconv_order, config.nu, t=s.t))
-            for s in trajectory(config, initial_state(config), ops))
+            for s in trajectory(ops, initial_state(config)))
 
 
 # ---------------------------------------------------------------------------
@@ -409,20 +438,13 @@ def dependence_experiment(config: SolverConfig, epsilon: float, *,
     ops = StepOperators(config)
     base = initial_state(config)
     band = min(grid.dealias_cutoff(axis) for axis in range(3))
-    pspec = EnsembleSpec(count=1, band_limit=band, seed=perturbation_seed)
-    p = draw_vector(pspec.rng(), pspec, grid)
-    p_norm = l2_norm(p)
-    if p_norm == 0.0:
-        raise ValueError("perturbation drew identically zero")
+    p = descriptor_field(RandomBandLimited(perturbation_seed, band), grid)
+    p = _rescaled(p, epsilon, "perturbation")
     perturbed = SolverState(
-        t=0.0,
-        step_index=0,
-        w=VectorField(grid, base.w.coeffs + (epsilon / p_norm) * p.coeffs),
-    )
+        t=0.0, step_index=0, w=VectorField(grid, base.w.coeffs + p.coeffs))
 
     times, deltas, integrands, integrals = [], [], [], []
-    for b, q in zip(trajectory(config, base, ops),
-                    trajectory(config, perturbed, ops)):
+    for b, q in zip(trajectory(ops, base), trajectory(ops, perturbed)):
         integrand = gronwall_integrand(q.w, theta)
         integrals.append(integrals[-1] + 0.5 * (b.t - times[-1])
                          * (integrands[-1] + integrand) if times else 0.0)

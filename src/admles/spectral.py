@@ -174,11 +174,6 @@ def divergence(field: VectorField) -> SpectralField:
     )
 
 
-def vertical_derivative(field: SpectralField) -> SpectralField:
-    g = field.grid
-    return SpectralField(g, 1j * g.kd3 * field.coeffs)
-
-
 def project_coeffs(lines, c: np.ndarray, out: np.ndarray, kdotu: np.ndarray,
                    term: np.ndarray | None = None) -> np.ndarray:
     """The Leray formula on (3, ...) coefficients, into `out`.
@@ -423,10 +418,6 @@ def vertical_grad_seminorm(f: Field, s: float) -> float:
         raise ValueError(f"seminorm order s={s} must be nonnegative")
     return float(np.sqrt(quadratic_form(f.grid, mass_lines(f)[1],
                                         f.grid.k3 ** (2.0 * s))))
-
-
-def mean_value(f: SpectralField) -> float:
-    return float(f.coeffs[0, 0, 0].real)
 
 
 # ---------------------------------------------------------------------------

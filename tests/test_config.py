@@ -1,16 +1,24 @@
 """Configuration parsing: defaults, typing, exhaustive error collection."""
 
 import math
+from dataclasses import fields
 
 import pytest
 
 from admles.config import (
+    _SCHEMA,
     ConfigError,
     hash_effective,
     parse_config,
     with_overrides,
 )
-from admles.solver import RandomBandLimited, SingleMode, TaylorGreen, ZeroForcing
+from admles.solver import (
+    DESCRIPTOR_KINDS,
+    RandomBandLimited,
+    SingleMode,
+    TaylorGreen,
+    ZeroForcing,
+)
 
 
 def test_empty_config_gives_taylor_green_baseline():
@@ -172,6 +180,78 @@ def test_effective_echo_drops_unused_descriptor_keys():
     assert set(rc.effective["init"]) == {"kind", "amplitude"}
     rc2 = parse_config("[init]\nkind = random\nband = 4\n")
     assert set(rc2.effective["init"]) == {"kind", "seed", "band", "energy"}
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("[solver]\nt_end = nan\n", ["solver.t_end: nan must be finite"]),
+    ("[solver]\nt_end = inf\n", ["solver.t_end: inf must be finite"]),
+    ("[solver]\ndt = 1e-320\nt_end = 1\n",
+     ["solver.t_end: 1.0 / dt=1e-320 is not a finite number of steps"]),
+    ("[solver]\nnu = nan\n", ["solver.nu: nan must be finite"]),
+    ("[grid]\nl3 = nan\n", ["grid.l3: nan must be finite"]),
+    ("[filter]\nalpha = inf\n", ["filter.alpha: inf must be finite"]),
+    ("[inequalities]\ns_values = 0.75, nan\n",
+     ["inequalities.s_values: 0.75, nan must be finite"]),
+    ("[dependence]\nepsilon = nan\n", ["dependence.epsilon: nan must be finite"]),
+    ("[init]\nkind = random\nenergy = inf\n", ["init.energy: inf must be finite"]),
+], ids=["t_end-nan", "t_end-inf", "steps-overflow", "nu", "l3", "alpha",
+        "s_values", "epsilon", "energy"])
+def test_non_finite_numbers_rejected(text, expected):
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(text)
+    assert excinfo.value.errors == expected
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("[init]\nkind = random\nband = 0\nenergy = -1\n",
+     ["init.band: 0 must be >= 1"]),
+    ("[forcing]\nkind = random\nenergy = 0\n",
+     ["forcing.energy: 0.0 must be positive"]),
+    ("[init]\nkind = single-mode\nk = 0,0,0\n",
+     ["init.k: needs a nonzero wavevector"]),
+    ("[init]\nkind = single-mode\nk = 1,2\n[forcing]\nkind = random\nband = 0\n",
+     ["init.k: need exactly three integers, got (1, 2)",
+      "forcing.band: 0 must be >= 1"]),
+    ("[init]\nkind = none\n",
+     ["init.kind: 'none' is not one of taylor-green, single-mode, random"]),
+    ("[forcing]\nkind = bogus\n",
+     ["forcing.kind: 'bogus' is not one of none, taylor-green, single-mode, "
+      "random"]),
+    ("[grid]\nn1=16\nn2=16\nn3=16\n[init]\nkind = random\nband = 6\n"
+     "[forcing]\nkind = single-mode\nk = 0,7,0\n",
+     ["init.band: 6 lies outside the retained band (cutoff 5)",
+      "forcing.k: mode (0, 7, 0) lies outside the retained band "
+      "(cutoffs (5, 5, 5))"]),
+], ids=["band-and-energy", "energy", "k-zero", "k-two-ints", "init-none",
+        "unknown-kind", "outside-band"])
+def test_descriptor_errors(text, expected):
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(text)
+    assert excinfo.value.errors == expected
+
+
+@pytest.mark.parametrize("cls", DESCRIPTOR_KINDS.values(),
+                         ids=list(DESCRIPTOR_KINDS))
+def test_descriptor_fields_are_schema_keys(cls):
+    """A descriptor field outside the schema could never be set from a
+    config, nor enter its echo and hash."""
+    for section in ("init", "forcing"):
+        assert {f.name for f in fields(cls)} <= set(_SCHEMA[section])
+
+
+@pytest.mark.parametrize("body, expected", [
+    ("kind = none",
+     "9e5105d62ae54d83ae0d58f3b175dbd0b4389688a352f8c28d5fb9d7e3978874"),
+    ("kind = taylor-green\namplitude = 1.5",
+     "af8f448c5128e3903f89788ff7bc6e43d8bed0a31e01ff0dcaa45651235bd58d"),
+    ("kind = single-mode\nk = 1, -2, 0\namplitude = 0.25",
+     "47c55ad3e683d16a98eb57244542a8711948744172df11c4e2b65c0f3054efdb"),
+    ("kind = random\nseed = 7\nband = 3\nenergy = 2.5",
+     "ba86e8467d2ef0d03b03615ee4d7c30b695753bb344970c1be18f6a1039f05fb"),
+], ids=list(DESCRIPTOR_KINDS))
+def test_config_hash_pinned_per_kind(body, expected):
+    """The hash stamped on every artifact stays put for each kind."""
+    assert parse_config(f"[forcing]\n{body}\n").config_hash() == expected
 
 
 def test_hash_effective_is_canonical():

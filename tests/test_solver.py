@@ -210,7 +210,7 @@ def test_step_preserves_divergence_free():
     state = initial_state(cfg)
     ops = StepOperators(cfg)
     for _ in range(5):
-        state = step(state, cfg, ops)
+        state = step(state, ops)
         scale = np.max(np.abs(state.w.coeffs))
         assert divergence_residual(state.w) < 1e-12 * scale
 
@@ -286,7 +286,7 @@ def test_nan_detection():
     bad = np.full((3, *cfg.grid.spectral_shape), np.nan, dtype=complex)
     state = SolverState(t=0.0, step_index=0, w=VectorField(cfg.grid, bad))
     with pytest.raises(NaNError):
-        step(state, cfg)
+        step(state, StepOperators(cfg))
 
 
 def test_cfl_speed_is_max_of_deconvolved_samples():
@@ -305,9 +305,9 @@ def test_cfl_speed_is_max_of_deconvolved_samples():
         cfg = config16(**kw, dt=dt_edge * factor, t_end=dt_edge * factor)
         if factor > 1.0:
             with pytest.raises(CFLError):
-                step(initial_state(cfg), cfg)
+                step(initial_state(cfg), StepOperators(cfg))
         else:
-            step(initial_state(cfg), cfg)
+            step(initial_state(cfg), StepOperators(cfg))
 
 
 def test_steps_keep_coefficients_hermitian():
@@ -316,7 +316,7 @@ def test_steps_keep_coefficients_hermitian():
     ops = StepOperators(cfg)
     state = initial_state(cfg)
     for _ in range(6):
-        state = step(state, cfg, ops)
+        state = step(state, ops)
     c = state.w.coeffs
     assert hermitian_defect(to_full(cfg.grid, c)) < 1e-15 * np.max(np.abs(c))
 
@@ -345,7 +345,7 @@ def test_zeroth_order_reduction_bitwise():
     a = initial_state(cfg)
     b = a
     for _ in range(3):
-        a = step(a, cfg, ops)
+        a = step(a, ops)
         b = plain_step(b)
         assert np.array_equal(a.w.coeffs, b.w.coeffs)
 
@@ -379,7 +379,7 @@ def test_vertical_mean_sector_unfiltered():
     a = SolverState(0.0, 0, w0)
     b = a
     for _ in range(3):
-        a = step(a, cfg, ops)
+        a = step(a, ops)
         b = ns_step(b)
         assert np.array_equal(a.w.coeffs, b.w.coeffs)
 
@@ -418,7 +418,7 @@ def test_band_step_matches_half_layout_heun_bitwise(order):
     a = initial_state(cfg)
     b = a
     for _ in range(3):
-        a = step(a, cfg, ops)
+        a = step(a, ops)
         b = half_step(b)
         assert np.array_equal(a.w.coeffs, b.w.coeffs)
 
@@ -432,10 +432,10 @@ def test_shared_operators_keep_trajectories_apart():
     second = SolverState(0.0, 0, VectorField(cfg.grid, -0.5 * first.w.coeffs))
 
     def alone(state):
-        return [s.w.coeffs for s in trajectory(cfg, state, StepOperators(cfg))]
+        return [s.w.coeffs for s in trajectory(StepOperators(cfg), state)]
 
     ops = StepOperators(cfg)
-    shared = list(zip(trajectory(cfg, first, ops), trajectory(cfg, second, ops)))
+    shared = list(zip(trajectory(ops, first), trajectory(ops, second)))
     for (a, b), a_alone, b_alone in zip(shared, alone(first), alone(second),
                                         strict=True):
         assert np.array_equal(a.w.coeffs, a_alone)
@@ -445,10 +445,10 @@ def test_shared_operators_keep_trajectories_apart():
 def test_warm_step_allocates_little_beyond_the_new_state():
     cfg = config16()
     ops = StepOperators(cfg)
-    state = step(initial_state(cfg), cfg, ops)  # warms the per-grid caches
+    state = step(initial_state(cfg), ops)  # warms the per-grid caches
     tracemalloc.start()
     try:
-        step(state, cfg, ops)
+        step(state, ops)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -470,11 +470,23 @@ def test_states_are_zero_outside_the_band(desc):
     state = initial_state(cfg)
     for _ in range(6):
         assert np.all(state.w.coeffs[:, outside] == 0.0)
-        state = step(state, cfg, ops)
+        state = step(state, ops)
 
 
 # ---------------------------------------------------------------------------
 # Configuration validation
+
+
+@pytest.mark.parametrize("make", [
+    lambda: RandomBandLimited(seed=0, band=0),
+    lambda: RandomBandLimited(seed=0, band=2, energy=0.0),
+    lambda: RandomBandLimited(seed=0, band=2, energy=-1.0),
+    lambda: SingleMode(k=(1, 2)),
+    lambda: SingleMode(k=(0, 0, 0)),
+], ids=["band-0", "energy-0", "energy-negative", "k-two-ints", "k-zero"])
+def test_descriptors_reject_bad_fields(make):
+    with pytest.raises(ValueError):
+        make()
 
 
 def test_config_validation():
