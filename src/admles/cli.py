@@ -33,7 +33,6 @@ import scipy
 from . import __version__
 from .config import ConfigError, RunConfig, parse_config, with_overrides
 from .diagnostics import attach_residuals, vertical_spectrum
-from .ensembles import EnsembleSpec
 from .filters import (
     DeconvSpec,
     FilterSpec,
@@ -41,8 +40,6 @@ from .filters import (
     deconv_symbol_iterative,
     filter_symbol,
 )
-from .grid import Grid
-from .inequalities import run_sweep
 from .solver import (
     SolverAbort,
     ZeroForcing,
@@ -210,12 +207,7 @@ def _cmd_verify_operators(rc: RunConfig, ctx: _Context) -> int:
 def _cmd_verify_inequalities(rc: RunConfig, ctx: _Context) -> int:
     """One pass per ensemble; a split-bound violation fails the check
     but every row is still written."""
-    sweep = rc.inequalities
-    n = sweep.resolution
-    spec = EnsembleSpec(count=sweep.count, band_limit=sweep.band,
-                        seed=rc.seed, amplitude_decay=sweep.amplitude_decay)
-    reports, violations = run_sweep(spec, Grid(n, n, n), sweep.lemmas,
-                                    sweep.s_values, sweep.line_length)
+    reports, violations = rc.inequalities.run(rc.seed)
     rows = [
         (r.lemma, r.s, r.count, r.max_ratio, r.mean_ratio, r.resolution,
          r.seed)

@@ -1,14 +1,13 @@
-"""Run configuration: a flat INI file with typed, fully validated keys.
+"""Run configuration: a flat INI file with typed keys.
 
-One file drives every subcommand.  Parsing never stops at the first
-problem; all violations are collected and reported together, each
-naming the offending ``section.key`` and the precondition it broke.
-Unknown sections or keys are errors, not warnings, so a typo cannot
-silently fall back to a default, and a float key must be finite.
-
-The ``[init]`` and ``[forcing]`` kinds, keys and checks come from the
-descriptor classes of ``solver`` (``DESCRIPTOR_KINDS``, their fields,
-``check_in_band``), whose messages this module prefixes with the section.
+This module checks only the file: its syntax, unknown sections or keys
+(so a typo cannot fall back to a default), unparsable values, empty
+lists and non-finite floats.  Each rule about a value lives in the
+object that consumes it: parse_config builds Grid, FilterSpec, the
+[init] and [forcing] descriptors (solver.DESCRIPTOR_KINDS, fitted by
+check_in_band), SolverConfig, OperatorSweep, InequalitySweep and
+DependenceSettings, and lists every line of their errors, each under
+its section's name.
 
 The effective configuration (defaults merged with overrides) is
 serialized to canonical JSON and hashed; every artifact a run writes
@@ -25,10 +24,16 @@ import json
 import math
 from dataclasses import dataclass, fields, replace
 
-from .filters import FilterSpec
+from .filters import FilterSpec, OperatorSweep
 from .grid import Grid
-from .inequalities import LEMMAS
-from .solver import DESCRIPTOR_KINDS, SolverConfig, ZeroForcing, check_in_band
+from .inequalities import LEMMAS, InequalitySweep
+from .solver import (
+    DESCRIPTOR_KINDS,
+    DependenceSettings,
+    SolverConfig,
+    ZeroForcing,
+    check_in_band,
+)
 
 _TWO_PI = 2.0 * math.pi
 
@@ -104,31 +109,6 @@ class ConfigError(ValueError):
     def __init__(self, errors: list[str]):
         super().__init__("\n".join(errors))
         self.errors = errors
-
-
-@dataclass(frozen=True)
-class OperatorSweep:
-    k3_max: int
-    alpha_values: tuple[float, ...]
-    theta_values: tuple[float, ...]
-    order_values: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class InequalitySweep:
-    lemmas: tuple[str, ...]
-    count: int
-    band: int
-    amplitude_decay: float
-    s_values: tuple[float, ...]
-    resolution: int
-    line_length: int
-
-
-@dataclass(frozen=True)
-class DependenceSettings:
-    epsilon: float
-    perturbation_seed: int
 
 
 @dataclass(frozen=True)
@@ -218,167 +198,60 @@ def _read_values(text: str, errors: list[str]) -> dict[str, dict]:
     return values
 
 
-def _build_descriptor(body: dict, section: str, errors: list[str]):
-    allowed = [kind for kind, cls in DESCRIPTOR_KINDS.items()
-               if section == "forcing" or cls is not ZeroForcing]
-    if body["kind"] not in allowed:
-        errors.append(f"{section}.kind: {body['kind']!r} is not one of "
-                      f"{', '.join(allowed)}")
-        return None
-    cls = DESCRIPTOR_KINDS[body["kind"]]
-    try:
-        return cls(**{f.name: body[f.name] for f in fields(cls)})
-    except ValueError as exc:
-        errors.append(f"{section}.{exc}")
-        return None
-
-
 def parse_config(text: str) -> RunConfig:
     """Parse and validate; raises ConfigError listing every violation."""
     errors: list[str] = []
     values = _read_values(text, errors)
 
-    grid = None
-    try:
-        grid = Grid(
-            values["grid"]["n1"], values["grid"]["n2"], values["grid"]["n3"],
-            values["grid"]["l1"], values["grid"]["l2"], values["grid"]["l3"],
-        )
-    except ValueError as exc:
-        errors.append(f"grid: {exc}")
-
-    filt = None
-    try:
-        filt = FilterSpec(values["filter"]["alpha"], values["filter"]["theta"])
-    except ValueError as exc:
-        errors.append(f"filter: {exc}")
-
-    init = _build_descriptor(values["init"], "init", errors)
-    forcing = _build_descriptor(values["forcing"], "forcing", errors)
-    for section, desc in (("init", init), ("forcing", forcing)):
-        if grid is not None and desc is not None:
-            try:
-                check_in_band(desc, grid)
-            except ValueError as exc:
-                errors.append(f"{section}.{exc}")
-    sol = values["solver"]
-    if sol["deconv_order"] < 0:
-        errors.append(f"solver.deconv_order: {sol['deconv_order']} must be >= 0")
-    if sol["nu"] <= 0:
-        errors.append(f"solver.nu: {sol['nu']} must be positive")
-    if sol["dt"] <= 0:
-        errors.append(f"solver.dt: {sol['dt']} must be positive")
-    if sol["output_every"] < 1:
-        errors.append(f"solver.output_every: {sol['output_every']} must be >= 1")
-    if sol["dt"] > 0:
-        if sol["t_end"] < sol["dt"]:
-            errors.append(
-                f"solver.t_end: {sol['t_end']} must be at least dt={sol['dt']}"
-            )
-        elif not math.isfinite(sol["t_end"] / sol["dt"]):
-            errors.append(
-                f"solver.t_end: {sol['t_end']} / dt={sol['dt']} is not a "
-                f"finite number of steps"
-            )
-        else:
-            steps = round(sol["t_end"] / sol["dt"])
-            if abs(steps * sol["dt"] - sol["t_end"]) > 1e-9 * sol["t_end"]:
-                errors.append(
-                    f"solver.t_end: {sol['t_end']} must be an integer "
-                    f"multiple of dt={sol['dt']}"
-                )
-
-    solver = None
-    if grid is not None and filt is not None and init is not None \
-            and forcing is not None and not errors:
+    def build(section: str, make, *args, **kwargs):
+        # the object's own checks, each line under its section
         try:
-            solver = SolverConfig(
-                grid=grid,
-                nu=values["solver"]["nu"],
-                filter=filt,
-                deconv_order=values["solver"]["deconv_order"],
-                dt=values["solver"]["dt"],
-                t_end=values["solver"]["t_end"],
-                init=init,
-                forcing=forcing,
-                output_every=values["solver"]["output_every"],
-            )
+            return make(*args, **kwargs)
         except ValueError as exc:
-            errors.append(f"solver: {exc}")
+            errors.extend(f"{section}.{line}" for line in str(exc).splitlines())
+            return None
 
-    ops = values["operators"]
-    if ops["k3_max"] < 1:
-        errors.append(f"operators.k3_max: {ops['k3_max']} must be >= 1")
-    for a in ops["alpha_values"]:
-        if a <= 0:
-            errors.append(f"operators.alpha_values: {a} must be positive")
-    for t in ops["theta_values"]:
-        if not 0.0 <= t <= 1.0:
-            errors.append(
-                f"operators.theta_values: theta={t} must lie in [0, 1]"
-            )
-    for n in ops["order_values"]:
-        if n < 0:
-            errors.append(f"operators.order_values: {n} must be >= 0")
-
-    ineq = values["inequalities"]
-    for lemma in ineq["lemmas"]:
-        if lemma not in LEMMAS:
-            errors.append(
-                f"inequalities.lemmas: {lemma!r} is not one of "
-                f"{', '.join(LEMMAS)}"
-            )
-    for key, low in (("count", 1), ("band", 1), ("resolution", 4)):
-        if ineq[key] < low:
-            errors.append(f"inequalities.{key}: {ineq[key]} must be >= {low}")
-    for key in ("resolution", "line_length"):
-        # the upsamplers split an even spectrum's Nyquist mode, and a draw
-        # of band b needs 2b + 1 modes per axis
-        if ineq[key] % 2:
-            errors.append(f"inequalities.{key}: {ineq[key]} must be even")
-        if ineq[key] < 2 * ineq["band"] + 1:
-            errors.append(
-                f"inequalities.{key}: {ineq[key]} must be at least "
-                f"2 * band + 1 = {2 * ineq['band'] + 1}"
-            )
-    if ineq["amplitude_decay"] < 0:
-        errors.append(
-            f"inequalities.amplitude_decay: {ineq['amplitude_decay']} "
-            f"must be >= 0"
-        )
-    for s in ineq["s_values"]:
-        if s <= 0.5:
-            errors.append(
-                f"inequalities.s_values: s={s} must exceed 1/2 for the "
-                f"vertical embeddings"
-            )
-
-    dep = values["dependence"]
-    if dep["epsilon"] < 0:
-        errors.append(f"dependence.epsilon: {dep['epsilon']} must be >= 0")
+    g = values["grid"]
+    grid = build("grid", Grid, g["n1"], g["n2"], g["n3"],
+                 g["l1"], g["l2"], g["l3"])
+    filt = build("filter", FilterSpec, **values["filter"])
+    descriptors = {}
+    for section in ("init", "forcing"):
+        body = values[section]
+        allowed = [kind for kind, cls in DESCRIPTOR_KINDS.items()
+                   if section == "forcing" or cls is not ZeroForcing]
+        if body["kind"] not in allowed:
+            errors.append(f"{section}.kind: {body['kind']!r} is not one of "
+                          f"{', '.join(allowed)}")
+            continue
+        cls = DESCRIPTOR_KINDS[body["kind"]]
+        # the kind's fields, and only they, are built and echoed
+        kept = {f.name: body[f.name] for f in fields(cls)}
+        values[section] = {"kind": body["kind"], **kept}
+        descriptors[section] = desc = build(section, cls, **kept)
+        if grid is not None and desc is not None:
+            build(section, check_in_band, desc, grid)
+    solver = build("solver", SolverConfig, grid=grid, filter=filt,
+                   init=descriptors.get("init"),
+                   forcing=descriptors.get("forcing"), **values["solver"])
+    operators = build("operators", OperatorSweep, **values["operators"])
+    inequalities = build("inequalities", InequalitySweep,
+                         **values["inequalities"])
+    dependence = build("dependence", DependenceSettings, **values["dependence"])
 
     if errors:
         raise ConfigError(errors)
 
-    effective = {section: dict(body) for section, body in values.items()}
-    for section, desc in (("init", init), ("forcing", forcing)):
-        # echo only the keys the chosen kind consumes
-        keep = {"kind"} | {f.name for f in fields(desc)}
-        effective[section] = {k: v for k, v in effective[section].items()
-                              if k in keep}
-    effective = {
-        s: {k: (list(v) if isinstance(v, tuple) else v)
-            for k, v in body.items()}
-        for s, body in effective.items()
-    }
+    effective = {s: {k: list(v) if isinstance(v, tuple) else v
+                     for k, v in body.items()} for s, body in values.items()}
 
     return RunConfig(
         solver=solver,
         seed=values["run"]["seed"],
         output_dir=values["run"]["output_dir"],
-        operators=OperatorSweep(**ops),
-        inequalities=InequalitySweep(**ineq),
-        dependence=DependenceSettings(**dep),
+        operators=operators,
+        inequalities=inequalities,
+        dependence=dependence,
         spectrum_checkpoint=values["spectrum"]["checkpoint"],
         effective=effective,
     )

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid
+from .grid import Grid, check_rules
 from .spectral import SpectralField, VectorField, leray_project
 
 
@@ -33,14 +33,14 @@ class EnsembleSpec:
     amplitude_decay: float = 1.0
 
     def __post_init__(self):
+        errors = []
         if self.count < 1:
-            raise ValueError(f"count={self.count} must be >= 1")
+            errors.append(f"count: {self.count} must be >= 1")
         if self.band_limit < 1:
-            raise ValueError(f"band_limit={self.band_limit} must be >= 1")
-        if self.amplitude_decay < 0:
-            raise ValueError(
-                f"amplitude_decay={self.amplitude_decay} must be >= 0"
-            )
+            errors.append(f"band_limit: {self.band_limit} must be >= 1")
+        if not self.amplitude_decay >= 0:
+            errors.append(f"amplitude_decay: {self.amplitude_decay} must be >= 0")
+        check_rules(errors)
 
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)
@@ -70,18 +70,22 @@ def _draw_band(rng: np.random.Generator, b: int, decay: float,
     return sym * _centered_weights(b, decay)[None]
 
 
-def _band_positions(n: int, b: int) -> np.ndarray:
+def check_fits(b: int, n: int) -> None:
+    """Modes -b..b need 2 b + 1 slots on a line or grid axis of n modes."""
     if 2 * b + 1 > n:
-        raise ValueError(f"band_limit={b} does not fit a grid axis of {n} modes")
+        raise ValueError(f"n: {n} must be at least 2 * band + 1 = {2 * b + 1}")
+
+
+def _band_positions(n: int, b: int) -> np.ndarray:
     return np.array([m % n for m in range(-b, b + 1)])
 
 
 def _embed(grid: Grid, band: np.ndarray) -> np.ndarray:
     """Centered band coefficients -> half-layout array on the grid."""
     b = (band.shape[-1] - 1) // 2
+    check_fits(b, min(grid.shape))  # every axis, the full k3 one too
     p1 = _band_positions(grid.n1, b)
     p2 = _band_positions(grid.n2, b)
-    _band_positions(grid.n3, b)  # the band must fit the full k3 axis
     out = np.zeros((*band.shape[:-3], *grid.spectral_shape),
                    dtype=np.complex128)
     out[..., p1[:, None], p2[None, :], : b + 1] = band[..., b:]
@@ -110,8 +114,7 @@ def draw_line(rng: np.random.Generator, spec: EnsembleSpec,
     depends only on band_limit, preserving cross-resolution determinism.
     """
     b = spec.band_limit
-    if 2 * b + 1 > n:
-        raise ValueError(f"band_limit={b} does not fit a line of {n} modes")
+    check_fits(b, n)
     raw = rng.standard_normal(b) + 1j * rng.standard_normal(b)
     k = np.arange(1, b + 1, dtype=np.float64)
     weighted = raw * k ** (-spec.amplitude_decay)

@@ -34,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import Grid
+from .grid import Grid, check_rules, rule_errors
 from .spectral import (
     Field,
     SpectralField,
@@ -53,10 +53,12 @@ class FilterSpec:
     theta: float
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError(f"alpha={self.alpha} must be positive")
+        errors = []
+        if not 0.0 < self.alpha < np.inf:
+            errors.append(f"alpha: {self.alpha} must be positive and finite")
         if not 0.0 <= self.theta <= 1.0:
-            raise ValueError(f"theta={self.theta} must lie in [0, 1]")
+            errors.append(f"theta: {self.theta} must lie in [0, 1]")
+        check_rules(errors)
 
 
 @dataclass(frozen=True)
@@ -68,7 +70,33 @@ class DeconvSpec:
 
     def __post_init__(self):
         if self.order < 0:
-            raise ValueError(f"order={self.order} must be >= 0")
+            raise ValueError(f"order: {self.order} must be >= 0")
+
+
+@dataclass(frozen=True)
+class OperatorSweep:
+    """The verify-operators grid of (alpha, theta, order) on |k3| <= k3_max;
+    each value is checked by the FilterSpec or DeconvSpec it becomes."""
+
+    k3_max: int
+    alpha_values: tuple[float, ...]
+    theta_values: tuple[float, ...]
+    order_values: tuple[int, ...]
+
+    def __post_init__(self):
+        errors = []
+        if self.k3_max < 1:
+            errors.append(f"k3_max: {self.k3_max} must be >= 1")
+        for alpha in self.alpha_values:
+            errors += rule_errors(FilterSpec, alpha, 1.0,
+                                  rename={"alpha": "alpha_values"})
+        for theta in self.theta_values:
+            errors += rule_errors(FilterSpec, 1.0, theta,
+                                  rename={"theta": "theta_values"})
+        for order in self.order_values:
+            errors += rule_errors(DeconvSpec, FilterSpec(1.0, 1.0), order,
+                                  rename={"order": "order_values"})
+        check_rules(errors)
 
 
 def _vertical_weight(spec: FilterSpec, k3: np.ndarray) -> np.ndarray:

@@ -19,7 +19,9 @@ Coefficients are stored in the rfftn layout (n1, n2, n3/2 + 1): the k3
 lines and all built from them hold k3 = 0, 1, ..., n3/2 only.  The
 2/3-rule band of that layout is the box `Grid.band`: rows 0..K and
 n-K..n-1 on the two full axes and columns 0..K on the half axis, with
-K = floor(n/3) per axis.
+K = (n - 1) // 3 per axis, the largest |k| < n/3, so a product mode
+|k| <= 2K aliases onto |k| >= n - 2K > K, outside the band (K = n/3
+would let 2K alias onto -K).
 """
 
 from __future__ import annotations
@@ -30,6 +32,40 @@ from functools import cached_property
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
+
+
+def check_rules(errors: list[str]) -> None:
+    """Raise one ValueError listing `errors`, if any: one broken rule per
+    line, each starting with the field it names ("n1: 7 must be even")."""
+    if errors:
+        raise ValueError("\n".join(errors))
+
+
+def rule_errors(check, *args, rename: dict[str, str] | None = None) -> list[str]:
+    """The lines of the ValueError that check(*args) raises, [] if none,
+    with each line's leading field renamed through `rename`; a line
+    repeated after renaming is listed once."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        lines = (line.partition(":") for line in str(exc).splitlines())
+        return list(dict.fromkeys((rename or {}).get(field, field) + colon + rest
+                                  for field, colon, rest in lines))
+    return []
+
+
+def dealias_cutoff(n: int) -> int:
+    """The 2/3-rule cutoff of an axis of n modes: the largest |k| < n/3."""
+    return (n - 1) // 3
+
+
+def check_band(band: int, shape: tuple[int, int, int]) -> None:
+    """Raises ValueError unless the modes |k_j| <= band lie in the 2/3
+    band of a grid of `shape`."""
+    cutoff = min(dealias_cutoff(n) for n in shape)
+    if band > cutoff:
+        raise ValueError(
+            f"band: {band} lies outside the retained band (cutoff {cutoff})")
 
 
 class Band:
@@ -43,7 +79,7 @@ class Band:
     """
 
     def __init__(self, grid: "Grid"):
-        k1, k2, k3 = self.cutoffs = tuple(grid.dealias_cutoff(a) for a in range(3))
+        k1, k2, k3 = self.cutoffs = tuple(map(dealias_cutoff, grid.shape))
         n1, n2, _ = self.half_shape = grid.spectral_shape
         self.shape = (2 * k1 + 1, 2 * k2 + 1, k3 + 1)
         # (band slice, half slice) of the low and high row block per axis
@@ -89,13 +125,16 @@ class Grid:
     L3: float = TWO_PI
 
     def __post_init__(self):
-        for name in ("n1", "n2", "n3"):
-            n = getattr(self, name)
-            if n < 4 or n % 2 != 0:
-                raise ValueError(f"{name}={n}: modes per axis must be even and >= 4")
-        for name in ("L1", "L2", "L3"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        errors = []
+        for name, n in zip(("n1", "n2", "n3"), self.shape):
+            if n % 2:
+                errors.append(f"{name}: {n} must be even")
+            if n < 4:
+                errors.append(f"{name}: {n} must be >= 4")
+        for name, length in zip(("L1", "L2", "L3"), self.sizes):
+            if not 0.0 < length < np.inf:
+                errors.append(f"{name}: {length} must be positive and finite")
+        check_rules(errors)
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -202,23 +241,15 @@ class Grid:
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
-        """2/3-rule mask: True where |k_j| <= n_j/3 on every axis."""
-        idx = [np.abs(self.index_axis(axis)) for axis in range(3)]
-        idx[2] = idx[2][: self.n3 // 2 + 1]
-        masks = [self._expand(i <= n / 3.0, axis)
-                 for axis, (i, n) in enumerate(zip(idx, self.shape))]
-        return masks[0] & masks[1] & masks[2]
-
-    def dealias_cutoff(self, axis: int) -> int:
-        """Largest retained integer mode index on `axis` under the 2/3 rule."""
-        return int(self.shape[axis] / 3.0)
+        """2/3-rule mask: True where |k_j| < n_j/3 on every axis, the box
+        of `band`."""
+        return self.band.scatter(np.ones(self.band.shape, dtype=bool))
 
     @cached_property
     def max_dealiased_wavenumber(self) -> float:
         """Largest physical |k_j| surviving the 2/3 rule, over all axes."""
-        return max(
-            self.dealias_cutoff(axis) * TWO_PI / self.sizes[axis] for axis in range(3)
-        )
+        return max(dealias_cutoff(n) * TWO_PI / L
+                   for n, L in zip(self.shape, self.sizes))
 
     def axis_points(self, axis: int) -> np.ndarray:
         n = self.shape[axis]

@@ -10,8 +10,9 @@ Mixed norms are evaluated by physical-space quadrature:
   * horizontal plane integrals of |u|^2 are exact on the native grid
     for 2/3-band-limited fields, and of |u|^4 on a 2x oversampled grid;
   * vertical profiles of plane integrals are trigonometric polynomials,
-    so they are upsampled exactly by Fourier zero padding before taking
-    maxima (sup norms) or root-integrals (L^2_v of L^4_h);
+    so they are upsampled by Fourier zero padding before taking maxima
+    (sup norms, exact from a profile sampled on 2 n3 planes) or
+    root-integrals (L^2_v of L^4_h);
   * sup norms use grid maxima on a 4x refined axis.
 
 The 1-D Agmon checker also evaluates the explicit low/high wavenumber
@@ -24,13 +25,13 @@ and serves as an independent per-sample oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import zeta as _hurwitz_zeta
 
-from .ensembles import EnsembleSpec, draw_line, draw_vector
-from .grid import Grid
+from .ensembles import EnsembleSpec, check_fits, draw_line, draw_vector
+from .grid import Grid, check_band, check_rules, rule_errors
 from .spectral import (
     VectorField,
     convective_inner,
@@ -97,8 +98,8 @@ def line_sup_norm(coeffs: np.ndarray, oversample: int = 4) -> float:
 
 
 def _require_s(s: float, what: str) -> None:
-    if s <= 0.5:
-        raise ValueError(f"s={s}: {what} needs s > 1/2")
+    if not s > 0.5:
+        raise ValueError(f"s: {s} must exceed 1/2 for {what}")
 
 
 def _interpolate(low: float, high: float, s: float) -> float:
@@ -174,28 +175,28 @@ def _vertical_upsample(values: np.ndarray, factor: int) -> np.ndarray:
     return (np.fft.ifft(pad_spectrum(c, m, 0)) * m).real
 
 
-def plane_l2_profile(u: VectorField) -> np.ndarray:
-    """S(x3) = integral over the horizontal plane of |u|^2, per grid plane.
+def plane_l2_profile(u: VectorField, refine: int = 1) -> np.ndarray:
+    """S(x3) = integral over the horizontal plane of |u|^2, on refine * n3
+    equally spaced planes (refine 1 or even).
 
     Exact for 2/3-band-limited fields: the integrand has horizontal band
-    at most 2K < n, so the rectangle rule is the true integral.
+    at most 2K < n, so the rectangle rule is the true integral.  Its
+    vertical band 2K < n3 lies below the Nyquist mode of 2 n3 planes, so
+    a refined profile is sampled there (irfftn zero-extends the half
+    axis) and then upsampled exactly.
     """
     g = u.grid
-    samples = inverse_transform(g, u.coeffs)
+    tall = g if refine == 1 else replace(g, n3=2 * g.n3)
+    samples = inverse_transform(tall, u.coeffs)
     density = np.sum(samples**2, axis=0)
-    return np.mean(density, axis=(0, 1)) * (g.L1 * g.L2)
+    profile = np.mean(density, axis=(0, 1)) * (g.L1 * g.L2)
+    return _vertical_upsample(profile, refine * g.n3 // tall.n3)
 
 
-def linf_v_l2_h_norm(u: VectorField, vertical_oversample: int = 4) -> float:
-    """sup over x3 of the horizontal L^2 norm.
-
-    The plane profile is a vertical trigonometric polynomial of band
-    2K < n3, so upsampling it is exact; the sup is the maximum over the
-    refined planes.
-    """
-    profile = plane_l2_profile(u)
-    fine = _vertical_upsample(profile, vertical_oversample)
-    return float(np.sqrt(np.max(fine)))
+def linf_v_l2_h_norm(u: VectorField) -> float:
+    """sup over x3 of the horizontal L^2 norm: the maximum of the exact
+    plane profile on 4 n3 planes."""
+    return float(np.sqrt(np.max(plane_l2_profile(u, 4))))
 
 
 def l2_v_l4_h_norm(u: VectorField, oversample: int = 2,
@@ -294,6 +295,28 @@ LEMMAS = ("agmon", "ladyzhenskaya", "vertical_embedding", "trilinear_i",
           "trilinear_ii")
 
 
+def sweep_errors(lemmas, s_values, band: int, line_length: int,
+                 shape: tuple[int, int, int]) -> list[str]:
+    """run_sweep's rules, one line each, named as InequalitySweep fields.
+
+    The agmon line is padded by pad_spectrum, so it must be even.  Every
+    other lemma draws on a grid of `shape` and needs the band inside its
+    2/3 cutoff, or products of the draws alias onto the band.
+    """
+    errors = [f"lemmas: {lemma!r} is not one of {', '.join(LEMMAS)}"
+              for lemma in lemmas if lemma not in LEMMAS]
+    for s in s_values:
+        errors += rule_errors(_require_s, s, "every lemma but ladyzhenskaya",
+                              rename={"s": "s_values"})
+    if line_length % 2:
+        errors.append(f"line_length: {line_length} must be even")
+    errors += rule_errors(check_fits, band, line_length,
+                          rename={"n": "line_length"})
+    if set(lemmas) & set(LEMMAS) - {"agmon"}:
+        errors += rule_errors(check_band, band, shape)
+    return errors
+
+
 def run_sweep(spec: EnsembleSpec, grid: Grid, lemmas, s_values,
               line_length: int) -> tuple[list[RatioReport], list[str]]:
     """Ratio reports for every (lemma, s), in the requested order.
@@ -307,11 +330,8 @@ def run_sweep(spec: EnsembleSpec, grid: Grid, lemmas, s_values,
     agmon_split_bound; violations are returned as messages, and the
     reports stay complete.
     """
-    unknown = sorted(set(lemmas) - set(LEMMAS))
-    if unknown:
-        raise ValueError(f"unknown lemmas {unknown}; expected some of {LEMMAS}")
-    for s in s_values:
-        _require_s(s, "every lemma but ladyzhenskaya")
+    check_rules(sweep_errors(lemmas, s_values, spec.band_limit, line_length,
+                             grid.shape))
     exponents = {lemma: (0.0,) if lemma == "ladyzhenskaya" else tuple(s_values)
                  for lemma in lemmas}
     table = {lemma: np.empty((len(exps), spec.count))
@@ -359,3 +379,34 @@ def run_sweep(spec: EnsembleSpec, grid: Grid, lemmas, s_values,
         for s, ratios in zip(exponents[lemma], table[lemma])
     ]
     return reports, violations
+
+
+@dataclass(frozen=True)
+class InequalitySweep:
+    """run_sweep of `count` draws of band `band` on a resolution^3 grid,
+    checked by the EnsembleSpec, Grid and sweep_errors rules it feeds."""
+
+    lemmas: tuple[str, ...]
+    count: int
+    band: int
+    amplitude_decay: float
+    s_values: tuple[float, ...]
+    resolution: int
+    line_length: int
+
+    def __post_init__(self):
+        n = self.resolution
+        check_rules(
+            rule_errors(EnsembleSpec, self.count, self.band, 0,
+                        self.amplitude_decay, rename={"band_limit": "band"})
+            + rule_errors(Grid, n, n, n, rename=dict.fromkeys(
+                ("n1", "n2", "n3"), "resolution"))
+            + sweep_errors(self.lemmas, self.s_values, self.band,
+                           self.line_length, (n, n, n)))
+
+    def run(self, seed: int) -> tuple[list[RatioReport], list[str]]:
+        """run_sweep of these settings with ensemble seed `seed`."""
+        n = self.resolution
+        spec = EnsembleSpec(self.count, self.band, seed, self.amplitude_decay)
+        return run_sweep(spec, Grid(n, n, n), self.lemmas, self.s_values,
+                         self.line_length)

@@ -32,6 +32,7 @@ its config from its StepOperators, so its dt and multipliers agree.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 from numbers import Integral
 from typing import Iterator
@@ -41,7 +42,7 @@ import numpy as np
 from .diagnostics import EnergyRecord, energy_terms, gronwall_integrand
 from .ensembles import EnsembleSpec, draw_vector
 from .filters import DeconvSpec, FilterSpec, apply_bar, symbol_table
-from .grid import Grid
+from .grid import Grid, check_band, check_rules, dealias_cutoff, rule_errors
 from .spectral import (
     BandWorkspace,
     RealityError,
@@ -81,10 +82,12 @@ class SingleMode:
     amplitude: float = 1.0
 
     def __post_init__(self):
+        errors = []
         if len(self.k) != 3 or not all(isinstance(c, Integral) for c in self.k):
-            raise ValueError(f"k: need exactly three integers, got {self.k}")
+            errors.append(f"k: need exactly three integers, got {self.k}")
         if all(c == 0 for c in self.k):
-            raise ValueError("k: needs a nonzero wavevector")
+            errors.append("k: needs a nonzero wavevector")
+        check_rules(errors)
 
 
 @dataclass(frozen=True)
@@ -97,10 +100,12 @@ class RandomBandLimited:
     energy: float = 1.0
 
     def __post_init__(self):
+        errors = []
         if self.band < 1:
-            raise ValueError(f"band: {self.band} must be >= 1")
-        if not self.energy > 0:
-            raise ValueError(f"energy: {self.energy} must be positive")
+            errors.append(f"band: {self.band} must be >= 1")
+        if not 0.0 < self.energy < math.inf:
+            errors.append(f"energy: {self.energy} must be positive and finite")
+        check_rules(errors)
 
 
 @dataclass(frozen=True)
@@ -119,18 +124,15 @@ DESCRIPTOR_KINDS = {"none": ZeroForcing, "taylor-green": TaylorGreen,
 def check_in_band(desc: ForcingDescriptor, grid: Grid) -> None:
     """Raises ValueError, naming the field, if `desc` would put content
     outside the grid's 2/3 band."""
-    cutoffs = tuple(grid.dealias_cutoff(axis) for axis in range(3))
+    cutoffs = tuple(map(dealias_cutoff, grid.shape))
     if isinstance(desc, SingleMode) and any(
             abs(c) > m for c, m in zip(desc.k, cutoffs)):
         raise ValueError(
             f"k: mode {desc.k} lies outside the retained band "
             f"(cutoffs {cutoffs})"
         )
-    if isinstance(desc, RandomBandLimited) and desc.band > min(cutoffs):
-        raise ValueError(
-            f"band: {desc.band} lies outside the retained band "
-            f"(cutoff {min(cutoffs)})"
-        )
+    if isinstance(desc, RandomBandLimited):
+        check_band(desc.band, grid.shape)
 
 
 def _orthogonal_unit(k: np.ndarray) -> np.ndarray:
@@ -221,19 +223,26 @@ class SolverConfig:
     output_every: int = 1
 
     def __post_init__(self):
-        if self.nu <= 0:
-            raise ValueError(f"nu={self.nu} must be positive")
-        if self.dt <= 0:
-            raise ValueError(f"dt={self.dt} must be positive")
-        if self.t_end < self.dt:
-            raise ValueError(f"t_end={self.t_end} must be at least dt={self.dt}")
+        # scalar rules only: they never read grid, filter or the
+        # descriptors, so a parser can report them while those fail
+        errors = []
+        if not 0.0 < self.nu < math.inf:
+            errors.append(f"nu: {self.nu} must be positive and finite")
+        errors += rule_errors(DeconvSpec, self.filter, self.deconv_order,
+                              rename={"order": "deconv_order"})
+        if not 0.0 < self.dt < math.inf:
+            errors.append(f"dt: {self.dt} must be positive and finite")
+        elif not self.t_end >= self.dt:
+            errors.append(f"t_end: {self.t_end} must be at least dt={self.dt}")
+        elif not math.isfinite(self.t_end / self.dt):
+            errors.append(f"t_end: {self.t_end} / dt={self.dt} is not a "
+                          f"finite number of steps")
+        elif abs(self.num_steps * self.dt - self.t_end) > 1e-9 * self.t_end:
+            errors.append(f"t_end: {self.t_end} must be an integer multiple "
+                          f"of dt={self.dt}")
         if self.output_every < 1:
-            raise ValueError(f"output_every={self.output_every} must be >= 1")
-        steps = round(self.t_end / self.dt)
-        if steps < 1 or abs(steps * self.dt - self.t_end) > 1e-9 * self.t_end:
-            raise ValueError(
-                f"t_end={self.t_end} must be an integer multiple of dt={self.dt}"
-            )
+            errors.append(f"output_every: {self.output_every} must be >= 1")
+        check_rules(errors)
 
     @property
     def deconv(self) -> DeconvSpec:
@@ -414,6 +423,18 @@ class DependenceReport:
         return self.delta_norms[0] * np.exp(c * self.integrals)
 
 
+@dataclass(frozen=True)
+class DependenceSettings:
+    """Size and seed of the dependence_experiment perturbation."""
+
+    epsilon: float
+    perturbation_seed: int
+
+    def __post_init__(self):
+        if not self.epsilon >= 0:
+            raise ValueError(f"epsilon: {self.epsilon} must be >= 0")
+
+
 def dependence_experiment(config: SolverConfig, epsilon: float, *,
                           perturbation_seed: int = 1) -> DependenceReport:
     """Base and perturbed runs side by side; fits the envelope constant.
@@ -432,12 +453,11 @@ def dependence_experiment(config: SolverConfig, epsilon: float, *,
             f"theta={theta}: the dependence estimate needs theta > 1/2 "
             f"(the integrand exponent 1/theta must stay below 2)"
         )
-    if epsilon < 0:
-        raise ValueError(f"epsilon={epsilon} must be nonnegative")
+    DependenceSettings(epsilon, perturbation_seed)  # for its checks
     grid = config.grid
     ops = StepOperators(config)
     base = initial_state(config)
-    band = min(grid.dealias_cutoff(axis) for axis in range(3))
+    band = min(map(dealias_cutoff, grid.shape))
     p = descriptor_field(RandomBandLimited(perturbation_seed, band), grid)
     p = _rescaled(p, epsilon, "perturbation")
     perturbed = SolverState(

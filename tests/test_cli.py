@@ -69,7 +69,7 @@ def test_validation_error_exit_code(tmp_path, capsys):
     assert run_cli("simulate", "--config", cfg,
                    "--output", str(tmp_path / "o")) == 1
     err = capsys.readouterr().err
-    assert "theta=1.5 must lie in [0, 1]" in err
+    assert "filter.theta: 1.5 must lie in [0, 1]" in err
     assert "must be positive" in err
     assert not (tmp_path / "o" / "manifest.json").exists()
 

@@ -12,12 +12,18 @@ from admles.config import (
     parse_config,
     with_overrides,
 )
+from admles.filters import FilterSpec, OperatorSweep
+from admles.grid import Grid
+from admles.inequalities import InequalitySweep
 from admles.solver import (
     DESCRIPTOR_KINDS,
+    DependenceSettings,
     RandomBandLimited,
     SingleMode,
+    SolverConfig,
     TaylorGreen,
     ZeroForcing,
+    check_in_band,
 )
 
 
@@ -88,8 +94,8 @@ def test_all_errors_collected():
     errors = excinfo.value.errors
     assert len(errors) == 5
     joined = "\n".join(errors)
-    assert "n1=7" in joined
-    assert "theta=1.5 must lie in [0, 1]" in joined
+    assert "grid.n1: 7 must be even" in joined
+    assert "filter.theta: 1.5 must lie in [0, 1]" in joined
     assert "nu: -1.0 must be positive" in joined
     assert "unknown section" in joined
     assert "unknown key run.bogus_key" in joined
@@ -122,19 +128,19 @@ def test_unknown_lemma_rejected():
 @pytest.mark.parametrize("body, expected", [
     ("resolution = 31", ["inequalities.resolution: 31 must be even"]),
     ("resolution = 2", ["inequalities.resolution: 2 must be >= 4",
-                        "inequalities.resolution: 2 must be at least "
-                        "2 * band + 1 = 11"]),
+                        "inequalities.band: 5 lies outside the retained band "
+                        "(cutoff 0)"]),
     ("line_length = 255", ["inequalities.line_length: 255 must be even"]),
-    ("band = 8\nresolution = 16", ["inequalities.resolution: 16 must be "
-                                   "at least 2 * band + 1 = 17"]),
+    ("band = 8\nresolution = 16", ["inequalities.band: 8 lies outside the "
+                                   "retained band (cutoff 5)"]),
     ("band = 3\nline_length = 6", ["inequalities.line_length: 6 must be "
                                    "at least 2 * band + 1 = 7"]),
     ("resolution = 9\nline_length = 7\ncount = 0",
      ["inequalities.count: 0 must be >= 1",
       "inequalities.resolution: 9 must be even",
-      "inequalities.resolution: 9 must be at least 2 * band + 1 = 11",
       "inequalities.line_length: 7 must be even",
-      "inequalities.line_length: 7 must be at least 2 * band + 1 = 11"]),
+      "inequalities.line_length: 7 must be at least 2 * band + 1 = 11",
+      "inequalities.band: 5 lies outside the retained band (cutoff 2)"]),
 ])
 def test_inequality_sizes_checked_at_parse_time(body, expected):
     with pytest.raises(ConfigError) as excinfo:
@@ -204,9 +210,10 @@ def test_non_finite_numbers_rejected(text, expected):
 
 @pytest.mark.parametrize("text, expected", [
     ("[init]\nkind = random\nband = 0\nenergy = -1\n",
-     ["init.band: 0 must be >= 1"]),
+     ["init.band: 0 must be >= 1",
+      "init.energy: -1.0 must be positive and finite"]),
     ("[forcing]\nkind = random\nenergy = 0\n",
-     ["forcing.energy: 0.0 must be positive"]),
+     ["forcing.energy: 0.0 must be positive and finite"]),
     ("[init]\nkind = single-mode\nk = 0,0,0\n",
      ["init.k: needs a nonzero wavevector"]),
     ("[init]\nkind = single-mode\nk = 1,2\n[forcing]\nkind = random\nband = 0\n",
@@ -265,3 +272,93 @@ def test_hash_effective_is_canonical():
 def test_inline_comments_allowed():
     rc = parse_config("[solver]\nnu = 0.2  # heavier damping\n")
     assert rc.solver.nu == 0.2
+
+
+def _with_defaults(cls, section, **bad):
+    """`cls` built from the section's schema defaults, overridden by `bad`."""
+    return cls(**{**{k: d for k, (_, d) in _SCHEMA[section].items()}, **bad})
+
+
+def _solver(**bad):
+    return _with_defaults(SolverConfig, "solver", grid=Grid(32, 32, 32),
+                          filter=FilterSpec(0.5, 1.0), init=TaylorGreen(),
+                          forcing=ZeroForcing(), **bad)
+
+
+@pytest.mark.parametrize("section, body, build", [
+    ("grid", "n1 = 7", lambda: Grid(7, 32, 32)),
+    ("grid", "n2 = 2", lambda: Grid(32, 2, 32)),
+    ("grid", "l3 = -1", lambda: Grid(32, 32, 32, L3=-1.0)),
+    ("filter", "alpha = 0", lambda: FilterSpec(0.0, 1.0)),
+    ("filter", "theta = 1.5", lambda: FilterSpec(0.5, 1.5)),
+    ("solver", "nu = 0", lambda: _solver(nu=0.0)),
+    ("solver", "deconv_order = -1", lambda: _solver(deconv_order=-1)),
+    ("solver", "dt = -0.01", lambda: _solver(dt=-0.01)),
+    ("solver", "t_end = 0.001", lambda: _solver(t_end=0.001)),
+    ("solver", "dt = 1e-320\nt_end = 1",
+     lambda: _solver(dt=1e-320, t_end=1.0)),
+    ("solver", "t_end = 0.0123", lambda: _solver(t_end=0.0123)),
+    ("solver", "output_every = 0", lambda: _solver(output_every=0)),
+    ("init", "kind = single-mode\nk = 0, 0, 0", lambda: SingleMode((0, 0, 0))),
+    ("init", "kind = single-mode\nk = 1, 2", lambda: SingleMode((1, 2))),
+    ("init", "kind = random\nband = 0", lambda: RandomBandLimited(0, 0)),
+    ("forcing", "kind = random\nenergy = 0",
+     lambda: RandomBandLimited(1, 4, 0.0)),
+    ("forcing", "kind = random\nband = 11",
+     lambda: check_in_band(RandomBandLimited(1, 11), Grid(32, 32, 32))),
+    ("forcing", "kind = single-mode\nk = 0, 11, 0",
+     lambda: check_in_band(SingleMode((0, 11, 0)), Grid(32, 32, 32))),
+    ("operators", "k3_max = 0",
+     lambda: _with_defaults(OperatorSweep, "operators", k3_max=0)),
+    ("operators", "alpha_values = 0.5, -1",
+     lambda: _with_defaults(OperatorSweep, "operators",
+                            alpha_values=(0.5, -1.0))),
+    ("operators", "theta_values = 1.5",
+     lambda: _with_defaults(OperatorSweep, "operators", theta_values=(1.5,))),
+    ("operators", "order_values = 2, -1",
+     lambda: _with_defaults(OperatorSweep, "operators", order_values=(2, -1))),
+    ("inequalities", "lemmas = agmon, poincare",
+     lambda: _with_defaults(InequalitySweep, "inequalities",
+                            lemmas=("agmon", "poincare"))),
+    ("inequalities", "count = 0",
+     lambda: _with_defaults(InequalitySweep, "inequalities", count=0)),
+    ("inequalities", "band = 0",
+     lambda: _with_defaults(InequalitySweep, "inequalities", band=0)),
+    ("inequalities", "band = 11",
+     lambda: _with_defaults(InequalitySweep, "inequalities", band=11)),
+    ("inequalities", "amplitude_decay = -1",
+     lambda: _with_defaults(InequalitySweep, "inequalities",
+                            amplitude_decay=-1.0)),
+    ("inequalities", "s_values = 0.75, 0.5",
+     lambda: _with_defaults(InequalitySweep, "inequalities",
+                            s_values=(0.75, 0.5))),
+    ("inequalities", "resolution = 31",
+     lambda: _with_defaults(InequalitySweep, "inequalities", resolution=31)),
+    ("inequalities", "resolution = 2",
+     lambda: _with_defaults(InequalitySweep, "inequalities", resolution=2)),
+    ("inequalities", "line_length = 255",
+     lambda: _with_defaults(InequalitySweep, "inequalities", line_length=255)),
+    ("inequalities", "line_length = 8",
+     lambda: _with_defaults(InequalitySweep, "inequalities", line_length=8)),
+    ("dependence", "epsilon = -1", lambda: DependenceSettings(-1.0, 1)),
+])
+def test_parser_reports_each_rule_as_its_object_does(section, body, build):
+    """No rule of a section is restated by the parser: its lines are the
+    object's own, under the section's name."""
+    with pytest.raises(ValueError) as direct:
+        build()
+    with pytest.raises(ConfigError) as parsed:
+        parse_config(f"[{section}]\n{body}\n")
+    assert parsed.value.errors == [
+        f"{section}.{line}" for line in str(direct.value).splitlines()]
+
+
+def test_grid_lemmas_rejected_past_the_cutoff():
+    """resolution 12 fits 2 * band + 1 = 11 modes but cuts off at 3, where
+    the trilinear numerator of band-5 draws aliases."""
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config("[inequalities]\nresolution = 12\n")
+    assert excinfo.value.errors == [
+        "inequalities.band: 5 lies outside the retained band (cutoff 3)"]
+    agmon = parse_config("[inequalities]\nlemmas = agmon\nresolution = 12\n")
+    assert agmon.inequalities.resolution == 12

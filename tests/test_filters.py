@@ -55,6 +55,8 @@ def random_divfree(grid, seed=0):
 def test_spec_validation():
     with pytest.raises(ValueError):
         FilterSpec(alpha=0.0, theta=1.0)
+    with pytest.raises(ValueError):  # D_N would be nan at every k3 != 0
+        FilterSpec(alpha=np.inf, theta=1.0)
     with pytest.raises(ValueError):
         FilterSpec(alpha=1.0, theta=1.5)
     with pytest.raises(ValueError):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from admles.grid import Grid
+from admles.grid import Grid, dealias_cutoff
 
 
 def test_validation_rejects_bad_dimensions():
@@ -15,6 +15,16 @@ def test_validation_rejects_bad_dimensions():
         Grid(8, 8, 8, L1=0.0)
     with pytest.raises(ValueError):
         Grid(8, 8, 8, L3=-1.0)
+    with pytest.raises(ValueError):
+        Grid(16, 16, 16, 1.0, 1.0, np.nan)
+
+
+def test_validation_lists_every_broken_rule():
+    with pytest.raises(ValueError) as excinfo:
+        Grid(3, 8, 8, L2=np.inf)
+    assert str(excinfo.value).splitlines() == [
+        "n1: 3 must be even", "n1: 3 must be >= 4",
+        "L2: inf must be positive and finite"]
 
 
 def test_wavenumbers_fft_order():
@@ -40,13 +50,13 @@ def test_box_scaling_of_wavenumbers():
 
 def test_dealias_mask_eight_cubed():
     g = Grid(8, 8, 8)
-    # floor(8/3) = 2: indices {-2..2} survive on each axis
+    # (8 - 1) // 3 = 2: indices {-2..2} survive on each axis
     kept = np.abs(g.index_axis(0)) <= 2
     assert int(np.sum(kept)) == 5
     # the half layout stores k3 = 0..4, of which 0..2 survive
     assert g.dealias_mask.shape == (8, 8, 5)
     assert int(np.sum(g.dealias_mask)) == 5 * 5 * 3
-    assert g.dealias_cutoff(0) == 2
+    assert dealias_cutoff(g.n1) == 2
 
 
 def test_half_layout_lines():
@@ -79,11 +89,12 @@ def test_refined_doubles_modes():
 
 
 def test_max_dealiased_wavenumber():
+    # the cutoff is the largest |k| < n/3: 3 of 12, not 12/3 = 4
     g = Grid(12, 12, 12)
-    assert g.max_dealiased_wavenumber == 4.0
+    assert g.max_dealiased_wavenumber == 3.0
     h = Grid(12, 12, 12, L3=np.pi)
     # shorter axis carries larger physical wavenumbers
-    assert h.max_dealiased_wavenumber == 8.0
+    assert h.max_dealiased_wavenumber == 6.0
 
 
 @pytest.mark.parametrize("g", [Grid(8, 8, 8), Grid(12, 16, 10, L2=3.0, L3=5.0),

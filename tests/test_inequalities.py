@@ -6,6 +6,7 @@ import pytest
 from admles.ensembles import EnsembleSpec, draw_line, draw_vector
 from admles.grid import Grid
 from admles.inequalities import (
+    LEMMAS,
     RatioReport,
     agmon_ratio,
     agmon_split_bound,
@@ -154,6 +155,18 @@ def test_linf_v_l2_h_analytic(grid):
     u = single_mode_u1(grid, (1.0 + 0.5 * np.cos(x3)))
     # plane L2 peaks at x3 = 0: sqrt((2 pi)^2 * 1.5^2)
     assert linf_v_l2_h_norm(u) == pytest.approx(2 * np.pi * 1.5, rel=1e-12)
+
+
+def test_refined_plane_profile_is_exact():
+    # band 5 on 16^3: the profile's vertical band 10 exceeds 16 / 2, so
+    # only samples on 2 n3 planes determine it
+    spec = EnsembleSpec(count=1, band_limit=5, seed=41)
+    u16 = draw_vector(spec.rng(), spec, Grid(16, 16, 16))
+    u64 = draw_vector(spec.rng(), spec, Grid(64, 64, 64))
+    refined, native = plane_l2_profile(u16, 4), plane_l2_profile(u64)
+    assert np.max(np.abs(refined - native)) < 1e-12 * np.max(native)
+    assert linf_v_l2_h_norm(u16) == pytest.approx(np.sqrt(np.max(native)),
+                                                  rel=1e-12)
 
 
 def test_ladyzhenskaya_single_mode_matches_fine_grid(grid):
@@ -349,3 +362,15 @@ def test_run_sweep_rejects_unknown_lemma():
     with pytest.raises(ValueError, match="trilinear_iii"):
         run_sweep(EnsembleSpec(1, 4, 0), Grid(16, 16, 16), ["trilinear_iii"],
                   [1.0], UNUSED_LINE)
+
+
+def test_grid_lemmas_need_the_band_inside_the_cutoff():
+    # band 5 on 12^3 passes 2 * band + 1 <= 12 but exceeds the cutoff 3
+    spec = EnsembleSpec(count=1, band_limit=5, seed=0)
+    for lemma in LEMMAS[1:]:
+        with pytest.raises(ValueError, match=r"band \(cutoff 3\)"):
+            run_sweep(spec, Grid(12, 12, 12), [lemma], [1.0], UNUSED_LINE)
+    # agmon draws lines only, so the grid's cutoff does not bound its band
+    wide = EnsembleSpec(count=1, band_limit=12, seed=0)
+    (report,), _ = run_sweep(wide, Grid(32, 32, 32), ["agmon"], [1.0], 256)
+    assert report.max_ratio > 0.0

@@ -18,7 +18,7 @@ from admles.filters import (
     deconv_symbol,
     filter_symbol,
 )
-from admles.grid import Grid
+from admles.grid import Grid, dealias_cutoff
 from admles.solver import (
     CFL_LIMIT,
     CFLError,
@@ -105,7 +105,7 @@ def test_init_field_small_alpha_limit():
     v0 = descriptor_field(TaylorGreen(), g)
     w0 = init_field(TaylorGreen(), g, filt)
     # per-mode relative defect is at most alpha^2 |k3|^2
-    kmax = g.dealias_cutoff(2)
+    kmax = dealias_cutoff(g.n3)
     bound = alpha**2 * kmax**2 * np.max(np.abs(v0.coeffs))
     assert np.max(np.abs(w0.coeffs - v0.coeffs)) <= bound * (1 + 1e-12)
 
@@ -481,9 +481,11 @@ def test_states_are_zero_outside_the_band(desc):
     lambda: RandomBandLimited(seed=0, band=0),
     lambda: RandomBandLimited(seed=0, band=2, energy=0.0),
     lambda: RandomBandLimited(seed=0, band=2, energy=-1.0),
+    lambda: RandomBandLimited(seed=0, band=2, energy=np.inf),
     lambda: SingleMode(k=(1, 2)),
     lambda: SingleMode(k=(0, 0, 0)),
-], ids=["band-0", "energy-0", "energy-negative", "k-two-ints", "k-zero"])
+], ids=["band-0", "energy-0", "energy-negative", "energy-inf", "k-two-ints",
+        "k-zero"])
 def test_descriptors_reject_bad_fields(make):
     with pytest.raises(ValueError):
         make()
@@ -500,6 +502,22 @@ def test_config_validation():
         config16(t_end=0.055)  # not a multiple of dt
     with pytest.raises(ValueError):
         config16(output_every=0)
+    with pytest.raises(ValueError):
+        config16(nu=np.nan)
+    with pytest.raises(ValueError, match="not a finite number of steps"):
+        config16(dt=1e-320, t_end=1.0)
+
+
+def test_config_lists_every_scalar_rule_without_reading_the_rest():
+    with pytest.raises(ValueError) as excinfo:
+        config16(grid=None, filter=None, init=None, forcing=None, nu=0.0,
+                 deconv_order=-1, t_end=0.055, output_every=0)
+    assert str(excinfo.value).splitlines() == [
+        "nu: 0.0 must be positive and finite",
+        "deconv_order: -1 must be >= 0",
+        "t_end: 0.055 must be an integer multiple of dt=0.01",
+        "output_every: 0 must be >= 1",
+    ]
 
 
 # ---------------------------------------------------------------------------

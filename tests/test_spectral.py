@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from full_layout import hermitian_defect, mirror, to_full
 
-from admles.grid import Grid
+from admles.grid import Grid, dealias_cutoff
 from admles.spectral import (
     BandWorkspace,
     RealityError,
@@ -173,7 +173,7 @@ def test_dealias_rule(grid):
     f = field_from_samples(grid, rng.standard_normal(grid.shape))
     d = dealias(f)
     idx = np.abs(grid.index_axis(0))
-    cut = grid.dealias_cutoff(0)  # floor(16/3) = 5
+    cut = dealias_cutoff(grid.n1)  # (16 - 1) // 3 = 5
     assert cut == 5
     killed = idx > cut
     assert np.max(np.abs(d.coeffs[killed, :, :])) == 0.0
@@ -385,6 +385,16 @@ def test_convective_orthogonality(grid):
     num = convective_inner(w, w, w)
     scale = l2_norm(w) ** 2 * grad_norm(w)
     assert abs(num) < 1e-12 * scale
+
+
+@pytest.mark.parametrize("g", [Grid(12, 16, 10), Grid(24, 24, 24)],
+                         ids=["12x16x10", "24^3"])
+def test_trilinear_orthogonality_when_three_divides_n(g):
+    # a cutoff of n/3 would let the product mode 2n/3 alias onto -n/3,
+    # inside the band; the largest |k| < n/3 keeps every product off it
+    z = random_divfree(g, seed=18)
+    t = tensor_divergence(z)
+    assert abs(inner_product(t, z)) < 1e-14 * l2_norm(t) * l2_norm(z)
 
 
 def test_convective_orthogonality_negative_control(grid):
