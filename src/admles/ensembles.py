@@ -2,15 +2,16 @@
 
 Coefficients are drawn on a fixed centered band box {-b..b}^3 in a fixed
 order, so a given (seed, band_limit, amplitude_decay) produces the exact
-same field regardless of the grid it is later embedded into.  That is
+same field regardless of the grid it is later placed on.  That is
 what makes resolution-doubling studies meaningful: the field is
 identical, only the quadrature grid refines.
 
 Draws are Hermitian-symmetrized (real physical samples), weighted by
 |k|^{-amplitude_decay}, and given zero mean; the whole box is drawn, and
-embedding keeps its k3 >= 0 half.  Vector draws can be
-Leray-projected; the projection acts modewise with the true wavenumbers
-of the band, hence also commutes with embedding.
+its k3 >= 0 half, rolled from centered into Band order (rows 0..b, then
+-b..-1), is scattered onto the grid by a Band of cutoffs (b, b, b).
+Vector draws can be Leray-projected; the projection acts modewise with
+the true wavenumbers of the band, hence also commutes with that scatter.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, check_rules
+from .grid import Band, Grid, check_rules
 from .spectral import SpectralField, VectorField, leray_project
 
 
@@ -71,37 +72,30 @@ def _draw_band(rng: np.random.Generator, b: int, decay: float,
 
 
 def check_fits(b: int, n: int) -> None:
-    """Modes -b..b need 2 b + 1 slots on a line or grid axis of n modes."""
+    """Modes -b..b need 2 b + 1 slots on a line of n modes (a grid's
+    Band checks each of its axes the same way)."""
     if 2 * b + 1 > n:
         raise ValueError(f"n: {n} must be at least 2 * band + 1 = {2 * b + 1}")
 
 
-def _band_positions(n: int, b: int) -> np.ndarray:
-    return np.array([m % n for m in range(-b, b + 1)])
-
-
-def _embed(grid: Grid, band: np.ndarray) -> np.ndarray:
-    """Centered band coefficients -> half-layout array on the grid."""
+def _on_grid(grid: Grid, band: np.ndarray) -> np.ndarray:
+    """Centered band coefficients -> half-layout array on the grid: the
+    k3 >= 0 half of the box, rolled into Band order, scattered."""
     b = (band.shape[-1] - 1) // 2
-    check_fits(b, min(grid.shape))  # every axis, the full k3 one too
-    p1 = _band_positions(grid.n1, b)
-    p2 = _band_positions(grid.n2, b)
-    out = np.zeros((*band.shape[:-3], *grid.spectral_shape),
-                   dtype=np.complex128)
-    out[..., p1[:, None], p2[None, :], : b + 1] = band[..., b:]
-    return out
+    box = np.roll(band[..., b:], -b, axis=(-3, -2))
+    return Band(grid, (b, b, b)).scatter(box)
 
 
 def draw_scalar(rng: np.random.Generator, spec: EnsembleSpec,
                 grid: Grid) -> SpectralField:
     band = _draw_band(rng, spec.band_limit, spec.amplitude_decay, 1)
-    return SpectralField(grid, _embed(grid, band[0]))
+    return SpectralField(grid, _on_grid(grid, band[0]))
 
 
 def draw_vector(rng: np.random.Generator, spec: EnsembleSpec, grid: Grid, *,
                 divergence_free: bool = True) -> VectorField:
     band = _draw_band(rng, spec.band_limit, spec.amplitude_decay, 3)
-    field = VectorField(grid, _embed(grid, band))
+    field = VectorField(grid, _on_grid(grid, band))
     return leray_project(field) if divergence_free else field
 
 

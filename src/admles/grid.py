@@ -21,7 +21,8 @@ lines and all built from them hold k3 = 0, 1, ..., n3/2 only.  The
 n-K..n-1 on the two full axes and columns 0..K on the half axis, with
 K = (n - 1) // 3 per axis, the largest |k| < n/3, so a product mode
 |k| <= 2K aliases onto |k| >= n - 2K > K, outside the band (K = n/3
-would let 2K alias onto -K).
+would let 2K alias onto -K).  A Band of other cutoffs moves any such box
+between its compact form and the half layout of any grid that holds it.
 """
 
 from __future__ import annotations
@@ -69,46 +70,70 @@ def check_band(band: int, shape: tuple[int, int, int]) -> None:
 
 
 class Band:
-    """The 2/3-rule box of a grid's half layout, exactly where its
-    dealias_mask is True, stored compactly with shape
-    (2 K1 + 1, 2 K2 + 1, K3 + 1).
+    """A box of half-layout coefficients with cutoffs (K1, K2, K3),
+    stored compactly with shape (2 K1 + 1, 2 K2 + 1, K3 + 1).
 
     Band rows 0..K hold modes 0..K and rows K+1..2K hold -K..-1, on each
-    of the two full axes; the half axis keeps columns 0..K3.  kd1, kd2,
-    kd3 and inv_kd_squared are the grid's, restricted to the box.
+    of the two full axes; the half axis keeps columns 0..K3.  gather and
+    scatter move the box to and from the half layout (..., m1, m2,
+    m3/2 + 1) of any grid shape that holds it (2 K + 1 <= m per axis),
+    so the one box serves the stepper, the draws and fine sampling.
+    The default cutoffs are the grid's 2/3 rule (Grid.band), the box
+    where its dealias_mask is True.  kd1, kd2, kd3 and inv_kd_squared
+    are the grid's, restricted to the box.
     """
 
-    def __init__(self, grid: "Grid"):
-        k1, k2, k3 = self.cutoffs = tuple(map(dealias_cutoff, grid.shape))
-        n1, n2, _ = self.half_shape = grid.spectral_shape
+    def __init__(self, grid: "Grid", cutoffs: tuple[int, int, int] | None = None):
+        k1, k2, k3 = self.cutoffs = cutoffs or tuple(map(dealias_cutoff, grid.shape))
+        self.grid = grid
         self.shape = (2 * k1 + 1, 2 * k2 + 1, k3 + 1)
-        # (band slice, half slice) of the low and high row block per axis
-        self.rows1 = ((slice(0, k1 + 1),) * 2,
-                      (slice(k1 + 1, None), slice(n1 - k1, n1)))
-        self.rows2 = ((slice(0, k2 + 1),) * 2,
-                      (slice(k2 + 1, None), slice(n2 - k2, n2)))
-        self.cols = cols = slice(0, k3 + 1)
-        self.blocks = tuple(((..., b1, b2, cols), (..., h1, h2, cols))
-                            for b1, h1 in self.rows1 for b2, h2 in self.rows2)
+        self.cols = slice(0, k3 + 1)
+        # (band slice, half slice) of the low and high row block per
+        # axis, and the blocks they make, on the grid's own layout
+        self.rows1, self.rows2 = self._rows(grid.shape)
+        self.blocks = self._blocks(self.rows1, self.rows2)
+        n1, n2 = grid.n1, grid.n2
         self.kd1 = grid.kd1[np.r_[0:k1 + 1, n1 - k1:n1]]
         self.kd2 = grid.kd2[:, np.r_[0:k2 + 1, n2 - k2:n2]]
-        self.kd3 = grid.kd3[..., cols]
+        self.kd3 = grid.kd3[..., self.cols]
         self.inv_kd_squared = self.gather(grid.inv_kd_squared)
         for arr in (self.kd1, self.kd2, self.kd3, self.inv_kd_squared):
             arr.setflags(write=False)
 
+    def _rows(self, shape: tuple[int, int, int]):
+        if any(2 * k + 1 > n for k, n in zip(self.cutoffs, shape)):
+            raise ValueError(f"band: cutoffs {self.cutoffs} do not fit "
+                             f"a grid of shape {shape}")
+        return tuple(((slice(0, k + 1),) * 2, (slice(k + 1, None), slice(n - k, n)))
+                     for k, n in zip(self.cutoffs, shape[:2]))
+
+    def _blocks(self, rows1, rows2):
+        return tuple(((..., b1, b2, self.cols), (..., h1, h2, self.cols))
+                     for b1, h1 in rows1 for b2, h2 in rows2)
+
+    def _blocks_on(self, shape: tuple[int, int, int]):
+        """The (box index, half index) pairs on a half layout of grid
+        shape `shape`; those of the grid's own rows are built once."""
+        if shape[:2] == self.grid.shape[:2]:
+            return self.blocks
+        return self._blocks(*self._rows(shape))
+
     def gather(self, half: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The box of half-layout coefficients (..., n1, n2, n3/2 + 1)."""
+        """The box of half-layout coefficients (..., m1, m2, m3/2 + 1)."""
         if out is None:
             out = np.empty((*half.shape[:-3], *self.shape), dtype=half.dtype)
-        for b, h in self.blocks:
+        m1, m2, m3 = half.shape[-3:]
+        for b, h in self._blocks_on((m1, m2, 2 * m3 - 2)):
             out[b] = half[h]
         return out
 
-    def scatter(self, band: np.ndarray) -> np.ndarray:
-        """A fresh half-layout array: `band` on the box, zero elsewhere."""
-        out = np.zeros((*band.shape[:-3], *self.half_shape), dtype=band.dtype)
-        for b, h in self.blocks:
+    def scatter(self, band: np.ndarray,
+                shape: tuple[int, int, int] | None = None) -> np.ndarray:
+        """A fresh half layout of grid shape `shape` (by default the
+        grid's): `band` on the box, zero elsewhere."""
+        m1, m2, m3 = shape or self.grid.shape
+        out = np.zeros((*band.shape[:-3], m1, m2, m3 // 2 + 1), dtype=band.dtype)
+        for b, h in self._blocks_on((m1, m2, m3)):
             out[h] = band[b]
         return out
 
@@ -150,27 +175,14 @@ class Grid:
         return (self.n1, self.n2, self.n3 // 2 + 1)
 
     @property
-    def num_points(self) -> int:
-        return self.n1 * self.n2 * self.n3
-
-    @property
     def volume(self) -> float:
         return self.L1 * self.L2 * self.L3
-
-    @property
-    def cell_volume(self) -> float:
-        return self.volume / self.num_points
 
     def k_axis(self, axis: int) -> np.ndarray:
         """True wavenumbers along `axis` in FFT order (Nyquist at -n/2)."""
         n = self.shape[axis]
         L = self.sizes[axis]
         return np.fft.fftfreq(n, d=1.0 / n) * (TWO_PI / L)
-
-    def index_axis(self, axis: int) -> np.ndarray:
-        """Integer mode indices along `axis` in FFT order."""
-        n = self.shape[axis]
-        return np.fft.fftfreq(n, d=1.0 / n).astype(int)
 
     def deriv_axis(self, axis: int) -> np.ndarray:
         """Derivative wavenumbers: true values with the Nyquist entry zeroed."""
@@ -260,11 +272,4 @@ class Grid:
         """Broadcastable physical coordinates (x1, x2, x3)."""
         return tuple(
             self._expand(self.axis_points(axis), axis) for axis in range(3)
-        )
-
-    def refined(self, factor: int = 2) -> "Grid":
-        """Same box with `factor` times the modes per axis."""
-        return Grid(
-            self.n1 * factor, self.n2 * factor, self.n3 * factor,
-            self.L1, self.L2, self.L3,
         )

@@ -5,15 +5,17 @@ side of one inequality on concrete fields, so ensemble maxima estimate
 the (unspecified) constants and resolution-doubling studies confirm the
 ratios are quadrature artifacts of bounded size rather than blow-ups.
 
-Mixed norms are evaluated by physical-space quadrature:
+Mixed norms are evaluated by physical-space quadrature on the samples
+that spectral.fine_samples takes of the field's 2/3 band:
 
-  * horizontal plane integrals of |u|^2 are exact on the native grid
-    for 2/3-band-limited fields, and of |u|^4 on a 2x oversampled grid;
+  * horizontal plane integrals of |u|^2 are exact on the native
+    horizontal points, and of |u|^4 on twice as many per axis;
   * vertical profiles of plane integrals are trigonometric polynomials,
-    so they are upsampled by Fourier zero padding before taking maxima
-    (sup norms, exact from a profile sampled on 2 n3 planes) or
-    root-integrals (L^2_v of L^4_h);
-  * sup norms use grid maxima on a 4x refined axis.
+    sampled on enough planes to resolve their band (2 n3 for |u|^2;
+    2 n3 or 4 n3 for |u|^4, by the field's highest k3 column) and
+    upsampled by Fourier zero padding before taking maxima (sup norms)
+    or root-integrals (L^2_v of L^4_h);
+  * line sup norms use grid maxima on a 4x refined axis.
 
 The 1-D Agmon checker also evaluates the explicit low/high wavenumber
 split bound at the optimal crossover kappa = (||g||_{H^s} /
@@ -25,7 +27,7 @@ and serves as an independent per-sample oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import zeta as _hurwitz_zeta
@@ -35,12 +37,11 @@ from .grid import Grid, check_band, check_rules, rule_errors
 from .spectral import (
     VectorField,
     convective_inner,
+    fine_samples,
     grad_norm,
     horizontal_grad_norm,
-    inverse_transform,
     l2_norm,
     pad_spectrum,
-    resample,
     vertical_grad_seminorm,
     vertical_seminorm,
 )
@@ -90,9 +91,9 @@ def line_hs_norm(coeffs: np.ndarray, s: float) -> float:
     return float(np.hypot(line_l2_norm(coeffs), line_seminorm(coeffs, s)))
 
 
-def line_sup_norm(coeffs: np.ndarray, oversample: int = 4) -> float:
-    """max |g| on an `oversample`-times refined axis (exact interpolation)."""
-    m = oversample * coeffs.size
+def line_sup_norm(coeffs: np.ndarray) -> float:
+    """max |g| on a 4x refined axis (exact interpolation)."""
+    m = 4 * coeffs.size
     samples = np.fft.ifft(pad_spectrum(coeffs, m, 0)) * m
     return float(np.max(np.abs(samples)))
 
@@ -176,21 +177,20 @@ def _vertical_upsample(values: np.ndarray, factor: int) -> np.ndarray:
 
 
 def plane_l2_profile(u: VectorField, refine: int = 1) -> np.ndarray:
-    """S(x3) = integral over the horizontal plane of |u|^2, on refine * n3
-    equally spaced planes (refine 1 or even).
+    """S(x3) = integral over the horizontal plane of |u|^2, of the 2/3
+    band of u, on refine * n3 equally spaced planes (refine 1 or even).
 
-    Exact for 2/3-band-limited fields: the integrand has horizontal band
-    at most 2K < n, so the rectangle rule is the true integral.  Its
-    vertical band 2K < n3 lies below the Nyquist mode of 2 n3 planes, so
-    a refined profile is sampled there (irfftn zero-extends the half
-    axis) and then upsampled exactly.
+    Exact: the integrand has horizontal band at most 2K < n, so the
+    rectangle rule is the true integral.  Its vertical band 2K < n3 lies
+    below the Nyquist mode of 2 n3 planes, so a refined profile is
+    sampled there and then upsampled exactly.
     """
     g = u.grid
-    tall = g if refine == 1 else replace(g, n3=2 * g.n3)
-    samples = inverse_transform(tall, u.coeffs)
+    planes = g.n3 if refine == 1 else 2 * g.n3
+    samples = fine_samples(u, (g.n1, g.n2, planes))
     density = np.sum(samples**2, axis=0)
     profile = np.mean(density, axis=(0, 1)) * (g.L1 * g.L2)
-    return _vertical_upsample(profile, refine * g.n3 // tall.n3)
+    return _vertical_upsample(profile, refine * g.n3 // planes)
 
 
 def linf_v_l2_h_norm(u: VectorField) -> float:
@@ -199,22 +199,26 @@ def linf_v_l2_h_norm(u: VectorField) -> float:
     return float(np.sqrt(np.max(plane_l2_profile(u, 4))))
 
 
-def l2_v_l4_h_norm(u: VectorField, oversample: int = 2,
-                   vertical_refine: int = 2) -> float:
-    """(integral over x3 of plane-L^4-norm squared)^{1/2}.
+def l2_v_l4_h_norm(u: VectorField) -> float:
+    """(integral over x3 of plane-L^4-norm squared)^{1/2}, of the 2/3
+    band of u.
 
-    |u|^4 has horizontal band 4K, so a 2x oversampled grid integrates
-    the planes exactly; the resulting profile (band 4K < 2 n3) is then
-    refined before the vertical quadrature of its square root.
+    |u|^4 has horizontal band 4K < 2n, so samples on twice the
+    horizontal points integrate the planes exactly.  Its vertical band
+    4 b3, with b3 the highest k3 column u holds, lies below the Nyquist
+    mode of 2 n3 planes when 4 b3 < n3, and of 4 n3 planes always; the
+    profile is sampled on the fewer that resolve it, refined to 4 n3
+    planes, and its square root integrated by the rectangle rule.
     """
-    fine_grid = u.grid.refined(oversample)
-    fine = resample(u, fine_grid)
-    samples = inverse_transform(fine_grid, fine.coeffs)
+    g = u.grid
+    b3 = max(np.flatnonzero(np.any(u.coeffs, axis=(0, 1, 2))), default=0)
+    planes = 2 * g.n3 if 4 * b3 < g.n3 else 4 * g.n3
+    samples = fine_samples(u, (2 * g.n1, 2 * g.n2, planes))
     density2 = np.sum(samples**2, axis=0) ** 2
-    profile = np.mean(density2, axis=(0, 1)) * (fine_grid.L1 * fine_grid.L2)
-    refined = _vertical_upsample(profile, vertical_refine)
+    profile = np.mean(density2, axis=(0, 1)) * (g.L1 * g.L2)
+    refined = _vertical_upsample(profile, 4 * g.n3 // planes)
     plane_l4_sq = np.sqrt(np.maximum(refined, 0.0))
-    integral = np.mean(plane_l4_sq) * u.grid.L3
+    integral = np.mean(plane_l4_sq) * g.L3
     return float(np.sqrt(integral))
 
 

@@ -281,8 +281,8 @@ class StepOperators:
 
     viscous_factor and forcing_smoothed keep the half layout; the step
     works on their band slices and on buffers that every step and every
-    rhs call overwrites and never hands out, so one StepOperators can
-    serve several trajectories stepped in turn.
+    band_rhs call overwrites and never hands out, so one StepOperators
+    can serve several trajectories stepped in turn.
     """
 
     def __init__(self, config: SolverConfig):
@@ -307,13 +307,6 @@ class StepOperators:
         self.samples = np.empty((3, *grid.shape))
         self.speed_squared = np.empty(grid.shape)
         self.work = BandWorkspace(grid)
-
-    def rhs(self, w: VectorField) -> np.ndarray:
-        """g(w) = -P bar div(Dw x Dw) + bar f as a half-layout array,
-        computed from the band of w."""
-        band = self.config.grid.band
-        self.band_rhs(band.gather(w.coeffs, out=self.w), self.k1)
-        return band.scatter(self.k1)
 
     def band_rhs(self, w: np.ndarray, out: np.ndarray,
                  square_sum: np.ndarray | None = None) -> np.ndarray:

@@ -24,7 +24,10 @@ and band_forward are irfftn and rfftn pruned to it: the same 1-D passes
 in the same order, over only the lines the band feeds or needs, so the
 retained values are the full transforms' bit for bit.  band_divergence
 is the one kernel for div(u x v) on the band, and project_coeffs the one
-Leray formula for either layout.
+Leray formula for either layout.  fine_samples is the one 3-D
+trigonometric upsampler: Grid.band gathers the 2/3 band, scatters it
+into the half layout of a finer grid and irfftn samples it there; it
+reads nothing outside the band.  pad_spectrum upsamples 1-D lines.
 
 Full-layout (n1, n2, n3) coefficients enter at one boundary only,
 field_from_full, which raises RealityError unless they are Hermitian to
@@ -421,16 +424,34 @@ def vertical_grad_seminorm(f: Field, s: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Resampling between grids (trigonometric interpolation)
+# Trigonometric interpolation on finer samples
+
+
+def fine_samples(field: Field, shape: tuple[int, int, int]) -> np.ndarray:
+    """Real samples on a grid of `shape` over the same box of the
+    trigonometric interpolant of the field's 2/3 band; modes outside
+    the band are not read.  `shape` must hold the band; on the native
+    shape these are the samples of dealias(field), and on a finer one
+    the interpolant is exact, so norms of powers of a band-limited field
+    can be integrated there by the rectangle rule.
+    """
+    band = field.grid.band
+    # the field's own half columns: irfftn zero-extends the half axis
+    # itself, and its passes on the full axes skip the columns it adds
+    narrow = (*shape[:2], field.grid.n3)
+    return np.fft.irfftn(band.scatter(band.gather(field.coeffs), narrow),
+                         s=shape, axes=_AXES, norm="forward")
 
 
 def pad_spectrum(coeffs: np.ndarray, m: int, axis: int) -> np.ndarray:
     """Embed a spectrum of even length n into length m > n along `axis`.
 
-    Modes |k| < n/2 keep their coefficients.  The stored -n/2 entry of a
-    real field represents cos(n x / 2) content, so it is split evenly
-    between +n/2 and -n/2; the trigonometric interpolant then stays real
-    and keeps its values at the original sample points.
+    The 1-D upsampler of sample lines (Agmon lines and vertical
+    profiles), whose Nyquist slot holds content or round-off.  Modes
+    |k| < n/2 keep their coefficients.  The stored -n/2 entry of a real
+    line represents cos(n x / 2) content, so it is split evenly between
+    +n/2 and -n/2; the trigonometric interpolant then stays real and
+    keeps its values at the original sample points.
     """
     n = coeffs.shape[axis]
     if n % 2 or m <= n:
@@ -444,49 +465,3 @@ def pad_spectrum(coeffs: np.ndarray, m: int, axis: int) -> np.ndarray:
     out[m - half] = 0.5 * src[half]
     out[m - half + 1:] = src[half + 1:]
     return np.moveaxis(out, 0, axis)
-
-
-def _fold_axis(coeffs: np.ndarray, n: int, axis: int) -> np.ndarray:
-    """Fold a full FFT axis down to even length n < its own: |k| < n/2
-    copies over and the pair k = +-n/2 adds into the Nyquist slot (the
-    cosine at that frequency is representable); the rest is dropped."""
-    src = np.moveaxis(coeffs, axis, 0)
-    half, neg = n // 2, src.shape[0] - n // 2  # slots of +n/2 and -n/2
-    out = np.concatenate([src[:half], src[half:half + 1] + src[neg:neg + 1],
-                          src[neg + 1:]])
-    return np.moveaxis(out, 0, axis)
-
-
-def resample(field: Field, target: Grid) -> Field:
-    """Re-express a field on another grid over the same box.
-
-    Upsampling is exact (trigonometric interpolation): pad_spectrum on
-    the two full axes, zero extension of the half axis, whose stored
-    n3/2 column is halved because its mirror -n3/2 receives the other
-    half.  Downsampling keeps every mode the target can represent:
-    |m| < n/2 copies over, the pair m = +-n/2 folds additively into the
-    target Nyquist slot, and higher modes are truncated.  Round trips
-    through a finer grid are exact.
-    """
-    src_grid = field.grid
-    if src_grid.sizes != target.sizes:
-        raise ValueError("resample requires identical box sizes")
-    c = field.coeffs
-    for axis, n in ((-3, target.n1), (-2, target.n2)):
-        if n > c.shape[axis]:
-            c = pad_spectrum(c, n, axis)
-        elif n < c.shape[axis]:
-            c = _fold_axis(c, n, axis)
-    src_half, half = src_grid.n3 // 2, target.n3 // 2
-    out = np.zeros((*c.shape[:-1], half + 1), dtype=np.complex128)
-    if half > src_half:
-        out[..., :src_half] = c[..., :src_half]
-        out[..., src_half] = 0.5 * c[..., src_half]
-    else:
-        out[...] = c[..., :half + 1]
-        if half < src_half:
-            # the mirror -n/2 of column n/2 lands in the same slot
-            nyquist = c[..., half]
-            mirror = np.roll(np.flip(nyquist, (-2, -1)), 1, (-2, -1))
-            out[..., half] += np.conj(mirror)
-    return type(field)(target, out)

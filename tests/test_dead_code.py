@@ -1,9 +1,13 @@
 """Every top-level function and class of the package has a user: code
-in the package that names it, or a place in the public ``__all__``.
-Tests alone do not keep a helper alive."""
+in the package that names it, or a place in the public ``__all__``; and
+every public method or property of a package class is named somewhere
+in the package.  Tests alone do not keep a helper alive."""
 
 import ast
+import importlib
+from functools import cached_property
 from pathlib import Path
+from types import FunctionType
 
 import admles
 
@@ -41,3 +45,31 @@ def test_no_top_level_definition_without_a_user():
         and node.name not in used
     ]
     assert not unused, f"defined but never named elsewhere: {unused}"
+
+
+def _public_members(cls):
+    """Public methods and properties that `cls` defines, less those that
+    override a base class's (an argparse hook, say)."""
+    for name, value in vars(cls).items():
+        if (not name.startswith("_")
+                and isinstance(value, (FunctionType, staticmethod, classmethod,
+                                       property, cached_property))
+                and not any(hasattr(base, name) for base in cls.__mro__[1:])):
+            yield name
+
+
+def test_no_public_method_without_a_user():
+    used = set()
+    for path in PACKAGE.glob("*.py"):
+        used.update(_references(ast.parse(path.read_text(), str(path))))
+    unused = [
+        f"{module.__name__}.{cls.__name__}.{name}"
+        for module in map(importlib.import_module, sorted(
+            f"admles.{path.stem}" for path in PACKAGE.glob("*.py")
+            if path.name != "__init__.py"))
+        for cls in vars(module).values()
+        if isinstance(cls, type) and cls.__module__ == module.__name__
+        for name in _public_members(cls)
+        if name not in used
+    ]
+    assert not unused, f"public members never named in the package: {unused}"

@@ -1,4 +1,4 @@
-"""Fourier calculus: transforms, operators, norms, resampling."""
+"""Fourier calculus: transforms, operators, norms, fine sampling."""
 
 import numpy as np
 import pytest
@@ -18,6 +18,7 @@ from admles.spectral import (
     divergence_residual,
     field_from_full,
     field_from_samples,
+    fine_samples,
     forward_transform,
     grad_norm,
     gradient,
@@ -27,7 +28,6 @@ from admles.spectral import (
     l2_norm,
     leray_project,
     pad_spectrum,
-    resample,
     tensor_divergence,
     vector_from_samples,
     vertical_grad_seminorm,
@@ -119,7 +119,7 @@ def test_parseval_matches_quadrature(grid):
     b = rng.standard_normal(grid.shape)
     f = field_from_samples(grid, a)
     g = field_from_samples(grid, b)
-    quadrature = float(np.sum(a * b)) * grid.cell_volume
+    quadrature = float(np.sum(a * b)) * grid.volume / np.prod(grid.shape)
     assert inner_product(f, g) == pytest.approx(quadrature, rel=1e-12)
 
 
@@ -172,7 +172,7 @@ def test_dealias_rule(grid):
     rng = np.random.default_rng(6)
     f = field_from_samples(grid, rng.standard_normal(grid.shape))
     d = dealias(f)
-    idx = np.abs(grid.index_axis(0))
+    idx = np.abs(np.fft.fftfreq(grid.n1, 1 / grid.n1))
     cut = dealias_cutoff(grid.n1)  # (16 - 1) // 3 = 5
     assert cut == 5
     killed = idx > cut
@@ -195,11 +195,12 @@ AXES = (-3, -2, -1)
 def full_complex_tensor_divergence(u, v):
     """div(u x v) with complex FFTs and all nine products u_i v_j."""
     g = u.grid
-    n = g.num_points
+    n = np.prod(g.shape)
     us = (np.fft.ifftn(to_full(g, u.coeffs), axes=AXES) * n).real
     vs = (np.fft.ifftn(to_full(g, v.coeffs), axes=AXES) * n).real
     kd3 = g.deriv_axis(2).reshape(1, 1, -1)
-    mask = g.dealias_mask[..., :1] & (np.abs(g.index_axis(2)) <= g.n3 / 3.0)
+    k3 = np.fft.fftfreq(g.n3, 1 / g.n3)
+    mask = g.dealias_mask[..., :1] & (np.abs(k3) <= g.n3 / 3.0)
     out = np.empty((3, *g.shape), dtype=complex)
     for j in range(3):
         p = np.fft.fftn(us * vs[j][None], axes=AXES) / n
@@ -211,7 +212,7 @@ def test_real_transforms_match_complex_ffts():
     rng = np.random.default_rng(30)
     samples = rng.standard_normal((3, *ODD_BOX.shape))
     coeffs = forward_transform(ODD_BOX, samples)
-    ref = np.fft.fftn(samples, axes=AXES) / ODD_BOX.num_points
+    ref = np.fft.fftn(samples, axes=AXES) / np.prod(ODD_BOX.shape)
     assert coeffs.shape == (3, *ODD_BOX.spectral_shape)
     assert np.max(np.abs(coeffs - ref[..., :6])) < 1e-15 * np.max(np.abs(ref))
     back = inverse_transform(ODD_BOX, coeffs)
@@ -222,7 +223,7 @@ def test_real_transforms_match_complex_ffts():
 def test_full_layout_boundary_keeps_the_half():
     rng = np.random.default_rng(31)
     samples = rng.standard_normal((3, *ODD_BOX.shape))
-    full = np.fft.fftn(samples, axes=AXES) / ODD_BOX.num_points
+    full = np.fft.fftn(samples, axes=AXES) / np.prod(ODD_BOX.shape)
     field = field_from_full(ODD_BOX, full)
     assert np.array_equal(field.coeffs, full[..., :6])
     assert not np.shares_memory(field.coeffs, full)
@@ -311,21 +312,39 @@ def test_horizontal_grad_below_full_grad(grid):
     assert grad_norm(vert) == pytest.approx(l2_norm(vert), rel=1e-13)
 
 
-def test_resample_round_trip(grid):
-    f = random_real_field(grid, seed=8)
-    fine = resample(f, grid.refined())
-    back = resample(fine, grid)
-    assert np.max(np.abs(back.coeffs - f.coeffs)) < 1e-14
+def fine_grid(grid):
+    return Grid(*(2 * n for n in grid.shape), *grid.sizes)
 
 
-def test_resample_interpolates_samples(grid):
-    # includes Nyquist content; coarse samples must be reproduced exactly
-    rng = np.random.default_rng(9)
-    samples = rng.standard_normal(grid.shape)
-    f = field_from_samples(grid, samples)
-    fine_grid = grid.refined()
-    fine_samples = inverse_transform(fine_grid, resample(f, fine_grid).coeffs)
-    assert np.max(np.abs(fine_samples[::2, ::2, ::2] - samples)) < 1e-12
+def test_fine_samples_round_trip(grid):
+    # the fine samples carry the band and nothing else
+    f = dealias(random_real_field(grid, seed=8))
+    fine = fine_grid(grid)
+    coeffs = forward_transform(fine, fine_samples(f, fine.shape))
+    band = grid.band
+    lifted = band.scatter(band.gather(f.coeffs), fine.shape)
+    assert np.max(np.abs(coeffs - lifted)) < 1e-14
+
+
+def test_fine_samples_interpolate(grid):
+    # every other fine sample is a native one
+    f = dealias(random_real_field(grid, seed=9))
+    samples = inverse_transform(grid, f.coeffs)
+    fine = fine_samples(f, fine_grid(grid).shape)
+    assert np.max(np.abs(fine[::2, ::2, ::2] - samples)) < 1e-12
+
+
+def test_fine_samples_are_the_trigonometric_sum():
+    u = random_divfree(ODD_BOX, seed=36)
+    shape = (24, 20, 16)
+    coeffs = to_full(ODD_BOX, u.coeffs)
+    waves = [np.exp(1j * np.outer(np.arange(m) * L / m, np.ravel(k)))
+             for m, L, k in zip(shape, ODD_BOX.sizes,
+                                (ODD_BOX.k1, ODD_BOX.k2, ODD_BOX.k_axis(2)))]
+    ref = np.einsum("ai,bj,ck,nijk->nabc", *waves, coeffs)
+    got = fine_samples(u, shape)
+    assert got.shape == (3, *shape)
+    assert np.max(np.abs(got - ref)) < 1e-13 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("axis", [0, -1])
@@ -360,24 +379,23 @@ def test_pad_spectrum_rejects_odd_or_shrinking_lengths():
         pad_spectrum(np.zeros(8, dtype=complex), 8, 0)
 
 
-def test_resample_preserves_l2_when_band_limited(grid):
+def test_fine_samples_preserve_l2_when_band_limited(grid):
     f = dealias(random_real_field(grid, seed=10))
-    fine = resample(f, grid.refined())
-    assert l2_norm(fine) == pytest.approx(l2_norm(f), rel=1e-13)
+    fine = fine_samples(f, fine_grid(grid).shape)
+    assert np.sqrt(np.mean(fine**2) * grid.volume) == pytest.approx(
+        l2_norm(f), rel=1e-13)
 
 
 def test_tensor_divergence_matches_fine_grid(grid):
     # quadrature-exact on the native grid: refining cannot change it
     w = random_divfree(grid, seed=11)
-    fine_grid = grid.refined()
-    w_fine = resample(w, fine_grid)
-    t_native = tensor_divergence(w)
-    t_fine = tensor_divergence(w_fine)
-    t_back = resample(t_fine, grid)
-    scale = np.max(np.abs(t_native.coeffs))
-    assert (
-        np.max(np.abs(dealias(t_back).coeffs - t_native.coeffs)) < 1e-12 * scale
-    )
+    band = grid.band
+    fine = fine_grid(grid)
+    w_fine = VectorField(fine, band.scatter(band.gather(w.coeffs), fine.shape))
+    t_native = band.gather(tensor_divergence(w).coeffs)
+    t_fine = band.gather(tensor_divergence(w_fine).coeffs)
+    scale = np.max(np.abs(t_native))
+    assert np.max(np.abs(t_fine - t_native)) < 1e-12 * scale
 
 
 def test_convective_orthogonality(grid):
