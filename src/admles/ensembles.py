@@ -10,8 +10,8 @@ Draws are Hermitian-symmetrized (real physical samples), weighted by
 |k|^{-amplitude_decay}, and given zero mean; the whole box is drawn, and
 its k3 >= 0 half, rolled from centered into Band order (rows 0..b, then
 -b..-1), is scattered onto the grid by a Band of cutoffs (b, b, b).
-Vector draws can be Leray-projected; the projection acts modewise with
-the true wavenumbers of the band, hence also commutes with that scatter.
+Vector draws can be Leray-projected, modewise on that box
+(project_coeffs with the Band's kd lines), before the one scatter.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Band, Grid, check_rules
-from .spectral import SpectralField, VectorField, leray_project
+from .spectral import SpectralField, VectorField, project_coeffs
 
 
 @dataclass(frozen=True)
@@ -78,25 +78,28 @@ def check_fits(b: int, n: int) -> None:
         raise ValueError(f"n: {n} must be at least 2 * band + 1 = {2 * b + 1}")
 
 
-def _on_grid(grid: Grid, band: np.ndarray) -> np.ndarray:
-    """Centered band coefficients -> half-layout array on the grid: the
-    k3 >= 0 half of the box, rolled into Band order, scattered."""
-    b = (band.shape[-1] - 1) // 2
-    box = np.roll(band[..., b:], -b, axis=(-3, -2))
-    return Band(grid, (b, b, b)).scatter(box)
+def _draw(rng: np.random.Generator, spec: EnsembleSpec, grid: Grid,
+          components: int, project: bool) -> np.ndarray:
+    """The k3 >= 0 half of a centered draw, rolled into the order of the
+    Band of cutoffs (b, b, b), projected there if `project`, scattered."""
+    b = spec.band_limit
+    box = Band(grid, (b, b, b))
+    band = _draw_band(rng, b, spec.amplitude_decay, components)
+    coeffs = np.roll(band[..., b:], -b, axis=(-3, -2))
+    if project:
+        coeffs = project_coeffs(box, coeffs, np.empty_like(coeffs),
+                                np.empty_like(coeffs[0]))
+    return box.scatter(coeffs)
 
 
 def draw_scalar(rng: np.random.Generator, spec: EnsembleSpec,
                 grid: Grid) -> SpectralField:
-    band = _draw_band(rng, spec.band_limit, spec.amplitude_decay, 1)
-    return SpectralField(grid, _on_grid(grid, band[0]))
+    return SpectralField(grid, _draw(rng, spec, grid, 1, False)[0])
 
 
 def draw_vector(rng: np.random.Generator, spec: EnsembleSpec, grid: Grid, *,
                 divergence_free: bool = True) -> VectorField:
-    band = _draw_band(rng, spec.band_limit, spec.amplitude_decay, 3)
-    field = VectorField(grid, _on_grid(grid, band))
-    return leray_project(field) if divergence_free else field
+    return VectorField(grid, _draw(rng, spec, grid, 3, divergence_free))
 
 
 def draw_line(rng: np.random.Generator, spec: EnsembleSpec,

@@ -88,10 +88,7 @@ class Band:
         self.grid = grid
         self.shape = (2 * k1 + 1, 2 * k2 + 1, k3 + 1)
         self.cols = slice(0, k3 + 1)
-        # (band slice, half slice) of the low and high row block per
-        # axis, and the blocks they make, on the grid's own layout
-        self.rows1, self.rows2 = self._rows(grid.shape)
-        self.blocks = self._blocks(self.rows1, self.rows2)
+        self.blocks = self._blocks(*self.rows_on(grid.shape))
         n1, n2 = grid.n1, grid.n2
         self.kd1 = grid.kd1[np.r_[0:k1 + 1, n1 - k1:n1]]
         self.kd2 = grid.kd2[:, np.r_[0:k2 + 1, n2 - k2:n2]]
@@ -100,7 +97,9 @@ class Band:
         for arr in (self.kd1, self.kd2, self.kd3, self.inv_kd_squared):
             arr.setflags(write=False)
 
-    def _rows(self, shape: tuple[int, int, int]):
+    def rows_on(self, shape: tuple[int, int, int]):
+        """(band slice, half slice) of the low and high row block of each
+        full axis, on a half layout of grid shape `shape`."""
         if any(2 * k + 1 > n for k, n in zip(self.cutoffs, shape)):
             raise ValueError(f"band: cutoffs {self.cutoffs} do not fit "
                              f"a grid of shape {shape}")
@@ -116,7 +115,7 @@ class Band:
         shape `shape`; those of the grid's own rows are built once."""
         if shape[:2] == self.grid.shape[:2]:
             return self.blocks
-        return self._blocks(*self._rows(shape))
+        return self._blocks(*self.rows_on(shape))
 
     def gather(self, half: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The box of half-layout coefficients (..., m1, m2, m3/2 + 1)."""

@@ -6,15 +6,16 @@ the (unspecified) constants and resolution-doubling studies confirm the
 ratios are quadrature artifacts of bounded size rather than blow-ups.
 
 Mixed norms are evaluated by physical-space quadrature on the samples
-that spectral.fine_samples takes of the field's 2/3 band:
+that spectral.fine_samples takes of the field's 2/3 band, from its
+occupied box (b1, b2, b3), on the fewest of n, 2 n, 4 n points per axis
+that keep each integral exact:
 
-  * horizontal plane integrals of |u|^2 are exact on the native
-    horizontal points, and of |u|^4 on twice as many per axis;
-  * vertical profiles of plane integrals are trigonometric polynomials,
-    sampled on enough planes to resolve their band (2 n3 for |u|^2;
-    2 n3 or 4 n3 for |u|^4, by the field's highest k3 column) and
-    upsampled by Fourier zero padding before taking maxima (sup norms)
-    or root-integrals (L^2_v of L^4_h);
+  * horizontal plane integrals of |u|^p (p = 2, 4) on m_j points with
+    p b_j < m_j, where the rectangle rule is exact;
+  * vertical profiles of plane integrals are trigonometric polynomials
+    of band p b3, sampled on P planes with 2 p b3 < P, which resolve
+    that band, and upsampled by Fourier zero padding before taking
+    maxima (sup norms) or root-integrals (L^2_v of L^4_h);
   * line sup norms use grid maxima on a 4x refined axis.
 
 The 1-D Agmon checker also evaluates the explicit low/high wavenumber
@@ -41,6 +42,7 @@ from .spectral import (
     grad_norm,
     horizontal_grad_norm,
     l2_norm,
+    occupied_box,
     pad_spectrum,
     vertical_grad_seminorm,
     vertical_seminorm,
@@ -166,60 +168,43 @@ def agmon_split_bound(coeffs: np.ndarray, s: float) -> float:
 # Plane-integral profiles and mixed norms
 
 
-def _vertical_upsample(values: np.ndarray, factor: int) -> np.ndarray:
-    """Exact trigonometric upsampling of a real periodic sample line."""
-    if factor == 1:
-        return np.asarray(values, dtype=np.float64)
-    n = values.size
-    m = factor * n
-    c = np.fft.fft(values) / n
-    return (np.fft.ifft(pad_spectrum(c, m, 0)) * m).real
+def _points(n: int, band: int) -> int:
+    """The fewest of n, 2 n, 4 n points above `band`: the rectangle rule
+    on them integrates a trigonometric polynomial of that band exactly."""
+    return next(m for m in (n, 2 * n, 4 * n) if band < m)
 
 
-def plane_l2_profile(u: VectorField, refine: int = 1) -> np.ndarray:
-    """S(x3) = integral over the horizontal plane of |u|^2, of the 2/3
-    band of u, on refine * n3 equally spaced planes (refine 1 or even).
-
-    Exact: the integrand has horizontal band at most 2K < n, so the
-    rectangle rule is the true integral.  Its vertical band 2K < n3 lies
-    below the Nyquist mode of 2 n3 planes, so a refined profile is
-    sampled there and then upsampled exactly.
-    """
+def plane_profile(u: VectorField, power: int = 2, refine: int = 1) -> np.ndarray:
+    """The integral over each of refine * n3 horizontal planes of
+    |u|^power (power 2 or 4), of the 2/3 band of u, sampled on the
+    fewest points that keep it exact (see the module docstring) and
+    upsampled exactly; on n3 planes if refine is 1 (else even)."""
     g = u.grid
-    planes = g.n3 if refine == 1 else 2 * g.n3
-    samples = fine_samples(u, (g.n1, g.n2, planes))
-    density = np.sum(samples**2, axis=0)
+    box = occupied_box(u)
+    *horizontal, b3 = box.cutoffs
+    shape = (*(_points(n, power * b) for n, b in zip(g.shape, horizontal)),
+             g.n3 if refine == 1 else _points(g.n3, 2 * power * b3))
+    samples = fine_samples(u, shape, box)
+    density = np.sum(samples**2, axis=0) ** (power // 2)
     profile = np.mean(density, axis=(0, 1)) * (g.L1 * g.L2)
-    return _vertical_upsample(profile, refine * g.n3 // planes)
+    if refine * g.n3 == shape[2]:
+        return profile
+    c = pad_spectrum(np.fft.fft(profile) / shape[2], refine * g.n3, 0)
+    return (np.fft.ifft(c) * (refine * g.n3)).real
 
 
 def linf_v_l2_h_norm(u: VectorField) -> float:
     """sup over x3 of the horizontal L^2 norm: the maximum of the exact
     plane profile on 4 n3 planes."""
-    return float(np.sqrt(np.max(plane_l2_profile(u, 4))))
+    return float(np.sqrt(np.max(plane_profile(u, 2, 4))))
 
 
 def l2_v_l4_h_norm(u: VectorField) -> float:
     """(integral over x3 of plane-L^4-norm squared)^{1/2}, of the 2/3
-    band of u.
-
-    |u|^4 has horizontal band 4K < 2n, so samples on twice the
-    horizontal points integrate the planes exactly.  Its vertical band
-    4 b3, with b3 the highest k3 column u holds, lies below the Nyquist
-    mode of 2 n3 planes when 4 b3 < n3, and of 4 n3 planes always; the
-    profile is sampled on the fewer that resolve it, refined to 4 n3
-    planes, and its square root integrated by the rectangle rule.
-    """
-    g = u.grid
-    b3 = max(np.flatnonzero(np.any(u.coeffs, axis=(0, 1, 2))), default=0)
-    planes = 2 * g.n3 if 4 * b3 < g.n3 else 4 * g.n3
-    samples = fine_samples(u, (2 * g.n1, 2 * g.n2, planes))
-    density2 = np.sum(samples**2, axis=0) ** 2
-    profile = np.mean(density2, axis=(0, 1)) * (g.L1 * g.L2)
-    refined = _vertical_upsample(profile, 4 * g.n3 // planes)
-    plane_l4_sq = np.sqrt(np.maximum(refined, 0.0))
-    integral = np.mean(plane_l4_sq) * g.L3
-    return float(np.sqrt(integral))
+    band of u: the square root of the exact |u|^4 profile on 4 n3
+    planes, integrated by the rectangle rule."""
+    plane_l4_sq = np.sqrt(np.maximum(plane_profile(u, 4, 4), 0.0))
+    return float(np.sqrt(np.mean(plane_l4_sq) * u.grid.L3))
 
 
 # ---------------------------------------------------------------------------

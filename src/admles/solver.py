@@ -306,19 +306,19 @@ class StepOperators:
             np.empty((3, *band.shape), dtype=np.complex128) for _ in range(4))
         self.samples = np.empty((3, *grid.shape))
         self.speed_squared = np.empty(grid.shape)
-        self.work = BandWorkspace(grid)
+        self.work = BandWorkspace(band)
 
     def band_rhs(self, w: np.ndarray, out: np.ndarray,
                  square_sum: np.ndarray | None = None) -> np.ndarray:
         """g(w) of band coefficients into `out`, which holds D w on the
         way.  `square_sum`, if given, receives |D w|^2 at the samples
         the nonlinear term builds."""
-        grid = self.config.grid
+        work = self.work
         z = np.multiply(w, self.band_deconv, out=out)
-        zs = band_inverse(grid, z, self.samples, self.work)
-        conv = band_divergence(grid, zs, zs, out, self.work, square_sum)
+        zs = band_inverse(z, self.samples, work)
+        conv = band_divergence(zs, zs, out, work, square_sum)
         conv *= self.band_bar
-        project_coeffs(grid.band, conv, conv, self.work.mode, self.work.term)
+        project_coeffs(work.band, conv, conv, work.mode, work.term)
         return np.subtract(self.band_forcing, conv, out=out)
 
 

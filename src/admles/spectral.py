@@ -19,15 +19,15 @@ with vol the box volume and w the grid's Parseval weight line (1 at
 k3 = 0 and n3/2, 2 in between).  All norms and inner products below are
 these continuum L^2 quantities of the band-limited interpolant.
 
-The time stepper works on the 2/3 band alone (Grid.band).  band_inverse
-and band_forward are irfftn and rfftn pruned to it: the same 1-D passes
-in the same order, over only the lines the band feeds or needs, so the
-retained values are the full transforms' bit for bit.  band_divergence
-is the one kernel for div(u x v) on the band, and project_coeffs the one
-Leray formula for either layout.  fine_samples is the one 3-D
-trigonometric upsampler: Grid.band gathers the 2/3 band, scatters it
-into the half layout of a finer grid and irfftn samples it there; it
-reads nothing outside the band.  pad_spectrum upsamples 1-D lines.
+band_inverse and band_forward are irfftn and rfftn pruned to a box of
+coefficients (a grid.Band) on any grid shape that holds it: the same
+1-D passes in the same order, over only the lines the box feeds or
+needs, so the retained values are the full transforms' bit for bit.
+The stepper runs them on the 2/3 band of its grid, and fine_samples,
+the one 3-D trigonometric upsampler, from a field's occupied_box onto
+any shape.  band_divergence is the one kernel for div(u x v) on the
+band, project_coeffs the one Leray formula for a layout or a box, and
+pad_spectrum the 1-D upsampler of lines.
 
 Full-layout (n1, n2, n3) coefficients enter at one boundary only,
 field_from_full, which raises RealityError unless they are Hermitian to
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid
+from .grid import Band, Grid
 
 # Largest Hermitian defect max |c_k - conj(c_-k)|, relative to max |c|,
 # that field_from_full accepts.
@@ -182,10 +182,10 @@ def project_coeffs(lines, c: np.ndarray, out: np.ndarray, kdotu: np.ndarray,
     """The Leray formula on (3, ...) coefficients, into `out`.
 
     out_i = c_i - kd_i (kd . c) / |kd|^2 modewise.  `lines` is a Grid
-    (half layout) or its Band (the 2/3 box): anything with kd1, kd2,
-    kd3 and inv_kd_squared.  `kdotu` is scratch of one component's
-    shape, and so is `term`, which is needed only when `out` is `c`;
-    otherwise the components of `out` serve as that scratch.
+    (half layout) or a Band of it (the 2/3 box, a draw's box): anything
+    with kd1, kd2, kd3 and inv_kd_squared.  `kdotu` is scratch of one
+    component's shape, and so is `term`, which is needed only when `out`
+    is `c`; otherwise the components of `out` serve as that scratch.
     """
     t = out[0] if term is None else term
     np.multiply(lines.kd1, c[0], out=kdotu)
@@ -225,80 +225,79 @@ def divergence_residual(field: VectorField) -> float:
 
 
 class BandWorkspace:
-    """Scratch arrays of the band-pruned transforms on one grid.
-
-    `columns` (n1, 2 K2 + 1, K3 + 1) is the inverse's zero-padded input
-    to the axis -3 pass and the forward's output of that pass; `half`
-    (n1, n2, n3/2 + 1) is the irfft input and the rfft output.  Each
-    transform zeroes the padding the other may have overwritten, so the
-    two share these buffers.  `product` holds one real product of
+    """Scratch arrays of the pruned transforms between a Band and the
+    samples on a grid shape (m1, m2, m3) that holds it (by default its
+    grid's), and the band's row blocks `rows1`, `rows2` on that shape.
+    `columns` (m1, 2 K2 + 1, K3 + 1) is the input of the inverse's axis
+    -3 pass and the output of the forward's; `half` (m1, m2, m3/2 + 1)
+    the irfft input and rfft output.  Each transform zeroes the padding
+    the other may have overwritten.  `product` holds one real product of
     samples, `mode` and `term` one band-shaped component each.
     """
 
-    def __init__(self, grid: Grid):
-        shape = grid.band.shape
-        self.columns = np.zeros((grid.n1, *shape[1:]), dtype=np.complex128)
-        self.half = np.zeros(grid.spectral_shape, dtype=np.complex128)
-        self.product = np.empty(grid.shape)
-        self.mode = np.empty(shape, dtype=np.complex128)
-        self.term = np.empty(shape, dtype=np.complex128)
+    def __init__(self, band: Band, shape: tuple[int, int, int] | None = None):
+        m1, m2, m3 = shape = shape or band.grid.shape
+        self.band = band
+        self.rows1, self.rows2 = band.rows_on(shape)
+        self.columns = np.zeros((m1, *band.shape[1:]), dtype=np.complex128)
+        self.half = np.zeros((m1, m2, m3 // 2 + 1), dtype=np.complex128)
+        self.product = np.empty(shape)
+        self.mode = np.empty(band.shape, dtype=np.complex128)
+        self.term = np.empty(band.shape, dtype=np.complex128)
 
 
-def band_inverse(grid: Grid, coeffs: np.ndarray, out: np.ndarray,
-                 work: BandWorkspace) -> np.ndarray:
-    """Real samples (3, n1, n2, n3) of band coefficients (3, *band
-    shape) into `out`: the passes of irfftn in its order (ifft on axis
-    -3, ifft on axis -2, irfft on axis -1), each over only the lines
-    whose input is not all zero.  numpy transforms every line on its own,
-    so the samples are irfftn's of the scattered coefficients bit for
-    bit.
+def band_inverse(coeffs: np.ndarray, out: np.ndarray, work: BandWorkspace) -> np.ndarray:
+    """Real samples (c, m1, m2, m3) on the shape of `work` of box
+    coefficients (c, *work.band.shape) into `out`: the passes of irfftn
+    in its order (ifft on axis -3, ifft on axis -2, irfft on axis -1),
+    each over only the lines whose input is not all zero.  numpy
+    transforms every line on its own, so the samples are irfftn's of the
+    scattered coefficients bit for bit.
     """
-    band = grid.band
-    cols, half, pad = band.cols, work.half, work.columns
-    (_, low1), (_, high1) = band.rows1
-    (_, low2), (_, high2) = band.rows2
+    cols, half, pad = work.band.cols, work.half, work.columns
+    (_, low1), (_, high1) = work.rows1
+    (_, low2), (_, high2) = work.rows2
     half[..., cols.stop:] = 0
     for c, samples in zip(coeffs, out):
         pad[low1.stop:high1.start] = 0
-        for b, h in band.rows1:
+        for b, h in work.rows1:
             pad[h] = c[b]
-        for b, h in band.rows2:
+        for b, h in work.rows2:
             np.fft.ifft(pad[:, b], axis=-3, norm="forward", out=half[:, h, cols])
         half[:, low2.stop:high2.start, cols] = 0
         np.fft.ifft(half[..., cols], axis=-2, norm="forward", out=half[..., cols])
-        np.fft.irfft(half, n=grid.n3, axis=-1, norm="forward", out=samples)
+        np.fft.irfft(half, n=samples.shape[-1], axis=-1, norm="forward", out=samples)
     return out
 
 
-def band_forward(grid: Grid, samples: np.ndarray, out: np.ndarray,
+def band_forward(samples: np.ndarray, out: np.ndarray,
                  work: BandWorkspace) -> np.ndarray:
-    """Band coefficients of real samples (n1, n2, n3) into `out`: the
+    """Box coefficients of real samples (m1, m2, m3) into `out`: the
     passes of rfftn in its order (rfft on axis -1, fft on axis -2, fft
-    on axis -3), keeping only band columns, then band rows, after each.
-    Bit for bit the band of rfftn(samples, norm="forward").
+    on axis -3), keeping only box columns, then box rows, after each.
+    Bit for bit the box of rfftn(samples, norm="forward").
     """
-    band = grid.band
-    columns = work.half[..., band.cols]
+    columns = work.half[..., work.band.cols]
     np.fft.rfft(samples, axis=-1, norm="forward", out=work.half)
     np.fft.fft(columns, axis=-2, norm="forward", out=columns)
-    for b, h in band.rows2:
+    for b, h in work.rows2:
         np.fft.fft(columns[:, h], axis=-3, norm="forward", out=work.columns[:, b])
-    for b, h in band.rows1:
+    for b, h in work.rows1:
         out[b] = work.columns[h]
     return out
 
 
-def band_divergence(grid: Grid, us: np.ndarray, vs: np.ndarray,
-                    out: np.ndarray, work: BandWorkspace,
+def band_divergence(us: np.ndarray, vs: np.ndarray, out: np.ndarray,
+                    work: BandWorkspace,
                     square_sum: np.ndarray | None = None) -> np.ndarray:
-    """div(u x v) on the band from the samples of u and v, into `out`
-    (3, *band shape): component j is i sum_i kd_i FT(u_i v_j).
+    """div(u x v) on the band of `work` from the samples of u and v,
+    into `out` (3, *band shape): component j is i sum_i kd_i FT(u_i v_j).
 
     For vs is us only the six symmetric products are transformed, and
     `square_sum`, if given, receives sum_i u_i^2 at the samples, in the
     order of np.sum(us**2, axis=0).
     """
-    kd = (grid.band.kd1, grid.band.kd2, grid.band.kd3)
+    kd = (work.band.kd1, work.band.kd2, work.band.kd3)
     symmetric = vs is us
     prod, mode, term = work.product, work.mode, work.term
     out[...] = 0
@@ -309,7 +308,7 @@ def band_divergence(grid: Grid, us: np.ndarray, vs: np.ndarray,
                 square_sum[...] = prod
             else:
                 square_sum += prod
-        band_forward(grid, prod, mode, work)
+        band_forward(prod, mode, work)
         out[j] += np.multiply(kd[i], mode, out=term)  # d_i (u_i v_j)
         if symmetric and i != j:
             out[i] += np.multiply(kd[j], mode, out=term)  # d_j (u_j u_i)
@@ -335,7 +334,7 @@ def tensor_divergence(u: VectorField, v: VectorField | None = None) -> VectorFie
     us = inverse_transform(g, u.coeffs)
     vs = us if v is u else inverse_transform(g, v.coeffs)
     out = np.empty((3, *g.band.shape), dtype=np.complex128)
-    band_divergence(g, us, vs, out, BandWorkspace(g))
+    band_divergence(us, vs, out, BandWorkspace(g.band))
     return VectorField(g, g.band.scatter(out))
 
 
@@ -427,20 +426,34 @@ def vertical_grad_seminorm(f: Field, s: float) -> float:
 # Trigonometric interpolation on finer samples
 
 
-def fine_samples(field: Field, shape: tuple[int, int, int]) -> np.ndarray:
+def occupied_box(field: Field) -> Band:
+    """The smallest box inside the field's 2/3 band that holds every
+    nonzero coefficient of that band (cutoffs 0 for the zero field)."""
+    band = field.grid.band
+    nonzero = band.gather(field.coeffs).reshape(-1, *band.shape) != 0
+    i1, i2, i3 = np.nonzero(np.any(nonzero, axis=0))
+    # band row i holds mode i up to K, and mode i - (2 K + 1) above it
+    k1, k2 = (int(np.max(np.minimum(i, 2 * k + 1 - i), initial=0))
+              for i, k in zip((i1, i2), band.cutoffs))
+    return Band(field.grid, (k1, k2, int(np.max(i3, initial=0))))
+
+
+def fine_samples(field: Field, shape: tuple[int, int, int],
+                 box: Band | None = None) -> np.ndarray:
     """Real samples on a grid of `shape` over the same box of the
-    trigonometric interpolant of the field's 2/3 band; modes outside
-    the band are not read.  `shape` must hold the band; on the native
-    shape these are the samples of dealias(field), and on a finer one
-    the interpolant is exact, so norms of powers of a band-limited field
+    trigonometric interpolant of the field's 2/3 band: band_inverse from
+    `box`, by default occupied_box(field) (a box inside the band that
+    holds it will do), which `shape` must hold.  On the native shape
+    these are the samples of dealias(field); on any other the
+    interpolant is exact, so norms of powers of a band-limited field
     can be integrated there by the rectangle rule.
     """
-    band = field.grid.band
-    # the field's own half columns: irfftn zero-extends the half axis
-    # itself, and its passes on the full axes skip the columns it adds
-    narrow = (*shape[:2], field.grid.n3)
-    return np.fft.irfftn(band.scatter(band.gather(field.coeffs), narrow),
-                         s=shape, axes=_AXES, norm="forward")
+    box = box or occupied_box(field)
+    coeffs = box.gather(field.coeffs)
+    out = np.empty((*coeffs.shape[:-3], *shape))
+    band_inverse(coeffs.reshape(-1, *box.shape), out.reshape(-1, *shape),
+                 BandWorkspace(box, shape))
+    return out
 
 
 def pad_spectrum(coeffs: np.ndarray, m: int, axis: int) -> np.ndarray:

@@ -12,7 +12,7 @@ from admles.ensembles import (
     draw_vector,
 )
 from admles.grid import Grid
-from admles.spectral import divergence_residual, l2_norm
+from admles.spectral import divergence_residual, l2_norm, leray_project
 
 
 def test_spec_validation():
@@ -92,6 +92,19 @@ def test_vector_draw_divergence_free():
     assert divergence_residual(w) < 1e-12
     raw = draw_vector(spec.rng(), spec, g, divergence_free=False)
     assert divergence_residual(raw) > 1e-3
+
+
+@pytest.mark.parametrize("g", [Grid(16, 16, 16), Grid(32, 32, 32),
+                               Grid(12, 16, 24)], ids=["16^3", "32^3", "12x16x24"])
+def test_vector_draw_is_the_projection_of_the_raw_draw(g):
+    # the box projection equals the half-layout Leray projection bit for bit
+    spec = EnsembleSpec(count=3, band_limit=5, seed=17)
+    rng, raw_rng = spec.rng(), spec.rng()
+    for _ in range(spec.count):
+        got = draw_vector(rng, spec, g)
+        ref = leray_project(draw_vector(raw_rng, spec, g, divergence_free=False))
+        assert np.array_equal(got.coeffs, ref.coeffs)
+        assert divergence_residual(got) <= 1e-13 * np.max(np.abs(got.coeffs))
 
 
 def test_band_must_fit_grid():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from admles import inequalities
 from admles.ensembles import EnsembleSpec, draw_line, draw_vector
 from admles.grid import Grid
 from admles.inequalities import (
@@ -17,7 +18,7 @@ from admles.inequalities import (
     line_seminorm,
     line_sup_norm,
     linf_v_l2_h_norm,
-    plane_l2_profile,
+    plane_profile,
     run_sweep,
     trilinear_ratio_i,
     trilinear_ratio_ii,
@@ -26,6 +27,7 @@ from admles.inequalities import (
 from admles.spectral import (
     VectorField,
     field_from_samples,
+    fine_samples,
     l2_norm,
     vector_from_samples,
 )
@@ -134,7 +136,7 @@ def single_mode_u1(grid, profile):
 def test_plane_profile_oracle(grid):
     _, _, x3 = grid.mesh()
     u = single_mode_u1(grid, 1.0 + np.cos(x3))
-    profile = plane_l2_profile(u)
+    profile = plane_profile(u)
     x3_line = grid.axis_points(2)
     expect = (2 * np.pi) ** 2 * (1.0 + np.cos(x3_line)) ** 2
     assert np.max(np.abs(profile - expect)) < 1e-12 * np.max(expect)
@@ -163,7 +165,7 @@ def test_refined_plane_profile_is_exact():
     spec = EnsembleSpec(count=1, band_limit=5, seed=41)
     u16 = draw_vector(spec.rng(), spec, Grid(16, 16, 16))
     u64 = draw_vector(spec.rng(), spec, Grid(64, 64, 64))
-    refined, native = plane_l2_profile(u16, 4), plane_l2_profile(u64)
+    refined, native = plane_profile(u16, 2, 4), plane_profile(u64)
     assert np.max(np.abs(refined - native)) < 1e-12 * np.max(native)
     assert linf_v_l2_h_norm(u16) == pytest.approx(np.sqrt(np.max(native)),
                                                   rel=1e-12)
@@ -171,12 +173,80 @@ def test_refined_plane_profile_is_exact():
 
 def test_mixed_l4_norm_resolves_the_vertical_band():
     # band 5 on 16^3: the |u|^4 profile's vertical band 20 exceeds 16, so
-    # it is sampled on 4 n3 planes; 32^3 and 64^3 resolve it on 2 n3
+    # it is sampled on 4 n3 planes; 32^3 resolves it on 2 n3, 64^3 on n3
     spec = EnsembleSpec(count=1, band_limit=5, seed=41)
     norms = [l2_v_l4_h_norm(draw_vector(spec.rng(), spec, Grid(n, n, n)))
              for n in (16, 32, 64)]
     assert norms[0] == pytest.approx(norms[2], rel=1e-9, abs=0.0)
     assert norms[1] == pytest.approx(norms[2], rel=1e-13, abs=0.0)
+
+
+def modes_u1(grid, *modes):
+    """u1 = sum of 2 cos(k . x) over `modes` (k3 > 0), u2 = u3 = 0: one
+    stored coefficient per mode, and exact zeros elsewhere."""
+    coeffs = np.zeros((3, *grid.spectral_shape), dtype=complex)
+    for k in modes:
+        coeffs[(0, *k)] = 1.0
+    return VectorField(grid, coeffs)
+
+
+def brute_force_profile(u, power):
+    """The plane integrals of |u|^power on 4 n3 planes, sampled on
+    (2 n1, 2 n2, 4 n3) points, which resolve every band-limited field."""
+    g = u.grid
+    samples = fine_samples(u, (2 * g.n1, 2 * g.n2, 4 * g.n3))
+    density = np.sum(samples**2, axis=0) ** (power // 2)
+    return np.mean(density, axis=(0, 1)) * (g.L1 * g.L2)
+
+
+def brute_force_l2_v_l4_h(u):
+    return np.sqrt(np.mean(np.sqrt(brute_force_profile(u, 4))) * u.grid.L3)
+
+
+def test_box_sized_quadrature_equals_brute_force_sampling():
+    # band 5 on 32^3 samples |u|^4 on 32x32x64 and |u|^2 on 32x32x32
+    spec = EnsembleSpec(count=4, band_limit=5, seed=43)
+    g = Grid(32, 32, 32)
+    rng = spec.rng()
+    for _ in range(spec.count):
+        u = draw_vector(rng, spec, g)
+        assert l2_v_l4_h_norm(u) == pytest.approx(brute_force_l2_v_l4_h(u),
+                                                  rel=1e-13, abs=0.0)
+        assert linf_v_l2_h_norm(u) == pytest.approx(
+            np.sqrt(np.max(brute_force_profile(u, 2))), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["k1=K", "k1=-K"])
+def test_mixed_norms_of_a_mode_on_the_band_edge(sign):
+    # u1 = 2 cos(k1 x1 + x3) with |k1| = K = 3 on n1 = 12: cos^4 holds
+    # mode 4 K = n1, which 12 points would alias onto the plane mean
+    g = Grid(12, 12, 12)
+    u = modes_u1(g, (sign * 3, 0, 1))
+    # plane integrals (2 pi)^2 * 16 * 3/8 of |u|^4 and (2 pi)^2 * 2 of |u|^2
+    assert l2_v_l4_h_norm(u) == pytest.approx(2 * np.pi * 6**0.25, rel=1e-12)
+    assert linf_v_l2_h_norm(u) == pytest.approx(2 * np.pi * np.sqrt(2),
+                                                rel=1e-12)
+
+
+def test_each_axis_is_sampled_by_its_own_rule(monkeypatch):
+    # box (3, 1, 1) on 12^3: |u|^4 needs 2 n1 points on axis 1 (4 * 3 = 12)
+    # but n2 on axis 2 (4 < 12) and n3 planes (8 < 12); |u|^2 needs n each
+    g = Grid(12, 12, 12)
+    u = modes_u1(g, (3, 0, 1), (0, 1, 1))  # 2 cos(3 x1 + x3) + 2 cos(x2 + x3)
+    shapes = []
+
+    def recording(field, shape, box=None):
+        shapes.append(shape)
+        return fine_samples(field, shape, box)
+
+    monkeypatch.setattr(inequalities, "fine_samples", recording)
+    # (cos a + cos b)^4 of independent phases averages 3/8 + 6/4 + 3/8
+    assert l2_v_l4_h_norm(u) == pytest.approx(2 * np.pi * np.sqrt(6), rel=1e-12)
+    assert l2_v_l4_h_norm(u) == pytest.approx(brute_force_l2_v_l4_h(u),
+                                              rel=1e-13)
+    assert linf_v_l2_h_norm(u) == pytest.approx(
+        np.sqrt(np.max(brute_force_profile(u, 2))), rel=1e-13)
+    assert shapes == [(24, 12, 12), (24, 12, 12), (12, 12, 12)]
 
 
 def test_ladyzhenskaya_single_mode_matches_fine_grid(grid):

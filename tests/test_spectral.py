@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from full_layout import hermitian_defect, mirror, to_full
 
-from admles.grid import Grid, dealias_cutoff
+from admles.grid import Band, Grid, dealias_cutoff
 from admles.spectral import (
     BandWorkspace,
     RealityError,
@@ -254,17 +254,42 @@ def test_tensor_divergence_matches_full_complex_reference(same):
 def test_pruned_transforms_equal_full_ones_bitwise(g):
     rng = np.random.default_rng(35)
     band = g.band
-    work = BandWorkspace(g)
+    work = BandWorkspace(band)
     samples = rng.standard_normal(g.shape)
     coeffs = rng.standard_normal((3, *band.shape, 2)).view(complex)[..., 0]
     for _ in range(2):  # the second round reuses buffers the first overwrote
-        got = band_forward(g, samples, np.empty(band.shape, complex), work)
+        got = band_forward(samples, np.empty(band.shape, complex), work)
         ref = np.fft.rfftn(samples, axes=AXES, norm="forward")
         assert np.array_equal(got, band.gather(ref))
-        got = band_inverse(g, coeffs, np.empty((3, *g.shape)), work)
+        got = band_inverse(coeffs, np.empty((3, *g.shape)), work)
         ref = np.fft.irfftn(band.scatter(coeffs), s=g.shape, axes=AXES,
                             norm="forward")
         assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("target", [
+    lambda n1, n2, n3: (n1, n2, n3), lambda n1, n2, n3: (n1, n2, 2 * n3),
+    lambda n1, n2, n3: (2 * n1, 2 * n2, 2 * n3),
+    lambda n1, n2, n3: (n1, n2, 4 * n3)],
+    ids=["native", "n,n,2n", "2n,2n,2n", "n,n,4n"])
+@pytest.mark.parametrize("g, cutoffs", [
+    (Grid(16, 16, 16), None), (Grid(16, 16, 16), (5, 5, 5)),
+    (Grid(16, 16, 16), (3, 5, 2)), (ODD_BOX, None), (ODD_BOX, (4, 4, 4)),
+    (ODD_BOX, (3, 5, 2))],
+    ids=["cube, grid band", "cube, draw box", "cube, anisotropic box",
+         "odd box, grid band", "odd box, draw box", "odd box, anisotropic box"])
+def test_pruned_inverse_equals_irfftn_on_any_box_and_shape(g, cutoffs, target):
+    # a draw box of band 5 needs 11 modes per axis; ODD_BOX has 10 on axis 3
+    rng = np.random.default_rng(37)
+    box = Band(g, cutoffs)
+    shape = target(*g.shape)
+    work = BandWorkspace(box, shape)
+    coeffs = rng.standard_normal((3, *box.shape, 2)).view(complex)[..., 0]
+    ref = np.fft.irfftn(box.scatter(coeffs, shape), s=shape, axes=AXES,
+                        norm="forward")
+    for _ in range(2):  # the second round reuses the buffers of the first
+        assert np.array_equal(band_inverse(coeffs, np.empty((3, *shape)), work),
+                              ref)
 
 
 @pytest.mark.parametrize("where", ["discarded half", "k3 = 0 plane",
