@@ -22,6 +22,7 @@ from .filters import (
 from .grid import Grid
 from .inequalities import (
     agmon_ratio,
+    ladyzhenskaya_ratio,
     trilinear_ratio_i,
     trilinear_ratio_ii,
     vertical_embedding_ratio,
@@ -38,7 +39,12 @@ from .solver import (
     run,
     write_checkpoint,
 )
-from .spectral import SpectralField, VectorField, field_from_samples
+from .spectral import (
+    SpectralField,
+    VectorField,
+    field_from_samples,
+    horizontal_grad_norm,
+)
 
 __all__ = [
     "DeconvSpec",
@@ -66,6 +72,8 @@ __all__ = [
     "draw_scalar",
     "field_from_samples",
     "filter_symbol",
+    "horizontal_grad_norm",
+    "ladyzhenskaya_ratio",
     "read_checkpoint",
     "regularity_norms",
     "run",

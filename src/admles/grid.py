@@ -55,6 +55,11 @@ def rule_errors(check, *args, rename: dict[str, str] | None = None) -> list[str]
     return []
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
 def dealias_cutoff(n: int) -> int:
     """The 2/3-rule cutoff of an axis of n modes: the largest |k| < n/3."""
     return (n - 1) // 3
@@ -80,7 +85,8 @@ class Band:
     so the one box serves the stepper, the draws and fine sampling.
     The default cutoffs are the grid's 2/3 rule (Grid.band), the box
     where its dealias_mask is True.  kd1, kd2, kd3 and inv_kd_squared
-    are the grid's, restricted to the box.
+    are the grid's, restricted to the box: read-only, and built on first
+    use, since most boxes (an occupied_box, say) only move coefficients.
     """
 
     def __init__(self, grid: "Grid", cutoffs: tuple[int, int, int] | None = None):
@@ -89,13 +95,27 @@ class Band:
         self.shape = (2 * k1 + 1, 2 * k2 + 1, k3 + 1)
         self.cols = slice(0, k3 + 1)
         self.blocks = self._blocks(*self.rows_on(grid.shape))
-        n1, n2 = grid.n1, grid.n2
-        self.kd1 = grid.kd1[np.r_[0:k1 + 1, n1 - k1:n1]]
-        self.kd2 = grid.kd2[:, np.r_[0:k2 + 1, n2 - k2:n2]]
-        self.kd3 = grid.kd3[..., self.cols]
-        self.inv_kd_squared = self.gather(grid.inv_kd_squared)
-        for arr in (self.kd1, self.kd2, self.kd3, self.inv_kd_squared):
-            arr.setflags(write=False)
+
+    def _rows(self, axis: int) -> np.ndarray:
+        """Indices of the box's rows on full axis `axis` of its grid."""
+        k, n = self.cutoffs[axis], self.grid.shape[axis]
+        return np.r_[0:k + 1, n - k:n]
+
+    @cached_property
+    def kd1(self) -> np.ndarray:
+        return _read_only(self.grid.kd1[self._rows(0)])
+
+    @cached_property
+    def kd2(self) -> np.ndarray:
+        return _read_only(self.grid.kd2[:, self._rows(1)])
+
+    @cached_property
+    def kd3(self) -> np.ndarray:
+        return _read_only(self.grid.kd3[..., self.cols])
+
+    @cached_property
+    def inv_kd_squared(self) -> np.ndarray:
+        return _read_only(self.gather(self.grid.inv_kd_squared))
 
     def rows_on(self, shape: tuple[int, int, int]):
         """(band slice, half slice) of the low and high row block of each

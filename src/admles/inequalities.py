@@ -7,16 +7,23 @@ ratios are quadrature artifacts of bounded size rather than blow-ups.
 
 Mixed norms are evaluated by physical-space quadrature on the samples
 that spectral.fine_samples takes of the field's 2/3 band, from its
-occupied box (b1, b2, b3), on the fewest of n, 2 n, 4 n points per axis
-that keep each integral exact:
+occupied box (b1, b2, b3).  Each axis takes spectral.quadrature_points
+of the band it must resolve, the fewest even count above it, whatever
+the grid's n:
 
   * horizontal plane integrals of |u|^p (p = 2, 4) on m_j points with
     p b_j < m_j, where the rectangle rule is exact;
   * vertical profiles of plane integrals are trigonometric polynomials
     of band p b3, sampled on P planes with 2 p b3 < P, which resolve
-    that band, and upsampled by Fourier zero padding before taking
-    maxima (sup norms) or root-integrals (L^2_v of L^4_h);
+    that band, and upsampled exactly to 4 n3 planes by Fourier zero
+    padding before taking maxima (sup norms) or root-integrals (L^2_v
+    of L^4_h);
   * line sup norms use grid maxima on a 4x refined axis.
+
+A band-5 draw thus samples |u|^4 on 22x22x42 points and |u|^2 on
+12x12x22, at 32^3 as at 16^3.  The trilinear numerators are
+spectral.convective_inner, the same rule applied to the band of
+u_i (d_i v_j) w_j.
 
 The 1-D Agmon checker also evaluates the explicit low/high wavenumber
 split bound at the optimal crossover kappa = (||g||_{H^s} /
@@ -36,16 +43,13 @@ from scipy.special import zeta as _hurwitz_zeta
 from .ensembles import EnsembleSpec, check_fits, draw_line, draw_vector
 from .grid import Grid, check_band, check_rules, rule_errors
 from .spectral import (
+    FieldNorms,
     VectorField,
     convective_inner,
     fine_samples,
-    grad_norm,
-    horizontal_grad_norm,
-    l2_norm,
     occupied_box,
     pad_spectrum,
-    vertical_grad_seminorm,
-    vertical_seminorm,
+    quadrature_points,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -168,26 +172,22 @@ def agmon_split_bound(coeffs: np.ndarray, s: float) -> float:
 # Plane-integral profiles and mixed norms
 
 
-def _points(n: int, band: int) -> int:
-    """The fewest of n, 2 n, 4 n points above `band`: the rectangle rule
-    on them integrates a trigonometric polynomial of that band exactly."""
-    return next(m for m in (n, 2 * n, 4 * n) if band < m)
-
-
 def plane_profile(u: VectorField, power: int = 2, refine: int = 1) -> np.ndarray:
     """The integral over each of refine * n3 horizontal planes of
-    |u|^power (power 2 or 4), of the 2/3 band of u, sampled on the
-    fewest points that keep it exact (see the module docstring) and
-    upsampled exactly; on n3 planes if refine is 1 (else even)."""
+    |u|^power (power 2 or 4), of the 2/3 band of u: sampled on the n3
+    planes themselves if refine is 1, else on the fewest planes that
+    resolve the profile and upsampled exactly (refine 4 always
+    outnumbers them); each plane on the fewest points that keep its
+    integral exact (see the module docstring)."""
     g = u.grid
     box = occupied_box(u)
     *horizontal, b3 = box.cutoffs
-    shape = (*(_points(n, power * b) for n, b in zip(g.shape, horizontal)),
-             g.n3 if refine == 1 else _points(g.n3, 2 * power * b3))
+    shape = (*(quadrature_points(power * b) for b in horizontal),
+             g.n3 if refine == 1 else quadrature_points(2 * power * b3))
     samples = fine_samples(u, shape, box)
     density = np.sum(samples**2, axis=0) ** (power // 2)
     profile = np.mean(density, axis=(0, 1)) * (g.L1 * g.L2)
-    if refine * g.n3 == shape[2]:
+    if refine == 1:
         return profile
     c = pad_spectrum(np.fft.fft(profile) / shape[2], refine * g.n3, 0)
     return (np.fft.ifft(c) * (refine * g.n3)).real
@@ -216,23 +216,27 @@ def l2_v_l4_h_norm(u: VectorField) -> float:
 # per-sample oracles and run_sweep share every formula bit for bit.
 
 
-def ladyzhenskaya_ratio(u: VectorField) -> float:
-    """||u||_{L2_v L4_h} / (||u||_2^{1/2} ||grad_h u||_2^{1/2})."""
+def _ladyzhenskaya(u: VectorField, norms: FieldNorms) -> float:
     return _ratio(l2_v_l4_h_norm(u),
-                  np.sqrt(l2_norm(u) * horizontal_grad_norm(u)),
+                  np.sqrt(norms.l2() * norms.horizontal_grad()),
                   "field constant in the horizontal directions")
 
 
-def _vertical_embedding_terms(u: VectorField):
-    l2, sup = l2_norm(u), linf_v_l2_h_norm(u)
-    return lambda s: _ratio(sup, _interpolate(l2, vertical_seminorm(u, s), s),
+def ladyzhenskaya_ratio(u: VectorField) -> float:
+    """||u||_{L2_v L4_h} / (||u||_2^{1/2} ||grad_h u||_2^{1/2})."""
+    return _ladyzhenskaya(u, FieldNorms(u))
+
+
+def _vertical_embedding_terms(u: VectorField, norms: FieldNorms):
+    l2, sup = norms.l2(), linf_v_l2_h_norm(u)
+    return lambda s: _ratio(sup, _interpolate(l2, norms.vertical(s), s),
                             "field constant in the vertical direction")
 
 
 def vertical_embedding_ratio(u: VectorField, s: float) -> float:
     """||u||_{Linf_v L2_h} / (||u||_2^{1-1/(2s)} ||d3^s u||_2^{1/(2s)})."""
     _require_s(s, "the vertical embedding")
-    return _vertical_embedding_terms(u)(s)
+    return _vertical_embedding_terms(u, FieldNorms(u))(s)
 
 
 def _trilinear_terms(u: VectorField, v: VectorField, w: VectorField):
@@ -243,14 +247,13 @@ def _trilinear_terms(u: VectorField, v: VectorField, w: VectorField):
     (||w|| ||grad w||)^{1/2}; form ii swaps the roles of v and w.
     """
     top = abs(convective_inner(u, v, w))
-    fields = (u, v, w)
-    grads = [grad_norm(f) for f in fields]
-    scales = [np.sqrt(l2_norm(f) * g) for f, g in zip(fields, grads)]
+    norms = [FieldNorms(f) for f in (u, v, w)]
+    grads = [n.grad() for n in norms]
+    scales = [np.sqrt(n.l2() * g) for n, g in zip(norms, grads)]
 
     def form(mid: int, outer: int):
         def ratio(s: float) -> float:
-            dv = _interpolate(grads[mid],
-                              vertical_grad_seminorm(fields[mid], s), s)
+            dv = _interpolate(grads[mid], norms[mid].vertical_grad(s), s)
             return _ratio(top, scales[0] * dv * scales[outer],
                           "degenerate inputs: zero denominator")
         return ratio
@@ -347,9 +350,11 @@ def run_sweep(spec: EnsembleSpec, grid: Grid, lemmas, s_values,
         rng = spec.rng()
         for i in range(spec.count):
             u = draw_vector(rng, spec, grid)
-            record("ladyzhenskaya", i, lambda s: ladyzhenskaya_ratio(u))
+            norms = FieldNorms(u)
+            record("ladyzhenskaya", i, lambda s: _ladyzhenskaya(u, norms))
             if "vertical_embedding" in table:
-                record("vertical_embedding", i, _vertical_embedding_terms(u))
+                record("vertical_embedding", i,
+                       _vertical_embedding_terms(u, norms))
     if table.keys() & {"trilinear_i", "trilinear_ii"}:
         rng = spec.rng()
         for i in range(spec.count):

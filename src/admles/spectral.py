@@ -23,11 +23,15 @@ band_inverse and band_forward are irfftn and rfftn pruned to a box of
 coefficients (a grid.Band) on any grid shape that holds it: the same
 1-D passes in the same order, over only the lines the box feeds or
 needs, so the retained values are the full transforms' bit for bit.
-The stepper runs them on the 2/3 band of its grid, and fine_samples,
-the one 3-D trigonometric upsampler, from a field's occupied_box onto
-any shape.  band_divergence is the one kernel for div(u x v) on the
-band, project_coeffs the one Leray formula for a layout or a box, and
-pad_spectrum the 1-D upsampler of lines.
+The stepper runs them on the 2/3 band of its grid.  fine_samples, the
+one 3-D trigonometric upsampler, runs band_inverse from a field's
+occupied_box onto any shape, and convective_inner from the union of
+three fields' boxes.  Physical-space integrals of products of
+band-limited fields are taken by the rectangle rule on
+quadrature_points per axis, the fewest even count above the product's
+band, which integrates it exactly.  band_divergence is the one kernel
+for div(u x v) on the band, project_coeffs the one Leray formula for a
+layout or a box, and pad_spectrum the 1-D upsampler of lines.
 
 Full-layout (n1, n2, n3) coefficients enter at one boundary only,
 field_from_full, which raises RealityError unless they are Hermitian to
@@ -39,6 +43,7 @@ start-up time and memory than it saves here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -339,12 +344,30 @@ def tensor_divergence(u: VectorField, v: VectorField | None = None) -> VectorFie
 
 
 def convective_inner(u: VectorField, v: VectorField, w: VectorField) -> float:
-    """((u . grad) v, w) with exact quadrature on dealiased inputs.
+    """((u . grad) v, w) of the 2/3 bands of u, v and w: vol times the
+    mean of sum_ij u_i (d_i v_j) w_j over samples of the 15 components
+    (u, grad v, w), from one band_inverse of the union of their occupied
+    boxes.  On axis j the integrand has band b_u + b_v + b_w of those
+    boxes' cutoffs, so the rectangle rule on quadrature_points of it is
+    exact; the points also exceed 2 max b, so they hold the union box.
 
-    Requires divergence-free u for the tensor form to coincide with the
-    convective form; callers enforce that.
+    Requires divergence-free u for this to equal (div(u x v), w), the
+    form tensor_divergence gives; callers enforce that.
     """
-    return inner_product(tensor_divergence(u, v), w)
+    if not u.grid == v.grid == w.grid:
+        raise ValueError("fields live on different grids")
+    g = u.grid
+    per_axis = tuple(zip(*(occupied_box(f).cutoffs for f in (u, v, w))))
+    box = Band(g, tuple(map(max, per_axis)))
+    shape = tuple(quadrature_points(max(sum(b), 2 * max(b))) for b in per_axis)
+    dv = box.gather(v.coeffs)
+    coeffs = np.concatenate([box.gather(u.coeffs),
+                             *(1j * kd * dv for kd in (box.kd1, box.kd2, box.kd3)),
+                             box.gather(w.coeffs)])
+    samples = band_inverse(coeffs, np.empty((15, *shape)), BandWorkspace(box, shape))
+    us, grad_v, ws = samples[:3], samples[3:12].reshape(3, 3, *shape), samples[12:]
+    return float(g.volume * np.mean(np.einsum("i...,ij...,j...->...",
+                                              us, grad_v, ws)))
 
 
 # ---------------------------------------------------------------------------
@@ -363,23 +386,69 @@ def _mass(f: Field) -> np.ndarray:
     return mass.sum(axis=0) if mass.ndim == 4 else mass
 
 
-def _horizontal_line(g: Grid, mass: np.ndarray) -> np.ndarray:
-    return np.tensordot((g.k1**2 + g.k2**2)[..., 0], mass, axes=2)
+def quadratic_form(grid: Grid, line: np.ndarray, weight=1.0) -> float:
+    """vol * sum over k3 of line * weight * Parseval weight."""
+    return float(grid.volume
+                 * np.dot(line, np.ravel(grid.parseval_weight * weight)))
+
+
+def _check_order(s: float) -> None:
+    if s < 0:
+        raise ValueError(f"seminorm order s={s} must be nonnegative")
+
+
+class FieldNorms:
+    """The norms below of one field from one |c|^2 pass: its k3 lines,
+    summed over components, k1 and k2, are built on first use and kept,
+    so a caller that needs several norms of a field pays for the pass
+    once.  `plain` is unweighted, `horizontal` weighted by k1^2 + k2^2
+    and `full` by |k|^2 (true |k|); l2, grad, horizontal_grad, vertical
+    and vertical_grad are l2_norm, grad_norm, horizontal_grad_norm,
+    vertical_seminorm and vertical_grad_seminorm of the field."""
+
+    def __init__(self, f: Field):
+        self.grid = f.grid
+        self._mass = _mass(f)
+
+    @cached_property
+    def plain(self) -> np.ndarray:
+        return self._mass.sum(axis=(0, 1))
+
+    @cached_property
+    def horizontal(self) -> np.ndarray:
+        g = self.grid
+        return np.tensordot((g.k1**2 + g.k2**2)[..., 0], self._mass, axes=2)
+
+    @cached_property
+    def full(self) -> np.ndarray:
+        return self.horizontal + self.grid.k3[0, 0] ** 2 * self.plain
+
+    def _root(self, line: np.ndarray, weight=1.0) -> float:
+        return float(np.sqrt(quadratic_form(self.grid, line, weight)))
+
+    def l2(self) -> float:
+        return self._root(self.plain)
+
+    def grad(self) -> float:
+        return self._root(self.full)
+
+    def horizontal_grad(self) -> float:
+        return self._root(self.horizontal)
+
+    def vertical(self, s: float) -> float:
+        _check_order(s)
+        return self._root(self.plain, self.grid.k3 ** (2.0 * s))
+
+    def vertical_grad(self, s: float) -> float:
+        _check_order(s)
+        return self._root(self.full, self.grid.k3 ** (2.0 * s))
 
 
 def mass_lines(f: Field) -> tuple[np.ndarray, np.ndarray]:
     """k3 lines of |c|^2 summed over components, k1 and k2: unweighted,
     and weighted by |k|^2 (true |k|)."""
-    g = f.grid
-    mass = _mass(f)
-    plain = mass.sum(axis=(0, 1))
-    return plain, _horizontal_line(g, mass) + g.k3[0, 0] ** 2 * plain
-
-
-def quadratic_form(grid: Grid, line: np.ndarray, weight=1.0) -> float:
-    """vol * sum over k3 of line * weight * Parseval weight."""
-    return float(grid.volume
-                 * np.dot(line, np.ravel(grid.parseval_weight * weight)))
+    norms = FieldNorms(f)
+    return norms.plain, norms.full
 
 
 def inner_product(f: Field, g: Field) -> float:
@@ -392,34 +461,27 @@ def inner_product(f: Field, g: Field) -> float:
 
 
 def l2_norm(f: Field) -> float:
-    return float(np.sqrt(quadratic_form(f.grid, _mass(f).sum(axis=(0, 1)))))
+    return FieldNorms(f).l2()
 
 
 def grad_norm(f: Field) -> float:
     """|| grad f ||_{L^2} = (vol * sum |k|^2 |c_k|^2)^(1/2) (true |k|)."""
-    return float(np.sqrt(quadratic_form(f.grid, mass_lines(f)[1])))
+    return FieldNorms(f).grad()
 
 
 def horizontal_grad_norm(f: Field) -> float:
     """|| grad_h f ||_{L^2}: only the k1, k2 multipliers."""
-    return float(np.sqrt(quadratic_form(f.grid,
-                                        _horizontal_line(f.grid, _mass(f)))))
+    return FieldNorms(f).horizontal_grad()
 
 
 def vertical_seminorm(f: Field, s: float) -> float:
     """|| |d/dx3|^s f ||_{L^2}: multiplier |k3|^s, fractional s allowed."""
-    if s < 0:
-        raise ValueError(f"seminorm order s={s} must be nonnegative")
-    return float(np.sqrt(quadratic_form(
-        f.grid, _mass(f).sum(axis=(0, 1)), f.grid.k3 ** (2.0 * s))))
+    return FieldNorms(f).vertical(s)
 
 
 def vertical_grad_seminorm(f: Field, s: float) -> float:
     """|| |d/dx3|^s grad f ||_{L^2} via the |k|^2 |k3|^{2s} multiplier."""
-    if s < 0:
-        raise ValueError(f"seminorm order s={s} must be nonnegative")
-    return float(np.sqrt(quadratic_form(f.grid, mass_lines(f)[1],
-                                        f.grid.k3 ** (2.0 * s))))
+    return FieldNorms(f).vertical_grad(s)
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +507,9 @@ def fine_samples(field: Field, shape: tuple[int, int, int],
     `box`, by default occupied_box(field) (a box inside the band that
     holds it will do), which `shape` must hold.  On the native shape
     these are the samples of dealias(field); on any other the
-    interpolant is exact, so norms of powers of a band-limited field
-    can be integrated there by the rectangle rule.
+    interpolant is exact, so a power of a field whose box has band b on
+    an axis, p b for |u|^p, is integrated exactly by the rectangle rule
+    on quadrature_points(p b) points of that axis.
     """
     box = box or occupied_box(field)
     coeffs = box.gather(field.coeffs)
@@ -454,6 +517,13 @@ def fine_samples(field: Field, shape: tuple[int, int, int],
     band_inverse(coeffs.reshape(-1, *box.shape), out.reshape(-1, *shape),
                  BandWorkspace(box, shape))
     return out
+
+
+def quadrature_points(band: int) -> int:
+    """The fewest even count of points above `band`: the rectangle rule
+    on them integrates a trigonometric polynomial of that band exactly,
+    and pad_spectrum can upsample a line of them."""
+    return band + 2 - band % 2
 
 
 def pad_spectrum(coeffs: np.ndarray, m: int, axis: int) -> np.ndarray:

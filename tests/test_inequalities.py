@@ -229,8 +229,9 @@ def test_mixed_norms_of_a_mode_on_the_band_edge(sign):
 
 
 def test_each_axis_is_sampled_by_its_own_rule(monkeypatch):
-    # box (3, 1, 1) on 12^3: |u|^4 needs 2 n1 points on axis 1 (4 * 3 = 12)
-    # but n2 on axis 2 (4 < 12) and n3 planes (8 < 12); |u|^2 needs n each
+    # box (3, 1, 1) on 12^3: each axis takes the fewest even count above
+    # its band, for |u|^4 bands 4 * 3 = 12 and 4 * 1 = 4 on the horizontal
+    # axes and 2 * 4 * 1 = 8 of the profile, for |u|^2 half of each
     g = Grid(12, 12, 12)
     u = modes_u1(g, (3, 0, 1), (0, 1, 1))  # 2 cos(3 x1 + x3) + 2 cos(x2 + x3)
     shapes = []
@@ -246,7 +247,7 @@ def test_each_axis_is_sampled_by_its_own_rule(monkeypatch):
                                               rel=1e-13)
     assert linf_v_l2_h_norm(u) == pytest.approx(
         np.sqrt(np.max(brute_force_profile(u, 2))), rel=1e-13)
-    assert shapes == [(24, 12, 12), (24, 12, 12), (12, 12, 12)]
+    assert shapes == [(14, 6, 10), (14, 6, 10), (8, 4, 6)]
 
 
 def test_ladyzhenskaya_single_mode_matches_fine_grid(grid):
@@ -436,6 +437,17 @@ def test_run_sweep_matches_oracles():
         assert report.max_ratio == float(np.max(ratios))
         assert report.mean_ratio == float(np.mean(ratios))
         assert report.count == spec.count and report.seed == spec.seed
+
+
+def test_run_sweep_needs_no_full_inverse_transform(monkeypatch):
+    # every sample is read through band_inverse from its occupied box
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.fft.irfftn called")
+
+    monkeypatch.setattr(np.fft, "irfftn", refuse)
+    spec = EnsembleSpec(count=2, band_limit=5, seed=37)
+    reports, violations = run_sweep(spec, Grid(16, 16, 16), LEMMAS, [1.0], 64)
+    assert violations == [] and len(reports) == len(LEMMAS)
 
 
 def test_run_sweep_rejects_unknown_lemma():

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from full_layout import hermitian_defect, mirror, to_full
 
+from admles import spectral
+from admles.ensembles import EnsembleSpec, draw_vector
 from admles.grid import Band, Grid, dealias_cutoff
 from admles.spectral import (
     BandWorkspace,
@@ -457,6 +459,41 @@ def test_convective_by_parts_antisymmetry(grid):
     b = convective_inner(u, w, v)
     scale = l2_norm(u) * grad_norm(v) * l2_norm(w)
     assert abs(a + b) < 1e-12 * scale
+
+
+def band_draws(g, *bands, seed=38):
+    """Divergence-free draws of the given bands on g, one per band."""
+    rng = np.random.default_rng(seed)
+    return [draw_vector(rng, EnsembleSpec(1, b, 0), g) for b in bands]
+
+
+@pytest.mark.parametrize("triple", [
+    lambda: band_draws(Grid(16, 16, 16), 5, 5, 5),
+    lambda: band_draws(Grid(32, 32, 32), 5, 5, 5),
+    lambda: [random_divfree(Grid(16, 16, 16), seed) for seed in (39, 40, 41)],
+    lambda: [random_divfree(ODD_BOX, seed) for seed in (42, 43, 44)],
+    # b_u + b_v + b_w = 7 needs 8 points, but u's box needs 11
+    lambda: band_draws(Grid(32, 32, 32), 5, 1, 1)],
+    ids=["band 5 at 16^3", "band 5 at 32^3", "full band", "odd box",
+         "wide with narrow"])
+def test_convective_inner_equals_the_tensor_divergence_form(triple):
+    u, v, w = triple()
+    expect = inner_product(tensor_divergence(u, v), w)
+    scale = l2_norm(u) * grad_norm(v) * l2_norm(w)
+    assert abs(convective_inner(u, v, w) - expect) < 1e-13 * scale
+
+
+def test_band_5_triple_at_32_is_sampled_on_16_points(monkeypatch):
+    # the integrand's band 15 per axis needs 16 points, not the grid's 32
+    shapes = []
+
+    def recording(coeffs, out, work):
+        shapes.append(out.shape)
+        return band_inverse(coeffs, out, work)
+
+    monkeypatch.setattr(spectral, "band_inverse", recording)
+    convective_inner(*band_draws(Grid(32, 32, 32), 5, 5, 5))
+    assert shapes == [(15, 16, 16, 16)]
 
 
 def test_divergence_of_gradient_is_laplacian(grid):
