@@ -43,7 +43,11 @@ from .spectral import (
     SpectralField,
     VectorField,
     field_from_samples,
+    grad_norm,
+    gradient,
     horizontal_grad_norm,
+    vertical_grad_seminorm,
+    vertical_seminorm,
 )
 
 __all__ = [
@@ -72,6 +76,8 @@ __all__ = [
     "draw_scalar",
     "field_from_samples",
     "filter_symbol",
+    "grad_norm",
+    "gradient",
     "horizontal_grad_norm",
     "ladyzhenskaya_ratio",
     "read_checkpoint",
@@ -80,5 +86,7 @@ __all__ = [
     "trilinear_ratio_i",
     "trilinear_ratio_ii",
     "vertical_embedding_ratio",
+    "vertical_grad_seminorm",
+    "vertical_seminorm",
     "write_checkpoint",
 ]

@@ -26,15 +26,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .filters import DeconvSpec, FilterSpec, symbol_table
-from .spectral import (
-    VectorField,
-    grad_norm,
-    l2_norm,
-    mass_lines,
-    quadratic_form,
-    vertical_grad_seminorm,
-    vertical_seminorm,
-)
+from .spectral import FieldNorms, VectorField, quadratic_form
 
 
 @dataclass(frozen=True)
@@ -58,49 +50,50 @@ class EnergyRecord:
         return replace(self, budget_residual=value)
 
 
-def _integrand(grid, gradient_line: np.ndarray, theta: float) -> float:
-    """The Gronwall integrand from the |k|^2-weighted k3 line of w."""
-    gn = math.sqrt(quadratic_form(grid, gradient_line))
+def _gronwall(norms: FieldNorms, theta: float) -> float:
+    """The Gronwall integrand of the field of `norms`, for theta > 0."""
+    gn = norms.grad()
     if gn == 0.0:
         return 0.0
-    vg = math.sqrt(quadratic_form(grid, gradient_line, grid.k3 ** (2.0 * theta)))
-    return gn ** (2.0 - 1.0 / theta) * vg ** (1.0 / theta)
+    return gn ** (2.0 - 1.0 / theta) * norms.vertical_grad(theta) ** (1.0 / theta)
 
 
 def gronwall_integrand(w: VectorField, theta: float) -> float:
     """|| grad w ||^{2 - 1/theta} * || d3^theta grad w ||^{1/theta}."""
     if theta == 0.0:
         raise ValueError("the integrand exponents need theta > 0")
-    return _integrand(w.grid, mass_lines(w)[1], theta)
+    return _gronwall(FieldNorms(w), theta)
 
 
 def energy_terms(w: VectorField, f: VectorField, filt: FilterSpec,
                  order: int, nu: float, t: float = 0.0) -> EnergyRecord:
     """All budget terms of one state, via Fourier multipliers.
 
-    One pass over |w|^2 gives its k3 lines (mass_lines) and one over
-    Re(conj(f) w) the forcing line; each term is then a dot product of a
-    line with multiplier lines and the Parseval weight.
+    One pass over Re(conj(f) w) gives the forcing line, then one
+    FieldNorms pass over |w|^2 gives the lines of w; each term is a dot
+    product of a line with multiplier lines and the Parseval weight, and
+    the norms are the FieldNorms ones.  The forcing line goes first, so
+    its temporaries are freed before the |w|^2 pass allocates.
     """
     if w.grid != f.grid:
         raise ValueError("state and forcing live on different grids")
     grid = w.grid
     symbols = symbol_table(grid, DeconvSpec(filt, order))
-    plain, gradient = mass_lines(w)
-    weight = symbols.filter * symbols.deconv
     cross = f.coeffs.real * w.coeffs.real
     cross += f.coeffs.imag * w.coeffs.imag  # Re(conj(f) w)
+    forcing_power = quadratic_form(grid, cross.sum(axis=(0, 1, 2)), symbols.deconv)
+    del cross  # before FieldNorms allocates, or the heap grows each record
+    norms = FieldNorms(w)
+    weight = symbols.filter * symbols.deconv
     theta = filt.theta
     return EnergyRecord(
         t=t,
-        model_energy=0.5 * quadratic_form(grid, plain, weight),
-        dissipation=nu * quadratic_form(grid, gradient, weight),
-        forcing_power=quadratic_form(grid, cross.sum(axis=(0, 1, 2)),
-                                     symbols.deconv),
-        l2_norm=math.sqrt(quadratic_form(grid, plain)),
-        theta_seminorm=math.sqrt(
-            quadratic_form(grid, plain, grid.k3 ** (2.0 * theta))),
-        gronwall_integrand=0.0 if theta == 0.0 else _integrand(grid, gradient, theta),
+        model_energy=0.5 * quadratic_form(grid, norms.plain, weight),
+        dissipation=nu * quadratic_form(grid, norms.full, weight),
+        forcing_power=forcing_power,
+        l2_norm=norms.l2(),
+        theta_seminorm=norms.vertical(theta),
+        gronwall_integrand=0.0 if theta == 0.0 else _gronwall(norms, theta),
     )
 
 
@@ -141,7 +134,8 @@ def regularity_norms(states: Iterable, filt: FilterSpec) -> dict[str, float]:
 
     sup-in-time of ||w||_2 and ||d3^theta w||_2, and trapezoid
     time-integrals of ||grad w||_2^2 and ||d3^theta grad w||_2^2,
-    over a trajectory of states (attributes t and w), in one pass.
+    over a trajectory of states (attributes t and w), in one pass with
+    one FieldNorms per state.
     """
     theta = filt.theta
     sup_l2 = 0.0
@@ -150,11 +144,12 @@ def regularity_norms(states: Iterable, filt: FilterSpec) -> dict[str, float]:
     grads_sq = []
     theta_grads_sq = []
     for s in states:
-        sup_l2 = max(sup_l2, l2_norm(s.w))
-        sup_theta = max(sup_theta, vertical_seminorm(s.w, theta))
+        norms = FieldNorms(s.w)
+        sup_l2 = max(sup_l2, norms.l2())
+        sup_theta = max(sup_theta, norms.vertical(theta))
         times.append(s.t)
-        grads_sq.append(grad_norm(s.w) ** 2)
-        theta_grads_sq.append(vertical_grad_seminorm(s.w, theta) ** 2)
+        grads_sq.append(norms.grad() ** 2)
+        theta_grads_sq.append(norms.vertical_grad(theta) ** 2)
     if not times:
         raise ValueError("empty trajectory")
     return {
@@ -172,5 +167,5 @@ def vertical_spectrum(w: VectorField) -> list[tuple[int, float]]:
     columns 0 < k3 < n3/2 also hold their mirrors -k3.
     """
     grid = w.grid
-    shells = grid.volume * grid.parseval_weight.ravel() * mass_lines(w)[0]
+    shells = grid.volume * grid.parseval_weight.ravel() * FieldNorms(w).plain
     return [(k3, float(e)) for k3, e in enumerate(shells)]

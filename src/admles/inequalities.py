@@ -120,10 +120,14 @@ def _ratio(top: float, bound: float, degenerate: str) -> float:
     return top / bound
 
 
-def _agmon_terms(coeffs: np.ndarray):
-    """(sup, s -> Agmon ratio) of one line; the s-free norms once."""
+def _require_zero_mean(coeffs: np.ndarray) -> None:
     if abs(coeffs[0]) > 1e-13 * np.max(np.abs(coeffs)):
         raise ValueError("function must have zero mean")
+
+
+def _agmon_terms(coeffs: np.ndarray):
+    """(sup, s -> Agmon ratio) of one line; the s-free norms once."""
+    _require_zero_mean(coeffs)
     l2, sup = line_l2_norm(coeffs), line_sup_norm(coeffs)
     return sup, lambda s: _ratio(
         sup, _interpolate(l2, line_hs_norm(coeffs, s), s),
@@ -147,10 +151,12 @@ def agmon_split_bound(coeffs: np.ndarray, s: float) -> float:
 
     Every step is exact or Cauchy-Schwarz, so the result is a rigorous
     upper bound for any kappa >= 1; kappa = (||g||_{H^s}/||g||_2)^{1/s}
-    balances the two terms (and is >= 1 since H^s dominates L^2).
+    balances the two terms (and is >= 1 since H^s dominates L^2).  The
+    sum leaves out c_0, so g must have zero mean, as for agmon_ratio.
     """
     _require_s(s, "the tail sum")
     coeffs = np.asarray(coeffs, dtype=np.complex128)
+    _require_zero_mean(coeffs)
     l2 = line_l2_norm(coeffs)
     if l2 == 0.0:
         raise ValueError("zero function has no bound")
@@ -172,38 +178,35 @@ def agmon_split_bound(coeffs: np.ndarray, s: float) -> float:
 # Plane-integral profiles and mixed norms
 
 
-def plane_profile(u: VectorField, power: int = 2, refine: int = 1) -> np.ndarray:
-    """The integral over each of refine * n3 horizontal planes of
-    |u|^power (power 2 or 4), of the 2/3 band of u: sampled on the n3
-    planes themselves if refine is 1, else on the fewest planes that
-    resolve the profile and upsampled exactly (refine 4 always
-    outnumbers them); each plane on the fewest points that keep its
-    integral exact (see the module docstring)."""
+def plane_profile(u: VectorField, power: int) -> np.ndarray:
+    """The integral over each of 4 n3 horizontal planes of |u|^power
+    (power 2 or 4), of the 2/3 band of u: sampled on the fewest planes
+    that resolve the profile, each on the fewest points that keep its
+    integral exact, and upsampled exactly (see the module docstring);
+    4 n3 always outnumbers those planes."""
     g = u.grid
     box = occupied_box(u)
     *horizontal, b3 = box.cutoffs
     shape = (*(quadrature_points(power * b) for b in horizontal),
-             g.n3 if refine == 1 else quadrature_points(2 * power * b3))
+             quadrature_points(2 * power * b3))
     samples = fine_samples(u, shape, box)
     density = np.sum(samples**2, axis=0) ** (power // 2)
     profile = np.mean(density, axis=(0, 1)) * (g.L1 * g.L2)
-    if refine == 1:
-        return profile
-    c = pad_spectrum(np.fft.fft(profile) / shape[2], refine * g.n3, 0)
-    return (np.fft.ifft(c) * (refine * g.n3)).real
+    c = pad_spectrum(np.fft.fft(profile) / shape[2], 4 * g.n3, 0)
+    return (np.fft.ifft(c) * (4 * g.n3)).real
 
 
 def linf_v_l2_h_norm(u: VectorField) -> float:
     """sup over x3 of the horizontal L^2 norm: the maximum of the exact
     plane profile on 4 n3 planes."""
-    return float(np.sqrt(np.max(plane_profile(u, 2, 4))))
+    return float(np.sqrt(np.max(plane_profile(u, 2))))
 
 
 def l2_v_l4_h_norm(u: VectorField) -> float:
     """(integral over x3 of plane-L^4-norm squared)^{1/2}, of the 2/3
     band of u: the square root of the exact |u|^4 profile on 4 n3
     planes, integrated by the rectangle rule."""
-    plane_l4_sq = np.sqrt(np.maximum(plane_profile(u, 4, 4), 0.0))
+    plane_l4_sq = np.sqrt(np.maximum(plane_profile(u, 4), 0.0))
     return float(np.sqrt(np.mean(plane_l4_sq) * u.grid.L3))
 
 

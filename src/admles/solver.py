@@ -277,29 +277,28 @@ class NaNError(SolverAbort):
 
 
 class StepOperators:
-    """Per-config multipliers and the stepper's preallocated workspace.
+    """Per-config multipliers on the 2/3 band and the stepper's
+    preallocated workspace.
 
-    viscous_factor and forcing_smoothed keep the half layout; the step
-    works on their band slices and on buffers that every step and every
-    band_rhs call overwrites and never hands out, so one StepOperators
-    can serve several trajectories stepped in turn.
+    forcing_raw is the one half-layout field kept, for the records.  A
+    step works on the band lines and on buffers that every step and
+    every band_rhs call overwrites and never hands out, so one
+    StepOperators can serve several trajectories stepped in turn.
     """
 
     def __init__(self, config: SolverConfig):
         grid = config.grid
         band = grid.band
         self.config = config
-        self.viscous_factor = np.exp(-config.nu * config.dt * grid.k_squared)
-        self.symbols = symbol_table(grid, config.deconv)
-        f_raw = forcing_field(config.forcing, grid)
-        self.forcing_raw = f_raw
-        self.forcing_smoothed = apply_bar(f_raw, config.filter)
+        symbols = symbol_table(grid, config.deconv)
+        self.forcing_raw = forcing_field(config.forcing, grid)
         self.kmax = grid.max_dealiased_wavenumber
         # multipliers on the band
-        self.band_viscous = band.gather(self.viscous_factor)
-        self.band_deconv = self.symbols.deconv[..., band.cols]
-        self.band_bar = self.symbols.bar[..., band.cols]
-        self.band_forcing = band.gather(self.forcing_smoothed.coeffs)
+        self.band_viscous = np.exp(-config.nu * config.dt * band.gather(grid.k_squared))
+        self.band_deconv = symbols.deconv[..., band.cols]
+        self.band_bar = symbols.bar[..., band.cols]
+        self.band_forcing = band.gather(
+            apply_bar(self.forcing_raw, config.filter).coeffs)
         # workspace: the state, the two stages and the predictor on the
         # band, the samples of D w and their squared magnitude
         self.w, self.k1, self.k2, self.predictor = (

@@ -444,13 +444,6 @@ class FieldNorms:
         return self._root(self.full, self.grid.k3 ** (2.0 * s))
 
 
-def mass_lines(f: Field) -> tuple[np.ndarray, np.ndarray]:
-    """k3 lines of |c|^2 summed over components, k1 and k2: unweighted,
-    and weighted by |k|^2 (true |k|)."""
-    norms = FieldNorms(f)
-    return norms.plain, norms.full
-
-
 def inner_product(f: Field, g: Field) -> float:
     """Continuum L^2 inner product; vector fields sum over components."""
     if f.grid != g.grid:

@@ -1,10 +1,14 @@
 """Every top-level function and class of the package has a user: code
 in the package that names it, or a place in the public ``__all__``; and
 every public method or property of a package class is named somewhere
-in the package.  Tests alone do not keep a helper alive."""
+in the package.  Tests alone do not keep a helper alive, and neither
+does a local variable of the same name: a bare name counts only where
+its scope reads it as a global (found with ``symtable``), while every
+attribute and import counts."""
 
 import ast
 import importlib
+import symtable
 from functools import cached_property
 from pathlib import Path
 from types import FunctionType
@@ -15,11 +19,21 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "admles"
 
 
-def _references(tree: ast.AST):
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            yield node.id
-        elif isinstance(node, ast.Attribute):
+def _scopes(table: symtable.SymbolTable):
+    yield table
+    for child in table.get_children():
+        yield from _scopes(child)
+
+
+def _references(path: Path):
+    source = path.read_text()
+    module = symtable.symtable(source, str(path), "exec")
+    for table in _scopes(module):
+        for symbol in table.get_symbols():
+            if symbol.is_referenced() and (table is module or symbol.is_global()):
+                yield symbol.get_name()
+    for node in ast.walk(ast.parse(source, str(path))):
+        if isinstance(node, ast.Attribute):
             yield node.attr
         elif isinstance(node, ast.alias):
             yield node.name
@@ -36,7 +50,7 @@ def test_no_top_level_definition_without_a_user():
     used = set(admles.__all__)
     for path in modules:
         if path.name != "__init__.py":
-            used.update(_references(ast.parse(path.read_text(), str(path))))
+            used.update(_references(path))
     unused = [
         f"{path.name}:{node.lineno} {node.name}"
         for path in modules
@@ -61,7 +75,7 @@ def _public_members(cls):
 def test_no_public_method_without_a_user():
     used = set()
     for path in PACKAGE.glob("*.py"):
-        used.update(_references(ast.parse(path.read_text(), str(path))))
+        used.update(_references(path))
     unused = [
         f"{module.__name__}.{cls.__name__}.{name}"
         for module in map(importlib.import_module, sorted(

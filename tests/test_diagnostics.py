@@ -114,6 +114,19 @@ def test_gronwall_integrand_values():
         gronwall_integrand(w, 0.0)
 
 
+def test_record_norms_equal_the_single_norm_functions_bitwise():
+    g = Grid(12, 16, 10, 2.0 * np.pi, 3.0, 5.0)
+    filt = FilterSpec(alpha=0.5, theta=0.75)
+    spec = EnsembleSpec(count=1, band_limit=3, seed=22)
+    rng = spec.rng()
+    w, f = draw_vector(rng, spec, g), draw_vector(rng, spec, g)
+    rec = energy_terms(w, f, filt, 2, nu=0.07)
+    assert rec.l2_norm == l2_norm(w)
+    assert rec.theta_seminorm == vertical_seminorm(w, 0.75)
+    assert rec.gronwall_integrand == gronwall_integrand(w, 0.75)
+    assert rec.gronwall_integrand > 0.0
+
+
 def test_energy_terms_and_spectrum_match_full_layout_reference():
     # every k once on the full layout, against the Parseval-weighted
     # half; raw samples put content in the k3 = 0 and n3/2 columns too

@@ -105,6 +105,18 @@ def test_agmon_split_bound_single_mode_value():
     assert agmon_split_bound(line, 1.0) == pytest.approx(2.0, rel=1e-12)
 
 
+def test_agmon_split_bound_rejects_a_nonzero_mean():
+    # the bound leaves out c_0: for 1 + cos x it would read 1 < sup 2,
+    # for the constant 1 it would read 0
+    shifted = cos_line(32, amp=0.5)
+    shifted[0] = 1.0
+    constant = np.zeros(32, dtype=complex)
+    constant[0] = 1.0
+    for line in (shifted, constant):
+        with pytest.raises(ValueError, match="zero mean"):
+            agmon_split_bound(line, 1.0)
+
+
 def test_run_agmon_report():
     spec = EnsembleSpec(count=50, band_limit=10, seed=5)
     (report,), violations = run_sweep(spec, Grid(16, 16, 16), ["agmon"],
@@ -136,8 +148,8 @@ def single_mode_u1(grid, profile):
 def test_plane_profile_oracle(grid):
     _, _, x3 = grid.mesh()
     u = single_mode_u1(grid, 1.0 + np.cos(x3))
-    profile = plane_profile(u)
-    x3_line = grid.axis_points(2)
+    profile = plane_profile(u, 2)
+    x3_line = np.arange(4 * grid.n3) * (grid.L3 / (4 * grid.n3))
     expect = (2 * np.pi) ** 2 * (1.0 + np.cos(x3_line)) ** 2
     assert np.max(np.abs(profile - expect)) < 1e-12 * np.max(expect)
 
@@ -161,11 +173,13 @@ def test_linf_v_l2_h_analytic(grid):
 
 def test_refined_plane_profile_is_exact():
     # band 5 on 16^3: the profile's vertical band 10 exceeds 16 / 2, so
-    # only samples on 2 n3 planes determine it
+    # it is sampled on more planes than the grid has and upsampled; the
+    # reference samples the same draw on 64^3 directly, every 4th plane
+    # of 4 * 64 being one of the 4 * 16 planes
     spec = EnsembleSpec(count=1, band_limit=5, seed=41)
     u16 = draw_vector(spec.rng(), spec, Grid(16, 16, 16))
     u64 = draw_vector(spec.rng(), spec, Grid(64, 64, 64))
-    refined, native = plane_profile(u16, 2, 4), plane_profile(u64)
+    refined, native = plane_profile(u16, 2), brute_force_profile(u64, 2)[::4]
     assert np.max(np.abs(refined - native)) < 1e-12 * np.max(native)
     assert linf_v_l2_h_norm(u16) == pytest.approx(np.sqrt(np.max(native)),
                                                   rel=1e-12)

@@ -152,6 +152,10 @@ def bar_line(cfg):
     return 1.0 / filter_symbol(cfg.filter, cfg.grid.k3)
 
 
+def viscous_factor(cfg):
+    return np.exp(-cfg.nu * cfg.dt * cfg.grid.k_squared)
+
+
 def test_nonlinear_term_zero_field():
     g = Grid(16, 16, 16)
     w = VectorField(g, np.zeros((3, *g.spectral_shape), dtype=complex))
@@ -298,7 +302,8 @@ def test_cfl_speed_is_max_of_deconvolved_samples():
     cfg = config16(**kw)
     g = cfg.grid
     w = initial_state(cfg).w
-    z = np.fft.ifftn(to_full(g, w.coeffs * StepOperators(cfg).symbols.deconv),
+    deconv = deconv_symbol(DeconvSpec(cfg.filter, cfg.deconv_order), g.k3)
+    z = np.fft.ifftn(to_full(g, w.coeffs * deconv),
                      axes=(-3, -2, -1)).real * np.prod(g.shape)
     speed = np.max(np.sqrt(np.sum(z**2, axis=0)))
     # the dt at which that speed puts the CFL number exactly on the limit
@@ -329,14 +334,15 @@ def test_zeroth_order_reduction_bitwise():
     grid = cfg.grid
     ops = StepOperators(cfg)
     bar = bar_line(cfg)
+    e = viscous_factor(cfg)
+    f = apply_bar(forcing_field(cfg.forcing, grid), cfg.filter).coeffs
 
     def plain_rhs(w):
         t = tensor_divergence(w)  # no deconvolution multiply
         conv = leray_project(VectorField(grid, t.coeffs * bar))
-        return ops.forcing_smoothed.coeffs - conv.coeffs
+        return f - conv.coeffs
 
     def plain_step(state):
-        e = ops.viscous_factor
         k1 = plain_rhs(state.w)
         pred = VectorField(grid, e * (state.w.coeffs + cfg.dt * k1))
         k2 = plain_rhs(pred)
@@ -365,12 +371,12 @@ def test_vertical_mean_sector_unfiltered():
         filter=FilterSpec(alpha=2.0, theta=1.0), deconv_order=5, t_end=0.03
     )
     ops = StepOperators(cfg)
+    e = viscous_factor(cfg)
 
     def ns_rhs(w):
         return -leray_project(tensor_divergence(w)).coeffs
 
     def ns_step(state):
-        e = ops.viscous_factor
         k1 = ns_rhs(state.w)
         pred = VectorField(g, e * (state.w.coeffs + cfg.dt * k1))
         k2 = ns_rhs(pred)
@@ -400,7 +406,7 @@ def test_band_step_matches_half_layout_heun_bitwise(order):
     grid = cfg.grid
     deconv = deconv_symbol(DeconvSpec(cfg.filter, order), grid.k3)
     bar = bar_line(cfg)
-    e = np.exp(-cfg.nu * cfg.dt * grid.k_squared)
+    e = viscous_factor(cfg)
     f = apply_bar(forcing_field(cfg.forcing, grid), cfg.filter).coeffs
 
     def half_rhs(w):
@@ -442,6 +448,18 @@ def test_shared_operators_keep_trajectories_apart():
                                         strict=True):
         assert np.array_equal(a.w.coeffs, a_alone)
         assert np.array_equal(b.w.coeffs, b_alone)
+
+
+def test_step_operators_keep_no_half_layout_array():
+    """Every multiplier a step reads is a band line; forcing_raw, the
+    field the records read, is the one half-layout field kept."""
+    cfg = config16(forcing=RandomBandLimited(seed=16, band=3))
+    ops = StepOperators(cfg)
+    half = cfg.grid.spectral_shape
+    held = [name for name, value in vars(ops).items()
+            if isinstance(value, np.ndarray) and value.shape[-3:] == half]
+    assert held == []
+    assert ops.band_viscous.shape == cfg.grid.band.shape
 
 
 def test_warm_step_allocates_little_beyond_the_new_state():
