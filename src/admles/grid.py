@@ -60,6 +60,14 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _inverse_squares(kd1: np.ndarray, kd2: np.ndarray,
+                    kd3: np.ndarray) -> np.ndarray:
+    """1 / (kd1^2 + kd2^2 + kd3^2) of broadcastable lines, and 0 where
+    that sum vanishes; read-only."""
+    ksq = kd1**2 + kd2**2 + kd3**2
+    return _read_only(np.divide(1.0, ksq, out=np.zeros(ksq.shape), where=ksq > 0))
+
+
 def dealias_cutoff(n: int) -> int:
     """The 2/3-rule cutoff of an axis of n modes: the largest |k| < n/3."""
     return (n - 1) // 3
@@ -82,11 +90,14 @@ class Band:
     of the two full axes; the half axis keeps columns 0..K3.  gather and
     scatter move the box to and from the half layout (..., m1, m2,
     m3/2 + 1) of any grid shape that holds it (2 K + 1 <= m per axis),
-    so the one box serves the stepper, the draws and fine sampling.
-    The default cutoffs are the grid's 2/3 rule (Grid.band), the box
-    where its dealias_mask is True.  kd1, kd2, kd3 and inv_kd_squared
-    are the grid's, restricted to the box: read-only, and built on first
-    use, since most boxes (an occupied_box, say) only move coefficients.
+    so the one box serves the stepper, dealias, the draws and fine
+    sampling.  The default cutoffs are the grid's 2/3 rule (Grid.band).
+    Since 2 K + 1 <= n, a box never holds a Nyquist row or column: its
+    derivative and true wavenumbers agree, and every multiplier on it
+    is built from its own lines kd1, kd2, kd3 (the grid's, restricted
+    to the box).  Those and inv_kd_squared are read-only, and built on
+    first use, since most boxes (an occupied_box, say) only move
+    coefficients.
     """
 
     def __init__(self, grid: "Grid", cutoffs: tuple[int, int, int] | None = None):
@@ -115,7 +126,7 @@ class Band:
 
     @cached_property
     def inv_kd_squared(self) -> np.ndarray:
-        return _read_only(self.gather(self.grid.inv_kd_squared))
+        return _inverse_squares(self.kd1, self.kd2, self.kd3)
 
     def rows_on(self, shape: tuple[int, int, int]):
         """(band slice, half slice) of the low and high row block of each
@@ -246,35 +257,18 @@ class Grid:
         k3 = np.arange(self.n3 // 2 + 1)
         return self._expand(np.where((k3 > 0) & (k3 < self.n3 // 2), 2.0, 1.0), 2)
 
-    @cached_property
-    def k_squared(self) -> np.ndarray:
-        """|k|^2 with true magnitudes (even operator, Nyquist unambiguous)."""
-        return self.k1**2 + self.k2**2 + self.k3**2
-
-    @cached_property
-    def kd_squared(self) -> np.ndarray:
-        """|k|^2 built from the derivative wavenumbers (matches gradient)."""
-        return self.kd1**2 + self.kd2**2 + self.kd3**2
-
-    @cached_property
+    @property
     def inv_kd_squared(self) -> np.ndarray:
-        """1 / kd_squared, and 0 where it vanishes (the mean mode and the
-        Nyquist planes, which the Leray projection passes through)."""
-        ksq = self.kd_squared
-        inv = np.where(ksq > 0, 1.0 / np.where(ksq > 0, ksq, 1.0), 0.0)
-        inv.setflags(write=False)
-        return inv
+        """1 / |kd|^2 on the half layout, 0 where every derivative
+        wavenumber of a mode vanishes: the mean mode, and the modes whose
+        every axis sits at 0 or its Nyquist entry.  Built on each read,
+        for leray_project of a half-layout field."""
+        return _inverse_squares(self.kd1, self.kd2, self.kd3)
 
     @cached_property
     def band(self) -> Band:
         """The 2/3-rule box of the half layout (see Band)."""
         return Band(self)
-
-    @cached_property
-    def dealias_mask(self) -> np.ndarray:
-        """2/3-rule mask: True where |k_j| < n_j/3 on every axis, the box
-        of `band`."""
-        return self.band.scatter(np.ones(self.band.shape, dtype=bool))
 
     @cached_property
     def max_dealiased_wavenumber(self) -> float:

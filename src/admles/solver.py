@@ -51,10 +51,10 @@ from .spectral import (
     band_inverse,
     dealias,
     field_from_full,
+    field_from_samples,
     l2_norm,
     leray_project,
     project_coeffs,
-    vector_from_samples,
 )
 
 CFL_LIMIT = 0.5
@@ -159,14 +159,14 @@ def descriptor_field(desc: InitDescriptor, grid: Grid) -> VectorField:
                 zeros,
             ]
         )
-        return leray_project(dealias(vector_from_samples(grid, samples)))
+        return leray_project(dealias(field_from_samples(grid, samples)))
     if isinstance(desc, SingleMode):
         k = np.asarray(desc.k, dtype=float)
         e = _orthogonal_unit(k)
         x1, x2, x3 = grid.mesh()
         phase = np.cos(k[0] * x1 + k[1] * x2 + k[2] * x3)
         samples = np.stack([desc.amplitude * e[i] * phase for i in range(3)])
-        return leray_project(dealias(vector_from_samples(grid, samples)))
+        return leray_project(dealias(field_from_samples(grid, samples)))
     if isinstance(desc, RandomBandLimited):
         spec = EnsembleSpec(count=1, band_limit=desc.band, seed=desc.seed)
         return draw_vector(spec.rng(), spec, grid)
@@ -293,8 +293,10 @@ class StepOperators:
         symbols = symbol_table(grid, config.deconv)
         self.forcing_raw = forcing_field(config.forcing, grid)
         self.kmax = grid.max_dealiased_wavenumber
-        # multipliers on the band
-        self.band_viscous = np.exp(-config.nu * config.dt * band.gather(grid.k_squared))
+        # multipliers on the band, which holds no Nyquist mode, so its
+        # derivative wavenumbers are the true ones
+        ksq = band.kd1**2 + band.kd2**2 + band.kd3**2
+        self.band_viscous = np.exp(-config.nu * config.dt * ksq)
         self.band_deconv = symbols.deconv[..., band.cols]
         self.band_bar = symbols.bar[..., band.cols]
         self.band_forcing = band.gather(
@@ -315,7 +317,7 @@ class StepOperators:
         work = self.work
         z = np.multiply(w, self.band_deconv, out=out)
         zs = band_inverse(z, self.samples, work)
-        conv = band_divergence(zs, zs, out, work, square_sum)
+        conv = band_divergence(zs, out, work, square_sum)
         conv *= self.band_bar
         project_coeffs(work.band, conv, conv, work.mode, work.term)
         return np.subtract(self.band_forcing, conv, out=out)
@@ -410,9 +412,8 @@ class DependenceReport:
     integrals: np.ndarray
     fitted_c: float
 
-    def envelope(self, c: float | None = None) -> np.ndarray:
-        c = self.fitted_c if c is None else c
-        return self.delta_norms[0] * np.exp(c * self.integrals)
+    def envelope(self) -> np.ndarray:
+        return self.delta_norms[0] * np.exp(self.fitted_c * self.integrals)
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,8 @@ k = 0 coefficient is the spatial mean.
 
 Fields are real, so their coefficients are Hermitian, c_{-k} = conj(c_k).
 Every field stores only the rfftn half (..., n1, n2, n3/2 + 1), k3 in
-[0, n3/2]: forward_transform is one rfftn, inverse_transform one
-irfftn.  A stored column 0 < k3 < n3/2 also stands for its mirror -k3,
-so Plancherel reads
+[0, n3/2].  A stored column 0 < k3 < n3/2 also stands for its mirror
+-k3, so Plancherel reads
 
     (f, g)_{L^2} = vol * sum_k  w(k3) Re(c_k conj(d_k)),
 
@@ -19,18 +18,20 @@ with vol the box volume and w the grid's Parseval weight line (1 at
 k3 = 0 and n3/2, 2 in between).  All norms and inner products below are
 these continuum L^2 quantities of the band-limited interpolant.
 
-band_inverse and band_forward are irfftn and rfftn pruned to a box of
-coefficients (a grid.Band) on any grid shape that holds it: the same
-1-D passes in the same order, over only the lines the box feeds or
+Real samples enter at one boundary, field_from_samples, the one full
+rfftn.  Every field is sampled through band_inverse, and products come
+back through band_forward: irfftn and rfftn pruned to a box of
+coefficients (a grid.Band) on any grid shape that holds it, the same
+1-D passes in the same order over only the lines the box feeds or
 needs, so the retained values are the full transforms' bit for bit.
-The stepper runs them on the 2/3 band of its grid.  fine_samples, the
-one 3-D trigonometric upsampler, runs band_inverse from a field's
-occupied_box onto any shape, and convective_inner from the union of
-three fields' boxes.  Physical-space integrals of products of
-band-limited fields are taken by the rectangle rule on
+The stepper and tensor_divergence run them on the 2/3 band of the grid.
+fine_samples, the one 3-D trigonometric upsampler, runs band_inverse
+from a field's occupied_box onto any shape, and convective_inner from
+the union of three fields' boxes.  Physical-space integrals of products
+of band-limited fields are taken by the rectangle rule on
 quadrature_points per axis, the fewest even count above the product's
 band, which integrates it exactly.  band_divergence is the one kernel
-for div(u x v) on the band, project_coeffs the one Leray formula for a
+for div(u x u) on the band, project_coeffs the one Leray formula for a
 layout or a box, and pad_spectrum the 1-D upsampler of lines.
 
 Full-layout (n1, n2, n3) coefficients enter at one boundary only,
@@ -53,10 +54,9 @@ from .grid import Band, Grid
 # that field_from_full accepts.
 _HERMITIAN_TOL = 1e-10
 _AXES = (-3, -2, -1)
-# The products u_i v_j that tensor_divergence transforms: the six with
-# i <= j when v is u (u_j u_i is the same field), all nine otherwise.
+# The products u_i u_j that band_divergence transforms: the six with
+# i <= j, since u_j u_i is the same field.
 _SYMMETRIC_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
-_ALL_PAIRS = tuple((i, j) for i in range(3) for j in range(3))
 
 
 class RealityError(ValueError):
@@ -120,22 +120,11 @@ class VectorField:
 Field = SpectralField | VectorField
 
 
-def forward_transform(grid: Grid, samples: np.ndarray) -> np.ndarray:
-    """Real physical samples -> half-layout coefficients (last three axes)."""
-    return np.fft.rfftn(samples, axes=_AXES, norm="forward")
-
-
-def inverse_transform(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    """Half-layout coefficients -> real physical samples (last three axes)."""
-    return np.fft.irfftn(coeffs, s=grid.shape, axes=_AXES, norm="forward")
-
-
-def field_from_samples(grid: Grid, samples: np.ndarray) -> SpectralField:
-    return SpectralField(grid, forward_transform(grid, samples))
-
-
-def vector_from_samples(grid: Grid, samples: np.ndarray) -> VectorField:
-    return VectorField(grid, forward_transform(grid, samples))
+def field_from_samples(grid: Grid, samples: np.ndarray) -> Field:
+    """The field of real samples (n1, n2, n3), or a VectorField of
+    (3, n1, n2, n3): one rfftn, the package's only full transform."""
+    coeffs = np.fft.rfftn(samples, axes=_AXES, norm="forward")
+    return (VectorField if coeffs.ndim == 4 else SpectralField)(grid, coeffs)
 
 
 def field_from_full(grid: Grid, coeffs: np.ndarray) -> Field:
@@ -209,9 +198,11 @@ def project_coeffs(lines, c: np.ndarray, out: np.ndarray, kdotu: np.ndarray,
 def leray_project(field: VectorField) -> VectorField:
     """L^2-orthogonal projection onto divergence-free fields.
 
-    P(u)_k = u_k - k (k . u_k) / |k|^2 modewise, with the k = 0 mode
-    (and Nyquist planes, where the derivative wavenumbers vanish) passed
-    through unchanged.
+    P(u)_k = u_k - kd (kd . u_k) / |kd|^2 modewise, with the derivative
+    wavenumbers kd.  Only a mode whose three kd all vanish passes through
+    unchanged: the mean mode, or one with every axis at 0 or Nyquist.  A
+    mode with one Nyquist axis is projected on the other two: on 8^3,
+    (-4, 1, 1) with components (1, 1, 1) maps to (1, 0, 0).
     """
     c = field.coeffs
     out = np.empty_like(c)
@@ -220,8 +211,10 @@ def leray_project(field: VectorField) -> VectorField:
 
 
 def dealias(field: Field) -> Field:
-    """Zero every mode outside the 2/3-rule band."""
-    return field.with_coeffs(field.coeffs * field.grid.dealias_mask)
+    """Zero every mode outside the 2/3-rule band: the round trip of the
+    band through its box, as a step makes it."""
+    band = field.grid.band
+    return field.with_coeffs(band.scatter(band.gather(field.coeffs)))
 
 
 def divergence_residual(field: VectorField) -> float:
@@ -292,55 +285,49 @@ def band_forward(samples: np.ndarray, out: np.ndarray,
     return out
 
 
-def band_divergence(us: np.ndarray, vs: np.ndarray, out: np.ndarray,
-                    work: BandWorkspace,
+def band_divergence(us: np.ndarray, out: np.ndarray, work: BandWorkspace,
                     square_sum: np.ndarray | None = None) -> np.ndarray:
-    """div(u x v) on the band of `work` from the samples of u and v,
-    into `out` (3, *band shape): component j is i sum_i kd_i FT(u_i v_j).
+    """div(u x u) on the band of `work` from the samples of u, into
+    `out` (3, *band shape): component j is i sum_i kd_i FT(u_i u_j),
+    from the six products u_i u_j with i <= j.
 
-    For vs is us only the six symmetric products are transformed, and
     `square_sum`, if given, receives sum_i u_i^2 at the samples, in the
     order of np.sum(us**2, axis=0).
     """
     kd = (work.band.kd1, work.band.kd2, work.band.kd3)
-    symmetric = vs is us
     prod, mode, term = work.product, work.mode, work.term
     out[...] = 0
-    for i, j in _SYMMETRIC_PAIRS if symmetric else _ALL_PAIRS:
-        np.multiply(us[i], vs[j], out=prod)
+    for i, j in _SYMMETRIC_PAIRS:
+        np.multiply(us[i], us[j], out=prod)
         if square_sum is not None and i == j:
             if i == 0:
                 square_sum[...] = prod
             else:
                 square_sum += prod
         band_forward(prod, mode, work)
-        out[j] += np.multiply(kd[i], mode, out=term)  # d_i (u_i v_j)
-        if symmetric and i != j:
+        out[j] += np.multiply(kd[i], mode, out=term)  # d_i (u_i u_j)
+        if i != j:
             out[i] += np.multiply(kd[j], mode, out=term)  # d_j (u_j u_i)
     out *= 1j
     return out
 
 
-def tensor_divergence(u: VectorField, v: VectorField | None = None) -> VectorField:
-    """Dealiased div(u x v), component j = sum_i d/dx_i (u_i v_j).
+def tensor_divergence(u: VectorField) -> VectorField:
+    """Dealiased div(u x u) of the 2/3 band of u, component j =
+    sum_i d/dx_i (u_i u_j).
 
-    For divergence-free u this is the convective term (u . grad) v.  The
-    products are formed in physical space and only their 2/3 band is
-    kept, which removes every aliased mode provided both inputs are
-    band-limited to the 2/3 band (3K < n makes the retained modes exact).
-    The inputs are transformed in full; the products go through
-    band_divergence, as in the stepper.
+    For divergence-free u this is the convective term (u . grad) u.  The
+    band of u is sampled by band_inverse and the products go through
+    band_divergence, on one workspace, as in the stepper; only their 2/3
+    band is kept, which removes every aliased mode (3K < n makes the
+    retained modes exact).  Content of u outside the band is not read.
     """
-    if v is None:
-        v = u
-    if u.grid != v.grid:
-        raise ValueError("fields live on different grids")
     g = u.grid
-    us = inverse_transform(g, u.coeffs)
-    vs = us if v is u else inverse_transform(g, v.coeffs)
-    out = np.empty((3, *g.band.shape), dtype=np.complex128)
-    band_divergence(us, vs, out, BandWorkspace(g.band))
-    return VectorField(g, g.band.scatter(out))
+    band = g.band
+    work = BandWorkspace(band)
+    us = band_inverse(band.gather(u.coeffs), np.empty((3, *g.shape)), work)
+    out = band_divergence(us, np.empty((3, *band.shape), dtype=np.complex128), work)
+    return VectorField(g, band.scatter(out))
 
 
 def convective_inner(u: VectorField, v: VectorField, w: VectorField) -> float:
@@ -351,8 +338,8 @@ def convective_inner(u: VectorField, v: VectorField, w: VectorField) -> float:
     boxes' cutoffs, so the rectangle rule on quadrature_points of it is
     exact; the points also exceed 2 max b, so they hold the union box.
 
-    Requires divergence-free u for this to equal (div(u x v), w), the
-    form tensor_divergence gives; callers enforce that.
+    Requires divergence-free u for this to equal (div(u x v), w);
+    callers enforce that.
     """
     if not u.grid == v.grid == w.grid:
         raise ValueError("fields live on different grids")

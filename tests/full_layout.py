@@ -30,6 +30,13 @@ def to_full(grid, half):
     return full
 
 
+def rule_mask(grid):
+    """Full-layout 2/3-rule mask: True where |k_j| <= (n_j - 1) // 3 on
+    every axis; its first n3/2 + 1 columns are the half layout's."""
+    kept = [np.abs(np.fft.fftfreq(n, 1 / n)) <= (n - 1) // 3 for n in grid.shape]
+    return kept[0][:, None, None] & kept[1][None, :, None] & kept[2][None, None, :]
+
+
 def hermitian_defect(full):
     """max |c_k - conj(c_-k)| of full-layout coefficients; zero iff real."""
     return float(np.max(np.abs(full - np.conj(mirror(full)))))

@@ -29,8 +29,8 @@ from admles.solver import (
 )
 from admles.spectral import (
     VectorField,
+    field_from_samples,
     l2_norm,
-    vector_from_samples,
     vertical_seminorm,
 )
 
@@ -134,7 +134,7 @@ def test_energy_terms_and_spectrum_match_full_layout_reference():
     filt = FilterSpec(alpha=0.5, theta=0.75)
     spec = EnsembleSpec(count=1, band_limit=3, seed=21)
     rng = spec.rng()
-    w = vector_from_samples(g, rng.standard_normal((3, *g.shape)))
+    w = field_from_samples(g, rng.standard_normal((3, *g.shape)))
     f = draw_vector(rng, spec, g)
     W, F = to_full(g, w.coeffs), to_full(g, f.coeffs)
     k3 = g.k_axis(2).reshape(1, 1, -1)

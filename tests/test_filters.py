@@ -27,7 +27,6 @@ from admles.spectral import (
     gradient,
     l2_norm,
     leray_project,
-    vector_from_samples,
     vertical_seminorm,
 )
 
@@ -44,7 +43,7 @@ def random_scalar(grid, seed=0):
 
 def random_divfree(grid, seed=0):
     rng = np.random.default_rng(seed)
-    v = vector_from_samples(grid, rng.standard_normal((3, *grid.shape)))
+    v = field_from_samples(grid, rng.standard_normal((3, *grid.shape)))
     return leray_project(dealias(v))
 
 
@@ -313,7 +312,7 @@ def test_filter_identities_single_mode(grid):
     samples = np.stack(
         [np.sin(x3) + np.zeros(grid.shape), np.zeros(grid.shape), np.zeros(grid.shape)]
     )
-    w = vector_from_samples(grid, samples)  # divergence-free: u1(x3)
+    w = field_from_samples(grid, samples)  # divergence-free: u1(x3)
     report = check_filter_identities(FilterSpec(1.0, 1.0), f, w)
     for key, value in report.items():
         assert value < 1e-12, f"{key} residual {value}"

@@ -1,9 +1,11 @@
-"""Grid construction, wavenumber layout, dealiasing mask."""
+"""Grid construction, wavenumber layout, dealiasing box."""
 
 import numpy as np
 import pytest
+from full_layout import rule_mask
 
-from admles.grid import Grid, dealias_cutoff
+from admles.grid import Band, Grid, dealias_cutoff
+from admles.spectral import VectorField, leray_project
 
 
 def test_validation_rejects_bad_dimensions():
@@ -54,8 +56,9 @@ def test_dealias_mask_eight_cubed():
     kept = np.abs(np.fft.fftfreq(g.n1, 1 / g.n1)) <= 2
     assert int(np.sum(kept)) == 5
     # the half layout stores k3 = 0..4, of which 0..2 survive
-    assert g.dealias_mask.shape == (8, 8, 5)
-    assert int(np.sum(g.dealias_mask)) == 5 * 5 * 3
+    assert g.band.shape == (5, 5, 3)
+    mask = g.band.scatter(np.ones(g.band.shape, dtype=bool))
+    assert int(np.sum(mask)) == 5 * 5 * 3
     assert dealias_cutoff(g.n1) == 2
 
 
@@ -65,7 +68,6 @@ def test_half_layout_lines():
     # k3 = 0..n3/2 with the Nyquist stored positive; L3 = pi doubles k3
     assert np.array_equal(g.k3.ravel(), 2 * np.arange(5))
     assert np.array_equal(g.kd3.ravel(), [0, 2, 4, 6, 0])
-    assert g.k_squared.shape == g.kd_squared.shape == (8, 6, 5)
     # every stored column but k3 = 0 and n3/2 also stands for its mirror
     assert np.array_equal(g.parseval_weight.ravel(), [1, 2, 2, 2, 1])
     assert np.sum(g.parseval_weight) * g.n1 * g.n2 == np.prod(g.shape)
@@ -95,22 +97,42 @@ def test_band_is_the_dealias_box(g):
     band = g.band
     k1, k2, k3 = band.cutoffs
     assert band.shape == (2 * k1 + 1, 2 * k2 + 1, k3 + 1)
-    # the box holds every retained mode and nothing else
-    assert np.all(band.gather(g.dealias_mask))
-    assert np.sum(g.dealias_mask) == np.prod(band.shape)
-    assert np.array_equal(band.scatter(band.gather(g.dealias_mask)),
-                          g.dealias_mask)
+    # the box holds every mode with |k_j| <= (n_j - 1) // 3 and nothing else
+    mask = rule_mask(g)[..., : g.n3 // 2 + 1]
+    assert np.array_equal(band.scatter(np.ones(band.shape, dtype=bool)), mask)
     assert np.array_equal(band.kd1 + band.kd2 + band.kd3,
                           band.gather(np.broadcast_to(g.kd1 + g.kd2 + g.kd3,
                                                       g.spectral_shape)))
-    assert np.array_equal(band.inv_kd_squared, band.gather(g.inv_kd_squared))
+    # built from its own lines, a box's inverse is the grid's, bit for bit
+    boxes = [band] + ([Band(g, (5, 5, 5))] if min(g.shape) >= 11 else [])
+    for box in boxes:
+        assert np.array_equal(box.inv_kd_squared, box.gather(g.inv_kd_squared))
 
 
-def test_inverse_derivative_wavenumbers_cached_read_only():
+def test_inverse_derivative_wavenumbers_read_only():
     g = Grid(8, 6, 8, L3=np.pi)
     inv = g.inv_kd_squared
-    assert inv is g.inv_kd_squared
     assert not inv.flags.writeable
-    ksq = g.kd_squared
+    assert not g.band.inv_kd_squared.flags.writeable
+    ksq = (g.kd1**2 + g.kd2**2 + g.kd3**2) * np.ones(g.spectral_shape)
     assert np.array_equal(inv[ksq > 0], 1.0 / ksq[ksq > 0])
     assert np.all(inv[ksq == 0] == 0.0)
+
+
+def test_leray_passes_only_modes_of_zero_derivative_wavenumbers():
+    # on 8^3 a mode's kd all vanish only with every axis at 0 or Nyquist
+    g = Grid(8, 8, 8)
+    inv = g.inv_kd_squared
+    assert inv.shape == (8, 8, 5)
+    assert np.count_nonzero(inv == 0.0) == 8
+    # (-4, 1, 1) is projected on its two non-Nyquist axes, kd = (0, 1, 1)
+    c = np.zeros((3, *g.spectral_shape), dtype=complex)
+    c[:, 4, 1, 1] = 1.0
+    got = leray_project(VectorField(g, c)).coeffs
+    expect = np.zeros_like(c)
+    expect[:, 4, 1, 1] = (1.0, 0.0, 0.0)
+    assert np.array_equal(got, expect)
+    # (-4, -4, 4) has kd = 0 on every axis and passes through
+    c = np.zeros_like(c)
+    c[:, 4, 4, 4] = (1.0, 2.0, 3.0)
+    assert np.array_equal(leray_project(VectorField(g, c)).coeffs, c)

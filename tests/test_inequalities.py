@@ -29,7 +29,6 @@ from admles.spectral import (
     field_from_samples,
     fine_samples,
     l2_norm,
-    vector_from_samples,
 )
 
 
@@ -142,7 +141,7 @@ def single_mode_u1(grid, profile):
     samples = np.stack(
         [profile + np.zeros(grid.shape), np.zeros(grid.shape), np.zeros(grid.shape)]
     )
-    return vector_from_samples(grid, samples)
+    return field_from_samples(grid, samples)
 
 
 def test_plane_profile_oracle(grid):
@@ -336,11 +335,11 @@ def test_trilinear_orthogonal_modes(grid):
     # so the trilinear form vanishes while every denominator is finite
     x1, x2, x3 = grid.mesh()
     zero = np.zeros(grid.shape)
-    u = vector_from_samples(grid, np.stack([np.sin(x2) + zero, zero, zero]))
-    v = vector_from_samples(
+    u = field_from_samples(grid, np.stack([np.sin(x2) + zero, zero, zero]))
+    v = field_from_samples(
         grid, np.stack([zero, np.sin(x1) * np.cos(x3) + zero, zero])
     )
-    w = vector_from_samples(grid, np.stack([np.cos(x3) + zero, zero, zero]))
+    w = field_from_samples(grid, np.stack([np.cos(x3) + zero, zero, zero]))
     r = trilinear_ratio_i(u, v, w, 1.0)
     assert r == pytest.approx(0.0, abs=1e-14)
 

@@ -8,7 +8,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from full_layout import hermitian_defect, to_full, write_full_layout_checkpoint
+from full_layout import (hermitian_defect, rule_mask, to_full,
+                         write_full_layout_checkpoint)
 
 from admles.filters import (
     DeconvSpec,
@@ -42,14 +43,15 @@ from admles.solver import (
     write_checkpoint,
 )
 from admles.spectral import (
+    FieldNorms,
     VectorField,
     dealias,
     divergence_residual,
+    field_from_samples,
     inner_product,
     l2_norm,
     leray_project,
     tensor_divergence,
-    vector_from_samples,
 )
 
 
@@ -153,7 +155,8 @@ def bar_line(cfg):
 
 
 def viscous_factor(cfg):
-    return np.exp(-cfg.nu * cfg.dt * cfg.grid.k_squared)
+    g = cfg.grid
+    return np.exp(-cfg.nu * cfg.dt * (g.k1**2 + g.k2**2 + g.k3**2))
 
 
 def test_nonlinear_term_zero_field():
@@ -366,7 +369,7 @@ def test_vertical_mean_sector_unfiltered():
     samples = np.stack(
         [np.sin(x1) * np.cos(x2) + zeros, -np.cos(x1) * np.sin(x2) + zeros, zeros]
     )
-    w0 = leray_project(dealias(vector_from_samples(g, samples)))
+    w0 = leray_project(dealias(field_from_samples(g, samples)))
     cfg = config16(
         filter=FilterSpec(alpha=2.0, theta=1.0), deconv_order=5, t_end=0.03
     )
@@ -462,6 +465,22 @@ def test_step_operators_keep_no_half_layout_array():
     assert ops.band_viscous.shape == cfg.grid.band.shape
 
 
+def test_grid_caches_no_multi_axis_array():
+    """A Grid keeps only lines: every 3-D multiplier is built on the box
+    that reads it, so no 3-D table outlives a setup, a step, a
+    projection or a norm."""
+    cfg = config16(forcing=TaylorGreen())
+    g = cfg.grid
+    ops = StepOperators(cfg)
+    state = step(initial_state(cfg), ops)
+    leray_project(state.w)
+    FieldNorms(state.w).vertical_grad(0.5)
+    tables = [name for name, value in vars(g).items()
+              if isinstance(value, np.ndarray)
+              and sum(size > 1 for size in value.shape) > 1]
+    assert tables == []
+
+
 def test_warm_step_allocates_little_beyond_the_new_state():
     cfg = config16()
     ops = StepOperators(cfg)
@@ -484,7 +503,8 @@ def test_states_are_zero_outside_the_band(desc):
     2/3 band, the only part the stepper reads."""
     init = TaylorGreen() if isinstance(desc, ZeroForcing) else desc
     cfg = config16(init=init, forcing=desc, t_end=0.05)
-    outside = ~cfg.grid.dealias_mask
+    g = cfg.grid
+    outside = ~rule_mask(g)[..., : g.n3 // 2 + 1]
     ops = StepOperators(cfg)
     assert np.all(ops.forcing_raw.coeffs[:, outside] == 0.0)
     state = initial_state(cfg)

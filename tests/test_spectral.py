@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from full_layout import hermitian_defect, mirror, to_full
+from full_layout import hermitian_defect, mirror, rule_mask, to_full
 
 from admles import spectral
 from admles.ensembles import EnsembleSpec, draw_vector
@@ -21,17 +21,14 @@ from admles.spectral import (
     field_from_full,
     field_from_samples,
     fine_samples,
-    forward_transform,
     grad_norm,
     gradient,
     horizontal_grad_norm,
     inner_product,
-    inverse_transform,
     l2_norm,
     leray_project,
     pad_spectrum,
     tensor_divergence,
-    vector_from_samples,
     vertical_grad_seminorm,
     vertical_seminorm,
 )
@@ -50,7 +47,7 @@ def random_real_field(grid, seed=0):
 def random_divfree(grid, seed=0):
     """Band-limited divergence-free vector field from real samples."""
     rng = np.random.default_rng(seed)
-    v = vector_from_samples(grid, rng.standard_normal((3, *grid.shape)))
+    v = field_from_samples(grid, rng.standard_normal((3, *grid.shape)))
     return leray_project(dealias(v))
 
 
@@ -73,11 +70,19 @@ def test_fields_freeze_owned_arrays_and_copy_writable_views(grid):
     assert not part.coeffs.flags.writeable
 
 
+def irfftn(grid, coeffs):
+    """Real samples of half-layout coefficients: the full reference."""
+    return np.fft.irfftn(coeffs, s=grid.shape, axes=AXES, norm="forward")
+
+
 def test_transform_round_trip(grid):
     rng = np.random.default_rng(1)
     samples = rng.standard_normal(grid.shape)
-    back = inverse_transform(grid, forward_transform(grid, samples))
-    assert np.max(np.abs(back - samples)) < 1e-12
+    f = field_from_samples(grid, samples)
+    assert isinstance(f, SpectralField)
+    assert np.max(np.abs(irfftn(grid, f.coeffs) - samples)) < 1e-12
+    v = field_from_samples(grid, rng.standard_normal((3, *grid.shape)))
+    assert isinstance(v, VectorField)
 
 
 def test_cosine_coefficients(grid):
@@ -129,7 +134,7 @@ def test_gradient_of_cosine(grid):
     x1, _, _ = grid.mesh()
     f = field_from_samples(grid, np.cos(x1) + np.zeros(grid.shape))
     gf = gradient(f)
-    d1 = inverse_transform(grid, gf.coeffs[0])
+    d1 = irfftn(grid, gf.coeffs[0])
     assert np.max(np.abs(d1 - (-np.sin(x1) - np.zeros(grid.shape)))) < 1e-12
     assert np.max(np.abs(gf.coeffs[1])) < 1e-15
     assert np.max(np.abs(gf.coeffs[2])) < 1e-15
@@ -140,7 +145,7 @@ def test_vertical_derivative(grid):
     f = field_from_samples(grid, np.sin(2 * x3) + np.zeros(grid.shape))
     df = gradient(f).component(2)
     expect = 2 * np.cos(2 * x3) + np.zeros(grid.shape)
-    assert np.max(np.abs(inverse_transform(grid, df.coeffs) - expect)) < 1e-12
+    assert np.max(np.abs(irfftn(grid, df.coeffs) - expect)) < 1e-12
 
 
 def test_gradient_real_for_nyquist_content(grid):
@@ -153,7 +158,7 @@ def test_gradient_real_for_nyquist_content(grid):
 
 def test_leray_projection_properties(grid):
     rng = np.random.default_rng(4)
-    v = vector_from_samples(grid, rng.standard_normal((3, *grid.shape)))
+    v = field_from_samples(grid, rng.standard_normal((3, *grid.shape)))
     pv = leray_project(v)
     assert divergence_residual(pv) < 1e-13
     ppv = leray_project(pv)
@@ -201,23 +206,22 @@ def full_complex_tensor_divergence(u, v):
     us = (np.fft.ifftn(to_full(g, u.coeffs), axes=AXES) * n).real
     vs = (np.fft.ifftn(to_full(g, v.coeffs), axes=AXES) * n).real
     kd3 = g.deriv_axis(2).reshape(1, 1, -1)
-    k3 = np.fft.fftfreq(g.n3, 1 / g.n3)
-    mask = g.dealias_mask[..., :1] & (np.abs(k3) <= g.n3 / 3.0)
     out = np.empty((3, *g.shape), dtype=complex)
     for j in range(3):
         p = np.fft.fftn(us * vs[j][None], axes=AXES) / n
         out[j] = 1j * (g.kd1 * p[0] + g.kd2 * p[1] + kd3 * p[2])
-    return out * mask
+    return out * rule_mask(g)
 
 
 def test_real_transforms_match_complex_ffts():
     rng = np.random.default_rng(30)
     samples = rng.standard_normal((3, *ODD_BOX.shape))
-    coeffs = forward_transform(ODD_BOX, samples)
+    coeffs = np.fft.rfftn(samples, axes=AXES, norm="forward")
     ref = np.fft.fftn(samples, axes=AXES) / np.prod(ODD_BOX.shape)
     assert coeffs.shape == (3, *ODD_BOX.spectral_shape)
     assert np.max(np.abs(coeffs - ref[..., :6])) < 1e-15 * np.max(np.abs(ref))
-    back = inverse_transform(ODD_BOX, coeffs)
+    assert np.array_equal(field_from_samples(ODD_BOX, samples).coeffs, coeffs)
+    back = irfftn(ODD_BOX, coeffs)
     assert back.dtype == np.float64
     assert np.max(np.abs(back - samples)) < 1e-13
 
@@ -240,16 +244,23 @@ def test_full_layout_boundary_keeps_the_half():
         field_from_full(ODD_BOX, full[..., :6])
 
 
-@pytest.mark.parametrize("same", [True, False])
-def test_tensor_divergence_matches_full_complex_reference(same):
+def test_tensor_divergence_matches_full_complex_reference():
     u = random_divfree(ODD_BOX, seed=32)
-    v = u if same else random_divfree(ODD_BOX, seed=33)
-    got = tensor_divergence(u, v).coeffs
-    ref = full_complex_tensor_divergence(u, v)
+    got = tensor_divergence(u).coeffs
+    ref = full_complex_tensor_divergence(u, u)
     assert np.max(np.abs(got - ref[..., :6])) < 1e-14 * np.max(np.abs(ref))
     # pairs inside the k3 = 0 plane come from one transform: equal to rounding
     defect = hermitian_defect(to_full(ODD_BOX, got))
     assert defect < 1e-15 * np.max(np.abs(ref))
+
+
+def test_tensor_divergence_reads_only_the_band(grid):
+    # raw samples fill every mode; only the 2/3 band of u is read
+    rng = np.random.default_rng(45)
+    u = leray_project(field_from_samples(grid, rng.standard_normal((3, *grid.shape))))
+    assert np.max(np.abs(u.coeffs - dealias(u).coeffs)) > 1e-3
+    assert np.array_equal(tensor_divergence(u).coeffs,
+                          tensor_divergence(dealias(u)).coeffs)
 
 
 @pytest.mark.parametrize("g", [Grid(16, 16, 16), ODD_BOX], ids=["cube", "odd box"])
@@ -347,7 +358,7 @@ def test_fine_samples_round_trip(grid):
     # the fine samples carry the band and nothing else
     f = dealias(random_real_field(grid, seed=8))
     fine = fine_grid(grid)
-    coeffs = forward_transform(fine, fine_samples(f, fine.shape))
+    coeffs = field_from_samples(fine, fine_samples(f, fine.shape)).coeffs
     band = grid.band
     lifted = band.scatter(band.gather(f.coeffs), fine.shape)
     assert np.max(np.abs(coeffs - lifted)) < 1e-14
@@ -356,7 +367,7 @@ def test_fine_samples_round_trip(grid):
 def test_fine_samples_interpolate(grid):
     # every other fine sample is a native one
     f = dealias(random_real_field(grid, seed=9))
-    samples = inverse_transform(grid, f.coeffs)
+    samples = irfftn(grid, f.coeffs)
     fine = fine_samples(f, fine_grid(grid).shape)
     assert np.max(np.abs(fine[::2, ::2, ::2] - samples)) < 1e-12
 
@@ -478,7 +489,9 @@ def band_draws(g, *bands, seed=38):
          "wide with narrow"])
 def test_convective_inner_equals_the_tensor_divergence_form(triple):
     u, v, w = triple()
-    expect = inner_product(tensor_divergence(u, v), w)
+    g = u.grid
+    ref = full_complex_tensor_divergence(u, v)[..., : g.n3 // 2 + 1]
+    expect = inner_product(VectorField(g, ref), w)
     scale = l2_norm(u) * grad_norm(v) * l2_norm(w)
     assert abs(convective_inner(u, v, w) - expect) < 1e-13 * scale
 
@@ -499,7 +512,8 @@ def test_band_5_triple_at_32_is_sampled_on_16_points(monkeypatch):
 def test_divergence_of_gradient_is_laplacian(grid):
     f = dealias(random_real_field(grid, seed=17))
     lap = divergence(gradient(f))
-    expect = -f.grid.k_squared * f.coeffs
+    g = f.grid
+    expect = -(g.k1**2 + g.k2**2 + g.k3**2) * f.coeffs
     # dealiased fields carry no Nyquist modes: kd and k agree there
     assert np.max(np.abs(lap.coeffs - expect)) < 1e-12
 
@@ -511,9 +525,8 @@ def test_norms_match_full_layout_reference(vector):
     g = ODD_BOX
     rng = np.random.default_rng(35)
     shape = (3, *g.shape) if vector else g.shape
-    make = vector_from_samples if vector else field_from_samples
-    f = make(g, rng.standard_normal(shape))
-    h = make(g, rng.standard_normal(shape))
+    f = field_from_samples(g, rng.standard_normal(shape))
+    h = field_from_samples(g, rng.standard_normal(shape))
     h = h.with_coeffs(h.coeffs + f.coeffs)  # not near-orthogonal to f
     F, H = to_full(g, f.coeffs), to_full(g, h.coeffs)
     k3 = g.k_axis(2).reshape(1, 1, -1)
