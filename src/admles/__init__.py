@@ -42,6 +42,7 @@ from .solver import (
 from .spectral import (
     SpectralField,
     VectorField,
+    dealias,
     field_from_samples,
     grad_norm,
     gradient,
@@ -70,6 +71,7 @@ __all__ = [
     "apply_half_deconv",
     "apply_half_filter",
     "check_filter_identities",
+    "dealias",
     "dependence_experiment",
     "deconv_error_symbol",
     "deconv_symbol",

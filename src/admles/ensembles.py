@@ -10,8 +10,9 @@ Draws are Hermitian-symmetrized (real physical samples), weighted by
 |k|^{-amplitude_decay}, and given zero mean; the whole box is drawn, and
 its k3 >= 0 half, rolled from centered into Band order (rows 0..b, then
 -b..-1), is scattered onto the grid by a Band of cutoffs (b, b, b).
-Vector draws can be Leray-projected, modewise on that box
-(project_coeffs with the Band's kd lines), before the one scatter.
+Vector draws can be Leray-projected, modewise on that box, before the
+one scatter: project_coeffs on the draw's Band, as leray_project runs it
+on the grid's 2/3 band.
 """
 
 from __future__ import annotations

@@ -8,13 +8,15 @@ axis.  Wavenumbers follow numpy FFT ordering,
     k_j in {0, 1, ..., n_j/2 - 1, -n_j/2, ..., -1} * (2*pi / L_j),
 
 so the Nyquist mode of each axis sits at -n_j/2.  Odd-order operators
-(gradient, divergence, Leray projection) use the *derivative*
+on the half layout (gradient, divergence) use the *derivative*
 wavenumbers, which zero the Nyquist plane; this keeps real fields real,
 since the coefficient stored at -n/2 represents cos(n x / 2) content
 whose odd derivative is not representable on the grid.  Even multipliers
 (|k3|^{2s}, the Laplacian, filter symbols) use the true magnitudes
 including n/2.  Fields band-limited by the 2/3 rule carry no Nyquist
-content, so the distinction only matters for raw transformed samples.
+content, so the distinction only matters for raw transformed samples;
+the Leray projection and the stepper run on a Band, which holds no
+Nyquist entry.
 Coefficients are stored in the rfftn layout (n1, n2, n3/2 + 1): the k3
 lines and all built from them hold k3 = 0, 1, ..., n3/2 only.  The
 2/3-rule band of that layout is the box `Grid.band`: rows 0..K and
@@ -60,14 +62,6 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _inverse_squares(kd1: np.ndarray, kd2: np.ndarray,
-                    kd3: np.ndarray) -> np.ndarray:
-    """1 / (kd1^2 + kd2^2 + kd3^2) of broadcastable lines, and 0 where
-    that sum vanishes; read-only."""
-    ksq = kd1**2 + kd2**2 + kd3**2
-    return _read_only(np.divide(1.0, ksq, out=np.zeros(ksq.shape), where=ksq > 0))
-
-
 def dealias_cutoff(n: int) -> int:
     """The 2/3-rule cutoff of an axis of n modes: the largest |k| < n/3."""
     return (n - 1) // 3
@@ -90,8 +84,9 @@ class Band:
     of the two full axes; the half axis keeps columns 0..K3.  gather and
     scatter move the box to and from the half layout (..., m1, m2,
     m3/2 + 1) of any grid shape that holds it (2 K + 1 <= m per axis),
-    so the one box serves the stepper, dealias, the draws and fine
-    sampling.  The default cutoffs are the grid's 2/3 rule (Grid.band).
+    so the one box serves the stepper, dealias, the Leray projection,
+    the draws and fine sampling.  The default cutoffs are the grid's 2/3
+    rule (Grid.band).
     Since 2 K + 1 <= n, a box never holds a Nyquist row or column: its
     derivative and true wavenumbers agree, and every multiplier on it
     is built from its own lines kd1, kd2, kd3 (the grid's, restricted
@@ -126,7 +121,10 @@ class Band:
 
     @cached_property
     def inv_kd_squared(self) -> np.ndarray:
-        return _inverse_squares(self.kd1, self.kd2, self.kd3)
+        """1 / |kd|^2 on the box, and 0 at the mean mode, the one mode
+        whose kd all vanish."""
+        ksq = self.kd1**2 + self.kd2**2 + self.kd3**2
+        return _read_only(np.divide(1.0, ksq, out=np.zeros(ksq.shape), where=ksq > 0))
 
     def rows_on(self, shape: tuple[int, int, int]):
         """(band slice, half slice) of the low and high row block of each
@@ -256,14 +254,6 @@ class Grid:
         """2 where stored column k3 also stands for its mirror -k3, else 1."""
         k3 = np.arange(self.n3 // 2 + 1)
         return self._expand(np.where((k3 > 0) & (k3 < self.n3 // 2), 2.0, 1.0), 2)
-
-    @property
-    def inv_kd_squared(self) -> np.ndarray:
-        """1 / |kd|^2 on the half layout, 0 where every derivative
-        wavenumber of a mode vanishes: the mean mode, and the modes whose
-        every axis sits at 0 or its Nyquist entry.  Built on each read,
-        for leray_project of a half-layout field."""
-        return _inverse_squares(self.kd1, self.kd2, self.kd3)
 
     @cached_property
     def band(self) -> Band:

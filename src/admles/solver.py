@@ -49,7 +49,6 @@ from .spectral import (
     VectorField,
     band_divergence,
     band_inverse,
-    dealias,
     field_from_full,
     field_from_samples,
     l2_norm,
@@ -146,31 +145,29 @@ def _orthogonal_unit(k: np.ndarray) -> np.ndarray:
 
 def descriptor_field(desc: InitDescriptor, grid: Grid) -> VectorField:
     """Raw (unsmoothed) field: divergence-free, and exactly zero outside
-    the 2/3 band (sampled fields are dealiased, which drops the
-    transform's round-off there)."""
+    the 2/3 band (a sampled field is the Leray projection of its band,
+    which drops the transform's round-off outside it)."""
     check_in_band(desc, grid)
+    if isinstance(desc, RandomBandLimited):
+        spec = EnsembleSpec(count=1, band_limit=desc.band, seed=desc.seed)
+        return draw_vector(spec.rng(), spec, grid)
+    x1, x2, x3 = grid.mesh()
     if isinstance(desc, TaylorGreen):
-        x1, x2, x3 = grid.mesh()
-        zeros = np.zeros(grid.shape)
         samples = np.stack(
             [
                 desc.amplitude * np.sin(x1) * np.cos(x2) * np.cos(x3),
                 -desc.amplitude * np.cos(x1) * np.sin(x2) * np.cos(x3),
-                zeros,
+                np.zeros(grid.shape),
             ]
         )
-        return leray_project(dealias(field_from_samples(grid, samples)))
-    if isinstance(desc, SingleMode):
+    elif isinstance(desc, SingleMode):
         k = np.asarray(desc.k, dtype=float)
         e = _orthogonal_unit(k)
-        x1, x2, x3 = grid.mesh()
         phase = np.cos(k[0] * x1 + k[1] * x2 + k[2] * x3)
         samples = np.stack([desc.amplitude * e[i] * phase for i in range(3)])
-        return leray_project(dealias(field_from_samples(grid, samples)))
-    if isinstance(desc, RandomBandLimited):
-        spec = EnsembleSpec(count=1, band_limit=desc.band, seed=desc.seed)
-        return draw_vector(spec.rng(), spec, grid)
-    raise TypeError(f"unknown descriptor {desc!r}")
+    else:
+        raise TypeError(f"unknown descriptor {desc!r}")
+    return leray_project(field_from_samples(grid, samples))
 
 
 def _rescaled(field: VectorField, norm_target: float, what: str) -> VectorField:

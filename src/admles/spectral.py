@@ -31,8 +31,9 @@ the union of three fields' boxes.  Physical-space integrals of products
 of band-limited fields are taken by the rectangle rule on
 quadrature_points per axis, the fewest even count above the product's
 band, which integrates it exactly.  band_divergence is the one kernel
-for div(u x u) on the band, project_coeffs the one Leray formula for a
-layout or a box, and pad_spectrum the 1-D upsampler of lines.
+for div(u x u) on the band, project_coeffs the one Leray formula, on a
+box (the 2/3 band in leray_project and the stepper, a draw's box), and
+pad_spectrum the 1-D upsampler of lines.
 
 Full-layout (n1, n2, n3) coefficients enter at one boundary only,
 field_from_full, which raises RealityError unless they are Hermitian to
@@ -171,24 +172,24 @@ def divergence(field: VectorField) -> SpectralField:
     )
 
 
-def project_coeffs(lines, c: np.ndarray, out: np.ndarray, kdotu: np.ndarray,
+def project_coeffs(band: Band, c: np.ndarray, out: np.ndarray, kdotu: np.ndarray,
                    term: np.ndarray | None = None) -> np.ndarray:
-    """The Leray formula on (3, ...) coefficients, into `out`.
+    """The Leray formula on (3, *band.shape) box coefficients, into `out`.
 
-    out_i = c_i - kd_i (kd . c) / |kd|^2 modewise.  `lines` is a Grid
-    (half layout) or a Band of it (the 2/3 box, a draw's box): anything
-    with kd1, kd2, kd3 and inv_kd_squared.  `kdotu` is scratch of one
-    component's shape, and so is `term`, which is needed only when `out`
-    is `c`; otherwise the components of `out` serve as that scratch.
+    out_i = c_i - kd_i (kd . c) / |kd|^2 modewise, from the box's own
+    lines band.kd1, kd2, kd3 and band.inv_kd_squared.  `kdotu` is
+    scratch of one component's shape, and so is `term`, which is needed
+    only when `out` is `c`; otherwise the components of `out` serve as
+    that scratch.
     """
     t = out[0] if term is None else term
-    np.multiply(lines.kd1, c[0], out=kdotu)
-    np.multiply(lines.kd2, c[1], out=t)
+    np.multiply(band.kd1, c[0], out=kdotu)
+    np.multiply(band.kd2, c[1], out=t)
     kdotu += t
-    np.multiply(lines.kd3, c[2], out=t)
+    np.multiply(band.kd3, c[2], out=t)
     kdotu += t
-    kdotu *= lines.inv_kd_squared
-    for i, kd in enumerate((lines.kd1, lines.kd2, lines.kd3)):
+    kdotu *= band.inv_kd_squared
+    for i, kd in enumerate((band.kd1, band.kd2, band.kd3)):
         t = out[i] if term is None else term
         np.multiply(kd, kdotu, out=t)
         np.subtract(c[i], t, out=out[i])
@@ -196,18 +197,19 @@ def project_coeffs(lines, c: np.ndarray, out: np.ndarray, kdotu: np.ndarray,
 
 
 def leray_project(field: VectorField) -> VectorField:
-    """L^2-orthogonal projection onto divergence-free fields.
+    """L^2-orthogonal projection of the 2/3 band of u onto
+    divergence-free fields, zero (+0.0) outside the band.
 
-    P(u)_k = u_k - kd (kd . u_k) / |kd|^2 modewise, with the derivative
-    wavenumbers kd.  Only a mode whose three kd all vanish passes through
-    unchanged: the mean mode, or one with every axis at 0 or Nyquist.  A
-    mode with one Nyquist axis is projected on the other two: on 8^3,
-    (-4, 1, 1) with components (1, 1, 1) maps to (1, 0, 0).
+    P(u)_k = u_k - k (k . u_k) / |k|^2 on each mode of the band, whose
+    box holds no Nyquist entry, so only the mean mode passes through
+    unchanged.  The band is gathered, projected by project_coeffs and
+    scattered once, as in the stepper; content of u outside the band is
+    not read.
     """
-    c = field.coeffs
-    out = np.empty_like(c)
-    return VectorField(field.grid, project_coeffs(field.grid, c, out,
-                                                  np.empty_like(c[0])))
+    band = field.grid.band
+    c = band.gather(field.coeffs)
+    return VectorField(field.grid, band.scatter(
+        project_coeffs(band, c, np.empty_like(c), np.empty_like(c[0]))))
 
 
 def dealias(field: Field) -> Field:

@@ -11,7 +11,7 @@ import struct
 
 import numpy as np
 
-from admles.spectral import field_from_full
+from admles.spectral import VectorField, field_from_full
 
 AXES = (-3, -2, -1)
 
@@ -35,6 +35,27 @@ def rule_mask(grid):
     every axis; its first n3/2 + 1 columns are the half layout's."""
     kept = [np.abs(np.fft.fftfreq(n, 1 / n)) <= (n - 1) // 3 for n in grid.shape]
     return kept[0][:, None, None] & kept[1][None, :, None] & kept[2][None, None, :]
+
+
+def half_layout_inv_kd_squared(grid):
+    """1 / |kd|^2 on the whole half layout, from the Grid's derivative
+    lines, and 0 where every kd of a mode vanishes: the mean mode, and
+    the modes whose every axis sits at 0 or its Nyquist entry."""
+    ksq = grid.kd1**2 + grid.kd2**2 + grid.kd3**2
+    return np.divide(1.0, ksq, out=np.zeros(ksq.shape), where=ksq > 0)
+
+
+def half_layout_leray(field):
+    """Reference Leray projection of every mode of the half layout,
+    c - kd (kd . c) / |kd|^2, in the order of operations of
+    admles.spectral.project_coeffs."""
+    g, c = field.grid, field.coeffs
+    kd = (g.kd1, g.kd2, g.kd3)
+    kdotu = kd[0] * c[0]
+    kdotu += kd[1] * c[1]
+    kdotu += kd[2] * c[2]
+    kdotu *= half_layout_inv_kd_squared(g)
+    return VectorField(g, np.stack([c[i] - kd[i] * kdotu for i in range(3)]))
 
 
 def hermitian_defect(full):

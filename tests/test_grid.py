@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from full_layout import rule_mask
+from full_layout import half_layout_inv_kd_squared, rule_mask
 
 from admles.grid import Band, Grid, dealias_cutoff
 from admles.spectral import VectorField, leray_project
@@ -103,36 +103,31 @@ def test_band_is_the_dealias_box(g):
     assert np.array_equal(band.kd1 + band.kd2 + band.kd3,
                           band.gather(np.broadcast_to(g.kd1 + g.kd2 + g.kd3,
                                                       g.spectral_shape)))
-    # built from its own lines, a box's inverse is the grid's, bit for bit
+    # built from its own lines, a box's inverse is the half layout's, bit for bit
     boxes = [band] + ([Band(g, (5, 5, 5))] if min(g.shape) >= 11 else [])
     for box in boxes:
-        assert np.array_equal(box.inv_kd_squared, box.gather(g.inv_kd_squared))
+        assert np.array_equal(box.inv_kd_squared,
+                              box.gather(half_layout_inv_kd_squared(g)))
 
 
 def test_inverse_derivative_wavenumbers_read_only():
-    g = Grid(8, 6, 8, L3=np.pi)
-    inv = g.inv_kd_squared
+    band = Grid(8, 6, 8, L3=np.pi).band
+    inv = band.inv_kd_squared
     assert not inv.flags.writeable
-    assert not g.band.inv_kd_squared.flags.writeable
-    ksq = (g.kd1**2 + g.kd2**2 + g.kd3**2) * np.ones(g.spectral_shape)
+    ksq = (band.kd1**2 + band.kd2**2 + band.kd3**2) * np.ones(band.shape)
     assert np.array_equal(inv[ksq > 0], 1.0 / ksq[ksq > 0])
+    # the box holds no Nyquist entry: only the mean mode has kd = 0
+    assert np.count_nonzero(ksq == 0) == 1
     assert np.all(inv[ksq == 0] == 0.0)
 
 
-def test_leray_passes_only_modes_of_zero_derivative_wavenumbers():
-    # on 8^3 a mode's kd all vanish only with every axis at 0 or Nyquist
+def test_leray_zeroes_nyquist_modes_outside_the_band():
+    # on 8^3 the band keeps |k_j| <= 2, so no Nyquist mode reaches it
     g = Grid(8, 8, 8)
-    inv = g.inv_kd_squared
-    assert inv.shape == (8, 8, 5)
-    assert np.count_nonzero(inv == 0.0) == 8
-    # (-4, 1, 1) is projected on its two non-Nyquist axes, kd = (0, 1, 1)
-    c = np.zeros((3, *g.spectral_shape), dtype=complex)
-    c[:, 4, 1, 1] = 1.0
-    got = leray_project(VectorField(g, c)).coeffs
-    expect = np.zeros_like(c)
-    expect[:, 4, 1, 1] = (1.0, 0.0, 0.0)
-    assert np.array_equal(got, expect)
-    # (-4, -4, 4) has kd = 0 on every axis and passes through
-    c = np.zeros_like(c)
-    c[:, 4, 4, 4] = (1.0, 2.0, 3.0)
-    assert np.array_equal(leray_project(VectorField(g, c)).coeffs, c)
+    for mode, value in (((4, 1, 1), (1.0, 1.0, 1.0)),  # (-4, 1, 1)
+                        ((4, 4, 4), (1.0, 2.0, 3.0))):  # (-4, -4, 4)
+        c = np.zeros((3, *g.spectral_shape), dtype=complex)
+        c[(slice(None), *mode)] = value
+        got = leray_project(VectorField(g, c)).coeffs
+        assert np.array_equal(got, np.zeros_like(c))
+        assert not np.signbit(got.real).any() and not np.signbit(got.imag).any()

@@ -5,6 +5,7 @@ import json
 import re
 import struct
 import tracemalloc
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -466,17 +467,20 @@ def test_step_operators_keep_no_half_layout_array():
 
 
 def test_grid_caches_no_multi_axis_array():
-    """A Grid keeps only lines: every 3-D multiplier is built on the box
-    that reads it, so no 3-D table outlives a setup, a step, a
-    projection or a norm."""
+    """A Grid keeps and returns only lines: every 3-D multiplier is built
+    on the box that reads it, so no 3-D table outlives a setup, a step,
+    a projection or a norm, and no property builds one."""
     cfg = config16(forcing=TaylorGreen())
     g = cfg.grid
     ops = StepOperators(cfg)
     state = step(initial_state(cfg), ops)
     leray_project(state.w)
     FieldNorms(state.w).vertical_grad(0.5)
-    tables = [name for name, value in vars(g).items()
-              if isinstance(value, np.ndarray)
+    properties = [name for name, attr in vars(Grid).items()
+                  if isinstance(attr, (property, cached_property))
+                  and not name.startswith("_")]
+    tables = [name for name in dict.fromkeys([*vars(g), *properties])
+              if isinstance(value := getattr(g, name), np.ndarray)
               and sum(size > 1 for size in value.shape) > 1]
     assert tables == []
 

@@ -257,10 +257,24 @@ def test_tensor_divergence_matches_full_complex_reference():
 def test_tensor_divergence_reads_only_the_band(grid):
     # raw samples fill every mode; only the 2/3 band of u is read
     rng = np.random.default_rng(45)
-    u = leray_project(field_from_samples(grid, rng.standard_normal((3, *grid.shape))))
+    u = field_from_samples(grid, rng.standard_normal((3, *grid.shape)))
     assert np.max(np.abs(u.coeffs - dealias(u).coeffs)) > 1e-3
     assert np.array_equal(tensor_divergence(u).coeffs,
                           tensor_divergence(dealias(u)).coeffs)
+
+
+@pytest.mark.parametrize("g", [Grid(16, 16, 16), ODD_BOX], ids=["cube", "odd box"])
+def test_leray_project_reads_only_the_band(g):
+    # raw samples fill every mode; the projection reads and keeps the band
+    rng = np.random.default_rng(46)
+    u = field_from_samples(g, rng.standard_normal((3, *g.shape)))
+    assert np.max(np.abs(u.coeffs - dealias(u).coeffs)) > 1e-3
+    got = leray_project(u).coeffs
+    assert np.array_equal(got, leray_project(dealias(u)).coeffs)
+    outside = ~rule_mask(g)[..., : g.n3 // 2 + 1]
+    zeros = got[:, outside]
+    assert np.array_equal(zeros, np.zeros_like(zeros))
+    assert not np.signbit(zeros.real).any() and not np.signbit(zeros.imag).any()
 
 
 @pytest.mark.parametrize("g", [Grid(16, 16, 16), ODD_BOX], ids=["cube", "odd box"])
