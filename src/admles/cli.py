@@ -28,7 +28,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .config import ConfigError, RunConfig, parse_config, with_overrides
@@ -357,7 +356,6 @@ def main(argv=None) -> int:
         "versions": {
             "admles": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": platform.python_version(),
         },
         "wall_time_seconds": wall,

@@ -12,7 +12,9 @@ its k3 >= 0 half, rolled from centered into Band order (rows 0..b, then
 -b..-1), is scattered onto the grid by a Band of cutoffs (b, b, b).
 Vector draws can be Leray-projected, modewise on that box, before the
 one scatter: project_coeffs on the draw's Band, as leray_project runs it
-on the grid's 2/3 band.
+on the grid's 2/3 band.  numpy.random is imported with the module, as
+spectral imports numpy.fft: numpy loads it lazily, and a first draw
+inside a run would otherwise pay for the import.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random
 
 from .grid import Band, Grid, check_rules
 from .spectral import SpectralField, VectorField, project_coeffs

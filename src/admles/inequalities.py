@@ -30,7 +30,10 @@ split bound at the optimal crossover kappa = (||g||_{H^s} /
 ||g||_2)^{1/s}; each step of that chain is a rigorous inequality
 (Cauchy-Schwarz with explicit partial sums, the tail sum via the
 Hurwitz zeta function), so it is a true upper bound for the sup norm
-and serves as an independent per-sample oracle.
+and serves as an independent per-sample oracle.  The zeta is
+_hurwitz_zeta, a plain-float port of the Euler-Maclaurin algorithm of
+Cephes zeta.c, which scipy.special.zeta also runs; the port returns
+scipy's values bit for bit, so the package needs numpy alone.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import zeta as _hurwitz_zeta
 
 from .ensembles import EnsembleSpec, check_fits, draw_line, draw_vector
 from .grid import Grid, check_band, check_rules, rule_errors
@@ -140,6 +142,58 @@ def agmon_ratio(coeffs: np.ndarray, s: float) -> float:
     return _agmon_terms(np.asarray(coeffs, dtype=np.complex128))[1](s)
 
 
+# Cephes zeta.c: the machine epsilon that ends its sums, and A[i], the
+# Euler-Maclaurin denominators (2i + 2)! / B_{2i+2}.
+_MACHEP = 1.11022302462515654042e-16
+_ZETA_A = (12.0, -720.0, 30240.0, -1209600.0, 47900160.0,
+           -1.8924375803183791606e9, 7.47242496e10, -2.950130727918164224e12,
+           1.1646782814350067249e14, -4.5979787224074726105e15,
+           1.8152105401943546773e17, -7.1661652561756670113e18)
+
+
+def _hurwitz_zeta(x: float, q: float) -> float:
+    """zeta(x, q) = sum_{k >= 0} (k + q)^{-x} for x > 1, q > 0.
+
+    Cephes zeta.c in its order of operations: the asymptotic form for
+    q > 1e8; otherwise the direct terms k = 0..i, for i >= 9 and until
+    q + i > 9 in floating point (a q below 1e-15 rounds to q + 9 = 9),
+    then the integral and half-term corrections and up to 12 Bernoulli
+    terms, each sum ending once a term falls below _MACHEP of the sum.
+    A sum that underflows to 0 never ends early, as its 0/0 test fails
+    in C.  Equal to scipy.special.zeta(x, q) bit for bit wherever q^{-x}
+    is a finite float.
+    """
+    if not (x > 1.0 and q > 0.0):
+        raise ValueError(f"zeta({x}, {q}) needs x > 1 and q > 0")
+    if q > 1e8:
+        return (1.0 / (x - 1.0) + 1.0 / (2.0 * q)) * q ** (1.0 - x)
+    s = q ** -x
+    a, b, i = q, 0.0, 0
+    while i < 9 or a <= 9.0:
+        i += 1
+        a += 1.0
+        b = a ** -x
+        s += b
+        if s and abs(b / s) < _MACHEP:
+            return s
+    w = a
+    s += b * w / (x - 1.0)
+    s -= 0.5 * b
+    a, k = 1.0, 0.0
+    for denominator in _ZETA_A:
+        a *= x + k
+        b /= w
+        t = a * b / denominator
+        s += t
+        if s and abs(t / s) < _MACHEP:
+            break
+        k += 1.0
+        a *= x + k
+        b /= w
+        k += 1.0
+    return s
+
+
 def agmon_split_bound(coeffs: np.ndarray, s: float) -> float:
     """Low/high wavenumber split bound on ||g||_inf at the optimal kappa.
 
@@ -170,7 +224,7 @@ def agmon_split_bound(coeffs: np.ndarray, s: float) -> float:
     high_sum = float(
         np.sqrt(np.sum(np.abs(k[high]) ** (2.0 * s) * mag2[high]))
     )
-    tail = 2.0 * float(_hurwitz_zeta(2.0 * s, m + 1))
+    tail = 2.0 * _hurwitz_zeta(2.0 * s, float(m + 1))
     return np.sqrt(2.0 * m) * low_sum + np.sqrt(tail) * high_sum
 
 

@@ -38,8 +38,9 @@ pad_spectrum the 1-D upsampler of lines.
 Full-layout (n1, n2, n3) coefficients enter at one boundary only,
 field_from_full, which raises RealityError unless they are Hermitian to
 1e-10 of their scale and keeps the half; no transform checks reality.
-numpy.fft is used rather than scipy.fft, whose import costs more
-start-up time and memory than it saves here.
+The package imports nothing but numpy, so the transforms are numpy.fft,
+imported here with the module: numpy loads it lazily, and a first use
+inside a run would put its import into that run's time.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import numpy.fft
 
 from .grid import Band, Grid
 
@@ -95,6 +97,10 @@ class SpectralField:
     def with_coeffs(self, coeffs: np.ndarray) -> "SpectralField":
         return SpectralField(self.grid, coeffs)
 
+    @cached_property
+    def _box(self) -> Band:
+        return _scan_box(self)
+
 
 @dataclass(frozen=True, eq=False)
 class VectorField:
@@ -116,6 +122,10 @@ class VectorField:
 
     def with_coeffs(self, coeffs: np.ndarray) -> "VectorField":
         return VectorField(self.grid, coeffs)
+
+    @cached_property
+    def _box(self) -> Band:
+        return _scan_box(self)
 
 
 Field = SpectralField | VectorField
@@ -472,7 +482,13 @@ def vertical_grad_seminorm(f: Field, s: float) -> float:
 
 def occupied_box(field: Field) -> Band:
     """The smallest box inside the field's 2/3 band that holds every
-    nonzero coefficient of that band (cutoffs 0 for the zero field)."""
+    nonzero coefficient of that band (cutoffs 0 for the zero field).
+    A field's coefficients are read-only, so its band is scanned once,
+    on the first call, and the field keeps the box."""
+    return field._box
+
+
+def _scan_box(field: Field) -> Band:
     band = field.grid.band
     nonzero = band.gather(field.coeffs).reshape(-1, *band.shape) != 0
     i1, i2, i3 = np.nonzero(np.any(nonzero, axis=0))

@@ -58,6 +58,27 @@ def half_layout_leray(field):
     return VectorField(g, np.stack([c[i] - kd[i] * kdotu for i in range(3)]))
 
 
+def beltrami_field(grid, modes, amplitudes, helicity=1):
+    """A field whose mode m = (m1, m2, m3) holds amplitude times the unit
+    eigenvector of v -> i k x v (the curl) for the eigenvalue helicity
+    |k|, with k the mode's true wavenumber; the mirror -m holds its
+    conjugate, an eigenvector of the same eigenvalue.  With helicity +1
+    and one |k| for every mode the field is Beltrami: curl w = |k| w.
+    No two modes may be equal or mirrors of each other."""
+    full = np.zeros((3, *grid.shape), dtype=np.complex128)
+    for m, amplitude in zip(modes, amplitudes, strict=True):
+        k = np.array([2.0 * np.pi * mj / length for mj, length in zip(m, grid.sizes)])
+        curl = 1j * np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]])
+        values, vectors = np.linalg.eigh(curl)  # ascending: -|k|, 0, +|k|
+        v = amplitude * vectors[:, 0 if helicity < 0 else 2]
+        assert np.allclose(curl @ v, helicity * np.linalg.norm(k) * v)
+        for sign, c in ((1, v), (-1, np.conj(v))):
+            index = tuple(sign * mj % n for mj, n in zip(m, grid.shape))
+            assert not full[(slice(None), *index)].any(), f"mode {m} given twice"
+            full[(slice(None), *index)] = c
+    return field_from_full(grid, full)
+
+
 def hermitian_defect(full):
     """max |c_k - conj(c_-k)| of full-layout coefficients; zero iff real."""
     return float(np.max(np.abs(full - np.conj(mirror(full)))))

@@ -1,11 +1,16 @@
 """End-to-end command-line runs: artifacts, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from full_layout import to_full, write_full_layout_checkpoint
 
+import admles
 from admles import inequalities
 from admles.cli import main
 from admles.config import parse_config
@@ -308,6 +313,7 @@ def test_manifest_versions_and_wall_time(tmp_path):
     assert run_cli("verify-operators", "--config", cfg, "--output", str(out),
                    "--quiet") == 0
     manifest = read_manifest(out)
+    assert sorted(manifest["versions"]) == ["admles", "numpy", "python"]
     assert manifest["versions"]["numpy"] == np.__version__
     assert manifest["wall_time_seconds"] > 0
     assert manifest["seed"] == 0
@@ -318,3 +324,45 @@ def test_usage_error_exit_code(capsys):
     assert run_cli("no-such-command") == 1
     assert run_cli() == 1
     capsys.readouterr()
+
+
+def run_python(code, *args):
+    """The stdout of `code` run by a fresh interpreter that imports this
+    admles; fails on a nonzero exit."""
+    src = str(Path(admles.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path},
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_import_loads_no_scipy():
+    loaded = json.loads(run_python(
+        "import json, sys; import admles.cli; print(json.dumps(sorted(sys.modules)))"))
+    assert "admles.cli" in loaded
+    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+
+
+def test_main_imports_no_numpy_module(tmp_path):
+    # numpy loads numpy.fft and numpy.random lazily: a first transform or
+    # draw inside main() would put their import into the run's time
+    cfg = write(tmp_path / "tiny.ini",
+                "[grid]\nn1 = 8\nn2 = 8\nn3 = 8\n[solver]\nt_end = 0.01\n"
+                "[init]\nkind = random\nband = 2\n"
+                "[forcing]\nkind = random\nband = 2\n"
+                "[inequalities]\ncount = 2\nresolution = 8\nband = 2\n"
+                "line_length = 16\n")
+    code = (
+        "import json, sys\n"
+        "import admles.cli\n"
+        "cfg, out = sys.argv[1:]\n"
+        "before = set(sys.modules)\n"
+        "codes = [admles.cli.main([command, '--config', cfg, '--output', out + command,\n"
+        "                          '--quiet'])\n"
+        "         for command in ('simulate', 'verify-inequalities')]\n"
+        "print(json.dumps([codes, sorted(set(sys.modules) - before)]))\n")
+    codes, new = json.loads(run_python(code, cfg, str(tmp_path / "out-")))
+    assert codes == [0, 0]
+    assert [m for m in new if m.split(".")[0] == "numpy"] == []

@@ -104,6 +104,42 @@ def test_agmon_split_bound_single_mode_value():
     assert agmon_split_bound(line, 1.0) == pytest.approx(2.0, rel=1e-12)
 
 
+# scipy.special.zeta(x, q) of scipy 1.17.1, as exact float reprs: the
+# integer q >= 2 that agmon_split_bound passes, points that need the 7th
+# Bernoulli term (3.6, 2) or the exact epsilon (21.4, 2), a fractional
+# q, the asymptotic branch (q > 1e8), and a sum that underflows to 0
+SCIPY_ZETA = {
+    (1.2, 1.0): 5.591582441177752,
+    (1.5, 3.0): 1.2588219580922144,
+    (2.0, 10.0): 0.10516633568168576,
+    (2.6, 7.0): 0.031149656287502263,
+    (3.7, 59.0): 6.2699284203737745e-06,
+    (12.0, 2.0): 0.00024608655330804827,
+    (3.6, 2.0): 0.11598907912333764,
+    (21.4, 2.0): 3.614367252909726e-07,
+    (1.7, 0.3): 9.31619958047185,
+    (5.0, 2e8): 1.562500015625e-34,
+    (2.5, 1e9): 2.1081851083600587e-14,
+    (50.0, 1e8): 0.0,
+}
+
+
+@pytest.mark.parametrize("x, q", list(SCIPY_ZETA))
+def test_hurwitz_zeta_equals_scipy_bitwise(x, q):
+    assert inequalities._hurwitz_zeta(x, q) == SCIPY_ZETA[x, q]
+
+
+@pytest.mark.parametrize("x, exact", [(2.0, np.pi**2 / 6), (4.0, np.pi**4 / 90)])
+def test_hurwitz_zeta_at_one_is_riemann_zeta(x, exact):
+    assert abs(inequalities._hurwitz_zeta(x, 1.0) - exact) <= 2 * np.spacing(exact)
+
+
+@pytest.mark.parametrize("x, q", [(1.0, 2.0), (0.5, 2.0), (2.0, 0.0), (2.0, -1.5)])
+def test_hurwitz_zeta_rejects_points_off_its_domain(x, q):
+    with pytest.raises(ValueError, match="x > 1 and q > 0"):
+        inequalities._hurwitz_zeta(x, q)
+
+
 def test_agmon_split_bound_rejects_a_nonzero_mean():
     # the bound leaves out c_0: for 1 + cos x it would read 1 < sup 2,
     # for the constant 1 it would read 0

@@ -9,7 +9,7 @@ from functools import cached_property
 
 import numpy as np
 import pytest
-from full_layout import (hermitian_defect, rule_mask, to_full,
+from full_layout import (beltrami_field, hermitian_defect, rule_mask, to_full,
                          write_full_layout_checkpoint)
 
 from admles.filters import (
@@ -433,6 +433,56 @@ def test_band_step_matches_half_layout_heun_bitwise(order):
         a = step(a, ops)
         b = half_step(b)
         assert np.array_equal(a.w.coeffs, b.w.coeffs)
+
+
+# Modes of one true |k|: |k|^2 = 2 on the 2 pi cube, with one |k3| or
+# mixed, and |k|^2 = 5 on a box with L3 = pi, where k3 = 2 m3.
+BELTRAMI_MODES = [(0, 1, 1), (0, -1, 1), (1, 0, 1), (-1, 0, 1)]
+MIXED_K3_MODES = [(0, 1, 1), (1, 1, 0), (1, 0, 1)]
+PI_BOX = Grid(12, 16, 24, L3=np.pi)
+PI_BOX_MODES = [(1, 2, 0), (1, -2, 0), (1, 0, 1), (0, 1, 1), (0, 1, -1)]
+
+
+def decay_error(grid, modes, helicities, theta, order, steps=100):
+    """Largest coefficient error of a viscous run from a sum of helical
+    modes of one |k|, relative to exp(-nu |k|^2 t) w(0), over `steps`."""
+    k_squared = [sum((2.0 * np.pi * mj / length) ** 2
+                     for mj, length in zip(m, grid.sizes)) for m in modes]
+    assert np.ptp(k_squared) < 1e-12
+    rng = np.random.default_rng(17)
+    amplitudes = rng.standard_normal(len(modes)) + 1j * rng.standard_normal(len(modes))
+    w0 = VectorField(grid, sum(beltrami_field(grid, [m], [a], h).coeffs
+                               for m, a, h in zip(modes, amplitudes, helicities)))
+    cfg = config16(grid=grid, nu=0.05, dt=0.002, t_end=steps * 0.002,
+                   filter=FilterSpec(alpha=0.3, theta=theta), deconv_order=order)
+    error = 0.0
+    for state in trajectory(StepOperators(cfg), SolverState(0.0, 0, w0)):
+        exact = np.exp(-cfg.nu * k_squared[0] * state.t) * w0.coeffs
+        error = max(error, np.max(np.abs(state.w.coeffs - exact)) / np.max(np.abs(exact)))
+    assert state.step_index == steps
+    return error
+
+
+@pytest.mark.parametrize("grid, modes, theta, order", [
+    (Grid(16, 16, 16), BELTRAMI_MODES, 0.75, 2),
+    (Grid(16, 16, 16), BELTRAMI_MODES, 1.0, 5),
+    (Grid(24, 24, 24), BELTRAMI_MODES, 0.5, 1),
+    (Grid(16, 16, 16), MIXED_K3_MODES, 0.75, 2),
+    (PI_BOX, PI_BOX_MODES, 0.75, 2),
+    (PI_BOX, PI_BOX_MODES, 0.5, 0),
+], ids=["cube-N2", "cube-N5", "24-N1", "mixed-k3", "pi-box-N2", "pi-box-N0"])
+def test_beltrami_state_decays_exactly(grid, modes, theta, order):
+    """Positive-helicity modes of one |k| make z = D_N w Beltrami, so
+    div(z x z) = grad |z|^2 / 2, whose bar the projection removes:
+    w(t) = exp(-nu |k|^2 t) w(0) for every N, alpha and theta."""
+    assert decay_error(grid, modes, [1] * len(modes), theta, order) <= 1e-13
+
+
+def test_mixed_helicity_state_does_not_decay_exactly():
+    """The control: one mode of negative helicity leaves a nonlinear
+    term that the projection keeps."""
+    helicities = [1, -1, 1, 1]
+    assert decay_error(Grid(16, 16, 16), BELTRAMI_MODES, helicities, 0.75, 2) > 1e-2
 
 
 def test_shared_operators_keep_trajectories_apart():

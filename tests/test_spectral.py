@@ -7,6 +7,7 @@ from full_layout import hermitian_defect, mirror, rule_mask, to_full
 from admles import spectral
 from admles.ensembles import EnsembleSpec, draw_vector
 from admles.grid import Band, Grid, dealias_cutoff
+from admles.inequalities import l2_v_l4_h_norm, linf_v_l2_h_norm
 from admles.spectral import (
     BandWorkspace,
     RealityError,
@@ -27,6 +28,7 @@ from admles.spectral import (
     inner_product,
     l2_norm,
     leray_project,
+    occupied_box,
     pad_spectrum,
     tensor_divergence,
     vertical_grad_seminorm,
@@ -521,6 +523,33 @@ def test_band_5_triple_at_32_is_sampled_on_16_points(monkeypatch):
     monkeypatch.setattr(spectral, "band_inverse", recording)
     convective_inner(*band_draws(Grid(32, 32, 32), 5, 5, 5))
     assert shapes == [(15, 16, 16, 16)]
+
+
+def test_occupied_box_is_scanned_once_per_field(monkeypatch):
+    # the box of a single mode (2, -3, 1), then one scan per field however
+    # many samplers read it: two plane profiles and a trilinear numerator
+    g = Grid(16, 16, 16)
+    full = np.zeros((3, *g.shape), dtype=np.complex128)
+    full[0, 2, -3, 1] = 1.0
+    full[0, -2, 3, -1] = 1.0
+    single = field_from_full(g, full)
+    assert occupied_box(single).cutoffs == (2, 3, 1)
+    scans = []
+
+    def counting(field):
+        scans.append(field)
+        return scan(field)
+
+    scan = spectral._scan_box
+    monkeypatch.setattr(spectral, "_scan_box", counting)
+    u, v = band_draws(g, 3, 2)
+    boxes = [occupied_box(u) for _ in range(2)]
+    l2_v_l4_h_norm(u)
+    linf_v_l2_h_norm(u)
+    convective_inner(u, v, u)
+    assert boxes[0] is boxes[1] is occupied_box(u)
+    assert boxes[0].cutoffs == (3, 3, 3)
+    assert scans == [u, v]
 
 
 def test_divergence_of_gradient_is_laplacian(grid):
