@@ -44,10 +44,6 @@ from .spectral import (
     VectorField,
     dealias,
     field_from_samples,
-    grad_norm,
-    gradient,
-    horizontal_grad_norm,
-    vertical_grad_seminorm,
     vertical_seminorm,
 )
 
@@ -78,9 +74,6 @@ __all__ = [
     "draw_scalar",
     "field_from_samples",
     "filter_symbol",
-    "grad_norm",
-    "gradient",
-    "horizontal_grad_norm",
     "ladyzhenskaya_ratio",
     "read_checkpoint",
     "regularity_norms",
@@ -88,7 +81,6 @@ __all__ = [
     "trilinear_ratio_i",
     "trilinear_ratio_ii",
     "vertical_embedding_ratio",
-    "vertical_grad_seminorm",
     "vertical_seminorm",
     "write_checkpoint",
 ]

@@ -305,9 +305,14 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# Built at import: argparse's first message lookup imports locale, which
+# would otherwise fall inside the first main() call.
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1

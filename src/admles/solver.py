@@ -45,11 +45,9 @@ from .filters import DeconvSpec, FilterSpec, apply_bar, symbol_table
 from .grid import Grid, check_band, check_rules, dealias_cutoff, rule_errors
 from .spectral import (
     BandWorkspace,
-    RealityError,
     VectorField,
     band_divergence,
     band_inverse,
-    field_from_full,
     field_from_samples,
     l2_norm,
     leray_project,
@@ -70,6 +68,10 @@ class TaylorGreen:
 
     amplitude: float = 1.0
 
+    def __post_init__(self):
+        if not math.isfinite(self.amplitude):
+            check_rules([f"amplitude: {self.amplitude} must be finite"])
+
 
 @dataclass(frozen=True)
 class SingleMode:
@@ -86,6 +88,8 @@ class SingleMode:
             errors.append(f"k: need exactly three integers, got {self.k}")
         if all(c == 0 for c in self.k):
             errors.append("k: needs a nonzero wavevector")
+        if not math.isfinite(self.amplitude):
+            errors.append(f"amplitude: {self.amplitude} must be finite")
         check_rules(errors)
 
 
@@ -486,7 +490,6 @@ def dependence_experiment(config: SolverConfig, epsilon: float, *,
 # Checkpoints
 
 _MAGIC = b"ADMCKPT2\n"
-_FULL_MAGIC = b"ADMCKPT1\n"  # full-layout (3, n1, n2, n3) coefficients
 
 
 def write_checkpoint(path, state: SolverState, config: SolverConfig,
@@ -535,20 +538,18 @@ def write_checkpoint(path, state: SolverState, config: SolverConfig,
 def read_checkpoint(path):
     """Returns (SolverState, header dict).
 
-    Reads ADMCKPT2 and the full-layout ADMCKPT1 through field_from_full.
-    Anything but a complete checkpoint raises ValueError naming the
-    path: a bad magic, a short read, a missing or ill-typed header key,
-    coefficients that are not complex128 of shape (3, *spectral shape),
-    or (3, *grid shape) for ADMCKPT1, or a non-Hermitian ADMCKPT1.
+    Reads ADMCKPT2 only.  Anything but a complete checkpoint raises
+    ValueError naming the path: a bad magic, a short read, a missing or
+    ill-typed header key, or coefficients that are not complex128 of
+    shape (3, *spectral shape).
     """
     import json
     import struct
 
     with open(path, "rb") as fh:
         magic = fh.read(len(_MAGIC))
-        if magic not in (_MAGIC, _FULL_MAGIC):
+        if magic != _MAGIC:
             raise ValueError(f"{path}: not a checkpoint file (bad magic)")
-        full = magic == _FULL_MAGIC
         prefix = fh.read(8)
         if len(prefix) != 8:
             raise ValueError(f"{path}: truncated checkpoint (no header length)")
@@ -571,14 +572,10 @@ def read_checkpoint(path):
         raise ValueError(
             f"{path}: missing or ill-typed checkpoint header key: {exc!r}"
         ) from exc
-    shape = (3, *(grid.shape if full else grid.spectral_shape))
+    shape = (3, *grid.spectral_shape)
     if coeffs.shape != shape or coeffs.dtype != np.complex128:
         raise ValueError(
             f"{path}: coefficients {coeffs.dtype} {coeffs.shape} are not "
             f"complex128 {shape}"
         )
-    try:
-        w = field_from_full(grid, coeffs) if full else VectorField(grid, coeffs)
-    except RealityError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    return SolverState(t=t, step_index=step_index, w=w), header
+    return SolverState(t=t, step_index=step_index, w=VectorField(grid, coeffs)), header

@@ -35,9 +35,6 @@ for div(u x u) on the band, project_coeffs the one Leray formula, on a
 box (the 2/3 band in leray_project and the stepper, a draw's box), and
 pad_spectrum the 1-D upsampler of lines.
 
-Full-layout (n1, n2, n3) coefficients enter at one boundary only,
-field_from_full, which raises RealityError unless they are Hermitian to
-1e-10 of their scale and keeps the half; no transform checks reality.
 The package imports nothing but numpy, so the transforms are numpy.fft,
 imported here with the module: numpy loads it lazily, and a first use
 inside a run would put its import into that run's time.
@@ -53,17 +50,10 @@ import numpy.fft
 
 from .grid import Band, Grid
 
-# Largest Hermitian defect max |c_k - conj(c_-k)|, relative to max |c|,
-# that field_from_full accepts.
-_HERMITIAN_TOL = 1e-10
 _AXES = (-3, -2, -1)
 # The products u_i u_j that band_divergence transforms: the six with
 # i <= j, since u_j u_i is the same field.
 _SYMMETRIC_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
-
-
-class RealityError(ValueError):
-    """Raised when full-layout coefficients are not Hermitian."""
 
 
 def _as_complex(arr: np.ndarray) -> np.ndarray:
@@ -138,40 +128,8 @@ def field_from_samples(grid: Grid, samples: np.ndarray) -> Field:
     return (VectorField if coeffs.ndim == 4 else SpectralField)(grid, coeffs)
 
 
-def field_from_full(grid: Grid, coeffs: np.ndarray) -> Field:
-    """The field of full-layout (..., n1, n2, n3) coefficients.
-
-    The one entry point for that layout.  Raises RealityError if
-    max |c_k - conj(c_-k)| exceeds 1e-10 of max |c|, because keeping
-    the half would drop the defect without a trace; every (k, -k) pair
-    has a member with k3 in [0, n3/2], so those columns are compared.
-    """
-    coeffs = np.asarray(coeffs)
-    if coeffs.shape[-3:] != grid.shape or coeffs.ndim not in (3, 4):
-        raise ValueError(f"coefficient shape {coeffs.shape} is not a full "
-                         f"layout of grid shape {grid.shape}")
-    half = coeffs[..., : grid.n3 // 2 + 1]
-    mirror = np.roll(np.flip(coeffs, _AXES), 1, _AXES)[..., : grid.n3 // 2 + 1]
-    defect = float(np.max(np.abs(half - np.conj(mirror))))
-    scale = float(np.max(np.abs(half)))
-    if defect > _HERMITIAN_TOL * scale:
-        raise RealityError(
-            f"Hermitian defect {defect:.3e} exceeds {_HERMITIAN_TOL:.0e} of "
-            f"coefficient scale {scale:.3e}; the samples would not be real"
-        )
-    return (VectorField if coeffs.ndim == 4 else SpectralField)(grid, half.copy())
-
-
 # ---------------------------------------------------------------------------
 # Differential operators
-
-
-def gradient(field: SpectralField) -> VectorField:
-    g = field.grid
-    c = field.coeffs
-    return VectorField(
-        g, np.stack([1j * g.kd1 * c, 1j * g.kd2 * c, 1j * g.kd3 * c])
-    )
 
 
 def divergence(field: VectorField) -> SpectralField:
@@ -402,8 +360,8 @@ class FieldNorms:
     so a caller that needs several norms of a field pays for the pass
     once.  `plain` is unweighted, `horizontal` weighted by k1^2 + k2^2
     and `full` by |k|^2 (true |k|); l2, grad, horizontal_grad, vertical
-    and vertical_grad are l2_norm, grad_norm, horizontal_grad_norm,
-    vertical_seminorm and vertical_grad_seminorm of the field."""
+    and vertical_grad are the L^2 norms of f, grad f, grad_h f,
+    |d/dx3|^s f and |d/dx3|^s grad f."""
 
     def __init__(self, f: Field):
         self.grid = f.grid
@@ -456,24 +414,9 @@ def l2_norm(f: Field) -> float:
     return FieldNorms(f).l2()
 
 
-def grad_norm(f: Field) -> float:
-    """|| grad f ||_{L^2} = (vol * sum |k|^2 |c_k|^2)^(1/2) (true |k|)."""
-    return FieldNorms(f).grad()
-
-
-def horizontal_grad_norm(f: Field) -> float:
-    """|| grad_h f ||_{L^2}: only the k1, k2 multipliers."""
-    return FieldNorms(f).horizontal_grad()
-
-
 def vertical_seminorm(f: Field, s: float) -> float:
     """|| |d/dx3|^s f ||_{L^2}: multiplier |k3|^s, fractional s allowed."""
     return FieldNorms(f).vertical(s)
-
-
-def vertical_grad_seminorm(f: Field, s: float) -> float:
-    """|| |d/dx3|^s grad f ||_{L^2} via the |k|^2 |k3|^{2s} multiplier."""
-    return FieldNorms(f).vertical_grad(s)
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,15 @@
-"""Test helpers for coefficients written in the full FFT layout.
+"""Test references for coefficients written in the full FFT layout.
 
 Fields store only the rfftn half (..., n1, n2, n3/2 + 1).  Tests that
 build coefficients by hand, or that compare with a full-layout
-reference, use these helpers; admles.spectral.field_from_full is the
-only way such coefficients enter a field.
+reference, use these helpers.  The package has no entry point for the
+full layout: full_field and beltrami_field assert that their
+coefficients are Hermitian, then keep the first n3/2 + 1 columns.
 """
-
-import json
-import struct
 
 import numpy as np
 
-from admles.spectral import VectorField, field_from_full
+from admles.spectral import VectorField
 
 AXES = (-3, -2, -1)
 
@@ -76,7 +74,7 @@ def beltrami_field(grid, modes, amplitudes, helicity=1):
             index = tuple(sign * mj % n for mj, n in zip(m, grid.shape))
             assert not full[(slice(None), *index)].any(), f"mode {m} given twice"
             full[(slice(None), *index)] = c
-    return field_from_full(grid, full)
+    return half_field(grid, full)
 
 
 def hermitian_defect(full):
@@ -84,19 +82,21 @@ def hermitian_defect(full):
     return float(np.max(np.abs(full - np.conj(mirror(full)))))
 
 
+def half_field(grid, full):
+    """The VectorField of Hermitian full-layout (3, n1, n2, n3)
+    coefficients: their first n3/2 + 1 columns."""
+    assert hermitian_defect(full) <= 1e-10 * np.max(np.abs(full))
+    return VectorField(grid, full[..., : grid.n3 // 2 + 1])
+
+
 def full_field(grid, coeffs):
-    """The field of hand-built full-layout coefficients, symmetrized to
-    the nearest Hermitian array first."""
+    """The field of hand-built full-layout (3, n1, n2, n3) coefficients,
+    symmetrized to the nearest Hermitian array first."""
     coeffs = np.asarray(coeffs, dtype=np.complex128)
-    return field_from_full(grid, 0.5 * (coeffs + np.conj(mirror(coeffs))))
+    return half_field(grid, 0.5 * (coeffs + np.conj(mirror(coeffs))))
 
 
-def write_full_layout_checkpoint(path, header, full):
-    """A checkpoint in the ADMCKPT1 byte layout, whose payload is
-    full-layout coefficients: magic, length-prefixed JSON header, npy."""
-    blob = json.dumps({**header, "format": "ADMCKPT1"}, sort_keys=True,
-                      separators=(",", ":")).encode()
-    with open(path, "wb") as fh:
-        fh.write(b"ADMCKPT1\n" + struct.pack("<Q", len(blob)) + blob)
-        np.lib.format.write_array(fh, np.ascontiguousarray(full),
-                                  version=(1, 0))
+def gradient(field):
+    """grad f of a scalar field, with the derivative wavenumbers."""
+    g, c = field.grid, field.coeffs
+    return VectorField(g, np.stack([1j * g.kd1 * c, 1j * g.kd2 * c, 1j * g.kd3 * c]))

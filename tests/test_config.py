@@ -200,8 +200,11 @@ def test_effective_echo_drops_unused_descriptor_keys():
      ["inequalities.s_values: 0.75, nan must be finite"]),
     ("[dependence]\nepsilon = nan\n", ["dependence.epsilon: nan must be finite"]),
     ("[init]\nkind = random\nenergy = inf\n", ["init.energy: inf must be finite"]),
+    ("[init]\namplitude = nan\n", ["init.amplitude: nan must be finite"]),
+    ("[forcing]\nkind = single-mode\nk = 1,0,0\namplitude = -inf\n",
+     ["forcing.amplitude: -inf must be finite"]),
 ], ids=["t_end-nan", "t_end-inf", "steps-overflow", "nu", "l3", "alpha",
-        "s_values", "epsilon", "energy"])
+        "s_values", "epsilon", "energy", "init-amplitude", "forcing-amplitude"])
 def test_non_finite_numbers_rejected(text, expected):
     with pytest.raises(ConfigError) as excinfo:
         parse_config(text)

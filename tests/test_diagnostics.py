@@ -106,9 +106,9 @@ def test_gronwall_integrand_values():
     w = descriptor_field(SingleMode(k=(0, 0, 1)), g)
     # single vertical mode: grad and theta-grad norms coincide at |k3| = 1
     val = gronwall_integrand(w, 1.0)
-    from admles.spectral import grad_norm
+    from admles.spectral import FieldNorms
 
-    assert val == pytest.approx(grad_norm(w) ** 2, rel=1e-12)
+    assert val == pytest.approx(FieldNorms(w).grad() ** 2, rel=1e-12)
     assert gronwall_integrand(zero_vector(g), 0.8) == 0.0
     with pytest.raises(ValueError):
         gronwall_integrand(w, 0.0)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from full_layout import to_full
+from full_layout import gradient, to_full
 
 from admles.filters import (
     DeconvSpec,
@@ -24,7 +24,6 @@ from admles.grid import Grid
 from admles.spectral import (
     dealias,
     field_from_samples,
-    gradient,
     l2_norm,
     leray_project,
     vertical_seminorm,

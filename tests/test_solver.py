@@ -9,8 +9,7 @@ from functools import cached_property
 
 import numpy as np
 import pytest
-from full_layout import (beltrami_field, hermitian_defect, rule_mask, to_full,
-                         write_full_layout_checkpoint)
+from full_layout import beltrami_field, hermitian_defect, rule_mask, to_full
 
 from admles.filters import (
     DeconvSpec,
@@ -578,8 +577,15 @@ def test_states_are_zero_outside_the_band(desc):
     lambda: RandomBandLimited(seed=0, band=2, energy=np.inf),
     lambda: SingleMode(k=(1, 2)),
     lambda: SingleMode(k=(0, 0, 0)),
+    lambda: TaylorGreen(amplitude=np.nan),
+    lambda: TaylorGreen(amplitude=np.inf),
+    lambda: TaylorGreen(amplitude=-np.inf),
+    lambda: SingleMode((1, 0, 0), amplitude=np.nan),
+    lambda: SingleMode((1, 0, 0), amplitude=np.inf),
+    lambda: SingleMode((1, 0, 0), amplitude=-np.inf),
 ], ids=["band-0", "energy-0", "energy-negative", "energy-inf", "k-two-ints",
-        "k-zero"])
+        "k-zero", "tg-amplitude-nan", "tg-amplitude-inf", "tg-amplitude-minus-inf",
+        "mode-amplitude-nan", "mode-amplitude-inf", "mode-amplitude-minus-inf"])
 def test_descriptors_reject_bad_fields(make):
     with pytest.raises(ValueError):
         make()
@@ -670,27 +676,6 @@ def test_checkpoint_round_trip(tmp_path):
     assert path.read_bytes().startswith(b"ADMCKPT2\n")
 
 
-def test_checkpoint_reads_full_layout_format(tmp_path):
-    cfg = config16(init=RandomBandLimited(seed=4, band=4), t_end=0.02)
-    last = final_state(cfg)
-    full = to_full(cfg.grid, last.w.coeffs)
-    written = tmp_path / "v2.ckpt"
-    write_checkpoint(written, last, cfg, config_hash="v1")
-    _, v2_header = read_checkpoint(written)
-    path = tmp_path / "v1.ckpt"
-    write_full_layout_checkpoint(path, v2_header, full)
-    state, header = read_checkpoint(path)
-    assert np.array_equal(state.w.coeffs, last.w.coeffs)
-    assert (state.t, state.step_index) == (last.t, last.step_index)
-    assert header == {**v2_header, "format": "ADMCKPT1"}
-    # a defect in the half the reader discards is still caught
-    bad = full.copy()
-    bad[1, 2, 3, 12] += 1e-6 * np.max(np.abs(full))
-    write_full_layout_checkpoint(path, v2_header, bad)
-    with pytest.raises(ValueError, match=re.escape(str(path)) + ".*Hermitian"):
-        read_checkpoint(path)
-
-
 def test_checkpoint_bytes_deterministic(tmp_path):
     cfg = config16(t_end=0.02)
     last = final_state(cfg)
@@ -719,7 +704,7 @@ def test_checkpoint_write_failure_keeps_previous_file(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["state.ckpt"]
 
 
-def forged_checkpoint(header, coeffs, magic=b"ADMCKPT1\n"):
+def forged_checkpoint(header, coeffs, magic=b"ADMCKPT2\n"):
     blob = json.dumps(header).encode()
     payload = io.BytesIO()
     np.lib.format.write_array(payload, coeffs)
@@ -729,7 +714,7 @@ def forged_checkpoint(header, coeffs, magic=b"ADMCKPT1\n"):
 def test_checkpoint_rejects_foreign_file(tmp_path):
     header = {"grid": [4, 4, 4], "lengths": [1.0, 1.0, 1.0], "t": 0.0,
               "step_index": 0}
-    coeffs = np.zeros((3, 4, 4, 4), dtype=complex)
+    coeffs = np.zeros((3, 4, 4, 3), dtype=complex)
     good = forged_checkpoint(header, coeffs)
     no_grid = {k: v for k, v in header.items() if k != "grid"}
     cases = {
@@ -746,22 +731,20 @@ def test_checkpoint_rejects_foreign_file(tmp_path):
         "complex64_payload": forged_checkpoint(
             header, coeffs.astype(np.complex64)),
         "float64_payload": forged_checkpoint(header, coeffs.real),
-        "full_layout_in_v2": forged_checkpoint(header, coeffs, b"ADMCKPT2\n"),
-        "half_layout_in_v1": forged_checkpoint(header, coeffs[..., :3]),
-        "non_hermitian_v1": forged_checkpoint(
-            header, np.where(np.arange(4) == 1, 1.0 + 0j, 0j)
-            * np.ones((3, 4, 4, 4))),
+        "full_layout_in_v2": forged_checkpoint(
+            header, np.zeros((3, 4, 4, 4), dtype=complex)),
     }
     for name, content in cases.items():
         path = tmp_path / f"{name}.bin"
         path.write_bytes(content)
         with pytest.raises(ValueError, match=re.escape(str(path))):
             read_checkpoint(path)
-    for name, content in {
-            "good.bin": good,
-            "good_v2.bin": forged_checkpoint(header, coeffs[..., :3],
-                                             b"ADMCKPT2\n")}.items():
-        path = tmp_path / name
-        path.write_bytes(content)
-        state, _ = read_checkpoint(path)
-        assert state.w.grid == Grid(4, 4, 4, 1.0, 1.0, 1.0)
+    # the full-layout ADMCKPT1 format is no longer read
+    path = tmp_path / "v1_magic.bin"
+    path.write_bytes(forged_checkpoint(header, coeffs, b"ADMCKPT1\n"))
+    with pytest.raises(ValueError, match=re.escape(str(path)) + ".*bad magic"):
+        read_checkpoint(path)
+    path = tmp_path / "good.bin"
+    path.write_bytes(good)
+    state, _ = read_checkpoint(path)
+    assert state.w.grid == Grid(4, 4, 4, 1.0, 1.0, 1.0)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from full_layout import hermitian_defect, mirror, rule_mask, to_full
+from full_layout import gradient, hermitian_defect, rule_mask, to_full
 
 from admles import spectral
 from admles.ensembles import EnsembleSpec, draw_vector
@@ -10,7 +10,7 @@ from admles.grid import Band, Grid, dealias_cutoff
 from admles.inequalities import l2_v_l4_h_norm, linf_v_l2_h_norm
 from admles.spectral import (
     BandWorkspace,
-    RealityError,
+    FieldNorms,
     SpectralField,
     VectorField,
     band_forward,
@@ -19,19 +19,14 @@ from admles.spectral import (
     dealias,
     divergence,
     divergence_residual,
-    field_from_full,
     field_from_samples,
     fine_samples,
-    grad_norm,
-    gradient,
-    horizontal_grad_norm,
     inner_product,
     l2_norm,
     leray_project,
     occupied_box,
     pad_spectrum,
     tensor_divergence,
-    vertical_grad_seminorm,
     vertical_seminorm,
 )
 
@@ -189,13 +184,6 @@ def test_dealias_rule(grid):
     assert np.max(np.abs(d.coeffs[:, :, np.arange(9) > cut])) == 0.0
 
 
-def test_reality_error_on_non_hermitian(grid):
-    c = np.zeros(grid.shape, dtype=complex)
-    c[1, 0, 0] = 1.0  # no conjugate partner
-    with pytest.raises(RealityError):
-        field_from_full(grid, c)
-
-
 # a non-cubic box with unequal periods for the real-transform checks
 ODD_BOX = Grid(12, 16, 10, 2.0 * np.pi, 3.0, 5.0)
 AXES = (-3, -2, -1)
@@ -226,24 +214,6 @@ def test_real_transforms_match_complex_ffts():
     back = irfftn(ODD_BOX, coeffs)
     assert back.dtype == np.float64
     assert np.max(np.abs(back - samples)) < 1e-13
-
-
-def test_full_layout_boundary_keeps_the_half():
-    rng = np.random.default_rng(31)
-    samples = rng.standard_normal((3, *ODD_BOX.shape))
-    full = np.fft.fftn(samples, axes=AXES) / np.prod(ODD_BOX.shape)
-    field = field_from_full(ODD_BOX, full)
-    assert np.array_equal(field.coeffs, full[..., :6])
-    assert not np.shares_memory(field.coeffs, full)
-    assert not field.coeffs.flags.writeable
-    scalar = field_from_full(ODD_BOX, full[1])
-    assert np.array_equal(scalar.coeffs, full[1, ..., :6])
-    # mirror is the flip-and-roll reference; to_full rebuilds the input
-    assert np.array_equal(mirror(full)[0, 1, 2, 3],
-                          full[0, -1, -2, -3])
-    assert np.max(np.abs(to_full(ODD_BOX, field.coeffs) - full)) < 1e-16
-    with pytest.raises(ValueError, match="full layout"):
-        field_from_full(ODD_BOX, full[..., :6])
 
 
 def test_tensor_divergence_matches_full_complex_reference():
@@ -321,28 +291,6 @@ def test_pruned_inverse_equals_irfftn_on_any_box_and_shape(g, cutoffs, target):
                               ref)
 
 
-@pytest.mark.parametrize("where", ["discarded half", "k3 = 0 plane",
-                                   "k3 = n3/2 plane"])
-def test_reality_error_on_any_unpaired_defect(where):
-    g = ODD_BOX
-    u = random_divfree(g, seed=34)
-    index = {"discarded half": (0, 2, 3, g.n3 - 2),
-             "k3 = 0 plane": (1, 2, 3, 0),
-             "k3 = n3/2 plane": (2, 1, 5, g.n3 // 2)}[where]
-    full = to_full(g, u.coeffs)
-    scale = np.max(np.abs(full))
-    for size, raises in ((1e-12, False), (1e-6, True)):
-        c = full.copy()
-        c[index] += size * scale
-        if raises:
-            with pytest.raises(RealityError):
-                field_from_full(g, c)
-            with pytest.raises(RealityError):
-                field_from_full(g, c[index[0]])
-        else:  # below the 1e-10 tolerance: accepted
-            field_from_full(g, c)
-
-
 def test_vertical_seminorm_oracles(grid):
     _, _, x3 = grid.mesh()
     f = field_from_samples(grid, 2 * np.cos(x3) + np.zeros(grid.shape))
@@ -358,12 +306,12 @@ def test_vertical_seminorm_oracles(grid):
 
 
 def test_horizontal_grad_below_full_grad(grid):
-    f = random_real_field(grid, seed=7)
-    assert horizontal_grad_norm(f) <= grad_norm(f) + 1e-15
+    f = FieldNorms(random_real_field(grid, seed=7))
+    assert f.horizontal_grad() <= f.grad() + 1e-15
     _, _, x3 = grid.mesh()
-    vert = field_from_samples(grid, np.sin(x3) + np.zeros(grid.shape))
-    assert horizontal_grad_norm(vert) < 1e-13
-    assert grad_norm(vert) == pytest.approx(l2_norm(vert), rel=1e-13)
+    vert = FieldNorms(field_from_samples(grid, np.sin(x3) + np.zeros(grid.shape)))
+    assert vert.horizontal_grad() < 1e-13
+    assert vert.grad() == pytest.approx(vert.l2(), rel=1e-13)
 
 
 def fine_grid(grid):
@@ -455,7 +403,7 @@ def test_tensor_divergence_matches_fine_grid(grid):
 def test_convective_orthogonality(grid):
     w = random_divfree(grid, seed=12)
     num = convective_inner(w, w, w)
-    scale = l2_norm(w) ** 2 * grad_norm(w)
+    scale = l2_norm(w) ** 2 * FieldNorms(w).grad()
     assert abs(num) < 1e-12 * scale
 
 
@@ -474,7 +422,7 @@ def test_convective_orthogonality_negative_control(grid):
     f = dealias(random_real_field(grid, seed=13))
     w = dealias(gradient(f))
     num = inner_product(tensor_divergence(w), w)
-    scale = l2_norm(w) ** 2 * grad_norm(w)
+    scale = l2_norm(w) ** 2 * FieldNorms(w).grad()
     assert abs(num) > 1e-6 * scale
 
 
@@ -484,7 +432,7 @@ def test_convective_by_parts_antisymmetry(grid):
     w = random_divfree(grid, seed=16)
     a = convective_inner(u, v, w)
     b = convective_inner(u, w, v)
-    scale = l2_norm(u) * grad_norm(v) * l2_norm(w)
+    scale = l2_norm(u) * FieldNorms(v).grad() * l2_norm(w)
     assert abs(a + b) < 1e-12 * scale
 
 
@@ -508,7 +456,7 @@ def test_convective_inner_equals_the_tensor_divergence_form(triple):
     g = u.grid
     ref = full_complex_tensor_divergence(u, v)[..., : g.n3 // 2 + 1]
     expect = inner_product(VectorField(g, ref), w)
-    scale = l2_norm(u) * grad_norm(v) * l2_norm(w)
+    scale = l2_norm(u) * FieldNorms(v).grad() * l2_norm(w)
     assert abs(convective_inner(u, v, w) - expect) < 1e-13 * scale
 
 
@@ -532,7 +480,7 @@ def test_occupied_box_is_scanned_once_per_field(monkeypatch):
     full = np.zeros((3, *g.shape), dtype=np.complex128)
     full[0, 2, -3, 1] = 1.0
     full[0, -2, 3, -1] = 1.0
-    single = field_from_full(g, full)
+    single = VectorField(g, full[..., : g.n3 // 2 + 1])
     assert occupied_box(single).cutoffs == (2, 3, 1)
     scans = []
 
@@ -568,10 +516,13 @@ def test_norms_match_full_layout_reference(vector):
     g = ODD_BOX
     rng = np.random.default_rng(35)
     shape = (3, *g.shape) if vector else g.shape
-    f = field_from_samples(g, rng.standard_normal(shape))
-    h = field_from_samples(g, rng.standard_normal(shape))
-    h = h.with_coeffs(h.coeffs + f.coeffs)  # not near-orthogonal to f
-    F, H = to_full(g, f.coeffs), to_full(g, h.coeffs)
+    F = np.fft.fftn(rng.standard_normal(shape), axes=AXES, norm="forward")
+    H = np.fft.fftn(rng.standard_normal(shape), axes=AXES, norm="forward")
+    H += F  # not near-orthogonal to F
+    field = VectorField if vector else SpectralField
+    f, h = (field(g, c[..., : g.n3 // 2 + 1]) for c in (F, H))
+    assert np.max(np.abs(to_full(g, f.coeffs) - F)) < 1e-16  # the reference
+    norms = FieldNorms(f)
     k3 = g.k_axis(2).reshape(1, 1, -1)
     k_squared = g.k1**2 + g.k2**2 + k3**2
     mass = np.abs(F) ** 2
@@ -582,11 +533,11 @@ def test_norms_match_full_layout_reference(vector):
     s = 0.75
     pairs = [
         (l2_norm(f), ref(1.0)),
-        (grad_norm(f), ref(k_squared)),
-        (horizontal_grad_norm(f), ref(g.k1**2 + g.k2**2)),
+        (norms.grad(), ref(k_squared)),
+        (norms.horizontal_grad(), ref(g.k1**2 + g.k2**2)),
         (vertical_seminorm(f, s), ref(np.abs(k3) ** (2 * s))),
         (vertical_seminorm(f, 0.0), ref(1.0)),
-        (vertical_grad_seminorm(f, s), ref(k_squared * np.abs(k3) ** (2 * s))),
+        (norms.vertical_grad(s), ref(k_squared * np.abs(k3) ** (2 * s))),
         (inner_product(f, h), g.volume * np.vdot(H, F).real),
     ]
     for got, expect in pairs:
