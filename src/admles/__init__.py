@@ -42,7 +42,6 @@ from .solver import (
 from .spectral import (
     SpectralField,
     VectorField,
-    dealias,
     field_from_samples,
     vertical_seminorm,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "apply_half_deconv",
     "apply_half_filter",
     "check_filter_identities",
-    "dealias",
     "dependence_experiment",
     "deconv_error_symbol",
     "deconv_symbol",

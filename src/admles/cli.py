@@ -47,7 +47,7 @@ from .solver import (
     run,
     write_checkpoint,
 )
-from .spectral import divergence_residual, l2_norm
+from .spectral import FieldNorms, divergence_residual
 
 _BOUND_TOL = 1e-12
 _DIAGNOSTIC_COLUMNS = (
@@ -156,8 +156,8 @@ def _cmd_simulate(rc: RunConfig, ctx: _Context) -> int:
     ctx.check("records_finite", not bad,
               f"{len(bad)} non-finite records" if bad
               else f"{len(records)} records")
-    scale = float(np.max(np.abs(last.w.coeffs)))
-    residual = divergence_residual(last.w)
+    scale = float(np.max(np.abs(last.w)))
+    residual = divergence_residual(last.field())
     ctx.check("final_state_divergence_free",
               residual <= 1e-10 * max(scale, 1e-300),
               f"residual={residual!r}")
@@ -258,7 +258,8 @@ def _cmd_spectrum(rc: RunConfig, ctx: _Context) -> int:
             "spectrum subcommand"
         )
     state, header = read_checkpoint(rc.spectrum_checkpoint)
-    shells = vertical_spectrum(state.w)
+    norms = FieldNorms(state.w, state.grid.band)
+    shells = vertical_spectrum(norms)
     ctx.write_csv("spectrum.csv", ("k3", "energy"), shells)
     ctx.extra["checkpoint"] = {
         "path": rc.spectrum_checkpoint,
@@ -266,7 +267,7 @@ def _cmd_spectrum(rc: RunConfig, ctx: _Context) -> int:
         "config_hash": header.get("config_hash", ""),
     }
     total = sum(e for _, e in shells)
-    squared = l2_norm(state.w) ** 2
+    squared = norms.l2() ** 2
     ctx.check(
         "parseval_partition",
         abs(total - squared) <= 1e-12 * max(squared, 1e-300),

@@ -26,7 +26,8 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .filters import DeconvSpec, FilterSpec, symbol_table
-from .spectral import FieldNorms, VectorField, quadratic_form
+from .grid import Band
+from .spectral import FieldNorms, VectorField, inner_product, quadratic_form
 
 
 @dataclass(frozen=True)
@@ -50,40 +51,30 @@ class EnergyRecord:
         return replace(self, budget_residual=value)
 
 
-def _gronwall(norms: FieldNorms, theta: float) -> float:
-    """The Gronwall integrand of the field of `norms`, for theta > 0."""
+def gronwall_integrand(norms: FieldNorms, theta: float) -> float:
+    """|| grad w ||^{2 - 1/theta} * || d3^theta grad w ||^{1/theta} of
+    the field w of `norms`."""
+    if theta == 0.0:
+        raise ValueError("the integrand exponents need theta > 0")
     gn = norms.grad()
     if gn == 0.0:
         return 0.0
     return gn ** (2.0 - 1.0 / theta) * norms.vertical_grad(theta) ** (1.0 / theta)
 
 
-def gronwall_integrand(w: VectorField, theta: float) -> float:
-    """|| grad w ||^{2 - 1/theta} * || d3^theta grad w ||^{1/theta}."""
-    if theta == 0.0:
-        raise ValueError("the integrand exponents need theta > 0")
-    return _gronwall(FieldNorms(w), theta)
-
-
-def energy_terms(w: VectorField, f: VectorField, filt: FilterSpec,
-                 order: int, nu: float, t: float = 0.0) -> EnergyRecord:
-    """All budget terms of one state, via Fourier multipliers.
-
-    One pass over Re(conj(f) w) gives the forcing line, then one
-    FieldNorms pass over |w|^2 gives the lines of w; each term is a dot
-    product of a line with multiplier lines and the Parseval weight, and
-    the norms are the FieldNorms ones.  The forcing line goes first, so
-    its temporaries are freed before the |w|^2 pass allocates.
+def energy_terms(w: VectorField | np.ndarray, f: VectorField | np.ndarray,
+                 filt: FilterSpec, order: int, nu: float, t: float = 0.0,
+                 band: Band | None = None) -> EnergyRecord:
+    """All budget terms of state w and raw forcing f (VectorFields, or
+    coefficients of the box `band`), via Fourier multipliers: the
+    forcing power is one inner_product, and the rest is read from one
+    FieldNorms pass.  The forcing goes first, so its temporaries are
+    freed before the |w|^2 pass allocates, or the heap grows each record.
     """
-    if w.grid != f.grid:
-        raise ValueError("state and forcing live on different grids")
-    grid = w.grid
+    grid = w.grid if band is None else band.grid
     symbols = symbol_table(grid, DeconvSpec(filt, order))
-    cross = f.coeffs.real * w.coeffs.real
-    cross += f.coeffs.imag * w.coeffs.imag  # Re(conj(f) w)
-    forcing_power = quadratic_form(grid, cross.sum(axis=(0, 1, 2)), symbols.deconv)
-    del cross  # before FieldNorms allocates, or the heap grows each record
-    norms = FieldNorms(w)
+    forcing_power = inner_product(w, f, symbols.deconv, band)
+    norms = FieldNorms(w, band)
     weight = symbols.filter * symbols.deconv
     theta = filt.theta
     return EnergyRecord(
@@ -93,7 +84,7 @@ def energy_terms(w: VectorField, f: VectorField, filt: FilterSpec,
         forcing_power=forcing_power,
         l2_norm=norms.l2(),
         theta_seminorm=norms.vertical(theta),
-        gronwall_integrand=0.0 if theta == 0.0 else _gronwall(norms, theta),
+        gronwall_integrand=0.0 if theta == 0.0 else gronwall_integrand(norms, theta),
     )
 
 
@@ -134,8 +125,8 @@ def regularity_norms(states: Iterable, filt: FilterSpec) -> dict[str, float]:
 
     sup-in-time of ||w||_2 and ||d3^theta w||_2, and trapezoid
     time-integrals of ||grad w||_2^2 and ||d3^theta grad w||_2^2,
-    over a trajectory of states (attributes t and w), in one pass with
-    one FieldNorms per state.
+    over a trajectory of SolverStates, in one pass with one FieldNorms
+    per state, on its band box.
     """
     theta = filt.theta
     sup_l2 = 0.0
@@ -144,7 +135,7 @@ def regularity_norms(states: Iterable, filt: FilterSpec) -> dict[str, float]:
     grads_sq = []
     theta_grads_sq = []
     for s in states:
-        norms = FieldNorms(s.w)
+        norms = FieldNorms(s.w, s.grid.band)
         sup_l2 = max(sup_l2, norms.l2())
         sup_theta = max(sup_theta, norms.vertical(theta))
         times.append(s.t)
@@ -160,12 +151,13 @@ def regularity_norms(states: Iterable, filt: FilterSpec) -> dict[str, float]:
     }
 
 
-def vertical_spectrum(w: VectorField) -> list[tuple[int, float]]:
-    """Energy per |k3| shell; the shell sum is || w ||_2^2 exactly.
+def vertical_spectrum(norms: FieldNorms) -> list[tuple[int, float]]:
+    """Energy per |k3| shell of the field w of `norms`; the shell sum is
+    || w ||_2^2 exactly.
 
     Shell k3 is the stored column k3 times its Parseval weight: the
     columns 0 < k3 < n3/2 also hold their mirrors -k3.
     """
-    grid = w.grid
-    shells = grid.volume * grid.parseval_weight.ravel() * FieldNorms(w).plain
+    grid = norms.grid
+    shells = grid.volume * grid.parseval_weight.ravel() * norms.plain
     return [(k3, float(e)) for k3, e in enumerate(shells)]

@@ -84,8 +84,8 @@ class Band:
     of the two full axes; the half axis keeps columns 0..K3.  gather and
     scatter move the box to and from the half layout (..., m1, m2,
     m3/2 + 1) of any grid shape that holds it (2 K + 1 <= m per axis),
-    so the one box serves the stepper, dealias, the Leray projection,
-    the draws and fine sampling.  The default cutoffs are the grid's 2/3
+    so the one box serves the solver's state, the Leray projection, the
+    draws and fine sampling.  The default cutoffs are the grid's 2/3
     rule (Grid.band).
     Since 2 K + 1 <= n, a box never holds a Nyquist row or column: its
     derivative and true wavenumbers agree, and every multiplier on it
@@ -146,10 +146,9 @@ class Band:
             return self.blocks
         return self._blocks(*self.rows_on(shape))
 
-    def gather(self, half: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The box of half-layout coefficients (..., m1, m2, m3/2 + 1)."""
-        if out is None:
-            out = np.empty((*half.shape[:-3], *self.shape), dtype=half.dtype)
+    def gather(self, half: np.ndarray) -> np.ndarray:
+        """A fresh box of half-layout coefficients (..., m1, m2, m3/2 + 1)."""
+        out = np.empty((*half.shape[:-3], *self.shape), dtype=half.dtype)
         m1, m2, m3 = half.shape[-3:]
         for b, h in self._blocks_on((m1, m2, 2 * m3 - 2)):
             out[b] = half[h]

@@ -19,11 +19,11 @@ products are formed in physical space, and the retained modes of the
 result are alias-free, so the discrete trilinear form inherits the
 continuum orthogonality (div(z x z), z) = 0.
 
-The stepper reads and writes only that band (Grid.band): a step gathers
-the band of w, runs both right-hand sides and the Heun update there, and
-scatters the new band into a zeroed array.  Anything a state holds
-outside the band is dropped at its first step; every initial state and
-forcing built here is exactly zero there.
+A state is only that band: the box of Grid.band, gathered once by
+initial_state.  A step runs both right-hand sides and the Heun update
+on the box into a fresh one; the records read it and the forcing's box.
+Every w(0) and forcing built here is exactly zero outside the band, and
+a checkpoint scatters the box into a half layout at write time.
 
 The descriptors of w(0) and f own their config kind (DESCRIPTOR_KINDS),
 keys (fields) and checks (__post_init__, check_in_band).  A step reads
@@ -45,6 +45,7 @@ from .filters import DeconvSpec, FilterSpec, apply_bar, symbol_table
 from .grid import Grid, check_band, check_rules, dealias_cutoff, rule_errors
 from .spectral import (
     BandWorkspace,
+    FieldNorms,
     VectorField,
     band_divergence,
     band_inverse,
@@ -256,9 +257,20 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolverState:
+    """w at time t after step_index steps: the read-only (3, *band shape)
+    box of the 2/3 band of `grid`, the only part a step reads."""
+
     t: float
     step_index: int
-    w: VectorField
+    grid: Grid
+    w: np.ndarray
+
+    def __post_init__(self):
+        self.w.setflags(write=False)
+
+    def field(self) -> VectorField:
+        """w scattered into a fresh half layout of the grid."""
+        return VectorField(self.grid, self.grid.band.scatter(self.w))
 
 
 class SolverAbort(RuntimeError):
@@ -278,12 +290,10 @@ class NaNError(SolverAbort):
 
 
 class StepOperators:
-    """Per-config multipliers on the 2/3 band and the stepper's
-    preallocated workspace.
-
-    forcing_raw is the one half-layout field kept, for the records.  A
-    step works on the band lines and on buffers that every step and
-    every band_rhs call overwrites and never hands out, so one
+    """Per-config multipliers on the 2/3 band, the box of the raw forcing
+    (forcing_raw, for the records) and the stepper's workspace: no half
+    layout.  A step works on the band lines and on buffers that every
+    step and every band_rhs call overwrites and never hands out, so one
     StepOperators can serve several trajectories stepped in turn.
     """
 
@@ -292,7 +302,7 @@ class StepOperators:
         band = grid.band
         self.config = config
         symbols = symbol_table(grid, config.deconv)
-        self.forcing_raw = forcing_field(config.forcing, grid)
+        self.forcing_raw = band.gather(forcing_field(config.forcing, grid).coeffs)
         self.kmax = grid.max_dealiased_wavenumber
         # multipliers on the band, which holds no Nyquist mode, so its
         # derivative wavenumbers are the true ones
@@ -300,12 +310,11 @@ class StepOperators:
         self.band_viscous = np.exp(-config.nu * config.dt * ksq)
         self.band_deconv = symbols.deconv[..., band.cols]
         self.band_bar = symbols.bar[..., band.cols]
-        self.band_forcing = band.gather(
-            apply_bar(self.forcing_raw, config.filter).coeffs)
-        # workspace: the state, the two stages and the predictor on the
-        # band, the samples of D w and their squared magnitude
-        self.w, self.k1, self.k2, self.predictor = (
-            np.empty((3, *band.shape), dtype=np.complex128) for _ in range(4))
+        self.band_forcing = self.forcing_raw / symbols.filter[..., band.cols]
+        # workspace: the two stages and the predictor on the band, the
+        # samples of D w and their squared magnitude
+        self.k1, self.k2, self.predictor = (
+            np.empty((3, *band.shape), dtype=np.complex128) for _ in range(3))
         self.samples = np.empty((3, *grid.shape))
         self.speed_squared = np.empty(grid.shape)
         self.work = BandWorkspace(band)
@@ -326,17 +335,13 @@ class StepOperators:
 
 def step(state: SolverState, ops: StepOperators) -> SolverState:
     """One IMEX Heun step of ops.config with exact viscous integrating
-    factor, on the 2/3 band of the state.
+    factor, from the band box of the state to a fresh box.
 
     The CFL speed comes from the first right-hand side evaluation, which
-    already holds the samples of Dw.  The new state is a fresh array,
-    zero outside the band.
+    already holds the samples of Dw.
     """
-    config = ops.config
-    dt = config.dt
-    band = config.grid.band
-    w, k1, k2, predictor = ops.w, ops.k1, ops.k2, ops.predictor
-    band.gather(state.w.coeffs, out=w)
+    dt = ops.config.dt
+    w, k1, k2, predictor = state.w, ops.k1, ops.k2, ops.predictor
     ops.band_rhs(w, k1, ops.speed_squared)
     speed = float(np.sqrt(np.max(ops.speed_squared)))
     cfl = dt * speed * ops.kmax
@@ -354,21 +359,17 @@ def step(state: SolverState, ops: StepOperators) -> SolverState:
     k1 *= e
     k1 += k2
     k1 *= 0.5 * dt
-    w *= e
-    w += k1
-    if not np.all(np.isfinite(w)):
+    new = np.multiply(w, e)
+    new += k1
+    if not np.all(np.isfinite(new)):
         raise NaNError(f"non-finite coefficients after step to t={state.t + dt:.6g}")
-    return SolverState(
-        t=state.t + dt,
-        step_index=state.step_index + 1,
-        w=VectorField(config.grid, band.scatter(w)),
-    )
+    return SolverState(state.t + dt, state.step_index + 1, state.grid, new)
 
 
 def initial_state(config: SolverConfig) -> SolverState:
-    return SolverState(
-        t=0.0, step_index=0, w=init_field(config.init, config.grid, config.filter)
-    )
+    """w0 = bar(v0) on the 2/3 band: the one gather of a run."""
+    w0 = init_field(config.init, config.grid, config.filter)
+    return SolverState(0.0, 0, w0.grid, w0.grid.band.gather(w0.coeffs))
 
 
 def trajectory(ops: StepOperators,
@@ -392,8 +393,8 @@ def run(config: SolverConfig) -> Iterator[tuple[SolverState, EnergyRecord]]:
     CFL violation or non-finite state raises SolverAbort from the loop.
     """
     ops = StepOperators(config)
-    return ((s, energy_terms(s.w, ops.forcing_raw, config.filter,
-                             config.deconv_order, config.nu, t=s.t))
+    return ((s, energy_terms(s.w, ops.forcing_raw, config.filter, config.deconv_order,
+                             config.nu, s.t, s.grid.band))
             for s in trajectory(ops, initial_state(config)))
 
 
@@ -449,21 +450,20 @@ def dependence_experiment(config: SolverConfig, epsilon: float, *,
         )
     DependenceSettings(epsilon, perturbation_seed)  # for its checks
     grid = config.grid
+    band = grid.band
     ops = StepOperators(config)
     base = initial_state(config)
-    band = min(map(dealias_cutoff, grid.shape))
-    p = descriptor_field(RandomBandLimited(perturbation_seed, band), grid)
+    p = descriptor_field(RandomBandLimited(perturbation_seed, min(band.cutoffs)), grid)
     p = _rescaled(p, epsilon, "perturbation")
-    perturbed = SolverState(
-        t=0.0, step_index=0, w=VectorField(grid, base.w.coeffs + p.coeffs))
+    perturbed = SolverState(0.0, 0, grid, base.w + band.gather(p.coeffs))
 
     times, deltas, integrands, integrals = [], [], [], []
     for b, q in zip(trajectory(ops, base), trajectory(ops, perturbed)):
-        integrand = gronwall_integrand(q.w, theta)
+        integrand = gronwall_integrand(FieldNorms(q.w, band), theta)
         integrals.append(integrals[-1] + 0.5 * (b.t - times[-1])
                          * (integrands[-1] + integrand) if times else 0.0)
         times.append(b.t)
-        deltas.append(l2_norm(VectorField(grid, q.w.coeffs - b.w.coeffs)))
+        deltas.append(FieldNorms(q.w - b.w, band).l2())
         integrands.append(integrand)
 
     deltas_arr = np.asarray(deltas)
@@ -495,7 +495,8 @@ _MAGIC = b"ADMCKPT2\n"
 def write_checkpoint(path, state: SolverState, config: SolverConfig,
                      config_hash: str = "") -> None:
     """Deterministic binary dump: magic, length-prefixed JSON header,
-    then the half-layout coefficient array in the standard npy layout.
+    then the half-layout coefficient array in the standard npy layout,
+    scattered from the state's band box here.
 
     The bytes go to a sibling temporary file that then replaces `path`
     in one rename, so a kill or an I/O error mid-write leaves either the
@@ -526,9 +527,7 @@ def write_checkpoint(path, state: SolverState, config: SolverConfig,
             fh.write(_MAGIC)
             fh.write(struct.pack("<Q", len(blob)))
             fh.write(blob)
-            np.lib.format.write_array(
-                fh, np.ascontiguousarray(state.w.coeffs), version=(1, 0)
-            )
+            np.lib.format.write_array(fh, state.field().coeffs, version=(1, 0))
         os.replace(tmp, path)
     finally:  # the temporary is gone after a successful rename
         if os.path.exists(tmp):
@@ -536,12 +535,13 @@ def write_checkpoint(path, state: SolverState, config: SolverConfig,
 
 
 def read_checkpoint(path):
-    """Returns (SolverState, header dict).
+    """Returns (SolverState, header dict), the state the band box of the
+    stored half layout.
 
     Reads ADMCKPT2 only.  Anything but a complete checkpoint raises
     ValueError naming the path: a bad magic, a short read, a missing or
-    ill-typed header key, or coefficients that are not complex128 of
-    shape (3, *spectral shape).
+    ill-typed header key, coefficients that are not complex128 of shape
+    (3, *spectral shape), or a nonzero coefficient outside the 2/3 band.
     """
     import json
     import struct
@@ -578,4 +578,7 @@ def read_checkpoint(path):
             f"{path}: coefficients {coeffs.dtype} {coeffs.shape} are not "
             f"complex128 {shape}"
         )
-    return SolverState(t=t, step_index=step_index, w=VectorField(grid, coeffs)), header
+    w = grid.band.gather(coeffs)
+    if not np.array_equal(grid.band.scatter(w), coeffs, equal_nan=True):
+        raise ValueError(f"{path}: nonzero coefficients outside the 2/3 band")
+    return SolverState(t, step_index, grid, w), header

@@ -17,6 +17,9 @@ Every field stores only the rfftn half (..., n1, n2, n3/2 + 1), k3 in
 with vol the box volume and w the grid's Parseval weight line (1 at
 k3 = 0 and n3/2, 2 in between).  All norms and inner products below are
 these continuum L^2 quantities of the band-limited interpolant.
+FieldNorms and inner_product also read the coefficients of a box (a
+grid.Band), the layout of the solver's state: for a field zero outside
+that box, both layouts give the same k3 lines and norms bit for bit.
 
 Real samples enter at one boundary, field_from_samples, the one full
 rfftn.  Every field is sampled through band_inverse, and products come
@@ -180,13 +183,6 @@ def leray_project(field: VectorField) -> VectorField:
         project_coeffs(band, c, np.empty_like(c), np.empty_like(c[0]))))
 
 
-def dealias(field: Field) -> Field:
-    """Zero every mode outside the 2/3-rule band: the round trip of the
-    band through its box, as a step makes it."""
-    band = field.grid.band
-    return field.with_coeffs(band.scatter(band.gather(field.coeffs)))
-
-
 def divergence_residual(field: VectorField) -> float:
     """sup-norm of div(u) over modes, for divergence-free checks."""
     return float(np.max(np.abs(divergence(field).coeffs)))
@@ -335,12 +331,20 @@ def convective_inner(u: VectorField, v: VectorField, w: VectorField) -> float:
 # sums over components, k1 and k2, dotted with r and the Parseval weight.
 
 
-def _mass(f: Field) -> np.ndarray:
-    """|c|^2 summed over components, on the spectral shape of the grid."""
-    c = f.coeffs
+def _mass(c: np.ndarray) -> np.ndarray:
+    """|c|^2 summed over components, on the layout of `c`."""
     mass = c.real**2
     mass += c.imag**2
     return mass.sum(axis=0) if mass.ndim == 4 else mass
+
+
+def _k3_line(grid: Grid, a: np.ndarray) -> np.ndarray:
+    """`a` summed over every axis but k3, in layout order, and zero-padded
+    to the grid's n3/2 + 1 columns: a box's line is then the half
+    layout's line of the same field, bit for bit."""
+    out = np.zeros(grid.n3 // 2 + 1)
+    out[:a.shape[-1]] = a.sum(axis=tuple(range(a.ndim - 1)))
+    return out
 
 
 def quadratic_form(grid: Grid, line: np.ndarray, weight=1.0) -> float:
@@ -355,30 +359,28 @@ def _check_order(s: float) -> None:
 
 
 class FieldNorms:
-    """The norms below of one field from one |c|^2 pass: its k3 lines,
-    summed over components, k1 and k2, are built on first use and kept,
+    """The norms below of one field from one |c|^2 pass, which builds its
+    k3 lines summed over components, k1 and k2: `plain` unweighted,
+    `horizontal` weighted by k1^2 + k2^2 and `full` by |k|^2 (true |k|),
     so a caller that needs several norms of a field pays for the pass
-    once.  `plain` is unweighted, `horizontal` weighted by k1^2 + k2^2
-    and `full` by |k|^2 (true |k|); l2, grad, horizontal_grad, vertical
-    and vertical_grad are the L^2 norms of f, grad f, grad_h f,
-    |d/dx3|^s f and |d/dx3|^s grad f."""
+    once.  l2, grad, horizontal_grad, vertical and vertical_grad are the
+    L^2 norms of f, grad f, grad_h f, |d/dx3|^s f and |d/dx3|^s grad f.
+    `f` is a Field on its grid's half layout, read with the grid's k1
+    and k2, or coefficients of the box `band`, read with its kd1 and
+    kd2; zero-padded lines give a field zero outside the box the same
+    norms on both, bit for bit."""
 
-    def __init__(self, f: Field):
-        self.grid = f.grid
-        self._mass = _mass(f)
-
-    @cached_property
-    def plain(self) -> np.ndarray:
-        return self._mass.sum(axis=(0, 1))
-
-    @cached_property
-    def horizontal(self) -> np.ndarray:
-        g = self.grid
-        return np.tensordot((g.k1**2 + g.k2**2)[..., 0], self._mass, axes=2)
-
-    @cached_property
-    def full(self) -> np.ndarray:
-        return self.horizontal + self.grid.k3[0, 0] ** 2 * self.plain
+    def __init__(self, f: Field | np.ndarray, band: Band | None = None):
+        if band is None:
+            self.grid, k1, k2 = f.grid, f.grid.k1, f.grid.k2
+            f = f.coeffs
+        else:
+            self.grid, k1, k2 = band.grid, band.kd1, band.kd2
+        mass = _mass(f)
+        self.plain = _k3_line(self.grid, mass)
+        mass *= k1**2 + k2**2  # in place, so the pass leaves one table
+        self.horizontal = _k3_line(self.grid, mass)
+        self.full = self.horizontal + self.grid.k3[0, 0] ** 2 * self.plain
 
     def _root(self, line: np.ndarray, weight=1.0) -> float:
         return float(np.sqrt(quadratic_form(self.grid, line, weight)))
@@ -401,13 +403,20 @@ class FieldNorms:
         return self._root(self.full, self.grid.k3 ** (2.0 * s))
 
 
-def inner_product(f: Field, g: Field) -> float:
-    """Continuum L^2 inner product; vector fields sum over components."""
-    if f.grid != g.grid:
-        raise ValueError("fields live on different grids")
-    prod = g.coeffs.real * f.coeffs.real
-    prod += g.coeffs.imag * f.coeffs.imag  # Re(conj(g) f)
-    return quadratic_form(f.grid, prod.sum(axis=tuple(range(prod.ndim - 1))))
+def inner_product(f: Field | np.ndarray, g: Field | np.ndarray, weight=1.0,
+                  band: Band | None = None) -> float:
+    """Continuum L^2 inner product of Fields, or, given `band`, of
+    coefficients of that box, with the k3 multiplier `weight`; vector
+    fields sum over components.  Its temporaries are gone on return."""
+    if band is None:
+        if f.grid != g.grid:
+            raise ValueError("fields live on different grids")
+        grid, f, g = f.grid, f.coeffs, g.coeffs
+    else:
+        grid = band.grid
+    prod = g.real * f.real
+    prod += g.imag * f.imag  # Re(conj(g) f)
+    return quadratic_form(grid, _k3_line(grid, prod), weight)
 
 
 def l2_norm(f: Field) -> float:
@@ -447,7 +456,7 @@ def fine_samples(field: Field, shape: tuple[int, int, int],
     trigonometric interpolant of the field's 2/3 band: band_inverse from
     `box`, by default occupied_box(field) (a box inside the band that
     holds it will do), which `shape` must hold.  On the native shape
-    these are the samples of dealias(field); on any other the
+    these are the samples of the field's band; on any other the
     interpolant is exact, so a power of a field whose box has band b on
     an axis, p b for |u|^p, is integrated exactly by the rectangle rule
     on quadrature_points(p b) points of that axis.

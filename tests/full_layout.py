@@ -35,6 +35,13 @@ def rule_mask(grid):
     return kept[0][:, None, None] & kept[1][None, :, None] & kept[2][None, None, :]
 
 
+def dealias(field):
+    """The field with every mode outside the 2/3-rule band zeroed: its
+    band gathered and scattered into a fresh half layout."""
+    band = field.grid.band
+    return field.with_coeffs(band.scatter(band.gather(field.coeffs)))
+
+
 def half_layout_inv_kd_squared(grid):
     """1 / |kd|^2 on the whole half layout, from the Grid's derivative
     lines, and 0 where every kd of a mode vanishes: the mean mode, and

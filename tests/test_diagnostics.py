@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from full_layout import full_field, to_full
+from full_layout import dealias, full_field, to_full
 
 from admles.diagnostics import (
     EnergyRecord,
@@ -21,6 +21,7 @@ from admles.grid import Grid
 from admles.solver import (
     SingleMode,
     SolverConfig,
+    SolverState,
     TaylorGreen,
     ZeroForcing,
     descriptor_field,
@@ -28,6 +29,7 @@ from admles.solver import (
     run,
 )
 from admles.spectral import (
+    FieldNorms,
     VectorField,
     field_from_samples,
     l2_norm,
@@ -88,8 +90,6 @@ def test_energy_bounds_chain():
     rng = np.random.default_rng(0)
     coeffs = rng.standard_normal((3, *g.shape)) * 1j
     coeffs += rng.standard_normal((3, *g.shape))
-    from admles.spectral import dealias
-
     w = dealias(full_field(g, coeffs))
     for order in (0, 1, 5):
         rec = energy_terms(w, zero_vector(g), FILT, order, nu=1.0)
@@ -105,13 +105,11 @@ def test_gronwall_integrand_values():
     g = Grid(16, 16, 16)
     w = descriptor_field(SingleMode(k=(0, 0, 1)), g)
     # single vertical mode: grad and theta-grad norms coincide at |k3| = 1
-    val = gronwall_integrand(w, 1.0)
-    from admles.spectral import FieldNorms
-
+    val = gronwall_integrand(FieldNorms(w), 1.0)
     assert val == pytest.approx(FieldNorms(w).grad() ** 2, rel=1e-12)
-    assert gronwall_integrand(zero_vector(g), 0.8) == 0.0
+    assert gronwall_integrand(FieldNorms(zero_vector(g)), 0.8) == 0.0
     with pytest.raises(ValueError):
-        gronwall_integrand(w, 0.0)
+        gronwall_integrand(FieldNorms(w), 0.0)
 
 
 def test_record_norms_equal_the_single_norm_functions_bitwise():
@@ -123,8 +121,30 @@ def test_record_norms_equal_the_single_norm_functions_bitwise():
     rec = energy_terms(w, f, filt, 2, nu=0.07)
     assert rec.l2_norm == l2_norm(w)
     assert rec.theta_seminorm == vertical_seminorm(w, 0.75)
-    assert rec.gronwall_integrand == gronwall_integrand(w, 0.75)
+    assert rec.gronwall_integrand == gronwall_integrand(FieldNorms(w), 0.75)
     assert rec.gronwall_integrand > 0.0
+
+
+@pytest.mark.parametrize("g", [Grid(32, 32, 32), Grid(12, 16, 24, L3=np.pi)],
+                         ids=["32", "12x16x24"])
+def test_band_box_records_and_spectrum_equal_the_half_layout_ones_bitwise(g):
+    """A run's records and the spectrum read band boxes: every term has
+    the bits of the same band-limited fields on the half layout."""
+    filt = FilterSpec(alpha=0.5, theta=0.75)
+    spec = EnsembleSpec(count=1, band_limit=2, seed=24)
+    rng = spec.rng()
+    w = dealias(field_from_samples(g, rng.standard_normal((3, *g.shape))))
+    f = draw_vector(rng, spec, g)
+    band = g.band
+    box_w, box_f = band.gather(w.coeffs), band.gather(f.coeffs)
+    expect = energy_terms(w, f, filt, 2, nu=0.07, t=0.5)
+    got = energy_terms(box_w, box_f, filt, 2, nu=0.07, t=0.5, band=band)
+    for name in ("model_energy", "dissipation", "forcing_power", "l2_norm",
+                 "theta_seminorm", "gronwall_integrand"):
+        assert getattr(got, name) == getattr(expect, name), name
+    half, box = FieldNorms(w), FieldNorms(box_w, band)
+    assert gronwall_integrand(box, 0.75) == gronwall_integrand(half, 0.75)
+    assert vertical_spectrum(box) == vertical_spectrum(half)
 
 
 def test_energy_terms_and_spectrum_match_full_layout_reference():
@@ -160,13 +180,13 @@ def test_energy_terms_and_spectrum_match_full_layout_reference():
     rec = energy_terms(w, f, filt, 2, nu=0.07, t=0.5)
     for name, value in expect.items():
         assert getattr(rec, name) == pytest.approx(value, rel=1e-14, abs=0.0)
-    assert gronwall_integrand(w, 0.75) == pytest.approx(
+    assert gronwall_integrand(FieldNorms(w), 0.75) == pytest.approx(
         expect["gronwall_integrand"], rel=1e-14, abs=0.0)
 
     column = g.volume * np.sum(mass, axis=(0, 1, 2))
     shells = np.zeros(g.n3 // 2 + 1)
     np.add.at(shells, np.abs(np.fft.fftfreq(g.n3, 1 / g.n3)).astype(int), column)
-    got = vertical_spectrum(w)
+    got = vertical_spectrum(FieldNorms(w))
     assert [k for k, _ in got] == list(range(g.n3 // 2 + 1))
     for (_, e), ref in zip(got, shells):
         assert e == pytest.approx(ref, rel=1e-14, abs=0.0)
@@ -246,7 +266,7 @@ def test_energy_record_validation():
 
 def test_regularity_norms_viscous_decay():
     rep = regularity_norms((s for s, _ in run_small(t_end=0.05)), FILT)
-    w0 = next(run_small(t_end=0.05))[0].w
+    w0 = next(run_small(t_end=0.05))[0].field()
     # monotone decay: suprema are attained at t = 0
     assert rep["sup_l2"] == pytest.approx(l2_norm(w0), rel=1e-12)
     assert rep["sup_theta_seminorm"] == pytest.approx(
@@ -258,13 +278,8 @@ def test_regularity_norms_viscous_decay():
 
 def test_regularity_norms_zero_trajectory():
     g = Grid(16, 16, 16)
-
-    class S:
-        def __init__(self, t, w):
-            self.t = t
-            self.w = w
-
-    states = [S(0.0, zero_vector(g)), S(0.1, zero_vector(g))]
+    zero = np.zeros((3, *g.band.shape), dtype=complex)
+    states = [SolverState(0.0, 0, g, zero), SolverState(0.1, 1, g, zero)]
     rep = regularity_norms(iter(states), FILT)
     assert rep["sup_l2"] == 0.0
     assert rep["integral_grad_sq"] == 0.0
@@ -279,7 +294,7 @@ def test_regularity_norms_zero_trajectory():
 def test_vertical_spectrum_single_mode():
     g = Grid(16, 16, 16)
     w = descriptor_field(SingleMode(k=(0, 0, 3)), g)
-    shells = dict(vertical_spectrum(w))
+    shells = dict(vertical_spectrum(FieldNorms(w)))
     assert shells[3] == pytest.approx(l2_norm(w) ** 2, rel=1e-12)
     for k3, e in shells.items():
         if k3 != 3:
@@ -289,7 +304,7 @@ def test_vertical_spectrum_single_mode():
 def test_vertical_spectrum_parseval():
     g = Grid(16, 16, 16)
     w = init_field(TaylorGreen(), g, FILT)
-    shells = vertical_spectrum(w)
+    shells = vertical_spectrum(FieldNorms(w))
     total = sum(e for _, e in shells)
     assert total == pytest.approx(l2_norm(w) ** 2, rel=1e-12)
     ks = [k for k, _ in shells]
@@ -302,8 +317,8 @@ def test_vertical_spectrum_filter_ratio():
     g = Grid(16, 16, 16)
     v = descriptor_field(TaylorGreen(), g)
     w = init_field(TaylorGreen(), g, FILT)
-    raw = dict(vertical_spectrum(v))
-    smooth = dict(vertical_spectrum(w))
+    raw = dict(vertical_spectrum(FieldNorms(v)))
+    smooth = dict(vertical_spectrum(FieldNorms(w)))
     for k3, e in raw.items():
         if e > 0:
             a = 1.0 + FILT.alpha**2 * k3**2

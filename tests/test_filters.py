@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from full_layout import gradient, to_full
+from full_layout import dealias, gradient, to_full
 
 from admles.filters import (
     DeconvSpec,
@@ -22,7 +22,6 @@ from admles.filters import (
 )
 from admles.grid import Grid
 from admles.spectral import (
-    dealias,
     field_from_samples,
     l2_norm,
     leray_project,

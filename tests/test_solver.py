@@ -9,7 +9,7 @@ from functools import cached_property
 
 import numpy as np
 import pytest
-from full_layout import beltrami_field, hermitian_defect, rule_mask, to_full
+from full_layout import beltrami_field, dealias, hermitian_defect, rule_mask, to_full
 
 from admles.filters import (
     DeconvSpec,
@@ -19,7 +19,7 @@ from admles.filters import (
     deconv_symbol,
     filter_symbol,
 )
-from admles.grid import Grid, dealias_cutoff
+from admles.grid import Band, Grid, dealias_cutoff
 from admles.solver import (
     CFL_LIMIT,
     CFLError,
@@ -45,7 +45,6 @@ from admles.solver import (
 from admles.spectral import (
     FieldNorms,
     VectorField,
-    dealias,
     divergence_residual,
     field_from_samples,
     inner_product,
@@ -208,10 +207,10 @@ def test_pure_viscous_decay_exact():
         filter=FilterSpec(alpha=1.0, theta=1.0),
         deconv_order=0,
     )
-    w0 = initial_state(cfg).w
+    w0 = initial_state(cfg).field()
     for s, _ in run(cfg):
         expect = np.exp(-cfg.nu * 1.0 * s.t) * l2_norm(w0)
-        assert l2_norm(s.w) == pytest.approx(expect, rel=1e-12)
+        assert l2_norm(s.field()) == pytest.approx(expect, rel=1e-12)
 
 
 def test_step_preserves_divergence_free():
@@ -220,14 +219,14 @@ def test_step_preserves_divergence_free():
     ops = StepOperators(cfg)
     for _ in range(5):
         state = step(state, ops)
-        scale = np.max(np.abs(state.w.coeffs))
-        assert divergence_residual(state.w) < 1e-12 * scale
+        scale = np.max(np.abs(state.w))
+        assert divergence_residual(state.field()) < 1e-12 * scale
 
 
 def test_run_deterministic():
     cfg = config16(init=RandomBandLimited(seed=11, band=4), t_end=0.05)
     for (a, ra), (b, rb) in zip(run(cfg), run(cfg), strict=True):
-        assert np.array_equal(a.w.coeffs, b.w.coeffs)
+        assert np.array_equal(a.w, b.w)
         assert ra.model_energy == rb.model_energy
 
 
@@ -238,7 +237,7 @@ def test_run_zero_everything():
     # zero initial data via a zero-amplitude Taylor-Green
     cfg = config16(init=TaylorGreen(amplitude=0.0), t_end=0.02)
     for s, r in run(cfg):
-        assert np.max(np.abs(s.w.coeffs)) == 0.0
+        assert np.max(np.abs(s.w)) == 0.0
         assert r.model_energy == 0.0
 
 
@@ -292,8 +291,8 @@ def test_run_memory_independent_of_record_count():
 
 def test_nan_detection():
     cfg = config16()
-    bad = np.full((3, *cfg.grid.spectral_shape), np.nan, dtype=complex)
-    state = SolverState(t=0.0, step_index=0, w=VectorField(cfg.grid, bad))
+    bad = np.full((3, *cfg.grid.band.shape), np.nan, dtype=complex)
+    state = SolverState(t=0.0, step_index=0, grid=cfg.grid, w=bad)
     with pytest.raises(NaNError):
         step(state, StepOperators(cfg))
 
@@ -304,7 +303,7 @@ def test_cfl_speed_is_max_of_deconvolved_samples():
               filter=FilterSpec(alpha=1.0, theta=1.0))
     cfg = config16(**kw)
     g = cfg.grid
-    w = initial_state(cfg).w
+    w = initial_state(cfg).field()
     deconv = deconv_symbol(DeconvSpec(cfg.filter, cfg.deconv_order), g.k3)
     z = np.fft.ifftn(to_full(g, w.coeffs * deconv),
                      axes=(-3, -2, -1)).real * np.prod(g.shape)
@@ -327,7 +326,7 @@ def test_steps_keep_coefficients_hermitian():
     state = initial_state(cfg)
     for _ in range(6):
         state = step(state, ops)
-    c = state.w.coeffs
+    c = state.field().coeffs
     assert hermitian_defect(to_full(cfg.grid, c)) < 1e-15 * np.max(np.abs(c))
 
 
@@ -345,20 +344,18 @@ def test_zeroth_order_reduction_bitwise():
         conv = leray_project(VectorField(grid, t.coeffs * bar))
         return f - conv.coeffs
 
-    def plain_step(state):
-        k1 = plain_rhs(state.w)
-        pred = VectorField(grid, e * (state.w.coeffs + cfg.dt * k1))
+    def plain_step(w):
+        k1 = plain_rhs(w)
+        pred = VectorField(grid, e * (w.coeffs + cfg.dt * k1))
         k2 = plain_rhs(pred)
-        new = e * state.w.coeffs + 0.5 * cfg.dt * (e * k1 + k2)
-        return SolverState(state.t + cfg.dt, state.step_index + 1,
-                           VectorField(grid, new))
+        return VectorField(grid, e * w.coeffs + 0.5 * cfg.dt * (e * k1 + k2))
 
     a = initial_state(cfg)
-    b = a
+    b = a.field()
     for _ in range(3):
         a = step(a, ops)
         b = plain_step(b)
-        assert np.array_equal(a.w.coeffs, b.w.coeffs)
+        assert np.array_equal(a.field().coeffs, b.coeffs)
 
 
 def test_vertical_mean_sector_unfiltered():
@@ -379,20 +376,18 @@ def test_vertical_mean_sector_unfiltered():
     def ns_rhs(w):
         return -leray_project(tensor_divergence(w)).coeffs
 
-    def ns_step(state):
-        k1 = ns_rhs(state.w)
-        pred = VectorField(g, e * (state.w.coeffs + cfg.dt * k1))
+    def ns_step(w):
+        k1 = ns_rhs(w)
+        pred = VectorField(g, e * (w.coeffs + cfg.dt * k1))
         k2 = ns_rhs(pred)
-        new = e * state.w.coeffs + 0.5 * cfg.dt * (e * k1 + k2)
-        return SolverState(state.t + cfg.dt, state.step_index + 1,
-                           VectorField(g, new))
+        return VectorField(g, e * w.coeffs + 0.5 * cfg.dt * (e * k1 + k2))
 
-    a = SolverState(0.0, 0, w0)
-    b = a
+    a = SolverState(0.0, 0, g, g.band.gather(w0.coeffs))
+    b = w0
     for _ in range(3):
         a = step(a, ops)
         b = ns_step(b)
-        assert np.array_equal(a.w.coeffs, b.w.coeffs)
+        assert np.array_equal(a.field().coeffs, b.coeffs)
 
 
 ODD_BOX = Grid(12, 16, 10, 2.0 * np.pi, 3.0, 5.0)
@@ -417,21 +412,19 @@ def test_band_step_matches_half_layout_heun_bitwise(order):
         t = tensor_divergence(z).coeffs * bar
         return f - leray_project(VectorField(grid, t)).coeffs
 
-    def half_step(state):
-        k1 = half_rhs(state.w)
-        pred = VectorField(grid, e * (state.w.coeffs + cfg.dt * k1))
+    def half_step(w):
+        k1 = half_rhs(w)
+        pred = VectorField(grid, e * (w.coeffs + cfg.dt * k1))
         k2 = half_rhs(pred)
-        new = e * state.w.coeffs + 0.5 * cfg.dt * (e * k1 + k2)
-        return SolverState(state.t + cfg.dt, state.step_index + 1,
-                           VectorField(grid, new))
+        return VectorField(grid, e * w.coeffs + 0.5 * cfg.dt * (e * k1 + k2))
 
     ops = StepOperators(cfg)
     a = initial_state(cfg)
-    b = a
+    b = a.field()
     for _ in range(3):
         a = step(a, ops)
         b = half_step(b)
-        assert np.array_equal(a.w.coeffs, b.w.coeffs)
+        assert np.array_equal(a.field().coeffs, b.coeffs)
 
 
 # Modes of one true |k|: |k|^2 = 2 on the 2 pi cube, with one |k3| or
@@ -455,9 +448,10 @@ def decay_error(grid, modes, helicities, theta, order, steps=100):
     cfg = config16(grid=grid, nu=0.05, dt=0.002, t_end=steps * 0.002,
                    filter=FilterSpec(alpha=0.3, theta=theta), deconv_order=order)
     error = 0.0
-    for state in trajectory(StepOperators(cfg), SolverState(0.0, 0, w0)):
+    start = SolverState(0.0, 0, grid, grid.band.gather(w0.coeffs))
+    for state in trajectory(StepOperators(cfg), start):
         exact = np.exp(-cfg.nu * k_squared[0] * state.t) * w0.coeffs
-        error = max(error, np.max(np.abs(state.w.coeffs - exact)) / np.max(np.abs(exact)))
+        error = max(error, np.max(np.abs(state.field().coeffs - exact)) / np.max(np.abs(exact)))
     assert state.step_index == steps
     return error
 
@@ -490,29 +484,51 @@ def test_shared_operators_keep_trajectories_apart():
     cfg = config16(init=RandomBandLimited(seed=14, band=4),
                    forcing=TaylorGreen(), t_end=0.05)
     first = initial_state(cfg)
-    second = SolverState(0.0, 0, VectorField(cfg.grid, -0.5 * first.w.coeffs))
+    second = SolverState(0.0, 0, cfg.grid, -0.5 * first.w)
 
     def alone(state):
-        return [s.w.coeffs for s in trajectory(StepOperators(cfg), state)]
+        return [s.w for s in trajectory(StepOperators(cfg), state)]
 
     ops = StepOperators(cfg)
     shared = list(zip(trajectory(ops, first), trajectory(ops, second)))
     for (a, b), a_alone, b_alone in zip(shared, alone(first), alone(second),
                                         strict=True):
-        assert np.array_equal(a.w.coeffs, a_alone)
-        assert np.array_equal(b.w.coeffs, b_alone)
+        assert np.array_equal(a.w, a_alone)
+        assert np.array_equal(b.w, b_alone)
 
 
 def test_step_operators_keep_no_half_layout_array():
-    """Every multiplier a step reads is a band line; forcing_raw, the
-    field the records read, is the one half-layout field kept."""
+    """Every multiplier a step reads is a band line, and forcing_raw, the
+    forcing the records read, is a band box: no array or field of the
+    half layout is kept."""
     cfg = config16(forcing=RandomBandLimited(seed=16, band=3))
     ops = StepOperators(cfg)
     half = cfg.grid.spectral_shape
     held = [name for name, value in vars(ops).items()
-            if isinstance(value, np.ndarray) and value.shape[-3:] == half]
+            if np.shape(getattr(value, "coeffs", value))[-3:] == half]
     assert held == []
     assert ops.band_viscous.shape == cfg.grid.band.shape
+    assert ops.forcing_raw.shape == (3, *cfg.grid.band.shape)
+
+
+def test_run_moves_nothing_between_layouts_after_setup(monkeypatch):
+    """Steps and records read and write band boxes only: once run() has
+    set up, no Band.gather or Band.scatter is called."""
+    calls = []
+
+    def counted(method):
+        def wrapper(*args, **kwargs):
+            calls.append(method.__name__)
+            return method(*args, **kwargs)
+        return wrapper
+
+    for method in (Band.gather, Band.scatter):
+        monkeypatch.setattr(Band, method.__name__, counted(method))
+    stream = run(config16(forcing=TaylorGreen(), t_end=0.05))
+    assert calls  # setup gathers the initial state and the forcing
+    calls.clear()
+    assert len(list(stream)) == 6
+    assert calls == []
 
 
 def test_grid_caches_no_multi_axis_array():
@@ -523,8 +539,8 @@ def test_grid_caches_no_multi_axis_array():
     g = cfg.grid
     ops = StepOperators(cfg)
     state = step(initial_state(cfg), ops)
-    leray_project(state.w)
-    FieldNorms(state.w).vertical_grad(0.5)
+    leray_project(state.field())
+    FieldNorms(state.w, g.band).vertical_grad(0.5)
     properties = [name for name, attr in vars(Grid).items()
                   if isinstance(attr, (property, cached_property))
                   and not name.startswith("_")]
@@ -544,7 +560,8 @@ def test_warm_step_allocates_little_beyond_the_new_state():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * 3 * 16 * 16 * 9 * 16  # two half-layout vector fields
+    box = 3 * np.prod(cfg.grid.band.shape) * 16
+    assert peak <= 3 * box  # one half-layout vector field alone is 3.2 boxes
 
 
 @pytest.mark.parametrize("desc", [TaylorGreen(), SingleMode(k=(1, 2, 3)),
@@ -553,16 +570,17 @@ def test_warm_step_allocates_little_beyond_the_new_state():
                          ids=["taylor-green", "single-mode", "random", "zero"])
 def test_states_are_zero_outside_the_band(desc):
     """Initial data, forcing and stepped states carry nothing outside the
-    2/3 band, the only part the stepper reads."""
+    2/3 band, the only part of them that a state and StepOperators keep."""
     init = TaylorGreen() if isinstance(desc, ZeroForcing) else desc
     cfg = config16(init=init, forcing=desc, t_end=0.05)
     g = cfg.grid
     outside = ~rule_mask(g)[..., : g.n3 // 2 + 1]
     ops = StepOperators(cfg)
-    assert np.all(ops.forcing_raw.coeffs[:, outside] == 0.0)
+    assert np.all(forcing_field(desc, g).coeffs[:, outside] == 0.0)
+    assert np.all(init_field(init, g, cfg.filter).coeffs[:, outside] == 0.0)
     state = initial_state(cfg)
     for _ in range(6):
-        assert np.all(state.w.coeffs[:, outside] == 0.0)
+        assert np.all(state.field().coeffs[:, outside] == 0.0)
         state = step(state, ops)
 
 
@@ -667,7 +685,8 @@ def test_checkpoint_round_trip(tmp_path):
     path = tmp_path / "state.ckpt"
     write_checkpoint(path, last, cfg, config_hash="abc123")
     state, header = read_checkpoint(path)
-    assert np.array_equal(state.w.coeffs, last.w.coeffs)
+    assert state.grid == last.grid
+    assert np.array_equal(state.w, last.w)
     assert state.t == last.t
     assert state.step_index == last.step_index
     assert header["config_hash"] == "abc123"
@@ -717,6 +736,8 @@ def test_checkpoint_rejects_foreign_file(tmp_path):
     coeffs = np.zeros((3, 4, 4, 3), dtype=complex)
     good = forged_checkpoint(header, coeffs)
     no_grid = {k: v for k, v in header.items() if k != "grid"}
+    outside = coeffs.copy()
+    outside[1, 2, 0, 1] = 1e-300  # row -2 of n = 4 lies outside the band |k| <= 1
     cases = {
         "junk": b"not a checkpoint",
         "cut_to_12_bytes": good[:12],
@@ -733,12 +754,16 @@ def test_checkpoint_rejects_foreign_file(tmp_path):
         "float64_payload": forged_checkpoint(header, coeffs.real),
         "full_layout_in_v2": forged_checkpoint(
             header, np.zeros((3, 4, 4, 4), dtype=complex)),
+        "content_outside_band": forged_checkpoint(header, outside),
     }
     for name, content in cases.items():
         path = tmp_path / f"{name}.bin"
         path.write_bytes(content)
         with pytest.raises(ValueError, match=re.escape(str(path))):
             read_checkpoint(path)
+    path = tmp_path / "content_outside_band.bin"
+    with pytest.raises(ValueError, match=re.escape(str(path)) + ".*outside the 2/3 band"):
+        read_checkpoint(path)
     # the full-layout ADMCKPT1 format is no longer read
     path = tmp_path / "v1_magic.bin"
     path.write_bytes(forged_checkpoint(header, coeffs, b"ADMCKPT1\n"))
@@ -747,4 +772,5 @@ def test_checkpoint_rejects_foreign_file(tmp_path):
     path = tmp_path / "good.bin"
     path.write_bytes(good)
     state, _ = read_checkpoint(path)
-    assert state.w.grid == Grid(4, 4, 4, 1.0, 1.0, 1.0)
+    assert state.grid == Grid(4, 4, 4, 1.0, 1.0, 1.0)
+    assert state.w.shape == (3, 3, 3, 2)

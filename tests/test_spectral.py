@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from full_layout import gradient, hermitian_defect, rule_mask, to_full
+from full_layout import dealias, gradient, hermitian_defect, rule_mask, to_full
 
 from admles import spectral
 from admles.ensembles import EnsembleSpec, draw_vector
@@ -16,7 +16,6 @@ from admles.spectral import (
     band_forward,
     band_inverse,
     convective_inner,
-    dealias,
     divergence,
     divergence_residual,
     field_from_samples,
@@ -303,6 +302,31 @@ def test_vertical_seminorm_oracles(grid):
         np.sqrt(2) * l2_norm(g), rel=1e-13
     )
     assert vertical_seminorm(g, 1.0) == pytest.approx(2 * l2_norm(g), rel=1e-13)
+
+
+@pytest.mark.parametrize("g", [Grid(32, 32, 32), Grid(64, 64, 64),
+                               Grid(12, 16, 24, L3=np.pi)],
+                         ids=["32", "64", "12x16x24"])
+@pytest.mark.parametrize("vector", [False, True])
+def test_norms_of_a_band_box_equal_the_half_layout_ones_bitwise(g, vector):
+    """FieldNorms and inner_product of a band-limited field read on its
+    band box give the bits they give on the half layout."""
+    rng = np.random.default_rng(37)
+    shape = (3, *g.shape) if vector else g.shape
+    f, h = (dealias(field_from_samples(g, rng.standard_normal(shape)))
+            for _ in range(2))
+    band = g.band
+    half, box = FieldNorms(f), FieldNorms(band.gather(f.coeffs), band)
+    for line in ("plain", "horizontal", "full"):
+        assert np.array_equal(getattr(box, line), getattr(half, line)), line
+    for norm in ("l2", "grad", "horizontal_grad"):
+        assert getattr(box, norm)() == getattr(half, norm)(), norm
+    for s in (0.0, 0.5, 0.75, 1.0):
+        assert box.vertical(s) == half.vertical(s)
+        assert box.vertical_grad(s) == half.vertical_grad(s)
+    weight = g.k3 ** 1.5
+    assert inner_product(band.gather(f.coeffs), band.gather(h.coeffs), weight,
+                         band) == inner_product(f, h, weight)
 
 
 def test_horizontal_grad_below_full_grad(grid):
