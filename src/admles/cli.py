@@ -156,8 +156,8 @@ def _cmd_simulate(rc: RunConfig, ctx: _Context) -> int:
     ctx.check("records_finite", not bad,
               f"{len(bad)} non-finite records" if bad
               else f"{len(records)} records")
-    scale = float(np.max(np.abs(last.w)))
-    residual = divergence_residual(last.field())
+    scale = float(np.max(np.abs(last.w.coeffs)))
+    residual = divergence_residual(last.w)
     ctx.check("final_state_divergence_free",
               residual <= 1e-10 * max(scale, 1e-300),
               f"residual={residual!r}")
@@ -258,7 +258,7 @@ def _cmd_spectrum(rc: RunConfig, ctx: _Context) -> int:
             "spectrum subcommand"
         )
     state, header = read_checkpoint(rc.spectrum_checkpoint)
-    norms = FieldNorms(state.w, state.grid.band)
+    norms = FieldNorms(state.w)
     shells = vertical_spectrum(norms)
     ctx.write_csv("spectrum.csv", ("k3", "energy"), shells)
     ctx.extra["checkpoint"] = {

@@ -26,7 +26,6 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .filters import DeconvSpec, FilterSpec, symbol_table
-from .grid import Band
 from .spectral import FieldNorms, VectorField, inner_product, quadratic_form
 
 
@@ -62,19 +61,18 @@ def gronwall_integrand(norms: FieldNorms, theta: float) -> float:
     return gn ** (2.0 - 1.0 / theta) * norms.vertical_grad(theta) ** (1.0 / theta)
 
 
-def energy_terms(w: VectorField | np.ndarray, f: VectorField | np.ndarray,
-                 filt: FilterSpec, order: int, nu: float, t: float = 0.0,
-                 band: Band | None = None) -> EnergyRecord:
-    """All budget terms of state w and raw forcing f (VectorFields, or
-    coefficients of the box `band`), via Fourier multipliers: the
-    forcing power is one inner_product, and the rest is read from one
-    FieldNorms pass.  The forcing goes first, so its temporaries are
-    freed before the |w|^2 pass allocates, or the heap grows each record.
+def energy_terms(w: VectorField, f: VectorField, filt: FilterSpec, order: int,
+                 nu: float, t: float = 0.0) -> EnergyRecord:
+    """All budget terms of state w and raw forcing f via Fourier
+    multipliers: the forcing power is one inner_product, and the rest is
+    read from one FieldNorms pass.  The forcing goes first, so its
+    temporaries are freed before the |w|^2 pass allocates, or the heap
+    grows each record.
     """
-    grid = w.grid if band is None else band.grid
+    grid = w.grid
     symbols = symbol_table(grid, DeconvSpec(filt, order))
-    forcing_power = inner_product(w, f, symbols.deconv, band)
-    norms = FieldNorms(w, band)
+    forcing_power = inner_product(w, f, symbols.deconv)
+    norms = FieldNorms(w)
     weight = symbols.filter * symbols.deconv
     theta = filt.theta
     return EnergyRecord(
@@ -126,7 +124,7 @@ def regularity_norms(states: Iterable, filt: FilterSpec) -> dict[str, float]:
     sup-in-time of ||w||_2 and ||d3^theta w||_2, and trapezoid
     time-integrals of ||grad w||_2^2 and ||d3^theta grad w||_2^2,
     over a trajectory of SolverStates, in one pass with one FieldNorms
-    per state, on its band box.
+    per state.
     """
     theta = filt.theta
     sup_l2 = 0.0
@@ -135,7 +133,7 @@ def regularity_norms(states: Iterable, filt: FilterSpec) -> dict[str, float]:
     grads_sq = []
     theta_grads_sq = []
     for s in states:
-        norms = FieldNorms(s.w, s.grid.band)
+        norms = FieldNorms(s.w)
         sup_l2 = max(sup_l2, norms.l2())
         sup_theta = max(sup_theta, norms.vertical(theta))
         times.append(s.t)

@@ -9,10 +9,10 @@ identical, only the quadrature grid refines.
 Draws are Hermitian-symmetrized (real physical samples), weighted by
 |k|^{-amplitude_decay}, and given zero mean; the whole box is drawn, and
 its k3 >= 0 half, rolled from centered into Band order (rows 0..b, then
--b..-1), is scattered onto the grid by a Band of cutoffs (b, b, b).
-Vector draws can be Leray-projected, modewise on that box, before the
-one scatter: project_coeffs on the draw's Band, as leray_project runs it
-on the grid's 2/3 band.  numpy.random is imported with the module, as
+-b..-1), is the field on a Band of cutoffs (b, b, b), which must lie in
+the grid's 2/3 band.  Vector draws can be Leray-projected there, with
+project_coeffs on the draw's Band, as leray_project runs it on any
+field's box.  numpy.random is imported with the module, as
 spectral imports numpy.fft: numpy loads it lazily, and a first draw
 inside a run would otherwise pay for the import.
 """
@@ -83,9 +83,9 @@ def check_fits(b: int, n: int) -> None:
 
 
 def _draw(rng: np.random.Generator, spec: EnsembleSpec, grid: Grid,
-          components: int, project: bool) -> np.ndarray:
-    """The k3 >= 0 half of a centered draw, rolled into the order of the
-    Band of cutoffs (b, b, b), projected there if `project`, scattered."""
+          components: int, project: bool) -> tuple[Band, np.ndarray]:
+    """The box of cutoffs (b, b, b) on `grid` and the k3 >= 0 half of a
+    centered draw, rolled into its order, projected there if `project`."""
     b = spec.band_limit
     box = Band(grid, (b, b, b))
     band = _draw_band(rng, b, spec.amplitude_decay, components)
@@ -93,17 +93,18 @@ def _draw(rng: np.random.Generator, spec: EnsembleSpec, grid: Grid,
     if project:
         coeffs = project_coeffs(box, coeffs, np.empty_like(coeffs),
                                 np.empty_like(coeffs[0]))
-    return box.scatter(coeffs)
+    return box, coeffs
 
 
 def draw_scalar(rng: np.random.Generator, spec: EnsembleSpec,
                 grid: Grid) -> SpectralField:
-    return SpectralField(grid, _draw(rng, spec, grid, 1, False)[0])
+    box, coeffs = _draw(rng, spec, grid, 1, False)
+    return SpectralField(box, coeffs[0])
 
 
 def draw_vector(rng: np.random.Generator, spec: EnsembleSpec, grid: Grid, *,
                 divergence_free: bool = True) -> VectorField:
-    return VectorField(grid, _draw(rng, spec, grid, 3, divergence_free))
+    return VectorField(*_draw(rng, spec, grid, 3, divergence_free))
 
 
 def draw_line(rng: np.random.Generator, spec: EnsembleSpec,

@@ -168,9 +168,9 @@ def deconv_error_symbol(spec: DeconvSpec, k3: np.ndarray) -> np.ndarray:
 class SymbolTable:
     """Read-only vertical multiplier lines of one grid and deconvolution.
 
-    Each line has shape (1, 1, n3/2 + 1), the half-layout k3 line, so
-    trailing-axis broadcasting covers both scalar (n1, n2, n3/2 + 1) and
-    vector (3, n1, n2, n3/2 + 1) coefficients.
+    Each line has shape (1, 1, n3/2 + 1), the grid's k3 line; a field's
+    box reads its columns band.cols, and trailing-axis broadcasting then
+    covers both scalar and vector coefficients.
     """
 
     filter: np.ndarray  # A
@@ -191,13 +191,19 @@ def symbol_table(grid: Grid, spec: DeconvSpec) -> SymbolTable:
     return SymbolTable(*lines)
 
 
+def _on_box(field: Field, line: np.ndarray) -> np.ndarray:
+    """The columns of a k3 line that the field's box holds."""
+    return line[..., field.band.cols]
+
+
 def _filter_table(field: Field, spec: FilterSpec) -> SymbolTable:
     return symbol_table(field.grid, DeconvSpec(spec, 0))
 
 
 def apply_filter(field: Field, spec: FilterSpec) -> Field:
     """Multiply by A(k3) (the inverse of bar smoothing)."""
-    return field.with_coeffs(field.coeffs * _filter_table(field, spec).filter)
+    return field.with_coeffs(
+        field.coeffs * _on_box(field, _filter_table(field, spec).filter))
 
 
 def apply_bar(field: Field, spec: FilterSpec) -> Field:
@@ -207,28 +213,26 @@ def apply_bar(field: Field, spec: FilterSpec) -> Field:
     turns a -0.0 real part into +0.0 where multiplication keeps it, and
     checkpoint bytes record that sign.
     """
-    return field.with_coeffs(field.coeffs / _filter_table(field, spec).filter)
+    return field.with_coeffs(
+        field.coeffs / _on_box(field, _filter_table(field, spec).filter))
 
 
 def apply_half_filter(field: Field, spec: FilterSpec) -> Field:
     """Multiply by A(k3)^{1/2}."""
     return field.with_coeffs(
-        field.coeffs * _filter_table(field, spec).half_filter
-    )
+        field.coeffs * _on_box(field, _filter_table(field, spec).half_filter))
 
 
 def apply_deconv(field: Field, spec: DeconvSpec) -> Field:
     """Multiply by D_N(k3)."""
     return field.with_coeffs(
-        field.coeffs * symbol_table(field.grid, spec).deconv
-    )
+        field.coeffs * _on_box(field, symbol_table(field.grid, spec).deconv))
 
 
 def apply_half_deconv(field: Field, spec: DeconvSpec) -> Field:
     """Multiply by D_N(k3)^{1/2} (energy-weight convention)."""
     return field.with_coeffs(
-        field.coeffs * symbol_table(field.grid, spec).half_deconv
-    )
+        field.coeffs * _on_box(field, symbol_table(field.grid, spec).half_deconv))
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +248,7 @@ def vertical_fractional_shift(field: Field, spec: FilterSpec) -> Field:
     to the order of floating-point operations; keeping both forms lets
     the identity checks exercise them against each other.
     """
-    x = _vertical_weight(spec, field.grid.k3)
+    x = _vertical_weight(spec, _on_box(field, field.grid.k3))
     return field.with_coeffs(field.coeffs + x * field.coeffs)
 
 

@@ -7,24 +7,21 @@ axis.  Wavenumbers follow numpy FFT ordering,
 
     k_j in {0, 1, ..., n_j/2 - 1, -n_j/2, ..., -1} * (2*pi / L_j),
 
-so the Nyquist mode of each axis sits at -n_j/2.  Odd-order operators
-on the half layout (gradient, divergence) use the *derivative*
-wavenumbers, which zero the Nyquist plane; this keeps real fields real,
-since the coefficient stored at -n/2 represents cos(n x / 2) content
-whose odd derivative is not representable on the grid.  Even multipliers
-(|k3|^{2s}, the Laplacian, filter symbols) use the true magnitudes
-including n/2.  Fields band-limited by the 2/3 rule carry no Nyquist
-content, so the distinction only matters for raw transformed samples;
-the Leray projection and the stepper run on a Band, which holds no
-Nyquist entry.
-Coefficients are stored in the rfftn layout (n1, n2, n3/2 + 1): the k3
-lines and all built from them hold k3 = 0, 1, ..., n3/2 only.  The
-2/3-rule band of that layout is the box `Grid.band`: rows 0..K and
-n-K..n-1 on the two full axes and columns 0..K on the half axis, with
-K = (n - 1) // 3 per axis, the largest |k| < n/3, so a product mode
-|k| <= 2K aliases onto |k| >= n - 2K > K, outside the band (K = n/3
-would let 2K alias onto -K).  A Band of other cutoffs moves any such box
-between its compact form and the half layout of any grid that holds it.
+so the Nyquist mode of each axis sits at -n_j/2.  The derivative
+wavenumbers (kd1, kd2, kd3) zero that entry, which keeps odd derivatives
+of raw transformed samples real, and k3 keeps its magnitude n3/2 for
+even multipliers (|k3|^{2s}, filter symbols).  No box of the 2/3 band
+holds a Nyquist entry, so on every field the two agree.
+The 2/3-rule band of the rfftn layout (n1, n2, n3/2 + 1) is the box
+Grid.band: rows 0..K and n-K..n-1 on the two full axes and columns 0..K
+on the half axis, with K = (n - 1) // 3 per axis, the largest |k| < n/3,
+so a product mode |k| <= 2K aliases onto |k| >= n - 2K > K, outside the
+band (K = n/3 would let 2K alias onto -K).  A field stores the
+coefficients of a box (a Band) inside that band, and nothing else: the
+k3 lines and all built from them hold k3 = 0, 1, ..., n3/2, and a box
+reads the columns band.cols of them.  The half layout itself is only
+transform scratch and the checkpoint's file layout, which Band.gather
+and Band.scatter move a box to and from.
 """
 
 from __future__ import annotations
@@ -81,17 +78,18 @@ class Band:
     stored compactly with shape (2 K1 + 1, 2 K2 + 1, K3 + 1).
 
     Band rows 0..K hold modes 0..K and rows K+1..2K hold -K..-1, on each
-    of the two full axes; the half axis keeps columns 0..K3.  gather and
-    scatter move the box to and from the half layout (..., m1, m2,
-    m3/2 + 1) of any grid shape that holds it (2 K + 1 <= m per axis),
-    so the one box serves the solver's state, the Leray projection, the
-    draws and fine sampling.  The default cutoffs are the grid's 2/3
-    rule (Grid.band).
+    of the two full axes; the half axis keeps columns 0..K3.  The box is
+    the layout of every field (the grid's 2/3 band for the solver's state
+    and sampled fields, cutoffs (b, b, b) for a draw); embed moves its
+    coefficients onto a larger box.  gather and scatter move the box to
+    and from the half layout (..., m1, m2, m3/2 + 1) of any grid shape
+    that holds it (2 K + 1 <= m per axis).  The default cutoffs are the
+    grid's 2/3 rule (Grid.band).
     Since 2 K + 1 <= n, a box never holds a Nyquist row or column: its
     derivative and true wavenumbers agree, and every multiplier on it
     is built from its own lines kd1, kd2, kd3 (the grid's, restricted
     to the box).  Those and inv_kd_squared are read-only, and built on
-    first use, since most boxes (an occupied_box, say) only move
+    first use, since many boxes (a union of two, say) only move
     coefficients.
     """
 
@@ -100,7 +98,7 @@ class Band:
         self.grid = grid
         self.shape = (2 * k1 + 1, 2 * k2 + 1, k3 + 1)
         self.cols = slice(0, k3 + 1)
-        self.blocks = self._blocks(*self.rows_on(grid.shape))
+        self.rows_on(grid.shape)  # raises unless the grid holds the box
 
     def _rows(self, axis: int) -> np.ndarray:
         """Indices of the box's rows on full axis `axis` of its grid."""
@@ -135,16 +133,12 @@ class Band:
         return tuple(((slice(0, k + 1),) * 2, (slice(k + 1, None), slice(n - k, n)))
                      for k, n in zip(self.cutoffs, shape[:2]))
 
-    def _blocks(self, rows1, rows2):
-        return tuple(((..., b1, b2, self.cols), (..., h1, h2, self.cols))
-                     for b1, h1 in rows1 for b2, h2 in rows2)
-
     def _blocks_on(self, shape: tuple[int, int, int]):
         """The (box index, half index) pairs on a half layout of grid
-        shape `shape`; those of the grid's own rows are built once."""
-        if shape[:2] == self.grid.shape[:2]:
-            return self.blocks
-        return self._blocks(*self.rows_on(shape))
+        shape `shape`."""
+        rows1, rows2 = self.rows_on(shape)
+        return tuple(((..., b1, b2, self.cols), (..., h1, h2, self.cols))
+                     for b1, h1 in rows1 for b2, h2 in rows2)
 
     def gather(self, half: np.ndarray) -> np.ndarray:
         """A fresh box of half-layout coefficients (..., m1, m2, m3/2 + 1)."""
@@ -153,6 +147,13 @@ class Band:
         for b, h in self._blocks_on((m1, m2, 2 * m3 - 2)):
             out[b] = half[h]
         return out
+
+    def embed(self, coeffs: np.ndarray, box: "Band") -> np.ndarray:
+        """A fresh array of the box `box` that holds this box (cutoffs no
+        larger on any axis): `coeffs` on this box's modes, zero elsewhere.
+        A box is the half layout of a grid of shape (2 K1 + 1, 2 K2 + 1,
+        2 K3 + 1), so its row blocks are this box's on that shape."""
+        return self.scatter(coeffs, tuple(2 * k + 1 for k in box.cutoffs))
 
     def scatter(self, band: np.ndarray,
                 shape: tuple[int, int, int] | None = None) -> np.ndarray:
@@ -222,14 +223,6 @@ class Grid:
         shape = [1, 1, 1]
         shape[axis] = arr.size
         return arr.reshape(shape)
-
-    @cached_property
-    def k1(self) -> np.ndarray:
-        return self._expand(self.k_axis(0), 0)
-
-    @cached_property
-    def k2(self) -> np.ndarray:
-        return self._expand(self.k_axis(1), 1)
 
     @cached_property
     def k3(self) -> np.ndarray:

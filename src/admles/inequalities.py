@@ -6,10 +6,9 @@ the (unspecified) constants and resolution-doubling studies confirm the
 ratios are quadrature artifacts of bounded size rather than blow-ups.
 
 Mixed norms are evaluated by physical-space quadrature on the samples
-that spectral.fine_samples takes of the field's 2/3 band, from its
-occupied box (b1, b2, b3).  Each axis takes spectral.quadrature_points
-of the band it must resolve, the fewest even count above it, whatever
-the grid's n:
+that spectral.fine_samples takes of the field from its box (b1, b2,
+b3).  Each axis takes spectral.quadrature_points of the band it must
+resolve, the fewest even count above it, whatever the grid's n:
 
   * horizontal plane integrals of |u|^p (p = 2, 4) on m_j points with
     p b_j < m_j, where the rectangle rule is exact;
@@ -49,7 +48,6 @@ from .spectral import (
     VectorField,
     convective_inner,
     fine_samples,
-    occupied_box,
     pad_spectrum,
     quadrature_points,
 )
@@ -234,16 +232,15 @@ def agmon_split_bound(coeffs: np.ndarray, s: float) -> float:
 
 def plane_profile(u: VectorField, power: int) -> np.ndarray:
     """The integral over each of 4 n3 horizontal planes of |u|^power
-    (power 2 or 4), of the 2/3 band of u: sampled on the fewest planes
+    (power 2 or 4): sampled on the fewest planes
     that resolve the profile, each on the fewest points that keep its
     integral exact, and upsampled exactly (see the module docstring);
     4 n3 always outnumbers those planes."""
     g = u.grid
-    box = occupied_box(u)
-    *horizontal, b3 = box.cutoffs
+    *horizontal, b3 = u.band.cutoffs
     shape = (*(quadrature_points(power * b) for b in horizontal),
              quadrature_points(2 * power * b3))
-    samples = fine_samples(u, shape, box)
+    samples = fine_samples(u, shape)
     density = np.sum(samples**2, axis=0) ** (power // 2)
     profile = np.mean(density, axis=(0, 1)) * (g.L1 * g.L2)
     c = pad_spectrum(np.fft.fft(profile) / shape[2], 4 * g.n3, 0)
@@ -257,9 +254,9 @@ def linf_v_l2_h_norm(u: VectorField) -> float:
 
 
 def l2_v_l4_h_norm(u: VectorField) -> float:
-    """(integral over x3 of plane-L^4-norm squared)^{1/2}, of the 2/3
-    band of u: the square root of the exact |u|^4 profile on 4 n3
-    planes, integrated by the rectangle rule."""
+    """(integral over x3 of plane-L^4-norm squared)^{1/2}: the square
+    root of the exact |u|^4 profile on 4 n3 planes, integrated by the
+    rectangle rule."""
     plane_l4_sq = np.sqrt(np.maximum(plane_profile(u, 4), 0.0))
     return float(np.sqrt(np.mean(plane_l4_sq) * u.grid.L3))
 

@@ -19,11 +19,12 @@ products are formed in physical space, and the retained modes of the
 result are alias-free, so the discrete trilinear form inherits the
 continuum orthogonality (div(z x z), z) = 0.
 
-A state is only that band: the box of Grid.band, gathered once by
-initial_state.  A step runs both right-hand sides and the Heun update
-on the box into a fresh one; the records read it and the forcing's box.
-Every w(0) and forcing built here is exactly zero outside the band, and
-a checkpoint scatters the box into a half layout at write time.
+A state is only that band: a VectorField on Grid.band, as is every w(0)
+and forcing built here (a draw's box is embedded in it).  A step runs
+both right-hand sides and the Heun update on the band's coefficients
+into a fresh field; the records read it and the forcing.  A checkpoint
+stores the half layout, scattered from the band at write time and
+gathered back at read time.
 
 The descriptors of w(0) and f own their config kind (DESCRIPTOR_KINDS),
 keys (fields) and checks (__post_init__, check_in_band).  A step reads
@@ -42,7 +43,7 @@ import numpy as np
 from .diagnostics import EnergyRecord, energy_terms, gronwall_integrand
 from .ensembles import EnsembleSpec, draw_vector
 from .filters import DeconvSpec, FilterSpec, apply_bar, symbol_table
-from .grid import Grid, check_band, check_rules, dealias_cutoff, rule_errors
+from .grid import Grid, check_band, check_rules, rule_errors
 from .spectral import (
     BandWorkspace,
     FieldNorms,
@@ -128,7 +129,7 @@ DESCRIPTOR_KINDS = {"none": ZeroForcing, "taylor-green": TaylorGreen,
 def check_in_band(desc: ForcingDescriptor, grid: Grid) -> None:
     """Raises ValueError, naming the field, if `desc` would put content
     outside the grid's 2/3 band."""
-    cutoffs = tuple(map(dealias_cutoff, grid.shape))
+    cutoffs = grid.band.cutoffs
     if isinstance(desc, SingleMode) and any(
             abs(c) > m for c, m in zip(desc.k, cutoffs)):
         raise ValueError(
@@ -149,13 +150,13 @@ def _orthogonal_unit(k: np.ndarray) -> np.ndarray:
 
 
 def descriptor_field(desc: InitDescriptor, grid: Grid) -> VectorField:
-    """Raw (unsmoothed) field: divergence-free, and exactly zero outside
-    the 2/3 band (a sampled field is the Leray projection of its band,
-    which drops the transform's round-off outside it)."""
+    """Raw (unsmoothed) divergence-free field on the 2/3 band: a draw
+    embedded in it, or the Leray projection of the band of samples."""
     check_in_band(desc, grid)
     if isinstance(desc, RandomBandLimited):
         spec = EnsembleSpec(count=1, band_limit=desc.band, seed=desc.seed)
-        return draw_vector(spec.rng(), spec, grid)
+        draw = draw_vector(spec.rng(), spec, grid)
+        return VectorField(grid.band, draw.band.embed(draw.coeffs, grid.band))
     x1, x2, x3 = grid.mesh()
     if isinstance(desc, TaylorGreen):
         samples = np.stack(
@@ -180,7 +181,7 @@ def _rescaled(field: VectorField, norm_target: float, what: str) -> VectorField:
     norm = l2_norm(field)
     if norm == 0.0:
         raise ValueError(f"{what} drew identically zero")
-    return VectorField(field.grid, field.coeffs * (norm_target / norm))
+    return field.with_coeffs(field.coeffs * (norm_target / norm))
 
 
 def init_field(desc: InitDescriptor, grid: Grid,
@@ -201,7 +202,7 @@ def forcing_field(desc: ForcingDescriptor, grid: Grid) -> VectorField:
     descriptors are rescaled so the raw forcing has L2 norm `energy`.
     """
     if isinstance(desc, ZeroForcing):
-        return VectorField(grid, np.zeros((3, *grid.spectral_shape), dtype=complex))
+        return VectorField(grid.band, np.zeros((3, *grid.band.shape), dtype=complex))
     f = descriptor_field(desc, grid)
     if isinstance(desc, RandomBandLimited):
         f = _rescaled(f, desc.energy, "random forcing")
@@ -257,20 +258,12 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolverState:
-    """w at time t after step_index steps: the read-only (3, *band shape)
-    box of the 2/3 band of `grid`, the only part a step reads."""
+    """w at time t after step_index steps, a field on its grid's 2/3
+    band."""
 
     t: float
     step_index: int
-    grid: Grid
-    w: np.ndarray
-
-    def __post_init__(self):
-        self.w.setflags(write=False)
-
-    def field(self) -> VectorField:
-        """w scattered into a fresh half layout of the grid."""
-        return VectorField(self.grid, self.grid.band.scatter(self.w))
+    w: VectorField
 
 
 class SolverAbort(RuntimeError):
@@ -290,7 +283,7 @@ class NaNError(SolverAbort):
 
 
 class StepOperators:
-    """Per-config multipliers on the 2/3 band, the box of the raw forcing
+    """Per-config multipliers on the 2/3 band, the raw forcing
     (forcing_raw, for the records) and the stepper's workspace: no half
     layout.  A step works on the band lines and on buffers that every
     step and every band_rhs call overwrites and never hands out, so one
@@ -302,7 +295,7 @@ class StepOperators:
         band = grid.band
         self.config = config
         symbols = symbol_table(grid, config.deconv)
-        self.forcing_raw = band.gather(forcing_field(config.forcing, grid).coeffs)
+        self.forcing_raw = forcing_field(config.forcing, grid)
         self.kmax = grid.max_dealiased_wavenumber
         # multipliers on the band, which holds no Nyquist mode, so its
         # derivative wavenumbers are the true ones
@@ -310,7 +303,7 @@ class StepOperators:
         self.band_viscous = np.exp(-config.nu * config.dt * ksq)
         self.band_deconv = symbols.deconv[..., band.cols]
         self.band_bar = symbols.bar[..., band.cols]
-        self.band_forcing = self.forcing_raw / symbols.filter[..., band.cols]
+        self.band_forcing = self.forcing_raw.coeffs / symbols.filter[..., band.cols]
         # workspace: the two stages and the predictor on the band, the
         # samples of D w and their squared magnitude
         self.k1, self.k2, self.predictor = (
@@ -335,13 +328,13 @@ class StepOperators:
 
 def step(state: SolverState, ops: StepOperators) -> SolverState:
     """One IMEX Heun step of ops.config with exact viscous integrating
-    factor, from the band box of the state to a fresh box.
+    factor, from the band of the state to a fresh one.
 
     The CFL speed comes from the first right-hand side evaluation, which
     already holds the samples of Dw.
     """
     dt = ops.config.dt
-    w, k1, k2, predictor = state.w, ops.k1, ops.k2, ops.predictor
+    w, k1, k2, predictor = state.w.coeffs, ops.k1, ops.k2, ops.predictor
     ops.band_rhs(w, k1, ops.speed_squared)
     speed = float(np.sqrt(np.max(ops.speed_squared)))
     cfl = dt * speed * ops.kmax
@@ -363,13 +356,12 @@ def step(state: SolverState, ops: StepOperators) -> SolverState:
     new += k1
     if not np.all(np.isfinite(new)):
         raise NaNError(f"non-finite coefficients after step to t={state.t + dt:.6g}")
-    return SolverState(state.t + dt, state.step_index + 1, state.grid, new)
+    return SolverState(state.t + dt, state.step_index + 1, state.w.with_coeffs(new))
 
 
 def initial_state(config: SolverConfig) -> SolverState:
-    """w0 = bar(v0) on the 2/3 band: the one gather of a run."""
-    w0 = init_field(config.init, config.grid, config.filter)
-    return SolverState(0.0, 0, w0.grid, w0.grid.band.gather(w0.coeffs))
+    """w0 = bar(v0) on the 2/3 band."""
+    return SolverState(0.0, 0, init_field(config.init, config.grid, config.filter))
 
 
 def trajectory(ops: StepOperators,
@@ -394,7 +386,7 @@ def run(config: SolverConfig) -> Iterator[tuple[SolverState, EnergyRecord]]:
     """
     ops = StepOperators(config)
     return ((s, energy_terms(s.w, ops.forcing_raw, config.filter, config.deconv_order,
-                             config.nu, s.t, s.grid.band))
+                             config.nu, s.t))
             for s in trajectory(ops, initial_state(config)))
 
 
@@ -450,20 +442,20 @@ def dependence_experiment(config: SolverConfig, epsilon: float, *,
         )
     DependenceSettings(epsilon, perturbation_seed)  # for its checks
     grid = config.grid
-    band = grid.band
     ops = StepOperators(config)
     base = initial_state(config)
-    p = descriptor_field(RandomBandLimited(perturbation_seed, min(band.cutoffs)), grid)
+    p = descriptor_field(RandomBandLimited(perturbation_seed, min(grid.band.cutoffs)),
+                         grid)
     p = _rescaled(p, epsilon, "perturbation")
-    perturbed = SolverState(0.0, 0, grid, base.w + band.gather(p.coeffs))
+    perturbed = SolverState(0.0, 0, base.w.with_coeffs(base.w.coeffs + p.coeffs))
 
     times, deltas, integrands, integrals = [], [], [], []
     for b, q in zip(trajectory(ops, base), trajectory(ops, perturbed)):
-        integrand = gronwall_integrand(FieldNorms(q.w, band), theta)
+        integrand = gronwall_integrand(FieldNorms(q.w), theta)
         integrals.append(integrals[-1] + 0.5 * (b.t - times[-1])
                          * (integrands[-1] + integrand) if times else 0.0)
         times.append(b.t)
-        deltas.append(FieldNorms(q.w - b.w, band).l2())
+        deltas.append(FieldNorms(q.w.with_coeffs(q.w.coeffs - b.w.coeffs)).l2())
         integrands.append(integrand)
 
     deltas_arr = np.asarray(deltas)
@@ -496,7 +488,7 @@ def write_checkpoint(path, state: SolverState, config: SolverConfig,
                      config_hash: str = "") -> None:
     """Deterministic binary dump: magic, length-prefixed JSON header,
     then the half-layout coefficient array in the standard npy layout,
-    scattered from the state's band box here.
+    scattered from the state's band here.
 
     The bytes go to a sibling temporary file that then replaces `path`
     in one rename, so a kill or an I/O error mid-write leaves either the
@@ -527,20 +519,32 @@ def write_checkpoint(path, state: SolverState, config: SolverConfig,
             fh.write(_MAGIC)
             fh.write(struct.pack("<Q", len(blob)))
             fh.write(blob)
-            np.lib.format.write_array(fh, state.field().coeffs, version=(1, 0))
+            np.lib.format.write_array(fh, grid.band.scatter(state.w.coeffs),
+                                      version=(1, 0))
         os.replace(tmp, path)
     finally:  # the temporary is gone after a successful rename
         if os.path.exists(tmp):
             os.remove(tmp)
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: true and false are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
 def read_checkpoint(path):
-    """Returns (SolverState, header dict), the state the band box of the
+    """Returns (SolverState, header dict), the state the 2/3 band of the
     stored half layout.
 
     Reads ADMCKPT2 only.  Anything but a complete checkpoint raises
     ValueError naming the path: a bad magic, a short read, a missing or
-    ill-typed header key, coefficients that are not complex128 of shape
+    ill-typed header key (grid entries and step_index must be integers,
+    step_index nonnegative, t and lengths real and t finite),
+    coefficients that are not complex128 of shape
     (3, *spectral shape), or a nonzero coefficient outside the 2/3 band.
     """
     import json
@@ -565,13 +569,26 @@ def read_checkpoint(path):
     try:
         n1, n2, n3 = header["grid"]
         l1, l2, l3 = header["lengths"]
-        grid = Grid(n1, n2, n3, l1, l2, l3)
-        t = float(header["t"])
-        step_index = int(header["step_index"])
+        t, step_index = header["t"], header["step_index"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(
             f"{path}: missing or ill-typed checkpoint header key: {exc!r}"
         ) from exc
+    errors = []
+    if not all(map(_is_int, (n1, n2, n3))):
+        errors.append(f"grid: {header['grid']!r} must be three integers")
+    if not all(map(_is_real, (l1, l2, l3))):
+        errors.append(f"lengths: {header['lengths']!r} must be three real numbers")
+    if not (_is_real(t) and math.isfinite(t)):
+        errors.append(f"t: {t!r} must be a finite real number")
+    if not (_is_int(step_index) and step_index >= 0):
+        errors.append(f"step_index: {step_index!r} must be a nonnegative integer")
+    try:
+        check_rules(errors)
+        grid = Grid(n1, n2, n3, l1, l2, l3)
+    except ValueError as exc:
+        raise ValueError(f"{path}: ill-typed checkpoint header: "
+                         + "; ".join(str(exc).splitlines())) from exc
     shape = (3, *grid.spectral_shape)
     if coeffs.shape != shape or coeffs.dtype != np.complex128:
         raise ValueError(
@@ -581,4 +598,4 @@ def read_checkpoint(path):
     w = grid.band.gather(coeffs)
     if not np.array_equal(grid.band.scatter(w), coeffs, equal_nan=True):
         raise ValueError(f"{path}: nonzero coefficients outside the 2/3 band")
-    return SolverState(t, step_index, grid, w), header
+    return SolverState(float(t), step_index, VectorField(grid.band, w)), header

@@ -7,36 +7,36 @@ Coefficients are stored in the amplitude normalization
 so cos(x3) has coefficients +1/2 at k3 = +1 and -1/2 at k3 = -1 and the
 k = 0 coefficient is the spatial mean.
 
-Fields are real, so their coefficients are Hermitian, c_{-k} = conj(c_k).
-Every field stores only the rfftn half (..., n1, n2, n3/2 + 1), k3 in
-[0, n3/2].  A stored column 0 < k3 < n3/2 also stands for its mirror
--k3, so Plancherel reads
+Fields are real, so their coefficients are Hermitian, c_{-k} = conj(c_k),
+and a field stores only those of k3 >= 0 on a box (a grid.Band) inside
+its grid's 2/3 band: coeffs has shape (..., *band.shape), and every
+mode outside the box is zero.  The solver's state and every sampled
+field sit on the grid's 2/3 band, a draw on its (b, b, b) box.  A
+stored column 0 < k3 < n3/2 also stands for its mirror -k3, so
+Plancherel reads
 
     (f, g)_{L^2} = vol * sum_k  w(k3) Re(c_k conj(d_k)),
 
 with vol the box volume and w the grid's Parseval weight line (1 at
 k3 = 0 and n3/2, 2 in between).  All norms and inner products below are
 these continuum L^2 quantities of the band-limited interpolant.
-FieldNorms and inner_product also read the coefficients of a box (a
-grid.Band), the layout of the solver's state: for a field zero outside
-that box, both layouts give the same k3 lines and norms bit for bit.
 
-Real samples enter at one boundary, field_from_samples, the one full
-rfftn.  Every field is sampled through band_inverse, and products come
-back through band_forward: irfftn and rfftn pruned to a box of
-coefficients (a grid.Band) on any grid shape that holds it, the same
-1-D passes in the same order over only the lines the box feeds or
-needs, so the retained values are the full transforms' bit for bit.
-The stepper and tensor_divergence run them on the 2/3 band of the grid.
+Real samples enter at one boundary, field_from_samples, which keeps
+their 2/3 band.  Every field is sampled through band_inverse, and
+products come back through band_forward: irfftn and rfftn pruned to a
+box of coefficients on any grid shape that holds it, the same 1-D
+passes in the same order over only the lines the box feeds or needs,
+so the retained values are the full transforms' bit for bit.  The
+half layout (..., n1, n2, n3/2 + 1) is their scratch only.  The stepper
+and tensor_divergence run them on the 2/3 band of the grid.
 fine_samples, the one 3-D trigonometric upsampler, runs band_inverse
-from a field's occupied_box onto any shape, and convective_inner from
-the union of three fields' boxes.  Physical-space integrals of products
-of band-limited fields are taken by the rectangle rule on
+from a field's box onto any shape, and convective_inner from each of
+three fields' boxes.  Physical-space integrals of products of
+band-limited fields are taken by the rectangle rule on
 quadrature_points per axis, the fewest even count above the product's
 band, which integrates it exactly.  band_divergence is the one kernel
 for div(u x u) on the band, project_coeffs the one Leray formula, on a
-box (the 2/3 band in leray_project and the stepper, a draw's box), and
-pad_spectrum the 1-D upsampler of lines.
+box, and pad_spectrum the 1-D upsampler of lines.
 
 The package imports nothing but numpy, so the transforms are numpy.fft,
 imported here with the module: numpy loads it lazily, and a first use
@@ -46,14 +46,12 @@ inside a run would put its import into that run's time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import numpy.fft
 
 from .grid import Band, Grid
 
-_AXES = (-3, -2, -1)
 # The products u_i u_j that band_divergence transforms: the six with
 # i <= j, since u_j u_i is the same field.
 _SYMMETRIC_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
@@ -73,52 +71,44 @@ def _as_complex(arr: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class SpectralField:
-    """Scalar field as half-layout amplitude coefficients on a grid."""
+class _BoxField:
+    """Read-only amplitude coefficients (*components, *band.shape) on the
+    box `band`, which must lie inside its grid's 2/3 band."""
 
-    grid: Grid
-    coeffs: np.ndarray  # shape grid.spectral_shape
-
-    def __post_init__(self):
-        if self.coeffs.shape != self.grid.spectral_shape:
-            raise ValueError(
-                f"coefficient shape {self.coeffs.shape} does not match "
-                f"grid spectral shape {self.grid.spectral_shape}"
-            )
-        object.__setattr__(self, "coeffs", _as_complex(self.coeffs))
-
-    def with_coeffs(self, coeffs: np.ndarray) -> "SpectralField":
-        return SpectralField(self.grid, coeffs)
-
-    @cached_property
-    def _box(self) -> Band:
-        return _scan_box(self)
-
-
-@dataclass(frozen=True, eq=False)
-class VectorField:
-    """Three-component field; components share one grid."""
-
-    grid: Grid
-    coeffs: np.ndarray  # shape (3, *grid.spectral_shape)
+    band: Band
+    coeffs: np.ndarray
+    components = ()
 
     def __post_init__(self):
-        if self.coeffs.shape != (3, *self.grid.spectral_shape):
-            raise ValueError(
-                f"coefficient shape {self.coeffs.shape} does not match "
-                f"(3, *{self.grid.spectral_shape})"
-            )
+        shape = (*self.components, *self.band.shape)
+        if self.coeffs.shape != shape:
+            raise ValueError(f"coefficient shape {self.coeffs.shape} does not "
+                             f"match the box shape {shape}")
+        retained = self.grid.band.cutoffs
+        if any(k > m for k, m in zip(self.band.cutoffs, retained)):
+            raise ValueError(f"band: cutoffs {self.band.cutoffs} lie outside "
+                             f"the retained band (cutoffs {retained})")
         object.__setattr__(self, "coeffs", _as_complex(self.coeffs))
+
+    @property
+    def grid(self) -> Grid:
+        return self.band.grid
+
+    def with_coeffs(self, coeffs: np.ndarray):
+        return type(self)(self.band, coeffs)
+
+
+class SpectralField(_BoxField):
+    """Scalar field: coefficients of shape band.shape."""
+
+
+class VectorField(_BoxField):
+    """Three-component field (3, *band.shape); components share one box."""
+
+    components = (3,)
 
     def component(self, i: int) -> SpectralField:
-        return SpectralField(self.grid, self.coeffs[i])
-
-    def with_coeffs(self, coeffs: np.ndarray) -> "VectorField":
-        return VectorField(self.grid, coeffs)
-
-    @cached_property
-    def _box(self) -> Band:
-        return _scan_box(self)
+        return SpectralField(self.band, self.coeffs[i])
 
 
 Field = SpectralField | VectorField
@@ -126,9 +116,18 @@ Field = SpectralField | VectorField
 
 def field_from_samples(grid: Grid, samples: np.ndarray) -> Field:
     """The field of real samples (n1, n2, n3), or a VectorField of
-    (3, n1, n2, n3): one rfftn, the package's only full transform."""
-    coeffs = np.fft.rfftn(samples, axes=_AXES, norm="forward")
-    return (VectorField if coeffs.ndim == 4 else SpectralField)(grid, coeffs)
+    (3, n1, n2, n3), on the grid's 2/3 band: band_forward of each
+    component, the band of its rfftn bit for bit; the rest is dropped."""
+    if samples.shape[-3:] != grid.shape:
+        raise ValueError(f"sample shape {samples.shape} does not match "
+                         f"grid shape {grid.shape}")
+    band = grid.band
+    work = BandWorkspace(band)
+    coeffs = np.empty((*samples.shape[:-3], *band.shape), dtype=np.complex128)
+    for part, out in zip(samples.reshape(-1, *grid.shape),
+                         coeffs.reshape(-1, *band.shape)):
+        band_forward(part, out, work)
+    return (VectorField if coeffs.ndim == 4 else SpectralField)(band, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -136,11 +135,9 @@ def field_from_samples(grid: Grid, samples: np.ndarray) -> Field:
 
 
 def divergence(field: VectorField) -> SpectralField:
-    g = field.grid
+    b = field.band
     c = field.coeffs
-    return SpectralField(
-        g, 1j * (g.kd1 * c[0] + g.kd2 * c[1] + g.kd3 * c[2])
-    )
+    return SpectralField(b, 1j * (b.kd1 * c[0] + b.kd2 * c[1] + b.kd3 * c[2]))
 
 
 def project_coeffs(band: Band, c: np.ndarray, out: np.ndarray, kdotu: np.ndarray,
@@ -168,19 +165,15 @@ def project_coeffs(band: Band, c: np.ndarray, out: np.ndarray, kdotu: np.ndarray
 
 
 def leray_project(field: VectorField) -> VectorField:
-    """L^2-orthogonal projection of the 2/3 band of u onto
-    divergence-free fields, zero (+0.0) outside the band.
+    """L^2-orthogonal projection of u onto divergence-free fields.
 
-    P(u)_k = u_k - k (k . u_k) / |k|^2 on each mode of the band, whose
-    box holds no Nyquist entry, so only the mean mode passes through
-    unchanged.  The band is gathered, projected by project_coeffs and
-    scattered once, as in the stepper; content of u outside the band is
-    not read.
+    P(u)_k = u_k - k (k . u_k) / |k|^2 on each mode of the field's box,
+    which holds no Nyquist entry, so only the mean mode passes through
+    unchanged: project_coeffs on the box, as in the stepper.
     """
-    band = field.grid.band
-    c = band.gather(field.coeffs)
-    return VectorField(field.grid, band.scatter(
-        project_coeffs(band, c, np.empty_like(c), np.empty_like(c[0]))))
+    c = field.coeffs
+    return field.with_coeffs(
+        project_coeffs(field.band, c, np.empty_like(c), np.empty_like(c[0])))
 
 
 def divergence_residual(field: VectorField) -> float:
@@ -279,48 +272,45 @@ def band_divergence(us: np.ndarray, out: np.ndarray, work: BandWorkspace,
 
 
 def tensor_divergence(u: VectorField) -> VectorField:
-    """Dealiased div(u x u) of the 2/3 band of u, component j =
+    """Dealiased div(u x u) on the 2/3 band, component j =
     sum_i d/dx_i (u_i u_j).
 
-    For divergence-free u this is the convective term (u . grad) u.  The
-    band of u is sampled by band_inverse and the products go through
-    band_divergence, on one workspace, as in the stepper; only their 2/3
-    band is kept, which removes every aliased mode (3K < n makes the
-    retained modes exact).  Content of u outside the band is not read.
+    For divergence-free u this is the convective term (u . grad) u.  u,
+    embedded in the band, is sampled by band_inverse and the products go
+    through band_divergence, on one workspace, as in the stepper; only
+    their 2/3 band is kept, which removes every aliased mode (3K < n
+    makes the retained modes exact).
     """
-    g = u.grid
-    band = g.band
+    band = u.grid.band
     work = BandWorkspace(band)
-    us = band_inverse(band.gather(u.coeffs), np.empty((3, *g.shape)), work)
+    us = band_inverse(u.band.embed(u.coeffs, band), np.empty((3, *u.grid.shape)), work)
     out = band_divergence(us, np.empty((3, *band.shape), dtype=np.complex128), work)
-    return VectorField(g, band.scatter(out))
+    return VectorField(band, out)
 
 
 def convective_inner(u: VectorField, v: VectorField, w: VectorField) -> float:
-    """((u . grad) v, w) of the 2/3 bands of u, v and w: vol times the
-    mean of sum_ij u_i (d_i v_j) w_j over samples of the 15 components
-    (u, grad v, w), from one band_inverse of the union of their occupied
-    boxes.  On axis j the integrand has band b_u + b_v + b_w of those
-    boxes' cutoffs, so the rectangle rule on quadrature_points of it is
-    exact; the points also exceed 2 max b, so they hold the union box.
+    """((u . grad) v, w): vol times the mean of sum_ij u_i (d_i v_j) w_j
+    over samples of the 15 components (u, grad v, w), each field's from
+    one band_inverse of its own box.  On axis j the integrand has band
+    b_u + b_v + b_w of those boxes' cutoffs, so the rectangle rule on
+    quadrature_points of it is exact; the points also exceed 2 max b, so
+    they hold every box.
 
     Requires divergence-free u for this to equal (div(u x v), w);
     callers enforce that.
     """
     if not u.grid == v.grid == w.grid:
         raise ValueError("fields live on different grids")
-    g = u.grid
-    per_axis = tuple(zip(*(occupied_box(f).cutoffs for f in (u, v, w))))
-    box = Band(g, tuple(map(max, per_axis)))
+    per_axis = tuple(zip(*(f.band.cutoffs for f in (u, v, w))))
     shape = tuple(quadrature_points(max(sum(b), 2 * max(b))) for b in per_axis)
-    dv = box.gather(v.coeffs)
-    coeffs = np.concatenate([box.gather(u.coeffs),
-                             *(1j * kd * dv for kd in (box.kd1, box.kd2, box.kd3)),
-                             box.gather(w.coeffs)])
-    samples = band_inverse(coeffs, np.empty((15, *shape)), BandWorkspace(box, shape))
+    dv = np.concatenate([1j * kd * v.coeffs for kd in (v.band.kd1, v.band.kd2, v.band.kd3)])
+    samples = np.empty((15, *shape))
+    for f, coeffs, out in ((u, u.coeffs, samples[:3]), (v, dv, samples[3:12]),
+                           (w, w.coeffs, samples[12:])):
+        band_inverse(coeffs, out, BandWorkspace(f.band, shape))
     us, grad_v, ws = samples[:3], samples[3:12].reshape(3, 3, *shape), samples[12:]
-    return float(g.volume * np.mean(np.einsum("i...,ij...,j...->...",
-                                              us, grad_v, ws)))
+    return float(u.grid.volume * np.mean(np.einsum("i...,ij...,j...->...",
+                                                   us, grad_v, ws)))
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +330,7 @@ def _mass(c: np.ndarray) -> np.ndarray:
 
 def _k3_line(grid: Grid, a: np.ndarray) -> np.ndarray:
     """`a` summed over every axis but k3, in layout order, and zero-padded
-    to the grid's n3/2 + 1 columns: a box's line is then the half
-    layout's line of the same field, bit for bit."""
+    to the grid's n3/2 + 1 columns, the length of its k3 lines."""
     out = np.zeros(grid.n3 // 2 + 1)
     out[:a.shape[-1]] = a.sum(axis=tuple(range(a.ndim - 1)))
     return out
@@ -359,26 +348,22 @@ def _check_order(s: float) -> None:
 
 
 class FieldNorms:
-    """The norms below of one field from one |c|^2 pass, which builds its
-    k3 lines summed over components, k1 and k2: `plain` unweighted,
-    `horizontal` weighted by k1^2 + k2^2 and `full` by |k|^2 (true |k|),
-    so a caller that needs several norms of a field pays for the pass
-    once.  l2, grad, horizontal_grad, vertical and vertical_grad are the
-    L^2 norms of f, grad f, grad_h f, |d/dx3|^s f and |d/dx3|^s grad f.
-    `f` is a Field on its grid's half layout, read with the grid's k1
-    and k2, or coefficients of the box `band`, read with its kd1 and
-    kd2; zero-padded lines give a field zero outside the box the same
-    norms on both, bit for bit."""
+    """The norms below of one field from one |c|^2 pass over its box,
+    which builds its k3 lines summed over components, k1 and k2: `plain`
+    unweighted, `horizontal` weighted by k1^2 + k2^2 and `full` by
+    |k|^2, so a caller that needs several norms of a field pays for the
+    pass once.  l2, grad, horizontal_grad, vertical and vertical_grad
+    are the L^2 norms of f, grad f, grad_h f, |d/dx3|^s f and
+    |d/dx3|^s grad f.  The lines are zero-padded to the grid's n3/2 + 1
+    columns, so every dot with a line of the grid runs over one length
+    whatever the box, and a norm keeps the bits of the half layout's."""
 
-    def __init__(self, f: Field | np.ndarray, band: Band | None = None):
-        if band is None:
-            self.grid, k1, k2 = f.grid, f.grid.k1, f.grid.k2
-            f = f.coeffs
-        else:
-            self.grid, k1, k2 = band.grid, band.kd1, band.kd2
-        mass = _mass(f)
+    def __init__(self, f: Field):
+        band = f.band
+        self.grid = band.grid
+        mass = _mass(f.coeffs)
         self.plain = _k3_line(self.grid, mass)
-        mass *= k1**2 + k2**2  # in place, so the pass leaves one table
+        mass *= band.kd1**2 + band.kd2**2  # in place, so the pass leaves one table
         self.horizontal = _k3_line(self.grid, mass)
         self.full = self.horizontal + self.grid.k3[0, 0] ** 2 * self.plain
 
@@ -403,19 +388,19 @@ class FieldNorms:
         return self._root(self.full, self.grid.k3 ** (2.0 * s))
 
 
-def inner_product(f: Field | np.ndarray, g: Field | np.ndarray, weight=1.0,
-                  band: Band | None = None) -> float:
-    """Continuum L^2 inner product of Fields, or, given `band`, of
-    coefficients of that box, with the k3 multiplier `weight`; vector
-    fields sum over components.  Its temporaries are gone on return."""
-    if band is None:
-        if f.grid != g.grid:
-            raise ValueError("fields live on different grids")
-        grid, f, g = f.grid, f.coeffs, g.coeffs
-    else:
-        grid = band.grid
-    prod = g.real * f.real
-    prod += g.imag * f.imag  # Re(conj(g) f)
+def inner_product(f: Field, g: Field, weight=1.0) -> float:
+    """Continuum L^2 inner product with the k3 multiplier `weight`;
+    vector fields sum over components, and fields on boxes of different
+    cutoffs are read on the union of the two.  Its temporaries are gone
+    on return."""
+    if f.grid != g.grid:
+        raise ValueError("fields live on different grids")
+    grid, a, b = f.grid, f.coeffs, g.coeffs
+    if f.band.cutoffs != g.band.cutoffs:
+        union = Band(grid, tuple(map(max, f.band.cutoffs, g.band.cutoffs)))
+        a, b = f.band.embed(a, union), g.band.embed(b, union)
+    prod = b.real * a.real
+    prod += b.imag * a.imag  # Re(conj(g) f)
     return quadratic_form(grid, _k3_line(grid, prod), weight)
 
 
@@ -432,39 +417,18 @@ def vertical_seminorm(f: Field, s: float) -> float:
 # Trigonometric interpolation on finer samples
 
 
-def occupied_box(field: Field) -> Band:
-    """The smallest box inside the field's 2/3 band that holds every
-    nonzero coefficient of that band (cutoffs 0 for the zero field).
-    A field's coefficients are read-only, so its band is scanned once,
-    on the first call, and the field keeps the box."""
-    return field._box
-
-
-def _scan_box(field: Field) -> Band:
-    band = field.grid.band
-    nonzero = band.gather(field.coeffs).reshape(-1, *band.shape) != 0
-    i1, i2, i3 = np.nonzero(np.any(nonzero, axis=0))
-    # band row i holds mode i up to K, and mode i - (2 K + 1) above it
-    k1, k2 = (int(np.max(np.minimum(i, 2 * k + 1 - i), initial=0))
-              for i, k in zip((i1, i2), band.cutoffs))
-    return Band(field.grid, (k1, k2, int(np.max(i3, initial=0))))
-
-
-def fine_samples(field: Field, shape: tuple[int, int, int],
-                 box: Band | None = None) -> np.ndarray:
+def fine_samples(field: Field, shape: tuple[int, int, int]) -> np.ndarray:
     """Real samples on a grid of `shape` over the same box of the
-    trigonometric interpolant of the field's 2/3 band: band_inverse from
-    `box`, by default occupied_box(field) (a box inside the band that
-    holds it will do), which `shape` must hold.  On the native shape
-    these are the samples of the field's band; on any other the
-    interpolant is exact, so a power of a field whose box has band b on
-    an axis, p b for |u|^p, is integrated exactly by the rectangle rule
-    on quadrature_points(p b) points of that axis.
+    trigonometric interpolant of the field: band_inverse from the
+    field's box, which `shape` must hold.  On the native shape these are
+    the field's samples; on any other the interpolant is exact, so a
+    power of a field whose box has band b on an axis, p b for |u|^p, is
+    integrated exactly by the rectangle rule on quadrature_points(p b)
+    points of that axis.
     """
-    box = box or occupied_box(field)
-    coeffs = box.gather(field.coeffs)
-    out = np.empty((*coeffs.shape[:-3], *shape))
-    band_inverse(coeffs.reshape(-1, *box.shape), out.reshape(-1, *shape),
+    box = field.band
+    out = np.empty((*field.coeffs.shape[:-3], *shape))
+    band_inverse(field.coeffs.reshape(-1, *box.shape), out.reshape(-1, *shape),
                  BandWorkspace(box, shape))
     return out
 

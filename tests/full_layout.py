@@ -1,15 +1,16 @@
-"""Test references for coefficients written in the full FFT layout.
+"""Test references in the half and full FFT layouts.
 
-Fields store only the rfftn half (..., n1, n2, n3/2 + 1).  Tests that
-build coefficients by hand, or that compare with a full-layout
-reference, use these helpers.  The package has no entry point for the
-full layout: full_field and beltrami_field assert that their
-coefficients are Hermitian, then keep the first n3/2 + 1 columns.
+A field stores only the coefficients of its box (a grid.Band) inside
+the 2/3 band.  Tests that build coefficients by hand, or that compare
+with a reference on the rfftn half (..., n1, n2, n3/2 + 1) or the full
+layout (..., n1, n2, n3), use these helpers.  The package has no entry
+point for either layout: half_field keeps the 2/3 band of Hermitian
+full-layout coefficients, and half_layout scatters a field's box.
 """
 
 import numpy as np
 
-from admles.spectral import VectorField
+from admles.spectral import FieldNorms, VectorField, quadratic_form
 
 AXES = (-3, -2, -1)
 
@@ -17,6 +18,11 @@ AXES = (-3, -2, -1)
 def mirror(coeffs):
     """Coefficients at -k, FFT order on the last three axes."""
     return np.roll(np.flip(coeffs, AXES), 1, AXES)
+
+
+def half_layout(field):
+    """The field's coefficients scattered into a fresh half layout."""
+    return field.band.scatter(field.coeffs)
 
 
 def to_full(grid, half):
@@ -35,13 +41,6 @@ def rule_mask(grid):
     return kept[0][:, None, None] & kept[1][None, :, None] & kept[2][None, None, :]
 
 
-def dealias(field):
-    """The field with every mode outside the 2/3-rule band zeroed: its
-    band gathered and scattered into a fresh half layout."""
-    band = field.grid.band
-    return field.with_coeffs(band.scatter(band.gather(field.coeffs)))
-
-
 def half_layout_inv_kd_squared(grid):
     """1 / |kd|^2 on the whole half layout, from the Grid's derivative
     lines, and 0 where every kd of a mode vanishes: the mean mode, and
@@ -51,16 +50,66 @@ def half_layout_inv_kd_squared(grid):
 
 
 def half_layout_leray(field):
-    """Reference Leray projection of every mode of the half layout,
-    c - kd (kd . c) / |kd|^2, in the order of operations of
-    admles.spectral.project_coeffs."""
-    g, c = field.grid, field.coeffs
+    """Reference Leray projection of every mode of the field's half
+    layout, c - kd (kd . c) / |kd|^2, in the order of operations of
+    admles.spectral.project_coeffs: half-layout coefficients."""
+    g, c = field.grid, half_layout(field)
     kd = (g.kd1, g.kd2, g.kd3)
     kdotu = kd[0] * c[0]
     kdotu += kd[1] * c[1]
     kdotu += kd[2] * c[2]
     kdotu *= half_layout_inv_kd_squared(g)
-    return VectorField(g, np.stack([c[i] - kd[i] * kdotu for i in range(3)]))
+    return np.stack([c[i] - kd[i] * kdotu for i in range(3)])
+
+
+def half_layout_lines(field):
+    """The k3 lines (plain, horizontal, full) of admles.spectral.FieldNorms
+    read on the field's half layout with the grid's true k1 and k2, in
+    the order of operations of FieldNorms."""
+    g, c = field.grid, half_layout(field)
+    mass = c.real**2
+    mass += c.imag**2
+    if mass.ndim == 4:
+        mass = mass.sum(axis=0)
+    plain = mass.sum(axis=(0, 1))
+    mass *= g.k_axis(0).reshape(-1, 1, 1) ** 2 + g.k_axis(1).reshape(1, -1, 1) ** 2
+    horizontal = mass.sum(axis=(0, 1))
+    return plain, horizontal, horizontal + g.k3[0, 0] ** 2 * plain
+
+
+def half_layout_norms(field):
+    """A FieldNorms whose lines are half_layout_lines(field)."""
+    norms = object.__new__(FieldNorms)
+    norms.grid = field.grid
+    norms.plain, norms.horizontal, norms.full = half_layout_lines(field)
+    return norms
+
+
+def half_layout_inner(f, h, weight=1.0):
+    """admles.spectral.inner_product read on the half layouts of f and h."""
+    a, b = half_layout(f), half_layout(h)
+    prod = b.real * a.real
+    prod += b.imag * a.imag
+    return quadratic_form(f.grid, prod.sum(axis=tuple(range(prod.ndim - 1))), weight)
+
+
+def samples(field):
+    """The field's samples on its grid: irfftn of its half layout."""
+    return np.fft.irfftn(half_layout(field), s=field.grid.shape, axes=AXES,
+                         norm="forward")
+
+
+def convective_inner_reference(u, v, w):
+    """((u . grad) v, w) by the rectangle rule on the grid's own points,
+    each field scattered to the half layout and sampled by irfftn.  The
+    integrand's band, at most 3 (n - 1) // 3 < n per axis, is integrated
+    exactly."""
+    g = u.grid
+    c = half_layout(v)
+    grad_v = np.fft.irfftn(np.stack([1j * kd * c for kd in (g.kd1, g.kd2, g.kd3)]),
+                           s=g.shape, axes=AXES, norm="forward")
+    return g.volume * float(np.mean(np.einsum("i...,ij...,j...->...",
+                                              samples(u), grad_v, samples(w))))
 
 
 def beltrami_field(grid, modes, amplitudes, helicity=1):
@@ -81,6 +130,7 @@ def beltrami_field(grid, modes, amplitudes, helicity=1):
             index = tuple(sign * mj % n for mj, n in zip(m, grid.shape))
             assert not full[(slice(None), *index)].any(), f"mode {m} given twice"
             full[(slice(None), *index)] = c
+    assert not full[:, ~rule_mask(grid)].any(), "modes outside the 2/3 band"
     return half_field(grid, full)
 
 
@@ -90,20 +140,21 @@ def hermitian_defect(full):
 
 
 def half_field(grid, full):
-    """The VectorField of Hermitian full-layout (3, n1, n2, n3)
-    coefficients: their first n3/2 + 1 columns."""
+    """The VectorField of the 2/3 band of Hermitian full-layout
+    (3, n1, n2, n3) coefficients; the rest is dropped."""
     assert hermitian_defect(full) <= 1e-10 * np.max(np.abs(full))
-    return VectorField(grid, full[..., : grid.n3 // 2 + 1])
+    band = grid.band
+    return VectorField(band, band.gather(full[..., : grid.n3 // 2 + 1]))
 
 
 def full_field(grid, coeffs):
-    """The field of hand-built full-layout (3, n1, n2, n3) coefficients,
-    symmetrized to the nearest Hermitian array first."""
+    """The field of the 2/3 band of hand-built full-layout (3, n1, n2,
+    n3) coefficients, symmetrized to the nearest Hermitian array first."""
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     return half_field(grid, 0.5 * (coeffs + np.conj(mirror(coeffs))))
 
 
 def gradient(field):
-    """grad f of a scalar field, with the derivative wavenumbers."""
-    g, c = field.grid, field.coeffs
-    return VectorField(g, np.stack([1j * g.kd1 * c, 1j * g.kd2 * c, 1j * g.kd3 * c]))
+    """grad f of a scalar field, on its box."""
+    b, c = field.band, field.coeffs
+    return VectorField(b, np.stack([1j * b.kd1 * c, 1j * b.kd2 * c, 1j * b.kd3 * c]))

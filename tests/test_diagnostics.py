@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from full_layout import dealias, full_field, to_full
+from full_layout import full_field, half_layout, half_layout_inner, half_layout_norms, to_full
 
 from admles.diagnostics import (
     EnergyRecord,
@@ -16,7 +16,13 @@ from admles.diagnostics import (
     vertical_spectrum,
 )
 from admles.ensembles import EnsembleSpec, draw_vector
-from admles.filters import DeconvSpec, FilterSpec, deconv_symbol, filter_symbol
+from admles.filters import (
+    DeconvSpec,
+    FilterSpec,
+    deconv_symbol,
+    filter_symbol,
+    symbol_table,
+)
 from admles.grid import Grid
 from admles.solver import (
     SingleMode,
@@ -33,6 +39,7 @@ from admles.spectral import (
     VectorField,
     field_from_samples,
     l2_norm,
+    quadratic_form,
     vertical_seminorm,
 )
 
@@ -41,7 +48,7 @@ FILT = FilterSpec(alpha=1.0, theta=1.0)
 
 
 def zero_vector(g):
-    return VectorField(g, np.zeros((3, *g.spectral_shape), dtype=complex))
+    return VectorField(g.band, np.zeros((3, *g.band.shape), dtype=complex))
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +97,7 @@ def test_energy_bounds_chain():
     rng = np.random.default_rng(0)
     coeffs = rng.standard_normal((3, *g.shape)) * 1j
     coeffs += rng.standard_normal((3, *g.shape))
-    w = dealias(full_field(g, coeffs))
+    w = full_field(g, coeffs)
     for order in (0, 1, 5):
         rec = energy_terms(w, zero_vector(g), FILT, order, nu=1.0)
         lower = 0.5 * (l2_norm(w) ** 2 + vertical_seminorm(w, 1.0) ** 2)
@@ -128,37 +135,44 @@ def test_record_norms_equal_the_single_norm_functions_bitwise():
 @pytest.mark.parametrize("g", [Grid(32, 32, 32), Grid(12, 16, 24, L3=np.pi)],
                          ids=["32", "12x16x24"])
 def test_band_box_records_and_spectrum_equal_the_half_layout_ones_bitwise(g):
-    """A run's records and the spectrum read band boxes: every term has
-    the bits of the same band-limited fields on the half layout."""
+    """A run's records and the spectrum read band boxes, and a draw's
+    forcing its own box: every term has the bits that the same sums give
+    on the half layout."""
     filt = FilterSpec(alpha=0.5, theta=0.75)
     spec = EnsembleSpec(count=1, band_limit=2, seed=24)
     rng = spec.rng()
-    w = dealias(field_from_samples(g, rng.standard_normal((3, *g.shape))))
+    w = field_from_samples(g, rng.standard_normal((3, *g.shape)))
     f = draw_vector(rng, spec, g)
-    band = g.band
-    box_w, box_f = band.gather(w.coeffs), band.gather(f.coeffs)
-    expect = energy_terms(w, f, filt, 2, nu=0.07, t=0.5)
-    got = energy_terms(box_w, box_f, filt, 2, nu=0.07, t=0.5, band=band)
-    for name in ("model_energy", "dissipation", "forcing_power", "l2_norm",
-                 "theta_seminorm", "gronwall_integrand"):
-        assert getattr(got, name) == getattr(expect, name), name
-    half, box = FieldNorms(w), FieldNorms(box_w, band)
-    assert gronwall_integrand(box, 0.75) == gronwall_integrand(half, 0.75)
-    assert vertical_spectrum(box) == vertical_spectrum(half)
+    half = half_layout_norms(w)
+    symbols = symbol_table(g, DeconvSpec(filt, 2))
+    weight = symbols.filter * symbols.deconv
+    expect = {
+        "model_energy": 0.5 * quadratic_form(g, half.plain, weight),
+        "dissipation": 0.07 * quadratic_form(g, half.full, weight),
+        "forcing_power": half_layout_inner(w, f, symbols.deconv),
+        "l2_norm": half.l2(),
+        "theta_seminorm": half.vertical(0.75),
+        "gronwall_integrand": gronwall_integrand(half, 0.75),
+    }
+    got = energy_terms(w, f, filt, 2, nu=0.07, t=0.5)
+    for name, value in expect.items():
+        assert getattr(got, name) == value, name
+    assert vertical_spectrum(FieldNorms(w)) == vertical_spectrum(half)
 
 
 def test_energy_terms_and_spectrum_match_full_layout_reference():
     # every k once on the full layout, against the Parseval-weighted
-    # half; raw samples put content in the k3 = 0 and n3/2 columns too
+    # band of raw samples, with content in the k3 = 0 column too
     g = Grid(12, 16, 10, 2.0 * np.pi, 3.0, 5.0)
     filt = FilterSpec(alpha=0.5, theta=0.75)
     spec = EnsembleSpec(count=1, band_limit=3, seed=21)
     rng = spec.rng()
     w = field_from_samples(g, rng.standard_normal((3, *g.shape)))
     f = draw_vector(rng, spec, g)
-    W, F = to_full(g, w.coeffs), to_full(g, f.coeffs)
+    W, F = to_full(g, half_layout(w)), to_full(g, half_layout(f))
     k3 = g.k_axis(2).reshape(1, 1, -1)
-    k_squared = g.k1**2 + g.k2**2 + k3**2
+    k_squared = (g.k_axis(0).reshape(-1, 1, 1) ** 2 + g.k_axis(1).reshape(1, -1, 1) ** 2
+                 + k3**2)
     a = filter_symbol(filt, k3)
     d = deconv_symbol(DeconvSpec(filt, 2), k3)
     mass = np.abs(W) ** 2
@@ -266,7 +280,7 @@ def test_energy_record_validation():
 
 def test_regularity_norms_viscous_decay():
     rep = regularity_norms((s for s, _ in run_small(t_end=0.05)), FILT)
-    w0 = next(run_small(t_end=0.05))[0].field()
+    w0 = next(run_small(t_end=0.05))[0].w
     # monotone decay: suprema are attained at t = 0
     assert rep["sup_l2"] == pytest.approx(l2_norm(w0), rel=1e-12)
     assert rep["sup_theta_seminorm"] == pytest.approx(
@@ -278,8 +292,8 @@ def test_regularity_norms_viscous_decay():
 
 def test_regularity_norms_zero_trajectory():
     g = Grid(16, 16, 16)
-    zero = np.zeros((3, *g.band.shape), dtype=complex)
-    states = [SolverState(0.0, 0, g, zero), SolverState(0.1, 1, g, zero)]
+    zero = zero_vector(g)
+    states = [SolverState(0.0, 0, zero), SolverState(0.1, 1, zero)]
     rep = regularity_norms(iter(states), FILT)
     assert rep["sup_l2"] == 0.0
     assert rep["integral_grad_sq"] == 0.0

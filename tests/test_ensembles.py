@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from full_layout import half_layout_leray, hermitian_defect, to_full
+from full_layout import half_layout, half_layout_leray, hermitian_defect, to_full
 
 from admles.ensembles import (
     EnsembleSpec,
@@ -38,11 +38,9 @@ def test_fields_identical_across_resolutions():
     fine = Grid(32, 32, 32)
     a = draw_vector(spec.rng(), spec, coarse)
     b = draw_vector(spec.rng(), spec, fine)
-    # the coarse 2/3 box read from either grid, and nothing outside it
-    band = coarse.band
-    box = band.gather(b.coeffs)
-    assert np.max(np.abs(box - band.gather(a.coeffs))) < 1e-14
-    assert np.array_equal(band.scatter(box, fine.shape), b.coeffs)
+    # one box of cutoffs (5, 5, 5) on either grid, holding the same bits
+    assert a.band.cutoffs == b.band.cutoffs == (5, 5, 5)
+    assert np.array_equal(a.coeffs, b.coeffs)
     assert l2_norm(a) == pytest.approx(l2_norm(b), rel=1e-14)
 
 
@@ -50,12 +48,13 @@ def test_draws_are_real_mean_zero_band_limited():
     spec = EnsembleSpec(count=1, band_limit=4, seed=3)
     g = Grid(24, 24, 24)
     f = draw_scalar(spec.rng(), spec, g)
-    assert hermitian_defect(to_full(g, f.coeffs)) < 1e-15
+    half = half_layout(f)
+    assert hermitian_defect(to_full(g, half)) < 1e-15
     assert abs(f.coeffs[0, 0, 0]) == 0.0
     idx = np.abs(np.fft.fftfreq(g.n1, 1 / g.n1))
     outside = idx > spec.band_limit
-    assert np.max(np.abs(f.coeffs[outside, :, :])) == 0.0
-    assert np.max(np.abs(f.coeffs[:, :, np.arange(13) > spec.band_limit])) == 0.0
+    assert np.max(np.abs(half[outside, :, :])) == 0.0
+    assert np.max(np.abs(half[:, :, np.arange(13) > spec.band_limit])) == 0.0
 
 
 def full_layout_draw(rng, spec, g):
@@ -80,7 +79,7 @@ def test_vector_draw_is_the_half_of_the_full_layout_draw(n):
     g = Grid(n, n, n)
     rng, ref_rng = spec.rng(), spec.rng()
     for _ in range(spec.count):
-        got = draw_vector(rng, spec, g).coeffs
+        got = half_layout(draw_vector(rng, spec, g))
         full = full_layout_draw(ref_rng, spec, g)
         assert np.array_equal(got, full[..., : n // 2 + 1])
 
@@ -97,13 +96,14 @@ def test_vector_draw_divergence_free():
 @pytest.mark.parametrize("g", [Grid(16, 16, 16), Grid(32, 32, 32),
                                Grid(12, 16, 24)], ids=["16^3", "32^3", "12x16x24"])
 def test_vector_draw_is_the_projection_of_the_raw_draw(g):
-    # the box projection equals the half-layout Leray projection bit for bit
-    spec = EnsembleSpec(count=3, band_limit=5, seed=17)
+    # the box projection equals the half-layout Leray projection bit for
+    # bit; a draw must lie in the grid's 2/3 band, |k| <= 3 on 12 modes
+    spec = EnsembleSpec(count=3, band_limit=min(5, *g.band.cutoffs), seed=17)
     rng, raw_rng = spec.rng(), spec.rng()
     for _ in range(spec.count):
         got = draw_vector(rng, spec, g)
         ref = half_layout_leray(draw_vector(raw_rng, spec, g, divergence_free=False))
-        assert np.array_equal(got.coeffs, ref.coeffs)
+        assert np.array_equal(half_layout(got), ref)
         assert divergence_residual(got) <= 1e-13 * np.max(np.abs(got.coeffs))
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from admles import inequalities
 from admles.ensembles import EnsembleSpec, draw_line, draw_vector
-from admles.grid import Grid
+from admles.grid import Band, Grid
 from admles.inequalities import (
     LEMMAS,
     RatioReport,
@@ -232,11 +232,13 @@ def test_mixed_l4_norm_resolves_the_vertical_band():
 
 def modes_u1(grid, *modes):
     """u1 = sum of 2 cos(k . x) over `modes` (k3 > 0), u2 = u3 = 0: one
-    stored coefficient per mode, and exact zeros elsewhere."""
+    stored coefficient per mode on the smallest box that holds them, and
+    exact zeros elsewhere."""
+    box = Band(grid, tuple(max(abs(k[axis]) for k in modes) for axis in range(3)))
     coeffs = np.zeros((3, *grid.spectral_shape), dtype=complex)
     for k in modes:
         coeffs[(0, *k)] = 1.0
-    return VectorField(grid, coeffs)
+    return VectorField(box, box.gather(coeffs))
 
 
 def brute_force_profile(u, power):
@@ -285,9 +287,9 @@ def test_each_axis_is_sampled_by_its_own_rule(monkeypatch):
     u = modes_u1(g, (3, 0, 1), (0, 1, 1))  # 2 cos(3 x1 + x3) + 2 cos(x2 + x3)
     shapes = []
 
-    def recording(field, shape, box=None):
+    def recording(field, shape):
         shapes.append(shape)
-        return fine_samples(field, shape, box)
+        return fine_samples(field, shape)
 
     monkeypatch.setattr(inequalities, "fine_samples", recording)
     # (cos a + cos b)^4 of independent phases averages 3/8 + 6/4 + 3/8
@@ -304,9 +306,7 @@ def test_ladyzhenskaya_single_mode_matches_fine_grid(grid):
     u = single_mode_u1(grid, np.sin(x1))
     r = ladyzhenskaya_ratio(u)
     fine = Grid(*(2 * n for n in grid.shape), *grid.sizes)
-    band = grid.band
-    r_fine = ladyzhenskaya_ratio(
-        VectorField(fine, band.scatter(band.gather(u.coeffs), fine.shape)))
+    r_fine = ladyzhenskaya_ratio(VectorField(Band(fine, u.band.cutoffs), u.coeffs))
     assert r == pytest.approx(r_fine, rel=1e-6)
     assert np.isfinite(r) and r > 0
 
@@ -316,7 +316,7 @@ def test_ladyzhenskaya_scale_invariant(grid):
     u = draw_vector(spec.rng(), spec, grid)
     base = ladyzhenskaya_ratio(u)
     for lam in (1e-3, 1e3):
-        scaled = VectorField(grid, lam * u.coeffs)
+        scaled = u.with_coeffs(lam * u.coeffs)
         assert ladyzhenskaya_ratio(scaled) == pytest.approx(base, rel=1e-10)
 
 
@@ -356,7 +356,7 @@ def test_vertical_embedding_scale_invariant(grid):
     u = draw_vector(spec.rng(), spec, grid)
     base = vertical_embedding_ratio(u, 1.0)
     for lam in (1e-3, 1e3):
-        scaled = VectorField(grid, lam * u.coeffs)
+        scaled = u.with_coeffs(lam * u.coeffs)
         assert vertical_embedding_ratio(scaled, 1.0) == pytest.approx(
             base, rel=1e-10
         )
@@ -400,16 +400,16 @@ def test_trilinear_scale_invariant(grid):
     w = draw_vector(rng, spec, grid)
     base = trilinear_ratio_i(u, v, w, 0.75)
     scaled = trilinear_ratio_i(
-        VectorField(grid, 1e3 * u.coeffs),
-        VectorField(grid, 1e-2 * v.coeffs),
-        VectorField(grid, 10.0 * w.coeffs),
+        u.with_coeffs(1e3 * u.coeffs),
+        v.with_coeffs(1e-2 * v.coeffs),
+        w.with_coeffs(10.0 * w.coeffs),
         0.75,
     )
     assert scaled == pytest.approx(base, rel=1e-10)
 
 
 def test_trilinear_rejects_degenerate(grid):
-    zero = VectorField(grid, np.zeros((3, *grid.spectral_shape), dtype=complex))
+    zero = VectorField(grid.band, np.zeros((3, *grid.band.shape), dtype=complex))
     spec = EnsembleSpec(count=1, band_limit=5, seed=19)
     u = draw_vector(spec.rng(), spec, grid)
     with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ from functools import cached_property
 
 import numpy as np
 import pytest
-from full_layout import beltrami_field, dealias, hermitian_defect, rule_mask, to_full
+from full_layout import beltrami_field, half_layout, hermitian_defect, rule_mask, to_full
 
 from admles.filters import (
     DeconvSpec,
@@ -143,24 +143,25 @@ def test_random_init_normalized_after_filtering():
 
 
 def convection(w, order):
-    """P bar div(D w x D w): minus the right-hand side without forcing."""
+    """P bar div(D w x D w) of a field on the 2/3 band: minus the
+    right-hand side without forcing."""
     ops = StepOperators(config16(grid=w.grid, deconv_order=order))
-    band = w.grid.band
-    return -band.scatter(ops.band_rhs(band.gather(w.coeffs), ops.k1))
+    return -ops.band_rhs(w.coeffs, ops.k1)
 
 
 def bar_line(cfg):
-    return 1.0 / filter_symbol(cfg.filter, cfg.grid.k3)
+    g = cfg.grid
+    return 1.0 / filter_symbol(cfg.filter, g.k3[..., g.band.cols])
 
 
 def viscous_factor(cfg):
-    g = cfg.grid
-    return np.exp(-cfg.nu * cfg.dt * (g.k1**2 + g.k2**2 + g.k3**2))
+    band = cfg.grid.band
+    return np.exp(-cfg.nu * cfg.dt * (band.kd1**2 + band.kd2**2 + band.kd3**2))
 
 
 def test_nonlinear_term_zero_field():
     g = Grid(16, 16, 16)
-    w = VectorField(g, np.zeros((3, *g.spectral_shape), dtype=complex))
+    w = VectorField(g.band, np.zeros((3, *g.band.shape), dtype=complex))
     out = convection(w, 2)
     assert np.max(np.abs(out)) == 0.0
 
@@ -168,7 +169,7 @@ def test_nonlinear_term_zero_field():
 def test_nonlinear_term_divergence_free():
     g = Grid(16, 16, 16)
     w = init_field(RandomBandLimited(seed=5, band=5), g, FILT)
-    out = VectorField(g, convection(w, 3))
+    out = w.with_coeffs(convection(w, 3))
     assert divergence_residual(out) < 1e-12 * np.max(np.abs(out.coeffs))
 
 
@@ -177,7 +178,7 @@ def test_nonlinear_term_order_zero_reduction():
     w = init_field(RandomBandLimited(seed=6, band=5), g, FILT)
     out = convection(w, 0)
     bar = bar_line(config16())
-    ref = leray_project(VectorField(g, tensor_divergence(w).coeffs * bar))
+    ref = leray_project(w.with_coeffs(tensor_divergence(w).coeffs * bar))
     assert np.array_equal(out, ref.coeffs)
 
 
@@ -207,10 +208,10 @@ def test_pure_viscous_decay_exact():
         filter=FilterSpec(alpha=1.0, theta=1.0),
         deconv_order=0,
     )
-    w0 = initial_state(cfg).field()
+    w0 = initial_state(cfg).w
     for s, _ in run(cfg):
         expect = np.exp(-cfg.nu * 1.0 * s.t) * l2_norm(w0)
-        assert l2_norm(s.field()) == pytest.approx(expect, rel=1e-12)
+        assert l2_norm(s.w) == pytest.approx(expect, rel=1e-12)
 
 
 def test_step_preserves_divergence_free():
@@ -219,14 +220,14 @@ def test_step_preserves_divergence_free():
     ops = StepOperators(cfg)
     for _ in range(5):
         state = step(state, ops)
-        scale = np.max(np.abs(state.w))
-        assert divergence_residual(state.field()) < 1e-12 * scale
+        scale = np.max(np.abs(state.w.coeffs))
+        assert divergence_residual(state.w) < 1e-12 * scale
 
 
 def test_run_deterministic():
     cfg = config16(init=RandomBandLimited(seed=11, band=4), t_end=0.05)
     for (a, ra), (b, rb) in zip(run(cfg), run(cfg), strict=True):
-        assert np.array_equal(a.w, b.w)
+        assert np.array_equal(a.w.coeffs, b.w.coeffs)
         assert ra.model_energy == rb.model_energy
 
 
@@ -237,7 +238,7 @@ def test_run_zero_everything():
     # zero initial data via a zero-amplitude Taylor-Green
     cfg = config16(init=TaylorGreen(amplitude=0.0), t_end=0.02)
     for s, r in run(cfg):
-        assert np.max(np.abs(s.w)) == 0.0
+        assert np.max(np.abs(s.w.coeffs)) == 0.0
         assert r.model_energy == 0.0
 
 
@@ -292,7 +293,7 @@ def test_run_memory_independent_of_record_count():
 def test_nan_detection():
     cfg = config16()
     bad = np.full((3, *cfg.grid.band.shape), np.nan, dtype=complex)
-    state = SolverState(t=0.0, step_index=0, grid=cfg.grid, w=bad)
+    state = SolverState(t=0.0, step_index=0, w=VectorField(cfg.grid.band, bad))
     with pytest.raises(NaNError):
         step(state, StepOperators(cfg))
 
@@ -303,9 +304,9 @@ def test_cfl_speed_is_max_of_deconvolved_samples():
               filter=FilterSpec(alpha=1.0, theta=1.0))
     cfg = config16(**kw)
     g = cfg.grid
-    w = initial_state(cfg).field()
+    w = initial_state(cfg).w
     deconv = deconv_symbol(DeconvSpec(cfg.filter, cfg.deconv_order), g.k3)
-    z = np.fft.ifftn(to_full(g, w.coeffs * deconv),
+    z = np.fft.ifftn(to_full(g, half_layout(w) * deconv),
                      axes=(-3, -2, -1)).real * np.prod(g.shape)
     speed = np.max(np.sqrt(np.sum(z**2, axis=0)))
     # the dt at which that speed puts the CFL number exactly on the limit
@@ -326,7 +327,7 @@ def test_steps_keep_coefficients_hermitian():
     state = initial_state(cfg)
     for _ in range(6):
         state = step(state, ops)
-    c = state.field().coeffs
+    c = half_layout(state.w)
     assert hermitian_defect(to_full(cfg.grid, c)) < 1e-15 * np.max(np.abs(c))
 
 
@@ -341,21 +342,21 @@ def test_zeroth_order_reduction_bitwise():
 
     def plain_rhs(w):
         t = tensor_divergence(w)  # no deconvolution multiply
-        conv = leray_project(VectorField(grid, t.coeffs * bar))
+        conv = leray_project(t.with_coeffs(t.coeffs * bar))
         return f - conv.coeffs
 
     def plain_step(w):
         k1 = plain_rhs(w)
-        pred = VectorField(grid, e * (w.coeffs + cfg.dt * k1))
+        pred = w.with_coeffs(e * (w.coeffs + cfg.dt * k1))
         k2 = plain_rhs(pred)
-        return VectorField(grid, e * w.coeffs + 0.5 * cfg.dt * (e * k1 + k2))
+        return w.with_coeffs(e * w.coeffs + 0.5 * cfg.dt * (e * k1 + k2))
 
     a = initial_state(cfg)
-    b = a.field()
+    b = a.w
     for _ in range(3):
         a = step(a, ops)
         b = plain_step(b)
-        assert np.array_equal(a.field().coeffs, b.coeffs)
+        assert np.array_equal(a.w.coeffs, b.coeffs)
 
 
 def test_vertical_mean_sector_unfiltered():
@@ -366,7 +367,7 @@ def test_vertical_mean_sector_unfiltered():
     samples = np.stack(
         [np.sin(x1) * np.cos(x2) + zeros, -np.cos(x1) * np.sin(x2) + zeros, zeros]
     )
-    w0 = leray_project(dealias(field_from_samples(g, samples)))
+    w0 = leray_project(field_from_samples(g, samples))
     cfg = config16(
         filter=FilterSpec(alpha=2.0, theta=1.0), deconv_order=5, t_end=0.03
     )
@@ -378,16 +379,16 @@ def test_vertical_mean_sector_unfiltered():
 
     def ns_step(w):
         k1 = ns_rhs(w)
-        pred = VectorField(g, e * (w.coeffs + cfg.dt * k1))
+        pred = w.with_coeffs(e * (w.coeffs + cfg.dt * k1))
         k2 = ns_rhs(pred)
-        return VectorField(g, e * w.coeffs + 0.5 * cfg.dt * (e * k1 + k2))
+        return w.with_coeffs(e * w.coeffs + 0.5 * cfg.dt * (e * k1 + k2))
 
-    a = SolverState(0.0, 0, g, g.band.gather(w0.coeffs))
+    a = SolverState(0.0, 0, w0)
     b = w0
     for _ in range(3):
         a = step(a, ops)
         b = ns_step(b)
-        assert np.array_equal(a.field().coeffs, b.coeffs)
+        assert np.array_equal(a.w.coeffs, b.coeffs)
 
 
 ODD_BOX = Grid(12, 16, 10, 2.0 * np.pi, 3.0, 5.0)
@@ -395,36 +396,36 @@ ODD_BOX = Grid(12, 16, 10, 2.0 * np.pi, 3.0, 5.0)
 
 @pytest.mark.parametrize("order", [0, 2])
 def test_band_step_matches_half_layout_heun_bitwise(order):
-    """A half-layout Heun step coded from the public operators and the
-    symbol lines agrees bitwise with the band stepper."""
+    """A Heun step coded from the public operators and the symbol lines
+    agrees bitwise with the band stepper."""
     cfg = config16(grid=ODD_BOX, deconv_order=order, t_end=0.03,
                    filter=FilterSpec(alpha=0.5, theta=0.75),
                    init=RandomBandLimited(seed=12, band=3),
                    forcing=RandomBandLimited(seed=13, band=2, energy=2.0))
     grid = cfg.grid
-    deconv = deconv_symbol(DeconvSpec(cfg.filter, order), grid.k3)
+    deconv = deconv_symbol(DeconvSpec(cfg.filter, order), grid.k3[..., grid.band.cols])
     bar = bar_line(cfg)
     e = viscous_factor(cfg)
     f = apply_bar(forcing_field(cfg.forcing, grid), cfg.filter).coeffs
 
     def half_rhs(w):
-        z = VectorField(grid, w.coeffs * deconv)
+        z = w.with_coeffs(w.coeffs * deconv)
         t = tensor_divergence(z).coeffs * bar
-        return f - leray_project(VectorField(grid, t)).coeffs
+        return f - leray_project(w.with_coeffs(t)).coeffs
 
     def half_step(w):
         k1 = half_rhs(w)
-        pred = VectorField(grid, e * (w.coeffs + cfg.dt * k1))
+        pred = w.with_coeffs(e * (w.coeffs + cfg.dt * k1))
         k2 = half_rhs(pred)
-        return VectorField(grid, e * w.coeffs + 0.5 * cfg.dt * (e * k1 + k2))
+        return w.with_coeffs(e * w.coeffs + 0.5 * cfg.dt * (e * k1 + k2))
 
     ops = StepOperators(cfg)
     a = initial_state(cfg)
-    b = a.field()
+    b = a.w
     for _ in range(3):
         a = step(a, ops)
         b = half_step(b)
-        assert np.array_equal(a.field().coeffs, b.coeffs)
+        assert np.array_equal(a.w.coeffs, b.coeffs)
 
 
 # Modes of one true |k|: |k|^2 = 2 on the 2 pi cube, with one |k3| or
@@ -443,15 +444,15 @@ def decay_error(grid, modes, helicities, theta, order, steps=100):
     assert np.ptp(k_squared) < 1e-12
     rng = np.random.default_rng(17)
     amplitudes = rng.standard_normal(len(modes)) + 1j * rng.standard_normal(len(modes))
-    w0 = VectorField(grid, sum(beltrami_field(grid, [m], [a], h).coeffs
-                               for m, a, h in zip(modes, amplitudes, helicities)))
+    w0 = VectorField(grid.band, sum(beltrami_field(grid, [m], [a], h).coeffs
+                                    for m, a, h in zip(modes, amplitudes, helicities)))
     cfg = config16(grid=grid, nu=0.05, dt=0.002, t_end=steps * 0.002,
                    filter=FilterSpec(alpha=0.3, theta=theta), deconv_order=order)
     error = 0.0
-    start = SolverState(0.0, 0, grid, grid.band.gather(w0.coeffs))
+    start = SolverState(0.0, 0, w0)
     for state in trajectory(StepOperators(cfg), start):
         exact = np.exp(-cfg.nu * k_squared[0] * state.t) * w0.coeffs
-        error = max(error, np.max(np.abs(state.field().coeffs - exact)) / np.max(np.abs(exact)))
+        error = max(error, np.max(np.abs(state.w.coeffs - exact)) / np.max(np.abs(exact)))
     assert state.step_index == steps
     return error
 
@@ -484,22 +485,22 @@ def test_shared_operators_keep_trajectories_apart():
     cfg = config16(init=RandomBandLimited(seed=14, band=4),
                    forcing=TaylorGreen(), t_end=0.05)
     first = initial_state(cfg)
-    second = SolverState(0.0, 0, cfg.grid, -0.5 * first.w)
+    second = SolverState(0.0, 0, first.w.with_coeffs(-0.5 * first.w.coeffs))
 
     def alone(state):
-        return [s.w for s in trajectory(StepOperators(cfg), state)]
+        return [s.w.coeffs for s in trajectory(StepOperators(cfg), state)]
 
     ops = StepOperators(cfg)
     shared = list(zip(trajectory(ops, first), trajectory(ops, second)))
     for (a, b), a_alone, b_alone in zip(shared, alone(first), alone(second),
                                         strict=True):
-        assert np.array_equal(a.w, a_alone)
-        assert np.array_equal(b.w, b_alone)
+        assert np.array_equal(a.w.coeffs, a_alone)
+        assert np.array_equal(b.w.coeffs, b_alone)
 
 
 def test_step_operators_keep_no_half_layout_array():
     """Every multiplier a step reads is a band line, and forcing_raw, the
-    forcing the records read, is a band box: no array or field of the
+    forcing the records read, is a field on the band: no array of the
     half layout is kept."""
     cfg = config16(forcing=RandomBandLimited(seed=16, band=3))
     ops = StepOperators(cfg)
@@ -508,12 +509,12 @@ def test_step_operators_keep_no_half_layout_array():
             if np.shape(getattr(value, "coeffs", value))[-3:] == half]
     assert held == []
     assert ops.band_viscous.shape == cfg.grid.band.shape
-    assert ops.forcing_raw.shape == (3, *cfg.grid.band.shape)
+    assert ops.forcing_raw.band is cfg.grid.band
 
 
 def test_run_moves_nothing_between_layouts_after_setup(monkeypatch):
-    """Steps and records read and write band boxes only: once run() has
-    set up, no Band.gather or Band.scatter is called."""
+    """Steps and records read and write the band only: once run() has
+    set up, no Band.gather, Band.scatter or Band.embed is called."""
     calls = []
 
     def counted(method):
@@ -522,10 +523,10 @@ def test_run_moves_nothing_between_layouts_after_setup(monkeypatch):
             return method(*args, **kwargs)
         return wrapper
 
-    for method in (Band.gather, Band.scatter):
+    for method in (Band.gather, Band.scatter, Band.embed):
         monkeypatch.setattr(Band, method.__name__, counted(method))
-    stream = run(config16(forcing=TaylorGreen(), t_end=0.05))
-    assert calls  # setup gathers the initial state and the forcing
+    stream = run(config16(forcing=RandomBandLimited(seed=16, band=3), t_end=0.05))
+    assert calls  # setup embeds the forcing's draw in the band
     calls.clear()
     assert len(list(stream)) == 6
     assert calls == []
@@ -539,8 +540,8 @@ def test_grid_caches_no_multi_axis_array():
     g = cfg.grid
     ops = StepOperators(cfg)
     state = step(initial_state(cfg), ops)
-    leray_project(state.field())
-    FieldNorms(state.w, g.band).vertical_grad(0.5)
+    leray_project(state.w)
+    FieldNorms(state.w).vertical_grad(0.5)
     properties = [name for name, attr in vars(Grid).items()
                   if isinstance(attr, (property, cached_property))
                   and not name.startswith("_")]
@@ -561,7 +562,7 @@ def test_warm_step_allocates_little_beyond_the_new_state():
     finally:
         tracemalloc.stop()
     box = 3 * np.prod(cfg.grid.band.shape) * 16
-    assert peak <= 3 * box  # one half-layout vector field alone is 3.2 boxes
+    assert peak <= 3 * box  # a half-layout vector field alone would be 3.2 boxes
 
 
 @pytest.mark.parametrize("desc", [TaylorGreen(), SingleMode(k=(1, 2, 3)),
@@ -576,11 +577,13 @@ def test_states_are_zero_outside_the_band(desc):
     g = cfg.grid
     outside = ~rule_mask(g)[..., : g.n3 // 2 + 1]
     ops = StepOperators(cfg)
-    assert np.all(forcing_field(desc, g).coeffs[:, outside] == 0.0)
-    assert np.all(init_field(init, g, cfg.filter).coeffs[:, outside] == 0.0)
+    assert forcing_field(desc, g).band is g.band
+    assert np.all(half_layout(forcing_field(desc, g))[:, outside] == 0.0)
+    assert np.all(half_layout(init_field(init, g, cfg.filter))[:, outside] == 0.0)
     state = initial_state(cfg)
     for _ in range(6):
-        assert np.all(state.field().coeffs[:, outside] == 0.0)
+        assert state.w.band is g.band
+        assert np.all(half_layout(state.w)[:, outside] == 0.0)
         state = step(state, ops)
 
 
@@ -685,8 +688,8 @@ def test_checkpoint_round_trip(tmp_path):
     path = tmp_path / "state.ckpt"
     write_checkpoint(path, last, cfg, config_hash="abc123")
     state, header = read_checkpoint(path)
-    assert state.grid == last.grid
-    assert np.array_equal(state.w, last.w)
+    assert state.w.grid == last.w.grid
+    assert np.array_equal(state.w.coeffs, last.w.coeffs)
     assert state.t == last.t
     assert state.step_index == last.step_index
     assert header["config_hash"] == "abc123"
@@ -755,6 +758,16 @@ def test_checkpoint_rejects_foreign_file(tmp_path):
         "full_layout_in_v2": forged_checkpoint(
             header, np.zeros((3, 4, 4, 4), dtype=complex)),
         "content_outside_band": forged_checkpoint(header, outside),
+        "grid_entry_a_float": forged_checkpoint({**header, "grid": [4.0, 4, 4]}, coeffs),
+        "grid_entry_a_boolean": forged_checkpoint({**header, "grid": [4, True, 4]}, coeffs),
+        "length_a_string": forged_checkpoint({**header, "lengths": [1.0, "1", 1.0]}, coeffs),
+        "step_index_a_fraction": forged_checkpoint({**header, "step_index": 2.7}, coeffs),
+        "step_index_a_string": forged_checkpoint({**header, "step_index": "3"}, coeffs),
+        "step_index_negative": forged_checkpoint({**header, "step_index": -4}, coeffs),
+        "time_a_numeric_string": forged_checkpoint({**header, "t": "0.5"}, coeffs),
+        "time_a_boolean": forged_checkpoint({**header, "t": True}, coeffs),
+        "time_nan": forged_checkpoint({**header, "t": float("nan")}, coeffs),
+        "time_infinite": forged_checkpoint({**header, "t": float("inf")}, coeffs),
     }
     for name, content in cases.items():
         path = tmp_path / f"{name}.bin"
@@ -772,5 +785,5 @@ def test_checkpoint_rejects_foreign_file(tmp_path):
     path = tmp_path / "good.bin"
     path.write_bytes(good)
     state, _ = read_checkpoint(path)
-    assert state.grid == Grid(4, 4, 4, 1.0, 1.0, 1.0)
-    assert state.w.shape == (3, 3, 3, 2)
+    assert state.w.grid == Grid(4, 4, 4, 1.0, 1.0, 1.0)
+    assert state.w.coeffs.shape == (3, 3, 3, 2)

@@ -2,7 +2,18 @@
 
 import numpy as np
 import pytest
-from full_layout import dealias, gradient, hermitian_defect, rule_mask, to_full
+from full_layout import (
+    AXES,
+    convective_inner_reference,
+    gradient,
+    half_layout,
+    half_layout_inner,
+    half_layout_norms,
+    hermitian_defect,
+    rule_mask,
+    samples as grid_samples,
+    to_full,
+)
 
 from admles import spectral
 from admles.ensembles import EnsembleSpec, draw_vector
@@ -23,7 +34,6 @@ from admles.spectral import (
     inner_product,
     l2_norm,
     leray_project,
-    occupied_box,
     pad_spectrum,
     tensor_divergence,
     vertical_seminorm,
@@ -44,18 +54,18 @@ def random_divfree(grid, seed=0):
     """Band-limited divergence-free vector field from real samples."""
     rng = np.random.default_rng(seed)
     v = field_from_samples(grid, rng.standard_normal((3, *grid.shape)))
-    return leray_project(dealias(v))
+    return leray_project(v)
 
 
 def test_fields_freeze_owned_arrays_and_copy_writable_views(grid):
-    owned = np.zeros((3, *grid.spectral_shape), dtype=np.complex128)
-    field = VectorField(grid, owned)
+    owned = np.zeros((3, *grid.band.shape), dtype=np.complex128)
+    field = VectorField(grid.band, owned)
     assert np.shares_memory(field.coeffs, owned)
     with pytest.raises(ValueError, match="read-only"):
         owned[0, 0, 0, 1] = 1.0
 
-    base = np.zeros((2, *grid.spectral_shape), dtype=np.complex128)
-    scalar = SpectralField(grid, base[1])
+    base = np.zeros((2, *grid.band.shape), dtype=np.complex128)
+    scalar = SpectralField(grid.band, base[1])
     base[1, 0, 0, 1] = 1.0
     assert not np.any(scalar.coeffs)
     assert not np.shares_memory(scalar.coeffs, base)
@@ -66,17 +76,17 @@ def test_fields_freeze_owned_arrays_and_copy_writable_views(grid):
     assert not part.coeffs.flags.writeable
 
 
-def irfftn(grid, coeffs):
-    """Real samples of half-layout coefficients: the full reference."""
-    return np.fft.irfftn(coeffs, s=grid.shape, axes=AXES, norm="forward")
+def band_limited_samples(grid, rng, shape):
+    """Samples of the 2/3 band of white noise of `shape`."""
+    return grid_samples(field_from_samples(grid, rng.standard_normal(shape)))
 
 
 def test_transform_round_trip(grid):
     rng = np.random.default_rng(1)
-    samples = rng.standard_normal(grid.shape)
+    samples = band_limited_samples(grid, rng, grid.shape)
     f = field_from_samples(grid, samples)
     assert isinstance(f, SpectralField)
-    assert np.max(np.abs(irfftn(grid, f.coeffs) - samples)) < 1e-12
+    assert np.max(np.abs(grid_samples(f) - samples)) < 1e-12
     v = field_from_samples(grid, rng.standard_normal((3, *grid.shape)))
     assert isinstance(v, VectorField)
 
@@ -84,8 +94,8 @@ def test_transform_round_trip(grid):
 def test_cosine_coefficients(grid):
     _, _, x3 = grid.mesh()
     f = field_from_samples(grid, np.cos(x3) + np.zeros(grid.shape))
-    assert f.coeffs.shape == (16, 16, 9)  # k3 = 0..8 stored
-    c = to_full(grid, f.coeffs)
+    assert f.coeffs.shape == (11, 11, 6)  # |k1|, |k2| <= 5 and k3 = 0..5
+    c = to_full(grid, half_layout(f))
     assert c[0, 0, 1] == pytest.approx(0.5, abs=1e-14)
     assert c[0, 0, -1] == pytest.approx(0.5, abs=1e-14)
     others = c.copy()
@@ -118,8 +128,8 @@ def test_inner_product_orthogonal_modes(grid):
 
 def test_parseval_matches_quadrature(grid):
     rng = np.random.default_rng(2)
-    a = rng.standard_normal(grid.shape)
-    b = rng.standard_normal(grid.shape)
+    a = band_limited_samples(grid, rng, grid.shape)
+    b = band_limited_samples(grid, rng, grid.shape)
     f = field_from_samples(grid, a)
     g = field_from_samples(grid, b)
     quadrature = float(np.sum(a * b)) * grid.volume / np.prod(grid.shape)
@@ -130,7 +140,7 @@ def test_gradient_of_cosine(grid):
     x1, _, _ = grid.mesh()
     f = field_from_samples(grid, np.cos(x1) + np.zeros(grid.shape))
     gf = gradient(f)
-    d1 = irfftn(grid, gf.coeffs[0])
+    d1 = grid_samples(gf.component(0))
     assert np.max(np.abs(d1 - (-np.sin(x1) - np.zeros(grid.shape)))) < 1e-12
     assert np.max(np.abs(gf.coeffs[1])) < 1e-15
     assert np.max(np.abs(gf.coeffs[2])) < 1e-15
@@ -141,14 +151,16 @@ def test_vertical_derivative(grid):
     f = field_from_samples(grid, np.sin(2 * x3) + np.zeros(grid.shape))
     df = gradient(f).component(2)
     expect = 2 * np.cos(2 * x3) + np.zeros(grid.shape)
-    assert np.max(np.abs(irfftn(grid, df.coeffs) - expect)) < 1e-12
+    assert np.max(np.abs(grid_samples(df) - expect)) < 1e-12
 
 
 def test_gradient_real_for_nyquist_content(grid):
-    # raw samples excite the Nyquist plane; derivative must stay real
+    # raw samples excite the Nyquist plane; the derivative of their band
+    # must stay real
     rng = np.random.default_rng(3)
     f = field_from_samples(grid, rng.standard_normal(grid.shape))
-    for comp in gradient(f).coeffs:
+    for i in range(3):
+        comp = half_layout(gradient(f).component(i))
         assert hermitian_defect(to_full(grid, comp)) < 1e-13
 
 
@@ -160,40 +172,41 @@ def test_leray_projection_properties(grid):
     ppv = leray_project(pv)
     assert np.max(np.abs(ppv.coeffs - pv.coeffs)) < 1e-14
     # the discarded part is L2-orthogonal to the projection
-    residual = VectorField(grid, v.coeffs - pv.coeffs)
+    residual = v.with_coeffs(v.coeffs - pv.coeffs)
     assert abs(inner_product(residual, pv)) < 1e-12 * l2_norm(v) ** 2
 
 
 def test_leray_annihilates_gradients(grid):
     f = random_real_field(grid, seed=5)
-    gf = dealias(gradient(f))
+    gf = gradient(f)
     pg = leray_project(gf)
     assert np.max(np.abs(pg.coeffs)) < 1e-13 * np.max(np.abs(gf.coeffs))
 
 
 def test_dealias_rule(grid):
+    # a field of raw samples keeps their 2/3 band and nothing else
     rng = np.random.default_rng(6)
     f = field_from_samples(grid, rng.standard_normal(grid.shape))
-    d = dealias(f)
+    d = half_layout(f)
     idx = np.abs(np.fft.fftfreq(grid.n1, 1 / grid.n1))
     cut = dealias_cutoff(grid.n1)  # (16 - 1) // 3 = 5
     assert cut == 5
+    assert f.band is grid.band and f.band.cutoffs == (cut, cut, cut)
     killed = idx > cut
-    assert np.max(np.abs(d.coeffs[killed, :, :])) == 0.0
-    assert np.max(np.abs(d.coeffs[:, :, np.arange(9) > cut])) == 0.0
+    assert np.max(np.abs(d[killed, :, :])) == 0.0
+    assert np.max(np.abs(d[:, :, np.arange(9) > cut])) == 0.0
 
 
 # a non-cubic box with unequal periods for the real-transform checks
 ODD_BOX = Grid(12, 16, 10, 2.0 * np.pi, 3.0, 5.0)
-AXES = (-3, -2, -1)
 
 
 def full_complex_tensor_divergence(u, v):
     """div(u x v) with complex FFTs and all nine products u_i v_j."""
     g = u.grid
     n = np.prod(g.shape)
-    us = (np.fft.ifftn(to_full(g, u.coeffs), axes=AXES) * n).real
-    vs = (np.fft.ifftn(to_full(g, v.coeffs), axes=AXES) * n).real
+    us = (np.fft.ifftn(to_full(g, half_layout(u)), axes=AXES) * n).real
+    vs = (np.fft.ifftn(to_full(g, half_layout(v)), axes=AXES) * n).real
     kd3 = g.deriv_axis(2).reshape(1, 1, -1)
     out = np.empty((3, *g.shape), dtype=complex)
     for j in range(3):
@@ -209,15 +222,16 @@ def test_real_transforms_match_complex_ffts():
     ref = np.fft.fftn(samples, axes=AXES) / np.prod(ODD_BOX.shape)
     assert coeffs.shape == (3, *ODD_BOX.spectral_shape)
     assert np.max(np.abs(coeffs - ref[..., :6])) < 1e-15 * np.max(np.abs(ref))
-    assert np.array_equal(field_from_samples(ODD_BOX, samples).coeffs, coeffs)
-    back = irfftn(ODD_BOX, coeffs)
+    assert np.array_equal(field_from_samples(ODD_BOX, samples).coeffs,
+                          ODD_BOX.band.gather(coeffs))
+    back = np.fft.irfftn(coeffs, s=ODD_BOX.shape, axes=AXES, norm="forward")
     assert back.dtype == np.float64
     assert np.max(np.abs(back - samples)) < 1e-13
 
 
 def test_tensor_divergence_matches_full_complex_reference():
     u = random_divfree(ODD_BOX, seed=32)
-    got = tensor_divergence(u).coeffs
+    got = half_layout(tensor_divergence(u))
     ref = full_complex_tensor_divergence(u, u)
     assert np.max(np.abs(got - ref[..., :6])) < 1e-14 * np.max(np.abs(ref))
     # pairs inside the k3 = 0 plane come from one transform: equal to rounding
@@ -225,23 +239,32 @@ def test_tensor_divergence_matches_full_complex_reference():
     assert defect < 1e-15 * np.max(np.abs(ref))
 
 
+def rfftn_band(g, raw):
+    """The VectorField of the 2/3 band of the full rfftn of `raw`."""
+    return VectorField(g.band, g.band.gather(np.fft.rfftn(raw, axes=AXES, norm="forward")))
+
+
 def test_tensor_divergence_reads_only_the_band(grid):
-    # raw samples fill every mode; only the 2/3 band of u is read
+    # raw samples fill every mode; only the 2/3 band of u is read, and a
+    # draw's box reads as the same field embedded in the band
     rng = np.random.default_rng(45)
-    u = field_from_samples(grid, rng.standard_normal((3, *grid.shape)))
-    assert np.max(np.abs(u.coeffs - dealias(u).coeffs)) > 1e-3
+    raw = rng.standard_normal((3, *grid.shape))
+    assert np.array_equal(tensor_divergence(field_from_samples(grid, raw)).coeffs,
+                          tensor_divergence(rfftn_band(grid, raw)).coeffs)
+    (u,) = band_draws(grid, 3)
+    embedded = VectorField(grid.band, u.band.embed(u.coeffs, grid.band))
     assert np.array_equal(tensor_divergence(u).coeffs,
-                          tensor_divergence(dealias(u)).coeffs)
+                          tensor_divergence(embedded).coeffs)
 
 
 @pytest.mark.parametrize("g", [Grid(16, 16, 16), ODD_BOX], ids=["cube", "odd box"])
 def test_leray_project_reads_only_the_band(g):
     # raw samples fill every mode; the projection reads and keeps the band
     rng = np.random.default_rng(46)
-    u = field_from_samples(g, rng.standard_normal((3, *g.shape)))
-    assert np.max(np.abs(u.coeffs - dealias(u).coeffs)) > 1e-3
-    got = leray_project(u).coeffs
-    assert np.array_equal(got, leray_project(dealias(u)).coeffs)
+    raw = rng.standard_normal((3, *g.shape))
+    u = field_from_samples(g, raw)
+    got = half_layout(leray_project(u))
+    assert np.array_equal(got, half_layout(leray_project(rfftn_band(g, raw))))
     outside = ~rule_mask(g)[..., : g.n3 // 2 + 1]
     zeros = got[:, outside]
     assert np.array_equal(zeros, np.zeros_like(zeros))
@@ -309,24 +332,38 @@ def test_vertical_seminorm_oracles(grid):
                          ids=["32", "64", "12x16x24"])
 @pytest.mark.parametrize("vector", [False, True])
 def test_norms_of_a_band_box_equal_the_half_layout_ones_bitwise(g, vector):
-    """FieldNorms and inner_product of a band-limited field read on its
-    band box give the bits they give on the half layout."""
+    """FieldNorms and inner_product of a field, read on its band box,
+    give the bits that the same sums give on its half layout."""
     rng = np.random.default_rng(37)
     shape = (3, *g.shape) if vector else g.shape
-    f, h = (dealias(field_from_samples(g, rng.standard_normal(shape)))
-            for _ in range(2))
-    band = g.band
-    half, box = FieldNorms(f), FieldNorms(band.gather(f.coeffs), band)
-    for line in ("plain", "horizontal", "full"):
-        assert np.array_equal(getattr(box, line), getattr(half, line)), line
-    for norm in ("l2", "grad", "horizontal_grad"):
-        assert getattr(box, norm)() == getattr(half, norm)(), norm
-    for s in (0.0, 0.5, 0.75, 1.0):
-        assert box.vertical(s) == half.vertical(s)
-        assert box.vertical_grad(s) == half.vertical_grad(s)
+    f, h = (field_from_samples(g, rng.standard_normal(shape)) for _ in range(2))
+    assert_lines_of_the_half_layout(f)
     weight = g.k3 ** 1.5
-    assert inner_product(band.gather(f.coeffs), band.gather(h.coeffs), weight,
-                         band) == inner_product(f, h, weight)
+    assert inner_product(f, h, weight) == half_layout_inner(f, h, weight)
+
+
+def assert_lines_of_the_half_layout(f):
+    norms, half = FieldNorms(f), half_layout_norms(f)
+    for name in ("plain", "horizontal", "full"):
+        assert np.array_equal(getattr(norms, name), getattr(half, name)), name
+
+
+@pytest.mark.parametrize("g", [Grid(16, 16, 16), Grid(32, 32, 32),
+                               Grid(12, 16, 24, L3=np.pi)],
+                         ids=["16", "32", "12x16x24"])
+def test_draw_norms_on_their_box_equal_the_half_layout_ones_bitwise(g):
+    # a draw's box (b, b, b) is smaller than the band; its lines, and its
+    # inner products with a field on another box, are the half layout's
+    rng = np.random.default_rng(47)
+    bands = range(1, min(g.band.cutoffs) + 1)
+    draws = [draw_vector(rng, EnsembleSpec(1, b, 0), g) for b in bands]
+    for u in draws:
+        assert u.band.cutoffs == (u.band.cutoffs[0],) * 3
+        assert_lines_of_the_half_layout(u)
+    sampled = field_from_samples(g, rng.standard_normal((3, *g.shape)))
+    weight = g.k3 ** 0.5
+    for u, v in zip(draws, [*draws[1:], sampled]):
+        assert inner_product(u, v, weight) == half_layout_inner(u, v, weight)
 
 
 def test_horizontal_grad_below_full_grad(grid):
@@ -344,18 +381,17 @@ def fine_grid(grid):
 
 def test_fine_samples_round_trip(grid):
     # the fine samples carry the band and nothing else
-    f = dealias(random_real_field(grid, seed=8))
+    f = random_real_field(grid, seed=8)
     fine = fine_grid(grid)
     coeffs = field_from_samples(fine, fine_samples(f, fine.shape)).coeffs
-    band = grid.band
-    lifted = band.scatter(band.gather(f.coeffs), fine.shape)
+    lifted = Band(fine, f.band.cutoffs).embed(f.coeffs, fine.band)
     assert np.max(np.abs(coeffs - lifted)) < 1e-14
 
 
 def test_fine_samples_interpolate(grid):
     # every other fine sample is a native one
-    f = dealias(random_real_field(grid, seed=9))
-    samples = irfftn(grid, f.coeffs)
+    f = random_real_field(grid, seed=9)
+    samples = grid_samples(f)
     fine = fine_samples(f, fine_grid(grid).shape)
     assert np.max(np.abs(fine[::2, ::2, ::2] - samples)) < 1e-12
 
@@ -363,10 +399,9 @@ def test_fine_samples_interpolate(grid):
 def test_fine_samples_are_the_trigonometric_sum():
     u = random_divfree(ODD_BOX, seed=36)
     shape = (24, 20, 16)
-    coeffs = to_full(ODD_BOX, u.coeffs)
-    waves = [np.exp(1j * np.outer(np.arange(m) * L / m, np.ravel(k)))
-             for m, L, k in zip(shape, ODD_BOX.sizes,
-                                (ODD_BOX.k1, ODD_BOX.k2, ODD_BOX.k_axis(2)))]
+    coeffs = to_full(ODD_BOX, half_layout(u))
+    waves = [np.exp(1j * np.outer(np.arange(m) * L / m, ODD_BOX.k_axis(axis)))
+             for axis, (m, L) in enumerate(zip(shape, ODD_BOX.sizes))]
     ref = np.einsum("ai,bj,ck,nijk->nabc", *waves, coeffs)
     got = fine_samples(u, shape)
     assert got.shape == (3, *shape)
@@ -406,7 +441,7 @@ def test_pad_spectrum_rejects_odd_or_shrinking_lengths():
 
 
 def test_fine_samples_preserve_l2_when_band_limited(grid):
-    f = dealias(random_real_field(grid, seed=10))
+    f = random_real_field(grid, seed=10)
     fine = fine_samples(f, fine_grid(grid).shape)
     assert np.sqrt(np.mean(fine**2) * grid.volume) == pytest.approx(
         l2_norm(f), rel=1e-13)
@@ -415,11 +450,11 @@ def test_fine_samples_preserve_l2_when_band_limited(grid):
 def test_tensor_divergence_matches_fine_grid(grid):
     # quadrature-exact on the native grid: refining cannot change it
     w = random_divfree(grid, seed=11)
-    band = grid.band
     fine = fine_grid(grid)
-    w_fine = VectorField(fine, band.scatter(band.gather(w.coeffs), fine.shape))
-    t_native = band.gather(tensor_divergence(w).coeffs)
-    t_fine = band.gather(tensor_divergence(w_fine).coeffs)
+    box = Band(fine, w.band.cutoffs)
+    w_fine = VectorField(box, w.coeffs)
+    t_native = tensor_divergence(w).coeffs
+    t_fine = box.gather(half_layout(tensor_divergence(w_fine)))
     scale = np.max(np.abs(t_native))
     assert np.max(np.abs(t_fine - t_native)) < 1e-12 * scale
 
@@ -443,8 +478,8 @@ def test_trilinear_orthogonality_when_three_divides_n(g):
 
 def test_convective_orthogonality_negative_control(grid):
     # gradient fields are not divergence-free: the form must not vanish
-    f = dealias(random_real_field(grid, seed=13))
-    w = dealias(gradient(f))
+    f = random_real_field(grid, seed=13)
+    w = gradient(f)
     num = inner_product(tensor_divergence(w), w)
     scale = l2_norm(w) ** 2 * FieldNorms(w).grad()
     assert abs(num) > 1e-6 * scale
@@ -479,7 +514,7 @@ def test_convective_inner_equals_the_tensor_divergence_form(triple):
     u, v, w = triple()
     g = u.grid
     ref = full_complex_tensor_divergence(u, v)[..., : g.n3 // 2 + 1]
-    expect = inner_product(VectorField(g, ref), w)
+    expect = inner_product(VectorField(g.band, g.band.gather(ref)), w)
     scale = l2_norm(u) * FieldNorms(v).grad() * l2_norm(w)
     assert abs(convective_inner(u, v, w) - expect) < 1e-13 * scale
 
@@ -494,41 +529,73 @@ def test_band_5_triple_at_32_is_sampled_on_16_points(monkeypatch):
 
     monkeypatch.setattr(spectral, "band_inverse", recording)
     convective_inner(*band_draws(Grid(32, 32, 32), 5, 5, 5))
-    assert shapes == [(15, 16, 16, 16)]
+    assert shapes == [(3, 16, 16, 16), (9, 16, 16, 16), (3, 16, 16, 16)]
 
 
-def test_occupied_box_is_scanned_once_per_field(monkeypatch):
-    # the box of a single mode (2, -3, 1), then one scan per field however
-    # many samplers read it: two plane profiles and a trilinear numerator
+@pytest.mark.parametrize("g", [Grid(16, 16, 16), Grid(32, 32, 32)], ids=["16^3", "32^3"])
+def test_convective_inner_on_mixed_boxes(g):
+    # u and w on band-3 boxes, v on a band-5 one: each is sampled from its
+    # own box, against the half layouts sampled on the grid
+    for seed in range(4):
+        u, v, w = band_draws(g, 3, 5, 3, seed=seed)
+        ref = convective_inner_reference(u, v, w)
+        scale = l2_norm(u) * FieldNorms(v).grad() * l2_norm(w)
+        assert abs(convective_inner(u, v, w) - ref) <= 1e-13 * scale
+
+
+def test_inner_product_of_fields_on_different_boxes():
+    # read on the union box, the half layouts' inner product bit for bit
     g = Grid(16, 16, 16)
-    full = np.zeros((3, *g.shape), dtype=np.complex128)
-    full[0, 2, -3, 1] = 1.0
-    full[0, -2, 3, -1] = 1.0
-    single = VectorField(g, full[..., : g.n3 // 2 + 1])
-    assert occupied_box(single).cutoffs == (2, 3, 1)
-    scans = []
+    u, v = band_draws(g, 2, 4)
+    w = leray_project(field_from_samples(
+        g, np.random.default_rng(48).standard_normal((3, *g.shape))))
+    weight = g.k3 ** 1.5
+    for a, b in ((u, v), (v, u), (u, w), (w, v)):
+        assert a.band.cutoffs != b.band.cutoffs
+        assert inner_product(a, b, weight) == half_layout_inner(a, b, weight)
+    assert inner_product(u, v) == pytest.approx(
+        inner_product(VectorField(g.band, u.band.embed(u.coeffs, g.band)), v),
+        rel=1e-15)
 
-    def counting(field):
-        scans.append(field)
-        return scan(field)
 
-    scan = spectral._scan_box
-    monkeypatch.setattr(spectral, "_scan_box", counting)
-    u, v = band_draws(g, 3, 2)
-    boxes = [occupied_box(u) for _ in range(2)]
-    l2_v_l4_h_norm(u)
-    linf_v_l2_h_norm(u)
-    convective_inner(u, v, u)
-    assert boxes[0] is boxes[1] is occupied_box(u)
-    assert boxes[0].cutoffs == (3, 3, 3)
-    assert scans == [u, v]
+def test_fields_lie_inside_the_band():
+    # the 2/3 cutoff of 12 modes is 3: a box or draw beyond it is refused
+    g = Grid(12, 12, 16)
+    assert g.band.cutoffs == (3, 3, 5)
+    with pytest.raises(ValueError, match="outside the retained band"):
+        VectorField(Band(g, (4, 1, 1)), np.zeros((3, 9, 3, 2), dtype=complex))
+    with pytest.raises(ValueError, match="outside the retained band"):
+        band_draws(g, 4)
+    with pytest.raises(ValueError, match="does not match"):
+        SpectralField(g.band, np.zeros(g.spectral_shape, dtype=complex))
+
+
+@pytest.mark.parametrize("g", [Grid(32, 32, 32), Grid(64, 64, 64),
+                               Grid(12, 16, 24, L3=np.pi)],
+                         ids=["32", "64", "12x16x24"])
+@pytest.mark.parametrize("kind", ["white noise", "taylor-green"])
+@pytest.mark.parametrize("vector", [False, True], ids=["scalar", "vector"])
+def test_field_from_samples_is_the_band_of_rfftn(g, kind, vector):
+    if kind == "white noise":
+        samples = np.random.default_rng(49).standard_normal((3, *g.shape))
+    else:
+        x1, x2, x3 = g.mesh()
+        samples = np.stack([np.sin(x1) * np.cos(x2) * np.cos(x3),
+                            -np.cos(x1) * np.sin(x2) * np.cos(x3),
+                            np.zeros(g.shape)])
+    if not vector:
+        samples = samples[0]
+    ref = g.band.gather(np.fft.rfftn(samples, axes=(-3, -2, -1), norm="forward"))
+    f = field_from_samples(g, samples)
+    assert f.band is g.band
+    assert np.array_equal(f.coeffs, ref)
 
 
 def test_divergence_of_gradient_is_laplacian(grid):
-    f = dealias(random_real_field(grid, seed=17))
+    f = random_real_field(grid, seed=17)
     lap = divergence(gradient(f))
-    g = f.grid
-    expect = -(g.k1**2 + g.k2**2 + g.k3**2) * f.coeffs
+    b = f.band
+    expect = -(b.kd1**2 + b.kd2**2 + b.kd3**2) * f.coeffs
     # dealiased fields carry no Nyquist modes: kd and k agree there
     assert np.max(np.abs(lap.coeffs - expect)) < 1e-12
 
@@ -536,19 +603,19 @@ def test_divergence_of_gradient_is_laplacian(grid):
 @pytest.mark.parametrize("vector", [False, True])
 def test_norms_match_full_layout_reference(vector):
     # Plancherel on the full layout, every k once, against the Parseval
-    # weighted half; raw samples excite the k3 = 0 and n3/2 columns
+    # weighted band, whose k3 = 0 column stands for itself alone
     g = ODD_BOX
     rng = np.random.default_rng(35)
     shape = (3, *g.shape) if vector else g.shape
-    F = np.fft.fftn(rng.standard_normal(shape), axes=AXES, norm="forward")
-    H = np.fft.fftn(rng.standard_normal(shape), axes=AXES, norm="forward")
-    H += F  # not near-orthogonal to F
-    field = VectorField if vector else SpectralField
-    f, h = (field(g, c[..., : g.n3 // 2 + 1]) for c in (F, H))
-    assert np.max(np.abs(to_full(g, f.coeffs) - F)) < 1e-16  # the reference
+    f = field_from_samples(g, rng.standard_normal(shape))
+    h = field_from_samples(g, rng.standard_normal(shape))
+    h = h.with_coeffs(h.coeffs + f.coeffs)  # not near-orthogonal to f
+    F, H = (to_full(g, half_layout(x)) for x in (f, h))
     norms = FieldNorms(f)
+    k1, k2 = (g.k_axis(axis).reshape(shape) for axis, shape in
+              ((0, (-1, 1, 1)), (1, (1, -1, 1))))
     k3 = g.k_axis(2).reshape(1, 1, -1)
-    k_squared = g.k1**2 + g.k2**2 + k3**2
+    k_squared = k1**2 + k2**2 + k3**2
     mass = np.abs(F) ** 2
 
     def ref(weight):
@@ -558,7 +625,7 @@ def test_norms_match_full_layout_reference(vector):
     pairs = [
         (l2_norm(f), ref(1.0)),
         (norms.grad(), ref(k_squared)),
-        (norms.horizontal_grad(), ref(g.k1**2 + g.k2**2)),
+        (norms.horizontal_grad(), ref(k1**2 + k2**2)),
         (vertical_seminorm(f, s), ref(np.abs(k3) ** (2 * s))),
         (vertical_seminorm(f, 0.0), ref(1.0)),
         (norms.vertical_grad(s), ref(k_squared * np.abs(k3) ** (2 * s))),
