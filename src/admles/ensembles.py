@@ -7,12 +7,16 @@ what makes resolution-doubling studies meaningful: the field is
 identical, only the quadrature grid refines.
 
 Draws are Hermitian-symmetrized (real physical samples), weighted by
-|k|^{-amplitude_decay}, and given zero mean; the whole box is drawn, and
-its k3 >= 0 half, rolled from centered into Band order (rows 0..b, then
--b..-1), is the field on a Band of cutoffs (b, b, b), which must lie in
-the grid's 2/3 band.  Vector draws can be Leray-projected there, with
-project_coeffs on the draw's Band, as leray_project runs it on any
-field's box.  numpy.random is imported with the module, as
+|k|^{-amplitude_decay}, and given zero mean.  One rng call draws the
+real and imaginary parts of the whole box, the same stream as two
+calls, but only its k3 >= 0 half is symmetrized and weighted (by one
+cached, read-only weight table per (b, decay)); that half, rolled from
+centered into Band order (rows 0..b, then -b..-1), is the field on the
+grid's one Band of cutoffs (b, b, b) (Grid.box), which must lie in the
+grid's 2/3 band.  Every draw of an ensemble shares that Band, and so its
+lines and sampling workspaces.  Vector draws can be Leray-projected
+there, with project_coeffs on the draw's Band, as leray_project runs it
+on any field's box.  numpy.random is imported with the module, as
 spectral imports numpy.fft: numpy loads it lazily, and a first draw
 inside a run would otherwise pay for the import.
 """
@@ -20,6 +24,7 @@ inside a run would otherwise pay for the import.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import numpy.random
@@ -51,28 +56,36 @@ class EnsembleSpec:
         return np.random.default_rng(self.seed)
 
 
+@lru_cache(maxsize=32)
 def _centered_weights(b: int, decay: float) -> np.ndarray:
+    """|k|^{-decay} on the k3 >= 0 half of the centered box, modes
+    (-b..b, -b..b, 0..b), and 0 at the mean mode; read-only."""
     m = np.arange(-b, b + 1)
     k2 = (
-        m[:, None, None] ** 2 + m[None, :, None] ** 2 + m[None, None, :] ** 2
+        m[:, None, None] ** 2 + m[None, :, None] ** 2 + m[None, None, b:] ** 2
     ).astype(np.float64)
     with np.errstate(divide="ignore"):
         w = np.where(k2 > 0, k2 ** (-decay / 2.0), 0.0)
+    w.setflags(write=False)
     return w
 
 
 def _draw_band(rng: np.random.Generator, b: int, decay: float,
                components: int) -> np.ndarray:
-    """Hermitian, mean-zero, decay-weighted coefficients on {-b..b}^3.
+    """The k3 >= 0 half of Hermitian, mean-zero, decay-weighted
+    coefficients on {-b..b}^3: modes (-b..b, -b..b, 0..b).
 
-    Layout is centered: axis position a holds mode a - b.  The draw
+    One rng call draws the real and then the imaginary parts of the
+    whole centered box, axis position a holding mode a - b, so the draw
     order is fixed by the array shape alone, independent of any grid.
+    Only the kept half is symmetrized: mode k averages its draw with the
+    conjugate draw of -k.
     """
     side = 2 * b + 1
-    shape = (components, side, side, side)
-    raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    sym = 0.5 * (raw + np.conj(raw[:, ::-1, ::-1, ::-1]))
-    return sym * _centered_weights(b, decay)[None]
+    normals = rng.standard_normal((2, components, side, side, side))
+    raw = normals[0] + 1j * normals[1]
+    sym = 0.5 * (raw[..., b:] + np.conj(raw[:, ::-1, ::-1, b::-1]))
+    return sym * _centered_weights(b, decay)
 
 
 def check_fits(b: int, n: int) -> None:
@@ -87,9 +100,9 @@ def _draw(rng: np.random.Generator, spec: EnsembleSpec, grid: Grid,
     """The box of cutoffs (b, b, b) on `grid` and the k3 >= 0 half of a
     centered draw, rolled into its order, projected there if `project`."""
     b = spec.band_limit
-    box = Band(grid, (b, b, b))
-    band = _draw_band(rng, b, spec.amplitude_decay, components)
-    coeffs = np.roll(band[..., b:], -b, axis=(-3, -2))
+    box = grid.box((b, b, b))
+    half = _draw_band(rng, b, spec.amplitude_decay, components)
+    coeffs = np.roll(half, -b, axis=(-3, -2))
     if project:
         coeffs = project_coeffs(box, coeffs, np.empty_like(coeffs),
                                 np.empty_like(coeffs[0]))

@@ -19,7 +19,9 @@ so a product mode |k| <= 2K aliases onto |k| >= n - 2K > K, outside the
 band (K = n/3 would let 2K alias onto -K).  A field stores the
 coefficients of a box (a Band) inside that band, and nothing else: the
 k3 lines and all built from them hold k3 = 0, 1, ..., n3/2, and a box
-reads the columns band.cols of them.  The half layout itself is only
+reads the columns band.cols of them.  Grid.box gives one Band per
+cutoffs on a grid, so every field of a box shares its lines and its
+sampling scratch (Band.workspace).  The half layout itself is only
 transform scratch and the checkpoint's file layout, which Band.gather
 and Band.scatter move a box to and from.
 """
@@ -90,7 +92,8 @@ class Band:
     is built from its own lines kd1, kd2, kd3 (the grid's, restricted
     to the box).  Those and inv_kd_squared are read-only, and built on
     first use, since many boxes (a union of two, say) only move
-    coefficients.
+    coefficients; so are its sampling workspaces (see workspace), which
+    are scratch.
     """
 
     def __init__(self, grid: "Grid", cutoffs: tuple[int, int, int] | None = None):
@@ -99,6 +102,7 @@ class Band:
         self.shape = (2 * k1 + 1, 2 * k2 + 1, k3 + 1)
         self.cols = slice(0, k3 + 1)
         self.rows_on(grid.shape)  # raises unless the grid holds the box
+        self._workspaces: dict[tuple, BandWorkspace] = {}
 
     def _rows(self, axis: int) -> np.ndarray:
         """Indices of the box's rows on full axis `axis` of its grid."""
@@ -123,6 +127,17 @@ class Band:
         whose kd all vanish."""
         ksq = self.kd1**2 + self.kd2**2 + self.kd3**2
         return _read_only(np.divide(1.0, ksq, out=np.zeros(ksq.shape), where=ksq > 0))
+
+    def workspace(self, shape: tuple[int, int, int],
+                  components: int = 1) -> BandWorkspace:
+        """The box's one sampling workspace on grid shape `shape` for
+        groups of `components` components: built on first use, then
+        shared by every caller, since a transform leaves nothing in it
+        that the next one reads."""
+        key = (shape, components)
+        if key not in self._workspaces:
+            self._workspaces[key] = BandWorkspace(self, shape, components)
+        return self._workspaces[key]
 
     def rows_on(self, shape: tuple[int, int, int]):
         """(band slice, half slice) of the low and high row block of each
@@ -164,6 +179,43 @@ class Band:
         for b, h in self._blocks_on((m1, m2, m3)):
             out[h] = band[b]
         return out
+
+
+class BandWorkspace:
+    """Scratch arrays of the pruned transforms (spectral.band_inverse and
+    band_forward) between a Band and the samples on a grid shape (m1,
+    m2, m3) that holds it (by default its grid's), and the band's row
+    blocks `rows1`, `rows2` on that shape.  The inverse transforms its
+    input in groups of `components` components, each pass once per
+    group; the forward uses group member 0.  `columns` (components, m1,
+    2 K2 + 1, K3 + 1) is the input of the inverse's axis -3 pass and
+    the output of the forward's; `half` (components, m1, m2, m3/2 + 1)
+    the irfft input and rfft output.  Each transform zeroes the padding
+    the other may have overwritten.  `product` (one real product of
+    samples), `mode` and `term` (one band-shaped component each) are the
+    scratch of band_divergence and the stepper's projection, built on
+    first use, so a sampling workspace holds `columns` and `half` only.
+    """
+
+    def __init__(self, band: Band, shape: tuple[int, int, int] | None = None,
+                 components: int = 1):
+        m1, m2, m3 = self.shape = shape or band.grid.shape
+        self.band = band
+        self.rows1, self.rows2 = band.rows_on(self.shape)
+        self.columns = np.zeros((components, m1, *band.shape[1:]), dtype=np.complex128)
+        self.half = np.zeros((components, m1, m2, m3 // 2 + 1), dtype=np.complex128)
+
+    @cached_property
+    def product(self) -> np.ndarray:
+        return np.empty(self.shape)
+
+    @cached_property
+    def mode(self) -> np.ndarray:
+        return np.empty(self.band.shape, dtype=np.complex128)
+
+    @cached_property
+    def term(self) -> np.ndarray:
+        return np.empty(self.band.shape, dtype=np.complex128)
 
 
 @dataclass(frozen=True)
@@ -250,7 +302,19 @@ class Grid:
     @cached_property
     def band(self) -> Band:
         """The 2/3-rule box of the half layout (see Band)."""
-        return Band(self)
+        return self.box(tuple(map(dealias_cutoff, self.shape)))
+
+    @cached_property
+    def _boxes(self) -> dict[tuple[int, int, int], Band]:
+        return {}
+
+    def box(self, cutoffs: tuple[int, int, int]) -> Band:
+        """The one Band of `cutoffs` on this grid: every call with the
+        same cutoffs returns the same object, so its lines and workspaces
+        are built once."""
+        if cutoffs not in self._boxes:
+            self._boxes[cutoffs] = Band(self, cutoffs)
+        return self._boxes[cutoffs]
 
     @cached_property
     def max_dealiased_wavenumber(self) -> float:

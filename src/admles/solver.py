@@ -43,9 +43,8 @@ import numpy as np
 from .diagnostics import EnergyRecord, energy_terms, gronwall_integrand
 from .ensembles import EnsembleSpec, draw_vector
 from .filters import DeconvSpec, FilterSpec, apply_bar, symbol_table
-from .grid import Grid, check_band, check_rules, rule_errors
+from .grid import BandWorkspace, Grid, check_band, check_rules, rule_errors
 from .spectral import (
-    BandWorkspace,
     FieldNorms,
     VectorField,
     band_divergence,

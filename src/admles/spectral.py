@@ -27,16 +27,22 @@ products come back through band_forward: irfftn and rfftn pruned to a
 box of coefficients on any grid shape that holds it, the same 1-D
 passes in the same order over only the lines the box feeds or needs,
 so the retained values are the full transforms' bit for bit.  The
-half layout (..., n1, n2, n3/2 + 1) is their scratch only.  The stepper
-and tensor_divergence run them on the 2/3 band of the grid.
+half layout (..., n1, n2, n3/2 + 1) is their scratch only, held by a
+grid.BandWorkspace of the box, the samples' shape and a component
+count: band_inverse runs each pass once per group of that many
+components, which changes no bit, as numpy transforms every line on its
+own.  The stepper and tensor_divergence run them on the 2/3 band of the
+grid, one component at a time, on a workspace of their own.
 fine_samples, the one 3-D trigonometric upsampler, runs band_inverse
 from a field's box onto any shape, and convective_inner from each of
-three fields' boxes.  Physical-space integrals of products of
-band-limited fields are taken by the rectangle rule on
-quadrature_points per axis, the fewest even count above the product's
-band, which integrates it exactly.  band_divergence is the one kernel
-for div(u x u) on the band, project_coeffs the one Leray formula, on a
-box, and pad_spectrum the 1-D upsampler of lines.
+three fields' boxes, every component of a field in one group, on the
+box's shared workspace (Band.workspace), so the draws of an ensemble,
+which share one box, build their scratch once.  Physical-space
+integrals of products of band-limited fields are taken by the
+rectangle rule on quadrature_points per axis, the fewest even count
+above the product's band, which integrates it exactly.  band_divergence
+is the one kernel for div(u x u) on the band, project_coeffs the one
+Leray formula, on a box, and pad_spectrum the 1-D upsampler of lines.
 
 The package imports nothing but numpy, so the transforms are numpy.fft,
 imported here with the module: numpy loads it lazily, and a first use
@@ -50,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.fft
 
-from .grid import Band, Grid
+from .grid import Band, BandWorkspace, Grid
 
 # The products u_i u_j that band_divergence transforms: the six with
 # i <= j, since u_j u_i is the same field.
@@ -181,47 +187,29 @@ def divergence_residual(field: VectorField) -> float:
     return float(np.max(np.abs(divergence(field).coeffs)))
 
 
-class BandWorkspace:
-    """Scratch arrays of the pruned transforms between a Band and the
-    samples on a grid shape (m1, m2, m3) that holds it (by default its
-    grid's), and the band's row blocks `rows1`, `rows2` on that shape.
-    `columns` (m1, 2 K2 + 1, K3 + 1) is the input of the inverse's axis
-    -3 pass and the output of the forward's; `half` (m1, m2, m3/2 + 1)
-    the irfft input and rfft output.  Each transform zeroes the padding
-    the other may have overwritten.  `product` holds one real product of
-    samples, `mode` and `term` one band-shaped component each.
-    """
-
-    def __init__(self, band: Band, shape: tuple[int, int, int] | None = None):
-        m1, m2, m3 = shape = shape or band.grid.shape
-        self.band = band
-        self.rows1, self.rows2 = band.rows_on(shape)
-        self.columns = np.zeros((m1, *band.shape[1:]), dtype=np.complex128)
-        self.half = np.zeros((m1, m2, m3 // 2 + 1), dtype=np.complex128)
-        self.product = np.empty(shape)
-        self.mode = np.empty(band.shape, dtype=np.complex128)
-        self.term = np.empty(band.shape, dtype=np.complex128)
-
-
 def band_inverse(coeffs: np.ndarray, out: np.ndarray, work: BandWorkspace) -> np.ndarray:
     """Real samples (c, m1, m2, m3) on the shape of `work` of box
     coefficients (c, *work.band.shape) into `out`: the passes of irfftn
     in its order (ifft on axis -3, ifft on axis -2, irfft on axis -1),
-    each over only the lines whose input is not all zero.  numpy
-    transforms every line on its own, so the samples are irfftn's of the
-    scattered coefficients bit for bit.
+    each over only the lines whose input is not all zero, and each once
+    per group of the workspace's components (the last group may be
+    short).  numpy transforms every line on its own, so the samples are
+    irfftn's of the scattered coefficients bit for bit, whatever the
+    group size.
     """
-    cols, half, pad = work.band.cols, work.half, work.columns
+    cols, size = work.band.cols, len(work.half)
     (_, low1), (_, high1) = work.rows1
     (_, low2), (_, high2) = work.rows2
-    half[..., cols.stop:] = 0
-    for c, samples in zip(coeffs, out):
-        pad[low1.stop:high1.start] = 0
+    work.half[..., cols.stop:] = 0
+    for start in range(0, len(coeffs), size):
+        c, samples = coeffs[start:start + size], out[start:start + size]
+        pad, half = work.columns[:len(c)], work.half[:len(c)]
+        pad[:, low1.stop:high1.start] = 0
         for b, h in work.rows1:
-            pad[h] = c[b]
+            pad[:, h] = c[:, b]
         for b, h in work.rows2:
-            np.fft.ifft(pad[:, b], axis=-3, norm="forward", out=half[:, h, cols])
-        half[:, low2.stop:high2.start, cols] = 0
+            np.fft.ifft(pad[..., b, :], axis=-3, norm="forward", out=half[..., h, cols])
+        half[..., low2.stop:high2.start, cols] = 0
         np.fft.ifft(half[..., cols], axis=-2, norm="forward", out=half[..., cols])
         np.fft.irfft(half, n=samples.shape[-1], axis=-1, norm="forward", out=samples)
     return out
@@ -234,13 +222,14 @@ def band_forward(samples: np.ndarray, out: np.ndarray,
     on axis -3), keeping only box columns, then box rows, after each.
     Bit for bit the box of rfftn(samples, norm="forward").
     """
-    columns = work.half[..., work.band.cols]
-    np.fft.rfft(samples, axis=-1, norm="forward", out=work.half)
+    half, pad = work.half[0], work.columns[0]
+    columns = half[..., work.band.cols]
+    np.fft.rfft(samples, axis=-1, norm="forward", out=half)
     np.fft.fft(columns, axis=-2, norm="forward", out=columns)
     for b, h in work.rows2:
-        np.fft.fft(columns[:, h], axis=-3, norm="forward", out=work.columns[:, b])
+        np.fft.fft(columns[:, h], axis=-3, norm="forward", out=pad[:, b])
     for b, h in work.rows1:
-        out[b] = work.columns[h]
+        out[b] = pad[h]
     return out
 
 
@@ -307,7 +296,7 @@ def convective_inner(u: VectorField, v: VectorField, w: VectorField) -> float:
     samples = np.empty((15, *shape))
     for f, coeffs, out in ((u, u.coeffs, samples[:3]), (v, dv, samples[3:12]),
                            (w, w.coeffs, samples[12:])):
-        band_inverse(coeffs, out, BandWorkspace(f.band, shape))
+        band_inverse(coeffs, out, f.band.workspace(shape, len(coeffs)))
     us, grad_v, ws = samples[:3], samples[3:12].reshape(3, 3, *shape), samples[12:]
     return float(u.grid.volume * np.mean(np.einsum("i...,ij...,j...->...",
                                                    us, grad_v, ws)))
@@ -397,7 +386,7 @@ def inner_product(f: Field, g: Field, weight=1.0) -> float:
         raise ValueError("fields live on different grids")
     grid, a, b = f.grid, f.coeffs, g.coeffs
     if f.band.cutoffs != g.band.cutoffs:
-        union = Band(grid, tuple(map(max, f.band.cutoffs, g.band.cutoffs)))
+        union = grid.box(tuple(map(max, f.band.cutoffs, g.band.cutoffs)))
         a, b = f.band.embed(a, union), g.band.embed(b, union)
     prod = b.real * a.real
     prod += b.imag * a.imag  # Re(conj(g) f)
@@ -427,9 +416,9 @@ def fine_samples(field: Field, shape: tuple[int, int, int]) -> np.ndarray:
     points of that axis.
     """
     box = field.band
+    coeffs = field.coeffs.reshape(-1, *box.shape)
     out = np.empty((*field.coeffs.shape[:-3], *shape))
-    band_inverse(field.coeffs.reshape(-1, *box.shape), out.reshape(-1, *shape),
-                 BandWorkspace(box, shape))
+    band_inverse(coeffs, out.reshape(-1, *shape), box.workspace(shape, len(coeffs)))
     return out
 
 

@@ -154,6 +154,43 @@ def full_field(grid, coeffs):
     return half_field(grid, 0.5 * (coeffs + np.conj(mirror(coeffs))))
 
 
+def centered_draw(rng, b, decay, components):
+    """Hermitian, mean-zero coefficients weighted by |k|^{-decay} on the
+    whole centered cube {-b..b}^3 (axis position a holds mode a - b):
+    the real parts of the cube from one standard_normal call, the
+    imaginary parts from a second, and every mode symmetrized with the
+    conjugate draw of its mirror."""
+    side = 2 * b + 1
+    shape = (components, side, side, side)
+    raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    sym = 0.5 * (raw + np.conj(raw[:, ::-1, ::-1, ::-1]))
+    m = np.arange(-b, b + 1)
+    k2 = (m[:, None, None] ** 2 + m[None, :, None] ** 2
+          + m[None, None, :] ** 2).astype(np.float64)
+    with np.errstate(divide="ignore"):
+        weights = np.where(k2 > 0, k2 ** (-decay / 2.0), 0.0)
+    return sym * weights[None]
+
+
+def full_layout_draw(rng, spec, grid, components=3, project=True):
+    """The centered_draw of `spec` embedded in the full layout
+    (components, n1, n2, n3) of `grid`, and Leray-projected there if
+    `project`, in the operand order of the projection."""
+    b = spec.band_limit
+    cube = centered_draw(rng, b, spec.amplitude_decay, components)
+    p1, p2, p3 = (np.arange(-b, b + 1) % n for n in grid.shape)
+    c = np.zeros((components, *grid.shape), dtype=np.complex128)
+    c[:, p1[:, None, None], p2[None, :, None], p3[None, None, :]] = cube
+    if not project:
+        return c
+    kd1, kd2 = grid.kd1, grid.kd2
+    kd3 = grid.deriv_axis(2).reshape(1, 1, -1)
+    ksq = kd1**2 + kd2**2 + kd3**2
+    inv = np.where(ksq > 0, 1.0 / np.where(ksq > 0, ksq, 1.0), 0.0)
+    factor = (kd1 * c[0] + kd2 * c[1] + kd3 * c[2]) * inv
+    return np.stack([c[0] - kd1 * factor, c[1] - kd2 * factor, c[2] - kd3 * factor])
+
+
 def gradient(field):
     """grad f of a scalar field, on its box."""
     b, c = field.band, field.coeffs

@@ -1,12 +1,19 @@
 """Deterministic ensemble draws and their cross-resolution stability."""
 
+from functools import partial
+
 import numpy as np
 import pytest
-from full_layout import half_layout, half_layout_leray, hermitian_defect, to_full
+from full_layout import (
+    full_layout_draw,
+    half_layout,
+    half_layout_leray,
+    hermitian_defect,
+    to_full,
+)
 
 from admles.ensembles import (
     EnsembleSpec,
-    _draw_band,
     draw_line,
     draw_scalar,
     draw_vector,
@@ -57,22 +64,6 @@ def test_draws_are_real_mean_zero_band_limited():
     assert np.max(np.abs(half[:, :, np.arange(13) > spec.band_limit])) == 0.0
 
 
-def full_layout_draw(rng, spec, g):
-    """The draw embedded in the full layout and Leray-projected there,
-    in the operand order of the projection."""
-    b = spec.band_limit
-    band = _draw_band(rng, b, spec.amplitude_decay, 3)
-    p1, p2, p3 = (np.arange(-b, b + 1) % n for n in g.shape)
-    c = np.zeros((3, *g.shape), dtype=np.complex128)
-    c[:, p1[:, None, None], p2[None, :, None], p3[None, None, :]] = band
-    kd3 = g.deriv_axis(2).reshape(1, 1, -1)
-    ksq = g.kd1**2 + g.kd2**2 + kd3**2
-    inv = np.where(ksq > 0, 1.0 / np.where(ksq > 0, ksq, 1.0), 0.0)
-    factor = (g.kd1 * c[0] + g.kd2 * c[1] + kd3 * c[2]) * inv
-    return np.stack([c[0] - g.kd1 * factor, c[1] - g.kd2 * factor,
-                     c[2] - kd3 * factor])
-
-
 @pytest.mark.parametrize("n", [16, 24])
 def test_vector_draw_is_the_half_of_the_full_layout_draw(n):
     spec = EnsembleSpec(count=2, band_limit=5, seed=13)
@@ -82,6 +73,45 @@ def test_vector_draw_is_the_half_of_the_full_layout_draw(n):
         got = half_layout(draw_vector(rng, spec, g))
         full = full_layout_draw(ref_rng, spec, g)
         assert np.array_equal(got, full[..., : n // 2 + 1])
+
+
+REFERENCE_GRIDS = {"16^3": Grid(16, 16, 16), "12x16x24": Grid(12, 16, 24, L3=np.pi)}
+DRAWS = {  # kind: (draw, components, projected)
+    "vector": (draw_vector, 3, True),
+    "raw vector": (partial(draw_vector, divergence_free=False), 3, False),
+    "scalar": (draw_scalar, 1, False),
+}
+
+
+@pytest.mark.parametrize("kind", DRAWS)
+@pytest.mark.parametrize("decay", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("grid_id, band", [
+    (grid_id, band) for grid_id, g in REFERENCE_GRIDS.items() for band in (1, 3, 5)
+    if band <= min(g.band.cutoffs)])
+def test_draws_are_the_full_layout_reference_bitwise(grid_id, band, decay, kind):
+    # one rng call and a half-cube symmetrization give the bits of two
+    # calls and the whole cube's; band 5 does not fit 12 modes
+    g = REFERENCE_GRIDS[grid_id]
+    spec = EnsembleSpec(count=3, band_limit=band, seed=19, amplitude_decay=decay)
+    draw, components, project = DRAWS[kind]
+    rng, ref_rng = spec.rng(), spec.rng()
+    for _ in range(spec.count):
+        got = half_layout(draw(rng, spec, g))
+        ref = full_layout_draw(ref_rng, spec, g, components, project)[..., : g.n3 // 2 + 1]
+        assert got.tobytes() == np.ascontiguousarray(ref.reshape(got.shape)).tobytes()
+
+
+def test_an_ensemble_shares_one_box():
+    spec = EnsembleSpec(count=4, band_limit=3, seed=23)
+    g = Grid(16, 16, 16)
+    box = g.box((3, 3, 3))
+    assert g.box((3, 3, 3)) is box
+    rng = spec.rng()
+    draws = [draw_vector(rng, spec, g) for _ in range(spec.count)]
+    draws.append(draw_scalar(rng, spec, g))
+    assert all(f.band is box for f in draws)
+    other = draw_vector(rng, EnsembleSpec(count=1, band_limit=2, seed=23), g)
+    assert other.band is g.box((2, 2, 2)) and other.band is not box
 
 
 def test_vector_draw_divergence_free():

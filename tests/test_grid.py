@@ -5,7 +5,7 @@ import pytest
 from full_layout import half_layout, half_layout_inv_kd_squared, rule_mask
 
 from admles.grid import Band, Grid, dealias_cutoff
-from admles.spectral import field_from_samples, leray_project
+from admles.spectral import VectorField, field_from_samples, fine_samples, leray_project
 
 
 def test_validation_rejects_bad_dimensions():
@@ -108,6 +108,25 @@ def test_band_is_the_dealias_box(g):
     for box in boxes:
         assert np.array_equal(box.inv_kd_squared,
                               box.gather(half_layout_inv_kd_squared(g)))
+
+
+def test_one_box_and_one_workspace_per_key():
+    g = Grid(32, 32, 32)
+    box = g.box((5, 5, 5))
+    assert g.box((5, 5, 5)) is box
+    assert g.box((4, 5, 5)) is not box
+    assert g.box(g.band.cutoffs) is g.band
+    # another grid of the same shape has its own boxes
+    assert Grid(32, 32, 32).box((5, 5, 5)) is not box
+    work = box.workspace((22, 22, 42), 3)
+    assert box.workspace((22, 22, 42), 3) is work
+    assert work.half.shape == (3, 22, 22, 22)
+    assert work.columns.shape == (3, 22, 11, 6)
+    assert box.workspace((22, 22, 42), 1) is not work
+    assert box.workspace((12, 12, 22), 3) is not work
+    # sampling leaves no scratch of the products in the workspace
+    fine_samples(VectorField(box, np.ones((3, *box.shape), complex)), (22, 22, 42))
+    assert not {"product", "mode", "term"} & vars(work).keys()
 
 
 def test_inverse_derivative_wavenumbers_read_only():

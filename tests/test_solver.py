@@ -149,6 +149,13 @@ def convection(w, order):
     return -ops.band_rhs(w.coeffs, ops.k1)
 
 
+def test_stepper_transforms_one_component_at_a_time():
+    # a group of three would add two half layouts of the grid's shape
+    ops = StepOperators(config16())
+    assert ops.work.half.shape == (1, *ops.config.grid.spectral_shape)
+    assert ops.work.columns.shape[0] == 1
+
+
 def bar_line(cfg):
     g = cfg.grid
     return 1.0 / filter_symbol(cfg.filter, g.k3[..., g.band.cols])

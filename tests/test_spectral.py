@@ -18,7 +18,7 @@ from full_layout import (
 from admles import spectral
 from admles.ensembles import EnsembleSpec, draw_vector
 from admles.grid import Band, Grid, dealias_cutoff
-from admles.inequalities import l2_v_l4_h_norm, linf_v_l2_h_norm
+from admles.inequalities import l2_v_l4_h_norm, linf_v_l2_h_norm, plane_profile
 from admles.spectral import (
     BandWorkspace,
     FieldNorms,
@@ -311,6 +311,51 @@ def test_pruned_inverse_equals_irfftn_on_any_box_and_shape(g, cutoffs, target):
     for _ in range(2):  # the second round reuses the buffers of the first
         assert np.array_equal(band_inverse(coeffs, np.empty((3, *shape)), work),
                               ref)
+
+
+@pytest.mark.parametrize("g, cutoffs, shape, count, group", [
+    (Grid(32, 32, 32), (5, 5, 5), (22, 22, 42), 3, 3),
+    (Grid(32, 32, 32), (5, 5, 5), (12, 12, 22), 3, 3),
+    (Grid(32, 32, 32), (5, 5, 5), (16, 16, 16), 9, 9),
+    (Grid(12, 16, 24, L3=np.pi), None, None, 3, 3),
+    (Grid(12, 16, 24, L3=np.pi), (3, 3, 3), (12, 16, 24), 1, 3),
+    (Grid(16, 16, 16), (5, 5, 5), (16, 16, 16), 15, 4)],
+    ids=["22x22x42", "12x12x22", "16^3, 9 components", "12x16x24 grid band",
+         "12x16x24 scalar in a group of 3", "15 components in groups of 4"])
+def test_band_inverse_group_size_keeps_the_bits(g, cutoffs, shape, count, group):
+    # each pass runs once per group of components, and numpy transforms
+    # every line on its own: the samples of one component at a time
+    rng = np.random.default_rng(49)
+    box = Band(g, cutoffs)
+    shape = shape or g.shape
+    coeffs = rng.standard_normal((count, *box.shape, 2)).view(complex)[..., 0]
+    one = band_inverse(coeffs, np.empty((count, *shape)), BandWorkspace(box, shape))
+    work = BandWorkspace(box, shape, group)
+    assert work.half.shape[0] == work.columns.shape[0] == group
+    for _ in range(2):  # the second round reuses the buffers of the first
+        got = band_inverse(coeffs, np.empty((count, *shape)), work)
+        assert got.tobytes() == one.tobytes()
+    # a forward transform through group member 0 leaves nothing behind
+    band_forward(rng.standard_normal(shape), np.empty(box.shape, complex), work)
+    assert band_inverse(coeffs, np.empty((count, *shape)), work).tobytes() == one.tobytes()
+
+
+def test_shared_sampling_workspaces_do_not_alias():
+    # interleaved calls on the draws' cached workspaces give the bits of
+    # the same calls on fresh boxes, whose workspaces nothing else touched
+    g = Grid(32, 32, 32)
+    u, v, w = band_draws(g, 5, 5, 5)
+    assert u.band is v.band is w.band
+
+    def fresh(f):
+        return VectorField(Band(g, f.band.cutoffs), f.coeffs)
+
+    profile_u = plane_profile(u, 4)
+    inner = convective_inner(u, v, w)
+    profile_v = plane_profile(v, 4)
+    assert profile_u.tobytes() == plane_profile(fresh(u), 4).tobytes()
+    assert inner == convective_inner(fresh(u), fresh(v), fresh(w))
+    assert profile_v.tobytes() == plane_profile(fresh(v), 4).tobytes()
 
 
 def test_vertical_seminorm_oracles(grid):
