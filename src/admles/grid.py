@@ -20,14 +20,17 @@ band (K = n/3 would let 2K alias onto -K).  A field stores the
 coefficients of a box (a Band) inside that band, and nothing else: the
 k3 lines and all built from them hold k3 = 0, 1, ..., n3/2, and a box
 reads the columns band.cols of them.  Grid.box gives one Band per
-cutoffs on a grid, so every field of a box shares its lines and its
-sampling scratch (Band.workspace).  The half layout itself is only
-transform scratch and the checkpoint's file layout, which Band.gather
-and Band.scatter move a box to and from.
+cutoffs on a grid for as long as anything holds it, so every field of a
+box shares its lines and its sampling scratch (Band.workspace, one per
+thread).  A Band holds its grid, and nothing the grid keeps holds a
+Band, so reference counting frees both.  The half layout itself is only
+transform scratch, held by a BandWorkspace.
 """
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -83,10 +86,8 @@ class Band:
     of the two full axes; the half axis keeps columns 0..K3.  The box is
     the layout of every field (the grid's 2/3 band for the solver's state
     and sampled fields, cutoffs (b, b, b) for a draw); embed moves its
-    coefficients onto a larger box.  gather and scatter move the box to
-    and from the half layout (..., m1, m2, m3/2 + 1) of any grid shape
-    that holds it (2 K + 1 <= m per axis).  The default cutoffs are the
-    grid's 2/3 rule (Grid.band).
+    coefficients onto a larger box.  A box fits a grid shape whose axes
+    hold its rows (2 K + 1 <= m), and rows_on places them there.
     Since 2 K + 1 <= n, a box never holds a Nyquist row or column: its
     derivative and true wavenumbers agree, and every multiplier on it
     is built from its own lines kd1, kd2, kd3 (the grid's, restricted
@@ -96,8 +97,8 @@ class Band:
     are scratch.
     """
 
-    def __init__(self, grid: "Grid", cutoffs: tuple[int, int, int] | None = None):
-        k1, k2, k3 = self.cutoffs = cutoffs or tuple(map(dealias_cutoff, grid.shape))
+    def __init__(self, grid: "Grid", cutoffs: tuple[int, int, int]):
+        k1, k2, k3 = self.cutoffs = cutoffs
         self.grid = grid
         self.shape = (2 * k1 + 1, 2 * k2 + 1, k3 + 1)
         self.cols = slice(0, k3 + 1)
@@ -130,11 +131,13 @@ class Band:
 
     def workspace(self, shape: tuple[int, int, int],
                   components: int = 1) -> BandWorkspace:
-        """The box's one sampling workspace on grid shape `shape` for
-        groups of `components` components: built on first use, then
-        shared by every caller, since a transform leaves nothing in it
-        that the next one reads."""
-        key = (shape, components)
+        """The calling thread's one sampling workspace of the box on grid
+        shape `shape` for groups of `components` components: built on
+        first use, then shared by every caller on that thread, since a
+        transform leaves nothing in it that the next one reads.  Two
+        threads never share one, so they may sample fields of one box at
+        once."""
+        key = (threading.get_ident(), shape, components)
         if key not in self._workspaces:
             self._workspaces[key] = BandWorkspace(self, shape, components)
         return self._workspaces[key]
@@ -148,59 +151,41 @@ class Band:
         return tuple(((slice(0, k + 1),) * 2, (slice(k + 1, None), slice(n - k, n)))
                      for k, n in zip(self.cutoffs, shape[:2]))
 
-    def _blocks_on(self, shape: tuple[int, int, int]):
-        """The (box index, half index) pairs on a half layout of grid
-        shape `shape`."""
-        rows1, rows2 = self.rows_on(shape)
-        return tuple(((..., b1, b2, self.cols), (..., h1, h2, self.cols))
-                     for b1, h1 in rows1 for b2, h2 in rows2)
-
-    def gather(self, half: np.ndarray) -> np.ndarray:
-        """A fresh box of half-layout coefficients (..., m1, m2, m3/2 + 1)."""
-        out = np.empty((*half.shape[:-3], *self.shape), dtype=half.dtype)
-        m1, m2, m3 = half.shape[-3:]
-        for b, h in self._blocks_on((m1, m2, 2 * m3 - 2)):
-            out[b] = half[h]
-        return out
-
     def embed(self, coeffs: np.ndarray, box: "Band") -> np.ndarray:
         """A fresh array of the box `box` that holds this box (cutoffs no
         larger on any axis): `coeffs` on this box's modes, zero elsewhere.
         A box is the half layout of a grid of shape (2 K1 + 1, 2 K2 + 1,
         2 K3 + 1), so its row blocks are this box's on that shape."""
-        return self.scatter(coeffs, tuple(2 * k + 1 for k in box.cutoffs))
-
-    def scatter(self, band: np.ndarray,
-                shape: tuple[int, int, int] | None = None) -> np.ndarray:
-        """A fresh half layout of grid shape `shape` (by default the
-        grid's): `band` on the box, zero elsewhere."""
-        m1, m2, m3 = shape or self.grid.shape
-        out = np.zeros((*band.shape[:-3], m1, m2, m3 // 2 + 1), dtype=band.dtype)
-        for b, h in self._blocks_on((m1, m2, m3)):
-            out[h] = band[b]
+        rows1, rows2 = self.rows_on(tuple(2 * k + 1 for k in box.cutoffs))
+        out = np.zeros((*coeffs.shape[:-3], *box.shape), dtype=coeffs.dtype)
+        for b1, h1 in rows1:
+            for b2, h2 in rows2:
+                out[..., h1, h2, self.cols] = coeffs[..., b1, b2, :]
         return out
 
 
 class BandWorkspace:
     """Scratch arrays of the pruned transforms (spectral.band_inverse and
     band_forward) between a Band and the samples on a grid shape (m1,
-    m2, m3) that holds it (by default its grid's), and the band's row
-    blocks `rows1`, `rows2` on that shape.  The inverse transforms its
-    input in groups of `components` components, each pass once per
-    group; the forward uses group member 0.  `columns` (components, m1,
-    2 K2 + 1, K3 + 1) is the input of the inverse's axis -3 pass and
-    the output of the forward's; `half` (components, m1, m2, m3/2 + 1)
-    the irfft input and rfft output.  Each transform zeroes the padding
-    the other may have overwritten.  `product` (one real product of
-    samples), `mode` and `term` (one band-shaped component each) are the
-    scratch of band_divergence and the stepper's projection, built on
-    first use, so a sampling workspace holds `columns` and `half` only.
+    m2, m3) that holds it (by default its grid's), the band's row blocks
+    `rows1`, `rows2` on that shape, and its columns `cols` and shape
+    `band_shape`; it keeps no reference to the Band, so a Band's cached
+    workspaces hold none back.  The inverse transforms its input in
+    groups of `components` components, each pass once per group; the
+    forward uses group member 0.  `columns` (components, m1, 2 K2 + 1,
+    K3 + 1) is the input of the inverse's axis -3 pass and the output of
+    the forward's; `half` (components, m1, m2, m3/2 + 1) the irfft input
+    and rfft output.  Each transform zeroes the padding the other may
+    have overwritten.  `product` (one real product of samples), `mode`
+    and `term` (one band-shaped component each) are the scratch of
+    band_divergence and the stepper's projection, built on first use, so
+    a sampling workspace holds `columns` and `half` only.
     """
 
     def __init__(self, band: Band, shape: tuple[int, int, int] | None = None,
                  components: int = 1):
         m1, m2, m3 = self.shape = shape or band.grid.shape
-        self.band = band
+        self.cols, self.band_shape = band.cols, band.shape
         self.rows1, self.rows2 = band.rows_on(self.shape)
         self.columns = np.zeros((components, m1, *band.shape[1:]), dtype=np.complex128)
         self.half = np.zeros((components, m1, m2, m3 // 2 + 1), dtype=np.complex128)
@@ -211,11 +196,11 @@ class BandWorkspace:
 
     @cached_property
     def mode(self) -> np.ndarray:
-        return np.empty(self.band.shape, dtype=np.complex128)
+        return np.empty(self.band_shape, dtype=np.complex128)
 
     @cached_property
     def term(self) -> np.ndarray:
-        return np.empty(self.band.shape, dtype=np.complex128)
+        return np.empty(self.band_shape, dtype=np.complex128)
 
 
 @dataclass(frozen=True)
@@ -248,11 +233,6 @@ class Grid:
     @property
     def sizes(self) -> tuple[float, float, float]:
         return (self.L1, self.L2, self.L3)
-
-    @property
-    def spectral_shape(self) -> tuple[int, int, int]:
-        """Shape of stored coefficients: the rfftn half of the last axis."""
-        return (self.n1, self.n2, self.n3 // 2 + 1)
 
     @property
     def volume(self) -> float:
@@ -299,22 +279,24 @@ class Grid:
         k3 = np.arange(self.n3 // 2 + 1)
         return self._expand(np.where((k3 > 0) & (k3 < self.n3 // 2), 2.0, 1.0), 2)
 
-    @cached_property
+    @property
     def band(self) -> Band:
         """The 2/3-rule box of the half layout (see Band)."""
         return self.box(tuple(map(dealias_cutoff, self.shape)))
 
     @cached_property
-    def _boxes(self) -> dict[tuple[int, int, int], Band]:
-        return {}
+    def _boxes(self) -> weakref.WeakValueDictionary:
+        return weakref.WeakValueDictionary()
 
     def box(self, cutoffs: tuple[int, int, int]) -> Band:
-        """The one Band of `cutoffs` on this grid: every call with the
-        same cutoffs returns the same object, so its lines and workspaces
-        are built once."""
-        if cutoffs not in self._boxes:
-            self._boxes[cutoffs] = Band(self, cutoffs)
-        return self._boxes[cutoffs]
+        """The one Band of `cutoffs` on this grid: while anything holds
+        it, every call with the same cutoffs returns the same object, so
+        its lines and workspaces are built once.  The grid holds its
+        boxes weakly, since each Band holds the grid."""
+        box = self._boxes.get(cutoffs)
+        if box is None:
+            box = self._boxes[cutoffs] = Band(self, cutoffs)
+        return box
 
     @cached_property
     def max_dealiased_wavenumber(self) -> float:

@@ -23,8 +23,8 @@ A state is only that band: a VectorField on Grid.band, as is every w(0)
 and forcing built here (a draw's box is embedded in it).  A step runs
 both right-hand sides and the Heun update on the band's coefficients
 into a fresh field; the records read it and the forcing.  A checkpoint
-stores the half layout, scattered from the band at write time and
-gathered back at read time.
+stores the band's coefficients as they are, so no code here moves
+coefficients to or from another layout.
 
 The descriptors of w(0) and f own their config kind (DESCRIPTOR_KINDS),
 keys (fields) and checks (__post_init__, check_in_band).  A step reads
@@ -293,6 +293,7 @@ class StepOperators:
         grid = config.grid
         band = grid.band
         self.config = config
+        self.band = band
         symbols = symbol_table(grid, config.deconv)
         self.forcing_raw = forcing_field(config.forcing, grid)
         self.kmax = grid.max_dealiased_wavenumber
@@ -319,9 +320,9 @@ class StepOperators:
         work = self.work
         z = np.multiply(w, self.band_deconv, out=out)
         zs = band_inverse(z, self.samples, work)
-        conv = band_divergence(zs, out, work, square_sum)
+        conv = band_divergence(self.band, zs, out, work, square_sum)
         conv *= self.band_bar
-        project_coeffs(work.band, conv, conv, work.mode, work.term)
+        project_coeffs(self.band, conv, conv, work.mode, work.term)
         return np.subtract(self.band_forcing, conv, out=out)
 
 
@@ -480,14 +481,16 @@ def dependence_experiment(config: SolverConfig, epsilon: float, *,
 # ---------------------------------------------------------------------------
 # Checkpoints
 
-_MAGIC = b"ADMCKPT2\n"
+_MAGIC = b"ADMCKPT3\n"
 
 
 def write_checkpoint(path, state: SolverState, config: SolverConfig,
                      config_hash: str = "") -> None:
     """Deterministic binary dump: magic, length-prefixed JSON header,
-    then the half-layout coefficient array in the standard npy layout,
-    scattered from the state's band here.
+    then the state's coefficients on the 2/3 band of the config's grid,
+    complex128 (3, 2 K1 + 1, 2 K2 + 1, K3 + 1) with the rows of each full
+    axis in band order 0..K, -K..-1, as the npy v1 layout stores them.
+    A state on any other grid or box raises ValueError.
 
     The bytes go to a sibling temporary file that then replaces `path`
     in one rename, so a kill or an I/O error mid-write leaves either the
@@ -498,8 +501,11 @@ def write_checkpoint(path, state: SolverState, config: SolverConfig,
     import struct
 
     grid = config.grid
+    if (state.w.grid, state.w.band.cutoffs) != (grid, grid.band.cutoffs):
+        raise ValueError("checkpoint: the state is not on the 2/3 band of "
+                         "the config's grid")
     header = {
-        "format": "ADMCKPT2",
+        "format": "ADMCKPT3",
         "grid": [grid.n1, grid.n2, grid.n3],
         "lengths": [grid.L1, grid.L2, grid.L3],
         "t": state.t,
@@ -518,8 +524,7 @@ def write_checkpoint(path, state: SolverState, config: SolverConfig,
             fh.write(_MAGIC)
             fh.write(struct.pack("<Q", len(blob)))
             fh.write(blob)
-            np.lib.format.write_array(fh, grid.band.scatter(state.w.coeffs),
-                                      version=(1, 0))
+            np.lib.format.write_array(fh, state.w.coeffs, version=(1, 0))
         os.replace(tmp, path)
     finally:  # the temporary is gone after a successful rename
         if os.path.exists(tmp):
@@ -536,15 +541,16 @@ def _is_real(value) -> bool:
 
 
 def read_checkpoint(path):
-    """Returns (SolverState, header dict), the state the 2/3 band of the
-    stored half layout.
+    """Returns (SolverState, header dict), the state the stored
+    coefficients on the 2/3 band of the stored grid.
 
-    Reads ADMCKPT2 only.  Anything but a complete checkpoint raises
-    ValueError naming the path: a bad magic, a short read, a missing or
-    ill-typed header key (grid entries and step_index must be integers,
-    step_index nonnegative, t and lengths real and t finite),
-    coefficients that are not complex128 of shape
-    (3, *spectral shape), or a nonzero coefficient outside the 2/3 band.
+    Reads ADMCKPT3 only; the half-layout ADMCKPT2 and full-layout
+    ADMCKPT1 files fail on their magic.  Anything but a complete
+    checkpoint raises ValueError naming the path: a bad magic, a short
+    read, a missing or ill-typed header key (grid entries and step_index
+    must be integers, step_index nonnegative, t and lengths real and t
+    finite), or coefficients that are not complex128 of shape
+    (3, *grid.band.shape).
     """
     import json
     import struct
@@ -588,13 +594,11 @@ def read_checkpoint(path):
     except ValueError as exc:
         raise ValueError(f"{path}: ill-typed checkpoint header: "
                          + "; ".join(str(exc).splitlines())) from exc
-    shape = (3, *grid.spectral_shape)
+    band = grid.band
+    shape = (3, *band.shape)
     if coeffs.shape != shape or coeffs.dtype != np.complex128:
         raise ValueError(
             f"{path}: coefficients {coeffs.dtype} {coeffs.shape} are not "
             f"complex128 {shape}"
         )
-    w = grid.band.gather(coeffs)
-    if not np.array_equal(grid.band.scatter(w), coeffs, equal_nan=True):
-        raise ValueError(f"{path}: nonzero coefficients outside the 2/3 band")
-    return SolverState(float(t), step_index, VectorField(grid.band, w)), header
+    return SolverState(float(t), step_index, VectorField(band, coeffs)), header

@@ -36,8 +36,8 @@ grid, one component at a time, on a workspace of their own.
 fine_samples, the one 3-D trigonometric upsampler, runs band_inverse
 from a field's box onto any shape, and convective_inner from each of
 three fields' boxes, every component of a field in one group, on the
-box's shared workspace (Band.workspace), so the draws of an ensemble,
-which share one box, build their scratch once.  Physical-space
+box's shared workspace (Band.workspace, one per thread), so the draws of
+an ensemble, which share one box, build their scratch once.  Physical-space
 integrals of products of band-limited fields are taken by the
 rectangle rule on quadrature_points per axis, the fewest even count
 above the product's band, which integrates it exactly.  band_divergence
@@ -56,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.fft
 
-from .grid import Band, BandWorkspace, Grid
+from .grid import Band, BandWorkspace, Grid, dealias_cutoff
 
 # The products u_i u_j that band_divergence transforms: the six with
 # i <= j, since u_j u_i is the same field.
@@ -90,7 +90,7 @@ class _BoxField:
         if self.coeffs.shape != shape:
             raise ValueError(f"coefficient shape {self.coeffs.shape} does not "
                              f"match the box shape {shape}")
-        retained = self.grid.band.cutoffs
+        retained = tuple(map(dealias_cutoff, self.grid.shape))
         if any(k > m for k, m in zip(self.band.cutoffs, retained)):
             raise ValueError(f"band: cutoffs {self.band.cutoffs} lie outside "
                              f"the retained band (cutoffs {retained})")
@@ -189,7 +189,7 @@ def divergence_residual(field: VectorField) -> float:
 
 def band_inverse(coeffs: np.ndarray, out: np.ndarray, work: BandWorkspace) -> np.ndarray:
     """Real samples (c, m1, m2, m3) on the shape of `work` of box
-    coefficients (c, *work.band.shape) into `out`: the passes of irfftn
+    coefficients (c, *work.band_shape) into `out`: the passes of irfftn
     in its order (ifft on axis -3, ifft on axis -2, irfft on axis -1),
     each over only the lines whose input is not all zero, and each once
     per group of the workspace's components (the last group may be
@@ -197,7 +197,7 @@ def band_inverse(coeffs: np.ndarray, out: np.ndarray, work: BandWorkspace) -> np
     irfftn's of the scattered coefficients bit for bit, whatever the
     group size.
     """
-    cols, size = work.band.cols, len(work.half)
+    cols, size = work.cols, len(work.half)
     (_, low1), (_, high1) = work.rows1
     (_, low2), (_, high2) = work.rows2
     work.half[..., cols.stop:] = 0
@@ -223,7 +223,7 @@ def band_forward(samples: np.ndarray, out: np.ndarray,
     Bit for bit the box of rfftn(samples, norm="forward").
     """
     half, pad = work.half[0], work.columns[0]
-    columns = half[..., work.band.cols]
+    columns = half[..., work.cols]
     np.fft.rfft(samples, axis=-1, norm="forward", out=half)
     np.fft.fft(columns, axis=-2, norm="forward", out=columns)
     for b, h in work.rows2:
@@ -233,16 +233,16 @@ def band_forward(samples: np.ndarray, out: np.ndarray,
     return out
 
 
-def band_divergence(us: np.ndarray, out: np.ndarray, work: BandWorkspace,
+def band_divergence(band: Band, us: np.ndarray, out: np.ndarray, work: BandWorkspace,
                     square_sum: np.ndarray | None = None) -> np.ndarray:
-    """div(u x u) on the band of `work` from the samples of u, into
-    `out` (3, *band shape): component j is i sum_i kd_i FT(u_i u_j),
+    """div(u x u) on `band`, the box of `work`, from the samples of u,
+    into `out` (3, *band.shape): component j is i sum_i kd_i FT(u_i u_j),
     from the six products u_i u_j with i <= j.
 
     `square_sum`, if given, receives sum_i u_i^2 at the samples, in the
     order of np.sum(us**2, axis=0).
     """
-    kd = (work.band.kd1, work.band.kd2, work.band.kd3)
+    kd = (band.kd1, band.kd2, band.kd3)
     prod, mode, term = work.product, work.mode, work.term
     out[...] = 0
     for i, j in _SYMMETRIC_PAIRS:
@@ -273,7 +273,7 @@ def tensor_divergence(u: VectorField) -> VectorField:
     band = u.grid.band
     work = BandWorkspace(band)
     us = band_inverse(u.band.embed(u.coeffs, band), np.empty((3, *u.grid.shape)), work)
-    out = band_divergence(us, np.empty((3, *band.shape), dtype=np.complex128), work)
+    out = band_divergence(band, us, np.empty((3, *band.shape), dtype=np.complex128), work)
     return VectorField(band, out)
 
 

@@ -4,8 +4,9 @@ A field stores only the coefficients of its box (a grid.Band) inside
 the 2/3 band.  Tests that build coefficients by hand, or that compare
 with a reference on the rfftn half (..., n1, n2, n3/2 + 1) or the full
 layout (..., n1, n2, n3), use these helpers.  The package has no entry
-point for either layout: half_field keeps the 2/3 band of Hermitian
-full-layout coefficients, and half_layout scatters a field's box.
+point for either layout: gather and scatter move a box from and to a
+half layout, half_field keeps the 2/3 band of Hermitian full-layout
+coefficients, and half_layout scatters a field's box.
 """
 
 import numpy as np
@@ -20,9 +21,38 @@ def mirror(coeffs):
     return np.roll(np.flip(coeffs, AXES), 1, AXES)
 
 
+def spectral_shape(grid):
+    """Shape of the rfftn half layout: (n1, n2, n3/2 + 1)."""
+    return (grid.n1, grid.n2, grid.n3 // 2 + 1)
+
+
+def _box_index(band, shape):
+    """Index of the box's modes on the half layout of grid shape `shape`:
+    rows 0..K and m-K..m-1 of each full axis, columns 0..K3."""
+    assert all(2 * k + 1 <= m for k, m in zip(band.cutoffs, shape))
+    (k1, m1), (k2, m2) = zip(band.cutoffs[:2], shape[:2])
+    return (..., *np.ix_(np.r_[0:k1 + 1, m1 - k1:m1], np.r_[0:k2 + 1, m2 - k2:m2],
+                         np.arange(band.cutoffs[2] + 1)))
+
+
+def gather(band, half):
+    """A fresh box of half-layout coefficients (..., m1, m2, m3/2 + 1)."""
+    m1, m2, m3 = half.shape[-3:]
+    return half[_box_index(band, (m1, m2, 2 * m3 - 2))]
+
+
+def scatter(band, coeffs, shape=None):
+    """A fresh half layout of grid shape `shape` (by default the band's
+    grid's): `coeffs` on the box, zero elsewhere."""
+    m1, m2, m3 = shape or band.grid.shape
+    out = np.zeros((*coeffs.shape[:-3], m1, m2, m3 // 2 + 1), dtype=coeffs.dtype)
+    out[_box_index(band, (m1, m2, m3))] = coeffs
+    return out
+
+
 def half_layout(field):
     """The field's coefficients scattered into a fresh half layout."""
-    return field.band.scatter(field.coeffs)
+    return scatter(field.band, field.coeffs)
 
 
 def to_full(grid, half):
@@ -99,6 +129,20 @@ def samples(field):
                          norm="forward")
 
 
+def divergence_of_square(field):
+    """div(z x z) of a vector field z on the 2/3 band of its grid, from
+    the full transforms: irfftn of its half layout, the nine products
+    z_i z_j, rfftn, then component j = sum_i i kd_i FT(z_i z_j).  The
+    products' band 2K < n - K aliases nothing onto the 2/3 band, so
+    its coefficients there are exact."""
+    g = field.grid
+    z = samples(field)
+    products = np.fft.rfftn(z[:, None] * z[None, :], axes=AXES, norm="forward")
+    kd = (g.kd1, g.kd2, g.kd3)
+    div = np.stack([sum(1j * kd[i] * products[i, j] for i in range(3)) for j in range(3)])
+    return VectorField(g.band, gather(g.band, div))
+
+
 def convective_inner_reference(u, v, w):
     """((u . grad) v, w) by the rectangle rule on the grid's own points,
     each field scattered to the half layout and sampled by irfftn.  The
@@ -144,7 +188,7 @@ def half_field(grid, full):
     (3, n1, n2, n3) coefficients; the rest is dropped."""
     assert hermitian_defect(full) <= 1e-10 * np.max(np.abs(full))
     band = grid.band
-    return VectorField(band, band.gather(full[..., : grid.n3 // 2 + 1]))
+    return VectorField(band, gather(band, full[..., : grid.n3 // 2 + 1]))
 
 
 def full_field(grid, coeffs):

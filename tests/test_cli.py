@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -35,7 +36,8 @@ def csv_hash_line(path):
 
 
 def test_simulate_artifacts(tmp_path):
-    cfg = write(tmp_path / "run.ini", "[solver]\nt_end = 0.05\n")
+    text = "[solver]\nt_end = 0.05\n"
+    cfg = write(tmp_path / "run.ini", text)
     out = tmp_path / "out"
     assert run_cli("simulate", "--config", cfg, "--output", str(out),
                    "--quiet") == 0
@@ -52,6 +54,14 @@ def test_simulate_artifacts(tmp_path):
     ]
     # 0.05 / 0.005 steps plus the initial row
     assert len(lines) == 2 + 11
+    # the checkpoint's payload is the state's box on the grid's 2/3 band
+    with open(out / "state.ckpt", "rb") as fh:
+        assert fh.read(9) == b"ADMCKPT3\n"
+        fh.seek(struct.unpack("<Q", fh.read(8))[0], os.SEEK_CUR)
+        payload = np.lib.format.read_array(fh)
+    grid = parse_config(text).solver.grid
+    assert payload.shape == (3, *grid.band.shape)
+    assert payload.dtype == np.complex128
 
 
 def test_simulate_deterministic_output(tmp_path):
@@ -256,18 +266,21 @@ def test_spectrum_rejects_full_layout_checkpoint(tmp_path, capsys):
     sim_out = tmp_path / "sim"
     assert run_cli("simulate", "--config", sim_cfg, "--output", str(sim_out),
                    "--quiet") == 0
-    # the same bytes under the magic of the full-layout ADMCKPT1 format,
-    # which is no longer read
-    old = tmp_path / "v1.ckpt"
-    old.write_bytes(b"ADMCKPT1\n" + (sim_out / "state.ckpt").read_bytes()[9:])
+    # the same bytes under the magics of the full-layout ADMCKPT1 and the
+    # half-layout ADMCKPT2 formats, which are no longer read
+    old = [tmp_path / f"v{version}.ckpt" for version in (1, 2)]
+    for version, path in enumerate(old, start=1):
+        path.write_bytes(f"ADMCKPT{version}\n".encode()
+                         + (sim_out / "state.ckpt").read_bytes()[9:])
     codes = []
-    for ckpt in (sim_out / "state.ckpt", old):
+    for ckpt in (sim_out / "state.ckpt", *old):
         cfg = write(tmp_path / "spec.ini", f"[spectrum]\ncheckpoint = {ckpt}\n")
         codes.append(run_cli("spectrum", "--config", cfg, "--output",
                              str(tmp_path / f"spec-{ckpt.stem}"), "--quiet"))
-    assert codes == [0, 1]
-    err = capsys.readouterr().err
-    assert str(old) in err and "bad magic" in err
+        if ckpt in old:
+            err = capsys.readouterr().err
+            assert str(ckpt) in err and "bad magic" in err
+    assert codes == [0, 1, 1]
 
 
 def test_spectrum_requires_checkpoint(tmp_path, capsys):

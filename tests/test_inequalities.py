@@ -1,7 +1,11 @@
 """Anisotropic inequality ratios: oracles, invariances, ensemble sweeps."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
+from full_layout import gather, spectral_shape
 
 from admles import inequalities
 from admles.ensembles import EnsembleSpec, draw_line, draw_vector
@@ -235,10 +239,10 @@ def modes_u1(grid, *modes):
     stored coefficient per mode on the smallest box that holds them, and
     exact zeros elsewhere."""
     box = Band(grid, tuple(max(abs(k[axis]) for k in modes) for axis in range(3)))
-    coeffs = np.zeros((3, *grid.spectral_shape), dtype=complex)
+    coeffs = np.zeros((3, *spectral_shape(grid)), dtype=complex)
     for k in modes:
         coeffs[(0, *k)] = 1.0
-    return VectorField(box, box.gather(coeffs))
+    return VectorField(box, gather(box, coeffs))
 
 
 def brute_force_profile(u, power):
@@ -515,3 +519,28 @@ def test_grid_lemmas_need_the_band_inside_the_cutoff():
     wide = EnsembleSpec(count=1, band_limit=12, seed=0)
     (report,), _ = run_sweep(wide, Grid(32, 32, 32), ["agmon"], [1.0], 256)
     assert report.max_ratio > 0.0
+
+
+def test_two_threads_on_one_grid_keep_the_serial_bits():
+    """The draws of one Grid share their box, and the box gives each
+    thread its own sampling workspace, so ratios mapped over two threads
+    are the serial ones bit for bit."""
+    grid = Grid(16, 16, 16)
+    spec = EnsembleSpec(count=200, band_limit=5, seed=4)
+    rng = spec.rng()
+    triples = [tuple(draw_vector(rng, spec, grid) for _ in range(3)) for _ in range(200)]
+
+    def ratios(triple):
+        u, v, w = triple
+        return (trilinear_ratio_i(u, v, w, 0.75), ladyzhenskaya_ratio(u),
+                vertical_embedding_ratio(v, 0.75))
+
+    serial = [ratios(triple) for triple in triples]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            threaded = list(pool.map(ratios, triples, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial

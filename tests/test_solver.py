@@ -9,12 +9,21 @@ from functools import cached_property
 
 import numpy as np
 import pytest
-from full_layout import beltrami_field, half_layout, hermitian_defect, rule_mask, to_full
+from full_layout import (
+    beltrami_field,
+    divergence_of_square,
+    half_layout,
+    hermitian_defect,
+    rule_mask,
+    spectral_shape,
+    to_full,
+)
 
 from admles.filters import (
     DeconvSpec,
     FilterSpec,
     apply_bar,
+    apply_deconv,
     apply_filter,
     deconv_symbol,
     filter_symbol,
@@ -152,7 +161,7 @@ def convection(w, order):
 def test_stepper_transforms_one_component_at_a_time():
     # a group of three would add two half layouts of the grid's shape
     ops = StepOperators(config16())
-    assert ops.work.half.shape == (1, *ops.config.grid.spectral_shape)
+    assert ops.work.half.shape == (1, *spectral_shape(ops.config.grid))
     assert ops.work.columns.shape[0] == 1
 
 
@@ -190,8 +199,6 @@ def test_nonlinear_term_order_zero_reduction():
 
 
 def test_nonlinear_orthogonality_pre_projection():
-    from admles.filters import apply_deconv
-
     g = Grid(16, 16, 16)
     w = init_field(RandomBandLimited(seed=7, band=5), g, FILT)
     dspec = DeconvSpec(FILT, 4)
@@ -486,6 +493,42 @@ def test_mixed_helicity_state_does_not_decay_exactly():
     assert decay_error(Grid(16, 16, 16), BELTRAMI_MODES, helicities, 0.75, 2) > 1e-2
 
 
+def steady_state_error(grid, theta, order, dt, t_end=1.0):
+    """max |w(T) - w*| / max |w*| of a run from a manufactured steady
+    state w*: a non-Beltrami divergence-free draw, with z* = D_N w* and
+    the forcing F = P bar div(z* x z*) + nu |k|^2 w* set on the
+    stepper, div(z* x z*) from the full transforms of
+    full_layout.divergence_of_square.  The integrating-factor Heun step
+    keeps no fixed point exactly, so the error is its O(dt^2) offset;
+    a wrong sign or factor of the nonlinear term leaves an O(1) one."""
+    filt = FilterSpec(alpha=0.5, theta=theta)
+    cfg = config16(grid=grid, nu=0.05, filter=filt, deconv_order=order, dt=dt,
+                   t_end=t_end, init=RandomBandLimited(seed=3, band=3))
+    ops = StepOperators(cfg)
+    w = initial_state(cfg).w
+    z = apply_deconv(w, DeconvSpec(filt, order))
+    conv = leray_project(apply_bar(divergence_of_square(z), filt))
+    band = w.band
+    ops.band_forcing = conv.coeffs + cfg.nu * (band.kd1**2 + band.kd2**2
+                                              + band.kd3**2) * w.coeffs
+    for state in trajectory(ops, SolverState(0.0, 0, w)):
+        pass
+    return np.max(np.abs(state.w.coeffs - w.coeffs)) / np.max(np.abs(w.coeffs))
+
+
+@pytest.mark.parametrize("grid, theta, order", [
+    (Grid(16, 16, 16), 0.75, 2),
+    (Grid(16, 16, 16), 1.0, 5),
+    (PI_BOX, 0.75, 2),
+], ids=["cube-N2", "cube-N5", "pi-box-N2"])
+def test_manufactured_steady_state_holds_to_second_order(grid, theta, order):
+    """The oracle of the nonlinear term's sign and scale, which energy
+    identities cannot see: (div(z x z), z) = 0 for any factor."""
+    coarse, fine = (steady_state_error(grid, theta, order, dt) for dt in (0.02, 0.01))
+    assert coarse <= 1e-5
+    assert 3.6 <= coarse / fine <= 4.4
+
+
 def test_shared_operators_keep_trajectories_apart():
     """Alternate steps of two states through one StepOperators give each
     the states it gets alone: no workspace content leaks across calls."""
@@ -511,7 +554,7 @@ def test_step_operators_keep_no_half_layout_array():
     half layout is kept."""
     cfg = config16(forcing=RandomBandLimited(seed=16, band=3))
     ops = StepOperators(cfg)
-    half = cfg.grid.spectral_shape
+    half = spectral_shape(cfg.grid)
     held = [name for name, value in vars(ops).items()
             if np.shape(getattr(value, "coeffs", value))[-3:] == half]
     assert held == []
@@ -521,7 +564,7 @@ def test_step_operators_keep_no_half_layout_array():
 
 def test_run_moves_nothing_between_layouts_after_setup(monkeypatch):
     """Steps and records read and write the band only: once run() has
-    set up, no Band.gather, Band.scatter or Band.embed is called."""
+    set up, no Band.embed is called."""
     calls = []
 
     def counted(method):
@@ -530,8 +573,7 @@ def test_run_moves_nothing_between_layouts_after_setup(monkeypatch):
             return method(*args, **kwargs)
         return wrapper
 
-    for method in (Band.gather, Band.scatter, Band.embed):
-        monkeypatch.setattr(Band, method.__name__, counted(method))
+    monkeypatch.setattr(Band, "embed", counted(Band.embed))
     stream = run(config16(forcing=RandomBandLimited(seed=16, band=3), t_end=0.05))
     assert calls  # setup embeds the forcing's draw in the band
     calls.clear()
@@ -701,8 +743,16 @@ def test_checkpoint_round_trip(tmp_path):
     assert state.step_index == last.step_index
     assert header["config_hash"] == "abc123"
     assert header["grid"] == [16, 16, 16]
-    assert header["format"] == "ADMCKPT2"
-    assert path.read_bytes().startswith(b"ADMCKPT2\n")
+    assert header["format"] == "ADMCKPT3"
+    assert path.read_bytes().startswith(b"ADMCKPT3\n")
+
+
+def test_checkpoint_rejects_a_state_off_the_config_grid(tmp_path):
+    cfg = config16()
+    other = config16(grid=Grid(16, 16, 16, L3=np.pi))
+    with pytest.raises(ValueError, match="not on the 2/3 band"):
+        write_checkpoint(tmp_path / "state.ckpt", initial_state(other), cfg)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_checkpoint_bytes_deterministic(tmp_path):
@@ -733,7 +783,7 @@ def test_checkpoint_write_failure_keeps_previous_file(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["state.ckpt"]
 
 
-def forged_checkpoint(header, coeffs, magic=b"ADMCKPT2\n"):
+def forged_checkpoint(header, coeffs, magic=b"ADMCKPT3\n"):
     blob = json.dumps(header).encode()
     payload = io.BytesIO()
     np.lib.format.write_array(payload, coeffs)
@@ -743,11 +793,9 @@ def forged_checkpoint(header, coeffs, magic=b"ADMCKPT2\n"):
 def test_checkpoint_rejects_foreign_file(tmp_path):
     header = {"grid": [4, 4, 4], "lengths": [1.0, 1.0, 1.0], "t": 0.0,
               "step_index": 0}
-    coeffs = np.zeros((3, 4, 4, 3), dtype=complex)
+    coeffs = np.zeros((3, 3, 3, 2), dtype=complex)  # the band |k| <= 1 of n = 4
     good = forged_checkpoint(header, coeffs)
     no_grid = {k: v for k, v in header.items() if k != "grid"}
-    outside = coeffs.copy()
-    outside[1, 2, 0, 1] = 1e-300  # row -2 of n = 4 lies outside the band |k| <= 1
     cases = {
         "junk": b"not a checkpoint",
         "cut_to_12_bytes": good[:12],
@@ -757,14 +805,13 @@ def test_checkpoint_rejects_foreign_file(tmp_path):
         "grid_not_a_list": forged_checkpoint({**header, "grid": 4}, coeffs),
         "time_not_a_number": forged_checkpoint({**header, "t": "soon"}, coeffs),
         "header_not_an_object": forged_checkpoint([1, 2], coeffs),
-        "shape_mismatch": forged_checkpoint(header, coeffs[:, :, :, :2]),
+        "shape_mismatch": forged_checkpoint(header, coeffs[:, :, :, :1]),
         "scalar_field": forged_checkpoint(header, coeffs[0]),
         "complex64_payload": forged_checkpoint(
             header, coeffs.astype(np.complex64)),
         "float64_payload": forged_checkpoint(header, coeffs.real),
-        "full_layout_in_v2": forged_checkpoint(
-            header, np.zeros((3, 4, 4, 4), dtype=complex)),
-        "content_outside_band": forged_checkpoint(header, outside),
+        "half_layout_in_v3": forged_checkpoint(
+            header, np.zeros((3, 4, 4, 3), dtype=complex)),
         "grid_entry_a_float": forged_checkpoint({**header, "grid": [4.0, 4, 4]}, coeffs),
         "grid_entry_a_boolean": forged_checkpoint({**header, "grid": [4, True, 4]}, coeffs),
         "length_a_string": forged_checkpoint({**header, "lengths": [1.0, "1", 1.0]}, coeffs),
@@ -781,14 +828,17 @@ def test_checkpoint_rejects_foreign_file(tmp_path):
         path.write_bytes(content)
         with pytest.raises(ValueError, match=re.escape(str(path))):
             read_checkpoint(path)
-    path = tmp_path / "content_outside_band.bin"
-    with pytest.raises(ValueError, match=re.escape(str(path)) + ".*outside the 2/3 band"):
+    path = tmp_path / "half_layout_in_v3.bin"
+    with pytest.raises(ValueError, match=re.escape(str(path)) + r".*\(3, 3, 3, 2\)"):
         read_checkpoint(path)
-    # the full-layout ADMCKPT1 format is no longer read
-    path = tmp_path / "v1_magic.bin"
-    path.write_bytes(forged_checkpoint(header, coeffs, b"ADMCKPT1\n"))
-    with pytest.raises(ValueError, match=re.escape(str(path)) + ".*bad magic"):
-        read_checkpoint(path)
+    # the full-layout ADMCKPT1 and half-layout ADMCKPT2 formats are no
+    # longer read
+    for version, half in ((1, np.zeros((3, 4, 4, 4), complex)),
+                          (2, np.zeros((3, 4, 4, 3), complex))):
+        path = tmp_path / f"v{version}_magic.bin"
+        path.write_bytes(forged_checkpoint(header, half, f"ADMCKPT{version}\n".encode()))
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*bad magic"):
+            read_checkpoint(path)
     path = tmp_path / "good.bin"
     path.write_bytes(good)
     state, _ = read_checkpoint(path)
