@@ -8,10 +8,11 @@ Subcommands
     spectrum             vertical energy spectrum of a checkpoint
 
 Every run writes a ``manifest.json`` (config echo, hash, versions, seed,
-wall time, assertion outcomes) next to its CSV artifacts.  CSV content is
-a pure function of config + seed: floats are serialized with ``repr`` and
-each file opens with a ``# config_hash=...`` comment line, so artifacts
-from different configurations cannot be mixed silently.
+wall time, telemetry, assertion outcomes) next to its CSV artifacts.
+CSV content is a pure function of config + seed: floats are serialized
+with ``repr`` and each file opens with a ``# config_hash=...`` comment
+line, so artifacts from different configurations cannot be mixed
+silently.
 
 Exit codes: 0 success, 1 validation error, 2 embedded assertion failure,
 3 runtime abort (CFL violation or non-finite state).
@@ -23,6 +24,7 @@ import argparse
 import json
 import math
 import platform
+import resource
 import sys
 import time
 from pathlib import Path
@@ -311,6 +313,19 @@ def _build_parser() -> _Parser:
 _PARSER = _build_parser()
 
 
+def _telemetry(wall: float, steps: int | None) -> dict:
+    """The process's peak resident set (MiB) and minor page faults so
+    far, from getrusage, and for a run that stepped, its steps per
+    second of wall time.  These vary from run to run, so they go in the
+    manifest only, never in a CSV or a checkpoint."""
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    telemetry = {"peak_rss_mb": usage.ru_maxrss / 1024.0,
+                 "minor_faults": usage.ru_minflt}
+    if steps is not None:
+        telemetry["steps_per_s"] = steps / wall
+    return telemetry
+
+
 def main(argv=None) -> int:
     try:
         args = _PARSER.parse_args(argv)
@@ -365,6 +380,7 @@ def main(argv=None) -> int:
             "python": platform.python_version(),
         },
         "wall_time_seconds": wall,
+        "telemetry": _telemetry(wall, ctx.steps_completed),
         "outputs": ctx.outputs,
         "assertions": ctx.assertions,
     }

@@ -24,7 +24,7 @@ cutoffs on a grid for as long as anything holds it, so every field of a
 box shares its lines and its sampling scratch (Band.workspace, one per
 thread).  A Band holds its grid, and nothing the grid keeps holds a
 Band, so reference counting frees both.  The half layout itself is only
-transform scratch, held by a BandWorkspace.
+transform scratch, held one slab of planes at a time by a BandWorkspace.
 """
 
 from __future__ import annotations
@@ -33,10 +33,17 @@ import threading
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
+
+# The byte budget of one slab of half-layout planes in a BandWorkspace:
+# the transforms hold this much of a half layout at a time, whatever the
+# grid.  It exceeds the (3, 22, 22, 22) workspace of the inequality
+# bench, 511,104 bytes, so that runs as one slab.
+SLAB_BYTES = 512 * 1024
 
 
 def check_rules(errors: list[str]) -> None:
@@ -174,12 +181,17 @@ class BandWorkspace:
     groups of `components` components, each pass once per group; the
     forward uses group member 0.  `columns` (components, m1, 2 K2 + 1,
     K3 + 1) is the input of the inverse's axis -3 pass and the output of
-    the forward's; `half` (components, m1, m2, m3/2 + 1) the irfft input
-    and rfft output.  Each transform zeroes the padding the other may
-    have overwritten.  `product` (one real product of samples), `mode`
-    and `term` (one band-shaped component each) are the scratch of
-    band_divergence and the stepper's projection, built on first use, so
-    a sampling workspace holds `columns` and `half` only.
+    the forward's, for all m1 planes.  Every other pass works plane by
+    plane along axis 0, so the transforms stream the samples through
+    slabs of `slab` planes: `half` (components, slab, m2, m3/2 + 1) is
+    the irfft input and rfft output of one slab, and `slab` is the most
+    planes of it that fit SLAB_BYTES (at least one, at most m1), so a
+    layout under the budget is one slab.  Each transform zeroes the
+    padding the other may have overwritten.  `product` (one slab of a
+    real product of samples), `mode` and `term` (one band-shaped
+    component each) are the scratch of band_divergence, the stepper's
+    speed check and its projection, built on first use, so a sampling
+    workspace holds `columns` and `half` only.
     """
 
     def __init__(self, band: Band, shape: tuple[int, int, int] | None = None,
@@ -187,12 +199,22 @@ class BandWorkspace:
         m1, m2, m3 = self.shape = shape or band.grid.shape
         self.cols, self.band_shape = band.cols, band.shape
         self.rows1, self.rows2 = band.rows_on(self.shape)
+        plane = components * m2 * (m3 // 2 + 1) * np.dtype(np.complex128).itemsize
+        self.slab = min(m1, max(1, SLAB_BYTES // plane))
         self.columns = np.zeros((components, m1, *band.shape[1:]), dtype=np.complex128)
-        self.half = np.zeros((components, m1, m2, m3 // 2 + 1), dtype=np.complex128)
+        self.half = np.zeros((components, self.slab, m2, m3 // 2 + 1),
+                             dtype=np.complex128)
+
+    def slabs(self) -> Iterator[slice]:
+        """The slabs of planes along axis 0 that the transforms stream
+        through, in order; the last may be short."""
+        m1 = self.shape[0]
+        return (slice(first, min(first + self.slab, m1))
+                for first in range(0, m1, self.slab))
 
     @cached_property
     def product(self) -> np.ndarray:
-        return np.empty(self.shape)
+        return np.empty((self.slab, *self.shape[1:]))
 
     @cached_property
     def mode(self) -> np.ndarray:

@@ -284,8 +284,9 @@ class NaNError(SolverAbort):
 class StepOperators:
     """Per-config multipliers on the 2/3 band, the raw forcing
     (forcing_raw, for the records) and the stepper's workspace: no half
-    layout.  A step works on the band lines and on buffers that every
-    step and every band_rhs call overwrites and never hands out, so one
+    layout, and one array of the grid's size, the samples of D w.  A
+    step works on the band lines and on buffers that every step and
+    every band_rhs call overwrites and never hands out, so one
     StepOperators can serve several trajectories stepped in turn.
     """
 
@@ -304,26 +305,40 @@ class StepOperators:
         self.band_deconv = symbols.deconv[..., band.cols]
         self.band_bar = symbols.bar[..., band.cols]
         self.band_forcing = self.forcing_raw.coeffs / symbols.filter[..., band.cols]
-        # workspace: the two stages and the predictor on the band, the
-        # samples of D w and their squared magnitude
-        self.k1, self.k2, self.predictor = (
-            np.empty((3, *band.shape), dtype=np.complex128) for _ in range(3))
+        # workspace: the first stage and the predictor (then the second
+        # stage) on the band, the samples of D w, and the transforms'
+        # slabs
+        self.k1, self.predictor = (
+            np.empty((3, *band.shape), dtype=np.complex128) for _ in range(2))
         self.samples = np.empty((3, *grid.shape))
-        self.speed_squared = np.empty(grid.shape)
         self.work = BandWorkspace(band)
 
-    def band_rhs(self, w: np.ndarray, out: np.ndarray,
-                 square_sum: np.ndarray | None = None) -> np.ndarray:
+    def band_rhs(self, w: np.ndarray, out: np.ndarray) -> np.ndarray:
         """g(w) of band coefficients into `out`, which holds D w on the
-        way.  `square_sum`, if given, receives |D w|^2 at the samples
-        the nonlinear term builds."""
+        way and may be `w`: only the first multiply reads `w`.  The
+        samples of D w stay in `samples` until the next call."""
         work = self.work
         z = np.multiply(w, self.band_deconv, out=out)
         zs = band_inverse(z, self.samples, work)
-        conv = band_divergence(self.band, zs, out, work, square_sum)
+        conv = band_divergence(self.band, zs, out, work)
         conv *= self.band_bar
         project_coeffs(self.band, conv, conv, work.mode, work.term)
         return np.subtract(self.band_forcing, conv, out=out)
+
+    def max_speed_squared(self) -> float:
+        """max |D w|^2 over the samples the last band_rhs built, summed
+        as np.sum(samples**2, axis=0) does, one slab of planes at a time
+        in the workspace's product; np.max of the slab maxima keeps a
+        NaN."""
+        square = self.work.product
+        maxima = []
+        for planes in self.work.slabs():
+            u0, u1, u2 = self.samples[:, planes]
+            sq = np.multiply(u0, u0, out=square[:len(u0)])
+            sq += u1 * u1
+            sq += u2 * u2
+            maxima.append(np.max(sq))
+        return np.max(maxima)
 
 
 def step(state: SolverState, ops: StepOperators) -> SolverState:
@@ -331,12 +346,13 @@ def step(state: SolverState, ops: StepOperators) -> SolverState:
     factor, from the band of the state to a fresh one.
 
     The CFL speed comes from the first right-hand side evaluation, which
-    already holds the samples of Dw.
+    already holds the samples of Dw.  The second stage overwrites the
+    predictor it is evaluated at.
     """
     dt = ops.config.dt
-    w, k1, k2, predictor = state.w.coeffs, ops.k1, ops.k2, ops.predictor
-    ops.band_rhs(w, k1, ops.speed_squared)
-    speed = float(np.sqrt(np.max(ops.speed_squared)))
+    w, k1, predictor = state.w.coeffs, ops.k1, ops.predictor
+    ops.band_rhs(w, k1)
+    speed = float(np.sqrt(ops.max_speed_squared()))
     cfl = dt * speed * ops.kmax
     if cfl > CFL_LIMIT:
         raise CFLError(
@@ -348,7 +364,7 @@ def step(state: SolverState, ops: StepOperators) -> SolverState:
     np.multiply(dt, k1, out=predictor)
     predictor += w
     predictor *= e
-    ops.band_rhs(predictor, k2)
+    k2 = ops.band_rhs(predictor, predictor)
     k1 *= e
     k1 += k2
     k1 *= 0.5 * dt
@@ -547,10 +563,13 @@ def read_checkpoint(path):
     Reads ADMCKPT3 only; the half-layout ADMCKPT2 and full-layout
     ADMCKPT1 files fail on their magic.  Anything but a complete
     checkpoint raises ValueError naming the path: a bad magic, a short
-    read, a missing or ill-typed header key (grid entries and step_index
-    must be integers, step_index nonnegative, t and lengths real and t
-    finite), or coefficients that are not complex128 of shape
-    (3, *grid.band.shape).
+    read, bytes after the coefficients, a missing or ill-typed header
+    key (grid entries and step_index must be integers, step_index
+    nonnegative, t and lengths real and t finite), or coefficients that
+    are not complex128 of shape (3, *grid.band.shape) or not all finite.
+    write_checkpoint writes neither trailing bytes nor a non-finite
+    state, since step raises NaNError first, so either means a corrupt
+    file.
     """
     import json
     import struct
@@ -571,6 +590,9 @@ def read_checkpoint(path):
             coeffs = np.lib.format.read_array(fh)
         except ValueError as exc:  # also JSON, UTF-8 and npy EOF errors
             raise ValueError(f"{path}: corrupt checkpoint: {exc}") from exc
+        if fh.read(1):
+            raise ValueError(f"{path}: corrupt checkpoint: bytes after the "
+                             f"coefficients")
     try:
         n1, n2, n3 = header["grid"]
         l1, l2, l3 = header["lengths"]
@@ -601,4 +623,6 @@ def read_checkpoint(path):
             f"{path}: coefficients {coeffs.dtype} {coeffs.shape} are not "
             f"complex128 {shape}"
         )
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError(f"{path}: corrupt checkpoint: non-finite coefficients")
     return SolverState(float(t), step_index, VectorField(band, coeffs)), header

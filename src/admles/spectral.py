@@ -27,12 +27,16 @@ products come back through band_forward: irfftn and rfftn pruned to a
 box of coefficients on any grid shape that holds it, the same 1-D
 passes in the same order over only the lines the box feeds or needs,
 so the retained values are the full transforms' bit for bit.  The
-half layout (..., n1, n2, n3/2 + 1) is their scratch only, held by a
-grid.BandWorkspace of the box, the samples' shape and a component
-count: band_inverse runs each pass once per group of that many
-components, which changes no bit, as numpy transforms every line on its
-own.  The stepper and tensor_divergence run them on the 2/3 band of the
-grid, one component at a time, on a workspace of their own.
+half layout (..., n1, n2, n3/2 + 1) is their scratch only, held one
+slab of planes along axis 0 at a time by a grid.BandWorkspace of the
+box, the samples' shape and a component count: every pass but the
+inverse's first and the forward's last works plane by plane, so the
+transforms stream the samples through slabs, and band_inverse runs each
+pass once per group of that many components.  Neither changes a bit,
+as numpy transforms every line on its own.  The stepper and
+tensor_divergence run them on the 2/3 band of the grid, one component
+at a time, on a workspace of their own, and form each product of
+samples one slab at a time inside band_forward.
 fine_samples, the one 3-D trigonometric upsampler, runs band_inverse
 from a field's box onto any shape, and convective_inner from each of
 three fields' boxes, every component of a field in one group, on the
@@ -193,9 +197,12 @@ def band_inverse(coeffs: np.ndarray, out: np.ndarray, work: BandWorkspace) -> np
     in its order (ifft on axis -3, ifft on axis -2, irfft on axis -1),
     each over only the lines whose input is not all zero, and each once
     per group of the workspace's components (the last group may be
-    short).  numpy transforms every line on its own, so the samples are
-    irfftn's of the scattered coefficients bit for bit, whatever the
-    group size.
+    short).  The first pass runs in place on `work.columns`, over every
+    plane; the other two run slab by slab (work.slabs) through
+    `work.half`, each slab's irfft writing its planes of `out`.  numpy
+    transforms every line on its own, so the samples are irfftn's of the
+    scattered coefficients bit for bit, whatever the group size and the
+    slab height.
     """
     cols, size = work.cols, len(work.half)
     (_, low1), (_, high1) = work.rows1
@@ -203,56 +210,62 @@ def band_inverse(coeffs: np.ndarray, out: np.ndarray, work: BandWorkspace) -> np
     work.half[..., cols.stop:] = 0
     for start in range(0, len(coeffs), size):
         c, samples = coeffs[start:start + size], out[start:start + size]
-        pad, half = work.columns[:len(c)], work.half[:len(c)]
+        pad = work.columns[:len(c)]
         pad[:, low1.stop:high1.start] = 0
         for b, h in work.rows1:
             pad[:, h] = c[:, b]
-        for b, h in work.rows2:
-            np.fft.ifft(pad[..., b, :], axis=-3, norm="forward", out=half[..., h, cols])
-        half[..., low2.stop:high2.start, cols] = 0
-        np.fft.ifft(half[..., cols], axis=-2, norm="forward", out=half[..., cols])
-        np.fft.irfft(half, n=samples.shape[-1], axis=-1, norm="forward", out=samples)
+        np.fft.ifft(pad, axis=-3, norm="forward", out=pad)
+        for planes in work.slabs():
+            half = work.half[:len(c), :planes.stop - planes.start]
+            for b, h in work.rows2:
+                half[..., h, cols] = pad[:, planes, b]
+            half[..., low2.stop:high2.start, cols] = 0
+            np.fft.ifft(half[..., cols], axis=-2, norm="forward", out=half[..., cols])
+            np.fft.irfft(half, n=samples.shape[-1], axis=-1, norm="forward",
+                         out=samples[:, planes])
     return out
 
 
-def band_forward(samples: np.ndarray, out: np.ndarray,
-                 work: BandWorkspace) -> np.ndarray:
-    """Box coefficients of real samples (m1, m2, m3) into `out`: the
-    passes of rfftn in its order (rfft on axis -1, fft on axis -2, fft
-    on axis -3), keeping only box columns, then box rows, after each.
-    Bit for bit the box of rfftn(samples, norm="forward").
+def band_forward(samples: np.ndarray, out: np.ndarray, work: BandWorkspace,
+                 other: np.ndarray | None = None) -> np.ndarray:
+    """Box coefficients of real samples (m1, m2, m3) into `out`, or of
+    the product samples * other if `other` is given: the passes of
+    rfftn in its order (rfft on axis -1, fft on axis -2, fft on axis
+    -3), keeping only box columns, then box rows, after each.  The first
+    two run slab by slab (work.slabs) through `work.half`, each slab's
+    product formed in `work.product`, and leave their box rows in
+    `work.columns`; the last runs there in place, over every plane.  Bit
+    for bit the box of rfftn(samples * other, norm="forward").
     """
-    half, pad = work.half[0], work.columns[0]
-    columns = half[..., work.cols]
-    np.fft.rfft(samples, axis=-1, norm="forward", out=half)
-    np.fft.fft(columns, axis=-2, norm="forward", out=columns)
-    for b, h in work.rows2:
-        np.fft.fft(columns[:, h], axis=-3, norm="forward", out=pad[:, b])
+    pad = work.columns[0]
+    for planes in work.slabs():
+        block = samples[planes]
+        if other is not None:
+            block = np.multiply(block, other[planes], out=work.product[:len(block)])
+        half = work.half[0, :len(block)]
+        columns = half[..., work.cols]
+        np.fft.rfft(block, axis=-1, norm="forward", out=half)
+        np.fft.fft(columns, axis=-2, norm="forward", out=columns)
+        for b, h in work.rows2:
+            pad[planes, b] = columns[:, h]
+    np.fft.fft(pad, axis=-3, norm="forward", out=pad)
     for b, h in work.rows1:
         out[b] = pad[h]
     return out
 
 
-def band_divergence(band: Band, us: np.ndarray, out: np.ndarray, work: BandWorkspace,
-                    square_sum: np.ndarray | None = None) -> np.ndarray:
+def band_divergence(band: Band, us: np.ndarray, out: np.ndarray,
+                    work: BandWorkspace) -> np.ndarray:
     """div(u x u) on `band`, the box of `work`, from the samples of u,
     into `out` (3, *band.shape): component j is i sum_i kd_i FT(u_i u_j),
-    from the six products u_i u_j with i <= j.
-
-    `square_sum`, if given, receives sum_i u_i^2 at the samples, in the
-    order of np.sum(us**2, axis=0).
+    from the six products u_i u_j with i <= j, each formed one slab at a
+    time inside band_forward, so no product of the whole grid is held.
     """
     kd = (band.kd1, band.kd2, band.kd3)
-    prod, mode, term = work.product, work.mode, work.term
+    mode, term = work.mode, work.term
     out[...] = 0
     for i, j in _SYMMETRIC_PAIRS:
-        np.multiply(us[i], us[j], out=prod)
-        if square_sum is not None and i == j:
-            if i == 0:
-                square_sum[...] = prod
-            else:
-                square_sum += prod
-        band_forward(prod, mode, work)
+        band_forward(us[i], mode, work, us[j])
         out[j] += np.multiply(kd[i], mode, out=term)  # d_i (u_i u_j)
         if i != j:
             out[i] += np.multiply(kd[j], mode, out=term)  # d_j (u_j u_i)

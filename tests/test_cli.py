@@ -303,6 +303,22 @@ def test_spectrum_rejects_malformed_checkpoint(tmp_path, capsys):
     assert err[0].startswith("error: ") and str(cut) in err[0]
 
 
+def test_spectrum_rejects_checkpoint_with_trailing_bytes(tmp_path, capsys):
+    sim_cfg = write(tmp_path / "sim.ini", "[solver]\nt_end = 0.01\n")
+    sim_out = tmp_path / "sim"
+    assert run_cli("simulate", "--config", sim_cfg, "--output", str(sim_out),
+                   "--quiet") == 0
+    padded = tmp_path / "padded.ckpt"
+    padded.write_bytes((sim_out / "state.ckpt").read_bytes() + bytes(700))
+    spec_cfg = write(tmp_path / "spec.ini", f"[spectrum]\ncheckpoint = {padded}\n")
+    assert run_cli("spectrum", "--config", spec_cfg,
+                   "--output", str(tmp_path / "spec"), "--quiet") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ") and str(padded) in err[0]
+    assert "bytes after the coefficients" in err[0]
+
+
 def test_config_hash_stamped_everywhere(tmp_path):
     cfg = write(tmp_path / "run.ini", "[solver]\nt_end = 0.02\n")
     out = tmp_path / "out"
@@ -330,6 +346,31 @@ def test_manifest_versions_and_wall_time(tmp_path):
     assert manifest["wall_time_seconds"] > 0
     assert manifest["seed"] == 0
     assert manifest["config"]["operators"]["k3_max"] == 4
+
+
+def test_manifest_telemetry(tmp_path):
+    """peak RSS and minor faults for every run, steps/s for simulate; the
+    artifacts stay byte-identical across runs, since none of it enters a
+    CSV or a checkpoint."""
+    cfg = write(tmp_path / "sim.ini", "[solver]\nt_end = 0.03\n")
+    outs = [tmp_path / name for name in ("a", "b")]
+    for out in outs:
+        assert run_cli("simulate", "--config", cfg, "--output", str(out),
+                       "--quiet") == 0
+    telemetry = read_manifest(outs[0])["telemetry"]
+    assert sorted(telemetry) == ["minor_faults", "peak_rss_mb", "steps_per_s"]
+    assert telemetry["peak_rss_mb"] > 0
+    assert isinstance(telemetry["minor_faults"], int) and telemetry["minor_faults"] >= 0
+    steps = read_checkpoint(outs[0] / "state.ckpt")[0].step_index
+    wall = read_manifest(outs[0])["wall_time_seconds"]
+    assert telemetry["steps_per_s"] == steps / wall
+    for name in ("diagnostics.csv", "state.ckpt"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    ops_cfg = write(tmp_path / "ops.ini", "[operators]\nk3_max = 2\n")
+    out = tmp_path / "ops"
+    assert run_cli("verify-operators", "--config", ops_cfg, "--output", str(out),
+                   "--quiet") == 0
+    assert sorted(read_manifest(out)["telemetry"]) == ["minor_faults", "peak_rss_mb"]
 
 
 def test_usage_error_exit_code(capsys):

@@ -19,6 +19,7 @@ from full_layout import (
     to_full,
 )
 
+from admles import solver
 from admles.filters import (
     DeconvSpec,
     FilterSpec,
@@ -54,6 +55,7 @@ from admles.solver import (
 from admles.spectral import (
     FieldNorms,
     VectorField,
+    band_inverse,
     divergence_residual,
     field_from_samples,
     inner_product,
@@ -163,6 +165,91 @@ def test_stepper_transforms_one_component_at_a_time():
     ops = StepOperators(config16())
     assert ops.work.half.shape == (1, *spectral_shape(ops.config.grid))
     assert ops.work.columns.shape[0] == 1
+
+
+@pytest.mark.parametrize("order", [0, 2], ids=["N0", "N2"])
+@pytest.mark.parametrize("grid", [Grid(16, 16, 16), Grid(12, 16, 24, L3=np.pi)],
+                         ids=["cube", "12x16x24"])
+def test_slabs_keep_the_bits_of_a_step(force_slab, grid, order):
+    """The stepper streams its transforms through slabs of planes: one
+    plane at a time and slabs of 5 with a short last one give the bits
+    of one slab, in band_divergence (through tensor_divergence) and in
+    two whole steps."""
+    cfg = config16(grid=grid, deconv_order=order, forcing=TaylorGreen(),
+                   init=RandomBandLimited(seed=21, band=3))
+    start = initial_state(cfg)
+
+    def stepped():
+        ops = StepOperators(cfg)
+        first = step(start, ops)
+        bits = [first.w.coeffs.tobytes(), step(first, ops).w.coeffs.tobytes(),
+                tensor_divergence(first.w).coeffs.tobytes()]
+        return ops.work.slab, bits
+
+    slab, one = stepped()
+    assert slab == grid.n1
+    for planes in (1, 5):
+        force_slab(planes, grid.shape)
+        assert stepped() == (planes, one)
+
+
+def test_cfl_speed_read_slab_by_slab_keeps_the_bits(force_slab):
+    cfg = config16(init=RandomBandLimited(seed=8, band=5), deconv_order=2)
+    w = initial_state(cfg).w.coeffs
+    for planes in (None, 1, 5):
+        force_slab(planes, cfg.grid.shape)
+        ops = StepOperators(cfg)
+        ops.band_rhs(w, ops.k1)
+        expect = np.sqrt(np.max(np.sum(ops.samples**2, axis=0)))
+        assert np.sqrt(ops.max_speed_squared()).tobytes() == expect.tobytes()
+
+
+def test_a_nan_sample_in_a_later_slab_aborts_as_non_finite(force_slab, monkeypatch):
+    """The slab maxima are reduced by np.max, so a NaN in the last slab
+    wins over a CFL violation in the first: the step raises NaNError."""
+    cfg = config16()
+    force_slab(5, cfg.grid.shape)
+
+    def spoiled(coeffs, out, work):
+        band_inverse(coeffs, out, work)
+        out[0, 0, 0, 0] = 1e100
+        out[0, -1, 0, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(solver, "band_inverse", spoiled)
+    ops = StepOperators(cfg)
+    assert ops.work.slab == 5
+    with pytest.raises(NaNError):
+        step(initial_state(cfg), ops)
+
+
+def test_stepper_holds_one_grid_sized_array():
+    """At 64^3 the samples of D w are the one array of the grid's size
+    that a StepOperators and its workspace hold: the transforms stream
+    their half layout and products through slabs of planes, and the
+    second stage overwrites the predictor.  A warm step allocates the
+    new state, up to two slabs and band-sized temporaries."""
+    g = Grid(64, 64, 64)
+    cfg = config16(grid=g, init=RandomBandLimited(seed=3, band=4),
+                   forcing=RandomBandLimited(seed=4, band=3), dt=0.001, t_end=0.002)
+    ops = StepOperators(cfg)
+    state = step(initial_state(cfg), ops)  # builds the scratch made on first use
+    held = {prefix + name: getattr(value, "coeffs", value)
+            for prefix, owner in (("", ops), ("work.", ops.work))
+            for name, value in vars(owner).items()}
+    large = [name for name, value in held.items()
+             if isinstance(value, np.ndarray) and value.nbytes >= 8 * g.n1 * g.n2 * g.n3]
+    assert large == ["samples"]
+    assert ops.work.half.shape[1] < g.n1
+    assert len(ops.work.product) < g.n1
+    tracemalloc.start()
+    try:
+        step(state, ops)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    new_state = 3 * np.prod(g.band.shape) * 16
+    assert peak <= new_state + 2 * ops.work.product.nbytes + new_state // 3
 
 
 def bar_line(cfg):
@@ -796,6 +883,8 @@ def test_checkpoint_rejects_foreign_file(tmp_path):
     coeffs = np.zeros((3, 3, 3, 2), dtype=complex)  # the band |k| <= 1 of n = 4
     good = forged_checkpoint(header, coeffs)
     no_grid = {k: v for k, v in header.items() if k != "grid"}
+    with_nan = coeffs.copy()
+    with_nan[1, 2, 0, 1] = np.nan
     cases = {
         "junk": b"not a checkpoint",
         "cut_to_12_bytes": good[:12],
@@ -822,6 +911,8 @@ def test_checkpoint_rejects_foreign_file(tmp_path):
         "time_a_boolean": forged_checkpoint({**header, "t": True}, coeffs),
         "time_nan": forged_checkpoint({**header, "t": float("nan")}, coeffs),
         "time_infinite": forged_checkpoint({**header, "t": float("inf")}, coeffs),
+        "junk_after_payload": good + bytes(700),
+        "nan_in_payload": forged_checkpoint(header, with_nan),
     }
     for name, content in cases.items():
         path = tmp_path / f"{name}.bin"

@@ -274,21 +274,34 @@ def test_leray_project_reads_only_the_band(g):
     assert not np.signbit(zeros.real).any() and not np.signbit(zeros.imag).any()
 
 
-@pytest.mark.parametrize("g", [Grid(16, 16, 16), ODD_BOX], ids=["cube", "odd box"])
-def test_pruned_transforms_equal_full_ones_bitwise(g):
+# slab heights: the whole grid, one plane, and 5, which leaves a short
+# last slab on 16, 12 and 22 planes
+SLAB_HEIGHTS = (None, 1, 5)
+
+
+@pytest.mark.parametrize("g", [Grid(16, 16, 16), ODD_BOX, Grid(12, 16, 24, L3=np.pi)],
+                         ids=["cube", "odd box", "12x16x24"])
+def test_pruned_transforms_equal_full_ones_bitwise(g, force_slab):
     rng = np.random.default_rng(35)
     band = g.band
-    work = BandWorkspace(band)
     samples = rng.standard_normal(g.shape)
+    other = rng.standard_normal(g.shape)
     coeffs = rng.standard_normal((3, *band.shape, 2)).view(complex)[..., 0]
-    for _ in range(2):  # the second round reuses buffers the first overwrote
-        got = band_forward(samples, np.empty(band.shape, complex), work)
-        ref = np.fft.rfftn(samples, axes=AXES, norm="forward")
-        assert np.array_equal(got, gather(band, ref))
-        got = band_inverse(coeffs, np.empty((3, *g.shape)), work)
-        ref = np.fft.irfftn(scatter(band, coeffs), s=g.shape, axes=AXES,
-                            norm="forward")
-        assert np.array_equal(got, ref)
+    for planes in SLAB_HEIGHTS:
+        force_slab(planes, g.shape)
+        work = BandWorkspace(band)
+        assert work.slab == (planes or g.n1)
+        for _ in range(2):  # the second round reuses buffers the first overwrote
+            got = band_forward(samples, np.empty(band.shape, complex), work)
+            ref = np.fft.rfftn(samples, axes=AXES, norm="forward")
+            assert np.array_equal(got, gather(band, ref))
+            got = band_forward(samples, np.empty(band.shape, complex), work, other)
+            ref = np.fft.rfftn(samples * other, axes=AXES, norm="forward")
+            assert np.array_equal(got, gather(band, ref))
+            got = band_inverse(coeffs, np.empty((3, *g.shape)), work)
+            ref = np.fft.irfftn(scatter(band, coeffs), s=g.shape, axes=AXES,
+                                norm="forward")
+            assert np.array_equal(got, ref)
 
 
 @pytest.mark.parametrize("target", [
@@ -322,25 +335,35 @@ def test_pruned_inverse_equals_irfftn_on_any_box_and_shape(g, cutoffs, target):
     (Grid(32, 32, 32), (5, 5, 5), (16, 16, 16), 9, 9),
     (Grid(12, 16, 24, L3=np.pi), None, None, 3, 3),
     (Grid(12, 16, 24, L3=np.pi), (3, 3, 3), (12, 16, 24), 1, 3),
-    (Grid(16, 16, 16), (5, 5, 5), (16, 16, 16), 15, 4)],
+    (Grid(16, 16, 16), (5, 5, 5), (16, 16, 16), 15, 4),
+    (Grid(12, 16, 24, L3=np.pi), None, None, 3, 1)],
     ids=["22x22x42", "12x12x22", "16^3, 9 components", "12x16x24 grid band",
-         "12x16x24 scalar in a group of 3", "15 components in groups of 4"])
-def test_band_inverse_group_size_keeps_the_bits(g, cutoffs, shape, count, group):
+         "12x16x24 scalar in a group of 3", "15 components in groups of 4",
+         "12x16x24 one component per group"])
+def test_band_inverse_group_size_keeps_the_bits(g, cutoffs, shape, count, group,
+                                                force_slab):
     # each pass runs once per group of components, and numpy transforms
-    # every line on its own: the samples of one component at a time
+    # every line on its own: the samples of one component at a time, in
+    # one slab, whatever the group size and the slab height
     rng = np.random.default_rng(49)
     box = Band(g, cutoffs or g.band.cutoffs)
     shape = shape or g.shape
     coeffs = rng.standard_normal((count, *box.shape, 2)).view(complex)[..., 0]
-    one = band_inverse(coeffs, np.empty((count, *shape)), BandWorkspace(box, shape))
-    work = BandWorkspace(box, shape, group)
-    assert work.half.shape[0] == work.columns.shape[0] == group
-    for _ in range(2):  # the second round reuses the buffers of the first
+    whole = BandWorkspace(box, shape)
+    assert whole.slab == shape[0]
+    one = band_inverse(coeffs, np.empty((count, *shape)), whole)
+    for planes in SLAB_HEIGHTS:
+        force_slab(planes, shape, group)
+        work = BandWorkspace(box, shape, group)
+        assert work.half.shape[0] == work.columns.shape[0] == group
+        assert work.slab == (planes or shape[0])
+        for _ in range(2):  # the second round reuses the buffers of the first
+            got = band_inverse(coeffs, np.empty((count, *shape)), work)
+            assert got.tobytes() == one.tobytes()
+        # a forward transform through group member 0 leaves nothing behind
+        band_forward(rng.standard_normal(shape), np.empty(box.shape, complex), work)
         got = band_inverse(coeffs, np.empty((count, *shape)), work)
         assert got.tobytes() == one.tobytes()
-    # a forward transform through group member 0 leaves nothing behind
-    band_forward(rng.standard_normal(shape), np.empty(box.shape, complex), work)
-    assert band_inverse(coeffs, np.empty((count, *shape)), work).tobytes() == one.tobytes()
 
 
 def test_shared_sampling_workspaces_do_not_alias():
