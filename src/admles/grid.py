@@ -188,10 +188,18 @@ class BandWorkspace:
     planes of it that fit SLAB_BYTES (at least one, at most m1), so a
     layout under the budget is one slab.  Each transform zeroes the
     padding the other may have overwritten.  `product` (one slab of a
-    real product of samples), `mode` and `term` (one band-shaped
-    component each) are the scratch of band_divergence, the stepper's
-    speed check and its projection, built on first use, so a sampling
-    workspace holds `columns` and `half` only.
+    real product of samples) and `mode` (one band-shaped component) are
+    the scratch of band_divergence, the stepper's speed check and its
+    projection, built on first use, so a sampling workspace holds
+    `columns` and `half` only.  `term`, their second band-shaped
+    component, shares `columns`: it is a view of its first 2 K1 + 1
+    planes, which always fit, as m1 >= 2 K1 + 1.  Each transform writes
+    every part of `columns` and `half` that it reads before reading it,
+    so `term` is free from a band_forward's return to the next
+    transform, and `half` between transforms; `mode` is free once its
+    holder has read it (band_divergence returns with it free).  The
+    stepper squares its speeds into `half`, and bars its forcing into
+    `mode` after its projection.
     """
 
     def __init__(self, band: Band, shape: tuple[int, int, int] | None = None,
@@ -222,7 +230,7 @@ class BandWorkspace:
 
     @cached_property
     def term(self) -> np.ndarray:
-        return np.empty(self.band_shape, dtype=np.complex128)
+        return self.columns[0, :self.band_shape[0]]
 
 
 @dataclass(frozen=True)

@@ -282,11 +282,13 @@ class NaNError(SolverAbort):
 
 
 class StepOperators:
-    """Per-config multipliers on the 2/3 band, the raw forcing
-    (forcing_raw, for the records) and the stepper's workspace: no half
-    layout, and one array of the grid's size, the samples of D w.  A
-    step works on the band lines and on buffers that every step and
-    every band_rhs call overwrites and never hands out, so one
+    """Per-config multipliers on the 2/3 band, the raw forcing f
+    (forcing_raw, which the records read too, and which band_rhs bars
+    one component at a time) and the stepper's workspace: one band
+    vector, the first stage k1, and one array of the grid's size, the
+    samples of D w; the transforms' slabs and band-shaped scratch are in
+    `work`.  A step works on the band lines and on buffers that every
+    step and every band_rhs call overwrites and never hands out, so one
     StepOperators can serve several trajectories stepped in turn.
     """
 
@@ -304,39 +306,45 @@ class StepOperators:
         self.band_viscous = np.exp(-config.nu * config.dt * ksq)
         self.band_deconv = symbols.deconv[..., band.cols]
         self.band_bar = symbols.bar[..., band.cols]
-        self.band_forcing = self.forcing_raw.coeffs / symbols.filter[..., band.cols]
-        # workspace: the first stage and the predictor (then the second
-        # stage) on the band, the samples of D w, and the transforms'
-        # slabs
-        self.k1, self.predictor = (
-            np.empty((3, *band.shape), dtype=np.complex128) for _ in range(2))
+        self.band_filter = symbols.filter[..., band.cols]
+        # workspace: the first stage on the band, the samples of D w, and
+        # the transforms' slabs
+        self.k1 = np.empty((3, *band.shape), dtype=np.complex128)
         self.samples = np.empty((3, *grid.shape))
         self.work = BandWorkspace(band)
 
     def band_rhs(self, w: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """g(w) of band coefficients into `out`, which holds D w on the
-        way and may be `w`: only the first multiply reads `w`.  The
-        samples of D w stay in `samples` until the next call."""
+        """g(w) = bar f - P bar div(D w x D w) of band coefficients into
+        `out`, which holds D w on the way and may be `w`: only the first
+        multiply reads `w`.  bar f is formed one component at a time, as
+        forcing_raw / A(k3), in work.mode, which the projection has left
+        free.  The samples of D w stay in `samples` until the next call."""
         work = self.work
         z = np.multiply(w, self.band_deconv, out=out)
         zs = band_inverse(z, self.samples, work)
         conv = band_divergence(self.band, zs, out, work)
         conv *= self.band_bar
         project_coeffs(self.band, conv, conv, work.mode, work.term)
-        return np.subtract(self.band_forcing, conv, out=out)
+        for f, c in zip(self.forcing_raw.coeffs, conv):
+            bar_f = np.divide(f, self.band_filter, out=work.mode)
+            np.subtract(bar_f, c, out=c)
+        return out
 
     def max_speed_squared(self) -> float:
         """max |D w|^2 over the samples the last band_rhs built, summed
         as np.sum(samples**2, axis=0) does, one slab of planes at a time
-        in the workspace's product; np.max of the slab maxima keeps a
-        NaN."""
-        square = self.work.product
+        in the workspace's product, each square after the first formed in
+        work.half viewed as reals, which band_rhs has left free; np.max of
+        the slab maxima keeps a NaN."""
+        work = self.work
+        reals = work.half.reshape(-1).view(np.float64)
         maxima = []
-        for planes in self.work.slabs():
+        for planes in work.slabs():
             u0, u1, u2 = self.samples[:, planes]
-            sq = np.multiply(u0, u0, out=square[:len(u0)])
-            sq += u1 * u1
-            sq += u2 * u2
+            sq = np.multiply(u0, u0, out=work.product[:len(u0)])
+            square = reals[:u0.size].reshape(u0.shape)
+            sq += np.multiply(u1, u1, out=square)
+            sq += np.multiply(u2, u2, out=square)
             maxima.append(np.max(sq))
         return np.max(maxima)
 
@@ -346,11 +354,12 @@ def step(state: SolverState, ops: StepOperators) -> SolverState:
     factor, from the band of the state to a fresh one.
 
     The CFL speed comes from the first right-hand side evaluation, which
-    already holds the samples of Dw.  The second stage overwrites the
-    predictor it is evaluated at.
+    already holds the samples of Dw.  The predictor is built in the
+    fresh array that becomes the new state, and the second stage
+    overwrites it there; the one band vector ops holds is k1.
     """
     dt = ops.config.dt
-    w, k1, predictor = state.w.coeffs, ops.k1, ops.predictor
+    w, k1 = state.w.coeffs, ops.k1
     ops.band_rhs(w, k1)
     speed = float(np.sqrt(ops.max_speed_squared()))
     cfl = dt * speed * ops.kmax
@@ -360,15 +369,15 @@ def step(state: SolverState, ops: StepOperators) -> SolverState:
             f"> {CFL_LIMIT}"
         )
     e = ops.band_viscous
-    # predictor = e (w + dt k1); new = e w + (dt/2) (e k1 + k2)
-    np.multiply(dt, k1, out=predictor)
-    predictor += w
-    predictor *= e
-    k2 = ops.band_rhs(predictor, predictor)
+    # predictor = e (w + dt k1) in new; new = e w + (dt/2) (e k1 + k2)
+    new = np.multiply(dt, k1)
+    new += w
+    new *= e
+    k2 = ops.band_rhs(new, new)
     k1 *= e
     k1 += k2
     k1 *= 0.5 * dt
-    new = np.multiply(w, e)
+    np.multiply(w, e, out=new)
     new += k1
     if not np.all(np.isfinite(new)):
         raise NaNError(f"non-finite coefficients after step to t={state.t + dt:.6g}")

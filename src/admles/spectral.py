@@ -260,6 +260,10 @@ def band_divergence(band: Band, us: np.ndarray, out: np.ndarray,
     into `out` (3, *band.shape): component j is i sum_i kd_i FT(u_i u_j),
     from the six products u_i u_j with i <= j, each formed one slab at a
     time inside band_forward, so no product of the whole grid is held.
+    Each product's box lands in work.mode, and each kd_i times it in
+    work.term, which shares work.columns: it is read before the next
+    band_forward overwrites them.  work.mode and work.term are free
+    again on return.
     """
     kd = (band.kd1, band.kd2, band.kd3)
     mode, term = work.mode, work.term

@@ -223,17 +223,39 @@ def test_a_nan_sample_in_a_later_slab_aborts_as_non_finite(force_slab, monkeypat
         step(initial_state(cfg), ops)
 
 
-def test_stepper_holds_one_grid_sized_array():
-    """At 64^3 the samples of D w are the one array of the grid's size
-    that a StepOperators and its workspace hold: the transforms stream
-    their half layout and products through slabs of planes, and the
-    second stage overwrites the predictor.  A warm step allocates the
-    new state, up to two slabs and band-sized temporaries."""
+def stepped_at_64():
+    """A 64^3 StepOperators after one step, which builds the scratch made
+    on first use, and that step's state."""
     g = Grid(64, 64, 64)
     cfg = config16(grid=g, init=RandomBandLimited(seed=3, band=4),
                    forcing=RandomBandLimited(seed=4, band=3), dt=0.001, t_end=0.002)
     ops = StepOperators(cfg)
-    state = step(initial_state(cfg), ops)  # builds the scratch made on first use
+    return ops, step(initial_state(cfg), ops)
+
+
+def held_bases(*owners) -> dict[int, np.ndarray]:
+    """The arrays that the attributes of `owners` hold, a field by its
+    coefficients and a view by its base, each once, keyed by id."""
+    bases = {}
+    for owner in owners:
+        for value in vars(owner).values():
+            arr = getattr(value, "coeffs", value)
+            if isinstance(arr, np.ndarray):
+                while isinstance(arr.base, np.ndarray):
+                    arr = arr.base
+                bases[id(arr)] = arr
+    return bases
+
+
+def test_stepper_holds_one_grid_sized_array():
+    """At 64^3 the samples of D w are the one array of the grid's size
+    that a StepOperators and its workspace hold: the transforms stream
+    their half layout and products through slabs of planes.  The speed
+    check squares into the workspace and allocates no slab, and a warm
+    step allocates the new state, its finiteness mask and small
+    objects."""
+    ops, state = stepped_at_64()
+    g = ops.config.grid
     held = {prefix + name: getattr(value, "coeffs", value)
             for prefix, owner in (("", ops), ("work.", ops.work))
             for name, value in vars(owner).items()}
@@ -244,12 +266,39 @@ def test_stepper_holds_one_grid_sized_array():
     assert len(ops.work.product) < g.n1
     tracemalloc.start()
     try:
+        ops.max_speed_squared()
+        speed_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
         step(state, ops)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert speed_peak < ops.work.product[0].nbytes  # less than one plane
     new_state = 3 * np.prod(g.band.shape) * 16
-    assert peak <= new_state + 2 * ops.work.product.nbytes + new_state // 3
+    # measured: 133,000 bytes above the new state, 122,034 of them the mask
+    assert peak <= new_state + new_state // 8
+
+
+def test_stepper_holds_one_band_vector():
+    """The predictor is built in the new state and the forcing is barred
+    one component at a time into the workspace, so at 64^3 a
+    StepOperators and its workspace hold k1, forcing_raw, the samples,
+    the viscous factor, the transforms' scratch and one band component,
+    12.53 MiB, besides three k3 lines; term is a view of columns."""
+    ops, _ = stepped_at_64()
+    work = ops.work
+    assert not hasattr(ops, "predictor")
+    assert not hasattr(ops, "band_forcing")
+    assert np.shares_memory(work.term, work.columns)
+    bases = held_bases(ops, work).values()
+    named = [ops.samples, ops.k1, ops.forcing_raw.coeffs, ops.band_viscous,
+             work.columns, work.half, work.product, work.mode]
+    lines = [arr for arr in bases if arr.shape == ops.config.grid.k3.shape]
+    assert len(lines) == 3  # band_deconv, band_bar and band_filter
+    named_bytes = sum(arr.nbytes for arr in named)
+    assert named_bytes == 13_139_920  # 12.53 MiB
+    held = sum(arr.nbytes for arr in bases)
+    assert held == named_bytes + sum(arr.nbytes for arr in lines)
 
 
 def bar_line(cfg):
@@ -583,8 +632,9 @@ def test_mixed_helicity_state_does_not_decay_exactly():
 def steady_state_error(grid, theta, order, dt, t_end=1.0):
     """max |w(T) - w*| / max |w*| of a run from a manufactured steady
     state w*: a non-Beltrami divergence-free draw, with z* = D_N w* and
-    the forcing F = P bar div(z* x z*) + nu |k|^2 w* set on the
-    stepper, div(z* x z*) from the full transforms of
+    the raw forcing A F, whose bar is F, set on the stepper, with
+    F = P bar div(z* x z*) + nu |k|^2 w*, div(z* x z*) from the full
+    transforms of
     full_layout.divergence_of_square.  The integrating-factor Heun step
     keeps no fixed point exactly, so the error is its O(dt^2) offset;
     a wrong sign or factor of the nonlinear term leaves an O(1) one."""
@@ -596,8 +646,10 @@ def steady_state_error(grid, theta, order, dt, t_end=1.0):
     z = apply_deconv(w, DeconvSpec(filt, order))
     conv = leray_project(apply_bar(divergence_of_square(z), filt))
     band = w.band
-    ops.band_forcing = conv.coeffs + cfg.nu * (band.kd1**2 + band.kd2**2
-                                              + band.kd3**2) * w.coeffs
+    forcing = conv.coeffs + cfg.nu * (band.kd1**2 + band.kd2**2
+                                      + band.kd3**2) * w.coeffs
+    ops.forcing_raw = w.with_coeffs(
+        forcing * filter_symbol(filt, grid.k3[..., band.cols]))
     for state in trajectory(ops, SolverState(0.0, 0, w)):
         pass
     return np.max(np.abs(state.w.coeffs - w.coeffs)) / np.max(np.abs(w.coeffs))
