@@ -64,10 +64,11 @@ def gronwall_integrand(norms: FieldNorms, theta: float) -> float:
 def energy_terms(w: VectorField, f: VectorField, filt: FilterSpec, order: int,
                  nu: float, t: float = 0.0) -> EnergyRecord:
     """All budget terms of state w and raw forcing f via Fourier
-    multipliers: the forcing power is one inner_product, and the rest is
-    read from one FieldNorms pass.  The forcing goes first, so its
-    temporaries are freed before the |w|^2 pass allocates, or the heap
-    grows each record.
+    multipliers: the forcing power is one inner_product, on the box of
+    the two fields' smaller cutoffs, and the rest is read from one
+    FieldNorms pass.  The forcing goes first, so its temporaries, of the
+    band's size for a forcing on the band, are freed before the |w|^2
+    pass allocates, or the heap grows each record.
     """
     grid = w.grid
     symbols = symbol_table(grid, DeconvSpec(filt, order))

@@ -92,14 +92,16 @@ class Band:
     Band rows 0..K hold modes 0..K and rows K+1..2K hold -K..-1, on each
     of the two full axes; the half axis keeps columns 0..K3.  The box is
     the layout of every field (the grid's 2/3 band for the solver's state
-    and sampled fields, cutoffs (b, b, b) for a draw); embed moves its
-    coefficients onto a larger box.  A box fits a grid shape whose axes
-    hold its rows (2 K + 1 <= m), and rows_on places them there.
+    and sampled fields, cutoffs (b, b, b) for a draw and a random
+    forcing); embed moves its coefficients onto a larger box, restrict
+    reads them off one, and blocks_in and rest_of index its modes and the
+    others on one.  A box fits a grid shape whose axes hold its rows
+    (2 K + 1 <= m), and rows_on places them there.
     Since 2 K + 1 <= n, a box never holds a Nyquist row or column: its
     derivative and true wavenumbers agree, and every multiplier on it
     is built from its own lines kd1, kd2, kd3 (the grid's, restricted
     to the box).  Those and inv_kd_squared are read-only, and built on
-    first use, since many boxes (a union of two, say) only move
+    first use, since many boxes (the common box of two, say) only move
     coefficients; so are its sampling workspaces (see workspace), which
     are scratch.
     """
@@ -158,16 +160,46 @@ class Band:
         return tuple(((slice(0, k + 1),) * 2, (slice(k + 1, None), slice(n - k, n)))
                      for k, n in zip(self.cutoffs, shape[:2]))
 
+    def _rows_in(self, box: "Band"):
+        """rows_on for the box `box`, which holds this box (cutoffs no
+        larger on any axis): a box is the half layout of a grid of shape
+        (2 K1 + 1, 2 K2 + 1, 2 K3 + 1)."""
+        return self.rows_on(tuple(2 * k + 1 for k in box.cutoffs))
+
+    def blocks_in(self, box: "Band") -> list[tuple[tuple, tuple]]:
+        """(index on this box, index on `box`) of each of this box's four
+        row blocks, for a box `box` that holds it; the indices are basic
+        slices, so both give views."""
+        rows1, rows2 = self._rows_in(box)
+        return [((..., b1, b2, slice(None)), (..., h1, h2, self.cols))
+                for b1, h1 in rows1 for b2, h2 in rows2]
+
+    def rest_of(self, box: "Band") -> list[tuple]:
+        """Disjoint basic indices of `box`, which holds this box, that
+        cover its modes outside this box: the rows of axis 0 between this
+        box's two blocks, then in each block of axis 0 the columns past
+        this box's, and the rows of axis 1 between its blocks."""
+        ((_, low1), (_, high1)), ((_, low2), (_, high2)) = self._rows_in(box)
+        past = slice(self.cols.stop, None)
+        return [(..., slice(low1.stop, high1.start), slice(None), slice(None)),
+                *((..., h1, slice(None), past) for h1 in (low1, high1)),
+                *((..., h1, slice(low2.stop, high2.start), self.cols)
+                  for h1 in (low1, high1))]
+
     def embed(self, coeffs: np.ndarray, box: "Band") -> np.ndarray:
-        """A fresh array of the box `box` that holds this box (cutoffs no
-        larger on any axis): `coeffs` on this box's modes, zero elsewhere.
-        A box is the half layout of a grid of shape (2 K1 + 1, 2 K2 + 1,
-        2 K3 + 1), so its row blocks are this box's on that shape."""
-        rows1, rows2 = self.rows_on(tuple(2 * k + 1 for k in box.cutoffs))
+        """A fresh array of the box `box` that holds this box: `coeffs` on
+        this box's modes, zero elsewhere."""
         out = np.zeros((*coeffs.shape[:-3], *box.shape), dtype=coeffs.dtype)
-        for b1, h1 in rows1:
-            for b2, h2 in rows2:
-                out[..., h1, h2, self.cols] = coeffs[..., b1, b2, :]
+        for mine, theirs in self.blocks_in(box):
+            out[theirs] = coeffs[mine]
+        return out
+
+    def restrict(self, coeffs: np.ndarray, box: "Band") -> np.ndarray:
+        """The coefficients `coeffs` of the box `box`, which holds this
+        box, on this box's modes: a fresh array."""
+        out = np.empty((*coeffs.shape[:-3], *self.shape), dtype=coeffs.dtype)
+        for mine, theirs in self.blocks_in(box):
+            out[mine] = coeffs[theirs]
         return out
 
 

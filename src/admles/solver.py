@@ -20,11 +20,13 @@ result are alias-free, so the discrete trilinear form inherits the
 continuum orthogonality (div(z x z), z) = 0.
 
 A state is only that band: a VectorField on Grid.band, as is every w(0)
-and forcing built here (a draw's box is embedded in it).  A step runs
-both right-hand sides and the Heun update on the band's coefficients
-into a fresh field; the records read it and the forcing.  A checkpoint
-stores the band's coefficients as they are, so no code here moves
-coefficients to or from another layout.
+built here (a draw's box is embedded in it) and every forcing but a
+random one, which keeps its draw's box.  A step runs both right-hand
+sides and the Heun update on the band's coefficients into a fresh
+field, reading the forcing on its own box; the records read the state
+and the forcing, each on its box.  A checkpoint stores the band's
+coefficients as they are, so no code here moves coefficients to or from
+another layout.
 
 The descriptors of w(0) and f own their config kind (DESCRIPTOR_KINDS),
 keys (fields) and checks (__post_init__, check_in_band).  A step reads
@@ -148,14 +150,20 @@ def _orthogonal_unit(k: np.ndarray) -> np.ndarray:
     return e / np.linalg.norm(e)
 
 
+def _random_draw(desc: RandomBandLimited, grid: Grid) -> VectorField:
+    """The divergence-free draw of `desc` on its box (b, b, b)."""
+    check_in_band(desc, grid)
+    spec = EnsembleSpec(count=1, band_limit=desc.band, seed=desc.seed)
+    return draw_vector(spec.rng(), spec, grid)
+
+
 def descriptor_field(desc: InitDescriptor, grid: Grid) -> VectorField:
     """Raw (unsmoothed) divergence-free field on the 2/3 band: a draw
     embedded in it, or the Leray projection of the band of samples."""
-    check_in_band(desc, grid)
     if isinstance(desc, RandomBandLimited):
-        spec = EnsembleSpec(count=1, band_limit=desc.band, seed=desc.seed)
-        draw = draw_vector(spec.rng(), spec, grid)
+        draw = _random_draw(desc, grid)
         return VectorField(grid.band, draw.band.embed(draw.coeffs, grid.band))
+    check_in_band(desc, grid)
     x1, x2, x3 = grid.mesh()
     if isinstance(desc, TaylorGreen):
         samples = np.stack(
@@ -197,15 +205,16 @@ def forcing_field(desc: ForcingDescriptor, grid: Grid) -> VectorField:
     """Steady forcing f: divergence-free, band-limited, unfiltered.
 
     The solver applies the bar smoothing when assembling the right-hand
-    side; diagnostics pair the raw f with deconvolved states.  Random
-    descriptors are rescaled so the raw forcing has L2 norm `energy`.
+    side; diagnostics pair the raw f with deconvolved states.  A random
+    forcing is its draw on the draw's box (b, b, b), not embedded in the
+    2/3 band, rescaled there to L2 norm `energy`; every other forcing is
+    on the 2/3 band.
     """
     if isinstance(desc, ZeroForcing):
         return VectorField(grid.band, np.zeros((3, *grid.band.shape), dtype=complex))
-    f = descriptor_field(desc, grid)
     if isinstance(desc, RandomBandLimited):
-        f = _rescaled(f, desc.energy, "random forcing")
-    return f
+        return _rescaled(_random_draw(desc, grid), desc.energy, "random forcing")
+    return descriptor_field(desc, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -283,13 +292,14 @@ class NaNError(SolverAbort):
 
 class StepOperators:
     """Per-config multipliers on the 2/3 band, the raw forcing f
-    (forcing_raw, which the records read too, and which band_rhs bars
-    one component at a time) and the stepper's workspace: one band
-    vector, the first stage k1, and one array of the grid's size, the
-    samples of D w; the transforms' slabs and band-shaped scratch are in
-    `work`.  A step works on the band lines and on buffers that every
-    step and every band_rhs call overwrites and never hands out, so one
-    StepOperators can serve several trajectories stepped in turn.
+    (forcing_raw, on its own box inside the band: a random forcing's draw
+    box, else the band; the records read it too, and band_rhs bars it one
+    component at a time) and the stepper's workspace: one band vector,
+    the first stage k1, and one array of the grid's size, the samples of
+    D w; the transforms' slabs and band-shaped scratch are in `work`.  A
+    step works on the band lines and on buffers that every step and every
+    band_rhs call overwrites and never hands out, so one StepOperators
+    can serve several trajectories stepped in turn.
     """
 
     def __init__(self, config: SolverConfig):
@@ -316,18 +326,28 @@ class StepOperators:
     def band_rhs(self, w: np.ndarray, out: np.ndarray) -> np.ndarray:
         """g(w) = bar f - P bar div(D w x D w) of band coefficients into
         `out`, which holds D w on the way and may be `w`: only the first
-        multiply reads `w`.  bar f is formed one component at a time, as
-        forcing_raw / A(k3), in work.mode, which the projection has left
-        free.  The samples of D w stay in `samples` until the next call."""
+        multiply reads `w`.  bar f is formed one component at a time on
+        the forcing's box, as forcing_raw / A(k3), in the first modes of
+        work.mode, which the projection has left free; bar f - c is formed
+        on the box's modes, and 0.0 - c, which is (0 / A) - c bit for bit,
+        on the rest of the band (none if the box is the band).  The
+        samples of D w stay in `samples` until the next call."""
         work = self.work
         z = np.multiply(w, self.band_deconv, out=out)
         zs = band_inverse(z, self.samples, work)
         conv = band_divergence(self.band, zs, out, work)
         conv *= self.band_bar
         project_coeffs(self.band, conv, conv, work.mode, work.term)
+        box = self.forcing_raw.band
+        blocks, rest = box.blocks_in(self.band), box.rest_of(self.band)
+        bar_f = work.mode.reshape(-1)[:math.prod(box.shape)].reshape(box.shape)
+        line = self.band_filter[..., box.cols]
         for f, c in zip(self.forcing_raw.coeffs, conv):
-            bar_f = np.divide(f, self.band_filter, out=work.mode)
-            np.subtract(bar_f, c, out=c)
+            np.divide(f, line, out=bar_f)
+            for mine, theirs in blocks:
+                np.subtract(bar_f[mine], c[theirs], out=c[theirs])
+        for other in rest:  # every component at once
+            np.subtract(0.0, conv[other], out=conv[other])
         return out
 
     def max_speed_squared(self) -> float:

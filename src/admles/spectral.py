@@ -11,9 +11,9 @@ Fields are real, so their coefficients are Hermitian, c_{-k} = conj(c_k),
 and a field stores only those of k3 >= 0 on a box (a grid.Band) inside
 its grid's 2/3 band: coeffs has shape (..., *band.shape), and every
 mode outside the box is zero.  The solver's state and every sampled
-field sit on the grid's 2/3 band, a draw on its (b, b, b) box.  A
-stored column 0 < k3 < n3/2 also stands for its mirror -k3, so
-Plancherel reads
+field sit on the grid's 2/3 band, a draw and a random forcing on the
+draw's (b, b, b) box.  A stored column 0 < k3 < n3/2 also stands for
+its mirror -k3, so Plancherel reads
 
     (f, g)_{L^2} = vol * sum_k  w(k3) Re(c_k conj(d_k)),
 
@@ -282,14 +282,16 @@ def tensor_divergence(u: VectorField) -> VectorField:
     sum_i d/dx_i (u_i u_j).
 
     For divergence-free u this is the convective term (u . grad) u.  u,
-    embedded in the band, is sampled by band_inverse and the products go
-    through band_divergence, on one workspace, as in the stepper; only
-    their 2/3 band is kept, which removes every aliased mode (3K < n
-    makes the retained modes exact).
+    embedded in the band unless it is on the band already, is sampled by
+    band_inverse and the products go through band_divergence, on one
+    workspace, as in the stepper; only their 2/3 band is kept, which
+    removes every aliased mode (3K < n makes the retained modes exact).
     """
     band = u.grid.band
     work = BandWorkspace(band)
-    us = band_inverse(u.band.embed(u.coeffs, band), np.empty((3, *u.grid.shape)), work)
+    coeffs = (u.coeffs if u.band.cutoffs == band.cutoffs
+              else u.band.embed(u.coeffs, band))
+    us = band_inverse(coeffs, np.empty((3, *u.grid.shape)), work)
     out = band_divergence(band, us, np.empty((3, *band.shape), dtype=np.complex128), work)
     return VectorField(band, out)
 
@@ -328,10 +330,20 @@ def convective_inner(u: VectorField, v: VectorField, w: VectorField) -> float:
 
 
 def _mass(c: np.ndarray) -> np.ndarray:
-    """|c|^2 summed over components, on the layout of `c`."""
-    mass = c.real**2
-    mass += c.imag**2
-    return mass.sum(axis=0) if mass.ndim == 4 else mass
+    """|c|^2 summed over components, on the layout of `c`: re^2 + im^2
+    of one component at a time, added in component order, as a sum over
+    the component axis adds them, so it holds three components' worth of
+    reals, not two arrays of all of them."""
+    parts = c.reshape(-1, *c.shape[-3:])
+    mass = parts[0].real**2
+    mass += parts[0].imag**2
+    if len(parts) > 1:
+        square, square_imag = np.empty_like(mass), np.empty_like(mass)
+        for part in parts[1:]:
+            np.square(part.real, out=square)
+            square += np.square(part.imag, out=square_imag)
+            mass += square
+    return mass
 
 
 def _k3_line(grid: Grid, a: np.ndarray) -> np.ndarray:
@@ -355,12 +367,12 @@ def _check_order(s: float) -> None:
 
 class FieldNorms:
     """The norms below of one field from one |c|^2 pass over its box,
-    which builds its k3 lines summed over components, k1 and k2: `plain`
-    unweighted, `horizontal` weighted by k1^2 + k2^2 and `full` by
-    |k|^2, so a caller that needs several norms of a field pays for the
-    pass once.  l2, grad, horizontal_grad, vertical and vertical_grad
-    are the L^2 norms of f, grad f, grad_h f, |d/dx3|^s f and
-    |d/dx3|^s grad f.  The lines are zero-padded to the grid's n3/2 + 1
+    one component at a time (_mass), which builds its k3 lines summed
+    over components, k1 and k2: `plain` unweighted, `horizontal`
+    weighted by k1^2 + k2^2 and `full` by |k|^2, so a caller that needs
+    several norms of a field pays for the pass once.  l2, grad,
+    horizontal_grad, vertical and vertical_grad are the L^2 norms of f,
+    grad f, grad_h f, |d/dx3|^s f and |d/dx3|^s grad f.  The lines are zero-padded to the grid's n3/2 + 1
     columns, so every dot with a line of the grid runs over one length
     whatever the box, and a norm keeps the bits of the half layout's."""
 
@@ -396,15 +408,18 @@ class FieldNorms:
 
 def inner_product(f: Field, g: Field, weight=1.0) -> float:
     """Continuum L^2 inner product with the k3 multiplier `weight`;
-    vector fields sum over components, and fields on boxes of different
-    cutoffs are read on the union of the two.  Its temporaries are gone
-    on return."""
+    vector fields sum over components.  Fields on boxes of different
+    cutoffs are read on the box of their per-axis smaller cutoffs, the
+    only modes where their product is nonzero: the sums over the outer
+    axes add the same terms in the same order as on the union of the
+    boxes, less its zeros, so the bits are the union's.  Its
+    temporaries, of that box, are gone on return."""
     if f.grid != g.grid:
         raise ValueError("fields live on different grids")
-    grid, a, b = f.grid, f.coeffs, g.coeffs
-    if f.band.cutoffs != g.band.cutoffs:
-        union = grid.box(tuple(map(max, f.band.cutoffs, g.band.cutoffs)))
-        a, b = f.band.embed(a, union), g.band.embed(b, union)
+    grid = f.grid
+    common = grid.box(tuple(map(min, f.band.cutoffs, g.band.cutoffs)))
+    a, b = (h.coeffs if h.band.cutoffs == common.cutoffs
+            else common.restrict(h.coeffs, h.band) for h in (f, g))
     prod = b.real * a.real
     prod += b.imag * a.imag  # Re(conj(g) f)
     return quadratic_form(grid, _k3_line(grid, prod), weight)

@@ -107,6 +107,28 @@ def half_layout_lines(field):
     return plain, horizontal, horizontal + g.k3[0, 0] ** 2 * plain
 
 
+def three_component_mass(c):
+    """|c|^2 of every component in one array, then summed over the
+    component axis: the form of admles.spectral.FieldNorms before it
+    went one component at a time."""
+    mass = c.real**2
+    mass += c.imag**2
+    return mass.sum(axis=0) if mass.ndim == 4 else mass
+
+
+def union_inner(f, h, weight=1.0):
+    """admles.spectral.inner_product read on the union of the two boxes,
+    each field embedded there, as it was before it read the common box."""
+    g = f.grid
+    union = g.box(tuple(map(max, f.band.cutoffs, h.band.cutoffs)))
+    a, b = f.band.embed(f.coeffs, union), h.band.embed(h.coeffs, union)
+    prod = b.real * a.real
+    prod += b.imag * a.imag
+    line = np.zeros(g.n3 // 2 + 1)
+    line[:union.shape[-1]] = prod.sum(axis=tuple(range(prod.ndim - 1)))
+    return quadratic_form(g, line, weight)
+
+
 def half_layout_norms(field):
     """A FieldNorms whose lines are half_layout_lines(field)."""
     norms = object.__new__(FieldNorms)

@@ -282,21 +282,23 @@ def test_stepper_holds_one_grid_sized_array():
 def test_stepper_holds_one_band_vector():
     """The predictor is built in the new state and the forcing is barred
     one component at a time into the workspace, so at 64^3 a
-    StepOperators and its workspace hold k1, forcing_raw, the samples,
-    the viscous factor, the transforms' scratch and one band component,
-    12.53 MiB, besides three k3 lines; term is a view of columns."""
+    StepOperators and its workspace hold k1, forcing_raw on its band-3
+    draw box, the samples, the viscous factor, the transforms' scratch
+    and one band component, 10.68 MiB, besides three k3 lines; term is a
+    view of columns."""
     ops, _ = stepped_at_64()
     work = ops.work
     assert not hasattr(ops, "predictor")
     assert not hasattr(ops, "band_forcing")
     assert np.shares_memory(work.term, work.columns)
+    assert ops.forcing_raw.coeffs.shape == (3, 7, 7, 4)
     bases = held_bases(ops, work).values()
     named = [ops.samples, ops.k1, ops.forcing_raw.coeffs, ops.band_viscous,
              work.columns, work.half, work.product, work.mode]
     lines = [arr for arr in bases if arr.shape == ops.config.grid.k3.shape]
     assert len(lines) == 3  # band_deconv, band_bar and band_filter
     named_bytes = sum(arr.nbytes for arr in named)
-    assert named_bytes == 13_139_920  # 12.53 MiB
+    assert named_bytes == 11_196_784  # 10.68 MiB
     held = sum(arr.nbytes for arr in bases)
     assert held == named_bytes + sum(arr.nbytes for arr in lines)
 
@@ -488,7 +490,8 @@ def test_zeroth_order_reduction_bitwise():
     ops = StepOperators(cfg)
     bar = bar_line(cfg)
     e = viscous_factor(cfg)
-    f = apply_bar(forcing_field(cfg.forcing, grid), cfg.filter).coeffs
+    bar_f = apply_bar(forcing_field(cfg.forcing, grid), cfg.filter)
+    f = bar_f.band.embed(bar_f.coeffs, grid.band)
 
     def plain_rhs(w):
         t = tensor_divergence(w)  # no deconvolution multiply
@@ -556,7 +559,8 @@ def test_band_step_matches_half_layout_heun_bitwise(order):
     deconv = deconv_symbol(DeconvSpec(cfg.filter, order), grid.k3[..., grid.band.cols])
     bar = bar_line(cfg)
     e = viscous_factor(cfg)
-    f = apply_bar(forcing_field(cfg.forcing, grid), cfg.filter).coeffs
+    bar_f = apply_bar(forcing_field(cfg.forcing, grid), cfg.filter)
+    f = bar_f.band.embed(bar_f.coeffs, grid.band)
 
     def half_rhs(w):
         z = w.with_coeffs(w.coeffs * deconv)
@@ -576,6 +580,40 @@ def test_band_step_matches_half_layout_heun_bitwise(order):
         a = step(a, ops)
         b = half_step(b)
         assert np.array_equal(a.w.coeffs, b.coeffs)
+
+
+def same_bits(a, b):
+    """Equal shapes and bytes: unlike np.array_equal, -0.0 is not +0.0."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("order", [0, 2])
+def test_forcing_on_its_draw_box_steps_as_on_the_band_bitwise(order):
+    """band_rhs forms bar f - c on the forcing's box and 0.0 - c on the
+    rest of the band; with the same forcing embedded in the band, the box
+    is the whole band and the rest holds (0 / A) - c: three steps agree
+    bit for bit, a -0.0 mean mode of the forcing included, and so does
+    the right-hand side of the zero state, whose c is a signed zero
+    everywhere, so that -c would not do for 0.0 - c."""
+    cfg = config16(grid=ODD_BOX, deconv_order=order, t_end=0.03,
+                   filter=FilterSpec(alpha=0.5, theta=0.75),
+                   init=RandomBandLimited(seed=12, band=3),
+                   forcing=RandomBandLimited(seed=13, band=2, energy=2.0))
+    band = cfg.grid.band
+    on_box, on_band = StepOperators(cfg), StepOperators(cfg)
+    f = on_box.forcing_raw
+    assert f.band.cutoffs == (2, 2, 2) != band.cutoffs
+    coeffs = f.coeffs.copy()
+    coeffs[:, 0, 0, 0] = complex(-0.0, -0.0)
+    on_box.forcing_raw = f.with_coeffs(coeffs)
+    on_band.forcing_raw = VectorField(band, f.band.embed(coeffs, band))
+    zero = np.zeros((3, *band.shape), dtype=complex)
+    rhs = [ops.band_rhs(zero, np.empty_like(zero)) for ops in (on_box, on_band)]
+    assert same_bits(*rhs)
+    a = b = initial_state(cfg)
+    for _ in range(3):
+        a, b = step(a, on_box), step(b, on_band)
+        assert same_bits(a.w.coeffs, b.w.coeffs)
 
 
 # Modes of one true |k|: |k|^2 = 2 on the 2 pi cube, with one |k3| or
@@ -689,7 +727,8 @@ def test_shared_operators_keep_trajectories_apart():
 
 def test_step_operators_keep_no_half_layout_array():
     """Every multiplier a step reads is a band line, and forcing_raw, the
-    forcing the records read, is a field on the band: no array of the
+    forcing the records read, is a field on its own box: a random
+    forcing on its draw box, any other on the band.  No array of the
     half layout is kept."""
     cfg = config16(forcing=RandomBandLimited(seed=16, band=3))
     ops = StepOperators(cfg)
@@ -698,12 +737,14 @@ def test_step_operators_keep_no_half_layout_array():
             if np.shape(getattr(value, "coeffs", value))[-3:] == half]
     assert held == []
     assert ops.band_viscous.shape == cfg.grid.band.shape
-    assert ops.forcing_raw.band is cfg.grid.band
+    assert ops.forcing_raw.band is cfg.grid.box((3, 3, 3))
+    tg = StepOperators(config16(forcing=TaylorGreen()))
+    assert tg.forcing_raw.band is tg.config.grid.band
 
 
 def test_run_moves_nothing_between_layouts_after_setup(monkeypatch):
-    """Steps and records read and write the band only: once run() has
-    set up, no Band.embed is called."""
+    """Steps and records read each field on its own box or a smaller
+    one: once run() has set up, no Band.embed is called."""
     calls = []
 
     def counted(method):
@@ -713,8 +754,10 @@ def test_run_moves_nothing_between_layouts_after_setup(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(Band, "embed", counted(Band.embed))
-    stream = run(config16(forcing=RandomBandLimited(seed=16, band=3), t_end=0.05))
-    assert calls  # setup embeds the forcing's draw in the band
+    stream = run(config16(init=RandomBandLimited(seed=15, band=4),
+                          forcing=RandomBandLimited(seed=16, band=3), t_end=0.05))
+    # setup embeds the initial draw in the band; the forcing keeps its box
+    assert calls
     calls.clear()
     assert len(list(stream)) == 6
     assert calls == []

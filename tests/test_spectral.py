@@ -15,7 +15,9 @@ from full_layout import (
     samples as grid_samples,
     scatter,
     spectral_shape,
+    three_component_mass,
     to_full,
+    union_inner,
 )
 
 from admles import spectral
@@ -245,6 +247,18 @@ def test_tensor_divergence_matches_full_complex_reference():
 def rfftn_band(g, raw):
     """The VectorField of the 2/3 band of the full rfftn of `raw`."""
     return VectorField(g.band, gather(g.band, np.fft.rfftn(raw, axes=AXES, norm="forward")))
+
+
+def test_tensor_divergence_embeds_only_a_smaller_box(grid, monkeypatch):
+    # a field on the band is sampled from its own coefficients; a draw's
+    # box is embedded in the band first
+    calls = []
+    embed = Band.embed
+    monkeypatch.setattr(Band, "embed", lambda *args: calls.append(1) or embed(*args))
+    tensor_divergence(random_divfree(grid, seed=51))
+    assert calls == []
+    tensor_divergence(*band_draws(grid, 3))
+    assert calls == [1]
 
 
 def test_tensor_divergence_reads_only_the_band(grid):
@@ -627,6 +641,47 @@ def test_inner_product_of_fields_on_different_boxes():
     assert inner_product(u, v) == pytest.approx(
         inner_product(VectorField(g.band, u.band.embed(u.coeffs, g.band)), v),
         rel=1e-15)
+
+
+def signed_zero_coeffs(rng, box, components=3):
+    """Random complex coefficients on `box`, a tenth of their real and
+    imaginary parts -0.0."""
+    shape = (components, *box.shape)
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    c.real[rng.random(shape) < 0.1] = -0.0
+    c.imag[rng.random(shape) < 0.1] = -0.0
+    return c
+
+
+def test_common_box_reads_keep_the_union_bits():
+    # inner_product reads nested and crossing boxes on the box of their
+    # smaller cutoffs, with the bits of both fields embedded in the union;
+    # FieldNorms forms |c|^2 one component at a time with the bits of the
+    # three-component form
+    g = Grid(16, 16, 16)
+    rng = np.random.default_rng(50)
+    boxes = [g.band, g.box((2, 2, 2)), g.box((3, 1, 2)), g.box((1, 4, 3)),
+             g.box((5, 2, 1))]
+    fields = [VectorField(box, signed_zero_coeffs(rng, box)) for box in boxes]
+    fields += [SpectralField(box, signed_zero_coeffs(rng, box, 1)[0])
+               for box in (g.band, g.box((2, 3, 4)))]
+    weight = g.k3 ** 1.5
+    for f in fields:
+        for h in fields:
+            if f.coeffs.ndim == h.coeffs.ndim:
+                assert inner_product(f, h, weight) == union_inner(f, h, weight)
+                assert inner_product(f, h) == union_inner(f, h)
+    for f in fields:
+        b, cols = f.band, f.band.shape[-1]
+        mass = three_component_mass(f.coeffs)
+        plain, horizontal = np.zeros(g.n3 // 2 + 1), np.zeros(g.n3 // 2 + 1)
+        plain[:cols] = mass.sum(axis=(0, 1))
+        mass *= b.kd1**2 + b.kd2**2
+        horizontal[:cols] = mass.sum(axis=(0, 1))
+        norms = FieldNorms(f)
+        for got, expect in ((norms.plain, plain), (norms.horizontal, horizontal),
+                            (norms.full, horizontal + g.k3[0, 0] ** 2 * plain)):
+            assert got.tobytes() == expect.tobytes()
 
 
 def test_fields_lie_inside_the_band():
