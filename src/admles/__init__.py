@@ -4,7 +4,6 @@ filtered approximate-deconvolution large-eddy model on the periodic box.
 
 __version__ = "0.1.0"
 
-from .diagnostics import regularity_norms
 from .ensembles import draw_scalar
 from .filters import (
     DeconvSpec,
@@ -74,7 +73,6 @@ __all__ = [
     "filter_symbol",
     "ladyzhenskaya_ratio",
     "read_checkpoint",
-    "regularity_norms",
     "run",
     "trilinear_ratio_i",
     "trilinear_ratio_ii",

@@ -9,6 +9,8 @@ Subcommands
 
 Every run writes a ``manifest.json`` (config echo, hash, versions, seed,
 wall time, telemetry, assertion outcomes) next to its CSV artifacts.
+``simulate`` folds each record into its end-of-run checks and a completed
+run's deterministic ``regularity`` certificate as the record's row is written.
 CSV content is a pure function of config + seed: floats are serialized
 with ``repr`` and each file opens with a ``# config_hash=...`` comment
 line, so artifacts from different configurations cannot be mixed
@@ -121,19 +123,46 @@ class _Context:
 # Subcommands
 
 
-def _record_finite(record) -> bool:
-    return all(math.isfinite(getattr(record, column))
-               for column in _DIAGNOSTIC_COLUMNS if column != "budget_residual")
+class _RecordFold:
+    """simulate's records, folded in as each row is written so that none
+    is kept: their count, how many have a non-finite CSV cell (the first
+    residual aside), E(0), the energy's rises, and the regularity
+    certificate: the sups of ||w|| and ||d3^theta w|| and the trapezoid
+    time-integrals of ||grad w||^2 and ||d3^theta grad w||^2."""
+
+    def __init__(self):
+        self.count = self.nonfinite = self.rises = 0
+        self.first = self.last = None
+        self.certificate = {"sup_l2": 0.0, "sup_theta_seminorm": 0.0,
+                            "integral_grad_sq": 0.0, "integral_theta_grad_sq": 0.0}
+
+    def add(self, rec) -> None:
+        self.nonfinite += not all(math.isfinite(getattr(rec, column))
+                                  for column in _DIAGNOSTIC_COLUMNS
+                                  if column != "budget_residual")
+        cert, last = self.certificate, self.last
+        cert["sup_l2"] = max(cert["sup_l2"], rec.l2_norm)
+        cert["sup_theta_seminorm"] = max(cert["sup_theta_seminorm"], rec.theta_seminorm)
+        if last is None:
+            self.first = rec.model_energy
+        else:
+            self.rises += rec.model_energy > last.model_energy * (1.0 + 1e-12)
+            half = 0.5 * (rec.t - last.t)
+            cert["integral_grad_sq"] += half * (last.grad_norm**2 + rec.grad_norm**2)
+            cert["integral_theta_grad_sq"] += half * (last.theta_grad_norm**2
+                                                      + rec.theta_grad_norm**2)
+        self.count += 1
+        self.last = rec
 
 
 def _cmd_simulate(rc: RunConfig, ctx: _Context) -> int:
-    """Streams the run: each record becomes a CSV row as it arrives, and
-    only the latest state is kept.  On an abort the rows so far and that
-    state's checkpoint stay on disk, and main reports the abort."""
+    """Streams the run: each record becomes a CSV row and feeds the fold
+    as it arrives, and only the latest state is kept.  On an abort the
+    rows so far and that state's checkpoint stay, and main reports it."""
     cfg = rc.solver
     stream = run(cfg)  # setup errors raise here, before any file opens
     last = None
-    records = []  # 8 floats each, for the end-of-run checks
+    fold = _RecordFold()
 
     def run_records():
         nonlocal last
@@ -142,7 +171,7 @@ def _cmd_simulate(rc: RunConfig, ctx: _Context) -> int:
 
     def rows():
         for record in attach_residuals(run_records()):
-            records.append(record)
+            fold.add(record)
             yield [getattr(record, column) for column in _DIAGNOSTIC_COLUMNS]
 
     try:
@@ -154,24 +183,19 @@ def _cmd_simulate(rc: RunConfig, ctx: _Context) -> int:
             ctx.outputs.append("state.ckpt")
             ctx.steps_completed = last.step_index
 
-    bad = [r.t for r in records if not _record_finite(r)]
-    ctx.check("records_finite", not bad,
-              f"{len(bad)} non-finite records" if bad
-              else f"{len(records)} records")
+    ctx.extra["regularity"] = fold.certificate
+    ctx.check("records_finite", not fold.nonfinite,
+              f"{fold.nonfinite} non-finite records" if fold.nonfinite
+              else f"{fold.count} records")
     scale = float(np.max(np.abs(last.w.coeffs)))
     residual = divergence_residual(last.w)
     ctx.check("final_state_divergence_free",
               residual <= 1e-10 * max(scale, 1e-300),
               f"residual={residual!r}")
     if isinstance(cfg.forcing, ZeroForcing):
-        energies = [r.model_energy for r in records]
-        rises = [
-            (a, b) for a, b in zip(energies, energies[1:])
-            if b > a * (1.0 + 1e-12)
-        ]
-        ctx.check("model_energy_nonincreasing", not rises,
-                  f"{len(rises)} increases" if rises
-                  else f"E(0)={energies[0]!r} -> E(T)={energies[-1]!r}")
+        ctx.check("model_energy_nonincreasing", not fold.rises,
+                  f"{fold.rises} increases" if fold.rises
+                  else f"E(0)={fold.first!r} -> E(T)={fold.last.model_energy!r}")
     return 0 if ctx.all_passed() else 2
 
 

@@ -1,4 +1,4 @@
-"""Energy-budget accounting, regularity norms, vertical spectra.
+"""Energy-budget accounting, record norms, vertical spectra.
 
 The controlled quantity is the model energy
 
@@ -15,6 +15,8 @@ collapses the filter: (bar f, A D w) = (D f, w).  The nonlinear term
 drops out exactly thanks to the dealiased product orthogonality.  The
 time stepper perturbs this balance at second order, which the
 budget-residual convergence test measures.
+
+A record's gradient norms feed simulate's regularity certificate.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator
-
-import numpy as np
 
 from .filters import DeconvSpec, FilterSpec, symbol_table
 from .spectral import FieldNorms, VectorField, inner_product, quadratic_form
@@ -40,6 +40,9 @@ class EnergyRecord:
     l2_norm: float
     theta_seminorm: float
     gronwall_integrand: float
+    # || grad w || and || d3^theta grad w ||: not CSV columns
+    grad_norm: float
+    theta_grad_norm: float
     budget_residual: float = math.nan  # filled when paired across steps
 
     def __post_init__(self):
@@ -55,10 +58,12 @@ def gronwall_integrand(norms: FieldNorms, theta: float) -> float:
     the field w of `norms`."""
     if theta == 0.0:
         raise ValueError("the integrand exponents need theta > 0")
-    gn = norms.grad()
-    if gn == 0.0:
-        return 0.0
-    return gn ** (2.0 - 1.0 / theta) * norms.vertical_grad(theta) ** (1.0 / theta)
+    return _gronwall(norms.grad(), norms.vertical_grad(theta), theta)
+
+
+def _gronwall(grad: float, theta_grad: float, theta: float) -> float:
+    return (0.0 if grad == 0.0
+            else grad ** (2.0 - 1.0 / theta) * theta_grad ** (1.0 / theta))
 
 
 def energy_terms(w: VectorField, f: VectorField, filt: FilterSpec, order: int,
@@ -76,6 +81,7 @@ def energy_terms(w: VectorField, f: VectorField, filt: FilterSpec, order: int,
     norms = FieldNorms(w)
     weight = symbols.filter * symbols.deconv
     theta = filt.theta
+    grad, theta_grad = norms.grad(), norms.vertical_grad(theta)
     return EnergyRecord(
         t=t,
         model_energy=0.5 * quadratic_form(grid, norms.plain, weight),
@@ -83,7 +89,9 @@ def energy_terms(w: VectorField, f: VectorField, filt: FilterSpec, order: int,
         forcing_power=forcing_power,
         l2_norm=norms.l2(),
         theta_seminorm=norms.vertical(theta),
-        gronwall_integrand=0.0 if theta == 0.0 else gronwall_integrand(norms, theta),
+        gronwall_integrand=0.0 if theta == 0.0 else _gronwall(grad, theta_grad, theta),
+        grad_norm=grad,
+        theta_grad_norm=theta_grad,
     )
 
 
@@ -117,37 +125,6 @@ def attach_residuals(records: Iterable[EnergyRecord]) -> Iterator[EnergyRecord]:
     for cur in records:
         yield cur.with_residual(budget_residual(prev, cur, cur.t - prev.t))
         prev = cur
-
-
-def regularity_norms(states: Iterable, filt: FilterSpec) -> dict[str, float]:
-    """Discrete membership certificates for the regularity class.
-
-    sup-in-time of ||w||_2 and ||d3^theta w||_2, and trapezoid
-    time-integrals of ||grad w||_2^2 and ||d3^theta grad w||_2^2,
-    over a trajectory of SolverStates, in one pass with one FieldNorms
-    per state.
-    """
-    theta = filt.theta
-    sup_l2 = 0.0
-    sup_theta = 0.0
-    times = []
-    grads_sq = []
-    theta_grads_sq = []
-    for s in states:
-        norms = FieldNorms(s.w)
-        sup_l2 = max(sup_l2, norms.l2())
-        sup_theta = max(sup_theta, norms.vertical(theta))
-        times.append(s.t)
-        grads_sq.append(norms.grad() ** 2)
-        theta_grads_sq.append(norms.vertical_grad(theta) ** 2)
-    if not times:
-        raise ValueError("empty trajectory")
-    return {
-        "sup_l2": sup_l2,
-        "sup_theta_seminorm": sup_theta,
-        "integral_grad_sq": float(np.trapezoid(grads_sq, times)),
-        "integral_theta_grad_sq": float(np.trapezoid(theta_grads_sq, times)),
-    }
 
 
 def vertical_spectrum(norms: FieldNorms) -> list[tuple[int, float]]:

@@ -316,7 +316,10 @@ class StepOperators:
         self.band_viscous = np.exp(-config.nu * config.dt * ksq)
         self.band_deconv = symbols.deconv[..., band.cols]
         self.band_bar = symbols.bar[..., band.cols]
-        self.band_filter = symbols.filter[..., band.cols]
+        # once for forcing_raw's box: its blocks in the band, the rest, A
+        box = self.forcing_raw.band
+        self.forcing_blocks, self.forcing_rest = box.blocks_in(band), box.rest_of(band)
+        self.forcing_filter = symbols.filter[..., box.cols]
         # workspace: the first stage on the band, the samples of D w, and
         # the transforms' slabs
         self.k1 = np.empty((3, *band.shape), dtype=np.complex128)
@@ -339,14 +342,12 @@ class StepOperators:
         conv *= self.band_bar
         project_coeffs(self.band, conv, conv, work.mode, work.term)
         box = self.forcing_raw.band
-        blocks, rest = box.blocks_in(self.band), box.rest_of(self.band)
         bar_f = work.mode.reshape(-1)[:math.prod(box.shape)].reshape(box.shape)
-        line = self.band_filter[..., box.cols]
         for f, c in zip(self.forcing_raw.coeffs, conv):
-            np.divide(f, line, out=bar_f)
-            for mine, theirs in blocks:
+            np.divide(f, self.forcing_filter, out=bar_f)
+            for mine, theirs in self.forcing_blocks:
                 np.subtract(bar_f[mine], c[theirs], out=c[theirs])
-        for other in rest:  # every component at once
+        for other in self.forcing_rest:  # every component at once
             np.subtract(0.0, conv[other], out=conv[other])
         return out
 

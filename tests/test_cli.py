@@ -5,17 +5,22 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import admles
-from admles import inequalities
-from admles.cli import main
+from admles import cli, inequalities
+from admles.cli import _RecordFold, main
 from admles.config import parse_config
-from admles.diagnostics import attach_residuals
+from admles.diagnostics import attach_residuals, energy_terms
+from admles.filters import FilterSpec
+from admles.grid import Grid
 from admles.solver import CFLError, read_checkpoint, run
+from admles.spectral import FieldNorms, VectorField, l2_norm, vertical_seminorm
 
 
 def run_cli(*args):
@@ -125,6 +130,123 @@ def test_runtime_abort_exit_code(tmp_path):
     state, _ = read_checkpoint(out / "state.ckpt")
     assert state.t == rows[-1][0]
     assert manifest["abort"]["steps_completed"] == state.step_index
+
+
+def certificate_reference(cfg):
+    """The regularity certificate of a run of `cfg`, from one FieldNorms
+    per state of `run`: the sups by max, the integrals by np.trapezoid."""
+    theta = cfg.filter.theta
+    times, l2, seminorm, grad_sq, theta_grad_sq = [], [], [], [], []
+    for state, _ in run(cfg):
+        norms = FieldNorms(state.w)
+        times.append(state.t)
+        l2.append(norms.l2())
+        seminorm.append(norms.vertical(theta))
+        grad_sq.append(norms.grad() ** 2)
+        theta_grad_sq.append(norms.vertical_grad(theta) ** 2)
+    return {"sup_l2": max(l2), "sup_theta_seminorm": max(seminorm),
+            "integral_grad_sq": float(np.trapezoid(grad_sq, times)),
+            "integral_theta_grad_sq": float(np.trapezoid(theta_grad_sq, times))}
+
+
+CERTIFIED_RUN = ("[grid]\nn1 = 16\nn2 = 16\nn3 = 16\n[filter]\nalpha = 1.0\n"
+                 "theta = {theta}\n[solver]\nnu = 0.01\ndt = 0.001\nt_end = 0.05\n")
+
+
+@pytest.mark.parametrize("theta", [1.0, 0.75])
+def test_regularity_certificate_of_a_viscous_decay(tmp_path, theta):
+    """A single vertical mode decays monotonically, so the sups are the
+    t = 0 norms; the integrals are the reference trapezoids."""
+    text = CERTIFIED_RUN.format(theta=theta) + "[init]\nkind = single-mode\n"
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--config", write(tmp_path / "run.ini", text),
+                   "--output", str(out), "--quiet") == 0
+    got = read_manifest(out)["regularity"]
+    cfg = parse_config(text).solver
+    expect = certificate_reference(cfg)
+    assert sorted(got) == sorted(expect)
+    for name, value in expect.items():
+        assert got[name] == pytest.approx(value, rel=1e-12), name
+    w0 = next(run(cfg))[0].w
+    assert got["sup_l2"] == pytest.approx(l2_norm(w0), rel=1e-12)
+    assert got["sup_theta_seminorm"] == pytest.approx(vertical_seminorm(w0, theta),
+                                                      rel=1e-12)
+    assert got["integral_grad_sq"] > 0.0
+    assert got["integral_theta_grad_sq"] > 0.0
+
+
+def test_regularity_certificate_of_a_forced_run(tmp_path):
+    """A Taylor-Green run forced along itself: its norms grow, so the
+    sups are not the t = 0 norms; the certificate of two runs has the
+    same values and equals the reference."""
+    text = (CERTIFIED_RUN.format(theta=0.75)
+            + "[forcing]\nkind = taylor-green\namplitude = 2.0\n")
+    cfg = write(tmp_path / "run.ini", text)
+    outs = [tmp_path / name for name in ("a", "b")]
+    for out in outs:
+        assert run_cli("simulate", "--config", cfg, "--output", str(out), "--quiet") == 0
+    got, again = (read_manifest(out)["regularity"] for out in outs)
+    assert got == again
+    solver = parse_config(text).solver
+    expect = certificate_reference(solver)
+    for name, value in expect.items():
+        assert got[name] == pytest.approx(value, rel=1e-12), name
+    assert got["sup_l2"] > l2_norm(next(run(solver))[0].w)
+
+
+def test_record_fold_of_a_zero_trajectory():
+    """Zero states certify zero, rise nowhere and are finite."""
+    g = Grid(16, 16, 16)
+    zero = VectorField(g.band, np.zeros((3, *g.band.shape), dtype=complex))
+    fold = _RecordFold()
+    for t in (0.0, 0.1):
+        fold.add(energy_terms(zero, zero, FilterSpec(1.0, 1.0), 1, nu=0.01, t=t))
+    assert fold.certificate == {"sup_l2": 0.0, "sup_theta_seminorm": 0.0,
+                                "integral_grad_sq": 0.0, "integral_theta_grad_sq": 0.0}
+    assert (fold.count, fold.nonfinite, fold.rises, fold.first) == (2, 0, 0, 0.0)
+
+
+def test_record_fold_counts_rises_and_non_finite_records():
+    """A rise beyond a relative 1e-12 counts and one within it does not;
+    a non-finite cell counts, and the NaN residual of a record that has
+    no predecessor does not."""
+    g = Grid(8, 8, 8)
+    zero = VectorField(g.band, np.zeros((3, *g.band.shape), dtype=complex))
+    base = energy_terms(zero, zero, FilterSpec(1.0, 1.0), 1, nu=0.01)
+    fold = _RecordFold()
+    for t, energy, power in [(0.0, 1.0, 0.0), (0.1, 1.0 + 1e-13, 0.0),
+                             (0.2, 1.0 + 1e-11, 0.0), (0.3, 0.5, np.inf)]:
+        fold.add(replace(base, t=t, model_energy=energy, forcing_power=power))
+    assert (fold.count, fold.nonfinite, fold.rises, fold.first) == (4, 1, 1, 1.0)
+
+
+def test_simulate_memory_independent_of_record_count(tmp_path, monkeypatch):
+    """simulate keeps no record: its traced peak at 2000 records is that
+    at 250.  run() is bounded on its own (test_solver), so here it yields
+    one 8^3 state with records one dt apart, and 2000 of them take
+    milliseconds; the warm-up call fills the interpreter's free lists."""
+    def stream(cfg):
+        state, record = next(run(cfg))
+        return ((state, replace(record, t=n * cfg.dt)) for n in range(cfg.num_steps + 1))
+
+    monkeypatch.setattr(cli, "run", stream)
+
+    def peak(records):
+        path = write(tmp_path / "run.ini", "[grid]\nn1 = 8\nn2 = 8\nn3 = 8\n"
+                     f"[solver]\ndt = 0.005\nt_end = {(records - 1) * 0.005!r}\n")
+        tracemalloc.start()
+        try:
+            assert main(["simulate", "--config", path, "--output",
+                         str(tmp_path / f"out{records}"), "--quiet"]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2000)
+    small, large = peak(250), peak(2000)
+    manifest = read_manifest(tmp_path / "out2000")
+    assert manifest["assertions"][0]["detail"] == "2000 records"
+    assert abs(large - small) <= 8 * 1024
 
 
 def test_verify_operators(tmp_path):

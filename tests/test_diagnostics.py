@@ -1,4 +1,4 @@
-"""Energy accounting, budget residuals, regularity and spectrum reports."""
+"""Energy accounting, budget residuals and spectrum reports."""
 
 import math
 
@@ -12,7 +12,6 @@ from admles.diagnostics import (
     budget_residual,
     energy_terms,
     gronwall_integrand,
-    regularity_norms,
     vertical_spectrum,
 )
 from admles.ensembles import EnsembleSpec, draw_vector
@@ -25,9 +24,9 @@ from admles.filters import (
 )
 from admles.grid import Grid
 from admles.solver import (
+    RandomBandLimited,
     SingleMode,
     SolverConfig,
-    SolverState,
     TaylorGreen,
     ZeroForcing,
     descriptor_field,
@@ -130,6 +129,8 @@ def test_record_norms_equal_the_single_norm_functions_bitwise():
     assert rec.theta_seminorm == vertical_seminorm(w, 0.75)
     assert rec.gronwall_integrand == gronwall_integrand(FieldNorms(w), 0.75)
     assert rec.gronwall_integrand > 0.0
+    assert rec.grad_norm == FieldNorms(w).grad()
+    assert rec.theta_grad_norm == FieldNorms(w).vertical_grad(0.75)
 
 
 @pytest.mark.parametrize("g", [Grid(32, 32, 32), Grid(12, 16, 24, L3=np.pi)],
@@ -242,6 +243,24 @@ def test_budget_residual_second_order():
     assert rc / rf == pytest.approx(4.0, rel=0.25)
 
 
+@pytest.mark.parametrize("order", [0, 2])
+@pytest.mark.parametrize("forcing", [TaylorGreen(amplitude=2.0),
+                                     RandomBandLimited(seed=3, band=3, energy=2.0)],
+                         ids=["taylor-green", "random"])
+def test_budget_residual_second_order_under_forcing(forcing, order):
+    """The residual pairs the mean of the two records' forcing powers
+    with the energy's difference quotient, so it halves the step's
+    error twice; the second record's power alone would halve it once."""
+    def last_residual(dt):
+        cfg = SolverConfig(grid=Grid(16, 16, 16), nu=0.1, filter=FILT,
+                           deconv_order=order, dt=dt, t_end=0.04, init=TaylorGreen(),
+                           forcing=forcing)
+        *_, last = attach_residuals(r for _, r in run(cfg))
+        return last.budget_residual
+
+    assert 3.4 <= last_residual(0.002) / last_residual(0.001) <= 4.6
+
+
 def test_budget_residual_spacing_check():
     records = [r for _, r in run_small()]
     with pytest.raises(ValueError):
@@ -271,34 +290,8 @@ def test_energy_record_validation():
         EnergyRecord(
             t=0.0, model_energy=-1.0, dissipation=0.0, forcing_power=0.0,
             l2_norm=0.0, theta_seminorm=0.0, gronwall_integrand=0.0,
+            grad_norm=0.0, theta_grad_norm=0.0,
         )
-
-
-# ---------------------------------------------------------------------------
-# Regularity summary
-
-
-def test_regularity_norms_viscous_decay():
-    rep = regularity_norms((s for s, _ in run_small(t_end=0.05)), FILT)
-    w0 = next(run_small(t_end=0.05))[0].w
-    # monotone decay: suprema are attained at t = 0
-    assert rep["sup_l2"] == pytest.approx(l2_norm(w0), rel=1e-12)
-    assert rep["sup_theta_seminorm"] == pytest.approx(
-        vertical_seminorm(w0, FILT.theta), rel=1e-12
-    )
-    assert rep["integral_grad_sq"] > 0.0
-    assert rep["integral_theta_grad_sq"] > 0.0
-
-
-def test_regularity_norms_zero_trajectory():
-    g = Grid(16, 16, 16)
-    zero = zero_vector(g)
-    states = [SolverState(0.0, 0, zero), SolverState(0.1, 1, zero)]
-    rep = regularity_norms(iter(states), FILT)
-    assert rep["sup_l2"] == 0.0
-    assert rep["integral_grad_sq"] == 0.0
-    with pytest.raises(ValueError, match="empty trajectory"):
-        regularity_norms(iter([]), FILT)
 
 
 # ---------------------------------------------------------------------------

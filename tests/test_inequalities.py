@@ -108,6 +108,25 @@ def test_agmon_split_bound_single_mode_value():
     assert agmon_split_bound(line, 1.0) == pytest.approx(2.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("s, m, zeta", [
+    (1.0, 1, np.pi**2 / 6 - 1.0),  # zeta(2, 2)
+    (2.0, 2, np.pi**4 / 90 - 1.0 - 1.0 / 2**4),  # zeta(4, 3)
+])
+def test_agmon_split_bound_equals_the_hand_formula(s, m, zeta):
+    """g = 2 cos x + cos 3x, so ||g||_{H^s}^2 / ||g||_2^2 is
+    (2.5 + 2 + 0.5 * 3^{2s}) / 2.5 and m = floor(kappa) is 1 at s = 1
+    and 2 at s = 2: the low sum holds the modes +-1, the high sum the
+    modes +-3, and the tail factor is 2 zeta(2s, m + 1), with the zeta
+    from its closed form, pi^2/6 or pi^4/90, less the first m terms."""
+    line = cos_line(32, 1) + cos_line(32, 3, 0.5)
+    kappa = ((2.5 + 2.0 + 0.5 * 3 ** (2 * s)) / 2.5) ** (0.5 / s)
+    assert int(np.floor(kappa)) == m
+    low = np.sqrt(2.0)
+    high = np.sqrt(2 * 0.25 * 3 ** (2 * s))
+    expect = np.sqrt(2.0 * m) * low + np.sqrt(2.0 * zeta) * high
+    assert agmon_split_bound(line, s) == pytest.approx(expect, rel=1e-12)
+
+
 # scipy.special.zeta(x, q) of scipy 1.17.1, as exact float reprs: the
 # integer q >= 2 that agmon_split_bound passes, points that need the 7th
 # Bernoulli term (3.6, 2) or the exact epsilon (21.4, 2), a fractional
@@ -313,6 +332,25 @@ def test_ladyzhenskaya_single_mode_matches_fine_grid(grid):
     r_fine = ladyzhenskaya_ratio(VectorField(Band(fine, u.band.cutoffs), u.coeffs))
     assert r == pytest.approx(r_fine, rel=1e-6)
     assert np.isfinite(r) and r > 0
+
+
+@pytest.mark.parametrize("m1, m3", [(1, 1), (2, 3), (3, 2)])
+def test_ladyzhenskaya_ratio_closed_form(m1, m3):
+    """u = cos(k1 x1) cos(k3 x3) e2: ||u||_2^2 = L1 L2 L3 / 4 and
+    ||grad_h u||_2^2 = k1^2 L1 L2 L3 / 4, and each plane's L^4 norm
+    squared is cos^2(k3 x3) sqrt(3 L1 L2 / 8), whose integral over x3
+    is sqrt(3 L1 L2 / 8) L3 / 2: the ratio does not depend on k3, which
+    the full gradient would bring in.  The profile's round-off below
+    zero at the zeros of cos(k3 x3) is clipped, hence rel 1e-6."""
+    g = Grid(16, 16, 16, 2 * np.pi, 3.0, 5.0)
+    L1, L2, L3 = g.sizes
+    k1, k3 = 2 * np.pi * m1 / L1, 2 * np.pi * m3 / L3
+    x1, _, x3 = g.mesh()
+    zero = np.zeros(g.shape)
+    u = field_from_samples(g, np.stack([zero, zero + np.cos(k1 * x1) * np.cos(k3 * x3),
+                                        zero]))
+    expect = np.sqrt(np.sqrt(3 * L1 * L2 / 8) * L3 / 2) / np.sqrt(k1 * L1 * L2 * L3 / 4)
+    assert ladyzhenskaya_ratio(u) == pytest.approx(expect, rel=1e-6)
 
 
 def test_ladyzhenskaya_scale_invariant(grid):

@@ -5,6 +5,7 @@ import json
 import re
 import struct
 import tracemalloc
+from dataclasses import replace
 from functools import cached_property
 
 import numpy as np
@@ -20,6 +21,7 @@ from full_layout import (
 )
 
 from admles import solver
+from admles.diagnostics import gronwall_integrand
 from admles.filters import (
     DeconvSpec,
     FilterSpec,
@@ -296,7 +298,7 @@ def test_stepper_holds_one_band_vector():
     named = [ops.samples, ops.k1, ops.forcing_raw.coeffs, ops.band_viscous,
              work.columns, work.half, work.product, work.mode]
     lines = [arr for arr in bases if arr.shape == ops.config.grid.k3.shape]
-    assert len(lines) == 3  # band_deconv, band_bar and band_filter
+    assert len(lines) == 3  # band_deconv, band_bar and forcing_filter
     named_bytes = sum(arr.nbytes for arr in named)
     assert named_bytes == 11_196_784  # 10.68 MiB
     held = sum(arr.nbytes for arr in bases)
@@ -594,13 +596,17 @@ def test_forcing_on_its_draw_box_steps_as_on_the_band_bitwise(order):
     is the whole band and the rest holds (0 / A) - c: three steps agree
     bit for bit, a -0.0 mean mode of the forcing included, and so does
     the right-hand side of the zero state, whose c is a signed zero
-    everywhere, so that -c would not do for 0.0 - c."""
+    everywhere, so that -c would not do for 0.0 - c.  A StepOperators
+    builds the index lists of its forcing's box once, so each forcing is
+    swapped for one on the same box: on_band's Taylor-Green forcing is on
+    the band."""
     cfg = config16(grid=ODD_BOX, deconv_order=order, t_end=0.03,
                    filter=FilterSpec(alpha=0.5, theta=0.75),
                    init=RandomBandLimited(seed=12, band=3),
                    forcing=RandomBandLimited(seed=13, band=2, energy=2.0))
     band = cfg.grid.band
-    on_box, on_band = StepOperators(cfg), StepOperators(cfg)
+    on_box, on_band = StepOperators(cfg), StepOperators(replace(cfg, forcing=TaylorGreen()))
+    assert on_band.forcing_raw.band is band
     f = on_box.forcing_raw
     assert f.band.cutoffs == (2, 2, 2) != band.cutoffs
     coeffs = f.coeffs.copy()
@@ -901,6 +907,28 @@ def test_dependence_linearity_and_envelope():
     # envelope validity: delta stays under the fitted envelope
     env = r1.envelope()
     assert np.all(r1.delta_norms <= env * (1 + 1e-10))
+
+
+def test_dependence_report_is_what_its_docstring_says():
+    """integrals is the cumulative trapezoid of integrands over times, and
+    integrands[i] is gronwall_integrand of the perturbed state at
+    times[i], from a trajectory of its own from w0 + epsilon p, with p
+    the seeded draw at unit L2 norm."""
+    cfg = config16(dt=0.01, t_end=0.1, filter=FilterSpec(alpha=0.5, theta=0.75))
+    eps = 1e-3
+    report = dependence_experiment(cfg, eps, perturbation_seed=5)
+    times, integrands = report.times, report.integrands
+    steps = 0.5 * np.diff(times) * (integrands[1:] + integrands[:-1])
+    np.testing.assert_allclose(report.integrals, np.concatenate([[0.0], np.cumsum(steps)]),
+                               rtol=1e-13, atol=0.0)
+    w0 = initial_state(cfg).w
+    p = descriptor_field(RandomBandLimited(5, min(cfg.grid.band.cutoffs)), cfg.grid)
+    start = SolverState(0.0, 0, w0.with_coeffs(w0.coeffs + p.coeffs * (eps / l2_norm(p))))
+    states = list(trajectory(StepOperators(cfg), start))
+    np.testing.assert_array_equal(times, [s.t for s in states])
+    np.testing.assert_allclose(
+        integrands, [gronwall_integrand(FieldNorms(s.w), 0.75) for s in states],
+        rtol=1e-12, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
