@@ -125,10 +125,11 @@ class _Context:
 
 class _RecordFold:
     """simulate's records, folded in as each row is written so that none
-    is kept: their count, how many have a non-finite CSV cell (the first
-    residual aside), E(0), the energy's rises, and the regularity
-    certificate: the sups of ||w|| and ||d3^theta w|| and the trapezoid
-    time-integrals of ||grad w||^2 and ||d3^theta grad w||^2."""
+    is kept: their count, how many have a non-finite CSV cell outside
+    budget_residual (read on no row; the first row's is NaN), E(0), the
+    energy's rises, and the regularity certificate: the sups of ||w||
+    and ||d3^theta w|| and the trapezoid time-integrals of ||grad w||^2
+    and ||d3^theta grad w||^2."""
 
     def __init__(self):
         self.count = self.nonfinite = self.rises = 0

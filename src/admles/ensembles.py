@@ -104,8 +104,7 @@ def _draw(rng: np.random.Generator, spec: EnsembleSpec, grid: Grid,
     half = _draw_band(rng, b, spec.amplitude_decay, components)
     coeffs = np.roll(half, -b, axis=(-3, -2))
     if project:
-        coeffs = project_coeffs(box, coeffs, np.empty_like(coeffs),
-                                np.empty_like(coeffs[0]))
+        project_coeffs(box, coeffs, *np.empty_like(coeffs[:2]))
     return box, coeffs
 
 

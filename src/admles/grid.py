@@ -32,7 +32,7 @@ from __future__ import annotations
 import threading
 import weakref
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -85,6 +85,34 @@ def check_band(band: int, shape: tuple[int, int, int]) -> None:
             f"band: {band} lies outside the retained band (cutoff {cutoff})")
 
 
+def _rows_on(cutoffs: tuple[int, int, int], shape: tuple[int, int, int]):
+    """(band slice, half slice) of the low and high row block of each
+    full axis of a box of `cutoffs`, on a half layout of grid shape
+    `shape`."""
+    if any(2 * k + 1 > n for k, n in zip(cutoffs, shape)):
+        raise ValueError(f"band: cutoffs {cutoffs} do not fit "
+                         f"a grid of shape {shape}")
+    return tuple(((slice(0, k + 1),) * 2, (slice(k + 1, None), slice(n - k, n)))
+                 for k, n in zip(cutoffs, shape[:2]))
+
+
+@lru_cache(maxsize=64)
+def _box_indices(inner: tuple[int, int, int], outer: tuple[int, int, int]):
+    """(Band.blocks_in, Band.rest_of) of a box of cutoffs `inner` in one
+    of cutoffs `outer`, built once per pair of cutoffs, the only thing
+    they depend on; the cache holds no Band or Grid.  A box is the half
+    layout of a grid of shape (2 K1 + 1, 2 K2 + 1, 2 K3 + 1)."""
+    rows1, rows2 = _rows_on(inner, tuple(2 * k + 1 for k in outer))
+    cols, past = slice(0, inner[2] + 1), slice(inner[2] + 1, None)
+    blocks = tuple(((..., b1, b2, slice(None)), (..., h1, h2, cols))
+                   for b1, h1 in rows1 for b2, h2 in rows2)
+    ((_, low1), (_, high1)), ((_, low2), (_, high2)) = rows1, rows2
+    rest = ((..., slice(low1.stop, high1.start), slice(None), slice(None)),
+            *((..., h1, slice(None), past) for h1 in (low1, high1)),
+            *((..., h1, slice(low2.stop, high2.start), cols) for h1 in (low1, high1)))
+    return blocks, rest
+
+
 class Band:
     """A box of half-layout coefficients with cutoffs (K1, K2, K3),
     stored compactly with shape (2 K1 + 1, 2 K2 + 1, K3 + 1).
@@ -95,8 +123,8 @@ class Band:
     and sampled fields, cutoffs (b, b, b) for a draw and a random
     forcing); embed moves its coefficients onto a larger box, restrict
     reads them off one, and blocks_in and rest_of index its modes and the
-    others on one.  A box fits a grid shape whose axes hold its rows
-    (2 K + 1 <= m), and rows_on places them there.
+    others on one (index lists cached per pair of cutoffs, not per box).
+    A box fits a grid shape whose axes hold its rows (2 K + 1 <= m).
     Since 2 K + 1 <= n, a box never holds a Nyquist row or column: its
     derivative and true wavenumbers agree, and every multiplier on it
     is built from its own lines kd1, kd2, kd3 (the grid's, restricted
@@ -111,8 +139,8 @@ class Band:
         self.grid = grid
         self.shape = (2 * k1 + 1, 2 * k2 + 1, k3 + 1)
         self.cols = slice(0, k3 + 1)
-        self.rows_on(grid.shape)  # raises unless the grid holds the box
-        self._workspaces: dict[tuple, BandWorkspace] = {}
+        _rows_on(cutoffs, grid.shape)  # raises unless the grid holds the box
+        self._scratch = threading.local()
 
     def _rows(self, axis: int) -> np.ndarray:
         """Indices of the box's rows on full axis `axis` of its grid."""
@@ -140,51 +168,30 @@ class Band:
 
     def workspace(self, shape: tuple[int, int, int],
                   components: int = 1) -> BandWorkspace:
-        """The calling thread's one sampling workspace of the box on grid
-        shape `shape` for groups of `components` components: built on
-        first use, then shared by every caller on that thread, since a
-        transform leaves nothing in it that the next one reads.  Two
-        threads never share one, so they may sample fields of one box at
-        once."""
-        key = (threading.get_ident(), shape, components)
-        if key not in self._workspaces:
-            self._workspaces[key] = BandWorkspace(self, shape, components)
-        return self._workspaces[key]
+        """The calling thread's one BandWorkspace of the box on grid shape
+        `shape` for groups of `components` components, the only way to
+        get one: every caller on the thread shares it, and each call that
+        takes it may overwrite all of its buffers.  It lives in a
+        threading.local of the box, so no two threads share one, and a
+        thread's workspaces go when the thread or the box does."""
+        spaces = vars(self._scratch)
+        key = (shape, components)
+        if key not in spaces:
+            spaces[key] = BandWorkspace(self, shape, components)
+        return spaces[key]
 
-    def rows_on(self, shape: tuple[int, int, int]):
-        """(band slice, half slice) of the low and high row block of each
-        full axis, on a half layout of grid shape `shape`."""
-        if any(2 * k + 1 > n for k, n in zip(self.cutoffs, shape)):
-            raise ValueError(f"band: cutoffs {self.cutoffs} do not fit "
-                             f"a grid of shape {shape}")
-        return tuple(((slice(0, k + 1),) * 2, (slice(k + 1, None), slice(n - k, n)))
-                     for k, n in zip(self.cutoffs, shape[:2]))
-
-    def _rows_in(self, box: "Band"):
-        """rows_on for the box `box`, which holds this box (cutoffs no
-        larger on any axis): a box is the half layout of a grid of shape
-        (2 K1 + 1, 2 K2 + 1, 2 K3 + 1)."""
-        return self.rows_on(tuple(2 * k + 1 for k in box.cutoffs))
-
-    def blocks_in(self, box: "Band") -> list[tuple[tuple, tuple]]:
+    def blocks_in(self, box: "Band") -> tuple[tuple[tuple, tuple], ...]:
         """(index on this box, index on `box`) of each of this box's four
         row blocks, for a box `box` that holds it; the indices are basic
         slices, so both give views."""
-        rows1, rows2 = self._rows_in(box)
-        return [((..., b1, b2, slice(None)), (..., h1, h2, self.cols))
-                for b1, h1 in rows1 for b2, h2 in rows2]
+        return _box_indices(self.cutoffs, box.cutoffs)[0]
 
-    def rest_of(self, box: "Band") -> list[tuple]:
+    def rest_of(self, box: "Band") -> tuple[tuple, ...]:
         """Disjoint basic indices of `box`, which holds this box, that
         cover its modes outside this box: the rows of axis 0 between this
         box's two blocks, then in each block of axis 0 the columns past
         this box's, and the rows of axis 1 between its blocks."""
-        ((_, low1), (_, high1)), ((_, low2), (_, high2)) = self._rows_in(box)
-        past = slice(self.cols.stop, None)
-        return [(..., slice(low1.stop, high1.start), slice(None), slice(None)),
-                *((..., h1, slice(None), past) for h1 in (low1, high1)),
-                *((..., h1, slice(low2.stop, high2.start), self.cols)
-                  for h1 in (low1, high1))]
+        return _box_indices(self.cutoffs, box.cutoffs)[1]
 
     def embed(self, coeffs: np.ndarray, box: "Band") -> np.ndarray:
         """A fresh array of the box `box` that holds this box: `coeffs` on
@@ -204,41 +211,34 @@ class Band:
 
 
 class BandWorkspace:
-    """Scratch arrays of the pruned transforms (spectral.band_inverse and
-    band_forward) between a Band and the samples on a grid shape (m1,
-    m2, m3) that holds it (by default its grid's), the band's row blocks
-    `rows1`, `rows2` on that shape, and its columns `cols` and shape
-    `band_shape`; it keeps no reference to the Band, so a Band's cached
-    workspaces hold none back.  The inverse transforms its input in
-    groups of `components` components, each pass once per group; the
-    forward uses group member 0.  `columns` (components, m1, 2 K2 + 1,
-    K3 + 1) is the input of the inverse's axis -3 pass and the output of
-    the forward's, for all m1 planes.  Every other pass works plane by
-    plane along axis 0, so the transforms stream the samples through
-    slabs of `slab` planes: `half` (components, slab, m2, m3/2 + 1) is
-    the irfft input and rfft output of one slab, and `slab` is the most
-    planes of it that fit SLAB_BYTES (at least one, at most m1), so a
-    layout under the budget is one slab.  Each transform zeroes the
-    padding the other may have overwritten.  `product` (one slab of a
-    real product of samples) and `mode` (one band-shaped component) are
-    the scratch of band_divergence, the stepper's speed check and its
-    projection, built on first use, so a sampling workspace holds
-    `columns` and `half` only.  `term`, their second band-shaped
-    component, shares `columns`: it is a view of its first 2 K1 + 1
-    planes, which always fit, as m1 >= 2 K1 + 1.  Each transform writes
-    every part of `columns` and `half` that it reads before reading it,
-    so `term` is free from a band_forward's return to the next
-    transform, and `half` between transforms; `mode` is free once its
-    holder has read it (band_divergence returns with it free).  The
-    stepper squares its speeds into `half`, and bars its forcing into
-    `mode` after its projection.
+    """Scratch of the pruned transforms (spectral.band_inverse and
+    band_forward) between a box and the samples on a grid shape (m1, m2,
+    m3) that holds it, for groups of `components` components; callers get
+    one from Band.workspace.  It keeps the box's row blocks `rows1`,
+    `rows2` on that shape, its columns `cols` and shape `band_shape`, and
+    no reference to the Band.  The transforms stream the samples through
+    slabs of `slab` planes along axis 0 (slabs), the most that fit
+    SLAB_BYTES, at least one and at most m1.  Its buffers:
+
+    - `columns` (components, m1, 2 K2 + 1, K3 + 1) and `half`
+      (components, slab, m2, m3/2 + 1): every transform overwrites both,
+      and reads nothing a caller left there, so both are free between
+      transforms;
+    - `product` (one slab of real samples): overwritten by band_forward
+      of a product;
+    - `mode` (one band-shaped component): overwritten by band_divergence,
+      which returns with it free;
+    - `term` (one band-shaped component): a view of the first 2 K1 + 1
+      planes of `columns`, so every transform overwrites it.
+
+    `product`, `mode` and `term` are built on first use, so a workspace
+    that only samples holds `columns` and `half`.
     """
 
-    def __init__(self, band: Band, shape: tuple[int, int, int] | None = None,
-                 components: int = 1):
-        m1, m2, m3 = self.shape = shape or band.grid.shape
+    def __init__(self, band: Band, shape: tuple[int, int, int], components: int):
+        m1, m2, m3 = self.shape = shape
         self.cols, self.band_shape = band.cols, band.shape
-        self.rows1, self.rows2 = band.rows_on(self.shape)
+        self.rows1, self.rows2 = _rows_on(band.cutoffs, shape)
         plane = components * m2 * (m3 // 2 + 1) * np.dtype(np.complex128).itemsize
         self.slab = min(m1, max(1, SLAB_BYTES // plane))
         self.columns = np.zeros((components, m1, *band.shape[1:]), dtype=np.complex128)

@@ -293,13 +293,14 @@ class NaNError(SolverAbort):
 class StepOperators:
     """Per-config multipliers on the 2/3 band, the raw forcing f
     (forcing_raw, on its own box inside the band: a random forcing's draw
-    box, else the band; the records read it too, and band_rhs bars it one
-    component at a time) and the stepper's workspace: one band vector,
-    the first stage k1, and one array of the grid's size, the samples of
-    D w; the transforms' slabs and band-shaped scratch are in `work`.  A
-    step works on the band lines and on buffers that every step and every
-    band_rhs call overwrites and never hands out, so one StepOperators
-    can serve several trajectories stepped in turn.
+    box, else the band; the records read it too) and what a step writes:
+    k1, the first stage on the band, and `samples`, the samples of D w,
+    the one array of the grid's size.  Its transform scratch is the
+    calling thread's workspace of the band (work), which it does not
+    hold.  A step overwrites k1, samples and every buffer of the
+    workspace, and hands none of them out, so one StepOperators can serve
+    several trajectories stepped in turn; forcing_raw may be replaced by
+    a field on any box inside the band.
     """
 
     def __init__(self, config: SolverConfig):
@@ -307,56 +308,53 @@ class StepOperators:
         band = grid.band
         self.config = config
         self.band = band
-        symbols = symbol_table(grid, config.deconv)
+        self.symbols = symbol_table(grid, config.deconv)
         self.forcing_raw = forcing_field(config.forcing, grid)
         self.kmax = grid.max_dealiased_wavenumber
         # multipliers on the band, which holds no Nyquist mode, so its
         # derivative wavenumbers are the true ones
         ksq = band.kd1**2 + band.kd2**2 + band.kd3**2
         self.band_viscous = np.exp(-config.nu * config.dt * ksq)
-        self.band_deconv = symbols.deconv[..., band.cols]
-        self.band_bar = symbols.bar[..., band.cols]
-        # once for forcing_raw's box: its blocks in the band, the rest, A
-        box = self.forcing_raw.band
-        self.forcing_blocks, self.forcing_rest = box.blocks_in(band), box.rest_of(band)
-        self.forcing_filter = symbols.filter[..., box.cols]
-        # workspace: the first stage on the band, the samples of D w, and
-        # the transforms' slabs
+        self.band_deconv = self.symbols.deconv[..., band.cols]
+        self.band_bar = self.symbols.bar[..., band.cols]
         self.k1 = np.empty((3, *band.shape), dtype=np.complex128)
         self.samples = np.empty((3, *grid.shape))
-        self.work = BandWorkspace(band)
+
+    @property
+    def work(self) -> BandWorkspace:
+        """The calling thread's workspace of the band on the grid."""
+        return self.band.workspace(self.config.grid.shape)
 
     def band_rhs(self, w: np.ndarray, out: np.ndarray) -> np.ndarray:
         """g(w) = bar f - P bar div(D w x D w) of band coefficients into
-        `out`, which holds D w on the way and may be `w`: only the first
-        multiply reads `w`.  bar f is formed one component at a time on
-        the forcing's box, as forcing_raw / A(k3), in the first modes of
-        work.mode, which the projection has left free; bar f - c is formed
-        on the box's modes, and 0.0 - c, which is (0 / A) - c bit for bit,
-        on the rest of the band (none if the box is the band).  The
-        samples of D w stay in `samples` until the next call."""
+        `out`, which may be `w`: only the first multiply reads `w`.  It
+        overwrites `samples`, which hold the samples of D w until the next
+        call, and every buffer of `work`.  bar f is forcing_raw / A(k3)
+        on the forcing's box, and the rest of the band gets 0.0 - c, which
+        is (0 / A) - c bit for bit, so a forcing on any box gives the bits
+        of the same forcing embedded in the band."""
         work = self.work
         z = np.multiply(w, self.band_deconv, out=out)
         zs = band_inverse(z, self.samples, work)
         conv = band_divergence(self.band, zs, out, work)
         conv *= self.band_bar
-        project_coeffs(self.band, conv, conv, work.mode, work.term)
+        project_coeffs(self.band, conv, work.mode, work.term)
         box = self.forcing_raw.band
         bar_f = work.mode.reshape(-1)[:math.prod(box.shape)].reshape(box.shape)
+        blocks, a = box.blocks_in(self.band), self.symbols.filter[..., box.cols]
         for f, c in zip(self.forcing_raw.coeffs, conv):
-            np.divide(f, self.forcing_filter, out=bar_f)
-            for mine, theirs in self.forcing_blocks:
+            np.divide(f, a, out=bar_f)
+            for mine, theirs in blocks:
                 np.subtract(bar_f[mine], c[theirs], out=c[theirs])
-        for other in self.forcing_rest:  # every component at once
+        for other in box.rest_of(self.band):  # every component at once
             np.subtract(0.0, conv[other], out=conv[other])
         return out
 
     def max_speed_squared(self) -> float:
         """max |D w|^2 over the samples the last band_rhs built, summed
-        as np.sum(samples**2, axis=0) does, one slab of planes at a time
-        in the workspace's product, each square after the first formed in
-        work.half viewed as reals, which band_rhs has left free; np.max of
-        the slab maxima keeps a NaN."""
+        as np.sum(samples**2, axis=0) does, one slab of planes at a time;
+        it overwrites work.product and work.half.  np.max of the slab
+        maxima keeps a NaN."""
         work = self.work
         reals = work.half.reshape(-1).view(np.float64)
         maxima = []

@@ -33,10 +33,10 @@ box, the samples' shape and a component count: every pass but the
 inverse's first and the forward's last works plane by plane, so the
 transforms stream the samples through slabs, and band_inverse runs each
 pass once per group of that many components.  Neither changes a bit,
-as numpy transforms every line on its own.  The stepper and
-tensor_divergence run them on the 2/3 band of the grid, one component
-at a time, on a workspace of their own, and form each product of
-samples one slab at a time inside band_forward.
+as numpy transforms every line on its own.  The stepper,
+field_from_samples and tensor_divergence run them on the 2/3 band of the
+grid, one component at a time, on the band's workspace, and form each
+product of samples one slab at a time inside band_forward.
 fine_samples, the one 3-D trigonometric upsampler, runs band_inverse
 from a field's box onto any shape, and convective_inner from each of
 three fields' boxes, every component of a field in one group, on the
@@ -132,7 +132,7 @@ def field_from_samples(grid: Grid, samples: np.ndarray) -> Field:
         raise ValueError(f"sample shape {samples.shape} does not match "
                          f"grid shape {grid.shape}")
     band = grid.band
-    work = BandWorkspace(band)
+    work = band.workspace(grid.shape)
     coeffs = np.empty((*samples.shape[:-3], *band.shape), dtype=np.complex128)
     for part, out in zip(samples.reshape(-1, *grid.shape),
                          coeffs.reshape(-1, *band.shape)):
@@ -150,28 +150,22 @@ def divergence(field: VectorField) -> SpectralField:
     return SpectralField(b, 1j * (b.kd1 * c[0] + b.kd2 * c[1] + b.kd3 * c[2]))
 
 
-def project_coeffs(band: Band, c: np.ndarray, out: np.ndarray, kdotu: np.ndarray,
-                   term: np.ndarray | None = None) -> np.ndarray:
-    """The Leray formula on (3, *band.shape) box coefficients, into `out`.
-
-    out_i = c_i - kd_i (kd . c) / |kd|^2 modewise, from the box's own
-    lines band.kd1, kd2, kd3 and band.inv_kd_squared.  `kdotu` is
-    scratch of one component's shape, and so is `term`, which is needed
-    only when `out` is `c`; otherwise the components of `out` serve as
-    that scratch.
-    """
-    t = out[0] if term is None else term
+def project_coeffs(band: Band, c: np.ndarray, kdotu: np.ndarray,
+                   term: np.ndarray) -> np.ndarray:
+    """The Leray formula on (3, *band.shape) box coefficients `c`, in
+    place: c_i - kd_i (kd . c) / |kd|^2 modewise, from the box's own
+    lines band.kd1, kd2, kd3 and band.inv_kd_squared.  `kdotu` and
+    `term`, each of one component's shape, are overwritten."""
     np.multiply(band.kd1, c[0], out=kdotu)
-    np.multiply(band.kd2, c[1], out=t)
-    kdotu += t
-    np.multiply(band.kd3, c[2], out=t)
-    kdotu += t
+    np.multiply(band.kd2, c[1], out=term)
+    kdotu += term
+    np.multiply(band.kd3, c[2], out=term)
+    kdotu += term
     kdotu *= band.inv_kd_squared
     for i, kd in enumerate((band.kd1, band.kd2, band.kd3)):
-        t = out[i] if term is None else term
-        np.multiply(kd, kdotu, out=t)
-        np.subtract(c[i], t, out=out[i])
-    return out
+        np.multiply(kd, kdotu, out=term)
+        np.subtract(c[i], term, out=c[i])
+    return c
 
 
 def leray_project(field: VectorField) -> VectorField:
@@ -179,11 +173,10 @@ def leray_project(field: VectorField) -> VectorField:
 
     P(u)_k = u_k - k (k . u_k) / |k|^2 on each mode of the field's box,
     which holds no Nyquist entry, so only the mean mode passes through
-    unchanged: project_coeffs on the box, as in the stepper.
+    unchanged: project_coeffs of a copy on the box, as in the stepper.
     """
-    c = field.coeffs
-    return field.with_coeffs(
-        project_coeffs(field.band, c, np.empty_like(c), np.empty_like(c[0])))
+    c = field.coeffs.copy()
+    return field.with_coeffs(project_coeffs(field.band, c, *np.empty_like(c[:2])))
 
 
 def divergence_residual(field: VectorField) -> float:
@@ -283,12 +276,13 @@ def tensor_divergence(u: VectorField) -> VectorField:
 
     For divergence-free u this is the convective term (u . grad) u.  u,
     embedded in the band unless it is on the band already, is sampled by
-    band_inverse and the products go through band_divergence, on one
-    workspace, as in the stepper; only their 2/3 band is kept, which
-    removes every aliased mode (3K < n makes the retained modes exact).
+    band_inverse and the products go through band_divergence, on the
+    band's workspace, as in the stepper; only their 2/3 band is kept,
+    which removes every aliased mode (3K < n makes the retained modes
+    exact).
     """
     band = u.grid.band
-    work = BandWorkspace(band)
+    work = band.workspace(u.grid.shape)
     coeffs = (u.coeffs if u.band.cutoffs == band.cutoffs
               else u.band.embed(u.coeffs, band))
     us = band_inverse(coeffs, np.empty((3, *u.grid.shape)), work)

@@ -10,7 +10,10 @@ def force_slab(monkeypatch):
     """force_slab(planes, shape, components=1) sets the slab budget so
     that a BandWorkspace built next for grid shape `shape` and that many
     components streams `planes` planes per slab; planes=None restores
-    the package's budget."""
+    the package's budget.  Band.workspace builds one only on a thread's
+    first call for that shape and count, so a box whose workspace exists
+    keeps its slab: a test sets the budget, then takes the workspace
+    from a box of a fresh Grid."""
     default = grid_module.SLAB_BYTES
 
     def force(planes, shape, components=1):

@@ -1,7 +1,10 @@
 """Grid construction, wavenumber layout, dealiasing box."""
 
 import gc
+import threading
 import tracemalloc
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -170,6 +173,33 @@ def test_a_dropped_grid_is_freed_by_reference_counting():
     # flat: the interpreter's free lists may grow a little, far below the
     # scratch of the 100 grids (13 MiB) or even of ten of them
     assert grown < 10 * scratch
+
+
+def test_a_finished_thread_frees_its_workspaces():
+    """A box keeps each thread's workspaces in a threading.local, so the
+    ones a pool's two threads took are freed, with the cyclic collector
+    off, once the pool has shut down; the calling thread keeps its own."""
+    box = Grid(16, 16, 16).band
+    mine = box.workspace(box.grid.shape)
+    both = threading.Barrier(2)
+
+    def take(_):
+        both.wait(timeout=30)  # one call on each of the pool's threads
+        work = box.workspace(box.grid.shape)
+        assert work is box.workspace(box.grid.shape) is not mine
+        return weakref.ref(work)
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            refs = list(pool.map(take, range(2)))
+            assert refs[0]() is not refs[1]()
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        if enabled:
+            gc.enable()
+    assert box.workspace(box.grid.shape) is mine
 
 
 def test_inverse_derivative_wavenumbers_read_only():

@@ -1,9 +1,10 @@
 """A field is the coefficients of its box, and the half layout
 (..., n1, n2, n3/2 + 1) is transform scratch only: the package names no
-code that moves a box to or from it.  Band.gather and Grid.spectral_shape
-are gone, and scatter may be named only inside grid.py; a second
-coefficient layout would have to name them elsewhere.  The tests keep
-their own copies in full_layout.py."""
+code that moves a box to or from it.  Band.gather, Band.scatter and
+Grid.spectral_shape are gone; a second coefficient layout would have to
+name them.  The tests keep their own copies in full_layout.py.  That
+scratch is a BandWorkspace, which only grid.py builds: every other
+module takes one from Band.workspace."""
 
 import ast
 from pathlib import Path
@@ -24,14 +25,23 @@ def _uses(path: Path):
             yield name, node.lineno
 
 
-def test_half_layout_is_named_only_by_grid_scatter():
+def test_the_package_names_no_half_layout():
     stray = [f"{path.name}:{line} {name}"
              for path in sorted(PACKAGE.glob("*.py"))
-             for name, line in _uses(path)
-             if (path.name, name) != ("grid.py", "scatter")]
+             for name, line in _uses(path)]
     assert not stray, f"half-layout moves in the package: {stray}"
 
 
 def test_the_checkpoints_name_no_half_layout():
     # a checkpoint stores the state's box as it is
     assert list(_uses(PACKAGE / "solver.py")) == []
+
+
+def test_only_grid_builds_a_band_workspace():
+    calls = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "grid.py"
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Call)
+             and "BandWorkspace" in (getattr(node.func, "id", None),
+                                     getattr(node.func, "attr", None))]
+    assert not calls, f"BandWorkspace built outside grid.py: {calls}"

@@ -169,39 +169,48 @@ def test_stepper_transforms_one_component_at_a_time():
     assert ops.work.columns.shape[0] == 1
 
 
+def fresh_grid(grid):
+    """A grid equal to `grid` whose band has built no workspace yet, so
+    the next one follows the slab budget that force_slab set."""
+    return Grid(*grid.shape, *grid.sizes)
+
+
 @pytest.mark.parametrize("order", [0, 2], ids=["N0", "N2"])
 @pytest.mark.parametrize("grid", [Grid(16, 16, 16), Grid(12, 16, 24, L3=np.pi)],
                          ids=["cube", "12x16x24"])
 def test_slabs_keep_the_bits_of_a_step(force_slab, grid, order):
     """The stepper streams its transforms through slabs of planes: one
     plane at a time and slabs of 5 with a short last one give the bits
-    of one slab, in band_divergence (through tensor_divergence) and in
-    two whole steps."""
-    cfg = config16(grid=grid, deconv_order=order, forcing=TaylorGreen(),
-                   init=RandomBandLimited(seed=21, band=3))
-    start = initial_state(cfg)
+    of one slab, in field_from_samples (the Taylor-Green forcing), in
+    band_divergence (through tensor_divergence) and in two whole steps,
+    all on the band's one workspace."""
 
-    def stepped():
+    def stepped(planes):
+        force_slab(planes, grid.shape)
+        cfg = config16(grid=fresh_grid(grid), deconv_order=order, forcing=TaylorGreen(),
+                       init=RandomBandLimited(seed=21, band=3))
         ops = StepOperators(cfg)
-        first = step(start, ops)
+        assert ops.work.slab == (planes or grid.n1)
+        first = step(initial_state(cfg), ops)
         bits = [first.w.coeffs.tobytes(), step(first, ops).w.coeffs.tobytes(),
                 tensor_divergence(first.w).coeffs.tobytes()]
-        return ops.work.slab, bits
+        assert ops.work is cfg.grid.band.workspace(grid.shape)
+        return bits
 
-    slab, one = stepped()
-    assert slab == grid.n1
+    one = stepped(None)
     for planes in (1, 5):
-        force_slab(planes, grid.shape)
-        assert stepped() == (planes, one)
+        assert stepped(planes) == one
 
 
 def test_cfl_speed_read_slab_by_slab_keeps_the_bits(force_slab):
-    cfg = config16(init=RandomBandLimited(seed=8, band=5), deconv_order=2)
-    w = initial_state(cfg).w.coeffs
     for planes in (None, 1, 5):
-        force_slab(planes, cfg.grid.shape)
+        force_slab(planes, (16, 16, 16))
+        # a fresh grid, whose band builds its workspace under this budget
+        cfg = config16(init=RandomBandLimited(seed=8, band=5), deconv_order=2,
+                       grid=Grid(16, 16, 16))
         ops = StepOperators(cfg)
-        ops.band_rhs(w, ops.k1)
+        assert ops.work.slab == (planes or 16)
+        ops.band_rhs(initial_state(cfg).w.coeffs, ops.k1)
         expect = np.sqrt(np.max(np.sum(ops.samples**2, axis=0)))
         assert np.sqrt(ops.max_speed_squared()).tobytes() == expect.tobytes()
 
@@ -284,21 +293,22 @@ def test_stepper_holds_one_grid_sized_array():
 def test_stepper_holds_one_band_vector():
     """The predictor is built in the new state and the forcing is barred
     one component at a time into the workspace, so at 64^3 a
-    StepOperators and its workspace hold k1, forcing_raw on its band-3
-    draw box, the samples, the viscous factor, the transforms' scratch
-    and one band component, 10.68 MiB, besides three k3 lines; term is a
-    view of columns."""
+    StepOperators and the band's workspace hold k1, forcing_raw on its
+    band-3 draw box, the samples, the viscous factor, the transforms'
+    scratch and one band component, 10.68 MiB, besides two k3 lines;
+    term is a view of columns.  The stepper keeps nothing of the
+    forcing's box: band_rhs reads its index lists and A columns."""
     ops, _ = stepped_at_64()
     work = ops.work
-    assert not hasattr(ops, "predictor")
-    assert not hasattr(ops, "band_forcing")
+    assert not {"work", "predictor", "band_forcing", "forcing_blocks", "forcing_rest",
+                "forcing_filter"} & vars(ops).keys()
     assert np.shares_memory(work.term, work.columns)
     assert ops.forcing_raw.coeffs.shape == (3, 7, 7, 4)
     bases = held_bases(ops, work).values()
     named = [ops.samples, ops.k1, ops.forcing_raw.coeffs, ops.band_viscous,
              work.columns, work.half, work.product, work.mode]
     lines = [arr for arr in bases if arr.shape == ops.config.grid.k3.shape]
-    assert len(lines) == 3  # band_deconv, band_bar and forcing_filter
+    assert len(lines) == 2  # band_deconv and band_bar
     named_bytes = sum(arr.nbytes for arr in named)
     assert named_bytes == 11_196_784  # 10.68 MiB
     held = sum(arr.nbytes for arr in bases)
@@ -596,17 +606,13 @@ def test_forcing_on_its_draw_box_steps_as_on_the_band_bitwise(order):
     is the whole band and the rest holds (0 / A) - c: three steps agree
     bit for bit, a -0.0 mean mode of the forcing included, and so does
     the right-hand side of the zero state, whose c is a signed zero
-    everywhere, so that -c would not do for 0.0 - c.  A StepOperators
-    builds the index lists of its forcing's box once, so each forcing is
-    swapped for one on the same box: on_band's Taylor-Green forcing is on
-    the band."""
+    everywhere, so that -c would not do for 0.0 - c."""
     cfg = config16(grid=ODD_BOX, deconv_order=order, t_end=0.03,
                    filter=FilterSpec(alpha=0.5, theta=0.75),
                    init=RandomBandLimited(seed=12, band=3),
                    forcing=RandomBandLimited(seed=13, band=2, energy=2.0))
     band = cfg.grid.band
-    on_box, on_band = StepOperators(cfg), StepOperators(replace(cfg, forcing=TaylorGreen()))
-    assert on_band.forcing_raw.band is band
+    on_box, on_band = StepOperators(cfg), StepOperators(cfg)
     f = on_box.forcing_raw
     assert f.band.cutoffs == (2, 2, 2) != band.cutoffs
     coeffs = f.coeffs.copy()
@@ -619,6 +625,29 @@ def test_forcing_on_its_draw_box_steps_as_on_the_band_bitwise(order):
     a = b = initial_state(cfg)
     for _ in range(3):
         a, b = step(a, on_box), step(b, on_band)
+        assert same_bits(a.w.coeffs, b.w.coeffs)
+
+
+@pytest.mark.parametrize("order", [0, 2])
+def test_a_forcing_swapped_across_boxes_steps_as_one_built_in(order):
+    """band_rhs reads the index lists and A columns of forcing_raw's box
+    on each call, so a stepper built with a Taylor-Green forcing on the
+    band, its forcing swapped at every step between a random draw on its
+    (2, 2, 2) box and the same draw embedded in the band, steps bit for
+    bit as one built with that random forcing."""
+    cfg = config16(grid=ODD_BOX, deconv_order=order,
+                   filter=FilterSpec(alpha=0.5, theta=0.75),
+                   init=RandomBandLimited(seed=12, band=3),
+                   forcing=RandomBandLimited(seed=13, band=2, energy=2.0))
+    band = cfg.grid.band
+    built, swapped = StepOperators(cfg), StepOperators(replace(cfg, forcing=TaylorGreen()))
+    f = built.forcing_raw
+    assert swapped.forcing_raw.band is band is not f.band
+    forcings = [f, VectorField(band, f.band.embed(f.coeffs, band))] * 2
+    a = b = initial_state(cfg)
+    for forcing in forcings:
+        swapped.forcing_raw = forcing
+        a, b = step(a, built), step(b, swapped)
         assert same_bits(a.w.coeffs, b.w.coeffs)
 
 

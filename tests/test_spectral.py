@@ -303,7 +303,7 @@ def test_pruned_transforms_equal_full_ones_bitwise(g, force_slab):
     coeffs = rng.standard_normal((3, *band.shape, 2)).view(complex)[..., 0]
     for planes in SLAB_HEIGHTS:
         force_slab(planes, g.shape)
-        work = BandWorkspace(band)
+        work = BandWorkspace(band, g.shape, 1)
         assert work.slab == (planes or g.n1)
         for _ in range(2):  # the second round reuses buffers the first overwrote
             got = band_forward(samples, np.empty(band.shape, complex), work)
@@ -334,7 +334,7 @@ def test_pruned_inverse_equals_irfftn_on_any_box_and_shape(g, cutoffs, target):
     rng = np.random.default_rng(37)
     box = Band(g, cutoffs or g.band.cutoffs)
     shape = target(*g.shape)
-    work = BandWorkspace(box, shape)
+    work = BandWorkspace(box, shape, 1)
     coeffs = rng.standard_normal((3, *box.shape, 2)).view(complex)[..., 0]
     ref = np.fft.irfftn(scatter(box, coeffs, shape), s=shape, axes=AXES,
                         norm="forward")
@@ -363,7 +363,7 @@ def test_band_inverse_group_size_keeps_the_bits(g, cutoffs, shape, count, group,
     box = Band(g, cutoffs or g.band.cutoffs)
     shape = shape or g.shape
     coeffs = rng.standard_normal((count, *box.shape, 2)).view(complex)[..., 0]
-    whole = BandWorkspace(box, shape)
+    whole = BandWorkspace(box, shape, 1)
     assert whole.slab == shape[0]
     one = band_inverse(coeffs, np.empty((count, *shape)), whole)
     for planes in SLAB_HEIGHTS:
