@@ -34,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import Grid, check_rules, rule_errors
+from .grid import Grid, check_rules, rule_errors, wavenumbers
 from .spectral import (
     Field,
     SpectralField,
@@ -180,11 +180,18 @@ class SymbolTable:
     half_deconv: np.ndarray  # D_N^{1/2}
 
 
-@lru_cache(maxsize=32)
 def symbol_table(grid: Grid, spec: DeconvSpec) -> SymbolTable:
-    """The multiplier lines of `spec` on `grid`, built once per pair."""
-    a = filter_symbol(spec.filter, grid.k3)
-    d = deconv_symbol(spec, grid.k3)
+    """The multiplier lines of `spec` on `grid`'s k3 line."""
+    return _symbol_table(grid.n3, grid.L3, spec)
+
+
+@lru_cache(maxsize=32)
+def _symbol_table(n3: int, L3: float, spec: DeconvSpec) -> SymbolTable:
+    """The lines of symbol_table, built once per k3 line and spec; the
+    cache holds no Grid, so a grid that stepped is freed with its boxes."""
+    k3 = np.abs(wavenumbers(n3, L3)[: n3 // 2 + 1]).reshape(1, 1, -1)
+    a = filter_symbol(spec.filter, k3)
+    d = deconv_symbol(spec, k3)
     lines = (a, 1.0 / a, np.sqrt(a), d, np.sqrt(d))
     for line in lines:
         line.setflags(write=False)

@@ -7,11 +7,8 @@ axis.  Wavenumbers follow numpy FFT ordering,
 
     k_j in {0, 1, ..., n_j/2 - 1, -n_j/2, ..., -1} * (2*pi / L_j),
 
-so the Nyquist mode of each axis sits at -n_j/2.  The derivative
-wavenumbers (kd1, kd2, kd3) zero that entry, which keeps odd derivatives
-of raw transformed samples real, and k3 keeps its magnitude n3/2 for
-even multipliers (|k3|^{2s}, filter symbols).  No box of the 2/3 band
-holds a Nyquist entry, so on every field the two agree.
+so the Nyquist mode of each axis sits at -n_j/2; wavenumbers(n, L) is
+the one routine that lists them.
 The 2/3-rule band of the rfftn layout (n1, n2, n3/2 + 1) is the box
 Grid.band: rows 0..K and n-K..n-1 on the two full axes and columns 0..K
 on the half axis, with K = (n - 1) // 3 per axis, the largest |k| < n/3,
@@ -71,6 +68,11 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def wavenumbers(n: int, length: float) -> np.ndarray:
+    """The wavenumbers of n modes on a period `length`, in FFT order."""
+    return np.fft.fftfreq(n, d=1.0 / n) * (TWO_PI / length)
+
+
 def dealias_cutoff(n: int) -> int:
     """The 2/3-rule cutoff of an axis of n modes: the largest |k| < n/3."""
     return (n - 1) // 3
@@ -125,10 +127,10 @@ class Band:
     reads them off one, and blocks_in and rest_of index its modes and the
     others on one (index lists cached per pair of cutoffs, not per box).
     A box fits a grid shape whose axes hold its rows (2 K + 1 <= m).
-    Since 2 K + 1 <= n, a box never holds a Nyquist row or column: its
-    derivative and true wavenumbers agree, and every multiplier on it
-    is built from its own lines kd1, kd2, kd3 (the grid's, restricted
-    to the box).  Those and inv_kd_squared are read-only, and built on
+    Since 2 K + 1 <= n, a box never holds a Nyquist row or column, and
+    every multiplier on it is built from its own lines kd1, kd2, kd3:
+    the grid's true wavenumbers at its modes (k_axis at its rows, k3 at
+    its columns).  Those and inv_kd_squared are read-only, and built on
     first use, since many boxes (the common box of two, say) only move
     coefficients; so are its sampling workspaces (see workspace), which
     are scratch.
@@ -149,15 +151,15 @@ class Band:
 
     @cached_property
     def kd1(self) -> np.ndarray:
-        return _read_only(self.grid.kd1[self._rows(0)])
+        return _read_only(self.grid.k_axis(0)[self._rows(0)].reshape(-1, 1, 1))
 
     @cached_property
     def kd2(self) -> np.ndarray:
-        return _read_only(self.grid.kd2[:, self._rows(1)])
+        return _read_only(self.grid.k_axis(1)[self._rows(1)].reshape(1, -1, 1))
 
     @cached_property
     def kd3(self) -> np.ndarray:
-        return _read_only(self.grid.kd3[..., self.cols])
+        return _read_only(self.grid.k3[..., self.cols])
 
     @cached_property
     def inv_kd_squared(self) -> np.ndarray:
@@ -301,16 +303,8 @@ class Grid:
         return self.L1 * self.L2 * self.L3
 
     def k_axis(self, axis: int) -> np.ndarray:
-        """True wavenumbers along `axis` in FFT order (Nyquist at -n/2)."""
-        n = self.shape[axis]
-        L = self.sizes[axis]
-        return np.fft.fftfreq(n, d=1.0 / n) * (TWO_PI / L)
-
-    def deriv_axis(self, axis: int) -> np.ndarray:
-        """Derivative wavenumbers: true values with the Nyquist entry zeroed."""
-        k = self.k_axis(axis).copy()
-        k[self.shape[axis] // 2] = 0.0
-        return k
+        """Wavenumbers along `axis` in FFT order (Nyquist at -n/2)."""
+        return wavenumbers(self.shape[axis], self.sizes[axis])
 
     @staticmethod
     def _expand(arr: np.ndarray, axis: int) -> np.ndarray:
@@ -322,18 +316,6 @@ class Grid:
     def k3(self) -> np.ndarray:
         """k3 = 0, 1, ..., n3/2 (the Nyquist stored positive)."""
         return self._expand(np.abs(self.k_axis(2)[: self.n3 // 2 + 1]), 2)
-
-    @cached_property
-    def kd1(self) -> np.ndarray:
-        return self._expand(self.deriv_axis(0), 0)
-
-    @cached_property
-    def kd2(self) -> np.ndarray:
-        return self._expand(self.deriv_axis(1), 1)
-
-    @cached_property
-    def kd3(self) -> np.ndarray:
-        return self._expand(np.abs(self.deriv_axis(2)[: self.n3 // 2 + 1]), 2)
 
     @cached_property
     def parseval_weight(self) -> np.ndarray:

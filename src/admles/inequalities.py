@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import EnsembleSpec, check_fits, draw_line, draw_vector
-from .grid import Grid, check_band, check_rules, rule_errors
+from .grid import TWO_PI, Grid, check_band, check_rules, rule_errors, wavenumbers
 from .spectral import (
     FieldNorms,
     VectorField,
@@ -51,8 +51,6 @@ from .spectral import (
     pad_spectrum,
     quadrature_points,
 )
-
-TWO_PI = 2.0 * np.pi
 
 
 @dataclass(frozen=True)
@@ -78,16 +76,12 @@ class RatioReport:
 # 1-D circle norms (period 2*pi, amplitude coefficients)
 
 
-def _line_wavenumbers(n: int) -> np.ndarray:
-    return np.fft.fftfreq(n, d=1.0 / n)
-
-
 def line_l2_norm(coeffs: np.ndarray) -> float:
     return float(np.sqrt(TWO_PI * np.sum(np.abs(coeffs) ** 2)))
 
 
 def line_seminorm(coeffs: np.ndarray, s: float) -> float:
-    k = _line_wavenumbers(coeffs.size)
+    k = wavenumbers(coeffs.size, TWO_PI)
     return float(
         np.sqrt(TWO_PI * np.sum(np.abs(k) ** (2.0 * s) * np.abs(coeffs) ** 2))
     )
@@ -214,7 +208,7 @@ def agmon_split_bound(coeffs: np.ndarray, s: float) -> float:
         raise ValueError("zero function has no bound")
     kappa = (line_hs_norm(coeffs, s) / l2) ** (1.0 / s)
     m = int(np.floor(kappa))
-    k = _line_wavenumbers(coeffs.size)
+    k = wavenumbers(coeffs.size, TWO_PI)
     mag2 = np.abs(coeffs) ** 2
     low = (np.abs(k) > 0) & (np.abs(k) <= m)
     high = np.abs(k) > m

@@ -21,7 +21,8 @@ continuum orthogonality (div(z x z), z) = 0.
 
 A state is only that band: a VectorField on Grid.band, as is every w(0)
 built here (a draw's box is embedded in it) and every forcing but a
-random one, which keeps its draw's box.  A step runs both right-hand
+random one, which keeps its draw's box, and a zero one, its mean mode
+(the box (0, 0, 0)).  A step runs both right-hand
 sides and the Heun update on the band's coefficients into a fresh
 field, reading the forcing on its own box; the records read the state
 and the forcing, each on its box.  A checkpoint stores the band's
@@ -207,11 +208,11 @@ def forcing_field(desc: ForcingDescriptor, grid: Grid) -> VectorField:
     The solver applies the bar smoothing when assembling the right-hand
     side; diagnostics pair the raw f with deconvolved states.  A random
     forcing is its draw on the draw's box (b, b, b), not embedded in the
-    2/3 band, rescaled there to L2 norm `energy`; every other forcing is
-    on the 2/3 band.
+    2/3 band, rescaled there to L2 norm `energy`; a zero forcing is the
+    box (0, 0, 0) of its mean mode, and every other is on the 2/3 band.
     """
     if isinstance(desc, ZeroForcing):
-        return VectorField(grid.band, np.zeros((3, *grid.band.shape), dtype=complex))
+        return VectorField(grid.box((0, 0, 0)), np.zeros((3, 1, 1, 1), dtype=complex))
     if isinstance(desc, RandomBandLimited):
         return _rescaled(_random_draw(desc, grid), desc.energy, "random forcing")
     return descriptor_field(desc, grid)
@@ -293,7 +294,8 @@ class NaNError(SolverAbort):
 class StepOperators:
     """Per-config multipliers on the 2/3 band, the raw forcing f
     (forcing_raw, on its own box inside the band: a random forcing's draw
-    box, else the band; the records read it too) and what a step writes:
+    box, a zero forcing's (0, 0, 0), else the band; the records read it
+    too) and what a step writes:
     k1, the first stage on the band, and `samples`, the samples of D w,
     the one array of the grid's size.  Its transform scratch is the
     calling thread's workspace of the band (work), which it does not
@@ -311,8 +313,6 @@ class StepOperators:
         self.symbols = symbol_table(grid, config.deconv)
         self.forcing_raw = forcing_field(config.forcing, grid)
         self.kmax = grid.max_dealiased_wavenumber
-        # multipliers on the band, which holds no Nyquist mode, so its
-        # derivative wavenumbers are the true ones
         ksq = band.kd1**2 + band.kd2**2 + band.kd3**2
         self.band_viscous = np.exp(-config.nu * config.dt * ksq)
         self.band_deconv = self.symbols.deconv[..., band.cols]
@@ -411,13 +411,17 @@ def initial_state(config: SolverConfig) -> SolverState:
 def trajectory(ops: StepOperators,
                state: SolverState) -> Iterator[SolverState]:
     """Steps `state` to ops.config.t_end, yielding it at output cadence:
-    first as given, then every `output_every` steps and after the final
-    step."""
+    first as given, then at every step index that is a multiple of
+    `output_every` and after the final step.  The cadence counts the
+    state's own step_index, so a state read back from a checkpoint
+    records at the steps of the run that wrote it and stops at the same
+    last step."""
     config = ops.config
     yield state
-    for n in range(config.num_steps):
+    while state.step_index < config.num_steps:
         state = step(state, ops)
-        if (n + 1) % config.output_every == 0 or n + 1 == config.num_steps:
+        if (state.step_index % config.output_every == 0
+                or state.step_index == config.num_steps):
             yield state
 
 

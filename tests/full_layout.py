@@ -71,11 +71,29 @@ def rule_mask(grid):
     return kept[0][:, None, None] & kept[1][None, :, None] & kept[2][None, None, :]
 
 
+def derivative_lines(grid, half=True):
+    """(kd1, kd2, kd3): the grid's wavenumbers with each axis's Nyquist
+    entry zeroed, which keeps odd derivatives of raw transformed samples
+    real, each shaped to broadcast along its axis; kd3 holds the half
+    layout's columns 0..n3/2 as magnitudes, or the full layout's n3
+    entries if not `half`.  The package needs neither, since no box holds
+    a Nyquist mode; the half and full layouts here do."""
+    lines = []
+    for axis, n in enumerate(grid.shape):
+        k = grid.k_axis(axis).copy()
+        k[n // 2] = 0.0
+        if axis == 2 and half:
+            k = np.abs(k[: n // 2 + 1])
+        lines.append(k.reshape([-1 if a == axis else 1 for a in range(3)]))
+    return tuple(lines)
+
+
 def half_layout_inv_kd_squared(grid):
-    """1 / |kd|^2 on the whole half layout, from the Grid's derivative
-    lines, and 0 where every kd of a mode vanishes: the mean mode, and
-    the modes whose every axis sits at 0 or its Nyquist entry."""
-    ksq = grid.kd1**2 + grid.kd2**2 + grid.kd3**2
+    """1 / |kd|^2 on the whole half layout, from derivative_lines, and 0
+    where every kd of a mode vanishes: the mean mode, and the modes whose
+    every axis sits at 0 or its Nyquist entry."""
+    kd1, kd2, kd3 = derivative_lines(grid)
+    ksq = kd1**2 + kd2**2 + kd3**2
     return np.divide(1.0, ksq, out=np.zeros(ksq.shape), where=ksq > 0)
 
 
@@ -84,7 +102,7 @@ def half_layout_leray(field):
     layout, c - kd (kd . c) / |kd|^2, in the order of operations of
     admles.spectral.project_coeffs: half-layout coefficients."""
     g, c = field.grid, half_layout(field)
-    kd = (g.kd1, g.kd2, g.kd3)
+    kd = derivative_lines(g)
     kdotu = kd[0] * c[0]
     kdotu += kd[1] * c[1]
     kdotu += kd[2] * c[2]
@@ -160,7 +178,7 @@ def divergence_of_square(field):
     g = field.grid
     z = samples(field)
     products = np.fft.rfftn(z[:, None] * z[None, :], axes=AXES, norm="forward")
-    kd = (g.kd1, g.kd2, g.kd3)
+    kd = derivative_lines(g)
     div = np.stack([sum(1j * kd[i] * products[i, j] for i in range(3)) for j in range(3)])
     return VectorField(g.band, gather(g.band, div))
 
@@ -172,7 +190,7 @@ def convective_inner_reference(u, v, w):
     exactly."""
     g = u.grid
     c = half_layout(v)
-    grad_v = np.fft.irfftn(np.stack([1j * kd * c for kd in (g.kd1, g.kd2, g.kd3)]),
+    grad_v = np.fft.irfftn(np.stack([1j * kd * c for kd in derivative_lines(g)]),
                            s=g.shape, axes=AXES, norm="forward")
     return g.volume * float(np.mean(np.einsum("i...,ij...,j...->...",
                                               samples(u), grad_v, samples(w))))
@@ -249,8 +267,7 @@ def full_layout_draw(rng, spec, grid, components=3, project=True):
     c[:, p1[:, None, None], p2[None, :, None], p3[None, None, :]] = cube
     if not project:
         return c
-    kd1, kd2 = grid.kd1, grid.kd2
-    kd3 = grid.deriv_axis(2).reshape(1, 1, -1)
+    kd1, kd2, kd3 = derivative_lines(grid, half=False)
     ksq = kd1**2 + kd2**2 + kd3**2
     inv = np.where(ksq > 0, 1.0 / np.where(ksq > 0, ksq, 1.0), 0.0)
     factor = (kd1 * c[0] + kd2 * c[1] + kd3 * c[2]) * inv

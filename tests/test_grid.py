@@ -18,7 +18,9 @@ from full_layout import (
 )
 
 from admles.ensembles import EnsembleSpec, draw_vector
+from admles.filters import FilterSpec
 from admles.grid import Band, Grid, dealias_cutoff
+from admles.solver import SolverConfig, StepOperators, initial_state, step
 from admles.spectral import VectorField, field_from_samples, fine_samples, leray_project
 
 
@@ -49,15 +51,6 @@ def test_wavenumbers_fft_order():
     assert np.array_equal(g.k_axis(2), [0, 1, 2, 3, -4, -3, -2, -1])
 
 
-def test_derivative_wavenumbers_zero_nyquist():
-    g = Grid(8, 8, 8)
-    kd = g.deriv_axis(0)
-    assert kd[4] == 0.0
-    assert np.array_equal(kd, [0, 1, 2, 3, 0, -3, -2, -1])
-    # true wavenumbers keep the Nyquist magnitude for even multipliers
-    assert g.k_axis(0)[4] == -4.0
-
-
 def test_box_scaling_of_wavenumbers():
     g = Grid(8, 8, 8, L1=np.pi)
     # halving the box doubles the wavenumber spacing
@@ -81,7 +74,6 @@ def test_half_layout_lines():
     assert spectral_shape(g) == (8, 6, 5)
     # k3 = 0..n3/2 with the Nyquist stored positive; L3 = pi doubles k3
     assert np.array_equal(g.k3.ravel(), 2 * np.arange(5))
-    assert np.array_equal(g.kd3.ravel(), [0, 2, 4, 6, 0])
     # every stored column but k3 = 0 and n3/2 also stands for its mirror
     assert np.array_equal(g.parseval_weight.ravel(), [1, 2, 2, 2, 1])
     assert np.sum(g.parseval_weight) * g.n1 * g.n2 == np.prod(g.shape)
@@ -106,7 +98,7 @@ def test_max_dealiased_wavenumber():
 
 
 @pytest.mark.parametrize("g", [Grid(8, 8, 8), Grid(12, 16, 10, L2=3.0, L3=5.0),
-                               Grid(32, 32, 32)])
+                               Grid(32, 32, 32), Grid(12, 16, 24, L3=np.pi)])
 def test_band_is_the_dealias_box(g):
     band = g.band
     k1, k2, k3 = band.cutoffs
@@ -114,12 +106,19 @@ def test_band_is_the_dealias_box(g):
     # the box holds every mode with |k_j| <= (n_j - 1) // 3 and nothing else
     mask = rule_mask(g)[..., : g.n3 // 2 + 1]
     assert np.array_equal(scatter(band, np.ones(band.shape, dtype=bool)), mask)
-    assert np.array_equal(band.kd1 + band.kd2 + band.kd3,
-                          gather(band, np.broadcast_to(g.kd1 + g.kd2 + g.kd3,
-                                                       spectral_shape(g))))
-    # built from its own lines, a box's inverse is the half layout's, bit for bit
     boxes = [band] + ([Band(g, (5, 5, 5))] if min(g.shape) >= 11 else [])
+    true = (g.k_axis(0).reshape(-1, 1, 1), g.k_axis(1).reshape(1, -1, 1), g.k3)
     for box in boxes:
+        # no box holds a Nyquist mode; its lines are the true wavenumbers
+        # at its modes
+        for line, k, n, length in zip((box.kd1, box.kd2, box.kd3), true,
+                                      g.shape, g.sizes):
+            assert np.max(np.abs(line)) < n // 2 * 2.0 * np.pi / length
+            assert np.array_equal(
+                np.broadcast_to(line, box.shape),
+                gather(box, np.broadcast_to(k, spectral_shape(g))))
+        # built from its own lines, a box's inverse is the half layout's,
+        # bit for bit
         assert np.array_equal(box.inv_kd_squared,
                               gather(box, half_layout_inv_kd_squared(g)))
 
@@ -144,11 +143,21 @@ def test_one_box_and_one_workspace_per_key():
 
 
 def test_a_dropped_grid_is_freed_by_reference_counting():
-    """Nothing a Grid caches holds one of its boxes, and a box's
-    workspaces do not hold the box, so a grid, its boxes and their
-    sampling scratch go as soon as the last field of them does, with the
-    cyclic collector off."""
+    """Nothing a Grid caches holds one of its boxes, a box's workspaces
+    do not hold the box, and no module cache holds a Grid (the symbol
+    tables are keyed by the k3 line's n3 and L3), so a grid, its boxes
+    and their sampling scratch go as soon as the last field of them
+    does, with the cyclic collector off, also after the grid stepped."""
     spec = EnsembleSpec(count=1, band_limit=3, seed=0)
+
+    def stepped_grid():
+        """A weak reference to a grid that built a StepOperators and
+        stepped, and one to its band."""
+        cfg = SolverConfig(grid=Grid(16, 16, 16), nu=0.1, filter=FilterSpec(0.5, 1.0),
+                           deconv_order=1, dt=0.01, t_end=0.01)
+        ops = StepOperators(cfg)
+        step(initial_state(cfg), ops)
+        return weakref.ref(cfg.grid), weakref.ref(ops.band)
 
     def sample_one_draw():
         """The bytes of the sampling workspace the draw's box keeps."""
@@ -161,6 +170,7 @@ def test_a_dropped_grid_is_freed_by_reference_counting():
     gc.disable()
     tracemalloc.start()
     try:
+        assert [ref() for ref in stepped_grid()] == [None, None]
         scratch = sample_one_draw()  # warms the caches that outlive a grid
         before = tracemalloc.get_traced_memory()[0]
         for _ in range(100):

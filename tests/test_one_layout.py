@@ -4,7 +4,8 @@ code that moves a box to or from it.  Band.gather, Band.scatter and
 Grid.spectral_shape are gone; a second coefficient layout would have to
 name them.  The tests keep their own copies in full_layout.py.  That
 scratch is a BandWorkspace, which only grid.py builds: every other
-module takes one from Band.workspace."""
+module takes one from Band.workspace.  The package has one kind of
+wavenumber, listed by grid.wavenumbers, the one caller of fftfreq."""
 
 import ast
 from pathlib import Path
@@ -45,3 +46,12 @@ def test_only_grid_builds_a_band_workspace():
              and "BandWorkspace" in (getattr(node.func, "id", None),
                                      getattr(node.func, "attr", None))]
     assert not calls, f"BandWorkspace built outside grid.py: {calls}"
+
+
+def test_only_grid_lists_wavenumbers():
+    names = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "grid.py"
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if "fftfreq" in (getattr(node, "id", None), getattr(node, "attr", None),
+                              getattr(node, "name", None))]
+    assert not names, f"fftfreq named outside grid.py: {names}"

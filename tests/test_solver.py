@@ -21,7 +21,7 @@ from full_layout import (
 )
 
 from admles import solver
-from admles.diagnostics import gronwall_integrand
+from admles.diagnostics import energy_terms, gronwall_integrand
 from admles.filters import (
     DeconvSpec,
     FilterSpec,
@@ -651,6 +651,30 @@ def test_a_forcing_swapped_across_boxes_steps_as_one_built_in(order):
         assert same_bits(a.w.coeffs, b.w.coeffs)
 
 
+def test_an_unforced_stepper_steps_as_one_with_a_band_of_zeros():
+    """A zero forcing is its mean mode, 48 bytes on any grid.  band_rhs
+    forms (0 / A) - c there and 0.0 - c on the rest of the band, the
+    bits of a band of zeros: the right-hand side of the zero state and
+    three steps agree bit for bit with a stepper whose forcing_raw is a
+    band of zeros, and the forcing power stays +0.0."""
+    cfg = config16(grid=ODD_BOX, t_end=0.03, init=RandomBandLimited(seed=12, band=3))
+    band = cfg.grid.band
+    unforced, zeros = StepOperators(cfg), StepOperators(cfg)
+    assert unforced.forcing_raw.band is cfg.grid.box((0, 0, 0))
+    assert StepOperators(config16(grid=Grid(64, 64, 64))).forcing_raw.coeffs.nbytes == 48
+    zeros.forcing_raw = VectorField(band, np.zeros((3, *band.shape), dtype=complex))
+    zero = np.zeros((3, *band.shape), dtype=complex)
+    rhs = [ops.band_rhs(zero, np.empty_like(zero)) for ops in (unforced, zeros)]
+    assert same_bits(*rhs)
+    a = b = initial_state(cfg)
+    for _ in range(3):
+        a, b = step(a, unforced), step(b, zeros)
+        assert same_bits(a.w.coeffs, b.w.coeffs)
+    power = energy_terms(a.w, unforced.forcing_raw, cfg.filter, cfg.deconv_order,
+                         cfg.nu).forcing_power
+    assert power == 0.0 and not np.signbit(power)
+
+
 # Modes of one true |k|: |k|^2 = 2 on the 2 pi cube, with one |k3| or
 # mixed, and |k|^2 = 5 on a box with L3 = pi, where k3 = 2 m3.
 BELTRAMI_MODES = [(0, 1, 1), (0, -1, 1), (1, 0, 1), (-1, 0, 1)]
@@ -760,6 +784,28 @@ def test_shared_operators_keep_trajectories_apart():
         assert np.array_equal(b.w.coeffs, b_alone)
 
 
+@pytest.mark.parametrize("start", [4, 6], ids=["between-records", "at-a-record"])
+def test_a_trajectory_read_back_from_a_checkpoint_keeps_the_run_cadence(tmp_path, start):
+    """trajectory counts its cadence from the state's own step_index: a
+    10-step run that records every 3 steps, read back from a checkpoint of
+    step 4 or step 6, records at the later steps the uninterrupted run
+    records, 6, 9 and 10 from step 4, with their states and times bit for
+    bit, and stops at step 10."""
+    cfg = config16(t_end=0.1, output_every=3, init=RandomBandLimited(seed=14, band=4))
+    every_step = list(trajectory(StepOperators(replace(cfg, output_every=1)),
+                                 initial_state(cfg)))
+    whole = list(trajectory(StepOperators(cfg), initial_state(cfg)))
+    assert [s.step_index for s in whole] == [0, 3, 6, 9, 10]
+    path = tmp_path / "state.ckpt"
+    write_checkpoint(path, every_step[start], cfg)
+    resumed = list(trajectory(StepOperators(cfg), read_checkpoint(path)[0]))
+    later = [s for s in whole if s.step_index > start]
+    assert [s.step_index for s in resumed] == [start] + [s.step_index for s in later]
+    for got, want in zip(resumed[1:], later, strict=True):
+        assert got.t == want.t
+        assert same_bits(got.w.coeffs, want.w.coeffs)
+
+
 def test_step_operators_keep_no_half_layout_array():
     """Every multiplier a step reads is a band line, and forcing_raw, the
     forcing the records read, is a field on its own box: a random
@@ -843,7 +889,9 @@ def test_states_are_zero_outside_the_band(desc):
     g = cfg.grid
     outside = ~rule_mask(g)[..., : g.n3 // 2 + 1]
     ops = StepOperators(cfg)
-    assert forcing_field(desc, g).band is g.band
+    # a zero forcing is its mean mode, every other one fills the band
+    box = g.box((0, 0, 0)) if isinstance(desc, ZeroForcing) else g.band
+    assert forcing_field(desc, g).band is box
     assert np.all(half_layout(forcing_field(desc, g))[:, outside] == 0.0)
     assert np.all(half_layout(init_field(init, g, cfg.filter))[:, outside] == 0.0)
     state = initial_state(cfg)
