@@ -29,6 +29,7 @@ import platform
 import resource
 import sys
 import time
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -158,32 +159,30 @@ class _RecordFold:
 
 def _cmd_simulate(rc: RunConfig, ctx: _Context) -> int:
     """Streams the run: each record becomes a CSV row and feeds the fold
-    as it arrives, and only the latest state is kept.  On an abort the
-    rows so far and that state's checkpoint stay, and main reports it."""
+    as it arrives, and no state is kept across a pull, so the run's
+    trajectory holds the one state, its latest completed step.  On an
+    abort or an interrupt the rows so far and that step's checkpoint
+    stay, with the largest CFL number of the steps to it; main reports
+    an abort."""
     cfg = rc.solver
     stream = run(cfg)  # setup errors raise here, before any file opens
-    last = None
     fold = _RecordFold()
 
-    def run_records():
-        nonlocal last
-        for last, record in stream:
-            yield record
-
     def rows():
-        for record in attach_residuals(run_records()):
+        for record in attach_residuals(map(itemgetter(1), stream)):
             fold.add(record)
             yield [getattr(record, column) for column in _DIAGNOSTIC_COLUMNS]
 
     try:
         ctx.write_csv("diagnostics.csv", _DIAGNOSTIC_COLUMNS, rows())
     finally:
-        if last is not None:
-            write_checkpoint(ctx.outdir / "state.ckpt", last, cfg,
-                             config_hash=ctx.config_hash)
-            ctx.outputs.append("state.ckpt")
-            ctx.steps_completed = last.step_index
+        write_checkpoint(ctx.outdir / "state.ckpt", stream.state, cfg,
+                         config_hash=ctx.config_hash)
+        ctx.outputs.append("state.ckpt")
+        ctx.steps_completed = stream.state.step_index
+        ctx.extra["max_cfl"] = stream.max_cfl
 
+    last = stream.state
     ctx.extra["regularity"] = fold.certificate
     ctx.check("records_finite", not fold.nonfinite,
               f"{fold.nonfinite} non-finite records" if fold.nonfinite

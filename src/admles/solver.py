@@ -39,7 +39,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from numbers import Integral
-from typing import Iterator
 
 import numpy as np
 
@@ -296,8 +295,9 @@ class StepOperators:
     (forcing_raw, on its own box inside the band: a random forcing's draw
     box, a zero forcing's (0, 0, 0), else the band; the records read it
     too) and what a step writes:
-    k1, the first stage on the band, and `samples`, the samples of D w,
-    the one array of the grid's size.  Its transform scratch is the
+    k1, the first stage on the band, `samples`, the samples of D w,
+    the one array of the grid's size, and `cfl`, the CFL number of its
+    input (0.0 before the first step).  Its transform scratch is the
     calling thread's workspace of the band (work), which it does not
     hold.  A step overwrites k1, samples and every buffer of the
     workspace, and hands none of them out, so one StepOperators can serve
@@ -319,6 +319,7 @@ class StepOperators:
         self.band_bar = self.symbols.bar[..., band.cols]
         self.k1 = np.empty((3, *band.shape), dtype=np.complex128)
         self.samples = np.empty((3, *grid.shape))
+        self.cfl = 0.0
 
     @property
     def work(self) -> BandWorkspace:
@@ -381,7 +382,7 @@ def step(state: SolverState, ops: StepOperators) -> SolverState:
     w, k1 = state.w.coeffs, ops.k1
     ops.band_rhs(w, k1)
     speed = float(np.sqrt(ops.max_speed_squared()))
-    cfl = dt * speed * ops.kmax
+    cfl = ops.cfl = dt * speed * ops.kmax
     if cfl > CFL_LIMIT:
         raise CFLError(
             f"CFL violation at t={state.t:.6g}: dt*max|u|*kmax = {cfl:.3g} "
@@ -408,34 +409,65 @@ def initial_state(config: SolverConfig) -> SolverState:
     return SolverState(0.0, 0, init_field(config.init, config.grid, config.filter))
 
 
-def trajectory(ops: StepOperators,
-               state: SolverState) -> Iterator[SolverState]:
+class trajectory:
     """Steps `state` to ops.config.t_end, yielding it at output cadence:
     first as given, then at every step index that is a multiple of
     `output_every` and after the final step.  The cadence counts the
     state's own step_index, so a state read back from a checkpoint
     records at the steps of the run that wrote it and stops at the same
-    last step."""
-    config = ops.config
-    yield state
-    while state.step_index < config.num_steps:
-        state = step(state, ops)
-        if (state.step_index % config.output_every == 0
-                or state.step_index == config.num_steps):
-            yield state
+    last step.
+
+    `state` is the latest completed step, the one state the loop holds,
+    and `max_cfl` the largest CFL number of the steps to it (0.0 before
+    the first).  A caller that drops each yielded state before its next
+    pull holds no state of its own: a step then holds its input, the
+    new state and ops.k1, and nothing older.
+    """
+
+    def __init__(self, ops: StepOperators, state: SolverState):
+        self.ops, self.state = ops, state
+        self.max_cfl = 0.0
+        self._started = False
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> SolverState:
+        ops = self.ops
+        config = ops.config
+        if not self._started:
+            self._started = True
+            return self.state
+        while self.state.step_index < config.num_steps:
+            self.state = step(self.state, ops)
+            self.max_cfl = max(self.max_cfl, ops.cfl)
+            if (self.state.step_index % config.output_every == 0
+                    or self.state.step_index == config.num_steps):
+                return self.state
+        raise StopIteration
 
 
-def run(config: SolverConfig) -> Iterator[tuple[SolverState, EnergyRecord]]:
+class _Records(trajectory):
+    """A trajectory that yields each state with its energy record."""
+
+    def __next__(self) -> tuple[SolverState, EnergyRecord]:
+        state = super().__next__()
+        ops = self.ops
+        config = ops.config
+        return state, energy_terms(state.w, ops.forcing_raw, config.filter,
+                                   config.deconv_order, config.nu, state.t)
+
+
+def run(config: SolverConfig) -> _Records:
     """Integrate to t_end, yielding (state, energy record) at output
-    cadence, initial state first, and keeping none of them.
+    cadence, initial state first, and keeping none of them.  The
+    iterator is a trajectory, with its `state` and `max_cfl`.
 
     Setup runs at the call, so bad descriptors raise before iteration; a
     CFL violation or non-finite state raises SolverAbort from the loop.
     """
     ops = StepOperators(config)
-    return ((s, energy_terms(s.w, ops.forcing_raw, config.filter, config.deconv_order,
-                             config.nu, s.t))
-            for s in trajectory(ops, initial_state(config)))
+    return _Records(ops, initial_state(config))
 
 
 # ---------------------------------------------------------------------------
@@ -474,8 +506,9 @@ def dependence_experiment(config: SolverConfig, epsilon: float, *,
                           perturbation_seed: int = 1) -> DependenceReport:
     """Base and perturbed runs side by side; fits the envelope constant.
 
-    The two runs are trajectories that share one StepOperators, zipped
-    at output cadence; neither is stored.  The perturbed initial state
+    The two runs are trajectories that share one StepOperators, pulled
+    in turn at output cadence and read off the trajectories, so each
+    holds its one state.  The perturbed initial state
     is w0 + epsilon * p with p a normalized divergence-free random field.
     The integrand is evaluated on the perturbed trajectory, and the
     fitted constant is the smallest C with
@@ -491,20 +524,24 @@ def dependence_experiment(config: SolverConfig, epsilon: float, *,
     DependenceSettings(epsilon, perturbation_seed)  # for its checks
     grid = config.grid
     ops = StepOperators(config)
-    base = initial_state(config)
+    base = trajectory(ops, initial_state(config))
     p = descriptor_field(RandomBandLimited(perturbation_seed, min(grid.band.cutoffs)),
                          grid)
     p = _rescaled(p, epsilon, "perturbation")
-    perturbed = SolverState(0.0, 0, base.w.with_coeffs(base.w.coeffs + p.coeffs))
+    w0 = base.state.w
+    perturbed = trajectory(ops, SolverState(0.0, 0, w0.with_coeffs(w0.coeffs + p.coeffs)))
+    del p, w0  # so the trajectories hold the only states
 
     times, deltas, integrands, integrals = [], [], [], []
-    for b, q in zip(trajectory(ops, base), trajectory(ops, perturbed)):
+    while next(base, None) and next(perturbed, None):
+        b, q = base.state, perturbed.state
         integrand = gronwall_integrand(FieldNorms(q.w), theta)
         integrals.append(integrals[-1] + 0.5 * (b.t - times[-1])
                          * (integrands[-1] + integrand) if times else 0.0)
         times.append(b.t)
         deltas.append(FieldNorms(q.w.with_coeffs(q.w.coeffs - b.w.coeffs)).l2())
         integrands.append(integrand)
+        del b, q  # before the next pull steps on
 
     deltas_arr = np.asarray(deltas)
     integrals_arr = np.asarray(integrals)

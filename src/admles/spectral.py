@@ -406,17 +406,27 @@ def inner_product(f: Field, g: Field, weight=1.0) -> float:
     cutoffs are read on the box of their per-axis smaller cutoffs, the
     only modes where their product is nonzero: the sums over the outer
     axes add the same terms in the same order as on the union of the
-    boxes, less its zeros, so the bits are the union's.  Its
-    temporaries, of that box, are gone on return."""
+    boxes, less its zeros, so the bits are the union's.  It forms the
+    products one component at a time, in the rows under the line summed
+    so far, and sums those rows in layout order, the order of one sum
+    over the components, k1 and k2 of a box of more than one column.
+    Its temporaries, gone on return, are two components of that box and
+    a field read on it, never larger than the smaller field."""
     if f.grid != g.grid:
         raise ValueError("fields live on different grids")
     grid = f.grid
     common = grid.box(tuple(map(min, f.band.cutoffs, g.band.cutoffs)))
-    a, b = (h.coeffs if h.band.cutoffs == common.cutoffs
-            else common.restrict(h.coeffs, h.band) for h in (f, g))
-    prod = b.real * a.real
-    prod += b.imag * a.imag  # Re(conj(g) f)
-    return quadratic_form(grid, _k3_line(grid, prod), weight)
+    a, b = (h.coeffs.reshape(-1, *h.band.shape) if h.band.cutoffs == common.cutoffs
+            else common.restrict(h.coeffs.reshape(-1, *h.band.shape), h.band)
+            for h in (f, g))
+    rows = np.zeros((1 + common.shape[0] * common.shape[1], common.shape[2]))
+    prod, imag = rows[1:].reshape(common.shape), np.empty(common.shape)
+    for i in range(len(a)):
+        np.multiply(b[i].real, a[i].real, out=prod)
+        prod += np.multiply(b[i].imag, a[i].imag, out=imag)  # Re(conj(g) f)
+        line = _k3_line(grid, rows)
+        rows[0] = line[:len(rows[0])]
+    return quadratic_form(grid, line, weight)
 
 
 def l2_norm(f: Field) -> float:

@@ -13,13 +13,24 @@ import numpy as np
 import pytest
 
 import admles
-from admles import cli, inequalities
+from admles import inequalities, solver
 from admles.cli import _RecordFold, main
 from admles.config import parse_config
 from admles.diagnostics import attach_residuals, energy_terms
 from admles.filters import FilterSpec
 from admles.grid import Grid
-from admles.solver import CFLError, read_checkpoint, run
+from admles.solver import (
+    CFL_LIMIT,
+    CFLError,
+    SolverState,
+    StepOperators,
+    initial_state,
+    read_checkpoint,
+    run,
+    step,
+    trajectory,
+    write_checkpoint,
+)
 from admles.spectral import FieldNorms, VectorField, l2_norm, vertical_seminorm
 
 
@@ -126,10 +137,84 @@ def test_runtime_abort_exit_code(tmp_path):
                          for r in attach_residuals(yielded)])
     assert len(yielded) > 1
     np.testing.assert_array_equal(rows, expected)
-    # the checkpoint holds the state of the last row
-    state, _ = read_checkpoint(out / "state.ckpt")
-    assert state.t == rows[-1][0]
+    # the checkpoint holds the latest completed step, here between records
+    config = parse_config(text).solver
+    state, ops = initial_state(config), StepOperators(config)
+    with pytest.raises(CFLError):
+        while True:
+            state = step(state, ops)
+    expect = tmp_path / "expect.ckpt"
+    write_checkpoint(expect, state, config, config_hash=manifest["config_hash"])
+    assert (out / "state.ckpt").read_bytes() == expect.read_bytes()
+    assert state.step_index % 2 == 1
     assert manifest["abort"]["steps_completed"] == state.step_index
+
+
+FORCED_RUN = ("[grid]\nn1 = 16\nn2 = 16\nn3 = 16\n"
+              "[solver]\nnu = 0.05\ndt = 0.01\nt_end = 0.1\noutput_every = 3\n"
+              "[init]\nkind = random\nseed = 9\nenergy = 0.2\n"
+              "[forcing]\nkind = random\nseed = 10\nband = 3\nenergy = 20.0\n")
+
+
+def every_step(config):
+    """The states of an uninterrupted run of `config`, one per step."""
+    return list(trajectory(StepOperators(replace(config, output_every=1)),
+                           initial_state(config)))
+
+
+def test_an_interrupted_run_resumes_bit_for_bit(tmp_path, monkeypatch):
+    """An interrupt at step 6 of a run that records every 3 steps leaves
+    the rows of steps 0 and 3 and the checkpoint of step 5, the latest
+    completed one, byte for byte that of an uninterrupted run; resumed
+    from it, a trajectory yields that run's later records bit for bit."""
+    def interrupted(state, ops):
+        if state.step_index == 5:
+            raise KeyboardInterrupt
+        return real_step(state, ops)
+
+    real_step = solver.step
+    monkeypatch.setattr(solver, "step", interrupted)
+    out = tmp_path / "out"
+    with pytest.raises(KeyboardInterrupt):
+        main(["simulate", "--config", write(tmp_path / "run.ini", FORCED_RUN),
+              "--output", str(out), "--quiet"])
+    monkeypatch.undo()
+    rc = parse_config(FORCED_RUN)
+    config = rc.solver
+    states = every_step(config)
+    assert len((out / "diagnostics.csv").read_text().splitlines()) == 2 + 2
+    expect = tmp_path / "expect.ckpt"
+    write_checkpoint(expect, states[5], config, config_hash=rc.config_hash())
+    assert (out / "state.ckpt").read_bytes() == expect.read_bytes()
+    resumed = list(trajectory(StepOperators(config), read_checkpoint(out / "state.ckpt")[0]))
+    assert [s.step_index for s in resumed] == [5, 6, 9, 10]
+    for got in resumed:
+        want = states[got.step_index]
+        assert got.t == want.t
+        assert got.w.coeffs.tobytes() == want.w.coeffs.tobytes()
+
+
+def test_manifest_max_cfl(tmp_path):
+    """The largest dt max|Dw| kmax over a run's steps, recomputed on
+    every state of an uninterrupted run but the last: deterministic, so
+    outside the telemetry, and the same for every output cadence.  The
+    forcing speeds the flow up, so the largest is not the first."""
+    config = parse_config(FORCED_RUN).solver
+    ops = StepOperators(config)
+    cfls = []
+    for state in every_step(config)[:-1]:
+        ops.band_rhs(state.w.coeffs, ops.k1)
+        cfls.append(config.dt * float(np.sqrt(ops.max_speed_squared())) * ops.kmax)
+    for name, text in (("every3", FORCED_RUN),
+                       ("every1", FORCED_RUN.replace("output_every = 3", "output_every = 1"))):
+        out = tmp_path / name
+        assert main(["simulate", "--config", write(tmp_path / f"{name}.ini", text),
+                     "--output", str(out), "--quiet"]) == 0
+        manifest = read_manifest(out)
+        assert manifest["max_cfl"] == max(cfls)
+        assert "max_cfl" not in manifest["telemetry"]
+    assert 0.0 < max(cfls) < CFL_LIMIT
+    assert cfls.index(max(cfls)) > 0
 
 
 def certificate_reference(cfg):
@@ -222,14 +307,14 @@ def test_record_fold_counts_rises_and_non_finite_records():
 
 def test_simulate_memory_independent_of_record_count(tmp_path, monkeypatch):
     """simulate keeps no record: its traced peak at 2000 records is that
-    at 250.  run() is bounded on its own (test_solver), so here it yields
-    one 8^3 state with records one dt apart, and 2000 of them take
-    milliseconds; the warm-up call fills the interpreter's free lists."""
-    def stream(cfg):
-        state, record = next(run(cfg))
-        return ((state, replace(record, t=n * cfg.dt)) for n in range(cfg.num_steps + 1))
+    at 250.  The stepper is bounded on its own (test_solver), so here a
+    step only moves the clock of one 8^3 state, and 2000 records take a
+    fraction of a second; the warm-up call fills the interpreter's free
+    lists."""
+    def clock(state, ops):
+        return SolverState(state.t + ops.config.dt, state.step_index + 1, state.w)
 
-    monkeypatch.setattr(cli, "run", stream)
+    monkeypatch.setattr(solver, "step", clock)
 
     def peak(records):
         path = write(tmp_path / "run.ini", "[grid]\nn1 = 8\nn2 = 8\nn3 = 8\n"

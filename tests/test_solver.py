@@ -1,10 +1,13 @@
 """Solver: initialization, stepping, conservation, aborts, checkpoints."""
 
+import gc
 import io
 import json
 import re
 import struct
 import tracemalloc
+import weakref
+from collections import Counter
 from dataclasses import replace
 from functools import cached_property
 
@@ -21,6 +24,7 @@ from full_layout import (
 )
 
 from admles import solver
+from admles.cli import main
 from admles.diagnostics import energy_terms, gronwall_integrand
 from admles.filters import (
     DeconvSpec,
@@ -782,6 +786,73 @@ def test_shared_operators_keep_trajectories_apart():
                                         strict=True):
         assert np.array_equal(a.w.coeffs, a_alone)
         assert np.array_equal(b.w.coeffs, b_alone)
+
+
+def watch_held_states(monkeypatch):
+    """Wraps solver.step to count its calls and, at each, to note the
+    live states of any one run (a chain of steps) when they are more
+    than one.  It tracks each state a step takes or makes by weak
+    references to the state and to its coefficients, live while either
+    is, so a caller that keeps only the coefficients is seen too."""
+    tracked, calls, faults = [], [], []  # tracked: (state, coeffs, run)
+    real_step = solver.step
+
+    def run_of(state):
+        for ref, _, number in tracked:
+            if ref() is state:
+                return number
+        number = len({n for *_, n in tracked})
+        tracked.append((weakref.ref(state), weakref.ref(state.w.coeffs), number))
+        return number
+
+    def watched(state, ops):
+        number = run_of(state)
+        live = Counter(n for ref, coeffs, n in tracked
+                       if ref() is not None or coeffs() is not None)
+        calls.append(number)
+        if max(live.values()) > 1:
+            faults.append((number, state.step_index, dict(live)))
+        new = real_step(state, ops)
+        tracked.append((weakref.ref(new), weakref.ref(new.w.coeffs), number))
+        return new
+
+    monkeypatch.setattr(solver, "step", watched)
+    return calls, faults
+
+
+ONE_STATE_RUN = ("[grid]\nn1 = 16\nn2 = 16\nn3 = 16\n[filter]\nalpha = 0.5\n"
+                 "theta = 1.0\n[solver]\nnu = 0.1\ndeconv_order = 1\ndt = 0.01\n"
+                 "t_end = 0.1\noutput_every = 3\n[init]\nkind = random\nseed = 14\n"
+                 "band = 4\n[forcing]\nkind = taylor-green\n")
+
+
+@pytest.mark.parametrize("driver", ["run", "simulate", "dependence"])
+def test_a_run_holds_one_state(tmp_path, monkeypatch, driver):
+    """With the collector off, at every call of step no state of the
+    stepped run is alive but the step's input: not the last one yielded,
+    which run(), simulate's rows and checkpoint, and the dependence
+    experiment's loop drop before they pull the next.  The dependence
+    experiment steps two runs in turn, and the other holds its one state."""
+    cfg = config16(init=RandomBandLimited(seed=14, band=4), forcing=TaylorGreen(),
+                   output_every=3)
+    calls, faults = watch_held_states(monkeypatch)
+    gc.disable()
+    try:
+        if driver == "run":
+            for state, _ in run(cfg):
+                del state  # the caller's part: nothing held across a pull
+        elif driver == "simulate":
+            path = tmp_path / "run.ini"
+            path.write_text(ONE_STATE_RUN)
+            assert main(["simulate", "--config", str(path), "--output",
+                         str(tmp_path / "out"), "--quiet"]) == 0
+        else:
+            dependence_experiment(cfg, 1e-3)
+    finally:
+        gc.enable()
+    runs = 2 if driver == "dependence" else 1
+    assert sorted(Counter(calls).values()) == [cfg.num_steps] * runs
+    assert faults == []
 
 
 @pytest.mark.parametrize("start", [4, 6], ids=["between-records", "at-a-record"])
