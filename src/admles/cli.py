@@ -80,7 +80,8 @@ def _fmt_cell(value) -> str:
 
 
 class _Context:
-    """Collects artifacts and assertion outcomes for the manifest."""
+    """Collects artifacts, assertion outcomes and a command's own
+    telemetry for the manifest."""
 
     def __init__(self, outdir: Path, config_hash: str, quiet: bool):
         self.outdir = outdir
@@ -91,6 +92,7 @@ class _Context:
         self.abort: dict | None = None
         self.steps_completed: int | None = None  # step of state.ckpt
         self.extra: dict = {}
+        self.telemetry: dict = {}
 
     def say(self, message: str) -> None:
         if not self.quiet:
@@ -163,21 +165,36 @@ def _cmd_simulate(rc: RunConfig, ctx: _Context) -> int:
     trajectory holds the one state, its latest completed step.  On an
     abort or an interrupt the rows so far and that step's checkpoint
     stay, with the largest CFL number of the steps to it; main reports
-    an abort."""
+    an abort.  A run that finishes has freed its stepper before the
+    checkpoint and the final checks.  The telemetry splits the run's
+    time into stepping_s (step), records_s (energy_terms and the fold)
+    and io_s (CSV rows and the checkpoint), and steps_peak_rss_mb is
+    the peak resident set when the stepping stopped."""
     cfg = rc.solver
     stream = run(cfg)  # setup errors raise here, before any file opens
     fold = _RecordFold()
+    folding = writing = 0.0
 
     def rows():
+        nonlocal folding, writing
         for record in attach_residuals(map(itemgetter(1), stream)):
+            start = time.perf_counter()
             fold.add(record)
+            folding += time.perf_counter() - start
+            start = time.perf_counter()
             yield [getattr(record, column) for column in _DIAGNOSTIC_COLUMNS]
+            writing += time.perf_counter() - start  # write_csv wrote the row
 
     try:
         ctx.write_csv("diagnostics.csv", _DIAGNOSTIC_COLUMNS, rows())
     finally:
+        ctx.telemetry["steps_peak_rss_mb"] = _peak_rss_mb()
+        start = time.perf_counter()
         write_checkpoint(ctx.outdir / "state.ckpt", stream.state, cfg,
                          config_hash=ctx.config_hash)
+        ctx.telemetry.update(stepping_s=stream.stepping_s,
+                             records_s=stream.records_s + folding,
+                             io_s=writing + time.perf_counter() - start)
         ctx.outputs.append("state.ckpt")
         ctx.steps_completed = stream.state.step_index
         ctx.extra["max_cfl"] = stream.max_cfl
@@ -337,16 +354,22 @@ def _build_parser() -> _Parser:
 _PARSER = _build_parser()
 
 
-def _telemetry(wall: float, steps: int | None) -> dict:
+def _peak_rss_mb() -> float:
+    """The process's peak resident set so far, in MiB."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def _telemetry(wall: float, ctx: _Context) -> dict:
     """The process's peak resident set (MiB) and minor page faults so
-    far, from getrusage, and for a run that stepped, its steps per
-    second of wall time.  These vary from run to run, so they go in the
-    manifest only, never in a CSV or a checkpoint."""
-    usage = resource.getrusage(resource.RUSAGE_SELF)
-    telemetry = {"peak_rss_mb": usage.ru_maxrss / 1024.0,
-                 "minor_faults": usage.ru_minflt}
-    if steps is not None:
-        telemetry["steps_per_s"] = steps / wall
+    far, from getrusage, for a run that stepped its steps per second of
+    wall time, and what the command added to ctx.telemetry.  These vary
+    from run to run, so they go in the manifest only, never in a CSV or
+    a checkpoint."""
+    telemetry = {"peak_rss_mb": _peak_rss_mb(),
+                 "minor_faults": resource.getrusage(resource.RUSAGE_SELF).ru_minflt,
+                 **ctx.telemetry}
+    if ctx.steps_completed is not None:
+        telemetry["steps_per_s"] = ctx.steps_completed / wall
     return telemetry
 
 
@@ -404,7 +427,7 @@ def main(argv=None) -> int:
             "python": platform.python_version(),
         },
         "wall_time_seconds": wall,
-        "telemetry": _telemetry(wall, ctx.steps_completed),
+        "telemetry": _telemetry(wall, ctx),
         "outputs": ctx.outputs,
         "assertions": ctx.assertions,
     }

@@ -37,6 +37,7 @@ its config from its StepOperators, so its dt and multipliers agree.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field as dc_field
 from numbers import Integral
 
@@ -52,6 +53,7 @@ from .spectral import (
     band_divergence,
     band_inverse,
     field_from_samples,
+    l2_distance,
     l2_norm,
     leray_project,
     project_coeffs,
@@ -418,50 +420,63 @@ class trajectory:
     last step.
 
     `state` is the latest completed step, the one state the loop holds,
-    and `max_cfl` the largest CFL number of the steps to it (0.0 before
-    the first).  A caller that drops each yielded state before its next
-    pull holds no state of its own: a step then holds its input, the
-    new state and ops.k1, and nothing older.
+    `max_cfl` the largest CFL number of the steps to it (0.0 before the
+    first) and `stepping_s` the seconds spent in step.  A caller that
+    drops each yielded state before its next pull holds no state of its
+    own: a step then holds its input, the new state and ops.k1, and
+    nothing older.  Once it stops, every pull raises StopIteration and
+    it holds no StepOperators (`ops` is None): a finished run keeps its
+    last state and numbers, not the stepper's samples, k1 and forcing.
     """
 
     def __init__(self, ops: StepOperators, state: SolverState):
         self.ops, self.state = ops, state
-        self.max_cfl = 0.0
+        self.max_cfl = self.stepping_s = 0.0
         self._started = False
 
     def __iter__(self):
         return self
 
     def __next__(self) -> SolverState:
-        ops = self.ops
-        config = ops.config
+        if self.ops is None:
+            raise StopIteration
         if not self._started:
             self._started = True
             return self.state
+        config = self.ops.config
         while self.state.step_index < config.num_steps:
-            self.state = step(self.state, ops)
-            self.max_cfl = max(self.max_cfl, ops.cfl)
+            start = time.perf_counter()
+            self.state = step(self.state, self.ops)
+            self.stepping_s += time.perf_counter() - start
+            self.max_cfl = max(self.max_cfl, self.ops.cfl)
             if (self.state.step_index % config.output_every == 0
                     or self.state.step_index == config.num_steps):
                 return self.state
+        self.ops = None
         raise StopIteration
 
 
 class _Records(trajectory):
-    """A trajectory that yields each state with its energy record."""
+    """A trajectory that yields each state with its energy record, and
+    sums the seconds spent in energy_terms in `records_s`."""
+
+    records_s = 0.0
 
     def __next__(self) -> tuple[SolverState, EnergyRecord]:
         state = super().__next__()
-        ops = self.ops
-        config = ops.config
-        return state, energy_terms(state.w, ops.forcing_raw, config.filter,
-                                   config.deconv_order, config.nu, state.t)
+        config = self.ops.config
+        start = time.perf_counter()
+        record = energy_terms(state.w, self.ops.forcing_raw, config.filter,
+                              config.deconv_order, config.nu, state.t)
+        self.records_s += time.perf_counter() - start
+        return state, record
 
 
 def run(config: SolverConfig) -> _Records:
     """Integrate to t_end, yielding (state, energy record) at output
     cadence, initial state first, and keeping none of them.  The
-    iterator is a trajectory, with its `state` and `max_cfl`.
+    iterator is a trajectory, with its `state`, `max_cfl` and
+    `stepping_s`, and `records_s`; once exhausted it holds no stepper.
 
     Setup runs at the call, so bad descriptors raise before iteration; a
     CFL violation or non-finite state raises SolverAbort from the loop.
@@ -508,7 +523,9 @@ def dependence_experiment(config: SolverConfig, epsilon: float, *,
 
     The two runs are trajectories that share one StepOperators, pulled
     in turn at output cadence and read off the trajectories, so each
-    holds its one state.  The perturbed initial state
+    holds its one state; a record forms their difference one part of
+    one component at a time (l2_distance), so it holds no whole
+    difference and stays within a step's memory.  The perturbed initial state
     is w0 + epsilon * p with p a normalized divergence-free random field.
     The integrand is evaluated on the perturbed trajectory, and the
     fitted constant is the smallest C with
@@ -539,7 +556,7 @@ def dependence_experiment(config: SolverConfig, epsilon: float, *,
         integrals.append(integrals[-1] + 0.5 * (b.t - times[-1])
                          * (integrands[-1] + integrand) if times else 0.0)
         times.append(b.t)
-        deltas.append(FieldNorms(q.w.with_coeffs(q.w.coeffs - b.w.coeffs)).l2())
+        deltas.append(l2_distance(q.w, b.w))
         integrands.append(integrand)
         del b, q  # before the next pull steps on
 

@@ -323,20 +323,33 @@ def convective_inner(u: VectorField, v: VectorField, w: VectorField) -> float:
 # sums over components, k1 and k2, dotted with r and the Parseval weight.
 
 
-def _mass(c: np.ndarray) -> np.ndarray:
-    """|c|^2 summed over components, on the layout of `c`: re^2 + im^2
-    of one component at a time, added in component order, as a sum over
-    the component axis adds them, so it holds three components' worth of
-    reals, not two arrays of all of them."""
+def _mass(c: np.ndarray, minus: np.ndarray | None = None) -> np.ndarray:
+    """|c|^2, or |c - minus|^2, summed over components, on the layout of
+    `c`: re^2 + im^2 of one component at a time, added in component
+    order, as a sum over the component axis adds them, so it holds three
+    components' worth of reals, not two arrays of all of them.  A
+    difference is formed one real or imaginary part at a time, in the
+    buffer that squares it, so no whole difference is held either."""
     parts = c.reshape(-1, *c.shape[-3:])
-    mass = parts[0].real**2
-    mass += parts[0].imag**2
+    others = None if minus is None else minus.reshape(parts.shape)
+
+    def square(i: int, imag: bool, out: np.ndarray | None = None) -> np.ndarray:
+        """The square of one part of component i of c, or of c - minus,
+        into `out` or a fresh array."""
+        part = parts[i].imag if imag else parts[i].real
+        if others is not None:
+            part = out = np.subtract(part, others[i].imag if imag else others[i].real,
+                                     out=out)
+        return np.square(part, out=out)
+
+    mass = square(0, False)
+    mass += square(0, True)
     if len(parts) > 1:
-        square, square_imag = np.empty_like(mass), np.empty_like(mass)
-        for part in parts[1:]:
-            np.square(part.real, out=square)
-            square += np.square(part.imag, out=square_imag)
-            mass += square
+        square_real, square_imag = np.empty_like(mass), np.empty_like(mass)
+        for i in range(1, len(parts)):
+            square(i, False, square_real)
+            square_real += square(i, True, square_imag)
+            mass += square_real
     return mass
 
 
@@ -431,6 +444,16 @@ def inner_product(f: Field, g: Field, weight=1.0) -> float:
 
 def l2_norm(f: Field) -> float:
     return FieldNorms(f).l2()
+
+
+def l2_distance(f: Field, g: Field) -> float:
+    """||f - g||_{L^2} of two fields on one box, with the bits of
+    l2_norm of f - g; its temporaries are three band-sized reals (_mass),
+    where f - g alone would be six."""
+    if f.band is not g.band:
+        raise ValueError("fields live on different boxes")
+    line = _k3_line(f.grid, _mass(f.coeffs, g.coeffs))
+    return float(np.sqrt(quadratic_form(f.grid, line)))
 
 
 def vertical_seminorm(f: Field, s: float) -> float:

@@ -1,11 +1,13 @@
 """End-to-end command-line runs: artifacts, determinism, exit codes."""
 
+import gc
 import json
 import os
 import struct
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 
 import admles
-from admles import inequalities, solver
+from admles import cli, inequalities, solver
 from admles.cli import _RecordFold, main
 from admles.config import parse_config
 from admles.diagnostics import attach_residuals, energy_terms
@@ -192,6 +194,34 @@ def test_an_interrupted_run_resumes_bit_for_bit(tmp_path, monkeypatch):
         want = states[got.step_index]
         assert got.t == want.t
         assert got.w.coeffs.tobytes() == want.w.coeffs.tobytes()
+
+
+def test_simulate_checks_the_final_state_with_no_stepper_alive(tmp_path, monkeypatch):
+    """With the collector off, simulate reaches divergence_residual, its
+    last check of the final state, with no StepOperators of the run
+    alive: the finished trajectory freed its samples, k1 and forcing
+    before the checkpoint and the final checks."""
+    made, alive = [], []
+    real_init, real_residual = StepOperators.__init__, cli.divergence_residual
+
+    def tracked_init(self, config):
+        real_init(self, config)
+        made.append(weakref.ref(self))
+
+    def residual(w):
+        alive.append(sum(ref() is not None for ref in made))
+        return real_residual(w)
+
+    monkeypatch.setattr(StepOperators, "__init__", tracked_init)
+    monkeypatch.setattr(cli, "divergence_residual", residual)
+    gc.disable()
+    try:
+        assert main(["simulate", "--config", write(tmp_path / "run.ini", FORCED_RUN),
+                     "--output", str(tmp_path / "out"), "--quiet"]) == 0
+    finally:
+        gc.enable()
+    assert len(made) == 1
+    assert alive == [0]
 
 
 def test_manifest_max_cfl(tmp_path):
@@ -565,12 +595,17 @@ def test_manifest_telemetry(tmp_path):
         assert run_cli("simulate", "--config", cfg, "--output", str(out),
                        "--quiet") == 0
     telemetry = read_manifest(outs[0])["telemetry"]
-    assert sorted(telemetry) == ["minor_faults", "peak_rss_mb", "steps_per_s"]
+    assert sorted(telemetry) == ["io_s", "minor_faults", "peak_rss_mb", "records_s",
+                                 "stepping_s", "steps_peak_rss_mb", "steps_per_s"]
     assert telemetry["peak_rss_mb"] > 0
     assert isinstance(telemetry["minor_faults"], int) and telemetry["minor_faults"] >= 0
     steps = read_checkpoint(outs[0] / "state.ckpt")[0].step_index
     wall = read_manifest(outs[0])["wall_time_seconds"]
     assert telemetry["steps_per_s"] == steps / wall
+    phases = [telemetry[name] for name in ("stepping_s", "records_s", "io_s")]
+    assert min(phases) >= 0 and telemetry["steps_peak_rss_mb"] >= 0
+    assert sum(phases) <= wall
+    assert telemetry["steps_peak_rss_mb"] <= telemetry["peak_rss_mb"]
     for name in ("diagnostics.csv", "state.ckpt"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
     ops_cfg = write(tmp_path / "ops.ini", "[operators]\nk3_max = 2\n")

@@ -855,6 +855,83 @@ def test_a_run_holds_one_state(tmp_path, monkeypatch, driver):
     assert faults == []
 
 
+def test_a_finished_run_frees_its_stepper():
+    """With the collector off, a run() pulled to its end holds no
+    StepOperators: a weak reference to it dies at the pull that raises
+    StopIteration, every later pull raises it again, and the last state
+    and max_cfl stay readable."""
+    cfg = config16(init=RandomBandLimited(seed=14, band=4), forcing=TaylorGreen(),
+                   output_every=3)
+    gc.disable()
+    try:
+        stream = run(cfg)
+        ops = weakref.ref(stream.ops)
+        for state, _ in stream:
+            assert ops() is not None
+            last = state.w.coeffs
+        assert ops() is None
+        with pytest.raises(StopIteration):
+            next(stream)
+    finally:
+        gc.enable()
+    assert stream.state.step_index == cfg.num_steps
+    assert stream.state.w.coeffs is last
+    assert 0.0 < stream.max_cfl < CFL_LIMIT
+
+
+def test_dependence_deltas_keep_the_bits_of_the_whole_difference():
+    """delta_norms, formed one part of one component at a time, equal
+    FieldNorms(q - b).l2() of the two runs' states bit for bit."""
+    cfg = config16(t_end=0.05, filter=FilterSpec(alpha=0.5, theta=0.75),
+                   init=RandomBandLimited(seed=14, band=4), forcing=TaylorGreen())
+    eps = 1e-3
+    report = dependence_experiment(cfg, eps, perturbation_seed=5)
+    w0 = initial_state(cfg).w
+    p = descriptor_field(RandomBandLimited(5, min(cfg.grid.band.cutoffs)), cfg.grid)
+    start = SolverState(0.0, 0, w0.with_coeffs(w0.coeffs + p.coeffs * (eps / l2_norm(p))))
+    ops = StepOperators(cfg)
+    expect = [FieldNorms(q.w.with_coeffs(q.w.coeffs - b.w.coeffs)).l2()
+              for b, q in zip(trajectory(ops, initial_state(cfg)), trajectory(ops, start))]
+    assert len(expect) == cfg.num_steps + 1
+    assert np.array_equal(report.delta_norms, expect)
+
+
+def test_a_dependence_record_stays_within_a_step(monkeypatch):
+    """The traced peak of each stretch between two steps of the
+    dependence experiment, which holds a record or nothing, is at most
+    the peak of a step, with the peak reset before and after each step:
+    a record holds both states and three band-sized reals, not their
+    whole difference.  At 16^3 and 32^3 a step's own temporaries (numpy's
+    FFT buffer and the finiteness mask) outweigh half a state, so a
+    whole difference would fit under a step there too; from 36^3 on it
+    does not."""
+    cfg = config16(grid=Grid(40, 40, 40), nu=0.05, filter=FilterSpec(alpha=0.5, theta=0.75),
+                   deconv_order=2, dt=0.005, t_end=0.02,
+                   init=RandomBandLimited(seed=1, band=4, energy=4.0),
+                   forcing=RandomBandLimited(seed=2, band=3, energy=2.0))
+    steps, between = [], []
+    real_step = solver.step
+
+    def watched(state, ops):
+        between.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        new = real_step(state, ops)
+        steps.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        return new
+
+    dependence_experiment(cfg, 1e-3)  # warms the per-grid caches
+    monkeypatch.setattr(solver, "step", watched)
+    tracemalloc.start()
+    try:
+        dependence_experiment(cfg, 1e-3)
+        between.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert len(steps) == 2 * cfg.num_steps
+    assert max(between[1:]) <= max(steps)  # between[0] is the setup
+
+
 @pytest.mark.parametrize("start", [4, 6], ids=["between-records", "at-a-record"])
 def test_a_trajectory_read_back_from_a_checkpoint_keeps_the_run_cadence(tmp_path, start):
     """trajectory counts its cadence from the state's own step_index: a

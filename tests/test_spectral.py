@@ -685,6 +685,22 @@ def test_common_box_reads_keep_the_union_bits():
             assert got.tobytes() == expect.tobytes()
 
 
+def test_l2_distance_keeps_the_bits_of_the_norm_of_the_difference():
+    """l2_distance(f, g) is l2_norm(f - g) bit for bit, signed zeros
+    included, for vector and scalar fields; fields on two boxes raise."""
+    g = Grid(16, 16, 16)
+    rng = np.random.default_rng(51)
+    for box in (g.band, g.box((2, 3, 4))):
+        vectors = [VectorField(box, signed_zero_coeffs(rng, box)) for _ in range(2)]
+        scalars = [SpectralField(box, signed_zero_coeffs(rng, box, 1)[0]) for _ in range(2)]
+        for f, h in (vectors, scalars):
+            for a, b in ((f, h), (h, f), (f, f)):
+                assert spectral.l2_distance(a, b) == l2_norm(a.with_coeffs(a.coeffs - b.coeffs))
+    with pytest.raises(ValueError, match="different boxes"):
+        spectral.l2_distance(VectorField(g.band, signed_zero_coeffs(rng, g.band)),
+                             VectorField(g.box((2, 2, 2)), signed_zero_coeffs(rng, g.box((2, 2, 2)))))
+
+
 def test_fields_lie_inside_the_band():
     # the 2/3 cutoff of 12 modes is 3: a box or draw beyond it is refused
     g = Grid(12, 12, 16)
