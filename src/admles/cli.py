@@ -29,14 +29,13 @@ import platform
 import resource
 import sys
 import time
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .config import ConfigError, RunConfig, parse_config, with_overrides
-from .diagnostics import attach_residuals, vertical_spectrum
+from .diagnostics import CSV_COLUMNS, RecordFold, vertical_spectrum
 from .filters import (
     DeconvSpec,
     FilterSpec,
@@ -55,10 +54,6 @@ from .solver import (
 from .spectral import FieldNorms, divergence_residual
 
 _BOUND_TOL = 1e-12
-_DIAGNOSTIC_COLUMNS = (
-    "t", "model_energy", "dissipation", "forcing_power", "budget_residual",
-    "l2_norm", "theta_seminorm", "gronwall_integrand",
-)
 
 
 class _UsageError(Exception):
@@ -126,42 +121,9 @@ class _Context:
 # Subcommands
 
 
-class _RecordFold:
-    """simulate's records, folded in as each row is written so that none
-    is kept: their count, how many have a non-finite CSV cell outside
-    budget_residual (read on no row; the first row's is NaN), E(0), the
-    energy's rises, and the regularity certificate: the sups of ||w||
-    and ||d3^theta w|| and the trapezoid time-integrals of ||grad w||^2
-    and ||d3^theta grad w||^2."""
-
-    def __init__(self):
-        self.count = self.nonfinite = self.rises = 0
-        self.first = self.last = None
-        self.certificate = {"sup_l2": 0.0, "sup_theta_seminorm": 0.0,
-                            "integral_grad_sq": 0.0, "integral_theta_grad_sq": 0.0}
-
-    def add(self, rec) -> None:
-        self.nonfinite += not all(math.isfinite(getattr(rec, column))
-                                  for column in _DIAGNOSTIC_COLUMNS
-                                  if column != "budget_residual")
-        cert, last = self.certificate, self.last
-        cert["sup_l2"] = max(cert["sup_l2"], rec.l2_norm)
-        cert["sup_theta_seminorm"] = max(cert["sup_theta_seminorm"], rec.theta_seminorm)
-        if last is None:
-            self.first = rec.model_energy
-        else:
-            self.rises += rec.model_energy > last.model_energy * (1.0 + 1e-12)
-            half = 0.5 * (rec.t - last.t)
-            cert["integral_grad_sq"] += half * (last.grad_norm**2 + rec.grad_norm**2)
-            cert["integral_theta_grad_sq"] += half * (last.theta_grad_norm**2
-                                                      + rec.theta_grad_norm**2)
-        self.count += 1
-        self.last = rec
-
-
 def _cmd_simulate(rc: RunConfig, ctx: _Context) -> int:
-    """Streams the run: each record becomes a CSV row and feeds the fold
-    as it arrives, and no state is kept across a pull, so the run's
+    """Streams the run: each record feeds the fold, which gives its
+    budget residual, and becomes a CSV row as it arrives; the run's
     trajectory holds the one state, its latest completed step.  On an
     abort or an interrupt the rows so far and that step's checkpoint
     stay, with the largest CFL number of the steps to it; main reports
@@ -172,21 +134,22 @@ def _cmd_simulate(rc: RunConfig, ctx: _Context) -> int:
     the peak resident set when the stepping stopped."""
     cfg = rc.solver
     stream = run(cfg)  # setup errors raise here, before any file opens
-    fold = _RecordFold()
+    fold = RecordFold()
     folding = writing = 0.0
 
     def rows():
         nonlocal folding, writing
-        for record in attach_residuals(map(itemgetter(1), stream)):
+        for record in stream:
             start = time.perf_counter()
-            fold.add(record)
+            residual = fold.add(record)
             folding += time.perf_counter() - start
             start = time.perf_counter()
-            yield [getattr(record, column) for column in _DIAGNOSTIC_COLUMNS]
+            yield [residual if column == "budget_residual" else getattr(record, column)
+                   for column in CSV_COLUMNS]
             writing += time.perf_counter() - start  # write_csv wrote the row
 
     try:
-        ctx.write_csv("diagnostics.csv", _DIAGNOSTIC_COLUMNS, rows())
+        ctx.write_csv("diagnostics.csv", CSV_COLUMNS, rows())
     finally:
         ctx.telemetry["steps_peak_rss_mb"] = _peak_rss_mb()
         start = time.perf_counter()

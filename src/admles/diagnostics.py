@@ -16,14 +16,15 @@ drops out exactly thanks to the dealiased product orthogonality.  The
 time stepper perturbs this balance at second order, which the
 budget-residual convergence test measures.
 
-A record's gradient norms feed simulate's regularity certificate.
+RecordFold is the one reader of consecutive records: it pairs each with
+the one before for the budget residual, and folds the records into
+simulate's end-of-run checks and its regularity certificate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Iterable, Iterator
+from dataclasses import dataclass
 
 from .filters import DeconvSpec, FilterSpec, symbol_table
 from .spectral import FieldNorms, VectorField, inner_product, quadratic_form
@@ -43,14 +44,18 @@ class EnergyRecord:
     # || grad w || and || d3^theta grad w ||: not CSV columns
     grad_norm: float
     theta_grad_norm: float
-    budget_residual: float = math.nan  # filled when paired across steps
 
     def __post_init__(self):
         if self.model_energy < 0 or self.dissipation < 0:
             raise ValueError("energy terms must be nonnegative")
 
-    def with_residual(self, value: float) -> "EnergyRecord":
-        return replace(self, budget_residual=value)
+
+# the columns of diagnostics.csv: a record's fields and, from RecordFold,
+# its budget residual
+CSV_COLUMNS = (
+    "t", "model_energy", "dissipation", "forcing_power", "budget_residual",
+    "l2_norm", "theta_seminorm", "gronwall_integrand",
+)
 
 
 def gronwall_integrand(norms: FieldNorms, theta: float) -> float:
@@ -95,36 +100,52 @@ def energy_terms(w: VectorField, f: VectorField, filt: FilterSpec, order: int,
     )
 
 
-def budget_residual(first: EnergyRecord, second: EnergyRecord,
-                    dt: float) -> float:
-    """|dE/dt + mean dissipation - mean forcing| across adjacent records.
-
-    dt is the record spacing; records whose timestamps do not differ by
-    dt are rejected.  Scales as O(dt^2) for the order-2 stepper.
-    """
-    span = second.t - first.t
-    if span <= 0 or abs(span - dt) > 1e-9 * max(dt, 1.0):
-        raise ValueError(
-            f"records are not dt-adjacent: t={first.t} and t={second.t} "
-            f"with dt={dt}"
-        )
+def budget_residual(first: EnergyRecord, second: EnergyRecord) -> float:
+    """|dE/dt + mean dissipation - mean forcing| across two records, with
+    dt their spacing.  Scales as O(dt^2) for the order-2 stepper."""
+    dt = second.t - first.t
     rate = (second.model_energy - first.model_energy) / dt
     mean_dissipation = 0.5 * (first.dissipation + second.dissipation)
     mean_forcing = 0.5 * (first.forcing_power + second.forcing_power)
     return abs(rate + mean_dissipation - mean_forcing)
 
 
-def attach_residuals(records: Iterable[EnergyRecord]) -> Iterator[EnergyRecord]:
-    """Pair each record with its predecessor as it arrives; the first
-    keeps NaN.  Lazy, so a run can be streamed through it."""
-    records = iter(records)
-    prev = next(records, None)
-    if prev is None:
-        raise ValueError("empty trajectory")
-    yield prev
-    for cur in records:
-        yield cur.with_residual(budget_residual(prev, cur, cur.t - prev.t))
-        prev = cur
+class RecordFold:
+    """A run's records, folded in one at a time so that none is kept but
+    the last: their count, how many have a non-finite CSV cell outside
+    budget_residual (the first record's is NaN), E(0), the energy's
+    rises, and the regularity certificate: the sups of ||w|| and
+    ||d3^theta w|| and the trapezoid time-integrals of ||grad w||^2 and
+    ||d3^theta grad w||^2."""
+
+    def __init__(self):
+        self.count = self.nonfinite = self.rises = 0
+        self.first = self.last = None
+        self.certificate = {"sup_l2": 0.0, "sup_theta_seminorm": 0.0,
+                            "integral_grad_sq": 0.0, "integral_theta_grad_sq": 0.0}
+
+    def add(self, rec: EnergyRecord) -> float:
+        """Folds in `rec` and returns its budget residual against the
+        record before it, NaN for the first."""
+        self.nonfinite += not all(math.isfinite(getattr(rec, column))
+                                  for column in CSV_COLUMNS
+                                  if column != "budget_residual")
+        cert, last = self.certificate, self.last
+        cert["sup_l2"] = max(cert["sup_l2"], rec.l2_norm)
+        cert["sup_theta_seminorm"] = max(cert["sup_theta_seminorm"], rec.theta_seminorm)
+        if last is None:
+            self.first = rec.model_energy
+            residual = math.nan
+        else:
+            residual = budget_residual(last, rec)
+            self.rises += rec.model_energy > last.model_energy * (1.0 + 1e-12)
+            half = 0.5 * (rec.t - last.t)
+            cert["integral_grad_sq"] += half * (last.grad_norm**2 + rec.grad_norm**2)
+            cert["integral_theta_grad_sq"] += half * (last.theta_grad_norm**2
+                                                      + rec.theta_grad_norm**2)
+        self.count += 1
+        self.last = rec
+        return residual
 
 
 def vertical_spectrum(norms: FieldNorms) -> list[tuple[int, float]]:

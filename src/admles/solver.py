@@ -457,26 +457,28 @@ class trajectory:
 
 
 class _Records(trajectory):
-    """A trajectory that yields each state with its energy record, and
-    sums the seconds spent in energy_terms in `records_s`."""
+    """A trajectory that yields the energy record of each state instead
+    of the state, and sums the seconds spent in energy_terms in
+    `records_s`."""
 
     records_s = 0.0
 
-    def __next__(self) -> tuple[SolverState, EnergyRecord]:
+    def __next__(self) -> EnergyRecord:
         state = super().__next__()
         config = self.ops.config
         start = time.perf_counter()
         record = energy_terms(state.w, self.ops.forcing_raw, config.filter,
                               config.deconv_order, config.nu, state.t)
         self.records_s += time.perf_counter() - start
-        return state, record
+        return record
 
 
 def run(config: SolverConfig) -> _Records:
-    """Integrate to t_end, yielding (state, energy record) at output
-    cadence, initial state first, and keeping none of them.  The
-    iterator is a trajectory, with its `state`, `max_cfl` and
-    `stepping_s`, and `records_s`; once exhausted it holds no stepper.
+    """Integrate to t_end, yielding the energy record of each state at
+    output cadence, initial state first.  The iterator is a trajectory:
+    its `state` is the latest completed step, the one state of the run,
+    and it has `max_cfl`, `stepping_s` and `records_s`; once exhausted it
+    holds no stepper.
 
     Setup runs at the call, so bad descriptors raise before iteration; a
     CFL violation or non-finite state raises SolverAbort from the loop.

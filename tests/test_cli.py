@@ -10,15 +10,16 @@ import tracemalloc
 import weakref
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import admles
 from admles import cli, inequalities, solver
-from admles.cli import _RecordFold, main
+from admles.cli import main
 from admles.config import parse_config
-from admles.diagnostics import attach_residuals, energy_terms
+from admles.diagnostics import RecordFold, budget_residual, energy_terms
 from admles.filters import FilterSpec
 from admles.grid import Grid
 from admles.solver import (
@@ -33,7 +34,13 @@ from admles.solver import (
     trajectory,
     write_checkpoint,
 )
-from admles.spectral import FieldNorms, VectorField, l2_norm, vertical_seminorm
+from admles.spectral import (
+    FieldNorms,
+    VectorField,
+    divergence_residual,
+    l2_norm,
+    vertical_seminorm,
+)
 
 
 def run_cli(*args):
@@ -130,13 +137,14 @@ def test_runtime_abort_exit_code(tmp_path):
     # the rows are exactly the records the run yielded before aborting
     yielded = []
     with pytest.raises(CFLError):
-        for _, record in run(parse_config(text).solver):
+        for record in run(parse_config(text).solver):
             yielded.append(record)
     lines = (out / "diagnostics.csv").read_text().splitlines()
     columns = lines[1].split(",")
     rows = np.array([[float(c) for c in line.split(",")] for line in lines[2:]])
-    expected = np.array([[getattr(r, c) for c in columns]
-                         for r in attach_residuals(yielded)])
+    residuals = [np.nan] + [budget_residual(a, b) for a, b in zip(yielded, yielded[1:])]
+    expected = np.array([[residual if c == "budget_residual" else getattr(r, c)
+                          for c in columns] for r, residual in zip(yielded, residuals)])
     assert len(yielded) > 1
     np.testing.assert_array_equal(rows, expected)
     # the checkpoint holds the latest completed step, here between records
@@ -252,9 +260,10 @@ def certificate_reference(cfg):
     per state of `run`: the sups by max, the integrals by np.trapezoid."""
     theta = cfg.filter.theta
     times, l2, seminorm, grad_sq, theta_grad_sq = [], [], [], [], []
-    for state, _ in run(cfg):
-        norms = FieldNorms(state.w)
-        times.append(state.t)
+    stream = run(cfg)
+    for _ in stream:
+        norms = FieldNorms(stream.state.w)
+        times.append(stream.state.t)
         l2.append(norms.l2())
         seminorm.append(norms.vertical(theta))
         grad_sq.append(norms.grad() ** 2)
@@ -282,7 +291,7 @@ def test_regularity_certificate_of_a_viscous_decay(tmp_path, theta):
     assert sorted(got) == sorted(expect)
     for name, value in expect.items():
         assert got[name] == pytest.approx(value, rel=1e-12), name
-    w0 = next(run(cfg))[0].w
+    w0 = initial_state(cfg).w
     assert got["sup_l2"] == pytest.approx(l2_norm(w0), rel=1e-12)
     assert got["sup_theta_seminorm"] == pytest.approx(vertical_seminorm(w0, theta),
                                                       rel=1e-12)
@@ -306,14 +315,14 @@ def test_regularity_certificate_of_a_forced_run(tmp_path):
     expect = certificate_reference(solver)
     for name, value in expect.items():
         assert got[name] == pytest.approx(value, rel=1e-12), name
-    assert got["sup_l2"] > l2_norm(next(run(solver))[0].w)
+    assert got["sup_l2"] > l2_norm(initial_state(solver).w)
 
 
 def test_record_fold_of_a_zero_trajectory():
     """Zero states certify zero, rise nowhere and are finite."""
     g = Grid(16, 16, 16)
     zero = VectorField(g.band, np.zeros((3, *g.band.shape), dtype=complex))
-    fold = _RecordFold()
+    fold = RecordFold()
     for t in (0.0, 0.1):
         fold.add(energy_terms(zero, zero, FilterSpec(1.0, 1.0), 1, nu=0.01, t=t))
     assert fold.certificate == {"sup_l2": 0.0, "sup_theta_seminorm": 0.0,
@@ -323,12 +332,12 @@ def test_record_fold_of_a_zero_trajectory():
 
 def test_record_fold_counts_rises_and_non_finite_records():
     """A rise beyond a relative 1e-12 counts and one within it does not;
-    a non-finite cell counts, and the NaN residual of a record that has
-    no predecessor does not."""
+    a non-finite cell counts, and the NaN residual that the fold gives
+    the record with no predecessor does not."""
     g = Grid(8, 8, 8)
     zero = VectorField(g.band, np.zeros((3, *g.band.shape), dtype=complex))
     base = energy_terms(zero, zero, FilterSpec(1.0, 1.0), 1, nu=0.01)
-    fold = _RecordFold()
+    fold = RecordFold()
     for t, energy, power in [(0.0, 1.0, 0.0), (0.1, 1.0 + 1e-13, 0.0),
                              (0.2, 1.0 + 1e-11, 0.0), (0.3, 0.5, np.inf)]:
         fold.add(replace(base, t=t, model_energy=energy, forcing_power=power))
@@ -613,6 +622,66 @@ def test_manifest_telemetry(tmp_path):
     assert run_cli("verify-operators", "--config", ops_cfg, "--output", str(out),
                    "--quiet") == 0
     assert sorted(read_manifest(out)["telemetry"]) == ["minor_faults", "peak_rss_mb"]
+
+
+def test_telemetry_seconds_add_up(tmp_path, monkeypatch):
+    """Under a clock that only the timed calls move, by 1 s a step, 2 s
+    an energy_terms, 4 s a fold and 8 s the checkpoint, stepping_s,
+    records_s and io_s each count their calls' seconds, of every step,
+    record and write."""
+    now = [0.0]
+
+    def timed(call, seconds):
+        def wrapper(*args, **kwargs):
+            now[0] += seconds
+            return call(*args, **kwargs)
+        return wrapper
+
+    class SlowFold(RecordFold):
+        add = timed(RecordFold.add, 4.0)
+
+    clock = SimpleNamespace(perf_counter=lambda: now[0])
+    monkeypatch.setattr(solver, "time", clock)
+    monkeypatch.setattr(cli, "time", clock)
+    monkeypatch.setattr(solver, "step", timed(solver.step, 1.0))
+    monkeypatch.setattr(solver, "energy_terms", timed(solver.energy_terms, 2.0))
+    monkeypatch.setattr(cli, "RecordFold", SlowFold)
+    monkeypatch.setattr(cli, "write_checkpoint", timed(cli.write_checkpoint, 8.0))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", write(tmp_path / "run.ini", FORCED_RUN),
+                 "--output", str(out), "--quiet"]) == 0
+    manifest = read_manifest(out)
+    telemetry = manifest["telemetry"]
+    steps, records = 10, 5  # steps 0, 3, 6, 9 and 10 record
+    assert telemetry["stepping_s"] >= steps * 1.0
+    assert telemetry["records_s"] >= records * (2.0 + 4.0)
+    assert telemetry["io_s"] >= 8.0
+    assert manifest["wall_time_seconds"] == steps * 1.0 + records * 6.0 + 8.0
+
+
+def test_a_divergent_final_state_fails_its_check(tmp_path, monkeypatch, capsys):
+    """A last step that leaves a divergence of 1e-6 of the state's scale,
+    in one mode (1, 0, 1), fails final_state_divergence_free and only it,
+    with exit code 2."""
+    def divergent(state, ops):
+        new = real_step(state, ops)
+        if new.step_index == ops.config.num_steps:
+            coeffs = new.w.coeffs.copy()
+            coeffs[0, 1, 0, 1] += 1e-6 * np.max(np.abs(coeffs))
+            new = SolverState(new.t, new.step_index, new.w.with_coeffs(coeffs))
+        return new
+
+    real_step = solver.step
+    monkeypatch.setattr(solver, "step", divergent)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", write(tmp_path / "run.ini", FORCED_RUN),
+                 "--output", str(out)]) == 2
+    assert "[FAIL] final_state_divergence_free: residual=" in capsys.readouterr().out
+    failed = [a["name"] for a in read_manifest(out)["assertions"] if not a["passed"]]
+    assert failed == ["final_state_divergence_free"]
+    w = read_checkpoint(out / "state.ckpt")[0].w
+    scale = np.max(np.abs(w.coeffs))
+    assert 0.5e-6 * scale < divergence_residual(w) < 2e-6 * scale
 
 
 def test_usage_error_exit_code(capsys):

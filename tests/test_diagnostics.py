@@ -9,7 +9,7 @@ from full_layout import full_field, half_layout, half_layout_inner, half_layout_
 
 from admles.diagnostics import (
     EnergyRecord,
-    attach_residuals,
+    RecordFold,
     budget_residual,
     energy_terms,
     gronwall_integrand,
@@ -64,7 +64,6 @@ def test_energy_terms_zero_field():
     assert rec.dissipation == 0.0
     assert rec.forcing_power == 0.0
     assert rec.l2_norm == 0.0
-    assert math.isnan(rec.budget_residual)
 
 
 def test_energy_order_zero_closed_form():
@@ -234,7 +233,7 @@ def test_energy_terms_and_spectrum_match_full_layout_reference():
 # Budget residual
 
 
-def run_small(nu=0.01, dt=0.001, t_end=0.02, **kw):
+def run_small(nu=0.01, dt=0.001, t_end=0.02, output_every=1, **kw):
     cfg = SolverConfig(
         grid=Grid(16, 16, 16),
         nu=nu,
@@ -244,25 +243,27 @@ def run_small(nu=0.01, dt=0.001, t_end=0.02, **kw):
         t_end=t_end,
         init=kw.pop("init", SingleMode(k=(0, 0, 1))),
         forcing=kw.pop("forcing", ZeroForcing()),
-        output_every=1,
+        output_every=output_every,
     )
     return run(cfg)
 
 
+def residuals(records):
+    """The budget residual of each record, as RecordFold pairs them."""
+    fold = RecordFold()
+    return [fold.add(r) for r in records]
+
+
 def test_budget_residual_viscous_decay():
-    recs = list(attach_residuals(r for _, r in run_small()))
-    assert math.isnan(recs[0].budget_residual)
-    for r in recs[1:]:
-        assert r.budget_residual < 1e-10
+    got = residuals(run_small())
+    assert math.isnan(got[0])
+    for r in got[1:]:
+        assert r < 1e-10
 
 
 def test_budget_residual_second_order():
-    coarse = run_small(dt=0.002, t_end=0.04, init=TaylorGreen())
-    fine = run_small(dt=0.001, t_end=0.04, init=TaylorGreen())
-    *_, last_coarse = attach_residuals(r for _, r in coarse)
-    *_, last_fine = attach_residuals(r for _, r in fine)
-    rc = last_coarse.budget_residual
-    rf = last_fine.budget_residual
+    rc = residuals(run_small(dt=0.002, t_end=0.04, init=TaylorGreen()))[-1]
+    rf = residuals(run_small(dt=0.001, t_end=0.04, init=TaylorGreen()))[-1]
     assert rc / rf == pytest.approx(4.0, rel=0.25)
 
 
@@ -278,34 +279,20 @@ def test_budget_residual_second_order_under_forcing(forcing, order):
         cfg = SolverConfig(grid=Grid(16, 16, 16), nu=0.1, filter=FILT,
                            deconv_order=order, dt=dt, t_end=0.04, init=TaylorGreen(),
                            forcing=forcing)
-        *_, last = attach_residuals(r for _, r in run(cfg))
-        return last.budget_residual
+        return residuals(run(cfg))[-1]
 
     assert 3.4 <= last_residual(0.002) / last_residual(0.001) <= 4.6
 
 
-def test_budget_residual_spacing_check():
-    records = [r for _, r in run_small()]
-    with pytest.raises(ValueError):
-        budget_residual(records[0], records[2], dt=0.001)
-
-
-def test_attach_residuals_streams():
-    fed = []
-
-    def records():
-        for _, r in run_small():
-            fed.append(r)
-            yield r
-
-    paired = attach_residuals(records())
-    first = next(paired)
-    assert len(fed) == 1 and math.isnan(first.budget_residual)
-    second = next(paired)
-    assert len(fed) == 2
-    assert second.budget_residual == budget_residual(fed[0], fed[1], 0.001)
-    with pytest.raises(ValueError, match="empty trajectory"):
-        next(attach_residuals(iter([])))
+def test_record_fold_pairs_each_record_with_the_one_before():
+    """The first record has no residual; each later one has that of
+    budget_residual against the record before it, read off a run whose
+    records are not dt apart."""
+    records = list(run_small(t_end=0.007, output_every=3))
+    assert [round(r.t, 9) for r in records] == [0.0, 0.003, 0.006, 0.007]
+    got = residuals(records)
+    assert math.isnan(got[0])
+    assert got[1:] == [budget_residual(a, b) for a, b in zip(records, records[1:])]
 
 
 def test_energy_record_validation():

@@ -65,6 +65,7 @@ from admles.spectral import (
     divergence_residual,
     field_from_samples,
     inner_product,
+    l2_distance,
     l2_norm,
     leray_project,
     tensor_divergence,
@@ -377,7 +378,9 @@ def test_pure_viscous_decay_exact():
         deconv_order=0,
     )
     w0 = initial_state(cfg).w
-    for s, _ in run(cfg):
+    stream = run(cfg)
+    for _ in stream:
+        s = stream.state
         expect = np.exp(-cfg.nu * 1.0 * s.t) * l2_norm(w0)
         assert l2_norm(s.w) == pytest.approx(expect, rel=1e-12)
 
@@ -394,8 +397,9 @@ def test_step_preserves_divergence_free():
 
 def test_run_deterministic():
     cfg = config16(init=RandomBandLimited(seed=11, band=4), t_end=0.05)
-    for (a, ra), (b, rb) in zip(run(cfg), run(cfg), strict=True):
-        assert np.array_equal(a.w.coeffs, b.w.coeffs)
+    a, b = run(cfg), run(cfg)
+    for ra, rb in zip(a, b, strict=True):
+        assert np.array_equal(a.state.w.coeffs, b.state.w.coeffs)
         assert ra.model_energy == rb.model_energy
 
 
@@ -405,17 +409,21 @@ def test_run_zero_everything():
     )
     # zero initial data via a zero-amplitude Taylor-Green
     cfg = config16(init=TaylorGreen(amplitude=0.0), t_end=0.02)
-    for s, r in run(cfg):
-        assert np.max(np.abs(s.w.coeffs)) == 0.0
+    stream = run(cfg)
+    for r in stream:
+        assert np.max(np.abs(stream.state.w.coeffs)) == 0.0
         assert r.model_energy == 0.0
 
 
 def test_run_output_cadence():
     cfg = config16(dt=0.01, t_end=0.07, output_every=3)
-    states, records = zip(*run(cfg))
-    times = [round(s.t, 10) for s in states]
+    stream = run(cfg)
+    times, record_times = [], []
+    for r in stream:
+        times.append(round(stream.state.t, 10))
+        record_times.append(r.t)
     assert times == [0.0, 0.03, 0.06, 0.07]
-    assert [r.t for r in records] == pytest.approx(times)
+    assert record_times == pytest.approx(times)
 
 
 def test_cfl_violation_raises():
@@ -434,9 +442,10 @@ def test_cfl_abort_carries_partial_results():
         forcing=TaylorGreen(amplitude=2.0),
     )
     yielded = []
+    stream = run(cfg)
     with pytest.raises(CFLError):
-        for state, record in run(cfg):
-            yielded.append((state.t, record.t))
+        for record in stream:
+            yielded.append((stream.state.t, record.t))
     assert len(yielded) >= 1
     assert all(t == rt for t, rt in yielded)
 
@@ -486,6 +495,40 @@ def test_cfl_speed_is_max_of_deconvolved_samples():
                 step(initial_state(cfg), StepOperators(cfg))
         else:
             step(initial_state(cfg), StepOperators(cfg))
+
+
+def test_max_cfl_is_the_largest_cfl_number(monkeypatch):
+    """max_cfl is the peak of the steps' CFL numbers, not the last one:
+    a stub step that only moves the clock reports 0.1, 0.3 and 0.2."""
+    cfls = iter([0.1, 0.3, 0.2])
+
+    def clock(state, ops):
+        ops.cfl = next(cfls)
+        return SolverState(state.t + ops.config.dt, state.step_index + 1, state.w)
+
+    monkeypatch.setattr(solver, "step", clock)
+    cfg = config16(t_end=0.03)
+    stream = trajectory(StepOperators(cfg), initial_state(cfg))
+    assert [stream.max_cfl for _ in stream] == [0.0, 0.1, 0.3, 0.3]
+
+
+def test_cfl_limit_is_one_half():
+    """One step at a first CFL number of 0.52 aborts and one at 0.48
+    passes: dt is chosen from the speed of the first right-hand side,
+    which does not depend on dt."""
+    cfg = config16(init=TaylorGreen(amplitude=2.0))
+    ops = StepOperators(cfg)
+    ops.band_rhs(initial_state(cfg).w.coeffs, ops.k1)
+    speed = float(np.sqrt(ops.max_speed_squared())) * ops.kmax
+    for cfl in (0.52, 0.48):
+        cfg = config16(init=TaylorGreen(amplitude=2.0), dt=cfl / speed, t_end=cfl / speed)
+        stream = run(cfg)
+        if cfl > 0.5:
+            with pytest.raises(CFLError):
+                list(stream)
+        else:
+            assert len(list(stream)) == 2
+            assert stream.max_cfl == pytest.approx(cfl, rel=1e-12)
 
 
 def test_steps_keep_coefficients_hermitian():
@@ -829,18 +872,19 @@ ONE_STATE_RUN = ("[grid]\nn1 = 16\nn2 = 16\nn3 = 16\n[filter]\nalpha = 0.5\n"
 @pytest.mark.parametrize("driver", ["run", "simulate", "dependence"])
 def test_a_run_holds_one_state(tmp_path, monkeypatch, driver):
     """With the collector off, at every call of step no state of the
-    stepped run is alive but the step's input: not the last one yielded,
-    which run(), simulate's rows and checkpoint, and the dependence
-    experiment's loop drop before they pull the next.  The dependence
-    experiment steps two runs in turn, and the other holds its one state."""
+    stepped run is alive but the step's input: run() yields records
+    alone, so neither its caller nor simulate's rows hold a state across
+    a pull, and the dependence experiment's loop drops its states before
+    it pulls the next.  The dependence experiment steps two runs in
+    turn, and the other holds its one state."""
     cfg = config16(init=RandomBandLimited(seed=14, band=4), forcing=TaylorGreen(),
                    output_every=3)
     calls, faults = watch_held_states(monkeypatch)
     gc.disable()
     try:
         if driver == "run":
-            for state, _ in run(cfg):
-                del state  # the caller's part: nothing held across a pull
+            for _ in run(cfg):
+                pass
         elif driver == "simulate":
             path = tmp_path / "run.ini"
             path.write_text(ONE_STATE_RUN)
@@ -866,9 +910,9 @@ def test_a_finished_run_frees_its_stepper():
     try:
         stream = run(cfg)
         ops = weakref.ref(stream.ops)
-        for state, _ in stream:
+        for _ in stream:
             assert ops() is not None
-            last = state.w.coeffs
+            last = stream.state.w.coeffs
         assert ops() is None
         with pytest.raises(StopIteration):
             next(stream)
@@ -1156,14 +1200,41 @@ def test_dependence_report_is_what_its_docstring_says():
         rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("forcing", [ZeroForcing(), TaylorGreen(amplitude=2.0)],
+                         ids=["unforced", "forced"])
+@pytest.mark.parametrize("theta, order", [(1.0, 0), (1.0, 1), (0.75, 2)])
+def test_deconvolved_state_converges_at_the_model_order(theta, order, forcing):
+    """D_N w approximates the Navier-Stokes velocity to
+    O(alpha^{2 theta (N + 1)}) for an initial field and a forcing that do
+    not depend on alpha: the observed order of three successive halvings
+    of alpha, log2 of the ratio of their two differences of D_N w(T),
+    nears it as alpha shrinks.  The runs share one grid, so their fields
+    share a box."""
+    grid = Grid(16, 16, 16)
+    fields = []
+    for alpha in (0.2, 0.1, 0.05, 0.025):
+        filt = FilterSpec(alpha=alpha, theta=theta)
+        stream = run(SolverConfig(grid=grid, nu=0.05, filter=filt, deconv_order=order,
+                                  dt=0.005, t_end=0.2, init=TaylorGreen(),
+                                  forcing=forcing, output_every=40))
+        for _ in stream:
+            pass
+        fields.append(apply_deconv(stream.state.w, DeconvSpec(filt, order)))
+    gaps = [l2_distance(a, b) for a, b in zip(fields, fields[1:])]
+    first, last = (np.log2(a / b) for a, b in zip(gaps, gaps[1:]))
+    assert abs(last - 2 * theta * (order + 1)) <= 0.25
+    assert last > first
+
+
 # ---------------------------------------------------------------------------
 # Checkpoints
 
 
 def final_state(cfg):
-    for state, _ in run(cfg):
+    stream = run(cfg)
+    for _ in stream:
         pass
-    return state
+    return stream.state
 
 
 def test_checkpoint_round_trip(tmp_path):
