@@ -104,7 +104,7 @@ def _draw(rng: np.random.Generator, spec: EnsembleSpec, grid: Grid,
     half = _draw_band(rng, b, spec.amplitude_decay, components)
     coeffs = np.roll(half, -b, axis=(-3, -2))
     if project:
-        project_coeffs(box, coeffs, *np.empty_like(coeffs[:2]))
+        project_coeffs(box, coeffs, np.empty_like(coeffs[:2]))
     return box, coeffs
 
 

@@ -100,19 +100,14 @@ def _rows_on(cutoffs: tuple[int, int, int], shape: tuple[int, int, int]):
 
 @lru_cache(maxsize=64)
 def _box_indices(inner: tuple[int, int, int], outer: tuple[int, int, int]):
-    """(Band.blocks_in, Band.rest_of) of a box of cutoffs `inner` in one
-    of cutoffs `outer`, built once per pair of cutoffs, the only thing
-    they depend on; the cache holds no Band or Grid.  A box is the half
-    layout of a grid of shape (2 K1 + 1, 2 K2 + 1, 2 K3 + 1)."""
+    """Band.blocks_in of a box of cutoffs `inner` in one of cutoffs
+    `outer`, built once per pair of cutoffs, the only thing they depend
+    on; the cache holds no Band or Grid.  A box is the half layout of a
+    grid of shape (2 K1 + 1, 2 K2 + 1, 2 K3 + 1)."""
     rows1, rows2 = _rows_on(inner, tuple(2 * k + 1 for k in outer))
-    cols, past = slice(0, inner[2] + 1), slice(inner[2] + 1, None)
-    blocks = tuple(((..., b1, b2, slice(None)), (..., h1, h2, cols))
-                   for b1, h1 in rows1 for b2, h2 in rows2)
-    ((_, low1), (_, high1)), ((_, low2), (_, high2)) = rows1, rows2
-    rest = ((..., slice(low1.stop, high1.start), slice(None), slice(None)),
-            *((..., h1, slice(None), past) for h1 in (low1, high1)),
-            *((..., h1, slice(low2.stop, high2.start), cols) for h1 in (low1, high1)))
-    return blocks, rest
+    cols = slice(0, inner[2] + 1)
+    return tuple(((..., b1, b2, slice(None)), (..., h1, h2, cols))
+                 for b1, h1 in rows1 for b2, h2 in rows2)
 
 
 class Band:
@@ -124,8 +119,8 @@ class Band:
     the layout of every field (the grid's 2/3 band for the solver's state
     and sampled fields, cutoffs (b, b, b) for a draw and a random
     forcing); embed moves its coefficients onto a larger box, restrict
-    reads them off one, and blocks_in and rest_of index its modes and the
-    others on one (index lists cached per pair of cutoffs, not per box).
+    reads them off one, and blocks_in indexes its modes on one (index
+    lists cached per pair of cutoffs, not per box).
     A box fits a grid shape whose axes hold its rows (2 K + 1 <= m).
     Since 2 K + 1 <= n, a box never holds a Nyquist row or column, and
     every multiplier on it is built from its own lines kd1, kd2, kd3:
@@ -186,14 +181,7 @@ class Band:
         """(index on this box, index on `box`) of each of this box's four
         row blocks, for a box `box` that holds it; the indices are basic
         slices, so both give views."""
-        return _box_indices(self.cutoffs, box.cutoffs)[0]
-
-    def rest_of(self, box: "Band") -> tuple[tuple, ...]:
-        """Disjoint basic indices of `box`, which holds this box, that
-        cover its modes outside this box: the rows of axis 0 between this
-        box's two blocks, then in each block of axis 0 the columns past
-        this box's, and the rows of axis 1 between its blocks."""
-        return _box_indices(self.cutoffs, box.cutoffs)[1]
+        return _box_indices(self.cutoffs, box.cutoffs)
 
     def embed(self, coeffs: np.ndarray, box: "Band") -> np.ndarray:
         """A fresh array of the box `box` that holds this box: `coeffs` on
@@ -222,19 +210,16 @@ class BandWorkspace:
     slabs of `slab` planes along axis 0 (slabs), the most that fit
     SLAB_BYTES, at least one and at most m1.  Its buffers:
 
-    - `columns` (components, m1, 2 K2 + 1, K3 + 1) and `half`
-      (components, slab, m2, m3/2 + 1): every transform overwrites both,
-      and reads nothing a caller left there, so both are free between
-      transforms;
+    - `columns` (components, m1, 2 K2 + 1, K3 + 1): every transform
+      overwrites it and reads nothing a caller left there; band_forward
+      hands back its box as a view of the first 2 K1 + 1 planes of
+      columns[0], which the next transform overwrites;
+    - `half` (components, slab, m2, m3/2 + 1): every transform overwrites
+      it, and band_divergence and the stepper's project_coeffs cut their
+      temporaries from it, so it is free between calls;
     - `product` (one slab of real samples): overwritten by band_forward
-      of a product;
-    - `mode` (one band-shaped component): overwritten by band_divergence,
-      which returns with it free;
-    - `term` (one band-shaped component): a view of the first 2 K1 + 1
-      planes of `columns`, so every transform overwrites it.
-
-    `product`, `mode` and `term` are built on first use, so a workspace
-    that only samples holds `columns` and `half`.
+      of a product, and built on first use, so a workspace that only
+      samples holds `columns` and `half`.
     """
 
     def __init__(self, band: Band, shape: tuple[int, int, int], components: int):
@@ -257,14 +242,6 @@ class BandWorkspace:
     @cached_property
     def product(self) -> np.ndarray:
         return np.empty((self.slab, *self.shape[1:]))
-
-    @cached_property
-    def mode(self) -> np.ndarray:
-        return np.empty(self.band_shape, dtype=np.complex128)
-
-    @cached_property
-    def term(self) -> np.ndarray:
-        return self.columns[0, :self.band_shape[0]]
 
 
 @dataclass(frozen=True)

@@ -332,25 +332,28 @@ class StepOperators:
         """g(w) = bar f - P bar div(D w x D w) of band coefficients into
         `out`, which may be `w`: only the first multiply reads `w`.  It
         overwrites `samples`, which hold the samples of D w until the next
-        call, and every buffer of `work`.  bar f is forcing_raw / A(k3)
-        on the forcing's box, and the rest of the band gets 0.0 - c, which
-        is (0 / A) - c bit for bit, so a forcing on any box gives the bits
-        of the same forcing embedded in the band."""
+        call, and every buffer of `work`, and returns `out`.  bar f is
+        forcing_raw / A(k3) on the forcing's box, formed one component at
+        a time in work.columns, where bar f - c is taken on the box; the
+        whole component then gets 0.0 - c, which is (0 / A) - c bit for
+        bit, and the box's modes get bar f - c back, so a forcing on any
+        box gives the bits of the same forcing embedded in the band."""
         work = self.work
         z = np.multiply(w, self.band_deconv, out=out)
         zs = band_inverse(z, self.samples, work)
         conv = band_divergence(self.band, zs, out, work)
         conv *= self.band_bar
-        project_coeffs(self.band, conv, work.mode, work.term)
+        project_coeffs(self.band, conv, work.half)
         box = self.forcing_raw.band
-        bar_f = work.mode.reshape(-1)[:math.prod(box.shape)].reshape(box.shape)
+        bar_f = work.columns.reshape(-1)[:math.prod(box.shape)].reshape(box.shape)
         blocks, a = box.blocks_in(self.band), self.symbols.filter[..., box.cols]
         for f, c in zip(self.forcing_raw.coeffs, conv):
             np.divide(f, a, out=bar_f)
             for mine, theirs in blocks:
-                np.subtract(bar_f[mine], c[theirs], out=c[theirs])
-        for other in box.rest_of(self.band):  # every component at once
-            np.subtract(0.0, conv[other], out=conv[other])
+                np.subtract(bar_f[mine], c[theirs], out=bar_f[mine])
+            np.subtract(0.0, c, out=c)
+            for mine, theirs in blocks:
+                c[theirs] = bar_f[mine]
         return out
 
     def max_speed_squared(self) -> float:

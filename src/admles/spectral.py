@@ -55,6 +55,7 @@ inside a run would put its import into that run's time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,7 +137,7 @@ def field_from_samples(grid: Grid, samples: np.ndarray) -> Field:
     coeffs = np.empty((*samples.shape[:-3], *band.shape), dtype=np.complex128)
     for part, out in zip(samples.reshape(-1, *grid.shape),
                          coeffs.reshape(-1, *band.shape)):
-        band_forward(part, out, work)
+        out[...] = band_forward(part, work)
     return (VectorField if coeffs.ndim == 4 else SpectralField)(band, coeffs)
 
 
@@ -150,21 +151,45 @@ def divergence(field: VectorField) -> SpectralField:
     return SpectralField(b, 1j * (b.kd1 * c[0] + b.kd2 * c[1] + b.kd3 * c[2]))
 
 
-def project_coeffs(band: Band, c: np.ndarray, kdotu: np.ndarray,
-                   term: np.ndarray) -> np.ndarray:
+def _row_blocks(band: Band, scratch: np.ndarray, count: int):
+    """For each block of rows along axis 0 of the box `band`, in order:
+    the block's slice, the box's lines kd1, kd2, kd3 on it, and `count`
+    temporaries of the block's shape, cut from the contiguous complex
+    buffer `scratch`.  A block has as many rows as `count` temporaries
+    of them fit in `scratch`, and the last may be short; every mode gets
+    the same operations whatever the block height."""
+    flat = scratch.reshape(-1)
+    rows, row = band.shape[0], math.prod(band.shape[1:])
+    height = min(rows, flat.size // (count * row))
+    if height < 1:
+        raise ValueError(f"scratch of {flat.size} values holds no row of "
+                         f"{count} temporaries of {row} values")
+    for first in range(0, rows, height):
+        block = slice(first, min(first + height, rows))
+        size = (block.stop - first) * row
+        yield (block, (band.kd1[block], band.kd2, band.kd3),
+               [flat[k * size:(k + 1) * size].reshape(-1, *band.shape[1:])
+                for k in range(count)])
+
+
+def project_coeffs(band: Band, c: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """The Leray formula on (3, *band.shape) box coefficients `c`, in
     place: c_i - kd_i (kd . c) / |kd|^2 modewise, from the box's own
-    lines band.kd1, kd2, kd3 and band.inv_kd_squared.  `kdotu` and
-    `term`, each of one component's shape, are overwritten."""
-    np.multiply(band.kd1, c[0], out=kdotu)
-    np.multiply(band.kd2, c[1], out=term)
-    kdotu += term
-    np.multiply(band.kd3, c[2], out=term)
-    kdotu += term
-    kdotu *= band.inv_kd_squared
-    for i, kd in enumerate((band.kd1, band.kd2, band.kd3)):
-        np.multiply(kd, kdotu, out=term)
-        np.subtract(c[i], term, out=c[i])
+    lines band.kd1, kd2, kd3 and band.inv_kd_squared.  It runs on as many
+    rows of the box at a time as two temporaries of them fit in the
+    contiguous complex buffer `scratch`, which it overwrites: two
+    components' worth make one pass."""
+    for rows, kd, (kdotu, term) in _row_blocks(band, scratch, 2):
+        b = c[:, rows]
+        np.multiply(kd[0], b[0], out=kdotu)
+        np.multiply(kd[1], b[1], out=term)
+        kdotu += term
+        np.multiply(kd[2], b[2], out=term)
+        kdotu += term
+        kdotu *= band.inv_kd_squared[rows]
+        for i in range(3):
+            np.multiply(kd[i], kdotu, out=term)
+            np.subtract(b[i], term, out=b[i])
     return c
 
 
@@ -176,7 +201,7 @@ def leray_project(field: VectorField) -> VectorField:
     unchanged: project_coeffs of a copy on the box, as in the stepper.
     """
     c = field.coeffs.copy()
-    return field.with_coeffs(project_coeffs(field.band, c, *np.empty_like(c[:2])))
+    return field.with_coeffs(project_coeffs(field.band, c, np.empty_like(c[:2])))
 
 
 def divergence_residual(field: VectorField) -> float:
@@ -219,16 +244,21 @@ def band_inverse(coeffs: np.ndarray, out: np.ndarray, work: BandWorkspace) -> np
     return out
 
 
-def band_forward(samples: np.ndarray, out: np.ndarray, work: BandWorkspace,
+def band_forward(samples: np.ndarray, work: BandWorkspace,
                  other: np.ndarray | None = None) -> np.ndarray:
-    """Box coefficients of real samples (m1, m2, m3) into `out`, or of
-    the product samples * other if `other` is given: the passes of
-    rfftn in its order (rfft on axis -1, fft on axis -2, fft on axis
-    -3), keeping only box columns, then box rows, after each.  The first
-    two run slab by slab (work.slabs) through `work.half`, each slab's
-    product formed in `work.product`, and leave their box rows in
-    `work.columns`; the last runs there in place, over every plane.  Bit
-    for bit the box of rfftn(samples * other, norm="forward").
+    """Box coefficients of real samples (m1, m2, m3), or of the product
+    samples * other if `other` is given: the passes of rfftn in its
+    order (rfft on axis -1, fft on axis -2, fft on axis -3), keeping only
+    box columns, then box rows, after each.  The first two run slab by
+    slab (work.slabs) through `work.half`, each slab's product formed in
+    `work.product`, and leave their box rows in `work.columns`; the last
+    runs there in place, over every plane, and the high row block then
+    moves down under the low one (into free planes if 3 K1 < m1, as on
+    the 2/3 band; numpy copies an overlapping block whole).  It overwrites work.columns, work.half
+    and, for a product, work.product, and returns the box as a view of
+    the first 2 K1 + 1 planes of work.columns[0], which the workspace's
+    next transform overwrites: a caller that keeps the box copies it.
+    Bit for bit the box of rfftn(samples * other, norm="forward").
     """
     pad = work.columns[0]
     for planes in work.slabs():
@@ -242,9 +272,10 @@ def band_forward(samples: np.ndarray, out: np.ndarray, work: BandWorkspace,
         for b, h in work.rows2:
             pad[planes, b] = columns[:, h]
     np.fft.fft(pad, axis=-3, norm="forward", out=pad)
-    for b, h in work.rows1:
-        out[b] = pad[h]
-    return out
+    box = pad[:work.band_shape[0]]
+    _, (high, rows) = work.rows1
+    box[high] = pad[rows]
+    return box
 
 
 def band_divergence(band: Band, us: np.ndarray, out: np.ndarray,
@@ -253,19 +284,18 @@ def band_divergence(band: Band, us: np.ndarray, out: np.ndarray,
     into `out` (3, *band.shape): component j is i sum_i kd_i FT(u_i u_j),
     from the six products u_i u_j with i <= j, each formed one slab at a
     time inside band_forward, so no product of the whole grid is held.
-    Each product's box lands in work.mode, and each kd_i times it in
-    work.term, which shares work.columns: it is read before the next
-    band_forward overwrites them.  work.mode and work.term are free
-    again on return.
+    Each kd_i times a product's box (band_forward's view into
+    work.columns) is formed a block of rows at a time in a temporary cut
+    from work.half, and added into `out`.  It overwrites every buffer of
+    `work` and returns `out`.
     """
-    kd = (band.kd1, band.kd2, band.kd3)
-    mode, term = work.mode, work.term
     out[...] = 0
     for i, j in _SYMMETRIC_PAIRS:
-        band_forward(us[i], mode, work, us[j])
-        out[j] += np.multiply(kd[i], mode, out=term)  # d_i (u_i u_j)
-        if i != j:
-            out[i] += np.multiply(kd[j], mode, out=term)  # d_j (u_j u_i)
+        box = band_forward(us[i], work, us[j])
+        for rows, kd, (term,) in _row_blocks(band, work.half, 1):
+            out[j, rows] += np.multiply(kd[i], box[rows], out=term)  # d_i (u_i u_j)
+            if i != j:
+                out[i, rows] += np.multiply(kd[j], box[rows], out=term)  # d_j (u_j u_i)
     out *= 1j
     return out
 

@@ -139,7 +139,7 @@ def test_one_box_and_one_workspace_per_key():
     assert box.workspace((12, 12, 22), 3) is not work
     # sampling leaves no scratch of the products in the workspace
     fine_samples(VectorField(box, np.ones((3, *box.shape), complex)), (22, 22, 42))
-    assert not {"product", "mode", "term"} & vars(work).keys()
+    assert "product" not in vars(work)
 
 
 def test_a_dropped_grid_is_freed_by_reference_counting():

@@ -296,26 +296,33 @@ def test_stepper_holds_one_grid_sized_array():
 
 
 def test_stepper_holds_one_band_vector():
-    """The predictor is built in the new state and the forcing is barred
-    one component at a time into the workspace, so at 64^3 a
-    StepOperators and the band's workspace hold k1, forcing_raw on its
-    band-3 draw box, the samples, the viscous factor, the transforms'
-    scratch and one band component, 10.68 MiB, besides two k3 lines;
-    term is a view of columns.  The stepper keeps nothing of the
-    forcing's box: band_rhs reads its index lists and A columns."""
+    """The predictor is built in the new state, and the transforms'
+    scratch is the stepper's only band scratch: band_forward hands back
+    its box in work.columns, band_divergence and the projection cut their
+    temporaries from work.half, and the forcing is barred one component
+    at a time into work.columns.  So at 64^3 a StepOperators and the
+    band's workspace hold k1, forcing_raw on its band-3 draw box, the
+    samples, the viscous factor and the transforms' scratch, 10.06 MiB,
+    besides two k3 lines, and no workspace buffer but columns holds a
+    band component.  The stepper keeps nothing of the forcing's box:
+    band_rhs reads its index lists and A columns."""
     ops, _ = stepped_at_64()
     work = ops.work
     assert not {"work", "predictor", "band_forcing", "forcing_blocks", "forcing_rest",
                 "forcing_filter"} & vars(ops).keys()
-    assert np.shares_memory(work.term, work.columns)
     assert ops.forcing_raw.coeffs.shape == (3, 7, 7, 4)
+    band_sized = [name for name, value in vars(work).items()
+                  if isinstance(value, np.ndarray)
+                  and value.size >= np.prod(ops.band.shape)
+                  and value.shape[-2:] == ops.band.shape[-2:]]
+    assert band_sized == ["columns"]
     bases = held_bases(ops, work).values()
     named = [ops.samples, ops.k1, ops.forcing_raw.coeffs, ops.band_viscous,
-             work.columns, work.half, work.product, work.mode]
+             work.columns, work.half, work.product]
     lines = [arr for arr in bases if arr.shape == ops.config.grid.k3.shape]
     assert len(lines) == 2  # band_deconv and band_bar
     named_bytes = sum(arr.nbytes for arr in named)
-    assert named_bytes == 11_196_784  # 10.68 MiB
+    assert named_bytes == 10_545_936  # 10.06 MiB
     held = sum(arr.nbytes for arr in bases)
     assert held == named_bytes + sum(arr.nbytes for arr in lines)
 

@@ -289,6 +289,32 @@ def test_leray_project_reads_only_the_band(g):
     assert not np.signbit(zeros.real).any() and not np.signbit(zeros.imag).any()
 
 
+def test_the_stepper_workspace_holds_a_row_of_two_temporaries(force_slab):
+    """The stepper projects in two temporaries cut from work.half, which
+    holds at least one plane of the half layout, m2 (m3/2 + 1) values.
+    Two rows of the 2/3 band, 2 (2 K2 + 1)(K3 + 1) values, fit in it on
+    every grid Grid allows: K <= (n - 1)/3 bounds them by
+    2 (2 n2 + 1)(n3 + 2)/9, at most n2 (n3 + 2)/2 for n2 >= 4, with
+    equality of the two sides at n2 = n3 = 4.  One row per block gives
+    the bits of one pass, and a buffer that holds no row is refused."""
+    for n2 in range(4, 402, 2):
+        for n3 in range(4, 402, 2):
+            row = (2 * dealias_cutoff(n2) + 1) * (dealias_cutoff(n3) + 1)
+            assert 2 * row <= n2 * (n3 // 2 + 1)
+    rng = np.random.default_rng(52)
+    for shape in [(4, 4, 4), (6, 4, 10), (12, 16, 24)]:
+        force_slab(1, shape)
+        band = Grid(*shape).band
+        work = band.workspace(shape)
+        assert work.slab == 1
+        c = rng.standard_normal((3, *band.shape, 2)).view(complex)[..., 0]
+        one = spectral.project_coeffs(band, c.copy(), np.empty_like(c[:2]))
+        got = spectral.project_coeffs(band, c.copy(), work.half)
+        assert got.tobytes() == one.tobytes()
+    with pytest.raises(ValueError, match="holds no row"):
+        spectral.project_coeffs(band, c, np.empty(2 * np.prod(band.shape[1:]) - 1, complex))
+
+
 # slab heights: the whole grid, one plane, and 5, which leaves a short
 # last slab on 16, 12 and 22 planes
 SLAB_HEIGHTS = (None, 1, 5)
@@ -307,10 +333,10 @@ def test_pruned_transforms_equal_full_ones_bitwise(g, force_slab):
         work = BandWorkspace(band, g.shape, 1)
         assert work.slab == (planes or g.n1)
         for _ in range(2):  # the second round reuses buffers the first overwrote
-            got = band_forward(samples, np.empty(band.shape, complex), work)
+            got = band_forward(samples, work)
             ref = np.fft.rfftn(samples, axes=AXES, norm="forward")
             assert np.array_equal(got, gather(band, ref))
-            got = band_forward(samples, np.empty(band.shape, complex), work, other)
+            got = band_forward(samples, work, other)
             ref = np.fft.rfftn(samples * other, axes=AXES, norm="forward")
             assert np.array_equal(got, gather(band, ref))
             got = band_inverse(coeffs, np.empty((3, *g.shape)), work)
@@ -376,7 +402,7 @@ def test_band_inverse_group_size_keeps_the_bits(g, cutoffs, shape, count, group,
             got = band_inverse(coeffs, np.empty((count, *shape)), work)
             assert got.tobytes() == one.tobytes()
         # a forward transform through group member 0 leaves nothing behind
-        band_forward(rng.standard_normal(shape), np.empty(box.shape, complex), work)
+        band_forward(rng.standard_normal(shape), work)
         got = band_inverse(coeffs, np.empty((count, *shape)), work)
         assert got.tobytes() == one.tobytes()
 

@@ -108,8 +108,9 @@ MUTANTS = (
            "k1 *= 0.5 * dt", "k1 *= 0.5 * dt * (1.0 + 1e-9)",
            (f"{T_SOLVER}::test_band_step_matches_half_layout_heun_bitwise",)),
     Mutant("projection drops k3", SPECTRAL,
-           "    kdotu += term\n    np.multiply(band.kd3, c[2], out=term)\n    kdotu += term\n",
-           "    kdotu += term\n",
+           "        kdotu += term\n        np.multiply(kd[2], b[2], out=term)\n"
+           "        kdotu += term\n",
+           "        kdotu += term\n",
            (f"{T_SPECTRAL}::test_leray_projection_properties",)),
     Mutant("|k3| for |k3|^2 in the gradient", SPECTRAL,
            "self.grid.k3[0, 0] ** 2 * self.plain", "np.abs(self.grid.k3[0, 0]) * self.plain",
@@ -119,8 +120,7 @@ MUTANTS = (
            "return self._root(self.plain, self.grid.k3 ** s)",
            (f"{T_SPECTRAL}::test_vertical_seminorm_oracles",)),
     Mutant("-c for 0.0 - c", SOLVER,
-           "np.subtract(0.0, conv[other], out=conv[other])",
-           "np.negative(conv[other], out=conv[other])",
+           "np.subtract(0.0, c, out=c)", "np.negative(c, out=c)",
            (f"{T_SOLVER}::test_an_unforced_stepper_steps_as_one_with_a_band_of_zeros",)),
     Mutant("certificate: last norm for sup", DIAG,
            'cert["sup_l2"] = max(cert["sup_l2"], rec.l2_norm)', 'cert["sup_l2"] = rec.l2_norm',
@@ -207,6 +207,18 @@ MUTANTS = (
     Mutant("D_N summed to N - 1", FILTERS,
            "(spec.order + 1) * np.log1p(-1.0 / a)", "spec.order * np.log1p(-1.0 / a)",
            (f"{T_SOLVER}::test_deconvolved_state_converges_at_the_model_order",)),
+    # the transforms' scratch as the stepper's band scratch
+    Mutant("band_forward: the high block one row off", SPECTRAL,
+           "box[high] = pad[rows]", "box[high] = pad[rows.start - 1:rows.stop - 1]",
+           (f"{T_SPECTRAL}::test_pruned_transforms_equal_full_ones_bitwise",)),
+    Mutant("row blocks: the last, short block skipped", SPECTRAL,
+           "for first in range(0, rows, height):",
+           "for first in range(0, rows - rows % height, height):",
+           (f"{T_SOLVER}::test_slabs_keep_the_bits_of_a_step",)),
+    Mutant("band_rhs: one forcing block not copied back", SOLVER,
+           "            for mine, theirs in blocks:\n                c[theirs] = bar_f[mine]",
+           "            for mine, theirs in blocks[1:]:\n                c[theirs] = bar_f[mine]",
+           (f"{T_SOLVER}::test_band_step_matches_half_layout_heun_bitwise",)),
 )
 
 
