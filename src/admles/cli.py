@@ -7,17 +7,9 @@ Subcommands
     dependence           perturbation growth against its exponential envelope
     spectrum             vertical energy spectrum of a checkpoint
 
-Every run writes a ``manifest.json`` (config echo, hash, versions, seed,
-wall time, telemetry, assertion outcomes) next to its CSV artifacts.
-``simulate`` folds each record into its end-of-run checks and a completed
-run's deterministic ``regularity`` certificate as the record's row is written.
-CSV content is a pure function of config + seed: floats are serialized
-with ``repr`` and each file opens with a ``# config_hash=...`` comment
-line, so artifacts from different configurations cannot be mixed
-silently.
-
-Exit codes: 0 success, 1 validation error, 2 embedded assertion failure,
-3 runtime abort (CFL violation or non-finite state).
+Every run writes a ``manifest.json`` next to its CSV artifacts.  Exit
+codes: 0 success, 1 validation error, 2 embedded assertion failure, 3
+runtime abort (CFL violation or non-finite state).
 """
 
 from __future__ import annotations
@@ -99,9 +91,6 @@ class _Context:
         )
         self.say(f"[{'PASS' if passed else 'FAIL'}] {name}: {detail}")
 
-    def all_passed(self) -> bool:
-        return all(a["passed"] for a in self.assertions)
-
     def write_csv(self, relpath: str, columns, rows) -> None:
         """Line-buffered, so a run that aborts or is killed mid-stream
         leaves whole rows; listed in the outputs even if `rows` raises."""
@@ -121,17 +110,11 @@ class _Context:
 # Subcommands
 
 
-def _cmd_simulate(rc: RunConfig, ctx: _Context) -> int:
-    """Streams the run: each record feeds the fold, which gives its
-    budget residual, and becomes a CSV row as it arrives; the run's
-    trajectory holds the one state, its latest completed step.  On an
-    abort or an interrupt the rows so far and that step's checkpoint
-    stay, with the largest CFL number of the steps to it; main reports
-    an abort.  A run that finishes has freed its stepper before the
-    checkpoint and the final checks.  The telemetry splits the run's
-    time into stepping_s (step), records_s (energy_terms and the fold)
-    and io_s (CSV rows and the checkpoint), and steps_peak_rss_mb is
-    the peak resident set when the stepping stopped."""
+def _cmd_simulate(rc: RunConfig, ctx: _Context) -> None:
+    """Streams the run: each record feeds the fold and becomes a CSV
+    row as it arrives.  On an abort or an interrupt the rows so far and
+    the latest completed step's checkpoint stay; main reports an
+    abort."""
     cfg = rc.solver
     stream = run(cfg)  # setup errors raise here, before any file opens
     fold = RecordFold()
@@ -176,10 +159,9 @@ def _cmd_simulate(rc: RunConfig, ctx: _Context) -> int:
         ctx.check("model_energy_nonincreasing", not fold.rises,
                   f"{fold.rises} increases" if fold.rises
                   else f"E(0)={fold.first!r} -> E(T)={fold.last.model_energy!r}")
-    return 0 if ctx.all_passed() else 2
 
 
-def _cmd_verify_operators(rc: RunConfig, ctx: _Context) -> int:
+def _cmd_verify_operators(rc: RunConfig, ctx: _Context) -> None:
     sweep = rc.operators
     k3 = np.arange(-sweep.k3_max, sweep.k3_max + 1, dtype=float)
     worst_margin = math.inf
@@ -206,10 +188,9 @@ def _cmd_verify_operators(rc: RunConfig, ctx: _Context) -> int:
               f"worst margin {worst_margin!r}")
     ctx.check("closed_vs_iterative", max_deviation <= _BOUND_TOL,
               f"max relative deviation {max_deviation!r}")
-    return 0 if ctx.all_passed() else 2
 
 
-def _cmd_verify_inequalities(rc: RunConfig, ctx: _Context) -> int:
+def _cmd_verify_inequalities(rc: RunConfig, ctx: _Context) -> None:
     """One pass per ensemble; a split-bound violation fails the check
     but every row is still written."""
     reports, violations = rc.inequalities.run(rc.seed)
@@ -231,10 +212,9 @@ def _cmd_verify_inequalities(rc: RunConfig, ctx: _Context) -> int:
     ctx.check("ratios_finite", not nonfinite,
               f"non-finite maxima in {nonfinite}" if nonfinite
               else f"{len(reports)} sweeps")
-    return 0 if ctx.all_passed() else 2
 
 
-def _cmd_dependence(rc: RunConfig, ctx: _Context) -> int:
+def _cmd_dependence(rc: RunConfig, ctx: _Context) -> None:
     report = dependence_experiment(
         rc.solver, rc.dependence.epsilon,
         perturbation_seed=rc.dependence.perturbation_seed,
@@ -254,10 +234,9 @@ def _cmd_dependence(rc: RunConfig, ctx: _Context) -> int:
     over = np.max(report.delta_norms - envelope * (1.0 + 1e-10))
     ctx.check("delta_under_envelope", over <= 0.0,
               f"max excess {float(over)!r}")
-    return 0 if ctx.all_passed() else 2
 
 
-def _cmd_spectrum(rc: RunConfig, ctx: _Context) -> int:
+def _cmd_spectrum(rc: RunConfig, ctx: _Context) -> None:
     if not rc.spectrum_checkpoint:
         raise ValueError(
             "spectrum.checkpoint: a checkpoint path is required for the "
@@ -279,7 +258,6 @@ def _cmd_spectrum(rc: RunConfig, ctx: _Context) -> int:
         abs(total - squared) <= 1e-12 * max(squared, 1e-300),
         f"sum={total!r} vs norm^2={squared!r}",
     )
-    return 0 if ctx.all_passed() else 2
 
 
 _COMMANDS = {
@@ -324,10 +302,8 @@ def _peak_rss_mb() -> float:
 
 def _telemetry(wall: float, ctx: _Context) -> dict:
     """The process's peak resident set (MiB) and minor page faults so
-    far, from getrusage, for a run that stepped its steps per second of
-    wall time, and what the command added to ctx.telemetry.  These vary
-    from run to run, so they go in the manifest only, never in a CSV or
-    a checkpoint."""
+    far, steps per second for a run that stepped, and ctx.telemetry;
+    these vary from run to run, so they go in the manifest only."""
     telemetry = {"peak_rss_mb": _peak_rss_mb(),
                  "minor_faults": resource.getrusage(resource.RUSAGE_SELF).ru_minflt,
                  **ctx.telemetry}
@@ -365,7 +341,8 @@ def main(argv=None) -> int:
 
     start = time.perf_counter()
     try:
-        code = _COMMANDS[args.command](rc, ctx)
+        _COMMANDS[args.command](rc, ctx)
+        code = 0 if all(a["passed"] for a in ctx.assertions) else 2
     except SolverAbort as exc:
         ctx.abort = {"reason": type(exc).__name__, "message": str(exc)}
         if ctx.steps_completed is not None:

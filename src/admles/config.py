@@ -3,17 +3,12 @@
 This module checks only the file: its syntax, unknown sections or keys
 (so a typo cannot fall back to a default), unparsable values, empty
 lists and non-finite floats.  Each rule about a value lives in the
-object that consumes it: parse_config builds Grid, FilterSpec, the
-[init] and [forcing] descriptors (solver.DESCRIPTOR_KINDS, fitted by
-check_in_band), SolverConfig, OperatorSweep, InequalitySweep and
-DependenceSettings, and lists every line of their errors, each under
-its section's name.
+object that consumes it; parse_config builds those objects and lists
+every line of their errors under its section's name.
 
 The effective configuration (defaults merged with overrides) is
-serialized to canonical JSON and hashed; every artifact a run writes
-carries that hash, making it detectable when files from different
-configurations are mixed.  The output directory is excluded from the
-hash: it says where artifacts go, not what they are.
+serialized to canonical JSON and hashed.  The output directory is
+excluded from the hash: it says where artifacts go, not what they are.
 """
 
 from __future__ import annotations

@@ -13,12 +13,7 @@ forcing_power with
 because pairing the smoothed forcing with the weighted test field
 collapses the filter: (bar f, A D w) = (D f, w).  The nonlinear term
 drops out exactly thanks to the dealiased product orthogonality.  The
-time stepper perturbs this balance at second order, which the
-budget-residual convergence test measures.
-
-RecordFold is the one reader of consecutive records: it pairs each with
-the one before for the budget residual, and folds the records into
-simulate's end-of-run checks and its regularity certificate.
+time stepper perturbs this balance at second order.
 """
 
 from __future__ import annotations
@@ -73,15 +68,12 @@ def _gronwall(grad: float, theta_grad: float, theta: float) -> float:
 
 def energy_terms(w: VectorField, f: VectorField, filt: FilterSpec, order: int,
                  nu: float, t: float = 0.0) -> EnergyRecord:
-    """All budget terms of state w and raw forcing f via Fourier
-    multipliers: the forcing power is one inner_product, on the box of
-    the two fields' smaller cutoffs, and the rest is read from one
-    FieldNorms pass.  The forcing goes first, so its temporaries, of the
-    band's size for a forcing on the band, are freed before the |w|^2
-    pass allocates, or the heap grows each record.
-    """
+    """All budget terms of state w and raw forcing f: one inner_product
+    for the forcing power and one FieldNorms pass for the rest."""
     grid = w.grid
     symbols = symbol_table(grid, DeconvSpec(filt, order))
+    # the forcing first: its temporaries are freed before the |w|^2 pass
+    # allocates, or the heap grows each record
     forcing_power = inner_product(w, f, symbols.deconv)
     norms = FieldNorms(w)
     weight = symbols.filter * symbols.deconv
@@ -112,11 +104,8 @@ def budget_residual(first: EnergyRecord, second: EnergyRecord) -> float:
 
 class RecordFold:
     """A run's records, folded in one at a time so that none is kept but
-    the last: their count, how many have a non-finite CSV cell outside
-    budget_residual (the first record's is NaN), E(0), the energy's
-    rises, and the regularity certificate: the sups of ||w|| and
-    ||d3^theta w|| and the trapezoid time-integrals of ||grad w||^2 and
-    ||d3^theta grad w||^2."""
+    the last: their count, how many have a non-finite CSV cell, E(0),
+    the energy's rises, and the regularity certificate (README.md)."""
 
     def __init__(self):
         self.count = self.nonfinite = self.rises = 0
@@ -149,12 +138,8 @@ class RecordFold:
 
 
 def vertical_spectrum(norms: FieldNorms) -> list[tuple[int, float]]:
-    """Energy per |k3| shell of the field w of `norms`; the shell sum is
-    || w ||_2^2 exactly.
-
-    Shell k3 is the stored column k3 times its Parseval weight: the
-    columns 0 < k3 < n3/2 also hold their mirrors -k3.
-    """
+    """Energy per |k3| shell of the field w of `norms`, the stored
+    column times its Parseval weight; the shell sum is || w ||_2^2."""
     grid = norms.grid
     shells = grid.volume * grid.parseval_weight.ravel() * norms.plain
     return [(k3, float(e)) for k3, e in enumerate(shells)]

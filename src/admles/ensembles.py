@@ -7,18 +7,9 @@ what makes resolution-doubling studies meaningful: the field is
 identical, only the quadrature grid refines.
 
 Draws are Hermitian-symmetrized (real physical samples), weighted by
-|k|^{-amplitude_decay}, and given zero mean.  One rng call draws the
-real and imaginary parts of the whole box, the same stream as two
-calls, but only its k3 >= 0 half is symmetrized and weighted (by one
-cached, read-only weight table per (b, decay)); that half, rolled from
-centered into Band order (rows 0..b, then -b..-1), is the field on the
-grid's one Band of cutoffs (b, b, b) (Grid.box), which must lie in the
-grid's 2/3 band.  Every draw of an ensemble shares that Band, and so its
-lines and sampling workspaces.  Vector draws can be Leray-projected
-there, with project_coeffs on the draw's Band, as leray_project runs it
-on any field's box.  numpy.random is imported with the module, as
-spectral imports numpy.fft: numpy loads it lazily, and a first draw
-inside a run would otherwise pay for the import.
+|k|^{-amplitude_decay}, and given zero mean.  A draw is a field on the
+grid's Band of cutoffs (b, b, b), which must lie in the grid's 2/3 band;
+every draw of an ensemble shares that Band.
 """
 
 from __future__ import annotations
@@ -27,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import numpy.random
+import numpy.random  # numpy loads it lazily: a first draw in a run would time the import
 
 from .grid import Band, Grid, check_rules
 from .spectral import SpectralField, VectorField, project_coeffs
@@ -76,10 +67,8 @@ def _draw_band(rng: np.random.Generator, b: int, decay: float,
     coefficients on {-b..b}^3: modes (-b..b, -b..b, 0..b).
 
     One rng call draws the real and then the imaginary parts of the
-    whole centered box, axis position a holding mode a - b, so the draw
-    order is fixed by the array shape alone, independent of any grid.
-    Only the kept half is symmetrized: mode k averages its draw with the
-    conjugate draw of -k.
+    whole centered box, so the stream is fixed by b alone; mode k
+    averages its draw with the conjugate draw of -k.
     """
     side = 2 * b + 1
     normals = rng.standard_normal((2, components, side, side, side))

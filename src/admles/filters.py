@@ -19,10 +19,7 @@ a geometric sum with per-mode value, writing x = alpha^{2 theta}
 
     D_N(k3) = (1 + x) * (1 - (x / (1 + x))^{N+1}).
 
-The closed form is evaluated through expm1/log1p so that large x (deep
-in the filtered band) does not cancel catastrophically; it agrees with
-the literal Kahan-summed series to near machine precision for orders up
-to at least 50.  Modewise bounds, exact at every k3:
+Modewise bounds, exact at every k3:
 
     D_0 = 1,   1 <= D_N <= N + 1,   D_N <= A.
 """
@@ -149,12 +146,8 @@ def deconv_symbol_iterative(spec: DeconvSpec, k3: np.ndarray) -> np.ndarray:
 
 
 def deconv_error_symbol(spec: DeconvSpec, k3: np.ndarray) -> np.ndarray:
-    """Per-mode residual 1 - D_N / A = (x / (1 + x))^{N+1}.
-
-    This is the exact relative defect of deconvolution-then-smoothing
-    against the identity; it decreases monotonically in N and tends to
-    1 as |k3| -> infinity at fixed N.
-    """
+    """Per-mode residual 1 - D_N / A = (x / (1 + x))^{N+1}, the relative
+    defect of deconvolution-then-smoothing against the identity."""
     x = _vertical_weight(spec.filter, np.asarray(k3, dtype=np.float64))
     r = x / (1.0 + x)
     return r ** (spec.order + 1)
@@ -247,13 +240,10 @@ def apply_half_deconv(field: Field, spec: DeconvSpec) -> Field:
 
 
 def vertical_fractional_shift(field: Field, spec: FilterSpec) -> Field:
-    """(I - alpha^{2 theta} d3^{2 theta}) f, i.e. the filter A applied
-    through its differential-operator form.
-
-    The fractional vertical derivative d3^{2 theta} carries the
-    multiplier -|k3|^{2 theta}, so this coincides with apply_filter up
-    to the order of floating-point operations; keeping both forms lets
-    the identity checks exercise them against each other.
+    """(I - alpha^{2 theta} d3^{2 theta}) f, the filter A in its
+    differential-operator form: apply_filter up to the order of
+    floating-point operations, kept so the identity checks can test the
+    two forms against each other.
     """
     x = _vertical_weight(spec, _on_box(field, field.grid.k3))
     return field.with_coeffs(field.coeffs + x * field.coeffs)

@@ -9,19 +9,13 @@ axis.  Wavenumbers follow numpy FFT ordering,
 
 so the Nyquist mode of each axis sits at -n_j/2; wavenumbers(n, L) is
 the one routine that lists them.
+
 The 2/3-rule band of the rfftn layout (n1, n2, n3/2 + 1) is the box
-Grid.band: rows 0..K and n-K..n-1 on the two full axes and columns 0..K
-on the half axis, with K = (n - 1) // 3 per axis, the largest |k| < n/3,
-so a product mode |k| <= 2K aliases onto |k| >= n - 2K > K, outside the
+Grid.band, with cutoff K = (n - 1) // 3 per axis, the largest |k| < n/3:
+a product mode |k| <= 2K aliases onto |k| >= n - 2K > K, outside the
 band (K = n/3 would let 2K alias onto -K).  A field stores the
-coefficients of a box (a Band) inside that band, and nothing else: the
-k3 lines and all built from them hold k3 = 0, 1, ..., n3/2, and a box
-reads the columns band.cols of them.  Grid.box gives one Band per
-cutoffs on a grid for as long as anything holds it, so every field of a
-box shares its lines and its sampling scratch (Band.workspace, one per
-thread).  A Band holds its grid, and nothing the grid keeps holds a
-Band, so reference counting frees both.  The half layout itself is only
-transform scratch, held one slab of planes at a time by a BandWorkspace.
+coefficients of a box (a Band) inside that band; the grid's k3 lines
+hold k3 = 0, 1, ..., n3/2, and a box reads their columns band.cols.
 """
 
 from __future__ import annotations
@@ -112,23 +106,13 @@ def _box_indices(inner: tuple[int, int, int], outer: tuple[int, int, int]):
 
 class Band:
     """A box of half-layout coefficients with cutoffs (K1, K2, K3),
-    stored compactly with shape (2 K1 + 1, 2 K2 + 1, K3 + 1).
+    stored compactly with shape (2 K1 + 1, 2 K2 + 1, K3 + 1): rows
+    0..K hold modes 0..K and rows K+1..2K hold -K..-1 on each full
+    axis, and columns 0..K3 the half axis.  Get one from Grid.box.
 
-    Band rows 0..K hold modes 0..K and rows K+1..2K hold -K..-1, on each
-    of the two full axes; the half axis keeps columns 0..K3.  The box is
-    the layout of every field (the grid's 2/3 band for the solver's state
-    and sampled fields, cutoffs (b, b, b) for a draw and a random
-    forcing); embed moves its coefficients onto a larger box, restrict
-    reads them off one, and blocks_in indexes its modes on one (index
-    lists cached per pair of cutoffs, not per box).
-    A box fits a grid shape whose axes hold its rows (2 K + 1 <= m).
-    Since 2 K + 1 <= n, a box never holds a Nyquist row or column, and
-    every multiplier on it is built from its own lines kd1, kd2, kd3:
-    the grid's true wavenumbers at its modes (k_axis at its rows, k3 at
-    its columns).  Those and inv_kd_squared are read-only, and built on
-    first use, since many boxes (the common box of two, say) only move
-    coefficients; so are its sampling workspaces (see workspace), which
-    are scratch.
+    Since 2 K + 1 <= n, a box holds no Nyquist mode, so its read-only
+    lines kd1, kd2, kd3 are the grid's true wavenumbers at its modes.
+    They and inv_kd_squared are built on first use.
     """
 
     def __init__(self, grid: "Grid", cutoffs: tuple[int, int, int]):
@@ -166,11 +150,9 @@ class Band:
     def workspace(self, shape: tuple[int, int, int],
                   components: int = 1) -> BandWorkspace:
         """The calling thread's one BandWorkspace of the box on grid shape
-        `shape` for groups of `components` components, the only way to
-        get one: every caller on the thread shares it, and each call that
-        takes it may overwrite all of its buffers.  It lives in a
-        threading.local of the box, so no two threads share one, and a
-        thread's workspaces go when the thread or the box does."""
+        `shape` for groups of `components` components: every caller on
+        the thread shares it, and each call that takes it may overwrite
+        all of its buffers.  It goes when the thread or the box does."""
         spaces = vars(self._scratch)
         key = (shape, components)
         if key not in spaces:
@@ -201,25 +183,15 @@ class Band:
 
 
 class BandWorkspace:
-    """Scratch of the pruned transforms (spectral.band_inverse and
-    band_forward) between a box and the samples on a grid shape (m1, m2,
-    m3) that holds it, for groups of `components` components; callers get
-    one from Band.workspace.  It keeps the box's row blocks `rows1`,
-    `rows2` on that shape, its columns `cols` and shape `band_shape`, and
-    no reference to the Band.  The transforms stream the samples through
-    slabs of `slab` planes along axis 0 (slabs), the most that fit
-    SLAB_BYTES, at least one and at most m1.  Its buffers:
+    """Scratch of spectral.band_inverse and band_forward between a box
+    and the samples on a grid shape (m1, m2, m3) that holds it, for
+    groups of `components` components; get one from Band.workspace.  It
+    holds no reference to the Band.  Its buffers, free between calls:
 
-    - `columns` (components, m1, 2 K2 + 1, K3 + 1): every transform
-      overwrites it and reads nothing a caller left there; band_forward
-      hands back its box as a view of the first 2 K1 + 1 planes of
-      columns[0], which the next transform overwrites;
-    - `half` (components, slab, m2, m3/2 + 1): every transform overwrites
-      it, and band_divergence and the stepper's project_coeffs cut their
-      temporaries from it, so it is free between calls;
-    - `product` (one slab of real samples): overwritten by band_forward
-      of a product, and built on first use, so a workspace that only
-      samples holds `columns` and `half`.
+    - `columns` (components, m1, 2 K2 + 1, K3 + 1);
+    - `half` (components, slab, m2, m3/2 + 1), `slab` planes of the half
+      layout, the most that fit SLAB_BYTES;
+    - `product`, one slab of real samples, built on first use.
     """
 
     def __init__(self, band: Band, shape: tuple[int, int, int], components: int):
@@ -310,10 +282,9 @@ class Grid:
         return weakref.WeakValueDictionary()
 
     def box(self, cutoffs: tuple[int, int, int]) -> Band:
-        """The one Band of `cutoffs` on this grid: while anything holds
-        it, every call with the same cutoffs returns the same object, so
-        its lines and workspaces are built once.  The grid holds its
-        boxes weakly, since each Band holds the grid."""
+        """The one Band of `cutoffs` on this grid while anything holds
+        it.  The grid holds its boxes weakly, since each Band holds the
+        grid."""
         box = self._boxes.get(cutoffs)
         if box is None:
             box = self._boxes[cutoffs] = Band(self, cutoffs)

@@ -5,34 +5,22 @@ side of one inequality on concrete fields, so ensemble maxima estimate
 the (unspecified) constants and resolution-doubling studies confirm the
 ratios are quadrature artifacts of bounded size rather than blow-ups.
 
-Mixed norms are evaluated by physical-space quadrature on the samples
-that spectral.fine_samples takes of the field from its box (b1, b2,
-b3).  Each axis takes spectral.quadrature_points of the band it must
-resolve, the fewest even count above it, whatever the grid's n:
+Mixed norms are evaluated by physical-space quadrature on
+spectral.fine_samples of the field's box (b1, b2, b3).  Each axis takes
+spectral.quadrature_points of the band it must resolve, whatever the
+grid's n:
 
   * horizontal plane integrals of |u|^p (p = 2, 4) on m_j points with
     p b_j < m_j, where the rectangle rule is exact;
   * vertical profiles of plane integrals are trigonometric polynomials
-    of band p b3, sampled on P planes with 2 p b3 < P, which resolve
-    that band, and upsampled exactly to 4 n3 planes by Fourier zero
-    padding before taking maxima (sup norms) or root-integrals (L^2_v
-    of L^4_h);
+    of band p b3, sampled on P planes with 2 p b3 < P and upsampled
+    exactly to 4 n3 planes before taking maxima (sup norms) or
+    root-integrals (L^2_v of L^4_h);
   * line sup norms use grid maxima on a 4x refined axis.
 
-A band-5 draw thus samples |u|^4 on 22x22x42 points and |u|^2 on
-12x12x22, at 32^3 as at 16^3.  The trilinear numerators are
-spectral.convective_inner, the same rule applied to the band of
-u_i (d_i v_j) w_j.
-
-The 1-D Agmon checker also evaluates the explicit low/high wavenumber
-split bound at the optimal crossover kappa = (||g||_{H^s} /
-||g||_2)^{1/s}; each step of that chain is a rigorous inequality
-(Cauchy-Schwarz with explicit partial sums, the tail sum via the
-Hurwitz zeta function), so it is a true upper bound for the sup norm
-and serves as an independent per-sample oracle.  The zeta is
-_hurwitz_zeta, a plain-float port of the Euler-Maclaurin algorithm of
-Cephes zeta.c, which scipy.special.zeta also runs; the port returns
-scipy's values bit for bit, so the package needs numpy alone.
+The trilinear numerators are spectral.convective_inner.  The Agmon
+checker also evaluates a rigorous low/high wavenumber split bound on the
+sup norm (agmon_split_bound), an independent per-sample oracle.
 """
 
 from __future__ import annotations
@@ -226,10 +214,7 @@ def agmon_split_bound(coeffs: np.ndarray, s: float) -> float:
 
 def plane_profile(u: VectorField, power: int) -> np.ndarray:
     """The integral over each of 4 n3 horizontal planes of |u|^power
-    (power 2 or 4): sampled on the fewest planes
-    that resolve the profile, each on the fewest points that keep its
-    integral exact, and upsampled exactly (see the module docstring);
-    4 n3 always outnumbers those planes."""
+    (power 2 or 4), exact by the rules of the module docstring."""
     g = u.grid
     *horizontal, b3 = u.band.cutoffs
     shape = (*(quadrature_points(power * b) for b in horizontal),
@@ -359,16 +344,13 @@ def sweep_errors(lemmas, s_values, band: int, line_length: int,
 
 def run_sweep(spec: EnsembleSpec, grid: Grid, lemmas, s_values,
               line_length: int) -> tuple[list[RatioReport], list[str]]:
-    """Ratio reports for every (lemma, s), in the requested order.
+    """Ratio reports for every (lemma, s), in the requested order, and
+    the agmon_split_bound violations as messages.
 
     Each ensemble is drawn once from spec.rng(): lines of `line_length`
     modes for agmon, single fields on `grid` for ladyzhenskaya and
-    vertical_embedding, (u, v, w) triples for both trilinear forms.  Per
-    sample the s-independent norms are evaluated once and only the
-    s-dependent seminorm per exponent.  ladyzhenskaya has no exponent
-    and reports s = 0.0.  Every agmon sample is also checked against
-    agmon_split_bound; violations are returned as messages, and the
-    reports stay complete.
+    vertical_embedding, (u, v, w) triples for both trilinear forms.
+    ladyzhenskaya has no exponent and reports s = 0.0.
     """
     check_rules(sweep_errors(lemmas, s_values, spec.band_limit, line_length,
                              grid.shape))

@@ -14,24 +14,14 @@ viscous part integrated exactly through the factor E = exp(-nu |k|^2 dt)
     w' = E w + (dt/2) (E k1 + g(w*))
 
 This is second order, which the energy-budget convergence tests rely on.
-The nonlinear term is Galerkin-exact: fields live in the 2/3-rule band,
-products are formed in physical space, and the retained modes of the
-result are alias-free, so the discrete trilinear form inherits the
-continuum orthogonality (div(z x z), z) = 0.
+The nonlinear term is Galerkin-exact on the 2/3-rule band, so the
+discrete trilinear form inherits the continuum orthogonality
+(div(z x z), z) = 0.
 
-A state is only that band: a VectorField on Grid.band, as is every w(0)
-built here (a draw's box is embedded in it) and every forcing but a
-random one, which keeps its draw's box, and a zero one, its mean mode
-(the box (0, 0, 0)).  A step runs both right-hand
-sides and the Heun update on the band's coefficients into a fresh
-field, reading the forcing on its own box; the records read the state
-and the forcing, each on its box.  A checkpoint stores the band's
-coefficients as they are, so no code here moves coefficients to or from
-another layout.
-
+A state is a VectorField on Grid.band, and so is every forcing but a
+random one, which keeps its draw's box, and a zero one, its mean mode.
 The descriptors of w(0) and f own their config kind (DESCRIPTOR_KINDS),
-keys (fields) and checks (__post_init__, check_in_band).  A step reads
-its config from its StepOperators, so its dt and multipliers agree.
+keys (fields) and checks (__post_init__, check_in_band).
 """
 
 from __future__ import annotations
@@ -204,13 +194,9 @@ def init_field(desc: InitDescriptor, grid: Grid,
 
 
 def forcing_field(desc: ForcingDescriptor, grid: Grid) -> VectorField:
-    """Steady forcing f: divergence-free, band-limited, unfiltered.
-
-    The solver applies the bar smoothing when assembling the right-hand
-    side; diagnostics pair the raw f with deconvolved states.  A random
-    forcing is its draw on the draw's box (b, b, b), not embedded in the
-    2/3 band, rescaled there to L2 norm `energy`; a zero forcing is the
-    box (0, 0, 0) of its mean mode, and every other is on the 2/3 band.
+    """Steady raw forcing f, divergence-free and unsmoothed: a random
+    forcing on its draw's box (b, b, b), rescaled to L2 norm `energy`, a
+    zero forcing on the box (0, 0, 0), every other on the 2/3 band.
     """
     if isinstance(desc, ZeroForcing):
         return VectorField(grid.box((0, 0, 0)), np.zeros((3, 1, 1, 1), dtype=complex))
@@ -293,18 +279,13 @@ class NaNError(SolverAbort):
 
 
 class StepOperators:
-    """Per-config multipliers on the 2/3 band, the raw forcing f
-    (forcing_raw, on its own box inside the band: a random forcing's draw
-    box, a zero forcing's (0, 0, 0), else the band; the records read it
-    too) and what a step writes:
-    k1, the first stage on the band, `samples`, the samples of D w,
-    the one array of the grid's size, and `cfl`, the CFL number of its
-    input (0.0 before the first step).  Its transform scratch is the
-    calling thread's workspace of the band (work), which it does not
-    hold.  A step overwrites k1, samples and every buffer of the
-    workspace, and hands none of them out, so one StepOperators can serve
-    several trajectories stepped in turn; forcing_raw may be replaced by
-    a field on any box inside the band.
+    """A config's multipliers on the 2/3 band, its raw forcing
+    forcing_raw, and what a step writes: k1, the first stage, `samples`,
+    the samples of D w, and `cfl`, the CFL number of the step's input.
+    A step overwrites k1, samples and the calling thread's workspace of
+    the band (work) and hands none of them out, so several trajectories
+    may share one.  forcing_raw may be replaced by a field on any box
+    inside the band.
     """
 
     def __init__(self, config: SolverConfig):
@@ -330,14 +311,11 @@ class StepOperators:
 
     def band_rhs(self, w: np.ndarray, out: np.ndarray) -> np.ndarray:
         """g(w) = bar f - P bar div(D w x D w) of band coefficients into
-        `out`, which may be `w`: only the first multiply reads `w`.  It
-        overwrites `samples`, which hold the samples of D w until the next
-        call, and every buffer of `work`, and returns `out`.  bar f is
-        forcing_raw / A(k3) on the forcing's box, formed one component at
-        a time in work.columns, where bar f - c is taken on the box; the
-        whole component then gets 0.0 - c, which is (0 / A) - c bit for
-        bit, and the box's modes get bar f - c back, so a forcing on any
-        box gives the bits of the same forcing embedded in the band."""
+        `out`, which may be `w`, and returns `out`.  It overwrites
+        `samples`, which hold the samples of D w until the next call, and
+        every buffer of `work`.  Modes outside the forcing's box get
+        0.0 - c, the bits of (0 / A) - c, so a forcing on any box steps as
+        the same forcing embedded in the band."""
         work = self.work
         z = np.multiply(w, self.band_deconv, out=out)
         zs = band_inverse(z, self.samples, work)
@@ -376,12 +354,8 @@ class StepOperators:
 
 def step(state: SolverState, ops: StepOperators) -> SolverState:
     """One IMEX Heun step of ops.config with exact viscous integrating
-    factor, from the band of the state to a fresh one.
-
-    The CFL speed comes from the first right-hand side evaluation, which
-    already holds the samples of Dw.  The predictor is built in the
-    fresh array that becomes the new state, and the second stage
-    overwrites it there; the one band vector ops holds is k1.
+    factor, into a fresh state; the CFL speed is read off the first
+    right-hand side's samples of D w.
     """
     dt = ops.config.dt
     w, k1 = state.w.coeffs, ops.k1
@@ -417,19 +391,13 @@ def initial_state(config: SolverConfig) -> SolverState:
 class trajectory:
     """Steps `state` to ops.config.t_end, yielding it at output cadence:
     first as given, then at every step index that is a multiple of
-    `output_every` and after the final step.  The cadence counts the
-    state's own step_index, so a state read back from a checkpoint
-    records at the steps of the run that wrote it and stops at the same
-    last step.
+    `output_every` and after the final step, counted from the state's own
+    step_index.
 
-    `state` is the latest completed step, the one state the loop holds,
-    `max_cfl` the largest CFL number of the steps to it (0.0 before the
-    first) and `stepping_s` the seconds spent in step.  A caller that
-    drops each yielded state before its next pull holds no state of its
-    own: a step then holds its input, the new state and ops.k1, and
-    nothing older.  Once it stops, every pull raises StopIteration and
-    it holds no StepOperators (`ops` is None): a finished run keeps its
-    last state and numbers, not the stepper's samples, k1 and forcing.
+    `state` is the latest completed step, the one state it holds,
+    `max_cfl` the largest CFL number of the steps to it and `stepping_s`
+    the seconds spent in step.  Once it stops it holds no StepOperators
+    (`ops` is None).
     """
 
     def __init__(self, ops: StepOperators, state: SolverState):
@@ -478,13 +446,9 @@ class _Records(trajectory):
 
 def run(config: SolverConfig) -> _Records:
     """Integrate to t_end, yielding the energy record of each state at
-    output cadence, initial state first.  The iterator is a trajectory:
-    its `state` is the latest completed step, the one state of the run,
-    and it has `max_cfl`, `stepping_s` and `records_s`; once exhausted it
-    holds no stepper.
-
-    Setup runs at the call, so bad descriptors raise before iteration; a
-    CFL violation or non-finite state raises SolverAbort from the loop.
+    output cadence, initial state first, from a trajectory.  Setup runs
+    at the call, so bad descriptors raise before iteration; a CFL
+    violation or non-finite state raises SolverAbort from the loop.
     """
     ops = StepOperators(config)
     return _Records(ops, initial_state(config))
@@ -498,8 +462,6 @@ def run(config: SolverConfig) -> _Records:
 class DependenceReport:
     """Perturbation growth against its Gronwall envelope."""
 
-    epsilon: float
-    theta: float
     times: np.ndarray
     delta_norms: np.ndarray
     integrands: np.ndarray
@@ -526,14 +488,9 @@ def dependence_experiment(config: SolverConfig, epsilon: float, *,
                           perturbation_seed: int = 1) -> DependenceReport:
     """Base and perturbed runs side by side; fits the envelope constant.
 
-    The two runs are trajectories that share one StepOperators, pulled
-    in turn at output cadence and read off the trajectories, so each
-    holds its one state; a record forms their difference one part of
-    one component at a time (l2_distance), so it holds no whole
-    difference and stays within a step's memory.  The perturbed initial state
-    is w0 + epsilon * p with p a normalized divergence-free random field.
-    The integrand is evaluated on the perturbed trajectory, and the
-    fitted constant is the smallest C with
+    The perturbed initial state is w0 + epsilon * p with p a normalized
+    divergence-free random field.  The integrand is evaluated on the
+    perturbed trajectory, and the fitted constant is the smallest C with
     ||dw(t)|| <= ||dw(0)|| exp(C int_0^t integrand ds) at every sample.
     A SolverAbort from either run propagates.
     """
@@ -575,8 +532,6 @@ def dependence_experiment(config: SolverConfig, epsilon: float, *,
         if np.any(valid):
             fitted = float(np.max(log_growth[valid] / integrals_arr[1:][valid]))
     return DependenceReport(
-        epsilon=epsilon,
-        theta=theta,
         times=np.asarray(times),
         delta_norms=deltas_arr,
         integrands=np.asarray(integrands),
@@ -593,15 +548,10 @@ _MAGIC = b"ADMCKPT3\n"
 
 def write_checkpoint(path, state: SolverState, config: SolverConfig,
                      config_hash: str = "") -> None:
-    """Deterministic binary dump: magic, length-prefixed JSON header,
-    then the state's coefficients on the 2/3 band of the config's grid,
-    complex128 (3, 2 K1 + 1, 2 K2 + 1, K3 + 1) with the rows of each full
-    axis in band order 0..K, -K..-1, as the npy v1 layout stores them.
-    A state on any other grid or box raises ValueError.
-
-    The bytes go to a sibling temporary file that then replaces `path`
-    in one rename, so a kill or an I/O error mid-write leaves either the
-    previous file or none, never a truncated checkpoint.
+    """Deterministic binary dump of a state on the 2/3 band of the
+    config's grid (format in README.md); a state on any other grid or
+    box raises ValueError.  The bytes go to a sibling temporary file
+    renamed onto `path`, so a failed write never truncates a checkpoint.
     """
     import json
     import os
@@ -648,19 +598,10 @@ def _is_real(value) -> bool:
 
 
 def read_checkpoint(path):
-    """Returns (SolverState, header dict), the state the stored
-    coefficients on the 2/3 band of the stored grid.
-
-    Reads ADMCKPT3 only; the half-layout ADMCKPT2 and full-layout
-    ADMCKPT1 files fail on their magic.  Anything but a complete
-    checkpoint raises ValueError naming the path: a bad magic, a short
-    read, bytes after the coefficients, a missing or ill-typed header
-    key (grid entries and step_index must be integers, step_index
-    nonnegative, t and lengths real and t finite), or coefficients that
-    are not complex128 of shape (3, *grid.band.shape) or not all finite.
-    write_checkpoint writes neither trailing bytes nor a non-finite
-    state, since step raises NaNError first, so either means a corrupt
-    file.
+    """Returns (SolverState, header dict) of an ADMCKPT3 checkpoint.
+    Anything but a complete checkpoint raises ValueError naming the
+    path; write_checkpoint writes neither trailing bytes nor a
+    non-finite state, so either means a corrupt file.
     """
     import json
     import struct

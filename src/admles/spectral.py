@@ -10,10 +10,8 @@ k = 0 coefficient is the spatial mean.
 Fields are real, so their coefficients are Hermitian, c_{-k} = conj(c_k),
 and a field stores only those of k3 >= 0 on a box (a grid.Band) inside
 its grid's 2/3 band: coeffs has shape (..., *band.shape), and every
-mode outside the box is zero.  The solver's state and every sampled
-field sit on the grid's 2/3 band, a draw and a random forcing on the
-draw's (b, b, b) box.  A stored column 0 < k3 < n3/2 also stands for
-its mirror -k3, so Plancherel reads
+mode outside the box is zero.  A stored column 0 < k3 < n3/2 also
+stands for its mirror -k3, so Plancherel reads
 
     (f, g)_{L^2} = vol * sum_k  w(k3) Re(c_k conj(d_k)),
 
@@ -21,36 +19,10 @@ with vol the box volume and w the grid's Parseval weight line (1 at
 k3 = 0 and n3/2, 2 in between).  All norms and inner products below are
 these continuum L^2 quantities of the band-limited interpolant.
 
-Real samples enter at one boundary, field_from_samples, which keeps
-their 2/3 band.  Every field is sampled through band_inverse, and
-products come back through band_forward: irfftn and rfftn pruned to a
-box of coefficients on any grid shape that holds it, the same 1-D
-passes in the same order over only the lines the box feeds or needs,
-so the retained values are the full transforms' bit for bit.  The
-half layout (..., n1, n2, n3/2 + 1) is their scratch only, held one
-slab of planes along axis 0 at a time by a grid.BandWorkspace of the
-box, the samples' shape and a component count: every pass but the
-inverse's first and the forward's last works plane by plane, so the
-transforms stream the samples through slabs, and band_inverse runs each
-pass once per group of that many components.  Neither changes a bit,
-as numpy transforms every line on its own.  The stepper,
-field_from_samples and tensor_divergence run them on the 2/3 band of the
-grid, one component at a time, on the band's workspace, and form each
-product of samples one slab at a time inside band_forward.
-fine_samples, the one 3-D trigonometric upsampler, runs band_inverse
-from a field's box onto any shape, and convective_inner from each of
-three fields' boxes, every component of a field in one group, on the
-box's shared workspace (Band.workspace, one per thread), so the draws of
-an ensemble, which share one box, build their scratch once.  Physical-space
-integrals of products of band-limited fields are taken by the
-rectangle rule on quadrature_points per axis, the fewest even count
-above the product's band, which integrates it exactly.  band_divergence
-is the one kernel for div(u x u) on the band, project_coeffs the one
-Leray formula, on a box, and pad_spectrum the 1-D upsampler of lines.
-
-The package imports nothing but numpy, so the transforms are numpy.fft,
-imported here with the module: numpy loads it lazily, and a first use
-inside a run would put its import into that run's time.
+Real samples enter through field_from_samples.  band_inverse samples a
+box and band_forward brings samples back to it: irfftn and rfftn pruned
+to the box, equal to the full transforms bit for bit on what they keep.
+The half layout (..., n1, n2, n3/2 + 1) is their scratch only.
 """
 
 from __future__ import annotations
@@ -59,7 +31,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.fft
+import numpy.fft  # numpy loads it lazily: a first use in a run would time the import
 
 from .grid import Band, BandWorkspace, Grid, dealias_cutoff
 
@@ -152,12 +124,10 @@ def divergence(field: VectorField) -> SpectralField:
 
 
 def _row_blocks(band: Band, scratch: np.ndarray, count: int):
-    """For each block of rows along axis 0 of the box `band`, in order:
-    the block's slice, the box's lines kd1, kd2, kd3 on it, and `count`
-    temporaries of the block's shape, cut from the contiguous complex
-    buffer `scratch`.  A block has as many rows as `count` temporaries
-    of them fit in `scratch`, and the last may be short; every mode gets
-    the same operations whatever the block height."""
+    """For each block of rows along axis 0 of the box `band`: the
+    block's slice, the box's lines kd1, kd2, kd3 on it, and `count`
+    temporaries of the block's shape cut from the complex buffer
+    `scratch`, which sets the block height."""
     flat = scratch.reshape(-1)
     rows, row = band.shape[0], math.prod(band.shape[1:])
     height = min(rows, flat.size // (count * row))
@@ -173,12 +143,10 @@ def _row_blocks(band: Band, scratch: np.ndarray, count: int):
 
 
 def project_coeffs(band: Band, c: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """The Leray formula on (3, *band.shape) box coefficients `c`, in
-    place: c_i - kd_i (kd . c) / |kd|^2 modewise, from the box's own
-    lines band.kd1, kd2, kd3 and band.inv_kd_squared.  It runs on as many
-    rows of the box at a time as two temporaries of them fit in the
-    contiguous complex buffer `scratch`, which it overwrites: two
-    components' worth make one pass."""
+    """The Leray formula c_i - kd_i (kd . c) / |kd|^2 on box
+    coefficients `c` (3, *band.shape), in place; returns `c`.  It
+    overwrites the contiguous complex buffer `scratch`, which must hold
+    one row of two temporaries; two components' worth make one pass."""
     for rows, kd, (kdotu, term) in _row_blocks(band, scratch, 2):
         b = c[:, rows]
         np.multiply(kd[0], b[0], out=kdotu)
@@ -194,12 +162,8 @@ def project_coeffs(band: Band, c: np.ndarray, scratch: np.ndarray) -> np.ndarray
 
 
 def leray_project(field: VectorField) -> VectorField:
-    """L^2-orthogonal projection of u onto divergence-free fields.
-
-    P(u)_k = u_k - k (k . u_k) / |k|^2 on each mode of the field's box,
-    which holds no Nyquist entry, so only the mean mode passes through
-    unchanged: project_coeffs of a copy on the box, as in the stepper.
-    """
+    """L^2-orthogonal projection of u onto divergence-free fields:
+    P(u)_k = u_k - k (k . u_k) / |k|^2, the mean mode unchanged."""
     c = field.coeffs.copy()
     return field.with_coeffs(project_coeffs(field.band, c, np.empty_like(c[:2])))
 
@@ -211,16 +175,10 @@ def divergence_residual(field: VectorField) -> float:
 
 def band_inverse(coeffs: np.ndarray, out: np.ndarray, work: BandWorkspace) -> np.ndarray:
     """Real samples (c, m1, m2, m3) on the shape of `work` of box
-    coefficients (c, *work.band_shape) into `out`: the passes of irfftn
-    in its order (ifft on axis -3, ifft on axis -2, irfft on axis -1),
-    each over only the lines whose input is not all zero, and each once
-    per group of the workspace's components (the last group may be
-    short).  The first pass runs in place on `work.columns`, over every
-    plane; the other two run slab by slab (work.slabs) through
-    `work.half`, each slab's irfft writing its planes of `out`.  numpy
-    transforms every line on its own, so the samples are irfftn's of the
-    scattered coefficients bit for bit, whatever the group size and the
-    slab height.
+    coefficients (c, *work.band_shape), into `out`, which it returns:
+    irfftn's passes in its order over only the lines with nonzero input,
+    so bit for bit irfftn of the coefficients scattered into the half
+    layout.  It overwrites work.columns and work.half.
     """
     cols, size = work.cols, len(work.half)
     (_, low1), (_, high1) = work.rows1
@@ -246,19 +204,12 @@ def band_inverse(coeffs: np.ndarray, out: np.ndarray, work: BandWorkspace) -> np
 
 def band_forward(samples: np.ndarray, work: BandWorkspace,
                  other: np.ndarray | None = None) -> np.ndarray:
-    """Box coefficients of real samples (m1, m2, m3), or of the product
-    samples * other if `other` is given: the passes of rfftn in its
-    order (rfft on axis -1, fft on axis -2, fft on axis -3), keeping only
-    box columns, then box rows, after each.  The first two run slab by
-    slab (work.slabs) through `work.half`, each slab's product formed in
-    `work.product`, and leave their box rows in `work.columns`; the last
-    runs there in place, over every plane, and the high row block then
-    moves down under the low one (into free planes if 3 K1 < m1, as on
-    the 2/3 band; numpy copies an overlapping block whole).  It overwrites work.columns, work.half
-    and, for a product, work.product, and returns the box as a view of
-    the first 2 K1 + 1 planes of work.columns[0], which the workspace's
-    next transform overwrites: a caller that keeps the box copies it.
-    Bit for bit the box of rfftn(samples * other, norm="forward").
+    """The box of rfftn(samples * other, norm="forward") bit for bit,
+    for real samples (m1, m2, m3) and `other` of their shape or None.
+    It overwrites work.columns, work.half and, for a product,
+    work.product, and returns the box as a view of work.columns[0],
+    which the workspace's next transform overwrites: a caller that keeps
+    the box copies it.
     """
     pad = work.columns[0]
     for planes in work.slabs():
@@ -274,20 +225,15 @@ def band_forward(samples: np.ndarray, work: BandWorkspace,
     np.fft.fft(pad, axis=-3, norm="forward", out=pad)
     box = pad[:work.band_shape[0]]
     _, (high, rows) = work.rows1
-    box[high] = pad[rows]
+    box[high] = pad[rows]  # numpy copies an overlapping block whole
     return box
 
 
 def band_divergence(band: Band, us: np.ndarray, out: np.ndarray,
                     work: BandWorkspace) -> np.ndarray:
-    """div(u x u) on `band`, the box of `work`, from the samples of u,
-    into `out` (3, *band.shape): component j is i sum_i kd_i FT(u_i u_j),
-    from the six products u_i u_j with i <= j, each formed one slab at a
-    time inside band_forward, so no product of the whole grid is held.
-    Each kd_i times a product's box (band_forward's view into
-    work.columns) is formed a block of rows at a time in a temporary cut
-    from work.half, and added into `out`.  It overwrites every buffer of
-    `work` and returns `out`.
+    """div(u x u) on `band`, the box of `work`, from the samples us of
+    u, into `out` (3, *band.shape), which it returns: component j is
+    i sum_i kd_i FT(u_i u_j).  It overwrites every buffer of `work`.
     """
     out[...] = 0
     for i, j in _SYMMETRIC_PAIRS:
@@ -302,14 +248,8 @@ def band_divergence(band: Band, us: np.ndarray, out: np.ndarray,
 
 def tensor_divergence(u: VectorField) -> VectorField:
     """Dealiased div(u x u) on the 2/3 band, component j =
-    sum_i d/dx_i (u_i u_j).
-
-    For divergence-free u this is the convective term (u . grad) u.  u,
-    embedded in the band unless it is on the band already, is sampled by
-    band_inverse and the products go through band_divergence, on the
-    band's workspace, as in the stepper; only their 2/3 band is kept,
-    which removes every aliased mode (3K < n makes the retained modes
-    exact).
+    sum_i d/dx_i (u_i u_j); for divergence-free u the convective term
+    (u . grad) u.  Keeping the 2/3 band removes every aliased mode.
     """
     band = u.grid.band
     work = band.workspace(u.grid.shape)
@@ -321,13 +261,8 @@ def tensor_divergence(u: VectorField) -> VectorField:
 
 
 def convective_inner(u: VectorField, v: VectorField, w: VectorField) -> float:
-    """((u . grad) v, w): vol times the mean of sum_ij u_i (d_i v_j) w_j
-    over samples of the 15 components (u, grad v, w), each field's from
-    one band_inverse of its own box.  On axis j the integrand has band
-    b_u + b_v + b_w of those boxes' cutoffs, so the rectangle rule on
-    quadrature_points of it is exact; the points also exceed 2 max b, so
-    they hold every box.
-
+    """((u . grad) v, w) by the rectangle rule on the fewest points per
+    axis that integrate u_i (d_i v_j) w_j exactly and hold every box.
     Requires divergence-free u for this to equal (div(u x v), w);
     callers enforce that.
     """
@@ -354,12 +289,9 @@ def convective_inner(u: VectorField, v: VectorField, w: VectorField) -> float:
 
 
 def _mass(c: np.ndarray, minus: np.ndarray | None = None) -> np.ndarray:
-    """|c|^2, or |c - minus|^2, summed over components, on the layout of
-    `c`: re^2 + im^2 of one component at a time, added in component
-    order, as a sum over the component axis adds them, so it holds three
-    components' worth of reals, not two arrays of all of them.  A
-    difference is formed one real or imaginary part at a time, in the
-    buffer that squares it, so no whole difference is held either."""
+    """|c|^2, or |c - minus|^2, summed over the components in their
+    order, on the layout of `c`; its temporaries are three reals the
+    size of one component."""
     parts = c.reshape(-1, *c.shape[-3:])
     others = None if minus is None else minus.reshape(parts.shape)
 
@@ -403,15 +335,12 @@ def _check_order(s: float) -> None:
 
 
 class FieldNorms:
-    """The norms below of one field from one |c|^2 pass over its box,
-    one component at a time (_mass), which builds its k3 lines summed
-    over components, k1 and k2: `plain` unweighted, `horizontal`
-    weighted by k1^2 + k2^2 and `full` by |k|^2, so a caller that needs
-    several norms of a field pays for the pass once.  l2, grad,
-    horizontal_grad, vertical and vertical_grad are the L^2 norms of f,
-    grad f, grad_h f, |d/dx3|^s f and |d/dx3|^s grad f.  The lines are zero-padded to the grid's n3/2 + 1
-    columns, so every dot with a line of the grid runs over one length
-    whatever the box, and a norm keeps the bits of the half layout's."""
+    """The norms of one field from one |c|^2 pass over its box: l2,
+    grad, horizontal_grad, vertical and vertical_grad are the L^2 norms
+    of f, grad f, grad_h f, |d/dx3|^s f and |d/dx3|^s grad f.  Its k3
+    lines `plain`, `horizontal` (weight k1^2 + k2^2) and `full` (|k|^2)
+    are zero-padded to n3/2 + 1 columns, so a norm on a box keeps the
+    bits of the half layout's."""
 
     def __init__(self, f: Field):
         band = f.band
@@ -445,16 +374,10 @@ class FieldNorms:
 
 def inner_product(f: Field, g: Field, weight=1.0) -> float:
     """Continuum L^2 inner product with the k3 multiplier `weight`;
-    vector fields sum over components.  Fields on boxes of different
-    cutoffs are read on the box of their per-axis smaller cutoffs, the
-    only modes where their product is nonzero: the sums over the outer
-    axes add the same terms in the same order as on the union of the
-    boxes, less its zeros, so the bits are the union's.  It forms the
-    products one component at a time, in the rows under the line summed
-    so far, and sums those rows in layout order, the order of one sum
-    over the components, k1 and k2 of a box of more than one column.
-    Its temporaries, gone on return, are two components of that box and
-    a field read on it, never larger than the smaller field."""
+    vector fields sum over components.  Fields on different boxes are
+    read on the box of their per-axis smaller cutoffs, with the bits of
+    a read on their union box; its temporaries are never larger than
+    the smaller field."""
     if f.grid != g.grid:
         raise ValueError("fields live on different grids")
     grid = f.grid
@@ -478,8 +401,7 @@ def l2_norm(f: Field) -> float:
 
 def l2_distance(f: Field, g: Field) -> float:
     """||f - g||_{L^2} of two fields on one box, with the bits of
-    l2_norm of f - g; its temporaries are three band-sized reals (_mass),
-    where f - g alone would be six."""
+    l2_norm(f - g) and without forming f - g."""
     if f.band is not g.band:
         raise ValueError("fields live on different boxes")
     line = _k3_line(f.grid, _mass(f.coeffs, g.coeffs))
@@ -496,13 +418,9 @@ def vertical_seminorm(f: Field, s: float) -> float:
 
 
 def fine_samples(field: Field, shape: tuple[int, int, int]) -> np.ndarray:
-    """Real samples on a grid of `shape` over the same box of the
-    trigonometric interpolant of the field: band_inverse from the
-    field's box, which `shape` must hold.  On the native shape these are
-    the field's samples; on any other the interpolant is exact, so a
-    power of a field whose box has band b on an axis, p b for |u|^p, is
-    integrated exactly by the rectangle rule on quadrature_points(p b)
-    points of that axis.
+    """Samples on a grid of `shape` of the field's trigonometric
+    interpolant, which `shape` must hold; on the native shape these are
+    the field's samples.
     """
     box = field.band
     coeffs = field.coeffs.reshape(-1, *box.shape)
@@ -521,9 +439,7 @@ def quadrature_points(band: int) -> int:
 def pad_spectrum(coeffs: np.ndarray, m: int, axis: int) -> np.ndarray:
     """Embed a spectrum of even length n into length m > n along `axis`.
 
-    The 1-D upsampler of sample lines (Agmon lines and vertical
-    profiles), whose Nyquist slot holds content or round-off.  Modes
-    |k| < n/2 keep their coefficients.  The stored -n/2 entry of a real
+    Modes |k| < n/2 keep their coefficients.  The stored -n/2 entry of a real
     line represents cos(n x / 2) content, so it is split evenly between
     +n/2 and -n/2; the trigonometric interpolant then stays real and
     keeps its values at the original sample points.

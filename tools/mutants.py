@@ -219,6 +219,10 @@ MUTANTS = (
            "            for mine, theirs in blocks:\n                c[theirs] = bar_f[mine]",
            "            for mine, theirs in blocks[1:]:\n                c[theirs] = bar_f[mine]",
            (f"{T_SOLVER}::test_band_step_matches_half_layout_heun_bitwise",)),
+    # the exit code, decided once in main
+    Mutant("a failed assertion exits 0", CLI,
+           'code = 0 if all(a["passed"] for a in ctx.assertions) else 2', "code = 0",
+           (f"{T_CLI}::test_a_divergent_final_state_fails_its_check",)),
 )
 
 
