@@ -20,8 +20,8 @@ from functools import lru_cache
 import numpy as np
 import numpy.random  # numpy loads it lazily: a first draw in a run would time the import
 
-from .grid import Band, Grid, check_rules
-from .spectral import SpectralField, VectorField, project_coeffs
+from .grid import Grid, check_rules
+from .spectral import VectorField, project_coeffs
 
 
 @dataclass(frozen=True)
@@ -61,20 +61,20 @@ def _centered_weights(b: int, decay: float) -> np.ndarray:
     return w
 
 
-def _draw_band(rng: np.random.Generator, b: int, decay: float,
-               components: int) -> np.ndarray:
-    """The k3 >= 0 half of Hermitian, mean-zero, decay-weighted
-    coefficients on {-b..b}^3: modes (-b..b, -b..b, 0..b).
+def _draw_band(rng: np.random.Generator, b: int, decay: float) -> np.ndarray:
+    """The k3 >= 0 half of Hermitian, mean-zero, decay-weighted vector
+    coefficients on {-b..b}^3, modes (-b..b, -b..b, 0..b), rolled into
+    the order of the box of cutoffs (b, b, b); not projected.
 
     One rng call draws the real and then the imaginary parts of the
     whole centered box, so the stream is fixed by b alone; mode k
     averages its draw with the conjugate draw of -k.
     """
     side = 2 * b + 1
-    normals = rng.standard_normal((2, components, side, side, side))
+    normals = rng.standard_normal((2, 3, side, side, side))
     raw = normals[0] + 1j * normals[1]
     sym = 0.5 * (raw[..., b:] + np.conj(raw[:, ::-1, ::-1, b::-1]))
-    return sym * _centered_weights(b, decay)
+    return np.roll(sym * _centered_weights(b, decay), -b, axis=(-3, -2))
 
 
 def check_fits(b: int, n: int) -> None:
@@ -84,28 +84,15 @@ def check_fits(b: int, n: int) -> None:
         raise ValueError(f"n: {n} must be at least 2 * band + 1 = {2 * b + 1}")
 
 
-def _draw(rng: np.random.Generator, spec: EnsembleSpec, grid: Grid,
-          components: int, project: bool) -> tuple[Band, np.ndarray]:
-    """The box of cutoffs (b, b, b) on `grid` and the k3 >= 0 half of a
-    centered draw, rolled into its order, projected there if `project`."""
+def draw_vector(rng: np.random.Generator, spec: EnsembleSpec,
+                grid: Grid) -> VectorField:
+    """A divergence-free draw on the box of cutoffs (b, b, b) of `grid`:
+    the _draw_band of `spec`, projected there."""
     b = spec.band_limit
     box = grid.box((b, b, b))
-    half = _draw_band(rng, b, spec.amplitude_decay, components)
-    coeffs = np.roll(half, -b, axis=(-3, -2))
-    if project:
-        project_coeffs(box, coeffs, np.empty_like(coeffs[:2]))
-    return box, coeffs
-
-
-def draw_scalar(rng: np.random.Generator, spec: EnsembleSpec,
-                grid: Grid) -> SpectralField:
-    box, coeffs = _draw(rng, spec, grid, 1, False)
-    return SpectralField(box, coeffs[0])
-
-
-def draw_vector(rng: np.random.Generator, spec: EnsembleSpec, grid: Grid, *,
-                divergence_free: bool = True) -> VectorField:
-    return VectorField(*_draw(rng, spec, grid, 3, divergence_free))
+    coeffs = _draw_band(rng, b, spec.amplitude_decay)
+    project_coeffs(box, coeffs, np.empty_like(coeffs[:2]))
+    return VectorField(box, coeffs)
 
 
 def draw_line(rng: np.random.Generator, spec: EnsembleSpec,

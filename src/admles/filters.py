@@ -5,7 +5,7 @@ multiplier
 
     A(k3) = 1 + alpha^{2 theta} |k3|^{2 theta},     0 <= theta <= 1,
 
-so "bar" smoothing is A^{-1} and the half filter is A^{1/2}.  The mode
+so "bar" smoothing is A^{-1}.  The mode
 k3 = 0 is passed through unchanged (the symbol is exactly 1 there, for
 every theta including theta = 0).
 
@@ -32,14 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .grid import Grid, check_rules, rule_errors, wavenumbers
-from .spectral import (
-    Field,
-    SpectralField,
-    VectorField,
-    inner_product,
-    l2_norm,
-    tensor_divergence,
-)
+from .spectral import Field
 
 
 @dataclass(frozen=True)
@@ -145,14 +138,6 @@ def deconv_symbol_iterative(spec: DeconvSpec, k3: np.ndarray) -> np.ndarray:
     return total
 
 
-def deconv_error_symbol(spec: DeconvSpec, k3: np.ndarray) -> np.ndarray:
-    """Per-mode residual 1 - D_N / A = (x / (1 + x))^{N+1}, the relative
-    defect of deconvolution-then-smoothing against the identity."""
-    x = _vertical_weight(spec.filter, np.asarray(k3, dtype=np.float64))
-    r = x / (1.0 + x)
-    return r ** (spec.order + 1)
-
-
 # ---------------------------------------------------------------------------
 # Application to spectral fields
 
@@ -168,9 +153,7 @@ class SymbolTable:
 
     filter: np.ndarray  # A
     bar: np.ndarray  # 1 / A
-    half_filter: np.ndarray  # A^{1/2}
     deconv: np.ndarray  # D_N
-    half_deconv: np.ndarray  # D_N^{1/2}
 
 
 def symbol_table(grid: Grid, spec: DeconvSpec) -> SymbolTable:
@@ -184,8 +167,7 @@ def _symbol_table(n3: int, L3: float, spec: DeconvSpec) -> SymbolTable:
     cache holds no Grid, so a grid that stepped is freed with its boxes."""
     k3 = np.abs(wavenumbers(n3, L3)[: n3 // 2 + 1]).reshape(1, 1, -1)
     a = filter_symbol(spec.filter, k3)
-    d = deconv_symbol(spec, k3)
-    lines = (a, 1.0 / a, np.sqrt(a), d, np.sqrt(d))
+    lines = (a, 1.0 / a, deconv_symbol(spec, k3))
     for line in lines:
         line.setflags(write=False)
     return SymbolTable(*lines)
@@ -217,95 +199,7 @@ def apply_bar(field: Field, spec: FilterSpec) -> Field:
         field.coeffs / _on_box(field, _filter_table(field, spec).filter))
 
 
-def apply_half_filter(field: Field, spec: FilterSpec) -> Field:
-    """Multiply by A(k3)^{1/2}."""
-    return field.with_coeffs(
-        field.coeffs * _on_box(field, _filter_table(field, spec).half_filter))
-
-
 def apply_deconv(field: Field, spec: DeconvSpec) -> Field:
     """Multiply by D_N(k3)."""
     return field.with_coeffs(
         field.coeffs * _on_box(field, symbol_table(field.grid, spec).deconv))
-
-
-def apply_half_deconv(field: Field, spec: DeconvSpec) -> Field:
-    """Multiply by D_N(k3)^{1/2} (energy-weight convention)."""
-    return field.with_coeffs(
-        field.coeffs * _on_box(field, symbol_table(field.grid, spec).half_deconv))
-
-
-# ---------------------------------------------------------------------------
-# Operator identity checks (used by the verification bench)
-
-
-def vertical_fractional_shift(field: Field, spec: FilterSpec) -> Field:
-    """(I - alpha^{2 theta} d3^{2 theta}) f, the filter A in its
-    differential-operator form: apply_filter up to the order of
-    floating-point operations, kept so the identity checks can test the
-    two forms against each other.
-    """
-    x = _vertical_weight(spec, _on_box(field, field.grid.k3))
-    return field.with_coeffs(field.coeffs + x * field.coeffs)
-
-
-def check_filter_identities(
-    spec: FilterSpec, f: SpectralField, w: VectorField
-) -> dict[str, float]:
-    """Relative residuals of the exact smoothing-operator identities.
-
-    Inputs: a scalar field f and a divergence-free vector field w
-    (band-limited under the 2/3 rule, so that quadratic products are
-    quadrature-exact).  Returned keys:
-
-      self_adjoint     max over components i of
-                       |(bar f, w_i) - (f, bar w_i)| / (||f|| ||w_i||)
-      commutation      sup-mode residual of
-                       bar((I - a^{2t} d3^{2t}) w) - (I - a^{2t} d3^{2t}) bar w,
-                       relative to the sup coefficient of the filtered field
-      orthogonality_smoothed  |(bar div(w x w), A w)| / Cauchy-Schwarz cap
-      orthogonality_plain     |(div(w x w), w)| / Cauchy-Schwarz cap
-      orthogonality_equal     |(bar div(w x w), A w) - (div(w x w), w)| / cap
-
-    Violations are reported, never raised; a nonzero divergence in w
-    shows up as an order-one orthogonality residual.
-    """
-    bar_f = apply_bar(f, spec)
-    residual_sa = 0.0
-    norm_f = l2_norm(f)
-    for i in range(3):
-        wi = w.component(i)
-        bar_wi = apply_bar(wi, spec)
-        cap = norm_f * l2_norm(wi)
-        if cap == 0.0:
-            continue
-        residual_sa = max(
-            residual_sa,
-            abs(inner_product(bar_f, wi) - inner_product(f, bar_wi)) / cap,
-        )
-
-    lhs = apply_bar(vertical_fractional_shift(w, spec), spec)
-    rhs = vertical_fractional_shift(apply_bar(w, spec), spec)
-    scale = float(np.max(np.abs(lhs.coeffs)))
-    residual_comm = (
-        float(np.max(np.abs(lhs.coeffs - rhs.coeffs))) / scale if scale > 0 else 0.0
-    )
-
-    t = tensor_divergence(w)
-    bar_t = apply_bar(t, spec)
-    a_w = apply_filter(w, spec)
-    ip_smoothed = inner_product(bar_t, a_w)
-    ip_plain = inner_product(t, w)
-    cap_smoothed = l2_norm(bar_t) * l2_norm(a_w)
-    cap_plain = l2_norm(t) * l2_norm(w)
-    cap = max(cap_smoothed, cap_plain)
-
-    return {
-        "self_adjoint": residual_sa,
-        "commutation": residual_comm,
-        "orthogonality_smoothed": (
-            abs(ip_smoothed) / cap_smoothed if cap_smoothed > 0 else 0.0
-        ),
-        "orthogonality_plain": abs(ip_plain) / cap_plain if cap_plain > 0 else 0.0,
-        "orthogonality_equal": abs(ip_smoothed - ip_plain) / cap if cap > 0 else 0.0,
-    }

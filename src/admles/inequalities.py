@@ -116,12 +116,6 @@ def _agmon_terms(coeffs: np.ndarray):
         "zero function has no ratio")
 
 
-def agmon_ratio(coeffs: np.ndarray, s: float) -> float:
-    """||g||_inf / (||g||_2^{1-1/(2s)} ||g||_{H^s}^{1/(2s)}) for mean-zero g."""
-    _require_s(s, "the high-wavenumber tail")
-    return _agmon_terms(np.asarray(coeffs, dtype=np.complex128))[1](s)
-
-
 # Cephes zeta.c: the machine epsilon that ends its sums, and A[i], the
 # Euler-Maclaurin denominators (2i + 2)! / B_{2i+2}.
 _MACHEP = 1.11022302462515654042e-16
@@ -186,7 +180,7 @@ def agmon_split_bound(coeffs: np.ndarray, s: float) -> float:
     Every step is exact or Cauchy-Schwarz, so the result is a rigorous
     upper bound for any kappa >= 1; kappa = (||g||_{H^s}/||g||_2)^{1/s}
     balances the two terms (and is >= 1 since H^s dominates L^2).  The
-    sum leaves out c_0, so g must have zero mean, as for agmon_ratio.
+    sum leaves out c_0, so g must have zero mean, as for the Agmon ratio.
     """
     _require_s(s, "the tail sum")
     coeffs = np.asarray(coeffs, dtype=np.complex128)
@@ -244,9 +238,7 @@ def l2_v_l4_h_norm(u: VectorField) -> float:
 # Inequality ratios
 #
 # Each *_terms helper evaluates the s-independent norms of one sample
-# once and returns the s-dependent ratio as a function of s; the public
-# ratio functions are those helpers applied to a single exponent, so the
-# per-sample oracles and run_sweep share every formula bit for bit.
+# once and returns the s-dependent ratio as a function of s.
 
 
 def _ladyzhenskaya(u: VectorField, norms: FieldNorms) -> float:
@@ -255,21 +247,10 @@ def _ladyzhenskaya(u: VectorField, norms: FieldNorms) -> float:
                   "field constant in the horizontal directions")
 
 
-def ladyzhenskaya_ratio(u: VectorField) -> float:
-    """||u||_{L2_v L4_h} / (||u||_2^{1/2} ||grad_h u||_2^{1/2})."""
-    return _ladyzhenskaya(u, FieldNorms(u))
-
-
 def _vertical_embedding_terms(u: VectorField, norms: FieldNorms):
     l2, sup = norms.l2(), linf_v_l2_h_norm(u)
     return lambda s: _ratio(sup, _interpolate(l2, norms.vertical(s), s),
                             "field constant in the vertical direction")
-
-
-def vertical_embedding_ratio(u: VectorField, s: float) -> float:
-    """||u||_{Linf_v L2_h} / (||u||_2^{1-1/(2s)} ||d3^s u||_2^{1/(2s)})."""
-    _require_s(s, "the vertical embedding")
-    return _vertical_embedding_terms(u, FieldNorms(u))(s)
 
 
 def _trilinear_terms(u: VectorField, v: VectorField, w: VectorField):
@@ -277,7 +258,9 @@ def _trilinear_terms(u: VectorField, v: VectorField, w: VectorField):
 
     The bound of form i is (||u|| ||grad u||)^{1/2} *
     ||grad v||^{1-1/(2s)} ||d3^s grad v||^{1/(2s)} *
-    (||w|| ||grad w||)^{1/2}; form ii swaps the roles of v and w.
+    (||w|| ||grad w||)^{1/2}; form ii swaps the roles of v and w.  For
+    divergence-free u, ((u.grad) v, w) = -((u.grad) w, v), so form ii of
+    (u, v, w) equals form i of (u, w, v).
     """
     top = abs(convective_inner(u, v, w))
     norms = [FieldNorms(f) for f in (u, v, w)]
@@ -292,25 +275,6 @@ def _trilinear_terms(u: VectorField, v: VectorField, w: VectorField):
         return ratio
 
     return {"trilinear_i": form(1, 2), "trilinear_ii": form(2, 1)}
-
-
-def trilinear_ratio_i(u: VectorField, v: VectorField, w: VectorField,
-                      s: float) -> float:
-    """|((u.grad) v, w)| over the bound with vertical regularity on v."""
-    _require_s(s, "the trilinear estimate")
-    return _trilinear_terms(u, v, w)["trilinear_i"](s)
-
-
-def trilinear_ratio_ii(u: VectorField, v: VectorField, w: VectorField,
-                       s: float) -> float:
-    """Same numerator, vertical regularity placed on w instead of v.
-
-    Integration by parts on divergence-free u gives
-    ((u.grad) v, w) = -((u.grad) w, v), so this ratio equals
-    trilinear_ratio_i(u, w, v) exactly; the bench asserts that identity.
-    """
-    _require_s(s, "the trilinear estimate")
-    return _trilinear_terms(u, v, w)["trilinear_ii"](s)
 
 
 # ---------------------------------------------------------------------------

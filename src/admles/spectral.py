@@ -90,9 +90,6 @@ class VectorField(_BoxField):
 
     components = (3,)
 
-    def component(self, i: int) -> SpectralField:
-        return SpectralField(self.band, self.coeffs[i])
-
 
 Field = SpectralField | VectorField
 
@@ -406,11 +403,6 @@ def l2_distance(f: Field, g: Field) -> float:
         raise ValueError("fields live on different boxes")
     line = _k3_line(f.grid, _mass(f.coeffs, g.coeffs))
     return float(np.sqrt(quadratic_form(f.grid, line)))
-
-
-def vertical_seminorm(f: Field, s: float) -> float:
-    """|| |d/dx3|^s f ||_{L^2}: multiplier |k3|^s, fractional s allowed."""
-    return FieldNorms(f).vertical(s)
 
 
 # ---------------------------------------------------------------------------

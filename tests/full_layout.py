@@ -11,7 +11,7 @@ coefficients, and half_layout scatters a field's box.
 
 import numpy as np
 
-from admles.spectral import FieldNorms, VectorField, quadratic_form
+from admles.spectral import FieldNorms, SpectralField, VectorField, quadratic_form
 
 AXES = (-3, -2, -1)
 
@@ -272,6 +272,11 @@ def full_layout_draw(rng, spec, grid, components=3, project=True):
     inv = np.where(ksq > 0, 1.0 / np.where(ksq > 0, ksq, 1.0), 0.0)
     factor = (kd1 * c[0] + kd2 * c[1] + kd3 * c[2]) * inv
     return np.stack([c[0] - kd1 * factor, c[1] - kd2 * factor, c[2] - kd3 * factor])
+
+
+def component(field, i):
+    """Component i of a vector field, on its box."""
+    return SpectralField(field.band, field.coeffs[i])
 
 
 def gradient(field):

@@ -25,6 +25,7 @@ from admles.grid import Grid
 from admles.solver import (
     CFL_LIMIT,
     CFLError,
+    DependenceReport,
     SolverState,
     StepOperators,
     initial_state,
@@ -39,7 +40,6 @@ from admles.spectral import (
     VectorField,
     divergence_residual,
     l2_norm,
-    vertical_seminorm,
 )
 
 
@@ -293,7 +293,7 @@ def test_regularity_certificate_of_a_viscous_decay(tmp_path, theta):
         assert got[name] == pytest.approx(value, rel=1e-12), name
     w0 = initial_state(cfg).w
     assert got["sup_l2"] == pytest.approx(l2_norm(w0), rel=1e-12)
-    assert got["sup_theta_seminorm"] == pytest.approx(vertical_seminorm(w0, theta),
+    assert got["sup_theta_seminorm"] == pytest.approx(FieldNorms(w0).vertical(theta),
                                                       rel=1e-12)
     assert got["integral_grad_sq"] > 0.0
     assert got["integral_theta_grad_sq"] > 0.0
@@ -479,6 +479,21 @@ def test_dependence_command(tmp_path):
     assert float(first[1]) == pytest.approx(1e-6, rel=1e-9)
 
 
+@pytest.mark.parametrize("excess, passed", [(1.2e-10, False), (0.8e-10, True)])
+def test_dependence_envelope_check_allows_one_part_in_1e10(tmp_path, monkeypatch,
+                                                          excess, passed):
+    # with C = 0 the envelope is ||dw(0)|| = 1 at every time
+    report = DependenceReport(times=np.array([0.0, 0.1]),
+                              delta_norms=np.array([1.0, 1.0 + excess]),
+                              integrands=np.array([1.0, 1.0]),
+                              integrals=np.array([0.0, 0.1]), fitted_c=0.0)
+    monkeypatch.setattr(cli, "dependence_experiment", lambda *args, **kwargs: report)
+    out = tmp_path / "out"
+    assert run_cli("dependence", "--output", str(out), "--quiet") == (0 if passed else 2)
+    checks = {a["name"]: a["passed"] for a in read_manifest(out)["assertions"]}
+    assert checks == {"fitted_constant_finite": True, "delta_under_envelope": passed}
+
+
 def test_dependence_rejects_small_theta(tmp_path, capsys):
     cfg = write(tmp_path / "dep.ini",
                 "[solver]\nt_end = 0.05\n[filter]\ntheta = 0.4\n")
@@ -625,11 +640,12 @@ def test_manifest_telemetry(tmp_path):
 
 
 def test_telemetry_seconds_add_up(tmp_path, monkeypatch):
-    """Under a clock that only the timed calls move, by 1 s a step, 2 s
-    an energy_terms, 4 s a fold and 8 s the checkpoint, stepping_s,
-    records_s and io_s each count their calls' seconds, of every step,
-    record and write."""
-    now = [0.0]
+    """Under a clock that starts at 1000 s and that only the timed calls
+    move, by 1 s a step, 2 s an energy_terms, 4 s a fold and 8 s the
+    checkpoint, stepping_s, records_s and io_s each count their calls'
+    seconds, of every step, record and write, and the wall time is the
+    difference of two readings."""
+    now = [1000.0]
 
     def timed(call, seconds):
         def wrapper(*args, **kwargs):

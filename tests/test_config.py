@@ -76,6 +76,12 @@ def test_round_trip_values():
     assert rc.output_dir == "results"
 
 
+def test_single_mode_without_k_is_the_mode_0_0_1():
+    rc = parse_config("[init]\nkind = single-mode\n[forcing]\nkind = single-mode\n")
+    assert rc.solver.init == SingleMode((0, 0, 1))
+    assert rc.solver.forcing == SingleMode((0, 0, 1))
+
+
 def test_all_errors_collected():
     text = """
     [grid]

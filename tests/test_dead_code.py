@@ -1,10 +1,10 @@
 """Every top-level function and class of the package has a user: code
-in the package that names it, or a place in the public ``__all__``; and
-every public method or property of a package class is named somewhere
-in the package.  Tests alone do not keep a helper alive, and neither
-does a local variable of the same name: a bare name counts only where
-its scope reads it as a global (found with ``symtable``), while every
-attribute and import counts."""
+in the package that names it, or a place in LIBRARY_API; and every
+public method or property of a package class is named somewhere in the
+package.  Neither tests nor a listing in ``__all__`` keep a helper
+alive, and neither does a local variable of the same name: a bare name
+counts only where its scope reads it as a global (found with
+``symtable``), while every attribute and import counts."""
 
 import ast
 import importlib
@@ -17,6 +17,9 @@ import admles
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "admles"
+# The operators on fields A, D_N and div(u x u): the library's API for
+# users of the model, though no run of the package applies them whole.
+LIBRARY_API = {"apply_filter", "apply_deconv", "tensor_divergence"}
 
 
 def _scopes(table: symtable.SymbolTable):
@@ -46,8 +49,8 @@ def test_public_names_resolve():
 
 def test_no_top_level_definition_without_a_user():
     modules = sorted(PACKAGE.glob("*.py"))
-    # the package's own re-exports count through __all__ only
-    used = set(admles.__all__)
+    # the package's own re-exports do not count
+    used = set(LIBRARY_API)
     for path in modules:
         if path.name != "__init__.py":
             used.update(_references(path))

@@ -41,7 +41,6 @@ from admles.spectral import (
     field_from_samples,
     l2_norm,
     quadratic_form,
-    vertical_seminorm,
 )
 
 
@@ -87,7 +86,7 @@ def test_energy_single_mode_weight():
                                              rel=1e-12)
     assert rec.dissipation == pytest.approx(0.05 * 3.0 * l2_norm(w) ** 2,
                                             rel=1e-12)
-    assert rec.theta_seminorm == pytest.approx(vertical_seminorm(w, 1.0),
+    assert rec.theta_seminorm == pytest.approx(FieldNorms(w).vertical(1.0),
                                                rel=1e-12)
 
 
@@ -100,10 +99,10 @@ def test_energy_bounds_chain():
     w = full_field(g, coeffs)
     for order in (0, 1, 5):
         rec = energy_terms(w, zero_vector(g), FILT, order, nu=1.0)
-        lower = 0.5 * (l2_norm(w) ** 2 + vertical_seminorm(w, 1.0) ** 2)
+        lower = 0.5 * (l2_norm(w) ** 2 + FieldNorms(w).vertical(1.0) ** 2)
         assert rec.model_energy >= lower * (1 - 1e-12)
         upper = 0.5 * (order + 1) * 2.0 * (
-            l2_norm(w) ** 2 + vertical_seminorm(w, 1.0) ** 2
+            l2_norm(w) ** 2 + FieldNorms(w).vertical(1.0) ** 2
         )
         assert rec.model_energy <= upper * (1 + 1e-12)
 
@@ -119,6 +118,16 @@ def test_gronwall_integrand_values():
         gronwall_integrand(FieldNorms(w), 0.0)
 
 
+def test_a_record_at_theta_zero_has_a_zero_gronwall_integrand():
+    # the integrand's exponents need theta > 0; a record at theta = 0
+    # reports 0.0 for a nonzero state rather than raising
+    g = Grid(16, 16, 16)
+    w = descriptor_field(SingleMode(k=(0, 0, 1)), g)
+    rec = energy_terms(w, zero_vector(g), FilterSpec(0.5, 0.0), 1, nu=0.1)
+    assert rec.grad_norm > 0.0
+    assert rec.gronwall_integrand == 0.0
+
+
 def test_record_norms_equal_the_single_norm_functions_bitwise():
     g = Grid(12, 16, 10, 2.0 * np.pi, 3.0, 5.0)
     filt = FilterSpec(alpha=0.5, theta=0.75)
@@ -127,7 +136,7 @@ def test_record_norms_equal_the_single_norm_functions_bitwise():
     w, f = draw_vector(rng, spec, g), draw_vector(rng, spec, g)
     rec = energy_terms(w, f, filt, 2, nu=0.07)
     assert rec.l2_norm == l2_norm(w)
-    assert rec.theta_seminorm == vertical_seminorm(w, 0.75)
+    assert rec.theta_seminorm == FieldNorms(w).vertical(0.75)
     assert rec.gronwall_integrand == gronwall_integrand(FieldNorms(w), 0.75)
     assert rec.gronwall_integrand > 0.0
     assert rec.grad_norm == FieldNorms(w).grad()

@@ -3,6 +3,13 @@
 import numpy as np
 import pytest
 from full_layout import gradient, half_layout, to_full
+from oracles import (
+    check_filter_identities,
+    deconv_error_symbol,
+    half_deconv,
+    half_filter,
+    vertical_fractional_shift,
+)
 
 from admles.filters import (
     DeconvSpec,
@@ -10,23 +17,13 @@ from admles.filters import (
     apply_bar,
     apply_deconv,
     apply_filter,
-    apply_half_deconv,
-    apply_half_filter,
-    check_filter_identities,
-    deconv_error_symbol,
     deconv_symbol,
     deconv_symbol_iterative,
     filter_symbol,
     symbol_table,
-    vertical_fractional_shift,
 )
 from admles.grid import Grid
-from admles.spectral import (
-    field_from_samples,
-    l2_norm,
-    leray_project,
-    vertical_seminorm,
-)
+from admles.spectral import FieldNorms, field_from_samples, l2_norm, leray_project
 
 
 @pytest.fixture
@@ -168,8 +165,7 @@ def test_symbol_table_cached_read_only_and_applied(grid):
     k3 = grid.k3.ravel()
     a = filter_symbol(spec.filter, k3)
     d = deconv_symbol(spec, k3)
-    expected = {"filter": a, "bar": 1.0 / a, "half_filter": np.sqrt(a),
-                "deconv": d, "half_deconv": np.sqrt(d)}
+    expected = {"filter": a, "bar": 1.0 / a, "deconv": d}
     for name, values in expected.items():
         line = getattr(table, name)
         assert line.shape == (1, 1, grid.n3 // 2 + 1)
@@ -184,11 +180,10 @@ def test_symbol_table_cached_read_only_and_applied(grid):
     line = lambda v: v[w.band.cols].reshape(1, 1, -1)  # noqa: E731
     assert np.array_equal(apply_filter(w, spec.filter).coeffs, c * line(a))
     assert np.array_equal(apply_bar(w, spec.filter).coeffs, c / line(a))
-    assert np.array_equal(apply_half_filter(w, spec.filter).coeffs,
-                          c * line(np.sqrt(a)))
     assert np.array_equal(apply_deconv(w, spec).coeffs, c * line(d))
-    assert np.array_equal(apply_half_deconv(w, spec).coeffs,
-                          c * line(np.sqrt(d)))
+    # and so does each test-side half multiplier
+    assert np.array_equal(half_filter(w, spec.filter).coeffs, c * line(np.sqrt(a)))
+    assert np.array_equal(half_deconv(w, spec).coeffs, c * line(np.sqrt(d)))
 
 
 def test_apply_bar_halves_unit_mode(grid):
@@ -219,7 +214,7 @@ def test_filter_inverse_pair(grid):
 def test_half_filter_squares_to_filter(grid):
     f = random_scalar(grid, seed=2)
     spec = FilterSpec(alpha=1.1, theta=0.6)
-    twice = apply_half_filter(apply_half_filter(f, spec), spec)
+    twice = half_filter(half_filter(f, spec), spec)
     full = apply_filter(f, spec)
     scale = np.max(np.abs(full.coeffs))
     assert np.max(np.abs(twice.coeffs - full.coeffs)) < 1e-12 * scale
@@ -229,7 +224,7 @@ def test_half_filter_single_mode(grid):
     _, _, x3 = grid.mesh()
     f = field_from_samples(grid, np.cos(x3) + np.zeros(grid.shape))
     spec = FilterSpec(alpha=1.0, theta=1.0)
-    out = apply_half_filter(f, spec)
+    out = half_filter(f, spec)
     assert out.coeffs[0, 0, 1] == pytest.approx(np.sqrt(2) * 0.5, rel=1e-14)
 
 
@@ -238,10 +233,10 @@ def test_parseval_filter_identity(grid):
     v = random_divfree(grid, seed=3)
     for alpha, theta in ((1.0, 1.0), (0.5, 0.75), (2.0, 0.51)):
         spec = FilterSpec(alpha, theta)
-        lhs = l2_norm(apply_half_filter(v, spec)) ** 2
+        lhs = l2_norm(half_filter(v, spec)) ** 2
         rhs = (
             l2_norm(v) ** 2
-            + alpha ** (2 * theta) * vertical_seminorm(v, theta) ** 2
+            + alpha ** (2 * theta) * FieldNorms(v).vertical(theta) ** 2
         )
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
@@ -256,7 +251,7 @@ def test_deconv_order_zero_identity_on_fields(grid):
 def test_half_deconv_squares_to_full(grid):
     w = random_divfree(grid, seed=5)
     spec = DeconvSpec(FilterSpec(0.9, 0.8), 7)
-    twice = apply_half_deconv(apply_half_deconv(w, spec), spec)
+    twice = half_deconv(half_deconv(w, spec), spec)
     full = apply_deconv(w, spec)
     scale = np.max(np.abs(full.coeffs))
     assert np.max(np.abs(twice.coeffs - full.coeffs)) < 1e-12 * scale
@@ -276,8 +271,8 @@ def test_smoothed_deconv_contraction(grid):
     for order in (0, 2, 8):
         spec = DeconvSpec(FilterSpec(1.4, 0.9), order)
         smoothed = apply_bar(v, spec.filter)
-        weighted = apply_half_filter(
-            apply_half_deconv(smoothed, spec), spec.filter
+        weighted = half_filter(
+            half_deconv(smoothed, spec), spec.filter
         )
         assert l2_norm(weighted) <= l2_norm(v) * (1 + 1e-12)
 

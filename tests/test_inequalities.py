@@ -13,10 +13,12 @@ from admles.grid import Band, Grid
 from admles.inequalities import (
     LEMMAS,
     RatioReport,
-    agmon_ratio,
+    _agmon_terms,
+    _ladyzhenskaya,
+    _trilinear_terms,
+    _vertical_embedding_terms,
     agmon_split_bound,
     l2_v_l4_h_norm,
-    ladyzhenskaya_ratio,
     line_hs_norm,
     line_l2_norm,
     line_seminorm,
@@ -24,16 +26,41 @@ from admles.inequalities import (
     linf_v_l2_h_norm,
     plane_profile,
     run_sweep,
-    trilinear_ratio_i,
-    trilinear_ratio_ii,
-    vertical_embedding_ratio,
 )
 from admles.spectral import (
+    FieldNorms,
     VectorField,
     field_from_samples,
     fine_samples,
     l2_norm,
 )
+
+# The ratio of one sample, read through the helpers that run_sweep calls.
+
+
+def agmon(line, s):
+    return _agmon_terms(line)[1](s)
+
+
+def ladyzhenskaya(u):
+    return _ladyzhenskaya(u, FieldNorms(u))
+
+
+def vertical_embedding(u, s):
+    return _vertical_embedding_terms(u, FieldNorms(u))(s)
+
+
+def trilinear_i(u, v, w, s):
+    return _trilinear_terms(u, v, w)["trilinear_i"](s)
+
+
+def trilinear_ii(u, v, w, s):
+    return _trilinear_terms(u, v, w)["trilinear_ii"](s)
+
+
+def assert_sweep_rejects_s(lemma, s):
+    with pytest.raises(ValueError, match=f"s_values: {s} must exceed 1/2"):
+        run_sweep(EnsembleSpec(1, 4, 0), Grid(16, 16, 16), [lemma], [s], 32)
 
 
 def cos_line(n, k=1, amp=1.0):
@@ -67,27 +94,26 @@ def test_agmon_ratio_single_mode():
     l2 = 2 * np.sqrt(np.pi)
     hs = np.sqrt(2) * l2
     expect = 2.0 / (l2 ** (1 - 0.5 / s) * hs ** (0.5 / s))
-    assert agmon_ratio(line, s) == pytest.approx(expect, rel=1e-12)
+    assert agmon(line, s) == pytest.approx(expect, rel=1e-12)
 
 
 def test_agmon_ratio_scale_invariant():
     spec = EnsembleSpec(count=1, band_limit=10, seed=21)
     line = draw_line(spec.rng(), spec, 64)
-    base = agmon_ratio(line, 0.75)
+    base = agmon(line, 0.75)
     for lam in (1e-3, 1.0, 1e3):
-        assert agmon_ratio(lam * line, 0.75) == pytest.approx(base, rel=1e-10)
+        assert agmon(lam * line, 0.75) == pytest.approx(base, rel=1e-10)
 
 
 def test_agmon_rejects_bad_inputs():
     line = cos_line(32)
+    assert_sweep_rejects_s("agmon", 0.5)
     with pytest.raises(ValueError):
-        agmon_ratio(line, 0.5)
-    with pytest.raises(ValueError):
-        agmon_ratio(np.zeros(32, dtype=complex), 1.0)
+        agmon(np.zeros(32, dtype=complex), 1.0)
     biased = line.copy()
     biased[0] = 1.0
     with pytest.raises(ValueError):
-        agmon_ratio(biased, 1.0)
+        agmon(biased, 1.0)
 
 
 def test_agmon_split_bound_dominates():
@@ -173,6 +199,16 @@ def test_agmon_split_bound_rejects_a_nonzero_mean():
     for line in (shifted, constant):
         with pytest.raises(ValueError, match="zero mean"):
             agmon_split_bound(line, 1.0)
+
+
+@pytest.mark.parametrize("margin, violated", [(1.2e-12, True), (0.8e-12, False)])
+def test_split_bound_is_violated_beyond_one_part_in_1e12(monkeypatch, margin, violated):
+    # a bound below the sup by more than 1e-12 of itself is a violation
+    monkeypatch.setattr(inequalities, "agmon_split_bound",
+                        lambda coeffs, s: line_sup_norm(coeffs) / (1.0 + margin))
+    spec = EnsembleSpec(count=3, band_limit=10, seed=5)
+    _, violations = run_sweep(spec, Grid(16, 16, 16), ["agmon"], [0.75], 64)
+    assert len(violations) == (3 if violated else 0)
 
 
 def test_run_agmon_report():
@@ -327,9 +363,9 @@ def test_each_axis_is_sampled_by_its_own_rule(monkeypatch):
 def test_ladyzhenskaya_single_mode_matches_fine_grid(grid):
     x1, _, _ = grid.mesh()
     u = single_mode_u1(grid, np.sin(x1))
-    r = ladyzhenskaya_ratio(u)
+    r = ladyzhenskaya(u)
     fine = Grid(*(2 * n for n in grid.shape), *grid.sizes)
-    r_fine = ladyzhenskaya_ratio(VectorField(Band(fine, u.band.cutoffs), u.coeffs))
+    r_fine = ladyzhenskaya(VectorField(Band(fine, u.band.cutoffs), u.coeffs))
     assert r == pytest.approx(r_fine, rel=1e-6)
     assert np.isfinite(r) and r > 0
 
@@ -350,23 +386,23 @@ def test_ladyzhenskaya_ratio_closed_form(m1, m3):
     u = field_from_samples(g, np.stack([zero, zero + np.cos(k1 * x1) * np.cos(k3 * x3),
                                         zero]))
     expect = np.sqrt(np.sqrt(3 * L1 * L2 / 8) * L3 / 2) / np.sqrt(k1 * L1 * L2 * L3 / 4)
-    assert ladyzhenskaya_ratio(u) == pytest.approx(expect, rel=1e-6)
+    assert ladyzhenskaya(u) == pytest.approx(expect, rel=1e-6)
 
 
 def test_ladyzhenskaya_scale_invariant(grid):
     spec = EnsembleSpec(count=1, band_limit=5, seed=2)
     u = draw_vector(spec.rng(), spec, grid)
-    base = ladyzhenskaya_ratio(u)
+    base = ladyzhenskaya(u)
     for lam in (1e-3, 1e3):
         scaled = u.with_coeffs(lam * u.coeffs)
-        assert ladyzhenskaya_ratio(scaled) == pytest.approx(base, rel=1e-10)
+        assert ladyzhenskaya(scaled) == pytest.approx(base, rel=1e-10)
 
 
 def test_ladyzhenskaya_rejects_horizontal_constant(grid):
     _, _, x3 = grid.mesh()
     u = single_mode_u1(grid, np.sin(x3))
     with pytest.raises(ValueError):
-        ladyzhenskaya_ratio(u)
+        ladyzhenskaya(u)
 
 
 def test_vertical_embedding_separable_reduction(grid):
@@ -379,27 +415,24 @@ def test_vertical_embedding_separable_reduction(grid):
     expect = line_sup_norm(line) / (
         line_l2_norm(line) ** (1 - 0.5 / s) * line_seminorm(line, s) ** (0.5 / s)
     )
-    assert vertical_embedding_ratio(u, s) == pytest.approx(expect, rel=1e-10)
+    assert vertical_embedding(u, s) == pytest.approx(expect, rel=1e-10)
 
 
 def test_vertical_embedding_rejects(grid):
     x1, _, _ = grid.mesh()
     u = single_mode_u1(grid, np.sin(x1))
     with pytest.raises(ValueError):
-        vertical_embedding_ratio(u, 1.0)  # no vertical variation
-    _, _, x3 = grid.mesh()
-    v = single_mode_u1(grid, np.sin(x3))
-    with pytest.raises(ValueError):
-        vertical_embedding_ratio(v, 0.5)  # s too small
+        vertical_embedding(u, 1.0)  # no vertical variation
+    assert_sweep_rejects_s("vertical_embedding", 0.5)
 
 
 def test_vertical_embedding_scale_invariant(grid):
     spec = EnsembleSpec(count=1, band_limit=5, seed=8)
     u = draw_vector(spec.rng(), spec, grid)
-    base = vertical_embedding_ratio(u, 1.0)
+    base = vertical_embedding(u, 1.0)
     for lam in (1e-3, 1e3):
         scaled = u.with_coeffs(lam * u.coeffs)
-        assert vertical_embedding_ratio(scaled, 1.0) == pytest.approx(
+        assert vertical_embedding(scaled, 1.0) == pytest.approx(
             base, rel=1e-10
         )
 
@@ -418,7 +451,7 @@ def test_trilinear_orthogonal_modes(grid):
         grid, np.stack([zero, np.sin(x1) * np.cos(x3) + zero, zero])
     )
     w = field_from_samples(grid, np.stack([np.cos(x3) + zero, zero, zero]))
-    r = trilinear_ratio_i(u, v, w, 1.0)
+    r = trilinear_i(u, v, w, 1.0)
     assert r == pytest.approx(0.0, abs=1e-14)
 
 
@@ -429,8 +462,8 @@ def test_trilinear_by_parts_identity(grid):
         u = draw_vector(rng, spec, grid)
         v = draw_vector(rng, spec, grid)
         w = draw_vector(rng, spec, grid)
-        a = trilinear_ratio_ii(u, v, w, 1.0)
-        b = trilinear_ratio_i(u, w, v, 1.0)
+        a = trilinear_ii(u, v, w, 1.0)
+        b = trilinear_i(u, w, v, 1.0)
         assert a == pytest.approx(b, rel=1e-10)
 
 
@@ -440,8 +473,8 @@ def test_trilinear_scale_invariant(grid):
     u = draw_vector(rng, spec, grid)
     v = draw_vector(rng, spec, grid)
     w = draw_vector(rng, spec, grid)
-    base = trilinear_ratio_i(u, v, w, 0.75)
-    scaled = trilinear_ratio_i(
+    base = trilinear_i(u, v, w, 0.75)
+    scaled = trilinear_i(
         u.with_coeffs(1e3 * u.coeffs),
         v.with_coeffs(1e-2 * v.coeffs),
         w.with_coeffs(10.0 * w.coeffs),
@@ -455,9 +488,8 @@ def test_trilinear_rejects_degenerate(grid):
     spec = EnsembleSpec(count=1, band_limit=5, seed=19)
     u = draw_vector(spec.rng(), spec, grid)
     with pytest.raises(ValueError):
-        trilinear_ratio_i(zero, u, u, 1.0)
-    with pytest.raises(ValueError):
-        trilinear_ratio_i(u, u, u, 0.4)
+        trilinear_i(zero, u, u, 1.0)
+    assert_sweep_rejects_s("trilinear_i", 0.4)
 
 
 # ---------------------------------------------------------------------------
@@ -511,12 +543,12 @@ def test_run_sweep_matches_oracles():
     triples = [[draw_vector(rng, spec, grid) for _ in range(3)]
                for _ in range(spec.count)]
     oracles = {
-        "agmon": lambda s: [agmon_ratio(g, s) for g in lines],
-        "ladyzhenskaya": lambda s: [ladyzhenskaya_ratio(u) for u in fields],
+        "agmon": lambda s: [agmon(g, s) for g in lines],
+        "ladyzhenskaya": lambda s: [ladyzhenskaya(u) for u in fields],
         "vertical_embedding": lambda s: [
-            vertical_embedding_ratio(u, s) for u in fields],
-        "trilinear_i": lambda s: [trilinear_ratio_i(*t, s) for t in triples],
-        "trilinear_ii": lambda s: [trilinear_ratio_ii(*t, s) for t in triples],
+            vertical_embedding(u, s) for u in fields],
+        "trilinear_i": lambda s: [trilinear_i(*t, s) for t in triples],
+        "trilinear_ii": lambda s: [trilinear_ii(*t, s) for t in triples],
     }
     expected = [
         (lemma, s) for lemma in lemmas
@@ -570,8 +602,8 @@ def test_two_threads_on_one_grid_keep_the_serial_bits():
 
     def ratios(triple):
         u, v, w = triple
-        return (trilinear_ratio_i(u, v, w, 0.75), ladyzhenskaya_ratio(u),
-                vertical_embedding_ratio(v, 0.75))
+        return (trilinear_i(u, v, w, 0.75), ladyzhenskaya(u),
+                vertical_embedding(v, 0.75))
 
     serial = [ratios(triple) for triple in triples]
     interval = sys.getswitchinterval()

@@ -1142,6 +1142,17 @@ def test_config_validation():
         config16(dt=1e-320, t_end=1.0)
 
 
+@pytest.mark.parametrize("offset, ok", [(1.2e-9, False), (0.8e-9, True)])
+def test_t_end_is_a_multiple_of_dt_to_one_part_in_1e9(offset, ok):
+    # 100 steps of 0.01 are 1.0 exactly; t_end may miss that by 1e-9 t_end
+    t_end = 1.0 + offset
+    if ok:
+        assert config16(t_end=t_end).num_steps == 100
+    else:
+        with pytest.raises(ValueError, match="integer multiple of dt"):
+            config16(t_end=t_end)
+
+
 def test_config_lists_every_scalar_rule_without_reading_the_rest():
     with pytest.raises(ValueError) as excinfo:
         config16(grid=None, filter=None, init=None, forcing=None, nu=0.0,
@@ -1231,6 +1242,35 @@ def test_deconvolved_state_converges_at_the_model_order(theta, order, forcing):
     first, last = (np.log2(a / b) for a, b in zip(gaps, gaps[1:]))
     assert abs(last - 2 * theta * (order + 1)) <= 0.25
     assert last > first
+
+
+@pytest.mark.parametrize("theta", [1.0, 0.75])
+def test_deconvolved_state_converges_as_the_order_grows(theta):
+    """At fixed alpha, D_N w(T) nears the Navier-Stokes velocity as N
+    grows.  Its error against an alpha = 1e-9 run, where A rounds to 1,
+    falls with each order by about rho(k3) = a / (1 + a), a = (alpha
+    |k3|)^{2 theta}, the error symbol's factor per order: by rho(1) at
+    first, and by less than rho(K3) of the band's edge K3 throughout."""
+    grid, alpha = Grid(16, 16, 16), 0.4
+
+    def deconvolved(alpha, order):
+        filt = FilterSpec(alpha=alpha, theta=theta)
+        stream = run(SolverConfig(grid=grid, nu=0.05, filter=filt, deconv_order=order,
+                                  dt=0.005, t_end=0.2, init=TaylorGreen(),
+                                  forcing=ZeroForcing(), output_every=40))
+        for _ in stream:
+            pass
+        return apply_deconv(stream.state.w, DeconvSpec(filt, order))
+
+    reference = deconvolved(1e-9, 0)
+    errors = np.array([l2_distance(deconvolved(alpha, order), reference)
+                       for order in range(9)])
+    ratios = errors[1:] / errors[:-1]
+    a = (alpha * np.array([1.0, grid.band.cutoffs[2]])) ** (2 * theta)
+    rho_1, rho_edge = a / (1.0 + a)
+    assert np.all(np.diff(errors) < 0.0)
+    assert abs(ratios[0] / rho_1 - 1.0) <= 0.1
+    assert np.all(ratios < rho_edge)
 
 
 # ---------------------------------------------------------------------------

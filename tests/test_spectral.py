@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from full_layout import (
     AXES,
+    component,
     convective_inner_reference,
     derivative_lines,
     gather,
@@ -42,7 +43,6 @@ from admles.spectral import (
     leray_project,
     pad_spectrum,
     tensor_divergence,
-    vertical_seminorm,
 )
 
 
@@ -77,7 +77,7 @@ def test_fields_freeze_owned_arrays_and_copy_writable_views(grid):
     assert not np.shares_memory(scalar.coeffs, base)
 
     # a component is a view of a frozen array: shared, and still frozen
-    part = field.component(2)
+    part = component(field, 2)
     assert np.shares_memory(part.coeffs, field.coeffs)
     assert not part.coeffs.flags.writeable
 
@@ -146,7 +146,7 @@ def test_gradient_of_cosine(grid):
     x1, _, _ = grid.mesh()
     f = field_from_samples(grid, np.cos(x1) + np.zeros(grid.shape))
     gf = gradient(f)
-    d1 = grid_samples(gf.component(0))
+    d1 = grid_samples(component(gf, 0))
     assert np.max(np.abs(d1 - (-np.sin(x1) - np.zeros(grid.shape)))) < 1e-12
     assert np.max(np.abs(gf.coeffs[1])) < 1e-15
     assert np.max(np.abs(gf.coeffs[2])) < 1e-15
@@ -155,7 +155,7 @@ def test_gradient_of_cosine(grid):
 def test_vertical_derivative(grid):
     _, _, x3 = grid.mesh()
     f = field_from_samples(grid, np.sin(2 * x3) + np.zeros(grid.shape))
-    df = gradient(f).component(2)
+    df = component(gradient(f), 2)
     expect = 2 * np.cos(2 * x3) + np.zeros(grid.shape)
     assert np.max(np.abs(grid_samples(df) - expect)) < 1e-12
 
@@ -166,7 +166,7 @@ def test_gradient_real_for_nyquist_content(grid):
     rng = np.random.default_rng(3)
     f = field_from_samples(grid, rng.standard_normal(grid.shape))
     for i in range(3):
-        comp = half_layout(gradient(f).component(i))
+        comp = half_layout(component(gradient(f), i))
         assert hermitian_defect(to_full(grid, comp)) < 1e-13
 
 
@@ -430,13 +430,13 @@ def test_vertical_seminorm_oracles(grid):
     f = field_from_samples(grid, 2 * np.cos(x3) + np.zeros(grid.shape))
     # |k3| = 1: seminorm equals the L2 norm for every s
     for s in (0.25, 0.5, 1.0):
-        assert vertical_seminorm(f, s) == pytest.approx(l2_norm(f), rel=1e-13)
+        assert FieldNorms(f).vertical(s) == pytest.approx(l2_norm(f), rel=1e-13)
     g = field_from_samples(grid, 2 * np.cos(2 * x3) + np.zeros(grid.shape))
     # |k3| = 2, s = 1/2: weight |k3|^{2s} = 2
-    assert vertical_seminorm(g, 0.5) == pytest.approx(
+    assert FieldNorms(g).vertical(0.5) == pytest.approx(
         np.sqrt(2) * l2_norm(g), rel=1e-13
     )
-    assert vertical_seminorm(g, 1.0) == pytest.approx(2 * l2_norm(g), rel=1e-13)
+    assert FieldNorms(g).vertical(1.0) == pytest.approx(2 * l2_norm(g), rel=1e-13)
 
 
 @pytest.mark.parametrize("g", [Grid(32, 32, 32), Grid(64, 64, 64),
@@ -644,6 +644,29 @@ def test_band_5_triple_at_32_is_sampled_on_16_points(monkeypatch):
     assert shapes == [(3, 16, 16, 16), (9, 16, 16, 16), (3, 16, 16, 16)]
 
 
+@pytest.mark.parametrize("boxes, shape", [
+    # per axis the integrand's band is b_u + b_v + b_w, and each box's own
+    # band 2 b must fit too: the fewest even count above the larger
+    (((1, 1, 1), (1, 1, 1), (5, 5, 5)), (12, 12, 12)),
+    (((4, 1, 2), (2, 1, 2), (1, 3, 2)), (10, 8, 8)),
+    (((3, 3, 3), (3, 3, 3), (3, 3, 3)), (10, 10, 10))])
+def test_convective_inner_samples_on_the_fewest_points(monkeypatch, boxes, shape):
+    g = Grid(16, 16, 16)
+    u, v, w = (VectorField(g.box(box), g.box(box).restrict(f.coeffs, f.band))
+               for f, box in zip(band_draws(g, 5, 5, 5), boxes))
+    shapes = []
+
+    def recording(coeffs, out, work):
+        shapes.append(out.shape[1:])
+        return band_inverse(coeffs, out, work)
+
+    monkeypatch.setattr(spectral, "band_inverse", recording)
+    got = convective_inner(u, v, w)
+    assert shapes == [shape] * 3
+    scale = l2_norm(u) * FieldNorms(v).grad() * l2_norm(w)
+    assert abs(got - convective_inner_reference(u, v, w)) <= 1e-13 * scale
+
+
 @pytest.mark.parametrize("g", [Grid(16, 16, 16), Grid(32, 32, 32)], ids=["16^3", "32^3"])
 def test_convective_inner_on_mixed_boxes(g):
     # u and w on band-3 boxes, v on a band-5 one: each is sampled from its
@@ -795,8 +818,8 @@ def test_norms_match_full_layout_reference(vector):
         (l2_norm(f), ref(1.0)),
         (norms.grad(), ref(k_squared)),
         (norms.horizontal_grad(), ref(k1**2 + k2**2)),
-        (vertical_seminorm(f, s), ref(np.abs(k3) ** (2 * s))),
-        (vertical_seminorm(f, 0.0), ref(1.0)),
+        (norms.vertical(s), ref(np.abs(k3) ** (2 * s))),
+        (norms.vertical(0.0), ref(1.0)),
         (norms.vertical_grad(s), ref(k_squared * np.abs(k3) ** (2 * s))),
         (inner_product(f, h), g.volume * np.vdot(H, F).real),
     ]
